@@ -255,14 +255,21 @@ def lift_preservation_subobject_classifier(
     termE: ChosenTerminal,
     socE: SubobjectClassifierW,
     Fcert: OmegaPreservationCert,
+    termD: ChosenTerminal | None = None,
+    socD: SubobjectClassifierW | None = None,
 ) -> OmegaPreservationCert:
     """Classifier preservation for the factored functor: alpha transports F's
     comparison, and classifying-map uniqueness forces agreement with the
-    direct decision procedure."""
+    direct decision procedure.
+
+    termD and socD are the witnesses already carried to the completion; each
+    is transferred here when omitted."""
     _check_triangle(cert, F, H, alpha)
     E = F.target
-    termD, _ = transfer_terminal(cert, termC)
-    socD, _ = transfer_subobject_classifier(cert, termC, termD, socC)
+    if termD is None:
+        termD, _ = transfer_terminal(cert, termC)
+    if socD is None:
+        socD, _ = transfer_subobject_classifier(cert, termC, termD, socC)
     direct = preserves_subobject_classifier(H, termD, socD, termE, socE)
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct classifier check")
@@ -286,29 +293,44 @@ class ToposW:
     classifier: SubobjectClassifierW
 
 
+def gaps_from_found(found: dict[str, bool]) -> list[str]:
+    """Names of the missing topos components, in dependency order, from a
+    map of structure kind to whether a search found it; a component whose
+    dependency is missing is reported as such rather than as absent."""
+    gaps = []
+    if not found["terminal"]:
+        gaps.append("terminal")
+    if not found["products"]:
+        gaps.append("binary products")
+    if not found["equalizers"]:
+        gaps.append("equalizers")
+    if not found["pullbacks"]:
+        gaps.append("pullbacks")
+    if not found["products"]:
+        gaps.append("exponentials (products missing)")
+    elif not found["exponentials"]:
+        gaps.append("exponentials")
+    if not found["terminal"]:
+        gaps.append("subobject classifier (terminal missing)")
+    elif not found["classifier"]:
+        gaps.append("subobject classifier")
+    return gaps
+
+
 def topos_gaps(C: FinCat) -> list[str]:
     """Names of the topos components this category is missing, in dependency
     order; downstream components that need missing ones are not attempted."""
-    gaps = []
     term = find_terminal(C)
-    if term is None:
-        gaps.append("terminal")
     prods = find_binary_products(C)
-    if prods is None:
-        gaps.append("binary products")
-    if find_equalizers(C) is None:
-        gaps.append("equalizers")
-    if find_pullbacks(C) is None:
-        gaps.append("pullbacks")
-    if prods is None:
-        gaps.append("exponentials (products missing)")
-    elif find_exponentials(C, prods) is None:
-        gaps.append("exponentials")
-    if term is None:
-        gaps.append("subobject classifier (terminal missing)")
-    elif find_subobject_classifier(C, term) is None:
-        gaps.append("subobject classifier")
-    return gaps
+    found = {
+        "terminal": term is not None,
+        "products": prods is not None,
+        "equalizers": find_equalizers(C) is not None,
+        "pullbacks": find_pullbacks(C) is not None,
+        "exponentials": prods is not None and find_exponentials(C, prods) is not None,
+        "classifier": term is not None and find_subobject_classifier(C, term) is not None,
+    }
+    return gaps_from_found(found)
 
 
 def assemble_topos(C: FinCat) -> ToposW | None:

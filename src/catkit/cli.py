@@ -18,7 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from .classifier import topos_gaps
+from .classifier import gaps_from_found, topos_gaps
 from .completion import skeletize
 from .core import FinCat, set_search_budget
 from .errors import (
@@ -177,7 +177,7 @@ def cmd_analyze(args) -> tuple[RunReport, int]:
         report.status[t] = "found" if found[TOKEN_TO_KIND[t]] else "absent"
     report.status["skeletality"] = skeletality_line(C)
     report.payload = structure_to_json(C, bag)
-    report.payload["gaps"] = topos_gaps(C) if args.structure is None else []
+    report.payload["gaps"] = gaps_from_found(found) if args.structure is None else []
     missing = args.structure is not None and any(
         not found[TOKEN_TO_KIND[t]] for t in requested
     )

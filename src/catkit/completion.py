@@ -20,11 +20,13 @@ from .core import (
     WeakEquivalenceCert,
     check_functor,
     check_nat_iso,
+    check_weak_equivalence_cert,
     compose_functors,
     fincat,
     find_iso,
     functor,
     functors_equal,
+    is_fully_faithful,
     is_weak_equivalence,
     iso_between,
     iso_classes,
@@ -33,6 +35,7 @@ from .core import (
     same_tables,
 )
 from .errors import (
+    InvalidCert,
     InvalidFactorization,
     NatIsoError,
     OracleDisagreement,
@@ -149,6 +152,39 @@ def skeletize(C: FinCat) -> CompletionResult:
         canonical_isos=tuple(canon),
         rep_objects=reps,
     )
+
+
+def skeleton_inclusion(cr: CompletionResult) -> WeakEquivalenceCert:
+    """The inclusion of the representatives, completed -> source, certified
+    as a weak equivalence; transfer along it carries witnesses chosen on the
+    completion back to the source.
+
+    The eso iso at a source object x is the preimage under eta of the
+    inverse of eta's own eso iso at eta(x).  With that choice, carrying a
+    witness back and then transferring it along eta returns it unchanged,
+    which lifting preservation through a factorization relies on.
+    """
+    C, D = cr.source, cr.completed
+    reps = set(cr.rep_objects)
+    keep = [
+        f for f in range(C.n_morphisms) if C.mor_src[f] in reps and C.mor_dst[f] in reps
+    ]
+    incl = functor(D, C, cr.rep_objects, keep, name=f"incl_{C.name}")
+    ff = is_fully_faithful(incl)
+    if ff is None:
+        raise OracleDisagreement("inclusion of the representatives is not fully faithful")
+    eso = []
+    for x in range(C.n_objects):
+        y = cr.eta.obj_map[x]
+        r = cr.rep_objects[y]
+        i = cr.cert.eso_witness[y][1]
+        eso.append((y, Iso(cr.cert.ff_inverse(r, x, i.inv), cr.cert.ff_inverse(x, r, i.fwd))))
+    cert = WeakEquivalenceCert(incl, ff, tuple(eso))
+    try:
+        check_weak_equivalence_cert(cert)
+    except InvalidCert as e:
+        raise OracleDisagreement(f"inclusion certificate failed its own check: {e}") from e
+    return cert
 
 
 # ---------------------------------------------------------------------------

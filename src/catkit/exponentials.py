@@ -264,15 +264,21 @@ def lift_preservation_exponentials(
     alpha: NatIso,
     FprodCert: ProductPreservationCert,
     FexpCert: ExpPreservationCert,
+    prodsD: dict[tuple[int, int], BinProductW] | None = None,
+    expsD: dict[tuple[int, int], ExponentialW] | None = None,
 ) -> ExpPreservationCert:
     """Preservation of transferred exponentials for the factored functor:
     comparisons built constructively from F's data through alpha must match
-    the direct decision procedure exactly."""
+    the direct decision procedure exactly.
+
+    prodsD and expsD are the tables already carried to the completion; each
+    is transferred here when omitted."""
     _check_triangle(cert, F, H, alpha)
-    D = cert.functor.target
     E = F.target
-    prodsD, _ = transfer_binary_products(cert, FprodCert.source)
-    expsD, _ = transfer_exponentials(cert, FprodCert.source, FexpCert.source, prodsD)
+    if prodsD is None:
+        prodsD, _ = transfer_binary_products(cert, FprodCert.source)
+    if expsD is None:
+        expsD, _ = transfer_exponentials(cert, FprodCert.source, FexpCert.source, prodsD)
     HprodCert = preserves_binary_products(H, prodsD, FprodCert.target)
     if HprodCert is None:
         raise PreconditionViolation("factored functor does not preserve the products in scope")

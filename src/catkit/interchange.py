@@ -67,6 +67,9 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
         if not isinstance(entry, dict) or not {"id", "src", "dst"} <= set(entry):
             raise MalformedInput("morphism entries need id/src/dst", pointer=ptr)
         mid, s, d = entry["id"], entry["src"], entry["dst"]
+        for key in ("id", "src", "dst"):
+            if not isinstance(entry[key], str):
+                raise MalformedInput(f"morphism {key} must be a label", pointer=f"{ptr}/{key}")
         if s not in obj_index:
             raise DanglingReference(f"unknown object {s!r}", pointer=f"{ptr}/src")
         if d not in obj_index:
@@ -93,6 +96,8 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
         if obj_label not in obj_index:
             raise DanglingReference(f"unknown object {obj_label!r}", pointer=ptr)
         x = obj_index[obj_label]
+        if not isinstance(mid, str):
+            raise MalformedInput("identity must be a morphism label", pointer=ptr)
         if mid in mor_index:
             f = mor_index[mid]
             if srcs[f] != x or dsts[f] != x:
@@ -125,7 +130,9 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise MalformedInput("composition entries are [f, g, fg] triples", pointer=ptr)
         ids = []
-        for mid in triple:
+        for j, mid in enumerate(triple):
+            if not isinstance(mid, str):
+                raise MalformedInput("composition entries must be labels", pointer=f"{ptr}/{j}")
             if mid not in mor_index:
                 raise DanglingReference(f"unknown morphism {mid!r}", pointer=ptr)
             ids.append(mor_index[mid])

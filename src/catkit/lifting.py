@@ -6,15 +6,27 @@ preservation by a functor, and lift preservation through a factorization
 triangle.  The registry drives whole-pipeline operations in dependency
 order, so exponentials always follow products, and the classifier and
 parameterized-N always follow the terminal.
+
+Structure is searched for on the skeleton, which is equivalent to the source
+and usually far smaller, and carried back to the source along the inclusion
+of the representatives; every carried source witness is re-validated there
+once.  Lifting preservation through a factorization reuses the carried
+witnesses instead of transferring them again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .completion import CompletionResult, Factorization, factor_through, skeletize
+from .completion import (
+    CompletionResult,
+    Factorization,
+    factor_through,
+    skeletize,
+    skeleton_inclusion,
+)
 from .core import FinCat, Functor, NatIso, WeakEquivalenceCert, same_tables
-from .errors import DependencyMissing, InvalidCert, PreconditionViolation
+from .errors import DependencyMissing, InvalidCert, OracleDisagreement, PreconditionViolation
 from .classifier import (
     check_subobject_classifier,
     find_subobject_classifier,
@@ -62,6 +74,10 @@ class StructureKind:
 
     All callables receive bags: plain dicts mapping kind names to witness
     payloads on a single category, so kinds can reach their dependencies.
+    ``transfer`` serves the pipeline, whose choices are fixed on the
+    skeleton, so it never warns about a non-skeletal target.  ``lift``
+    receives last the bag carried to the completion, whose entries are the
+    transfers of the source bag along the equivalence.
     """
 
     name: str
@@ -71,7 +87,7 @@ class StructureKind:
     transfer: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
     lift: Callable[
-        [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict], object
+        [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict], object
     ]
 
 
@@ -131,10 +147,10 @@ KINDS: dict[str, StructureKind] = {
         (),
         _check_terminal,
         lambda C, bag: find_terminal(C),
-        lambda cert, src, dst: transfer_terminal(cert, src["terminal"]),
+        lambda cert, src, dst: transfer_terminal(cert, src["terminal"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_terminal(F, src["terminal"], dst["terminal"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_terminal(
-            cert, F, H, alpha, Fcerts["terminal"]
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_terminal(
+            cert, F, H, alpha, Fcerts["terminal"], carried["terminal"]
         ),
     ),
     "products": StructureKind(
@@ -142,10 +158,10 @@ KINDS: dict[str, StructureKind] = {
         (),
         _check_products,
         lambda C, bag: find_binary_products(C),
-        lambda cert, src, dst: transfer_binary_products(cert, src["products"]),
+        lambda cert, src, dst: transfer_binary_products(cert, src["products"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_binary_products(F, src["products"], dst["products"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_binary_products(
-            cert, F, H, alpha, Fcerts["products"]
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_binary_products(
+            cert, F, H, alpha, Fcerts["products"], carried["products"]
         ),
     ),
     "equalizers": StructureKind(
@@ -153,10 +169,10 @@ KINDS: dict[str, StructureKind] = {
         (),
         _check_equalizers,
         lambda C, bag: find_equalizers(C),
-        lambda cert, src, dst: transfer_equalizers(cert, src["equalizers"]),
+        lambda cert, src, dst: transfer_equalizers(cert, src["equalizers"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_equalizers(F, src["equalizers"], dst["equalizers"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_equalizers(
-            cert, F, H, alpha, Fcerts["equalizers"]
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_equalizers(
+            cert, F, H, alpha, Fcerts["equalizers"], carried["equalizers"]
         ),
     ),
     "pullbacks": StructureKind(
@@ -164,10 +180,10 @@ KINDS: dict[str, StructureKind] = {
         (),
         _check_pullbacks,
         lambda C, bag: find_pullbacks(C),
-        lambda cert, src, dst: transfer_pullbacks(cert, src["pullbacks"]),
+        lambda cert, src, dst: transfer_pullbacks(cert, src["pullbacks"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_pullbacks(F, src["pullbacks"], dst["pullbacks"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_pullbacks(
-            cert, F, H, alpha, Fcerts["pullbacks"]
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_pullbacks(
+            cert, F, H, alpha, Fcerts["pullbacks"], carried["pullbacks"]
         ),
     ),
     "exponentials": StructureKind(
@@ -182,8 +198,9 @@ KINDS: dict[str, StructureKind] = {
             F, src["products"], src["exponentials"], dst["products"],
             dst["exponentials"], certs["products"],
         ),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_exponentials(
-            cert, F, H, alpha, Fcerts["products"], Fcerts["exponentials"]
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_exponentials(
+            cert, F, H, alpha, Fcerts["products"], Fcerts["exponentials"],
+            carried["products"], carried["exponentials"],
         ),
     ),
     "classifier": StructureKind(
@@ -197,9 +214,10 @@ KINDS: dict[str, StructureKind] = {
         lambda F, src, dst, certs: preserves_subobject_classifier(
             F, src["terminal"], src["classifier"], dst["terminal"], dst["classifier"]
         ),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_subobject_classifier(
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_subobject_classifier(
             cert, F, H, alpha, src["terminal"], src["classifier"],
             dst["terminal"], dst["classifier"], Fcerts["classifier"],
+            carried["terminal"], carried["classifier"],
         ),
     ),
     "pnno": StructureKind(
@@ -215,9 +233,10 @@ KINDS: dict[str, StructureKind] = {
             F, src["terminal"], src["products"], src["pnno"],
             dst["terminal"], dst["products"], dst["pnno"],
         ),
-        lambda cert, F, H, alpha, src, dst, Fcerts: lift_preservation_pnno(
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_pnno(
             cert, F, H, alpha, src["terminal"], src["products"], src["pnno"],
             dst["terminal"], dst["products"], dst["pnno"], Fcerts["pnno"],
+            carried["terminal"], carried["products"], carried["pnno"],
         ),
     ),
 }
@@ -254,51 +273,46 @@ def complete_structured(
     kinds=None,
     witnesses: dict[str, object] | None = None,
 ) -> StructuredCompletion:
-    """Skeletize and push the requested structure along eta.
+    """Skeletize, find the requested structure on the skeleton, and carry it
+    back to C along the inclusion of the representatives.
 
-    With kinds=None, every findable kind is carried.  Provided witnesses are
-    validated before use; kinds requested explicitly but absent raise.
+    With kinds=None, every findable kind is carried; kinds requested
+    explicitly but absent raise.  A structure absent from the skeleton is
+    absent from C, since the two are equivalent.  Provided witnesses are
+    validated on C and pushed along eta instead, so that the completed bag
+    is always the transfer of the source bag.
     """
     witnesses = dict(witnesses or {})
-    src: dict[str, object] = {}
-    if kinds is None:
-        order = []
-        for name in KIND_ORDER:
-            kind = KINDS[name]
-            if any(dep not in src for dep in kind.deps):
-                continue
-            w = witnesses.get(name)
-            if w is not None:
-                src[name] = w
-                kind.check(C, src)
-            else:
-                found = kind.find(C, src)
-                if found is None:
-                    continue
-                src[name] = found
-            order.append(name)
-        order = tuple(order)
-    else:
-        order = _ordered(kinds)
-        for name in order:
-            kind = KINDS[name]
-            w = witnesses.get(name)
-            if w is not None:
-                src[name] = w
-                kind.check(C, src)
-            else:
-                found = kind.find(C, src)
-                if found is None:
-                    raise PreconditionViolation(
-                        f"requested structure '{name}' is absent from {C.name}"
-                    )
-                src[name] = found
     res = skeletize(C)
+    D = res.completed
+    incl = skeleton_inclusion(res)
+    src: dict[str, object] = {}
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
-    for name in order:
-        completed[name], eta_certs[name] = KINDS[name].transfer(res.cert, src, completed)
-    return StructuredCompletion(res, order, src, completed, eta_certs)
+    for name in KIND_ORDER if kinds is None else _ordered(kinds):
+        kind = KINDS[name]
+        if any(dep not in src for dep in kind.deps):
+            continue
+        w = witnesses.get(name)
+        if w is not None:
+            src[name] = w
+            kind.check(C, src)
+            completed[name], eta_certs[name] = kind.transfer(res.cert, src, completed)
+            continue
+        found = kind.find(D, completed)
+        if found is None:
+            if kinds is None:
+                continue
+            raise PreconditionViolation(
+                f"requested structure '{name}' is absent from {C.name}"
+            )
+        completed[name] = found
+        src[name], _ = kind.transfer(incl, completed, src)
+        cert = kind.preserves(res.eta, src, completed, eta_certs)
+        if cert is None:
+            raise OracleDisagreement(f"eta does not preserve the carried '{name}'")
+        eta_certs[name] = cert
+    return StructuredCompletion(res, tuple(src), src, completed, eta_certs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,9 +333,16 @@ def factor_structured(
     functor_certs: dict[str, object] | None = None,
 ) -> StructuredFactorization:
     """Factor a structure-preserving functor through the completion and lift
-    every preservation certificate to the factored functor."""
+    every preservation certificate to the factored functor.
+
+    Both witness bags of sc are checked once here; the lifts then reuse the
+    bag carried to the completion instead of transferring again.
+    """
     if not same_tables(F.source, sc.result.source):
         raise PreconditionViolation("functor does not start at the completed source")
+    for name in sc.kinds:
+        KINDS[name].check(sc.result.source, sc.source)
+        KINDS[name].check(sc.result.completed, sc.completed)
     E = F.target
     target_witnesses = dict(target_witnesses or {})
     functor_certs = dict(functor_certs or {})
@@ -353,6 +374,7 @@ def factor_structured(
     Hcerts: dict[str, object] = {}
     for name in sc.kinds:
         Hcerts[name] = KINDS[name].lift(
-            sc.result.cert, F, fact.functor, fact.alpha, sc.source, dst, Fcerts
+            sc.result.cert, F, fact.functor, fact.alpha, sc.source, dst, Fcerts,
+            sc.completed,
         )
     return StructuredFactorization(fact, dst, Fcerts, Hcerts)

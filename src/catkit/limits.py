@@ -469,44 +469,6 @@ def first_unpreserved_pair(
     return None
 
 
-def check_product_preservation(cert: ProductPreservationCert) -> None:
-    """Full validation: projection compatibility plus naturality in both
-    slots (product of morphisms commutes with mu)."""
-    F = cert.functor
-    C, D = F.source, F.target
-    for (x1, x2), w in cert.source.items():
-        entry = cert.target[(F.obj_map[x1], F.obj_map[x2])]
-        m = cert.mu[(x1, x2)]
-        if D.compose(m.fwd, F.mor_map[w.pi1]) != entry.pi1:
-            raise InvalidCert(f"mu at ({x1},{x2}) does not commute with the first projection")
-        if D.compose(m.fwd, F.mor_map[w.pi2]) != entry.pi2:
-            raise InvalidCert(f"mu at ({x1},{x2}) does not commute with the second projection")
-        if find_iso(D, m.fwd) != m:
-            raise InvalidCert(f"mu at ({x1},{x2}) is not an isomorphism")
-    for f in range(C.n_morphisms):
-        for g in range(C.n_morphisms):
-            a, a2 = C.mor_src[f], C.mor_dst[f]
-            b, b2 = C.mor_src[g], C.mor_dst[g]
-            src_w, dst_w = cert.source[(a, b)], cert.source[(a2, b2)]
-            fxg = mediating(
-                C, dst_w, C.compose(src_w.pi1, f), C.compose(src_w.pi2, g)
-            )
-            src_e = cert.target[(F.obj_map[a], F.obj_map[b])]
-            dst_e = cert.target[(F.obj_map[a2], F.obj_map[b2])]
-            img_fxg = mediating(
-                D,
-                dst_e,
-                D.compose(src_e.pi1, F.mor_map[f]),
-                D.compose(src_e.pi2, F.mor_map[g]),
-            )
-            left = D.compose(cert.mu[(a, b)].fwd, F.mor_map[fxg])
-            right = D.compose(img_fxg, cert.mu[(a2, b2)].fwd)
-            if left != right:
-                raise InvalidCert(
-                    f"mu is not natural at ({C.mor_labels[f]}, {C.mor_labels[g]})"
-                )
-
-
 def preserves_equalizers(
     F: Functor,
     eqsC: dict[tuple[int, int], EqualizerW],
@@ -552,6 +514,10 @@ def preserves_pullbacks(
 
 
 def _validated(cert: WeakEquivalenceCert, skeletal_hint: bool = True) -> tuple[FinCat, FinCat]:
+    """Re-check the certificate.  With skeletal_hint, warn when the target
+    is not skeletal: witnesses pushed there are valid but not the unique
+    choice.  Callers whose choices were already fixed on a skeleton turn the
+    hint off."""
     check_weak_equivalence_cert(cert)
     C, D = cert.functor.source, cert.functor.target
     if skeletal_hint:
@@ -567,9 +533,9 @@ def _validated(cert: WeakEquivalenceCert, skeletal_hint: bool = True) -> tuple[F
 
 
 def transfer_terminal(
-    cert: WeakEquivalenceCert, tC: ChosenTerminal
+    cert: WeakEquivalenceCert, tC: ChosenTerminal, skeletal_hint: bool = True
 ) -> tuple[ChosenTerminal, TerminalPreservationCert]:
-    C, D = _validated(cert)
+    C, D = _validated(cert, skeletal_hint)
     G = cert.functor
     if not is_terminal(C, tC.t):
         raise InvalidCert("the given source terminal is not terminal")
@@ -583,9 +549,11 @@ def transfer_terminal(
 
 
 def transfer_binary_products(
-    cert: WeakEquivalenceCert, prods: dict[tuple[int, int], BinProductW]
+    cert: WeakEquivalenceCert,
+    prods: dict[tuple[int, int], BinProductW],
+    skeletal_hint: bool = True,
 ) -> tuple[dict[tuple[int, int], BinProductW], ProductPreservationCert]:
-    C, D = _validated(cert)
+    C, D = _validated(cert, skeletal_hint)
     G = cert.functor
     for key, w in prods.items():
         if (w.x1, w.x2) != key or not is_binary_product(C, w):
@@ -629,9 +597,11 @@ def _pull_back_morphism(cert: WeakEquivalenceCert, u: int) -> int:
 
 
 def transfer_equalizers(
-    cert: WeakEquivalenceCert, eqs: dict[tuple[int, int], EqualizerW]
+    cert: WeakEquivalenceCert,
+    eqs: dict[tuple[int, int], EqualizerW],
+    skeletal_hint: bool = True,
 ) -> tuple[dict[tuple[int, int], EqualizerW], EqualizerPreservationCert]:
-    C, D = _validated(cert)
+    C, D = _validated(cert, skeletal_hint)
     G = cert.functor
     for key, w in eqs.items():
         if (w.f, w.g) != key or not is_equalizer(C, w):
@@ -656,9 +626,11 @@ def transfer_equalizers(
 
 
 def transfer_pullbacks(
-    cert: WeakEquivalenceCert, pbs: dict[tuple[int, int], PullbackW]
+    cert: WeakEquivalenceCert,
+    pbs: dict[tuple[int, int], PullbackW],
+    skeletal_hint: bool = True,
 ) -> tuple[dict[tuple[int, int], PullbackW], PullbackPreservationCert]:
-    C, D = _validated(cert)
+    C, D = _validated(cert, skeletal_hint)
     G = cert.functor
     for key, w in pbs.items():
         if (w.f, w.g) != key or not is_pullback(C, w):
@@ -721,30 +693,6 @@ def reflects_binary_products(F: Functor, w: BinProductW) -> BinProductW:
     return w
 
 
-def reflects_equalizers(F: Functor, w: EqualizerW) -> EqualizerW:
-    if is_fully_faithful(F) is None:
-        raise PreconditionViolation("reflection requires a fully faithful functor")
-    image = EqualizerW(F.mor_map[w.f], F.mor_map[w.g], F.obj_map[w.obj], F.mor_map[w.arrow])
-    if not is_equalizer(F.target, image):
-        raise PreconditionViolation("image fork is not an equalizer")
-    if not is_equalizer(F.source, w):
-        raise ReflectionFails("image fork is an equalizer but the source fork is not")
-    return w
-
-
-def reflects_pullbacks(F: Functor, w: PullbackW) -> PullbackW:
-    if is_fully_faithful(F) is None:
-        raise PreconditionViolation("reflection requires a fully faithful functor")
-    image = PullbackW(
-        F.mor_map[w.f], F.mor_map[w.g], F.obj_map[w.apex], F.mor_map[w.p1], F.mor_map[w.p2]
-    )
-    if not is_pullback(F.target, image):
-        raise PreconditionViolation("image square is not a pullback")
-    if not is_pullback(F.source, w):
-        raise ReflectionFails("image square is a pullback but the source square is not")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # lifted preservation: the factored functor preserves transferred structure
 
@@ -775,10 +723,14 @@ def lift_preservation_terminal(
     H: Functor,
     alpha: NatIso,
     Fcert: TerminalPreservationCert,
+    tD: ChosenTerminal | None = None,
 ) -> TerminalPreservationCert:
+    """tD is the terminal already carried to the completion; it is
+    transferred here when omitted."""
     _check_triangle(cert, F, H, alpha)
     E = F.target
-    tD, _ = transfer_terminal(cert, Fcert.source)
+    if tD is None:
+        tD, _ = transfer_terminal(cert, Fcert.source)
     # constructive route: connect the chosen target terminal to H(tD)
     built = E.compose(Fcert.iso.fwd, alpha.components[Fcert.source.t].inv)
     direct = preserves_terminal(H, tD, Fcert.target)
@@ -795,14 +747,20 @@ def lift_preservation_binary_products(
     H: Functor,
     alpha: NatIso,
     Fcert: ProductPreservationCert,
+    transferred: dict[tuple[int, int], BinProductW] | None = None,
 ) -> ProductPreservationCert:
     """Preservation for H out of F's preservation: pull each target pair back
     along the equivalence, transport F's comparison through alpha, and check
-    the result against the direct decision procedure."""
+    the result against the direct decision procedure.
+
+    transferred is the product table already carried to the completion, the
+    transfer of Fcert.source along cert; it is transferred here when
+    omitted."""
     _check_triangle(cert, F, H, alpha)
     D = cert.functor.target
     E = F.target
-    transferred, _ = transfer_binary_products(cert, Fcert.source)
+    if transferred is None:
+        transferred, _ = transfer_binary_products(cert, Fcert.source)
     built: dict[tuple[int, int], int] = {}
     for y1 in range(D.n_objects):
         for y2 in range(D.n_objects):
@@ -841,11 +799,14 @@ def lift_preservation_equalizers(
     H: Functor,
     alpha: NatIso,
     Fcert: EqualizerPreservationCert,
+    transferred: dict[tuple[int, int], EqualizerW] | None = None,
 ) -> EqualizerPreservationCert:
+    """As for products; transferred is the carried equalizer table."""
     _check_triangle(cert, F, H, alpha)
     D = cert.functor.target
     E = F.target
-    transferred, _ = transfer_equalizers(cert, Fcert.source)
+    if transferred is None:
+        transferred, _ = transfer_equalizers(cert, Fcert.source)
     built: dict[tuple[int, int], int] = {}
     for u, v in parallel_pairs(D):
         y1 = D.mor_src[u]
@@ -878,11 +839,14 @@ def lift_preservation_pullbacks(
     H: Functor,
     alpha: NatIso,
     Fcert: PullbackPreservationCert,
+    transferred: dict[tuple[int, int], PullbackW] | None = None,
 ) -> PullbackPreservationCert:
+    """As for products; transferred is the carried pullback table."""
     _check_triangle(cert, F, H, alpha)
     D = cert.functor.target
     E = F.target
-    transferred, _ = transfer_pullbacks(cert, Fcert.source)
+    if transferred is None:
+        transferred, _ = transfer_pullbacks(cert, Fcert.source)
     built: dict[tuple[int, int], int] = {}
     for u, v in cospan_pairs(D):
         x1, phi1 = _phi(cert, H, alpha, D.mor_src[u])
@@ -920,21 +884,9 @@ def lift_preservation_pullbacks(
 # searches available as independent oracles
 
 
-def is_initial(C: FinCat, i: int) -> bool:
-    return is_terminal(opposite(C), i)
-
-
 def find_initial(C: FinCat) -> ChosenInitial | None:
     t = find_terminal(opposite(C))
     return None if t is None else ChosenInitial(t.t)
-
-
-def from_initial(C: FinCat, init: ChosenInitial, x: int) -> int:
-    return to_terminal(opposite(C), ChosenTerminal(init.i), x)
-
-
-def is_binary_coproduct(C: FinCat, w: BinCoproductW) -> bool:
-    return is_binary_product(opposite(C), BinProductW(w.x1, w.x2, w.apex, w.in1, w.in2))
 
 
 def find_binary_coproduct(C: FinCat, x1: int, x2: int) -> BinCoproductW | None:
@@ -980,10 +932,6 @@ def find_binary_coproduct_direct(C: FinCat, x1: int, x2: int) -> BinCoproductW |
     return None
 
 
-def is_coequalizer(C: FinCat, w: CoequalizerW) -> bool:
-    return is_equalizer(opposite(C), EqualizerW(w.f, w.g, w.obj, w.arrow))
-
-
 def find_coequalizer(C: FinCat, f: int, g: int) -> CoequalizerW | None:
     w = find_equalizer(opposite(C), f, g)
     return None if w is None else CoequalizerW(f, g, w.obj, w.arrow)
@@ -1025,40 +973,3 @@ def find_coequalizer_direct(C: FinCat, f: int, g: int) -> CoequalizerW | None:
                 return w
     return None
 
-
-def _opposite_cert(cert: WeakEquivalenceCert) -> WeakEquivalenceCert:
-    """A weak equivalence certificate for the opposite functor."""
-    from .core import is_weak_equivalence, opposite_functor
-
-    out = is_weak_equivalence(opposite_functor(cert.functor))
-    if out is None:
-        raise OracleDisagreement("opposite of a weak equivalence failed its check")
-    return out
-
-
-def transfer_binary_coproducts(
-    cert: WeakEquivalenceCert, coprods: dict[tuple[int, int], BinCoproductW]
-) -> dict[tuple[int, int], BinCoproductW]:
-    op_cert = _opposite_cert(cert)
-    table = {
-        k: BinProductW(w.x1, w.x2, w.apex, w.in1, w.in2) for k, w in coprods.items()
-    }
-    out, _ = transfer_binary_products(op_cert, table)
-    result = {k: BinCoproductW(w.x1, w.x2, w.apex, w.pi1, w.pi2) for k, w in out.items()}
-    for w in result.values():
-        if not is_binary_coproduct_direct(cert.functor.target, w):
-            raise OracleDisagreement("transferred coproduct failed the direct oracle")
-    return result
-
-
-def transfer_coequalizers(
-    cert: WeakEquivalenceCert, coeqs: dict[tuple[int, int], CoequalizerW]
-) -> dict[tuple[int, int], CoequalizerW]:
-    op_cert = _opposite_cert(cert)
-    table = {k: EqualizerW(w.f, w.g, w.obj, w.arrow) for k, w in coeqs.items()}
-    out, _ = transfer_equalizers(op_cert, table)
-    result = {k: CoequalizerW(w.f, w.g, w.obj, w.arrow) for k, w in out.items()}
-    for w in result.values():
-        if not is_coequalizer_direct(cert.functor.target, w):
-            raise OracleDisagreement("transferred coequalizer failed the direct oracle")
-    return result

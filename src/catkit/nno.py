@@ -213,15 +213,24 @@ def lift_preservation_pnno(
     prodsE: dict[tuple[int, int], BinProductW],
     wE: PNNOW,
     Fcert: PNNOPreservationCert,
+    termD: ChosenTerminal | None = None,
+    prodsD: dict[tuple[int, int], BinProductW] | None = None,
+    wD: PNNOW | None = None,
 ) -> PNNOPreservationCert:
     """Comparison for the factored functor, built from F's through alpha;
     zero/successor compatibility pins it down, so the direct decision
-    procedure must return the same morphism."""
+    procedure must return the same morphism.
+
+    termD, prodsD and wD are the witnesses already carried to the
+    completion; each is transferred here when omitted."""
     _check_triangle(cert, F, H, alpha)
     E = F.target
-    termD, _ = transfer_terminal(cert, termC)
-    prodsD, _ = transfer_binary_products(cert, prodsC)
-    wD, _ = transfer_pnno(cert, termC, prodsC, termD, prodsD, wC)
+    if termD is None:
+        termD, _ = transfer_terminal(cert, termC)
+    if prodsD is None:
+        prodsD, _ = transfer_binary_products(cert, prodsC)
+    if wD is None:
+        wD, _ = transfer_pnno(cert, termC, prodsC, termD, prodsD, wC)
     direct = preserves_pnno(H, termD, prodsD, wD, termE, prodsE, wE)
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct check")

@@ -5,7 +5,16 @@ import pytest
 
 from catkit.cli import main
 from catkit.core import same_tables
-from catkit.generators import finset_fragment, setoid_groupoid, walking_iso
+from catkit.classifier import topos_gaps
+from catkit.generators import (
+    chain_poset,
+    discrete,
+    finset_fragment,
+    heyting_category,
+    heyting_chain,
+    setoid_groupoid,
+    walking_iso,
+)
 from catkit.interchange import category_to_json, validate_category
 
 
@@ -52,6 +61,47 @@ def test_validate_malformed_doc_exits_1(tmp_path, capsys):
     assert err["error"]["pointer"].startswith("/composition")
 
 
+def _set_morphism_id(doc, label):
+    doc["morphisms"][1]["id"] = label
+
+
+def _set_src(doc, label):
+    doc["morphisms"][1]["src"] = label
+
+
+def _set_dst(doc, label):
+    doc["morphisms"][1]["dst"] = label
+
+
+def _add_triple(doc, label):
+    doc["composition"].append([label, "le_c0_c1", "le_c0_c1"])
+
+
+def _set_identity(doc, label):
+    doc["identities"]["c1"] = label
+
+
+@pytest.mark.parametrize(
+    "edit, pointer",
+    [
+        (_set_morphism_id, "/morphisms/1/id"),
+        (_set_src, "/morphisms/1/src"),
+        (_set_dst, "/morphisms/1/dst"),
+        (_add_triple, "/composition/0/0"),
+        (_set_identity, "/identities/c1"),
+    ],
+)
+def test_validate_list_typed_reference_exits_1(tmp_path, capsys, edit, pointer):
+    doc = category_to_json(chain_poset(2))
+    edit(doc, ["c0"])
+    p = tmp_path / "listref.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "--json"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "MalformedInput"
+    assert err["pointer"] == pointer
+
+
 def test_validate_unparseable_json_exits_3(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
@@ -63,6 +113,25 @@ def test_analyze_informational_without_structure(fragment_path, capsys):
     out = capsys.readouterr().out
     assert "terminal" in out
     assert "absent" in out or "missing" in out
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        finset_fragment(2),
+        chain_poset(3),
+        discrete(2),
+        heyting_category(heyting_chain(3)),
+        setoid_groupoid(3, {(0, 1)}),
+    ],
+    ids=lambda C: C.name,
+)
+def test_analyze_gaps_match_topos_gaps(C, tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(category_to_json(C)))
+    assert main(["analyze", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["gaps"] == topos_gaps(C)
 
 
 def test_analyze_with_structure_found(fragment_path, capsys):
