@@ -25,8 +25,9 @@ from .errors import (
     PreconditionViolation,
 )
 from .limits import (
+    PRODUCTS,
     BinProductW,
-    ProductPreservationCert,
+    LimitPreservationCert,
     mediating,
     preserves_binary_products,
     transfer_binary_products,
@@ -179,22 +180,15 @@ def transfer_exponentials(
             src = expsC.get((x1, x2))
             if src is None:
                 raise PreconditionViolation(f"source table lacks the exponential of ({x1},{x2})")
-            p = prodsC[(src.obj, x1)]
+            image = PRODUCTS.image(G, prodsC[(src.obj, x1)])
             target_entry = prodsD[(G.obj_map[src.obj], d1)]
-            # mediator from the chosen target product into the image cone
-            cone1 = target_entry.pi1
-            cone2 = D.compose(target_entry.pi2, i1.inv)
-            hits = [
-                u
-                for u in D.hom(target_entry.apex, G.obj_map[p.apex])
-                if D.compose(u, G.mor_map[p.pi1]) == cone1
-                and D.compose(u, G.mor_map[p.pi2]) == cone2
-            ]
-            if len(hits) != 1:
+            try:
+                u = mediating(D, image, target_entry.pi1, D.compose(target_entry.pi2, i1.inv))
+            except InvalidCert:
                 raise OracleDisagreement(
                     "image of a chosen product stopped being a product during transfer"
-                )
-            ev = D.compose_many(hits[0], G.mor_map[src.ev], i2.fwd)
+                ) from None
+            ev = D.compose_many(u, G.mor_map[src.ev], i2.fwd)
             w = ExponentialW(d1, d2, G.obj_map[src.obj], ev)
             if not is_exponential(D, prodsD, w):
                 raise OracleDisagreement(
@@ -216,7 +210,7 @@ def preserves_exponentials(
     expsC: dict[tuple[int, int], ExponentialW],
     prodsD: dict[tuple[int, int], BinProductW],
     expsD: dict[tuple[int, int], ExponentialW],
-    muF: ProductPreservationCert,
+    muF: LimitPreservationCert,
 ) -> ExpPreservationCert | None:
     """Canonical comparison by currying mu;F(ev); None when some comparison
     fails to invert."""
@@ -241,7 +235,7 @@ def check_exp_preservation(
     cert: ExpPreservationCert,
     prodsC: dict[tuple[int, int], BinProductW],
     prodsD: dict[tuple[int, int], BinProductW],
-    muF: ProductPreservationCert,
+    muF: LimitPreservationCert,
 ) -> None:
     """Re-derive each comparison's defining equation from scratch."""
     F = cert.functor
@@ -262,7 +256,7 @@ def lift_preservation_exponentials(
     F: Functor,
     H: Functor,
     alpha: NatIso,
-    FprodCert: ProductPreservationCert,
+    FprodCert: LimitPreservationCert,
     FexpCert: ExpPreservationCert,
     prodsD: dict[tuple[int, int], BinProductW] | None = None,
     expsD: dict[tuple[int, int], ExponentialW] | None = None,

@@ -26,6 +26,16 @@ from .errors import (
     MissingIdentity,
     UnitLawViolation,
 )
+from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, ChosenTerminal
+
+
+_KIND_NAMES = {list: "a list", dict: "an object", str: "a label"}
+
+
+def _expect(value: Any, kind: type, what: str, pointer: str) -> Any:
+    if not isinstance(value, kind):
+        raise MalformedInput(f"{what} must be {_KIND_NAMES[kind]}", pointer=pointer)
+    return value
 
 
 def _fresh(label: str, taken: set[str]) -> str:
@@ -42,7 +52,7 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
     """
     if not isinstance(doc, dict):
         raise MalformedInput("category document must be an object")
-    name = doc.get("name", "unnamed")
+    name = _expect(doc.get("name", "unnamed"), str, "name", "/name")
     raw_objects = doc.get("objects")
     if not isinstance(raw_objects, list) or not all(isinstance(o, str) for o in raw_objects):
         raise MalformedInput("objects must be a list of labels", pointer="/objects")
@@ -204,9 +214,11 @@ def functor_from_json(doc: dict[str, Any], categories: dict[str, FinCat]) -> Fun
     """Resolve a functor document against named categories."""
     if not isinstance(doc, dict):
         raise MalformedInput("functor document must be an object")
-    for key in ("source", "target", "on_objects", "on_morphisms"):
+    for key, kind in (("source", str), ("target", str), ("on_objects", dict),
+                      ("on_morphisms", dict)):
         if key not in doc:
             raise MalformedInput(f"functor document lacks {key!r}", pointer=f"/{key}")
+        _expect(doc[key], kind, key, f"/{key}")
     if doc["source"] not in categories:
         raise DanglingReference(f"unknown category {doc['source']!r}", pointer="/source")
     if doc["target"] not in categories:
@@ -265,6 +277,15 @@ def _mor_ref(C: FinCat, label: Any, pointer: str) -> int:
     return C.morphism_index(label)
 
 
+# bag kind, block name under "structure", and shape of the keyed limits; a
+# block entry's keys are the witness's field names
+_KEYED_LIMITS = (
+    ("products", "binproducts", PRODUCTS),
+    ("equalizers", "equalizers", EQUALIZERS),
+    ("pullbacks", "pullbacks", PULLBACKS),
+)
+
+
 def structure_to_json(C: FinCat, bag: dict[str, Any]) -> dict[str, Any]:
     """JSON blocks for a witness bag, ready to merge into the category's
     document.  Finite-limit witnesses live under "structure"; exponentials,
@@ -275,21 +296,15 @@ def structure_to_json(C: FinCat, bag: dict[str, Any]) -> dict[str, Any]:
     block: dict[str, Any] = {}
     if "terminal" in bag:
         block["terminal"] = o(bag["terminal"].t)
-    if "products" in bag:
-        block["binproducts"] = [
-            {"x1": o(w.x1), "x2": o(w.x2), "apex": o(w.apex), "pi1": m(w.pi1), "pi2": m(w.pi2)}
-            for _, w in sorted(bag["products"].items())
-        ]
-    if "equalizers" in bag:
-        block["equalizers"] = [
-            {"f": m(w.f), "g": m(w.g), "obj": o(w.obj), "arrow": m(w.arrow)}
-            for _, w in sorted(bag["equalizers"].items())
-        ]
-    if "pullbacks" in bag:
-        block["pullbacks"] = [
-            {"f": m(w.f), "g": m(w.g), "apex": o(w.apex), "p1": m(w.p1), "p2": m(w.p2)}
-            for _, w in sorted(bag["pullbacks"].items())
-        ]
+    for kind, name, shape in _KEYED_LIMITS:
+        if kind in bag:
+            block[name] = [
+                {
+                    f: (o if is_obj else m)(v)
+                    for (f, is_obj), v in zip(shape.field_kinds, shape.unpack(w))
+                }
+                for _, w in sorted(bag[kind].items())
+            ]
     if block:
         out["structure"] = block
     if "exponentials" in bag:
@@ -316,51 +331,30 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
     caller's job."""
     from .classifier import SubobjectClassifierW
     from .exponentials import ExponentialW
-    from .limits import BinProductW, ChosenTerminal, EqualizerW, PullbackW
     from .nno import PNNOW
 
     bag: dict[str, Any] = {}
-    block = doc.get("structure", {})
-    if not isinstance(block, dict):
-        raise MalformedInput("structure must be an object", pointer="/structure")
+    block = _expect(doc.get("structure", {}), dict, "structure", "/structure")
     if "terminal" in block:
         bag["terminal"] = ChosenTerminal(_obj_ref(C, block["terminal"], "/structure/terminal"))
-    if "binproducts" in block:
+    for kind, name, shape in _KEYED_LIMITS:
+        if name not in block:
+            continue
         table = {}
-        for i, e in enumerate(block["binproducts"]):
-            p = f"/structure/binproducts/{i}"
-            w = BinProductW(
-                _obj_ref(C, e.get("x1"), p), _obj_ref(C, e.get("x2"), p),
-                _obj_ref(C, e.get("apex"), p),
-                _mor_ref(C, e.get("pi1"), p), _mor_ref(C, e.get("pi2"), p),
-            )
-            table[(w.x1, w.x2)] = w
-        bag["products"] = table
-    if "equalizers" in block:
-        table = {}
-        for i, e in enumerate(block["equalizers"]):
-            p = f"/structure/equalizers/{i}"
-            w = EqualizerW(
-                _mor_ref(C, e.get("f"), p), _mor_ref(C, e.get("g"), p),
-                _obj_ref(C, e.get("obj"), p), _mor_ref(C, e.get("arrow"), p),
-            )
-            table[(w.f, w.g)] = w
-        bag["equalizers"] = table
-    if "pullbacks" in block:
-        table = {}
-        for i, e in enumerate(block["pullbacks"]):
-            p = f"/structure/pullbacks/{i}"
-            w = PullbackW(
-                _mor_ref(C, e.get("f"), p), _mor_ref(C, e.get("g"), p),
-                _obj_ref(C, e.get("apex"), p),
-                _mor_ref(C, e.get("p1"), p), _mor_ref(C, e.get("p2"), p),
-            )
-            table[(w.f, w.g)] = w
-        bag["pullbacks"] = table
+        for i, e in enumerate(_expect(block[name], list, name, f"/structure/{name}")):
+            p = f"/structure/{name}/{i}"
+            _expect(e, dict, f"each {name} entry", p)
+            w = shape.witness(*(
+                (_obj_ref if is_obj else _mor_ref)(C, e.get(f), p)
+                for f, is_obj in shape.field_kinds
+            ))
+            table[shape.unpack(w)[:2]] = w
+        bag[kind] = table
     if "exponentials" in doc:
         table = {}
-        for i, e in enumerate(doc["exponentials"]):
+        for i, e in enumerate(_expect(doc["exponentials"], list, "exponentials", "/exponentials")):
             p = f"/exponentials/{i}"
+            _expect(e, dict, "each exponentials entry", p)
             w = ExponentialW(
                 _obj_ref(C, e.get("base"), p), _obj_ref(C, e.get("target"), p),
                 _obj_ref(C, e.get("obj"), p), _mor_ref(C, e.get("ev"), p),
@@ -368,18 +362,16 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
             table[(w.x, w.y)] = w
         bag["exponentials"] = table
     if "subobject_classifier" in doc:
-        e = doc["subobject_classifier"]
         p = "/subobject_classifier"
-        chi_raw = e.get("chi", {})
-        if not isinstance(chi_raw, dict):
-            raise MalformedInput("chi must be an object", pointer=f"{p}/chi")
+        e = _expect(doc["subobject_classifier"], dict, "subobject_classifier", p)
+        chi_raw = _expect(e.get("chi", {}), dict, "chi", f"{p}/chi")
         bag["classifier"] = SubobjectClassifierW(
             _obj_ref(C, e.get("omega"), p),
             _mor_ref(C, e.get("tau"), p),
             {_mor_ref(C, k, f"{p}/chi"): _mor_ref(C, v, f"{p}/chi") for k, v in chi_raw.items()},
         )
     if "pnno" in doc:
-        e = doc["pnno"]
+        e = _expect(doc["pnno"], dict, "pnno", "/pnno")
         bag["pnno"] = PNNOW(
             _obj_ref(C, e.get("N"), "/pnno"),
             _mor_ref(C, e.get("z"), "/pnno"),

@@ -42,20 +42,19 @@ from .exponentials import (
     transfer_exponentials,
 )
 from .limits import (
-    cospan_pairs,
+    EQUALIZERS,
+    PRODUCTS,
+    PULLBACKS,
+    check_table,
     find_binary_products,
     find_equalizers,
     find_pullbacks,
     find_terminal,
-    is_binary_product,
-    is_equalizer,
-    is_pullback,
     is_terminal,
     lift_preservation_binary_products,
     lift_preservation_equalizers,
     lift_preservation_pullbacks,
     lift_preservation_terminal,
-    parallel_pairs,
     preserves_binary_products,
     preserves_equalizers,
     preserves_pullbacks,
@@ -96,31 +95,6 @@ def _check_terminal(C, bag):
         raise InvalidCert("terminal witness is not terminal")
 
 
-def _check_products(C, bag):
-    table = bag["products"]
-    for x1 in range(C.n_objects):
-        for x2 in range(C.n_objects):
-            w = table.get((x1, x2))
-            if w is None or (w.x1, w.x2) != (x1, x2) or not is_binary_product(C, w):
-                raise InvalidCert(f"product table is wrong at ({x1},{x2})")
-
-
-def _check_equalizers(C, bag):
-    table = bag["equalizers"]
-    for f, g in parallel_pairs(C):
-        w = table.get((f, g))
-        if w is None or (w.f, w.g) != (f, g) or not is_equalizer(C, w):
-            raise InvalidCert(f"equalizer table is wrong at ({f},{g})")
-
-
-def _check_pullbacks(C, bag):
-    table = bag["pullbacks"]
-    for f, g in cospan_pairs(C):
-        w = table.get((f, g))
-        if w is None or (w.f, w.g) != (f, g) or not is_pullback(C, w):
-            raise InvalidCert(f"pullback table is wrong at ({f},{g})")
-
-
 def _check_exponentials(C, bag):
     table = bag["exponentials"]
     prods = bag["products"]
@@ -156,7 +130,7 @@ KINDS: dict[str, StructureKind] = {
     "products": StructureKind(
         "products",
         (),
-        _check_products,
+        lambda C, bag: check_table(PRODUCTS, C, bag["products"]),
         lambda C, bag: find_binary_products(C),
         lambda cert, src, dst: transfer_binary_products(cert, src["products"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_binary_products(F, src["products"], dst["products"]),
@@ -167,7 +141,7 @@ KINDS: dict[str, StructureKind] = {
     "equalizers": StructureKind(
         "equalizers",
         (),
-        _check_equalizers,
+        lambda C, bag: check_table(EQUALIZERS, C, bag["equalizers"]),
         lambda C, bag: find_equalizers(C),
         lambda cert, src, dst: transfer_equalizers(cert, src["equalizers"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_equalizers(F, src["equalizers"], dst["equalizers"]),
@@ -178,7 +152,7 @@ KINDS: dict[str, StructureKind] = {
     "pullbacks": StructureKind(
         "pullbacks",
         (),
-        _check_pullbacks,
+        lambda C, bag: check_table(PULLBACKS, C, bag["pullbacks"]),
         lambda C, bag: find_pullbacks(C),
         lambda cert, src, dst: transfer_pullbacks(cert, src["pullbacks"], skeletal_hint=False),
         lambda F, src, dst, certs: preserves_pullbacks(F, src["pullbacks"], dst["pullbacks"]),

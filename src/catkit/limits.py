@@ -9,13 +9,25 @@ certify it with comparison isos, and ``lift_preservation_*`` derive
 preservation for a factored functor by two independent routes that must
 agree exactly.
 
+Binary products, equalizers and pullbacks are keyed limits: a table maps
+each key (a pair of objects, a parallel pair, a cospan) to a witness.  One
+:class:`LimitShape` per kind holds what differs between them, and find,
+mediate, compare, preserve, transfer, reflect, lift and check are written
+once over it; the per-kind public names bind a shape.  The brute-force
+``is_*`` checks stay one loop per shape: they define the limits, and they
+are the hot path of every search.  Terminal objects keep their own verbs.
+
 Colimit duals delegate to the limit machinery on the opposite category and
 are cross-checked by direct searches.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable
 
 from .core import (
     FinCat,
@@ -125,7 +137,7 @@ def to_terminal(C: FinCat, term: ChosenTerminal, x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# binary products
+# the shape table: a brute-force defining check per shape, then the shapes
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
@@ -148,71 +160,6 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
     return True
 
 
-def find_binary_product(C: FinCat, x1: int, x2: int) -> BinProductW | None:
-    for apex in range(C.n_objects):
-        for pi1 in C.hom(apex, x1):
-            for pi2 in C.hom(apex, x2):
-                w = BinProductW(x1, x2, apex, pi1, pi2)
-                if is_binary_product(C, w):
-                    return w
-    return None
-
-
-def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None:
-    """Chosen products for every ordered pair, or None if some pair has none."""
-    out = {}
-    for x1 in range(C.n_objects):
-        for x2 in range(C.n_objects):
-            w = find_binary_product(C, x1, x2)
-            if w is None:
-                return None
-            out[(x1, x2)] = w
-    return out
-
-
-def partial_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW]:
-    """Chosen products for exactly the pairs that have one."""
-    out = {}
-    for x1 in range(C.n_objects):
-        for x2 in range(C.n_objects):
-            w = find_binary_product(C, x1, x2)
-            if w is not None:
-                out[(x1, x2)] = w
-    return out
-
-
-def mediating(C: FinCat, w: BinProductW, g1: int, g2: int) -> int:
-    """The unique morphism into the apex commuting with both projections."""
-    if C.mor_dst[g1] != w.x1 or C.mor_dst[g2] != w.x2 or C.mor_src[g1] != C.mor_src[g2]:
-        raise NotACone("legs must share a source and land on the product factors")
-    z = C.mor_src[g1]
-    hits = [
-        h
-        for h in C.hom(z, w.apex)
-        if C.compose(h, w.pi1) == g1 and C.compose(h, w.pi2) == g2
-    ]
-    if len(hits) != 1:
-        raise InvalidCert(
-            f"witness on apex {C.objects[w.apex]} admits {len(hits)} mediators for a cone"
-        )
-    return hits[0]
-
-
-def product_comparison(C: FinCat, a: BinProductW, b: BinProductW) -> Iso:
-    """The canonical iso between two products of the same pair."""
-    if (a.x1, a.x2) != (b.x1, b.x2):
-        raise NotACone("witnesses do not share their factor pair")
-    fwd = mediating(C, b, a.pi1, a.pi2)
-    iso = find_iso(C, fwd)
-    if iso is None:
-        raise OracleDisagreement("comparison between two products is not invertible")
-    return iso
-
-
-# ---------------------------------------------------------------------------
-# equalizers
-
-
 def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
     x = C.mor_src[w.f]
     if C.mor_src[w.g] != x or C.mor_dst[w.g] != C.mor_dst[w.f]:
@@ -230,62 +177,6 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
             if hits != 1:
                 return False
     return True
-
-
-def find_equalizer(C: FinCat, f: int, g: int) -> EqualizerW | None:
-    if C.mor_src[f] != C.mor_src[g] or C.mor_dst[f] != C.mor_dst[g]:
-        return None
-    for obj in range(C.n_objects):
-        for arrow in C.hom(obj, C.mor_src[f]):
-            w = EqualizerW(f, g, obj, arrow)
-            if is_equalizer(C, w):
-                return w
-    return None
-
-
-def parallel_pairs(C: FinCat) -> list[tuple[int, int]]:
-    out = []
-    for f in range(C.n_morphisms):
-        for g in range(C.n_morphisms):
-            if C.mor_src[f] == C.mor_src[g] and C.mor_dst[f] == C.mor_dst[g]:
-                out.append((f, g))
-    return out
-
-
-def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
-    out = {}
-    for f, g in parallel_pairs(C):
-        w = find_equalizer(C, f, g)
-        if w is None:
-            return None
-        out[(f, g)] = w
-    return out
-
-
-def mediating_equalizer(C: FinCat, w: EqualizerW, h: int) -> int:
-    if C.mor_dst[h] != C.mor_src[w.f]:
-        raise NotACone("leg must land on the domain of the parallel pair")
-    if C.compose(h, w.f) != C.compose(h, w.g):
-        raise NotACone("leg does not equalize the parallel pair")
-    z = C.mor_src[h]
-    hits = [u for u in C.hom(z, w.obj) if C.compose(u, w.arrow) == h]
-    if len(hits) != 1:
-        raise InvalidCert(f"equalizer witness admits {len(hits)} mediators for a fork")
-    return hits[0]
-
-
-def equalizer_comparison(C: FinCat, a: EqualizerW, b: EqualizerW) -> Iso:
-    if (a.f, a.g) != (b.f, b.g):
-        raise NotACone("witnesses do not equalize the same pair")
-    fwd = mediating_equalizer(C, b, a.arrow)
-    iso = find_iso(C, fwd)
-    if iso is None:
-        raise OracleDisagreement("comparison between two equalizers is not invertible")
-    return iso
-
-
-# ---------------------------------------------------------------------------
-# pullbacks
 
 
 def is_pullback(C: FinCat, w: PullbackW) -> bool:
@@ -315,209 +206,316 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
     return True
 
 
-def find_pullback(C: FinCat, f: int, g: int) -> PullbackW | None:
-    if C.mor_dst[f] != C.mor_dst[g]:
-        return None
-    for apex in range(C.n_objects):
-        for p1 in C.hom(apex, C.mor_src[f]):
-            for p2 in C.hom(apex, C.mor_src[g]):
-                w = PullbackW(f, g, apex, p1, p2)
-                if is_pullback(C, w):
-                    return w
-    return None
+def parallel_pairs(C: FinCat) -> list[tuple[int, int]]:
+    return [(f, g) for f in range(C.n_morphisms) for g in C.hom(C.mor_src[f], C.mor_dst[f])]
 
 
 def cospan_pairs(C: FinCat) -> list[tuple[int, int]]:
-    out = []
-    for f in range(C.n_morphisms):
-        for g in range(C.n_morphisms):
-            if C.mor_dst[f] == C.mor_dst[g]:
-                out.append((f, g))
-    return out
+    by_dst: dict[int, list[int]] = {}
+    for g in range(C.n_morphisms):
+        by_dst.setdefault(C.mor_dst[g], []).append(g)
+    return [(f, g) for f in range(C.n_morphisms) for g in by_dst[C.mor_dst[f]]]
 
 
-def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
-    out = {}
-    for f, g in cospan_pairs(C):
-        w = find_pullback(C, f, g)
-        if w is None:
-            return None
-        out[(f, g)] = w
-    return out
+def _parallel_feet(C: FinCat, key: tuple[int, int]) -> tuple[int] | None:
+    f, g = key
+    if C.mor_src[f] != C.mor_src[g] or C.mor_dst[f] != C.mor_dst[g]:
+        return None
+    return (C.mor_src[f],)
 
 
-def mediating_pullback(C: FinCat, w: PullbackW, h1: int, h2: int) -> int:
-    if (
-        C.mor_dst[h1] != C.mor_src[w.f]
-        or C.mor_dst[h2] != C.mor_src[w.g]
-        or C.mor_src[h1] != C.mor_src[h2]
-    ):
-        raise NotACone("legs must share a source and land on the cospan feet")
-    if C.compose(h1, w.f) != C.compose(h2, w.g):
-        raise NotACone("legs do not commute with the cospan")
-    z = C.mor_src[h1]
-    hits = [
-        u
-        for u in C.hom(z, w.apex)
-        if C.compose(u, w.p1) == h1 and C.compose(u, w.p2) == h2
-    ]
-    if len(hits) != 1:
-        raise InvalidCert(f"pullback witness admits {len(hits)} mediators for a cone")
-    return hits[0]
+def _cospan_feet(C: FinCat, key: tuple[int, int]) -> tuple[int, int] | None:
+    f, g = key
+    if C.mor_dst[f] != C.mor_dst[g]:
+        return None
+    return (C.mor_src[f], C.mor_src[g])
 
 
-def pullback_comparison(C: FinCat, a: PullbackW, b: PullbackW) -> Iso:
-    if (a.f, a.g) != (b.f, b.g):
-        raise NotACone("witnesses do not pull back the same cospan")
-    fwd = mediating_pullback(C, b, a.p1, a.p2)
-    iso = find_iso(C, fwd)
-    if iso is None:
-        raise OracleDisagreement("comparison between two pullbacks is not invertible")
-    return iso
+Table = dict[tuple[int, int], object]   # key -> witness
+
+
+@dataclass(frozen=True, eq=False)
+class LimitShape:
+    """A keyed finite-limit shape.  Witness fields are the key's two parts,
+    the apex, then one leg per foot.  ``feet`` is None for a key that is not
+    a diagram of the shape; ``commutes`` holds the equations on typed legs,
+    if any.  Keys name objects or, unless ``keyed_by_objects``, morphisms.
+    """
+
+    name: str
+    diagram: str
+    witness: type
+    keys: Callable[[FinCat], list[tuple[int, int]]]
+    feet: Callable[[FinCat, tuple[int, int]], tuple[int, ...] | None]
+    commutes: Callable[[FinCat, tuple[int, int], tuple[int, ...]], bool] | None
+    is_limit: Callable[[FinCat, object], bool]
+    keyed_by_objects: bool
+
+    @cached_property
+    def field_kinds(self) -> tuple[tuple[str, bool], ...]:
+        """(name, whether it names an object) for each witness field."""
+        names = [f.name for f in fields(self.witness)]
+        return tuple((n, i == 2 or (i < 2 and self.keyed_by_objects)) for i, n in enumerate(names))
+
+    @cached_property
+    def unpack(self) -> Callable[[object], tuple[int, ...]]:
+        """A witness as the flat tuple (key, key, apex, legs...)."""
+        return attrgetter(*(n for n, _ in self.field_kinds))
+
+    def pull_key(self, cert: WeakEquivalenceCert, key: tuple[int, int]) -> tuple[int, int]:
+        if self.keyed_by_objects:
+            return cert.eso_witness[key[0]][0], cert.eso_witness[key[1]][0]
+        return _pull_back_morphism(cert, key[0]), _pull_back_morphism(cert, key[1])
+
+    def image_key(self, F: Functor, key: tuple[int, int]) -> tuple[int, int]:
+        image = F.obj_map if self.keyed_by_objects else F.mor_map
+        return image[key[0]], image[key[1]]
+
+    def image(self, F: Functor, w) -> object:
+        """The image under F of the cone w, keyed by the image diagram."""
+        v = self.unpack(w)
+        legs = map(F.mor_map.__getitem__, v[3:])
+        return self.witness(*self.image_key(F, v[:2]), F.obj_map[v[2]], *legs)
+
+
+PRODUCTS = LimitShape(
+    "product", "factor pair", BinProductW,
+    lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
+    None, is_binary_product, True,
+)
+EQUALIZERS = LimitShape(
+    "equalizer", "parallel pair", EqualizerW, parallel_pairs, _parallel_feet,
+    lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[0], key[1]),
+    is_equalizer, False,
+)
+PULLBACKS = LimitShape(
+    "pullback", "cospan", PullbackW, cospan_pairs, _cospan_feet,
+    lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[1], key[1]),
+    is_pullback, False,
+)
 
 
 # ---------------------------------------------------------------------------
-# preservation certificates
+# the verbs, written once over the shape, and the helpers the terminal shares
 
 
-@dataclass(frozen=True, eq=False)
-class TerminalPreservationCert:
-    functor: Functor
-    source: ChosenTerminal
-    target: ChosenTerminal
-    iso: Iso   # target.t -> F(source.t)
-
-
-@dataclass(frozen=True, eq=False)
-class ProductPreservationCert:
-    """mu maps the chosen product of the images onto the image of the chosen
-    product; composing mu with the image projections recovers the chosen
-    projections."""
-
-    functor: Functor
-    source: dict[tuple[int, int], BinProductW]
-    target: dict[tuple[int, int], BinProductW]
-    mu: dict[tuple[int, int], Iso]
-
-
-@dataclass(frozen=True, eq=False)
-class EqualizerPreservationCert:
-    functor: Functor
-    source: dict[tuple[int, int], EqualizerW]
-    target: dict[tuple[int, int], EqualizerW]
-    mu: dict[tuple[int, int], Iso]
-
-
-@dataclass(frozen=True, eq=False)
-class PullbackPreservationCert:
-    functor: Functor
-    source: dict[tuple[int, int], PullbackW]
-    target: dict[tuple[int, int], PullbackW]
-    mu: dict[tuple[int, int], Iso]
-
-
-def preserves_terminal(
-    F: Functor, tC: ChosenTerminal, tD: ChosenTerminal
-) -> TerminalPreservationCert | None:
-    D = F.target
-    ft = F.obj_map[tC.t]
-    if not is_terminal(D, ft):
+def find_limit(shape: LimitShape, C: FinCat, key: tuple[int, int]) -> object | None:
+    """Lowest apex first, then lowest leg indices; None when the key is not
+    a diagram of the shape or has no limit."""
+    feet = shape.feet(C, key)
+    if feet is None:
         return None
-    fwd = to_terminal(D, ChosenTerminal(ft), tD.t)
-    inv = to_terminal(D, tD, ft)
-    iso = Iso(fwd, inv)
-    if find_iso(D, fwd) != iso:
-        raise OracleDisagreement("arrows between two terminal objects are not inverse")
-    return TerminalPreservationCert(F, tC, tD, iso)
-
-
-def preserves_binary_products(
-    F: Functor,
-    prodsC: dict[tuple[int, int], BinProductW],
-    prodsD: dict[tuple[int, int], BinProductW],
-) -> ProductPreservationCert | None:
-    D = F.target
-    mu: dict[tuple[int, int], Iso] = {}
-    for (x1, x2), w in prodsC.items():
-        entry = prodsD[(F.obj_map[x1], F.obj_map[x2])]
-        image_cone = BinProductW(
-            entry.x1, entry.x2, F.obj_map[w.apex], F.mor_map[w.pi1], F.mor_map[w.pi2]
-        )
-        fwd = mediating(D, entry, image_cone.pi1, image_cone.pi2)
-        iso = find_iso(D, fwd)
-        if iso is None:
-            return None
-        mu[(x1, x2)] = Iso(iso.inv, iso.fwd)   # chosen-of-images -> image-of-chosen
-    return ProductPreservationCert(F, prodsC, prodsD, mu)
-
-
-def first_unpreserved_pair(
-    F: Functor,
-    prodsC: dict[tuple[int, int], BinProductW],
-    prodsD: dict[tuple[int, int], BinProductW],
-) -> tuple[int, int] | None:
-    """Index-order first source pair whose image cone is not limiting."""
-    D = F.target
-    for (x1, x2), w in sorted(prodsC.items()):
-        entry = prodsD[(F.obj_map[x1], F.obj_map[x2])]
-        try:
-            fwd = mediating(D, entry, F.mor_map[w.pi1], F.mor_map[w.pi2])
-        except InvalidCert:
-            return (x1, x2)
-        if find_iso(D, fwd) is None:
-            return (x1, x2)
+    for apex in range(C.n_objects):
+        for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
+            w = shape.witness(*key, apex, *legs)
+            if shape.is_limit(C, w):
+                return w
     return None
 
 
-def preserves_equalizers(
-    F: Functor,
-    eqsC: dict[tuple[int, int], EqualizerW],
-    eqsD: dict[tuple[int, int], EqualizerW],
-) -> EqualizerPreservationCert | None:
-    D = F.target
+def find_table(shape: LimitShape, C: FinCat) -> Table | None:
+    """Chosen limits for every key, or None if some key has none."""
+    out = {}
+    for key in shape.keys(C):
+        w = find_limit(shape, C, key)
+        if w is None:
+            return None
+        out[key] = w
+    return out
+
+
+def partial_table(shape: LimitShape, C: FinCat) -> Table:
+    """Chosen limits for exactly the keys that have one."""
+    found = ((key, find_limit(shape, C, key)) for key in shape.keys(C))
+    return {key: w for key, w in found if w is not None}
+
+
+def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
+    """Every key of C carries a valid witness keyed by it."""
+    for key in shape.keys(C):
+        w = table.get(key)
+        if w is None or shape.unpack(w)[:2] != key or not shape.is_limit(C, w):
+            raise InvalidCert(f"{shape.name} table is wrong at {key}")
+
+
+def mediator(shape: LimitShape, C: FinCat, w, legs: tuple[int, ...]) -> int:
+    """The unique morphism into the apex of w through which the cone with
+    the given legs factors."""
+    v = shape.unpack(w)
+    key, apex, wlegs = v[:2], v[2], v[3:]
+    z = C.mor_src[legs[0]]
+    hits = []
+    for u in C.hom(z, apex):
+        row = C.comp_table[u]
+        for p, h in zip(wlegs, legs):
+            if row[p] != h:
+                break
+        else:
+            hits.append(u)
+    if len(hits) == 1:
+        return hits[0]
+    # a cone that factors through a limit witness is typed and commutes, so
+    # the cone itself is checked only when it does not factor exactly once
+    feet = shape.feet(C, key)
+    if feet is None or any(C.mor_src[h] != z or C.mor_dst[h] != x for h, x in zip(legs, feet)):
+        raise NotACone(f"legs must share a source and land on the feet of the {shape.diagram}")
+    if shape.commutes is not None and not shape.commutes(C, key, legs):
+        raise NotACone(f"legs do not commute with the {shape.diagram}")
+    raise InvalidCert(
+        f"{shape.name} witness on apex {C.objects[apex]} admits {len(hits)} mediators for a cone"
+    )
+
+
+def comparison(shape: LimitShape, C: FinCat, a, b) -> Iso:
+    """The canonical iso between two limits of the same diagram."""
+    va, vb = shape.unpack(a), shape.unpack(b)
+    if va[:2] != vb[:2]:
+        raise NotACone(f"witnesses do not share their {shape.diagram}")
+    iso = find_iso(C, mediator(shape, C, b, va[3:]))
+    if iso is None:
+        raise OracleDisagreement(f"comparison between two {shape.name}s is not invertible")
+    return iso
+
+
+@dataclass(frozen=True, eq=False)
+class LimitPreservationCert:
+    """mu maps the chosen limit of each image diagram onto the image of the
+    chosen limit; composing mu with the image legs recovers the chosen
+    legs."""
+
+    functor: Functor
+    source: Table
+    target: Table
+    mu: dict[tuple[int, int], Iso]
+
+
+def preserves(
+    shape: LimitShape, F: Functor, source: Table, target: Table
+) -> LimitPreservationCert | None:
+    """Each image cone must factor through the chosen limit of its diagram
+    by an iso; None when some image cone is not limiting."""
     mu: dict[tuple[int, int], Iso] = {}
-    for (f, g), w in eqsC.items():
-        entry = eqsD[(F.mor_map[f], F.mor_map[g])]
+    for key, w in source.items():
+        legs = tuple(map(F.mor_map.__getitem__, shape.unpack(w)[3:]))
         try:
-            fwd = mediating_equalizer(D, entry, F.mor_map[w.arrow])
+            fwd = mediator(shape, F.target, target[shape.image_key(F, key)], legs)
         except NotACone:
             return None
-        iso = find_iso(D, fwd)
+        iso = find_iso(F.target, fwd)
         if iso is None:
             return None
-        mu[(f, g)] = Iso(iso.inv, iso.fwd)
-    return EqualizerPreservationCert(F, eqsC, eqsD, mu)
+        mu[key] = Iso(iso.inv, iso.fwd)   # chosen-of-images -> image-of-chosen
+    return LimitPreservationCert(F, source, target, mu)
 
 
-def preserves_pullbacks(
-    F: Functor,
-    pbsC: dict[tuple[int, int], PullbackW],
-    pbsD: dict[tuple[int, int], PullbackW],
-) -> PullbackPreservationCert | None:
-    D = F.target
-    mu: dict[tuple[int, int], Iso] = {}
-    for (f, g), w in pbsC.items():
-        entry = pbsD[(F.mor_map[f], F.mor_map[g])]
+def first_unpreserved(
+    shape: LimitShape, F: Functor, source: Table, target: Table
+) -> tuple[int, int] | None:
+    """Index-order first source key whose image cone is not limiting."""
+    for key in sorted(source):
         try:
-            fwd = mediating_pullback(D, entry, F.mor_map[w.p1], F.mor_map[w.p2])
-        except NotACone:
-            return None
-        iso = find_iso(D, fwd)
-        if iso is None:
-            return None
-        mu[(f, g)] = Iso(iso.inv, iso.fwd)
-    return PullbackPreservationCert(F, pbsC, pbsD, mu)
+            if preserves(shape, F, {key: source[key]}, target) is None:
+                return key
+        except InvalidCert:
+            return key
+    return None
 
 
-# ---------------------------------------------------------------------------
-# transfer along a weak equivalence
+def transfer(
+    shape: LimitShape, cert: WeakEquivalenceCert, table: Table, skeletal_hint: bool = True
+) -> tuple[Table, LimitPreservationCert]:
+    """Push a table along the equivalence: the witness at each pulled-back
+    key is imaged, its legs composed with the eso isos of the feet, and the
+    result re-validated."""
+    C, D = _validated(cert, skeletal_hint, stacklevel=4)   # under the per-kind name
+    G = cert.functor
+    for key, w in table.items():
+        if shape.unpack(w)[:2] != key or not shape.is_limit(C, w):
+            raise InvalidCert(f"source {shape.name} table entry {key} is invalid")
+    out = {}
+    for key in shape.keys(D):
+        src_key = shape.pull_key(cert, key)
+        src = table.get(src_key)
+        if src is None:
+            raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
+        v = shape.unpack(src)
+        legs = [
+            D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
+            for p, y in zip(v[3:], shape.feet(D, key))
+        ]
+        w = shape.witness(*key, G.obj_map[v[2]], *legs)
+        if not shape.is_limit(D, w):
+            raise OracleDisagreement(f"transferred {shape.name} at {key} failed re-validation")
+        out[key] = w
+    pres = preserves(shape, G, table, out)
+    if pres is None:
+        raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
+    return out, pres
 
 
-def _validated(cert: WeakEquivalenceCert, skeletal_hint: bool = True) -> tuple[FinCat, FinCat]:
+def reflect(shape: LimitShape, F: Functor, w):
+    """A fully faithful functor whose image cone is limiting forces the source
+    cone to be limiting; a failure here is an internal error, not bad input."""
+    if is_fully_faithful(F) is None:
+        raise PreconditionViolation("reflection requires a fully faithful functor")
+    if not shape.is_limit(F.target, shape.image(F, w)):
+        raise PreconditionViolation(f"image cone is not a {shape.name}")
+    if not shape.is_limit(F.source, w):
+        raise ReflectionFails(f"image cone is a {shape.name} but the source cone is not")
+    return w
+
+
+def lift(
+    shape: LimitShape,
+    cert: WeakEquivalenceCert,
+    F: Functor,
+    H: Functor,
+    alpha: NatIso,
+    Fcert: LimitPreservationCert,
+    transferred: Table | None = None,
+) -> LimitPreservationCert:
+    """Preservation for H out of F's preservation: pull each target key back
+    along the equivalence, transport F's comparison through alpha, and check
+    the result against the direct decision procedure.  transferred is the
+    table carried to the completion (the transfer of Fcert.source along
+    cert); it is transferred here when omitted."""
+    _check_triangle(cert, F, H, alpha)
+    D = cert.functor.target
+    E = F.target
+    if transferred is None:
+        transferred, _ = transfer(shape, cert, Fcert.source)
+    built: dict[tuple[int, int], int] = {}
+    for key in shape.keys(D):
+        phis = [_phi(cert, H, alpha, y)[1] for y in shape.feet(D, key)]
+        src_key = shape.pull_key(cert, key)
+        src = shape.unpack(Fcert.source[src_key])
+        entry_h = shape.unpack(Fcert.target[shape.image_key(H, key)])
+        entry_f = Fcert.target[shape.image_key(F, src_key)]
+        theta = mediator(shape, E, entry_f, tuple(map(E.compose, entry_h[3:], phis)))
+        psi = alpha.components[src[2]]
+        built[key] = E.compose_many(theta, Fcert.mu[src_key].fwd, psi.inv)
+        # the square transporting the universal property must commute
+        for p, phi, rho in zip(shape.unpack(transferred[key])[3:], phis, src[3:]):
+            if E.compose(H.mor_map[p], phi) != E.compose(psi.fwd, F.mor_map[rho]):
+                raise OracleDisagreement(f"transport square for lifted {shape.name}s broke")
+    direct = preserves(shape, H, transferred, Fcert.target)
+    if direct is None:
+        raise OracleDisagreement(f"lifted functor failed the direct {shape.name} check")
+    for key, iso in direct.mu.items():
+        if iso.fwd != built[key]:
+            raise OracleDisagreement(
+                f"constructive and direct {shape.name} comparisons disagree at {key}"
+            )
+    return direct
+
+
+def _validated(
+    cert: WeakEquivalenceCert, skeletal_hint: bool = True, stacklevel: int = 3
+) -> tuple[FinCat, FinCat]:
     """Re-check the certificate.  With skeletal_hint, warn when the target
     is not skeletal: witnesses pushed there are valid but not the unique
     choice.  Callers whose choices were already fixed on a skeleton turn the
-    hint off."""
+    hint off.  stacklevel points the warning at the public caller."""
     check_weak_equivalence_cert(cert)
     C, D = cert.functor.source, cert.functor.target
     if skeletal_hint:
@@ -527,63 +525,9 @@ def _validated(cert: WeakEquivalenceCert, skeletal_hint: bool = True) -> tuple[F
             warnings.warn(
                 f"transfer into non-skeletal {D.name!r}: witnesses remain valid "
                 "but choices are not unique",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     return C, D
-
-
-def transfer_terminal(
-    cert: WeakEquivalenceCert, tC: ChosenTerminal, skeletal_hint: bool = True
-) -> tuple[ChosenTerminal, TerminalPreservationCert]:
-    C, D = _validated(cert, skeletal_hint)
-    G = cert.functor
-    if not is_terminal(C, tC.t):
-        raise InvalidCert("the given source terminal is not terminal")
-    tD = ChosenTerminal(G.obj_map[tC.t])
-    if not is_terminal(D, tD.t):
-        raise OracleDisagreement("transferred terminal failed re-validation")
-    pres = preserves_terminal(G, tC, tD)
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the terminal it transferred")
-    return tD, pres
-
-
-def transfer_binary_products(
-    cert: WeakEquivalenceCert,
-    prods: dict[tuple[int, int], BinProductW],
-    skeletal_hint: bool = True,
-) -> tuple[dict[tuple[int, int], BinProductW], ProductPreservationCert]:
-    C, D = _validated(cert, skeletal_hint)
-    G = cert.functor
-    for key, w in prods.items():
-        if (w.x1, w.x2) != key or not is_binary_product(C, w):
-            raise InvalidCert(f"source product table entry {key} is invalid")
-    out: dict[tuple[int, int], BinProductW] = {}
-    for y1 in range(D.n_objects):
-        for y2 in range(D.n_objects):
-            x1, i1 = cert.eso_witness[y1]
-            x2, i2 = cert.eso_witness[y2]
-            src = prods.get((x1, x2))
-            if src is None:
-                raise PreconditionViolation(
-                    f"source table lacks the product of ({x1},{x2})"
-                )
-            w = BinProductW(
-                y1,
-                y2,
-                G.obj_map[src.apex],
-                D.compose(G.mor_map[src.pi1], i1.fwd),
-                D.compose(G.mor_map[src.pi2], i2.fwd),
-            )
-            if not is_binary_product(D, w):
-                raise OracleDisagreement(
-                    f"transferred product at ({y1},{y2}) failed re-validation"
-                )
-            out[(y1, y2)] = w
-    pres = preserves_binary_products(G, prods, out)
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the products it transferred")
-    return out, pres
 
 
 def _pull_back_morphism(cert: WeakEquivalenceCert, u: int) -> int:
@@ -594,107 +538,6 @@ def _pull_back_morphism(cert: WeakEquivalenceCert, u: int) -> int:
     x2, i2 = cert.eso_witness[y2]
     conj = D.compose_many(i1.fwd, u, i2.inv)
     return cert.ff_inverse(x1, x2, conj)
-
-
-def transfer_equalizers(
-    cert: WeakEquivalenceCert,
-    eqs: dict[tuple[int, int], EqualizerW],
-    skeletal_hint: bool = True,
-) -> tuple[dict[tuple[int, int], EqualizerW], EqualizerPreservationCert]:
-    C, D = _validated(cert, skeletal_hint)
-    G = cert.functor
-    for key, w in eqs.items():
-        if (w.f, w.g) != key or not is_equalizer(C, w):
-            raise InvalidCert(f"source equalizer table entry {key} is invalid")
-    out: dict[tuple[int, int], EqualizerW] = {}
-    for u, v in parallel_pairs(D):
-        y1 = D.mor_src[u]
-        x1, i1 = cert.eso_witness[y1]
-        fc = _pull_back_morphism(cert, u)
-        gc = _pull_back_morphism(cert, v)
-        src = eqs.get((fc, gc))
-        if src is None:
-            raise PreconditionViolation(f"source table lacks the equalizer of ({fc},{gc})")
-        w = EqualizerW(u, v, G.obj_map[src.obj], D.compose(G.mor_map[src.arrow], i1.fwd))
-        if not is_equalizer(D, w):
-            raise OracleDisagreement(f"transferred equalizer at ({u},{v}) failed re-validation")
-        out[(u, v)] = w
-    pres = preserves_equalizers(G, eqs, out)
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the equalizers it transferred")
-    return out, pres
-
-
-def transfer_pullbacks(
-    cert: WeakEquivalenceCert,
-    pbs: dict[tuple[int, int], PullbackW],
-    skeletal_hint: bool = True,
-) -> tuple[dict[tuple[int, int], PullbackW], PullbackPreservationCert]:
-    C, D = _validated(cert, skeletal_hint)
-    G = cert.functor
-    for key, w in pbs.items():
-        if (w.f, w.g) != key or not is_pullback(C, w):
-            raise InvalidCert(f"source pullback table entry {key} is invalid")
-    out: dict[tuple[int, int], PullbackW] = {}
-    for u, v in cospan_pairs(D):
-        x1, i1 = cert.eso_witness[D.mor_src[u]]
-        x2, i2 = cert.eso_witness[D.mor_src[v]]
-        fc = _pull_back_morphism(cert, u)
-        gc = _pull_back_morphism(cert, v)
-        src = pbs.get((fc, gc))
-        if src is None:
-            raise PreconditionViolation(f"source table lacks the pullback of ({fc},{gc})")
-        w = PullbackW(
-            u,
-            v,
-            G.obj_map[src.apex],
-            D.compose(G.mor_map[src.p1], i1.fwd),
-            D.compose(G.mor_map[src.p2], i2.fwd),
-        )
-        if not is_pullback(D, w):
-            raise OracleDisagreement(f"transferred pullback at ({u},{v}) failed re-validation")
-        out[(u, v)] = w
-    pres = preserves_pullbacks(G, pbs, out)
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the pullbacks it transferred")
-    return out, pres
-
-
-# ---------------------------------------------------------------------------
-# reflection: fully faithful functors reflect limits
-
-
-def reflects_terminal(F: Functor, t: int) -> ChosenTerminal:
-    if is_fully_faithful(F) is None:
-        raise PreconditionViolation("reflection requires a fully faithful functor")
-    if not is_terminal(F.target, F.obj_map[t]):
-        raise PreconditionViolation("image object is not terminal")
-    if not is_terminal(F.source, t):
-        raise ReflectionFails("image is terminal but the source object is not")
-    return ChosenTerminal(t)
-
-
-def reflects_binary_products(F: Functor, w: BinProductW) -> BinProductW:
-    """A fully faithful functor whose image cone is limiting forces the source
-    cone to be limiting; a failure here is an internal error, not bad input."""
-    if is_fully_faithful(F) is None:
-        raise PreconditionViolation("reflection requires a fully faithful functor")
-    image = BinProductW(
-        F.obj_map[w.x1],
-        F.obj_map[w.x2],
-        F.obj_map[w.apex],
-        F.mor_map[w.pi1],
-        F.mor_map[w.pi2],
-    )
-    if not is_binary_product(F.target, image):
-        raise PreconditionViolation("image cone is not a product")
-    if not is_binary_product(F.source, w):
-        raise ReflectionFails("image cone is a product but the source cone is not")
-    return w
-
-
-# ---------------------------------------------------------------------------
-# lifted preservation: the factored functor preserves transferred structure
 
 
 def _check_triangle(
@@ -715,6 +558,59 @@ def _phi(cert: WeakEquivalenceCert, H: Functor, alpha: NatIso, y: int) -> tuple[
     if hi is None:
         raise OracleDisagreement("functor image of an iso is not invertible")
     return x, E.compose(hi.inv, alpha.components[x].fwd)
+
+
+# ---------------------------------------------------------------------------
+# terminal objects: preservation, transfer, reflection, lifting
+
+
+@dataclass(frozen=True, eq=False)
+class TerminalPreservationCert:
+    functor: Functor
+    source: ChosenTerminal
+    target: ChosenTerminal
+    iso: Iso   # target.t -> F(source.t)
+
+
+def preserves_terminal(
+    F: Functor, tC: ChosenTerminal, tD: ChosenTerminal
+) -> TerminalPreservationCert | None:
+    D = F.target
+    ft = F.obj_map[tC.t]
+    if not is_terminal(D, ft):
+        return None
+    fwd = to_terminal(D, ChosenTerminal(ft), tD.t)
+    inv = to_terminal(D, tD, ft)
+    iso = Iso(fwd, inv)
+    if find_iso(D, fwd) != iso:
+        raise OracleDisagreement("arrows between two terminal objects are not inverse")
+    return TerminalPreservationCert(F, tC, tD, iso)
+
+
+def transfer_terminal(
+    cert: WeakEquivalenceCert, tC: ChosenTerminal, skeletal_hint: bool = True
+) -> tuple[ChosenTerminal, TerminalPreservationCert]:
+    C, D = _validated(cert, skeletal_hint)
+    G = cert.functor
+    if not is_terminal(C, tC.t):
+        raise InvalidCert("the given source terminal is not terminal")
+    tD = ChosenTerminal(G.obj_map[tC.t])
+    if not is_terminal(D, tD.t):
+        raise OracleDisagreement("transferred terminal failed re-validation")
+    pres = preserves_terminal(G, tC, tD)
+    if pres is None:
+        raise OracleDisagreement("equivalence does not preserve the terminal it transferred")
+    return tD, pres
+
+
+def reflects_terminal(F: Functor, t: int) -> ChosenTerminal:
+    if is_fully_faithful(F) is None:
+        raise PreconditionViolation("reflection requires a fully faithful functor")
+    if not is_terminal(F.target, F.obj_map[t]):
+        raise PreconditionViolation("image object is not terminal")
+    if not is_terminal(F.source, t):
+        raise ReflectionFails("image is terminal but the source object is not")
+    return ChosenTerminal(t)
 
 
 def lift_preservation_terminal(
@@ -741,142 +637,107 @@ def lift_preservation_terminal(
     return direct
 
 
-def lift_preservation_binary_products(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    Fcert: ProductPreservationCert,
-    transferred: dict[tuple[int, int], BinProductW] | None = None,
-) -> ProductPreservationCert:
-    """Preservation for H out of F's preservation: pull each target pair back
-    along the equivalence, transport F's comparison through alpha, and check
-    the result against the direct decision procedure.
-
-    transferred is the product table already carried to the completion, the
-    transfer of Fcert.source along cert; it is transferred here when
-    omitted."""
-    _check_triangle(cert, F, H, alpha)
-    D = cert.functor.target
-    E = F.target
-    if transferred is None:
-        transferred, _ = transfer_binary_products(cert, Fcert.source)
-    built: dict[tuple[int, int], int] = {}
-    for y1 in range(D.n_objects):
-        for y2 in range(D.n_objects):
-            x1, phi1 = _phi(cert, H, alpha, y1)
-            x2, phi2 = _phi(cert, H, alpha, y2)
-            src = Fcert.source[(x1, x2)]
-            entry_h = Fcert.target[(H.obj_map[y1], H.obj_map[y2])]
-            entry_f = Fcert.target[(F.obj_map[x1], F.obj_map[x2])]
-            theta = mediating(
-                E,
-                entry_f,
-                E.compose(entry_h.pi1, phi1),
-                E.compose(entry_h.pi2, phi2),
-            )
-            psi = alpha.components[src.apex]
-            built[(y1, y2)] = E.compose_many(theta, Fcert.mu[(x1, x2)].fwd, psi.inv)
-            # the square transporting the universal property must commute
-            tw = transferred[(y1, y2)]
-            for pi, phi, rho in ((tw.pi1, phi1, src.pi1), (tw.pi2, phi2, src.pi2)):
-                if E.compose(H.mor_map[pi], phi) != E.compose(psi.fwd, F.mor_map[rho]):
-                    raise OracleDisagreement("transport square for lifted products broke")
-    direct = preserves_binary_products(H, transferred, Fcert.target)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct product check")
-    for key, iso in direct.mu.items():
-        if iso.fwd != built[key]:
-            raise OracleDisagreement(
-                f"constructive and direct product comparisons disagree at {key}"
-            )
-    return direct
+# ---------------------------------------------------------------------------
+# the public names, each binding one shape to one verb
 
 
-def lift_preservation_equalizers(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    Fcert: EqualizerPreservationCert,
-    transferred: dict[tuple[int, int], EqualizerW] | None = None,
-) -> EqualizerPreservationCert:
-    """As for products; transferred is the carried equalizer table."""
-    _check_triangle(cert, F, H, alpha)
-    D = cert.functor.target
-    E = F.target
-    if transferred is None:
-        transferred, _ = transfer_equalizers(cert, Fcert.source)
-    built: dict[tuple[int, int], int] = {}
-    for u, v in parallel_pairs(D):
-        y1 = D.mor_src[u]
-        x1, phi1 = _phi(cert, H, alpha, y1)
-        fc = _pull_back_morphism(cert, u)
-        gc = _pull_back_morphism(cert, v)
-        src = Fcert.source[(fc, gc)]
-        entry_h = Fcert.target[(H.mor_map[u], H.mor_map[v])]
-        entry_f = Fcert.target[(F.mor_map[fc], F.mor_map[gc])]
-        theta = mediating_equalizer(E, entry_f, E.compose(entry_h.arrow, phi1))
-        psi = alpha.components[src.obj]
-        built[(u, v)] = E.compose_many(theta, Fcert.mu[(fc, gc)].fwd, psi.inv)
-        tw = transferred[(u, v)]
-        if E.compose(H.mor_map[tw.arrow], phi1) != E.compose(psi.fwd, F.mor_map[src.arrow]):
-            raise OracleDisagreement("transport square for lifted equalizers broke")
-    direct = preserves_equalizers(H, transferred, Fcert.target)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct equalizer check")
-    for key, iso in direct.mu.items():
-        if iso.fwd != built[key]:
-            raise OracleDisagreement(
-                f"constructive and direct equalizer comparisons disagree at {key}"
-            )
-    return direct
+def find_binary_product(C: FinCat, x1: int, x2: int) -> BinProductW | None:
+    return find_limit(PRODUCTS, C, (x1, x2))
 
 
-def lift_preservation_pullbacks(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    Fcert: PullbackPreservationCert,
-    transferred: dict[tuple[int, int], PullbackW] | None = None,
-) -> PullbackPreservationCert:
-    """As for products; transferred is the carried pullback table."""
-    _check_triangle(cert, F, H, alpha)
-    D = cert.functor.target
-    E = F.target
-    if transferred is None:
-        transferred, _ = transfer_pullbacks(cert, Fcert.source)
-    built: dict[tuple[int, int], int] = {}
-    for u, v in cospan_pairs(D):
-        x1, phi1 = _phi(cert, H, alpha, D.mor_src[u])
-        x2, phi2 = _phi(cert, H, alpha, D.mor_src[v])
-        fc = _pull_back_morphism(cert, u)
-        gc = _pull_back_morphism(cert, v)
-        src = Fcert.source[(fc, gc)]
-        entry_h = Fcert.target[(H.mor_map[u], H.mor_map[v])]
-        entry_f = Fcert.target[(F.mor_map[fc], F.mor_map[gc])]
-        theta = mediating_pullback(
-            E,
-            entry_f,
-            E.compose(entry_h.p1, phi1),
-            E.compose(entry_h.p2, phi2),
-        )
-        psi = alpha.components[src.apex]
-        built[(u, v)] = E.compose_many(theta, Fcert.mu[(fc, gc)].fwd, psi.inv)
-        tw = transferred[(u, v)]
-        for p, phi, rho in ((tw.p1, phi1, src.p1), (tw.p2, phi2, src.p2)):
-            if E.compose(H.mor_map[p], phi) != E.compose(psi.fwd, F.mor_map[rho]):
-                raise OracleDisagreement("transport square for lifted pullbacks broke")
-    direct = preserves_pullbacks(H, transferred, Fcert.target)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct pullback check")
-    for key, iso in direct.mu.items():
-        if iso.fwd != built[key]:
-            raise OracleDisagreement(
-                f"constructive and direct pullback comparisons disagree at {key}"
-            )
-    return direct
+def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None:
+    """Chosen products for every ordered pair, or None if some pair has none."""
+    return find_table(PRODUCTS, C)
+
+
+def partial_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW]:
+    """Chosen products for exactly the pairs that have one."""
+    return partial_table(PRODUCTS, C)
+
+
+def mediating(C: FinCat, w: BinProductW, g1: int, g2: int) -> int:
+    """The unique morphism into the apex commuting with both projections."""
+    return mediator(PRODUCTS, C, w, (g1, g2))
+
+
+def product_comparison(C: FinCat, a: BinProductW, b: BinProductW) -> Iso:
+    return comparison(PRODUCTS, C, a, b)
+
+
+def preserves_binary_products(F: Functor, prodsC: Table, prodsD: Table):
+    return preserves(PRODUCTS, F, prodsC, prodsD)
+
+
+def first_unpreserved_pair(F: Functor, prodsC: Table, prodsD: Table) -> tuple[int, int] | None:
+    return first_unpreserved(PRODUCTS, F, prodsC, prodsD)
+
+
+def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table, skeletal_hint: bool = True):
+    return transfer(PRODUCTS, cert, prods, skeletal_hint)
+
+
+def reflects_binary_products(F: Functor, w: BinProductW) -> BinProductW:
+    return reflect(PRODUCTS, F, w)
+
+
+def lift_preservation_binary_products(cert, F, H, alpha, Fcert, transferred=None):
+    return lift(PRODUCTS, cert, F, H, alpha, Fcert, transferred)
+
+
+def find_equalizer(C: FinCat, f: int, g: int) -> EqualizerW | None:
+    return find_limit(EQUALIZERS, C, (f, g))
+
+
+def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
+    return find_table(EQUALIZERS, C)
+
+
+def mediating_equalizer(C: FinCat, w: EqualizerW, h: int) -> int:
+    return mediator(EQUALIZERS, C, w, (h,))
+
+
+def equalizer_comparison(C: FinCat, a: EqualizerW, b: EqualizerW) -> Iso:
+    return comparison(EQUALIZERS, C, a, b)
+
+
+def preserves_equalizers(F: Functor, eqsC: Table, eqsD: Table):
+    return preserves(EQUALIZERS, F, eqsC, eqsD)
+
+
+def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table, skeletal_hint: bool = True):
+    return transfer(EQUALIZERS, cert, eqs, skeletal_hint)
+
+
+def lift_preservation_equalizers(cert, F, H, alpha, Fcert, transferred=None):
+    return lift(EQUALIZERS, cert, F, H, alpha, Fcert, transferred)
+
+
+def find_pullback(C: FinCat, f: int, g: int) -> PullbackW | None:
+    return find_limit(PULLBACKS, C, (f, g))
+
+
+def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
+    return find_table(PULLBACKS, C)
+
+
+def mediating_pullback(C: FinCat, w: PullbackW, h1: int, h2: int) -> int:
+    return mediator(PULLBACKS, C, w, (h1, h2))
+
+
+def pullback_comparison(C: FinCat, a: PullbackW, b: PullbackW) -> Iso:
+    return comparison(PULLBACKS, C, a, b)
+
+
+def preserves_pullbacks(F: Functor, pbsC: Table, pbsD: Table):
+    return preserves(PULLBACKS, F, pbsC, pbsD)
+
+
+def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table, skeletal_hint: bool = True):
+    return transfer(PULLBACKS, cert, pbs, skeletal_hint)
+
+
+def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred=None):
+    return lift(PULLBACKS, cert, F, H, alpha, Fcert, transferred)
 
 
 # ---------------------------------------------------------------------------

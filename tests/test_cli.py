@@ -4,7 +4,7 @@ import json
 import pytest
 
 from catkit.cli import main
-from catkit.core import same_tables
+from catkit.core import identity_functor, same_tables
 from catkit.classifier import topos_gaps
 from catkit.generators import (
     chain_poset,
@@ -15,7 +15,13 @@ from catkit.generators import (
     setoid_groupoid,
     walking_iso,
 )
-from catkit.interchange import category_to_json, validate_category
+from catkit.interchange import (
+    category_to_json,
+    functor_to_json,
+    structure_to_json,
+    validate_category,
+)
+from catkit.limits import find_equalizers, find_pullbacks, partial_binary_products
 
 
 @pytest.fixture()
@@ -303,3 +309,52 @@ def test_export_dot_clusters_iso_classes(setoid_path, tmp_path, capsys):
     text = out.read_text()
     assert "subgraph" in text
     assert "dashed" in text
+
+
+
+@pytest.mark.parametrize(
+    "doc_name, path, value, pointer",
+    [
+        ("target", ("structure", "binproducts", 0), "c0", "/structure/binproducts/0"),
+        ("target", ("structure", "equalizers", 0), "c0", "/structure/equalizers/0"),
+        ("target", ("structure", "pullbacks", 0), "c0", "/structure/pullbacks/0"),
+        ("target", ("structure", "binproducts"), {"x1": "c0"}, "/structure/binproducts"),
+        ("target", ("structure", "equalizers"), {"f": "id_c0"}, "/structure/equalizers"),
+        ("target", ("structure", "pullbacks"), {"f": "id_c0"}, "/structure/pullbacks"),
+        ("target", ("exponentials",), [3], "/exponentials/0"),
+        ("target", ("pnno",), "c0", "/pnno"),
+        ("target", ("subobject_classifier",), ["c0"], "/subobject_classifier"),
+        ("functor", ("on_objects",), ["c0", "c1"], "/on_objects"),
+        ("functor", ("on_morphisms",), ["le_c0_c1"], "/on_morphisms"),
+        ("functor", ("source",), ["chain2"], "/source"),
+        ("source", ("name",), ["chain2"], "/name"),
+    ],
+)
+def test_factor_malformed_structure_or_functor_exits_1(
+    tmp_path, capsys, doc_name, path, value, pointer
+):
+    C = chain_poset(2)
+    bag = {
+        "products": partial_binary_products(C),
+        "equalizers": find_equalizers(C),
+        "pullbacks": find_pullbacks(C),
+    }
+    docs = {
+        "source": category_to_json(C),
+        "target": {**category_to_json(C), **structure_to_json(C, bag)},
+        "functor": functor_to_json(identity_functor(C)),
+    }
+    node = docs[doc_name]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    code = main(["factor", "--source", str(paths["source"]), "--functor",
+                 str(paths["functor"]), "--target", str(paths["target"]), "--json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "MalformedInput"
+    assert err["pointer"] == pointer
