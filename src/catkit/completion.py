@@ -105,28 +105,10 @@ def skeletize(C: FinCat) -> CompletionResult:
             assert iso is not None
             canon.append(iso)
 
-    obj_reindex = {r: i for i, r in enumerate(reps)}
-    keep = [
-        f
-        for f in range(C.n_morphisms)
-        if C.mor_src[f] in obj_reindex and C.mor_dst[f] in obj_reindex
-    ]
-    mor_reindex = {f: i for i, f in enumerate(keep)}
-    comp = {}
-    for f in keep:
-        for g in keep:
-            fg = C.comp_table[f][g]
-            if fg is not None:
-                comp[(mor_reindex[f], mor_reindex[g])] = mor_reindex[fg]
-    completed = fincat(
-        f"{C.name}|skeleton",
-        [C.objects[r] for r in reps],
-        [C.mor_labels[f] for f in keep],
-        [obj_reindex[C.mor_src[f]] for f in keep],
-        [obj_reindex[C.mor_dst[f]] for f in keep],
-        [mor_reindex[C.identity[r]] for r in reps],
-        comp,
-    )
+    sub, incl = full_subcategory(C, reps)
+    completed = dataclasses.replace(sub, name=f"{C.name}|skeleton")
+    obj_reindex = {r: i for i, r in enumerate(incl.obj_map)}
+    mor_reindex = {f: i for i, f in enumerate(incl.mor_map)}
 
     eta_obj = [obj_reindex[rep_of[x]] for x in range(C.n_objects)]
     eta_mor = []

@@ -348,7 +348,7 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
                 (_obj_ref if is_obj else _mor_ref)(C, e.get(f), p)
                 for f, is_obj in shape.field_kinds
             ))
-            table[shape.unpack(w)[:2]] = w
+            table[shape.split(w)[0]] = w
         bag[kind] = table
     if "exponentials" in doc:
         table = {}

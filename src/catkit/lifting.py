@@ -5,7 +5,9 @@ validate a witness, find one, transfer it along a weak equivalence, decide
 preservation by a functor, and lift preservation through a factorization
 triangle.  The registry drives whole-pipeline operations in dependency
 order, so exponentials always follow products, and the classifier and
-parameterized-N always follow the terminal.
+parameterized-N always follow the terminal.  The four finite-limit kinds
+are registered from one table of (kind, verb suffix, shape); their verbs are
+the public ``limits`` names, looked up when called.
 
 Structure is searched for on the skeleton, which is equivalent to the source
 and usually far smaller, and carried back to the source along the inclusion
@@ -41,29 +43,8 @@ from .exponentials import (
     preserves_exponentials,
     transfer_exponentials,
 )
-from .limits import (
-    EQUALIZERS,
-    PRODUCTS,
-    PULLBACKS,
-    check_table,
-    find_binary_products,
-    find_equalizers,
-    find_pullbacks,
-    find_terminal,
-    is_terminal,
-    lift_preservation_binary_products,
-    lift_preservation_equalizers,
-    lift_preservation_pullbacks,
-    lift_preservation_terminal,
-    preserves_binary_products,
-    preserves_equalizers,
-    preserves_pullbacks,
-    preserves_terminal,
-    transfer_binary_products,
-    transfer_equalizers,
-    transfer_pullbacks,
-    transfer_terminal,
-)
+from . import limits
+from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check_table
 from .nno import find_pnno, is_pnno, lift_preservation_pnno, preserves_pnno, transfer_pnno
 
 
@@ -90,11 +71,6 @@ class StructureKind:
     ]
 
 
-def _check_terminal(C, bag):
-    if not is_terminal(C, bag["terminal"].t):
-        raise InvalidCert("terminal witness is not terminal")
-
-
 def _check_exponentials(C, bag):
     table = bag["exponentials"]
     prods = bag["products"]
@@ -115,51 +91,38 @@ def _check_pnno(C, bag):
         raise InvalidCert("parameterized-N witness fails its defining property")
 
 
+def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
+    """A finite-limit kind whose verbs are the ``limits`` names ending in
+    suffix, looked up when called, so that a wrapper installed on the module
+    sees every call.  The terminal's bag entry is its one witness, not a
+    table."""
+
+    def call(prefix, *args, **kwargs):
+        return getattr(limits, prefix + suffix)(*args, **kwargs)
+
+    return StructureKind(
+        name,
+        (),
+        lambda C, bag: check_table(shape, C, bag[name] if shape.n_key else {(): bag[name]}),
+        lambda C, bag: call("find_", C),
+        lambda cert, src, dst: call("transfer_", cert, src[name], skeletal_hint=False),
+        lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried: call(
+            "lift_preservation_", cert, F, H, alpha, Fcerts[name], carried[name]
+        ),
+    )
+
+
+# (kind, suffix of its verbs in limits, shape), in dependency order
+_LIMIT_KINDS = (
+    ("terminal", "terminal", TERMINAL),
+    ("products", "binary_products", PRODUCTS),
+    ("equalizers", "equalizers", EQUALIZERS),
+    ("pullbacks", "pullbacks", PULLBACKS),
+)
+
 KINDS: dict[str, StructureKind] = {
-    "terminal": StructureKind(
-        "terminal",
-        (),
-        _check_terminal,
-        lambda C, bag: find_terminal(C),
-        lambda cert, src, dst: transfer_terminal(cert, src["terminal"], skeletal_hint=False),
-        lambda F, src, dst, certs: preserves_terminal(F, src["terminal"], dst["terminal"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_terminal(
-            cert, F, H, alpha, Fcerts["terminal"], carried["terminal"]
-        ),
-    ),
-    "products": StructureKind(
-        "products",
-        (),
-        lambda C, bag: check_table(PRODUCTS, C, bag["products"]),
-        lambda C, bag: find_binary_products(C),
-        lambda cert, src, dst: transfer_binary_products(cert, src["products"], skeletal_hint=False),
-        lambda F, src, dst, certs: preserves_binary_products(F, src["products"], dst["products"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_binary_products(
-            cert, F, H, alpha, Fcerts["products"], carried["products"]
-        ),
-    ),
-    "equalizers": StructureKind(
-        "equalizers",
-        (),
-        lambda C, bag: check_table(EQUALIZERS, C, bag["equalizers"]),
-        lambda C, bag: find_equalizers(C),
-        lambda cert, src, dst: transfer_equalizers(cert, src["equalizers"], skeletal_hint=False),
-        lambda F, src, dst, certs: preserves_equalizers(F, src["equalizers"], dst["equalizers"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_equalizers(
-            cert, F, H, alpha, Fcerts["equalizers"], carried["equalizers"]
-        ),
-    ),
-    "pullbacks": StructureKind(
-        "pullbacks",
-        (),
-        lambda C, bag: check_table(PULLBACKS, C, bag["pullbacks"]),
-        lambda C, bag: find_pullbacks(C),
-        lambda cert, src, dst: transfer_pullbacks(cert, src["pullbacks"], skeletal_hint=False),
-        lambda F, src, dst, certs: preserves_pullbacks(F, src["pullbacks"], dst["pullbacks"]),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_pullbacks(
-            cert, F, H, alpha, Fcerts["pullbacks"], carried["pullbacks"]
-        ),
-    ),
+    **{name: _limit_kind(name, suffix, shape) for name, suffix, shape in _LIMIT_KINDS},
     "exponentials": StructureKind(
         "exponentials",
         ("products",),

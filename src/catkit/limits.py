@@ -9,13 +9,15 @@ certify it with comparison isos, and ``lift_preservation_*`` derive
 preservation for a factored functor by two independent routes that must
 agree exactly.
 
-Binary products, equalizers and pullbacks are keyed limits: a table maps
-each key (a pair of objects, a parallel pair, a cospan) to a witness.  One
-:class:`LimitShape` per kind holds what differs between them, and find,
-mediate, compare, preserve, transfer, reflect, lift and check are written
-once over it; the per-kind public names bind a shape.  The brute-force
-``is_*`` checks stay one loop per shape: they define the limits, and they
-are the hot path of every search.  Terminal objects keep their own verbs.
+Terminal objects, binary products, equalizers and pullbacks are keyed
+limits: a table maps each key (the empty diagram's one key ``()``, a pair of
+objects, a parallel pair, a cospan) to a witness.  One :class:`LimitShape`
+per kind holds what differs between them, and find, mediate, compare,
+preserve, transfer, reflect, lift and check are written once over it; the
+per-kind public names bind a shape.  The terminal names keep taking and
+returning a single :class:`ChosenTerminal`, wrapped as the table
+``{(): w}``.  The brute-force ``is_*`` checks stay one loop per shape: they
+define the limits, and they are the hot path of every search.
 
 Colimit duals delegate to the limit machinery on the opposite category and
 are cross-checked by direct searches.
@@ -122,13 +124,6 @@ def is_terminal(C: FinCat, t: int) -> bool:
     return True
 
 
-def find_terminal(C: FinCat) -> ChosenTerminal | None:
-    for t in range(C.n_objects):
-        if is_terminal(C, t):
-            return ChosenTerminal(t)
-    return None
-
-
 def to_terminal(C: FinCat, term: ChosenTerminal, x: int) -> int:
     hom = C.hom(x, term.t)
     if len(hom) != 1:
@@ -231,75 +226,94 @@ def _cospan_feet(C: FinCat, key: tuple[int, int]) -> tuple[int, int] | None:
     return (C.mor_src[f], C.mor_src[g])
 
 
-Table = dict[tuple[int, int], object]   # key -> witness
+Key = tuple[int, ...]
+Table = dict[Key, object]   # key -> witness
 
 
 @dataclass(frozen=True, eq=False)
 class LimitShape:
-    """A keyed finite-limit shape.  Witness fields are the key's two parts,
-    the apex, then one leg per foot.  ``feet`` is None for a key that is not
-    a diagram of the shape; ``commutes`` holds the equations on typed legs,
-    if any.  Keys name objects or, unless ``keyed_by_objects``, morphisms.
+    """A keyed finite-limit shape.  Witness fields are the ``n_key`` parts
+    of the key, the apex, then one leg per foot.  ``feet`` is None for a key
+    that is not a diagram of the shape; ``commutes`` holds the equations on
+    typed legs, if any.  Keys name objects or, unless ``keyed_by_objects``,
+    morphisms.
     """
 
     name: str
     diagram: str
     witness: type
-    keys: Callable[[FinCat], list[tuple[int, int]]]
-    feet: Callable[[FinCat, tuple[int, int]], tuple[int, ...] | None]
-    commutes: Callable[[FinCat, tuple[int, int], tuple[int, ...]], bool] | None
+    n_key: int
+    keys: Callable[[FinCat], list[Key]]
+    feet: Callable[[FinCat, Key], tuple[int, ...] | None]
+    commutes: Callable[[FinCat, Key, tuple[int, ...]], bool] | None
     is_limit: Callable[[FinCat, object], bool]
     keyed_by_objects: bool
 
     @cached_property
     def field_kinds(self) -> tuple[tuple[str, bool], ...]:
         """(name, whether it names an object) for each witness field."""
+        k = self.n_key
         names = [f.name for f in fields(self.witness)]
-        return tuple((n, i == 2 or (i < 2 and self.keyed_by_objects)) for i, n in enumerate(names))
+        return tuple((n, i == k or (i < k and self.keyed_by_objects)) for i, n in enumerate(names))
 
     @cached_property
     def unpack(self) -> Callable[[object], tuple[int, ...]]:
-        """A witness as the flat tuple (key, key, apex, legs...)."""
-        return attrgetter(*(n for n, _ in self.field_kinds))
+        """A witness as the flat tuple of its fields: key parts, apex, legs."""
+        get = attrgetter(*(n for n, _ in self.field_kinds))
+        return get if len(self.field_kinds) > 1 else lambda w: (get(w),)
 
-    def pull_key(self, cert: WeakEquivalenceCert, key: tuple[int, int]) -> tuple[int, int]:
+    @cached_property
+    def split(self) -> Callable[[object], tuple[Key, int, tuple[int, ...]]]:
+        """A witness as (key, apex, legs)."""
+        get, k = self.unpack, self.n_key
+
+        def split(w):
+            v = get(w)
+            return v[:k], v[k], v[k + 1:]
+
+        return split
+
+    def pull_key(self, cert: WeakEquivalenceCert, key: Key) -> Key:
         if self.keyed_by_objects:
-            return cert.eso_witness[key[0]][0], cert.eso_witness[key[1]][0]
-        return _pull_back_morphism(cert, key[0]), _pull_back_morphism(cert, key[1])
+            return tuple(cert.eso_witness[x][0] for x in key)
+        return tuple(_pull_back_morphism(cert, u) for u in key)
 
-    def image_key(self, F: Functor, key: tuple[int, int]) -> tuple[int, int]:
-        image = F.obj_map if self.keyed_by_objects else F.mor_map
-        return image[key[0]], image[key[1]]
+    def image_key(self, F: Functor, key: Key) -> Key:
+        return tuple(map((F.obj_map if self.keyed_by_objects else F.mor_map).__getitem__, key))
 
     def image(self, F: Functor, w) -> object:
         """The image under F of the cone w, keyed by the image diagram."""
-        v = self.unpack(w)
-        legs = map(F.mor_map.__getitem__, v[3:])
-        return self.witness(*self.image_key(F, v[:2]), F.obj_map[v[2]], *legs)
+        key, apex, legs = self.split(w)
+        legs = map(F.mor_map.__getitem__, legs)
+        return self.witness(*self.image_key(F, key), F.obj_map[apex], *legs)
 
 
+TERMINAL = LimitShape(
+    "terminal", "empty diagram", ChosenTerminal, 0, lambda C: [()], lambda C, key: (),
+    None, lambda C, w: is_terminal(C, w.t), True,
+)
 PRODUCTS = LimitShape(
-    "product", "factor pair", BinProductW,
+    "product", "factor pair", BinProductW, 2,
     lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
     None, is_binary_product, True,
 )
 EQUALIZERS = LimitShape(
-    "equalizer", "parallel pair", EqualizerW, parallel_pairs, _parallel_feet,
+    "equalizer", "parallel pair", EqualizerW, 2, parallel_pairs, _parallel_feet,
     lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[0], key[1]),
     is_equalizer, False,
 )
 PULLBACKS = LimitShape(
-    "pullback", "cospan", PullbackW, cospan_pairs, _cospan_feet,
+    "pullback", "cospan", PullbackW, 2, cospan_pairs, _cospan_feet,
     lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[1], key[1]),
     is_pullback, False,
 )
 
 
 # ---------------------------------------------------------------------------
-# the verbs, written once over the shape, and the helpers the terminal shares
+# the verbs, written once over the shape
 
 
-def find_limit(shape: LimitShape, C: FinCat, key: tuple[int, int]) -> object | None:
+def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     """Lowest apex first, then lowest leg indices; None when the key is not
     a diagram of the shape or has no limit."""
     feet = shape.feet(C, key)
@@ -334,16 +348,14 @@ def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     """Every key of C carries a valid witness keyed by it."""
     for key in shape.keys(C):
         w = table.get(key)
-        if w is None or shape.unpack(w)[:2] != key or not shape.is_limit(C, w):
+        if w is None or shape.split(w)[0] != key or not shape.is_limit(C, w):
             raise InvalidCert(f"{shape.name} table is wrong at {key}")
 
 
-def mediator(shape: LimitShape, C: FinCat, w, legs: tuple[int, ...]) -> int:
+def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
     """The unique morphism into the apex of w through which the cone with
-    the given legs factors."""
-    v = shape.unpack(w)
-    key, apex, wlegs = v[:2], v[2], v[3:]
-    z = C.mor_src[legs[0]]
+    vertex z and the given legs factors."""
+    key, apex, wlegs = shape.split(w)
     hits = []
     for u in C.hom(z, apex):
         row = C.comp_table[u]
@@ -368,10 +380,10 @@ def mediator(shape: LimitShape, C: FinCat, w, legs: tuple[int, ...]) -> int:
 
 def comparison(shape: LimitShape, C: FinCat, a, b) -> Iso:
     """The canonical iso between two limits of the same diagram."""
-    va, vb = shape.unpack(a), shape.unpack(b)
-    if va[:2] != vb[:2]:
+    key, apex, legs = shape.split(a)
+    if shape.split(b)[0] != key:
         raise NotACone(f"witnesses do not share their {shape.diagram}")
-    iso = find_iso(C, mediator(shape, C, b, va[3:]))
+    iso = find_iso(C, mediator(shape, C, b, apex, legs))
     if iso is None:
         raise OracleDisagreement(f"comparison between two {shape.name}s is not invertible")
     return iso
@@ -386,7 +398,7 @@ class LimitPreservationCert:
     functor: Functor
     source: Table
     target: Table
-    mu: dict[tuple[int, int], Iso]
+    mu: dict[Key, Iso]
 
 
 def preserves(
@@ -394,11 +406,13 @@ def preserves(
 ) -> LimitPreservationCert | None:
     """Each image cone must factor through the chosen limit of its diagram
     by an iso; None when some image cone is not limiting."""
-    mu: dict[tuple[int, int], Iso] = {}
+    mu: dict[Key, Iso] = {}
     for key, w in source.items():
-        legs = tuple(map(F.mor_map.__getitem__, shape.unpack(w)[3:]))
+        _, apex, legs = shape.split(w)
+        legs = tuple(map(F.mor_map.__getitem__, legs))
+        chosen = target[shape.image_key(F, key)]
         try:
-            fwd = mediator(shape, F.target, target[shape.image_key(F, key)], legs)
+            fwd = mediator(shape, F.target, chosen, F.obj_map[apex], legs)
         except NotACone:
             return None
         iso = find_iso(F.target, fwd)
@@ -408,15 +422,11 @@ def preserves(
     return LimitPreservationCert(F, source, target, mu)
 
 
-def first_unpreserved(
-    shape: LimitShape, F: Functor, source: Table, target: Table
-) -> tuple[int, int] | None:
-    """Index-order first source key whose image cone is not limiting."""
+def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Table) -> Key | None:
+    """Index-order first source key whose image cone is not limiting; an
+    invalid target entry raises, as in :func:`preserves`."""
     for key in sorted(source):
-        try:
-            if preserves(shape, F, {key: source[key]}, target) is None:
-                return key
-        except InvalidCert:
+        if preserves(shape, F, {key: source[key]}, target) is None:
             return key
     return None
 
@@ -430,7 +440,7 @@ def transfer(
     C, D = _validated(cert, skeletal_hint, stacklevel=4)   # under the per-kind name
     G = cert.functor
     for key, w in table.items():
-        if shape.unpack(w)[:2] != key or not shape.is_limit(C, w):
+        if shape.split(w)[0] != key or not shape.is_limit(C, w):
             raise InvalidCert(f"source {shape.name} table entry {key} is invalid")
     out = {}
     for key in shape.keys(D):
@@ -438,12 +448,12 @@ def transfer(
         src = table.get(src_key)
         if src is None:
             raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
-        v = shape.unpack(src)
+        _, apex, src_legs = shape.split(src)
         legs = [
             D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
-            for p, y in zip(v[3:], shape.feet(D, key))
+            for p, y in zip(src_legs, shape.feet(D, key))
         ]
-        w = shape.witness(*key, G.obj_map[v[2]], *legs)
+        w = shape.witness(*key, G.obj_map[apex], *legs)
         if not shape.is_limit(D, w):
             raise OracleDisagreement(f"transferred {shape.name} at {key} failed re-validation")
         out[key] = w
@@ -484,18 +494,18 @@ def lift(
     E = F.target
     if transferred is None:
         transferred, _ = transfer(shape, cert, Fcert.source)
-    built: dict[tuple[int, int], int] = {}
+    built: dict[Key, int] = {}
     for key in shape.keys(D):
         phis = [_phi(cert, H, alpha, y)[1] for y in shape.feet(D, key)]
         src_key = shape.pull_key(cert, key)
-        src = shape.unpack(Fcert.source[src_key])
-        entry_h = shape.unpack(Fcert.target[shape.image_key(H, key)])
+        _, src_apex, src_legs = shape.split(Fcert.source[src_key])
+        _, h_apex, h_legs = shape.split(Fcert.target[shape.image_key(H, key)])
         entry_f = Fcert.target[shape.image_key(F, src_key)]
-        theta = mediator(shape, E, entry_f, tuple(map(E.compose, entry_h[3:], phis)))
-        psi = alpha.components[src[2]]
+        theta = mediator(shape, E, entry_f, h_apex, tuple(map(E.compose, h_legs, phis)))
+        psi = alpha.components[src_apex]
         built[key] = E.compose_many(theta, Fcert.mu[src_key].fwd, psi.inv)
         # the square transporting the universal property must commute
-        for p, phi, rho in zip(shape.unpack(transferred[key])[3:], phis, src[3:]):
+        for p, phi, rho in zip(shape.split(transferred[key])[2], phis, src_legs):
             if E.compose(H.mor_map[p], phi) != E.compose(psi.fwd, F.mor_map[rho]):
                 raise OracleDisagreement(f"transport square for lifted {shape.name}s broke")
     direct = preserves(shape, H, transferred, Fcert.target)
@@ -561,84 +571,30 @@ def _phi(cert: WeakEquivalenceCert, H: Functor, alpha: NatIso, y: int) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# terminal objects: preservation, transfer, reflection, lifting
+# the public names, each binding one shape to one verb; the terminal names
+# wrap their one witness as the table {(): w}
 
 
-@dataclass(frozen=True, eq=False)
-class TerminalPreservationCert:
-    functor: Functor
-    source: ChosenTerminal
-    target: ChosenTerminal
-    iso: Iso   # target.t -> F(source.t)
+def find_terminal(C: FinCat) -> ChosenTerminal | None:
+    return find_limit(TERMINAL, C, ())
 
 
-def preserves_terminal(
-    F: Functor, tC: ChosenTerminal, tD: ChosenTerminal
-) -> TerminalPreservationCert | None:
-    D = F.target
-    ft = F.obj_map[tC.t]
-    if not is_terminal(D, ft):
-        return None
-    fwd = to_terminal(D, ChosenTerminal(ft), tD.t)
-    inv = to_terminal(D, tD, ft)
-    iso = Iso(fwd, inv)
-    if find_iso(D, fwd) != iso:
-        raise OracleDisagreement("arrows between two terminal objects are not inverse")
-    return TerminalPreservationCert(F, tC, tD, iso)
+def preserves_terminal(F: Functor, tC: ChosenTerminal, tD: ChosenTerminal):
+    """mu[()] is the pair of unique arrows tD -> F(tC) and back."""
+    return preserves(TERMINAL, F, {(): tC}, {(): tD})
 
 
-def transfer_terminal(
-    cert: WeakEquivalenceCert, tC: ChosenTerminal, skeletal_hint: bool = True
-) -> tuple[ChosenTerminal, TerminalPreservationCert]:
-    C, D = _validated(cert, skeletal_hint)
-    G = cert.functor
-    if not is_terminal(C, tC.t):
-        raise InvalidCert("the given source terminal is not terminal")
-    tD = ChosenTerminal(G.obj_map[tC.t])
-    if not is_terminal(D, tD.t):
-        raise OracleDisagreement("transferred terminal failed re-validation")
-    pres = preserves_terminal(G, tC, tD)
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the terminal it transferred")
-    return tD, pres
+def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal, skeletal_hint: bool = True):
+    table, pres = transfer(TERMINAL, cert, {(): tC}, skeletal_hint)
+    return table[()], pres
 
 
 def reflects_terminal(F: Functor, t: int) -> ChosenTerminal:
-    if is_fully_faithful(F) is None:
-        raise PreconditionViolation("reflection requires a fully faithful functor")
-    if not is_terminal(F.target, F.obj_map[t]):
-        raise PreconditionViolation("image object is not terminal")
-    if not is_terminal(F.source, t):
-        raise ReflectionFails("image is terminal but the source object is not")
-    return ChosenTerminal(t)
+    return reflect(TERMINAL, F, ChosenTerminal(t))
 
 
-def lift_preservation_terminal(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    Fcert: TerminalPreservationCert,
-    tD: ChosenTerminal | None = None,
-) -> TerminalPreservationCert:
-    """tD is the terminal already carried to the completion; it is
-    transferred here when omitted."""
-    _check_triangle(cert, F, H, alpha)
-    E = F.target
-    if tD is None:
-        tD, _ = transfer_terminal(cert, Fcert.source)
-    # constructive route: connect the chosen target terminal to H(tD)
-    built = E.compose(Fcert.iso.fwd, alpha.components[Fcert.source.t].inv)
-    direct = preserves_terminal(H, tD, Fcert.target)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct terminal check")
-    if direct.iso.fwd != built:
-        raise OracleDisagreement("constructive and direct terminal comparisons disagree")
-    return direct
-
-
-# ---------------------------------------------------------------------------
-# the public names, each binding one shape to one verb
+def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD=None):
+    return lift(TERMINAL, cert, F, H, alpha, Fcert, None if tD is None else {(): tD})
 
 
 def find_binary_product(C: FinCat, x1: int, x2: int) -> BinProductW | None:
@@ -657,7 +613,7 @@ def partial_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW]:
 
 def mediating(C: FinCat, w: BinProductW, g1: int, g2: int) -> int:
     """The unique morphism into the apex commuting with both projections."""
-    return mediator(PRODUCTS, C, w, (g1, g2))
+    return mediator(PRODUCTS, C, w, C.mor_src[g1], (g1, g2))
 
 
 def product_comparison(C: FinCat, a: BinProductW, b: BinProductW) -> Iso:
@@ -693,7 +649,7 @@ def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
 
 
 def mediating_equalizer(C: FinCat, w: EqualizerW, h: int) -> int:
-    return mediator(EQUALIZERS, C, w, (h,))
+    return mediator(EQUALIZERS, C, w, C.mor_src[h], (h,))
 
 
 def equalizer_comparison(C: FinCat, a: EqualizerW, b: EqualizerW) -> Iso:
@@ -721,7 +677,7 @@ def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
 
 
 def mediating_pullback(C: FinCat, w: PullbackW, h1: int, h2: int) -> int:
-    return mediator(PULLBACKS, C, w, (h1, h2))
+    return mediator(PULLBACKS, C, w, C.mor_src[h1], (h1, h2))
 
 
 def pullback_comparison(C: FinCat, a: PullbackW, b: PullbackW) -> Iso:

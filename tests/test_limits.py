@@ -12,6 +12,7 @@ from catkit.core import (
     set_search_budget,
 )
 from catkit.errors import (
+    InvalidCert,
     NotACone,
     PreconditionViolation,
     ReflectionFails,
@@ -334,6 +335,26 @@ def test_preserves_binary_products_negative():
     assert preserves_binary_products(F, prodsC, prodsD) is None
     m1, m2 = 1, 2
     assert first_unpreserved_pair(F, prodsC, prodsD) == (m1, m2)
+
+
+def test_first_unpreserved_pair_raises_on_an_invalid_target_table():
+    from catkit.generators import poset_from_pairs
+
+    Dm = poset_from_pairs(
+        ["b", "m1", "m2", "t"],
+        {("b", "m1"), ("b", "m2"), ("b", "t"), ("m1", "t"), ("m2", "t")},
+        name="diamond",
+    )
+    m1, t = 1, 3
+    (u,) = Dm.hom(m1, t)
+    prods = find_binary_products(Dm)
+    bad = dict(prods)
+    bad[(t, t)] = BinProductW(t, t, m1, u, u)
+    F = identity_functor(Dm)
+    with pytest.raises(InvalidCert, match="admits 0 mediators"):
+        preserves_binary_products(F, prods, bad)
+    with pytest.raises(InvalidCert, match="admits 0 mediators"):
+        first_unpreserved_pair(F, prods, bad)
 
 
 def test_first_unpreserved_pair_none_for_identity():

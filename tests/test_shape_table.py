@@ -1,30 +1,43 @@
 """Guards of the keyed-limit shape table: the pair enumerations, the witness
-choices, and the benchmark's span targets."""
+choices, the terminal object as the limit of the empty diagram, and the
+benchmark's span targets."""
 import hashlib
 import importlib
 import importlib.util
 import json
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from catkit.completion import inflate
+from catkit import limits
+from catkit.completion import factor_through, inflate, inflate_section, skeletize
+from catkit.core import Iso, functor, identity_functor, is_weak_equivalence
+from catkit.errors import InvalidCert, PreconditionViolation, ReflectionFails
 from catkit.generators import (
     chain_poset,
+    delooping,
     finset_fragment,
     heyting_category,
     heyting_diamond,
     random_category,
 )
 from catkit.interchange import structure_to_json
-from catkit.lifting import complete_structured
+from catkit.lifting import KINDS, complete_structured, factor_structured
 from catkit.limits import (
+    ChosenTerminal,
     cospan_pairs,
     find_equalizers,
     find_pullbacks,
+    find_terminal,
+    lift_preservation_terminal,
     parallel_pairs,
     partial_binary_products,
+    preserves_terminal,
+    reflects_terminal,
+    transfer_terminal,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,3 +124,123 @@ def test_benchmark_span_targets_resolve(monkeypatch):
             continue
         fn = getattr(importlib.import_module(f"catkit.{owner}"), attr, None)
         assert callable(fn), span.name
+
+
+# ---------------------------------------------------------------------------
+# the terminal object is the limit of the empty diagram
+
+
+def _terminals(C):
+    """Every terminal object, by the definition."""
+    return [t for t in range(C.n_objects)
+            if all(len(C.hom(x, t)) == 1 for x in range(C.n_objects))]
+
+
+def test_find_terminal_is_the_lowest_terminal_by_definition():
+    for C in _pair_corpus():
+        found = find_terminal(C)
+        expected = _terminals(C)
+        assert (found and found.t) == (expected[0] if expected else None), C.name
+
+
+def _unique_arrow(C, x, y):
+    (u,) = C.hom(x, y)
+    return u
+
+
+def test_preserves_terminal_certifies_by_the_unique_arrows():
+    for C in _pair_corpus():
+        terminals = _terminals(C)
+        if not terminals:
+            continue
+        infl, proj = inflate(C, 2)
+        sec = inflate_section(proj)
+        cases = [(identity_functor(C), t, u) for t in terminals for u in terminals]
+        cases += [(sec, terminals[0], u) for u in _terminals(infl)]
+        for F, t, u in cases:
+            D, ft = F.target, F.obj_map[t]
+            cert = preserves_terminal(F, ChosenTerminal(t), ChosenTerminal(u))
+            assert cert.mu[()] == Iso(_unique_arrow(D, u, ft), _unique_arrow(D, ft, u))
+        # an image that is not terminal is not preserved
+        for x in set(range(C.n_objects)) - set(terminals):
+            F = identity_functor(C)
+            assert preserves_terminal(F, ChosenTerminal(x), ChosenTerminal(terminals[0])) is None
+
+
+@pytest.mark.filterwarnings("ignore:target")
+def test_lifted_terminal_preservation_equals_the_direct_certificate():
+    for C in _pair_corpus():
+        tC = find_terminal(C)
+        if tC is None:
+            continue
+        infl, proj = inflate(C, 2)
+        res = skeletize(infl)
+        fac = factor_through(res, proj)
+        H, alpha = fac.functor, fac.alpha
+        Fcert = preserves_terminal(proj, find_terminal(infl), tC)
+        tD, _ = transfer_terminal(res.cert, find_terminal(infl))
+        direct = preserves_terminal(H, tD, tC)
+        for carried in (None, tD):
+            lifted = lift_preservation_terminal(res.cert, proj, H, alpha, Fcert, carried)
+            assert lifted.functor is H and lifted.source == {(): tD}
+            assert lifted.mu == direct.mu, C.name
+
+
+@pytest.mark.filterwarnings("ignore:target")
+def test_terminal_verbs_reject_bad_input_as_before():
+    C = chain_poset(3)
+    infl, proj = inflate(C, [2, 1, 2])
+    cert = is_weak_equivalence(inflate_section(proj))
+    with pytest.raises(InvalidCert):
+        transfer_terminal(cert, ChosenTerminal(0), skeletal_hint=False)
+    with pytest.raises(InvalidCert):
+        KINDS["terminal"].check(C, {"terminal": ChosenTerminal(0)})
+    # the top has no arrow down to the bottom
+    with pytest.raises(InvalidCert):
+        preserves_terminal(identity_functor(C), ChosenTerminal(2), ChosenTerminal(0))
+    res = skeletize(infl)
+    fac = factor_through(res, proj)
+    Fcert = preserves_terminal(proj, find_terminal(infl), find_terminal(C))
+    with pytest.raises(PreconditionViolation):
+        lift_preservation_terminal(res.cert, identity_functor(infl), fac.functor, fac.alpha, Fcert)
+    pt = delooping([[0]], name="pt")
+    crush = functor(chain_poset(2), pt, [0, 0], [0, 0, 0], name="crush")
+    with pytest.raises(PreconditionViolation):
+        reflects_terminal(crush, 0)
+    with pytest.raises(PreconditionViolation):
+        reflects_terminal(proj, 0)
+    # only a wrong fully-faithfulness decision lets the reflection itself fail
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "is_fully_faithful", lambda F: True)
+        with pytest.raises(ReflectionFails):
+            reflects_terminal(crush, 0)
+
+
+def test_direct_terminal_transfer_warns_at_the_caller():
+    C = chain_poset(3)
+    infl, proj = inflate(C, [2, 1, 2])
+    cert = is_weak_equivalence(inflate_section(proj))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        transfer_terminal(cert, find_terminal(C))
+    (w,) = [w for w in caught if "transfer into non-skeletal" in str(w.message)]
+    assert w.filename == __file__
+
+
+def test_pipeline_reaches_the_limit_verbs_through_the_module(monkeypatch):
+    """The traced benchmark wraps the limits names on the module; a registry
+    that held on to the function objects would bypass the wrappers."""
+    calls = Counter()
+    names = [prefix + suffix
+             for suffix in ("terminal", "binary_products", "equalizers", "pullbacks")
+             for prefix in ("find_", "transfer_", "preserves_", "lift_preservation_")]
+    for name in names:
+        def counted(*args, _fn=getattr(limits, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(limits, name, counted)
+    C, proj = inflate(chain_poset(3), [1, 2, 2])
+    sc = complete_structured(C, kinds=("terminal", "products", "equalizers", "pullbacks"))
+    factor_structured(sc, proj)
+    assert set(calls) == set(names)
