@@ -83,6 +83,7 @@ class CompletionResult:
     representative: tuple[int, ...]      # per source object: its class representative (source index)
     canonical_isos: tuple[Iso, ...]      # per source object: chosen iso to its representative
     rep_objects: tuple[int, ...]         # source indices of representatives, ascending
+    inclusion: Functor                   # completed -> source, onto the representatives
 
 
 def skeletize(C: FinCat) -> CompletionResult:
@@ -107,6 +108,7 @@ def skeletize(C: FinCat) -> CompletionResult:
 
     sub, incl = full_subcategory(C, reps)
     completed = dataclasses.replace(sub, name=f"{C.name}|skeleton")
+    incl = dataclasses.replace(incl, source=completed)
     obj_reindex = {r: i for i, r in enumerate(incl.obj_map)}
     mor_reindex = {f: i for i, f in enumerate(incl.mor_map)}
 
@@ -133,6 +135,7 @@ def skeletize(C: FinCat) -> CompletionResult:
         representative=tuple(rep_of),
         canonical_isos=tuple(canon),
         rep_objects=reps,
+        inclusion=incl,
     )
 
 
@@ -146,12 +149,7 @@ def skeleton_inclusion(cr: CompletionResult) -> WeakEquivalenceCert:
     witness back and then transferring it along eta returns it unchanged,
     which lifting preservation through a factorization relies on.
     """
-    C, D = cr.source, cr.completed
-    reps = set(cr.rep_objects)
-    keep = [
-        f for f in range(C.n_morphisms) if C.mor_src[f] in reps and C.mor_dst[f] in reps
-    ]
-    incl = functor(D, C, cr.rep_objects, keep, name=f"incl_{C.name}")
+    C, incl = cr.source, cr.inclusion
     ff = is_fully_faithful(incl)
     if ff is None:
         raise OracleDisagreement("inclusion of the representatives is not fully faithful")

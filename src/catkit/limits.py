@@ -124,13 +124,6 @@ def is_terminal(C: FinCat, t: int) -> bool:
     return True
 
 
-def to_terminal(C: FinCat, term: ChosenTerminal, x: int) -> int:
-    hom = C.hom(x, term.t)
-    if len(hom) != 1:
-        raise InvalidCert(f"{C.objects[term.t]} is not terminal: seen from {C.objects[x]}")
-    return hom[0]
-
-
 # ---------------------------------------------------------------------------
 # the shape table: a brute-force defining check per shape, then the shapes
 
@@ -262,24 +255,19 @@ class LimitShape:
         get = attrgetter(*(n for n, _ in self.field_kinds))
         return get if len(self.field_kinds) > 1 else lambda w: (get(w),)
 
-    @cached_property
-    def split(self) -> Callable[[object], tuple[Key, int, tuple[int, ...]]]:
+    def split(self, w) -> tuple[Key, int, tuple[int, ...]]:
         """A witness as (key, apex, legs)."""
-        get, k = self.unpack, self.n_key
-
-        def split(w):
-            v = get(w)
-            return v[:k], v[k], v[k + 1:]
-
-        return split
+        v, k = self.unpack(w), self.n_key
+        return v[:k], v[k], v[k + 1:]
 
     def pull_key(self, cert: WeakEquivalenceCert, key: Key) -> Key:
         if self.keyed_by_objects:
-            return tuple(cert.eso_witness[x][0] for x in key)
-        return tuple(_pull_back_morphism(cert, u) for u in key)
+            return tuple([cert.eso_witness[x][0] for x in key])
+        return tuple([_pull_back_morphism(cert, u) for u in key])
 
     def image_key(self, F: Functor, key: Key) -> Key:
-        return tuple(map((F.obj_map if self.keyed_by_objects else F.mor_map).__getitem__, key))
+        image = F.obj_map if self.keyed_by_objects else F.mor_map
+        return tuple([image[x] for x in key])
 
     def image(self, F: Functor, w) -> object:
         """The image under F of the cone w, keyed by the image diagram."""
@@ -349,13 +337,16 @@ def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     for key in shape.keys(C):
         w = table.get(key)
         if w is None or shape.split(w)[0] != key or not shape.is_limit(C, w):
+            if not key:   # the one witness of a keyless shape, not a table
+                raise InvalidCert(f"{shape.name} witness is not {shape.name}")
             raise InvalidCert(f"{shape.name} table is wrong at {key}")
 
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
     """The unique morphism into the apex of w through which the cone with
     vertex z and the given legs factors."""
-    key, apex, wlegs = shape.split(w)
+    v, k = shape.unpack(w), shape.n_key   # split inline: a hot path
+    key, apex, wlegs = v[:k], v[k], v[k + 1:]
     hits = []
     for u in C.hom(z, apex):
         row = C.comp_table[u]
@@ -374,7 +365,8 @@ def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> 
     if shape.commutes is not None and not shape.commutes(C, key, legs):
         raise NotACone(f"legs do not commute with the {shape.diagram}")
     raise InvalidCert(
-        f"{shape.name} witness on apex {C.objects[apex]} admits {len(hits)} mediators for a cone"
+        f"{shape.name} witness on apex {C.objects[apex]}"
+        f" admits {len(hits)} mediators from {C.objects[z]}"
     )
 
 
@@ -407,12 +399,12 @@ def preserves(
     """Each image cone must factor through the chosen limit of its diagram
     by an iso; None when some image cone is not limiting."""
     mu: dict[Key, Iso] = {}
+    k = shape.n_key   # witnesses read inline, apex v[k] and legs v[k + 1:]: a hot path
     for key, w in source.items():
-        _, apex, legs = shape.split(w)
-        legs = tuple(map(F.mor_map.__getitem__, legs))
-        chosen = target[shape.image_key(F, key)]
+        v = shape.unpack(w)
+        legs = tuple(map(F.mor_map.__getitem__, v[k + 1:]))
         try:
-            fwd = mediator(shape, F.target, chosen, F.obj_map[apex], legs)
+            fwd = mediator(shape, F.target, target[shape.image_key(F, key)], F.obj_map[v[k]], legs)
         except NotACone:
             return None
         iso = find_iso(F.target, fwd)
@@ -495,17 +487,18 @@ def lift(
     if transferred is None:
         transferred, _ = transfer(shape, cert, Fcert.source)
     built: dict[Key, int] = {}
+    k = shape.n_key   # witnesses read inline, as in preserves
     for key in shape.keys(D):
         phis = [_phi(cert, H, alpha, y)[1] for y in shape.feet(D, key)]
         src_key = shape.pull_key(cert, key)
-        _, src_apex, src_legs = shape.split(Fcert.source[src_key])
-        _, h_apex, h_legs = shape.split(Fcert.target[shape.image_key(H, key)])
+        src = shape.unpack(Fcert.source[src_key])
+        h = shape.unpack(Fcert.target[shape.image_key(H, key)])
         entry_f = Fcert.target[shape.image_key(F, src_key)]
-        theta = mediator(shape, E, entry_f, h_apex, tuple(map(E.compose, h_legs, phis)))
-        psi = alpha.components[src_apex]
+        theta = mediator(shape, E, entry_f, h[k], tuple(map(E.compose, h[k + 1:], phis)))
+        psi = alpha.components[src[k]]
         built[key] = E.compose_many(theta, Fcert.mu[src_key].fwd, psi.inv)
         # the square transporting the universal property must commute
-        for p, phi, rho in zip(shape.split(transferred[key])[2], phis, src_legs):
+        for p, phi, rho in zip(shape.unpack(transferred[key])[k + 1:], phis, src[k + 1:]):
             if E.compose(H.mor_map[p], phi) != E.compose(psi.fwd, F.mor_map[rho]):
                 raise OracleDisagreement(f"transport square for lifted {shape.name}s broke")
     direct = preserves(shape, H, transferred, Fcert.target)
@@ -579,8 +572,15 @@ def find_terminal(C: FinCat) -> ChosenTerminal | None:
     return find_limit(TERMINAL, C, ())
 
 
+def to_terminal(C: FinCat, term: ChosenTerminal, x: int) -> int:
+    """The unique arrow from x to the terminal."""
+    return mediator(TERMINAL, C, term, x, ())
+
+
 def preserves_terminal(F: Functor, tC: ChosenTerminal, tD: ChosenTerminal):
-    """mu[()] is the pair of unique arrows tD -> F(tC) and back."""
+    """mu[()] is the pair of unique arrows tD -> F(tC) and back; a tD that is
+    not terminal raises."""
+    check_table(TERMINAL, F.target, {(): tD})
     return preserves(TERMINAL, F, {(): tC}, {(): tD})
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from catkit import limits
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
-from catkit.core import Iso, functor, identity_functor, is_weak_equivalence
+from catkit.core import Iso, fincat, functor, identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert, PreconditionViolation, ReflectionFails
 from catkit.generators import (
     chain_poset,
@@ -37,6 +37,7 @@ from catkit.limits import (
     partial_binary_products,
     preserves_terminal,
     reflects_terminal,
+    to_terminal,
     transfer_terminal,
 )
 
@@ -193,8 +194,10 @@ def test_terminal_verbs_reject_bad_input_as_before():
     cert = is_weak_equivalence(inflate_section(proj))
     with pytest.raises(InvalidCert):
         transfer_terminal(cert, ChosenTerminal(0), skeletal_hint=False)
-    with pytest.raises(InvalidCert):
+    with pytest.raises(InvalidCert, match="terminal witness is not terminal"):
         KINDS["terminal"].check(C, {"terminal": ChosenTerminal(0)})
+    with pytest.raises(InvalidCert, match="apex c0 admits 0 mediators from c2"):
+        to_terminal(C, ChosenTerminal(0), 2)
     # the top has no arrow down to the bottom
     with pytest.raises(InvalidCert):
         preserves_terminal(identity_functor(C), ChosenTerminal(2), ChosenTerminal(0))
@@ -214,6 +217,28 @@ def test_terminal_verbs_reject_bad_input_as_before():
         mp.setattr(limits, "is_fully_faithful", lambda F: True)
         with pytest.raises(ReflectionFails):
             reflects_terminal(crush, 0)
+
+
+def _split_idempotent():
+    """t is terminal and x has exactly one global point p, but x is not
+    terminal: its endomorphism e = ! ; p is not the identity."""
+    return fincat(
+        "split idempotent", ["t", "x"], ["id_t", "id_x", "p", "!", "e"],
+        [0, 1, 0, 1, 1], [0, 1, 1, 0, 1], [0, 1],
+        {(2, 3): 0, (3, 2): 4, (4, 4): 4, (4, 3): 3, (2, 4): 2},
+    )
+
+
+def test_preserves_terminal_rejects_an_invalid_target():
+    C = chain_poset(3)
+    with pytest.raises(InvalidCert, match="terminal witness is not terminal"):
+        preserves_terminal(identity_functor(C), ChosenTerminal(0), ChosenTerminal(0))
+    # the image is terminal and the target has one arrow from it, not an iso
+    S = _split_idempotent()
+    with pytest.raises(InvalidCert, match="terminal witness is not terminal"):
+        preserves_terminal(identity_functor(S), ChosenTerminal(0), ChosenTerminal(1))
+    assert preserves_terminal(identity_functor(S), ChosenTerminal(0), ChosenTerminal(0))
+    assert preserves_terminal(identity_functor(S), ChosenTerminal(1), ChosenTerminal(0)) is None
 
 
 def test_direct_terminal_transfer_warns_at_the_caller():
