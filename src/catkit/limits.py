@@ -226,10 +226,10 @@ Table = dict[Key, object]   # key -> witness
 @dataclass(frozen=True, eq=False)
 class LimitShape:
     """A keyed finite-limit shape.  Witness fields are the ``n_key`` parts
-    of the key, the apex, then one leg per foot.  ``feet`` is None for a key
-    that is not a diagram of the shape; ``commutes`` holds the equations on
-    typed legs, if any.  Keys name objects or, unless ``keyed_by_objects``,
-    morphisms.
+    of the key (two, or none for the terminal), the apex, then one leg per
+    foot.  ``feet`` is None for a key that is not a diagram of the shape;
+    ``commutes`` holds the equations on typed legs, if any.  Keys name
+    objects or, unless ``keyed_by_objects``, morphisms.
     """
 
     name: str
@@ -261,13 +261,13 @@ class LimitShape:
         return v[:k], v[k], v[k + 1:]
 
     def pull_key(self, cert: WeakEquivalenceCert, key: Key) -> Key:
-        if self.keyed_by_objects:
-            return tuple([cert.eso_witness[x][0] for x in key])
-        return tuple([_pull_back_morphism(cert, u) for u in key])
+        if self.keyed_by_objects:   # two parts or none, unrolled: a hot path
+            return (cert.eso_witness[key[0]][0], cert.eso_witness[key[1]][0]) if key else ()
+        return (_pull_back_morphism(cert, key[0]), _pull_back_morphism(cert, key[1])) if key else ()
 
     def image_key(self, F: Functor, key: Key) -> Key:
         image = F.obj_map if self.keyed_by_objects else F.mor_map
-        return tuple([image[x] for x in key])
+        return (image[key[0]], image[key[1]]) if key else ()
 
     def image(self, F: Functor, w) -> object:
         """The image under F of the cone w, keyed by the image diagram."""
@@ -334,9 +334,10 @@ def partial_table(shape: LimitShape, C: FinCat) -> Table:
 
 def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     """Every key of C carries a valid witness keyed by it."""
+    k = shape.n_key   # witnesses read inline, as in mediator
     for key in shape.keys(C):
         w = table.get(key)
-        if w is None or shape.split(w)[0] != key or not shape.is_limit(C, w):
+        if w is None or shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
             if not key:   # the one witness of a keyless shape, not a table
                 raise InvalidCert(f"{shape.name} witness is not {shape.name}")
             raise InvalidCert(f"{shape.name} table is wrong at {key}")
@@ -346,7 +347,7 @@ def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> 
     """The unique morphism into the apex of w through which the cone with
     vertex z and the given legs factors."""
     v, k = shape.unpack(w), shape.n_key   # split inline: a hot path
-    key, apex, wlegs = v[:k], v[k], v[k + 1:]
+    apex, wlegs = v[k], v[k + 1:]
     hits = []
     for u in C.hom(z, apex):
         row = C.comp_table[u]
@@ -359,6 +360,7 @@ def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> 
         return hits[0]
     # a cone that factors through a limit witness is typed and commutes, so
     # the cone itself is checked only when it does not factor exactly once
+    key = v[:k]
     feet = shape.feet(C, key)
     if feet is None or any(C.mor_src[h] != z or C.mor_dst[h] != x for h, x in zip(legs, feet)):
         raise NotACone(f"legs must share a source and land on the feet of the {shape.diagram}")
@@ -431,8 +433,9 @@ def transfer(
     result re-validated."""
     C, D = _validated(cert, skeletal_hint, stacklevel=4)   # under the per-kind name
     G = cert.functor
+    k = shape.n_key   # witnesses read inline, as in mediator
     for key, w in table.items():
-        if shape.split(w)[0] != key or not shape.is_limit(C, w):
+        if shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
             raise InvalidCert(f"source {shape.name} table entry {key} is invalid")
     out = {}
     for key in shape.keys(D):
@@ -440,12 +443,12 @@ def transfer(
         src = table.get(src_key)
         if src is None:
             raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
-        _, apex, src_legs = shape.split(src)
+        v = shape.unpack(src)
         legs = [
             D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
-            for p, y in zip(src_legs, shape.feet(D, key))
+            for p, y in zip(v[k + 1:], shape.feet(D, key))
         ]
-        w = shape.witness(*key, G.obj_map[apex], *legs)
+        w = shape.witness(*key, G.obj_map[v[k]], *legs)
         if not shape.is_limit(D, w):
             raise OracleDisagreement(f"transferred {shape.name} at {key} failed re-validation")
         out[key] = w
