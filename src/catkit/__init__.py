@@ -79,7 +79,6 @@ from .exponentials import (
 from .classifier import (
     MonoCert,
     SubobjectClassifierW,
-    ToposW,
     assemble_topos,
     find_subobject_classifier,
     is_logical_functor,
@@ -104,6 +103,7 @@ from .lifting import (
     StructuredFactorization,
     complete_structured,
     factor_structured,
+    find_bag,
 )
 from .interchange import (
     category_to_json,

@@ -1,10 +1,15 @@
-"""Monomorphisms, subobject classifiers, and elementary-topos bundles.
+"""Monomorphisms, subobject classifiers, and elementary topoi.
 
 Monos are certified by two independent characterizations that must agree:
 left cancellation, and the kernel-pair square being a pullback.  A
 classifier witness carries the full chi table, one classifying morphism per
 mono, and every constructive transport is cross-checked against the search
-that rebuilds the same table from scratch.
+that rebuilds the same table from scratch.  The classifier's registry verbs
+take witness bags and read the chosen terminal from them.
+
+A topos is a bag of its six components keyed by kind name, and the topos
+helpers walk the kinds through ``lifting.KINDS``; they import ``lifting``
+when called, since ``lifting`` imports this module.
 """
 from __future__ import annotations
 
@@ -28,22 +33,14 @@ from .errors import (
     PreconditionViolation,
 )
 from .limits import (
-    BinProductW,
     ChosenTerminal,
-    EqualizerW,
     PullbackW,
     is_pullback,
     is_terminal,
-    find_terminal,
-    find_binary_products,
-    find_equalizers,
-    find_pullbacks,
     preserves_terminal,
     to_terminal,
-    transfer_terminal,
     _check_triangle,
 )
-from .exponentials import ExponentialW, find_exponentials
 
 
 @dataclass(frozen=True)
@@ -146,9 +143,8 @@ def is_subobject_classifier(
         return None
 
 
-def find_subobject_classifier(
-    C: FinCat, term: ChosenTerminal
-) -> SubobjectClassifierW | None:
+def find_subobject_classifier(C: FinCat, bag: dict) -> SubobjectClassifierW | None:
+    term = bag["terminal"]
     for omega in range(C.n_objects):
         for tau in C.hom(term.t, omega):
             w = is_subobject_classifier(C, term, omega, tau)
@@ -157,25 +153,23 @@ def find_subobject_classifier(
     return None
 
 
-def check_subobject_classifier(
-    C: FinCat, term: ChosenTerminal, w: SubobjectClassifierW
-) -> None:
-    rebuilt = subobject_classifier_cert(C, term, w.omega, w.tau)
+def check_subobject_classifier(C: FinCat, bag: dict) -> None:
+    w = bag["classifier"]
+    rebuilt = subobject_classifier_cert(C, bag["terminal"], w.omega, w.tau)
     if rebuilt.chi != w.chi:
         raise InvalidCert("chi table does not match the rebuilt classifier")
 
 
 def transfer_subobject_classifier(
-    cert: WeakEquivalenceCert,
-    termC: ChosenTerminal,
-    termD: ChosenTerminal,
-    socC: SubobjectClassifierW,
+    cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
-    """Transport omega and tau along the equivalence, rebuild chi two ways
-    (ff-inverse transport and direct search), and demand exact agreement."""
+    """Transport omega and tau along the equivalence onto the terminal of
+    dst, rebuild chi two ways (ff-inverse transport and direct search), and
+    demand exact agreement."""
     G = cert.functor
     C, D = G.source, G.target
-    check_subobject_classifier(C, termC, socC)
+    check_subobject_classifier(C, src)
+    termC, socC, termD = src["terminal"], src["classifier"], dst["terminal"]
     if not is_terminal(D, termD.t):
         raise InvalidCert("target terminal witness is not terminal")
     omega_D = G.obj_map[socC.omega]
@@ -195,7 +189,7 @@ def transfer_subobject_classifier(
             raise OracleDisagreement(
                 f"transported classifying morphism for mono {m} disagrees with the search"
             )
-    pres = preserves_subobject_classifier(G, termC, socC, termD, searched)
+    pres = preserves_subobject_classifier(G, src, {"terminal": termD, "classifier": searched}, {})
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the classifier it transferred")
     return searched, pres
@@ -213,15 +207,13 @@ class OmegaPreservationCert:
 
 
 def preserves_subobject_classifier(
-    F: Functor,
-    termC: ChosenTerminal,
-    socC: SubobjectClassifierW,
-    termD: ChosenTerminal,
-    socD: SubobjectClassifierW,
+    F: Functor, src: dict, dst: dict, certs: dict
 ) -> OmegaPreservationCert | None:
     """Evaluates both preservation conditions independently and insists they
     agree before certifying."""
     D = F.target
+    termC, socC = src["terminal"], src["classifier"]
+    termD, socD = dst["terminal"], dst["classifier"]
     if preserves_terminal(F, termC, termD) is None:
         raise PreconditionViolation("functor does not preserve the terminal object")
     u = to_terminal(D, ChosenTerminal(F.obj_map[termC.t]), termD.t)
@@ -250,30 +242,23 @@ def lift_preservation_subobject_classifier(
     F: Functor,
     H: Functor,
     alpha: NatIso,
-    termC: ChosenTerminal,
-    socC: SubobjectClassifierW,
-    termE: ChosenTerminal,
-    socE: SubobjectClassifierW,
-    Fcert: OmegaPreservationCert,
-    termD: ChosenTerminal | None = None,
-    socD: SubobjectClassifierW | None = None,
+    src: dict,
+    dst: dict,
+    Fcerts: dict,
+    carried: dict,
 ) -> OmegaPreservationCert:
     """Classifier preservation for the factored functor: alpha transports F's
     comparison, and classifying-map uniqueness forces agreement with the
-    direct decision procedure.
-
-    termD and socD are the witnesses already carried to the completion; each
-    is transferred here when omitted."""
+    direct decision procedure.  carried holds the terminal and classifier
+    already transferred to the completion."""
     _check_triangle(cert, F, H, alpha)
     E = F.target
-    if termD is None:
-        termD, _ = transfer_terminal(cert, termC)
-    if socD is None:
-        socD, _ = transfer_subobject_classifier(cert, termC, termD, socC)
-    direct = preserves_subobject_classifier(H, termD, socD, termE, socE)
+    direct = preserves_subobject_classifier(H, carried, dst, {})
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct classifier check")
-    built = E.compose(alpha.components[socC.omega].fwd, Fcert.comparison.fwd)
+    built = E.compose(
+        alpha.components[src["classifier"].omega].fwd, Fcerts["classifier"].comparison.fwd
+    )
     if built != direct.comparison.fwd:
         raise OracleDisagreement(
             "constructive and direct classifier comparisons disagree"
@@ -281,117 +266,60 @@ def lift_preservation_subobject_classifier(
     return direct
 
 
-@dataclass(frozen=True, eq=False)
-class ToposW:
-    """Chosen finite limits, exponentials, and a classifier, bundled."""
+# the structure kinds of an elementary topos, in dependency order, with the
+# names gap lists give them
+TOPOS_KINDS = {
+    "terminal": "terminal",
+    "products": "binary products",
+    "equalizers": "equalizers",
+    "pullbacks": "pullbacks",
+    "exponentials": "exponentials",
+    "classifier": "subobject classifier",
+}
 
-    terminal: ChosenTerminal
-    products: dict[tuple[int, int], BinProductW]
-    equalizers: dict[tuple[int, int], EqualizerW]
-    pullbacks: dict[tuple[int, int], PullbackW]
-    exponentials: dict[tuple[int, int], ExponentialW]
-    classifier: SubobjectClassifierW
 
-
-def gaps_from_found(found: dict[str, bool]) -> list[str]:
+def gaps_from_found(found: dict[str, object]) -> list[str]:
     """Names of the missing topos components, in dependency order, from a
-    map of structure kind to whether a search found it; a component whose
-    dependency is missing is reported as such rather than as absent."""
+    bag of the kinds a search found; a component whose dependency is missing
+    is reported as such rather than as absent."""
+    from .lifting import KINDS
+
     gaps = []
-    if not found["terminal"]:
-        gaps.append("terminal")
-    if not found["products"]:
-        gaps.append("binary products")
-    if not found["equalizers"]:
-        gaps.append("equalizers")
-    if not found["pullbacks"]:
-        gaps.append("pullbacks")
-    if not found["products"]:
-        gaps.append("exponentials (products missing)")
-    elif not found["exponentials"]:
-        gaps.append("exponentials")
-    if not found["terminal"]:
-        gaps.append("subobject classifier (terminal missing)")
-    elif not found["classifier"]:
-        gaps.append("subobject classifier")
+    for kind, label in TOPOS_KINDS.items():
+        missing = [dep for dep in KINDS[kind].deps if dep not in found]
+        if missing:
+            gaps.append(f"{label} ({', '.join(missing)} missing)")
+        elif kind not in found:
+            gaps.append(label)
     return gaps
 
 
 def topos_gaps(C: FinCat) -> list[str]:
     """Names of the topos components this category is missing, in dependency
     order; downstream components that need missing ones are not attempted."""
-    term = find_terminal(C)
-    prods = find_binary_products(C)
-    found = {
-        "terminal": term is not None,
-        "products": prods is not None,
-        "equalizers": find_equalizers(C) is not None,
-        "pullbacks": find_pullbacks(C) is not None,
-        "exponentials": prods is not None and find_exponentials(C, prods) is not None,
-        "classifier": term is not None and find_subobject_classifier(C, term) is not None,
-    }
-    return gaps_from_found(found)
+    from .lifting import find_bag
+
+    return gaps_from_found(find_bag(C, TOPOS_KINDS))
 
 
-def assemble_topos(C: FinCat) -> ToposW | None:
-    term = find_terminal(C)
-    if term is None:
-        return None
-    prods = find_binary_products(C)
-    if prods is None:
-        return None
-    eqs = find_equalizers(C)
-    if eqs is None:
-        return None
-    pbs = find_pullbacks(C)
-    if pbs is None:
-        return None
-    exps = find_exponentials(C, prods)
-    if exps is None:
-        return None
-    soc = find_subobject_classifier(C, term)
-    if soc is None:
-        return None
-    return ToposW(term, prods, eqs, pbs, exps, soc)
+def assemble_topos(C: FinCat) -> dict[str, object] | None:
+    """A bag of every topos component, keyed by kind, or None when one is
+    missing."""
+    from .lifting import find_bag
+
+    bag = find_bag(C, TOPOS_KINDS)
+    return bag if len(bag) == len(TOPOS_KINDS) else None
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalFunctorCert:
-    """One preservation certificate per topos component."""
+def is_logical_functor(F: Functor, TC: dict, TD: dict) -> dict[str, object] | None:
+    """One preservation certificate per topos component, keyed by kind, for
+    F between the topos bags TC and TD; None when F fails to preserve one."""
+    from .lifting import KINDS
 
-    functor: Functor
-    terminal: object
-    products: object
-    equalizers: object
-    pullbacks: object
-    exponentials: object
-    classifier: OmegaPreservationCert
-
-
-def is_logical_functor(F: Functor, TC: ToposW, TD: ToposW) -> LogicalFunctorCert | None:
-    from .exponentials import preserves_exponentials
-    from .limits import (
-        preserves_binary_products,
-        preserves_equalizers,
-        preserves_pullbacks,
-    )
-
-    t = preserves_terminal(F, TC.terminal, TD.terminal)
-    if t is None:
-        return None
-    p = preserves_binary_products(F, TC.products, TD.products)
-    if p is None:
-        return None
-    e = preserves_equalizers(F, TC.equalizers, TD.equalizers)
-    if e is None:
-        return None
-    pb = preserves_pullbacks(F, TC.pullbacks, TD.pullbacks)
-    if pb is None:
-        return None
-    x = preserves_exponentials(F, TC.products, TC.exponentials, TD.products, TD.exponentials, p)
-    if x is None:
-        return None
-    o = preserves_subobject_classifier(F, TC.terminal, TC.classifier, TD.terminal, TD.classifier)
-    if o is None:
-        return None
-    return LogicalFunctorCert(F, t, p, e, pb, x, o)
+    certs: dict[str, object] = {}
+    for kind in TOPOS_KINDS:
+        cert = KINDS[kind].preserves(F, TC, TD, certs)
+        if cert is None:
+            return None
+        certs[kind] = cert
+    return certs

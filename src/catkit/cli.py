@@ -48,7 +48,7 @@ from .interchange import (
     structure_to_json,
     validate_category,
 )
-from .lifting import KINDS, KIND_ORDER, complete_structured, factor_structured
+from .lifting import KINDS, KIND_ORDER, complete_structured, factor_structured, find_bag
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -162,24 +162,14 @@ def cmd_analyze(args) -> tuple[RunReport, int]:
     report = RunReport(f"analyze {args.path}")
     C = validate_category(_load_json(args.path))
     requested = _parse_tokens(args.structure)
-    kinds = _dep_closure([TOKEN_TO_KIND[t] for t in requested])
-    bag: dict[str, object] = {}
-    found: dict[str, bool] = {}
-    for name in kinds:
-        if any(dep not in bag for dep in KINDS[name].deps):
-            found[name] = False
-            continue
-        w = KINDS[name].find(C, bag)
-        found[name] = w is not None
-        if w is not None:
-            bag[name] = w
+    bag = find_bag(C, _dep_closure([TOKEN_TO_KIND[t] for t in requested]))
     for t in requested:
-        report.status[t] = "found" if found[TOKEN_TO_KIND[t]] else "absent"
+        report.status[t] = "found" if TOKEN_TO_KIND[t] in bag else "absent"
     report.status["skeletality"] = skeletality_line(C)
     report.payload = structure_to_json(C, bag)
-    report.payload["gaps"] = gaps_from_found(found) if args.structure is None else []
+    report.payload["gaps"] = gaps_from_found(bag) if args.structure is None else []
     missing = args.structure is not None and any(
-        not found[TOKEN_TO_KIND[t]] for t in requested
+        TOKEN_TO_KIND[t] not in bag for t in requested
     )
     return report, (EXIT_ABSENT if missing else EXIT_OK)
 

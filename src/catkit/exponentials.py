@@ -3,7 +3,10 @@
 An exponential witness for a pair (x, y) names the object of maps from x to
 y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and transfer along a
-weak equivalence re-validates every produced witness.
+weak equivalence re-validates every produced witness.  The registry verbs
+(``check``, ``find``, ``transfer``, ``preserves`` and ``lift_preservation``)
+take witness bags and read the chosen products from them; ``is_exponential``,
+``curry`` and ``find_exponential`` take the product table itself.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from .limits import (
     LimitPreservationCert,
     mediating,
     preserves_binary_products,
-    transfer_binary_products,
     _check_triangle,
     _phi,
 )
@@ -127,9 +129,18 @@ def find_exponential(
     return None
 
 
-def find_exponentials(
-    C: FinCat, prods: dict[tuple[int, int], BinProductW]
-) -> dict[tuple[int, int], ExponentialW] | None:
+def check_exponentials(C: FinCat, bag: dict) -> None:
+    table = bag["exponentials"]
+    prods = bag["products"]
+    for x in range(C.n_objects):
+        for y in range(C.n_objects):
+            w = table.get((x, y))
+            if w is None or (w.x, w.y) != (x, y) or not is_exponential(C, prods, w):
+                raise InvalidCert(f"exponential table is wrong at ({x},{y})")
+
+
+def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
+    prods = bag["products"]
     out = {}
     for x in range(C.n_objects):
         for y in range(C.n_objects):
@@ -159,16 +170,14 @@ def exponential_comparison(
 
 
 def transfer_exponentials(
-    cert: WeakEquivalenceCert,
-    prodsC: dict[tuple[int, int], BinProductW],
-    expsC: dict[tuple[int, int], ExponentialW],
-    prodsD: dict[tuple[int, int], BinProductW],
+    cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
-    """Push every exponential along the equivalence: the image witness is
-    re-based onto the chosen products of the target through the mediator of
-    the image cone, then re-validated."""
+    """Push every exponential of src along the equivalence: the image witness
+    is re-based onto the chosen products of dst through the mediator of the
+    image cone, then re-validated."""
     G = cert.functor
     C, D = G.source, G.target
+    prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
     for key, w in expsC.items():
         if (w.x, w.y) != key or not is_exponential(C, prodsC, w):
             raise InvalidCert(f"source exponential table entry {key} is invalid")
@@ -177,19 +186,19 @@ def transfer_exponentials(
         for d2 in range(D.n_objects):
             x1, i1 = cert.eso_witness[d1]
             x2, i2 = cert.eso_witness[d2]
-            src = expsC.get((x1, x2))
-            if src is None:
+            wC = expsC.get((x1, x2))
+            if wC is None:
                 raise PreconditionViolation(f"source table lacks the exponential of ({x1},{x2})")
-            image = PRODUCTS.image(G, prodsC[(src.obj, x1)])
-            target_entry = prodsD[(G.obj_map[src.obj], d1)]
+            image = PRODUCTS.image(G, prodsC[(wC.obj, x1)])
+            target_entry = prodsD[(G.obj_map[wC.obj], d1)]
             try:
                 u = mediating(D, image, target_entry.pi1, D.compose(target_entry.pi2, i1.inv))
             except InvalidCert:
                 raise OracleDisagreement(
                     "image of a chosen product stopped being a product during transfer"
                 ) from None
-            ev = D.compose_many(u, G.mor_map[src.ev], i2.fwd)
-            w = ExponentialW(d1, d2, G.obj_map[src.obj], ev)
+            ev = D.compose_many(u, G.mor_map[wC.ev], i2.fwd)
+            w = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
             if not is_exponential(D, prodsD, w):
                 raise OracleDisagreement(
                     f"transferred exponential at ({d1},{d2}) failed re-validation"
@@ -198,23 +207,23 @@ def transfer_exponentials(
     muG = preserves_binary_products(G, prodsC, prodsD)
     if muG is None:
         raise OracleDisagreement("equivalence does not preserve the products in scope")
-    pres = preserves_exponentials(G, prodsC, expsC, prodsD, out, muG)
+    pres = preserves_exponentials(
+        G, src, {"products": prodsD, "exponentials": out}, {"products": muG}
+    )
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the exponentials it transferred")
     return out, pres
 
 
 def preserves_exponentials(
-    F: Functor,
-    prodsC: dict[tuple[int, int], BinProductW],
-    expsC: dict[tuple[int, int], ExponentialW],
-    prodsD: dict[tuple[int, int], BinProductW],
-    expsD: dict[tuple[int, int], ExponentialW],
-    muF: LimitPreservationCert,
+    F: Functor, src: dict, dst: dict, certs: dict
 ) -> ExpPreservationCert | None:
-    """Canonical comparison by currying mu;F(ev); None when some comparison
-    fails to invert."""
+    """Canonical comparison by currying mu;F(ev), with mu from F's products
+    certificate in certs; None when some comparison fails to invert.  An
+    invalid target exponential raises."""
     D = F.target
+    expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
+    muF = certs["products"]
     comparison: dict[tuple[int, int], Iso] = {}
     for (x, y), w in expsC.items():
         target = expsD[(F.obj_map[x], F.obj_map[y])]
@@ -222,7 +231,7 @@ def preserves_exponentials(
         g = D.compose(mu.fwd, F.mor_map[w.ev])
         try:
             lam = curry(D, prodsD, target, F.obj_map[w.obj], g)
-        except (NotACone, InvalidCert):
+        except NotACone:
             return None
         iso = find_iso(D, lam)
         if iso is None:
@@ -256,37 +265,30 @@ def lift_preservation_exponentials(
     F: Functor,
     H: Functor,
     alpha: NatIso,
-    FprodCert: LimitPreservationCert,
-    FexpCert: ExpPreservationCert,
-    prodsD: dict[tuple[int, int], BinProductW] | None = None,
-    expsD: dict[tuple[int, int], ExponentialW] | None = None,
+    src: dict,
+    dst: dict,
+    Fcerts: dict,
+    carried: dict,
 ) -> ExpPreservationCert:
     """Preservation of transferred exponentials for the factored functor:
     comparisons built constructively from F's data through alpha must match
-    the direct decision procedure exactly.
-
-    prodsD and expsD are the tables already carried to the completion; each
-    is transferred here when omitted."""
+    the direct decision procedure exactly.  carried holds the products and
+    exponentials already transferred to the completion."""
     _check_triangle(cert, F, H, alpha)
     E = F.target
-    if prodsD is None:
-        prodsD, _ = transfer_binary_products(cert, FprodCert.source)
-    if expsD is None:
-        expsD, _ = transfer_exponentials(cert, FprodCert.source, FexpCert.source, prodsD)
-    HprodCert = preserves_binary_products(H, prodsD, FprodCert.target)
+    prodsD, expsD = carried["products"], carried["exponentials"]
+    prodsE, expsE = dst["products"], dst["exponentials"]
+    FexpCert = Fcerts["exponentials"]
+    HprodCert = preserves_binary_products(H, prodsD, prodsE)
     if HprodCert is None:
         raise PreconditionViolation("factored functor does not preserve the products in scope")
-    direct = preserves_exponentials(
-        H, prodsD, expsD, FprodCert.target, FexpCert.target, HprodCert
-    )
+    direct = preserves_exponentials(H, carried, dst, {"products": HprodCert})
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct exponential check")
-    prodsE = FprodCert.target
-    expsE = FexpCert.target
     for (y1, y2), wD in expsD.items():
         x1, phi1 = _phi(cert, H, alpha, y1)
         x2, phi2 = _phi(cert, H, alpha, y2)
-        srcC = FexpCert.source[(x1, x2)]
+        srcC = src["exponentials"][(x1, x2)]
         ef = expsE[(F.obj_map[x1], F.obj_map[x2])]
         eh = expsE[(H.obj_map[y1], H.obj_map[y2])]
         # xi: chosen exponential of the F-pair to the chosen one of the H-pair

@@ -6,8 +6,11 @@ preservation by a functor, and lift preservation through a factorization
 triangle.  The registry drives whole-pipeline operations in dependency
 order, so exponentials always follow products, and the classifier and
 parameterized-N always follow the terminal.  The four finite-limit kinds
-are registered from one table of (kind, verb suffix, shape); their verbs are
-the public ``limits`` names, looked up when called.
+are registered from one table of (kind, verb suffix, shape), and the
+exponentials, classifier and parameterized-N from one table of (kind,
+dependencies, module, verb suffix), whose verbs already take the bags.
+Every verb is looked up on its module when called.  :func:`find_bag` is the
+one walk that searches a category for a set of kinds.
 
 Structure is searched for on the skeleton, which is equivalent to the source
 and usually far smaller, and carried back to the source along the inclusion
@@ -28,24 +31,9 @@ from .completion import (
     skeleton_inclusion,
 )
 from .core import FinCat, Functor, NatIso, WeakEquivalenceCert, same_tables
-from .errors import DependencyMissing, InvalidCert, OracleDisagreement, PreconditionViolation
-from .classifier import (
-    check_subobject_classifier,
-    find_subobject_classifier,
-    lift_preservation_subobject_classifier,
-    preserves_subobject_classifier,
-    transfer_subobject_classifier,
-)
-from .exponentials import (
-    find_exponentials,
-    is_exponential,
-    lift_preservation_exponentials,
-    preserves_exponentials,
-    transfer_exponentials,
-)
-from . import limits
+from .errors import DependencyMissing, OracleDisagreement, PreconditionViolation
+from . import classifier, exponentials, limits, nno
 from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check_table
-from .nno import find_pnno, is_pnno, lift_preservation_pnno, preserves_pnno, transfer_pnno
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,26 +59,6 @@ class StructureKind:
     ]
 
 
-def _check_exponentials(C, bag):
-    table = bag["exponentials"]
-    prods = bag["products"]
-    for x in range(C.n_objects):
-        for y in range(C.n_objects):
-            w = table.get((x, y))
-            if w is None or (w.x, w.y) != (x, y) or not is_exponential(C, prods, w):
-                raise InvalidCert(f"exponential table is wrong at ({x},{y})")
-
-
-def _check_classifier(C, bag):
-    check_subobject_classifier(C, bag["terminal"], bag["classifier"])
-
-
-def _check_pnno(C, bag):
-    w = bag["pnno"]
-    if is_pnno(C, bag["terminal"], bag["products"], w.N, w.z, w.s) is None:
-        raise InvalidCert("parameterized-N witness fails its defining property")
-
-
 def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     """A finite-limit kind whose verbs are the ``limits`` names ending in
     suffix, looked up when called, so that a wrapper installed on the module
@@ -113,6 +81,20 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     )
 
 
+def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> StructureKind:
+    """A kind whose five verbs are the names of module ending in suffix,
+    each taking the bags as they are; looked up when called, as in
+    :func:`_limit_kind`."""
+
+    def verb(prefix):
+        return lambda *args: getattr(module, prefix + suffix)(*args)
+
+    return StructureKind(
+        name, deps, verb("check_"), verb("find_"), verb("transfer_"), verb("preserves_"),
+        verb("lift_preservation_"),
+    )
+
+
 # (kind, suffix of its verbs in limits, shape), in dependency order
 _LIMIT_KINDS = (
     ("terminal", "terminal", TERMINAL),
@@ -121,65 +103,33 @@ _LIMIT_KINDS = (
     ("pullbacks", "pullbacks", PULLBACKS),
 )
 
+# (kind, its dependencies, module of its verbs, their suffix), in dependency order
+_BAG_KINDS = (
+    ("exponentials", ("products",), exponentials, "exponentials"),
+    ("classifier", ("terminal",), classifier, "subobject_classifier"),
+    ("pnno", ("terminal", "products"), nno, "pnno"),
+)
+
 KINDS: dict[str, StructureKind] = {
     **{name: _limit_kind(name, suffix, shape) for name, suffix, shape in _LIMIT_KINDS},
-    "exponentials": StructureKind(
-        "exponentials",
-        ("products",),
-        _check_exponentials,
-        lambda C, bag: find_exponentials(C, bag["products"]),
-        lambda cert, src, dst: transfer_exponentials(
-            cert, src["products"], src["exponentials"], dst["products"]
-        ),
-        lambda F, src, dst, certs: preserves_exponentials(
-            F, src["products"], src["exponentials"], dst["products"],
-            dst["exponentials"], certs["products"],
-        ),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_exponentials(
-            cert, F, H, alpha, Fcerts["products"], Fcerts["exponentials"],
-            carried["products"], carried["exponentials"],
-        ),
-    ),
-    "classifier": StructureKind(
-        "classifier",
-        ("terminal",),
-        _check_classifier,
-        lambda C, bag: find_subobject_classifier(C, bag["terminal"]),
-        lambda cert, src, dst: transfer_subobject_classifier(
-            cert, src["terminal"], dst["terminal"], src["classifier"]
-        ),
-        lambda F, src, dst, certs: preserves_subobject_classifier(
-            F, src["terminal"], src["classifier"], dst["terminal"], dst["classifier"]
-        ),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_subobject_classifier(
-            cert, F, H, alpha, src["terminal"], src["classifier"],
-            dst["terminal"], dst["classifier"], Fcerts["classifier"],
-            carried["terminal"], carried["classifier"],
-        ),
-    ),
-    "pnno": StructureKind(
-        "pnno",
-        ("terminal", "products"),
-        _check_pnno,
-        lambda C, bag: find_pnno(C, bag["terminal"], bag["products"]),
-        lambda cert, src, dst: transfer_pnno(
-            cert, src["terminal"], src["products"], dst["terminal"],
-            dst["products"], src["pnno"],
-        ),
-        lambda F, src, dst, certs: preserves_pnno(
-            F, src["terminal"], src["products"], src["pnno"],
-            dst["terminal"], dst["products"], dst["pnno"],
-        ),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: lift_preservation_pnno(
-            cert, F, H, alpha, src["terminal"], src["products"], src["pnno"],
-            dst["terminal"], dst["products"], dst["pnno"], Fcerts["pnno"],
-            carried["terminal"], carried["products"], carried["pnno"],
-        ),
-    ),
+    **{name: _bag_kind(name, deps, module, suffix) for name, deps, module, suffix in _BAG_KINDS},
 }
 
-KIND_ORDER = ("terminal", "products", "equalizers", "pullbacks",
-              "exponentials", "classifier", "pnno")
+KIND_ORDER = tuple(KINDS)
+
+
+def find_bag(C: FinCat, kinds) -> dict[str, object]:
+    """Search C for each of kinds in dependency order; a kind whose
+    dependencies were not found is skipped, as is one the search does not
+    find.  Returns the bag of what was found."""
+    bag: dict[str, object] = {}
+    for name in KIND_ORDER:
+        if name not in kinds or any(dep not in bag for dep in KINDS[name].deps):
+            continue
+        w = KINDS[name].find(C, bag)
+        if w is not None:
+            bag[name] = w
+    return bag
 
 
 def _ordered(kinds) -> tuple[str, ...]:
@@ -267,7 +217,6 @@ def factor_structured(
     sc: StructuredCompletion,
     F: Functor,
     target_witnesses: dict[str, object] | None = None,
-    functor_certs: dict[str, object] | None = None,
 ) -> StructuredFactorization:
     """Factor a structure-preserving functor through the completion and lift
     every preservation certificate to the factored functor.
@@ -282,7 +231,6 @@ def factor_structured(
         KINDS[name].check(sc.result.completed, sc.completed)
     E = F.target
     target_witnesses = dict(target_witnesses or {})
-    functor_certs = dict(functor_certs or {})
     dst: dict[str, object] = {}
     for name in sc.kinds:
         kind = KINDS[name]
@@ -299,9 +247,7 @@ def factor_structured(
             dst[name] = found
     Fcerts: dict[str, object] = {}
     for name in sc.kinds:
-        cert = functor_certs.get(name)
-        if cert is None:
-            cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
+        cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
         if cert is None:
             raise PreconditionViolation(
                 f"functor does not preserve structure '{name}'"

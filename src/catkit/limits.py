@@ -477,18 +477,16 @@ def lift(
     H: Functor,
     alpha: NatIso,
     Fcert: LimitPreservationCert,
-    transferred: Table | None = None,
+    transferred: Table,
 ) -> LimitPreservationCert:
     """Preservation for H out of F's preservation: pull each target key back
     along the equivalence, transport F's comparison through alpha, and check
     the result against the direct decision procedure.  transferred is the
     table carried to the completion (the transfer of Fcert.source along
-    cert); it is transferred here when omitted."""
+    cert)."""
     _check_triangle(cert, F, H, alpha)
     D = cert.functor.target
     E = F.target
-    if transferred is None:
-        transferred, _ = transfer(shape, cert, Fcert.source)
     built: dict[Key, int] = {}
     k = shape.n_key   # witnesses read inline, as in preserves
     for key in shape.keys(D):
@@ -596,8 +594,8 @@ def reflects_terminal(F: Functor, t: int) -> ChosenTerminal:
     return reflect(TERMINAL, F, ChosenTerminal(t))
 
 
-def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD=None):
-    return lift(TERMINAL, cert, F, H, alpha, Fcert, None if tD is None else {(): tD})
+def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD):
+    return lift(TERMINAL, cert, F, H, alpha, Fcert, {(): tD})
 
 
 def find_binary_product(C: FinCat, x1: int, x2: int) -> BinProductW | None:
@@ -639,7 +637,7 @@ def reflects_binary_products(F: Functor, w: BinProductW) -> BinProductW:
     return reflect(PRODUCTS, F, w)
 
 
-def lift_preservation_binary_products(cert, F, H, alpha, Fcert, transferred=None):
+def lift_preservation_binary_products(cert, F, H, alpha, Fcert, transferred):
     return lift(PRODUCTS, cert, F, H, alpha, Fcert, transferred)
 
 
@@ -667,7 +665,7 @@ def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table, skeletal_hint: bo
     return transfer(EQUALIZERS, cert, eqs, skeletal_hint)
 
 
-def lift_preservation_equalizers(cert, F, H, alpha, Fcert, transferred=None):
+def lift_preservation_equalizers(cert, F, H, alpha, Fcert, transferred):
     return lift(EQUALIZERS, cert, F, H, alpha, Fcert, transferred)
 
 
@@ -695,7 +693,7 @@ def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table, skeletal_hint: boo
     return transfer(PULLBACKS, cert, pbs, skeletal_hint)
 
 
-def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred=None):
+def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred):
     return lift(PULLBACKS, cert, F, H, alpha, Fcert, transferred)
 
 

@@ -4,7 +4,9 @@ The defining property quantifies over every parameter object whose chosen
 product with the candidate exists: for each parameter t', stage m, and data
 (z': t' -> m, s': m -> m) there is exactly one recursor out of t' x N.
 Pairs missing from a partial product table are skipped as vacuous, which is
-only ever exercised on product-incomplete fragments.
+only ever exercised on product-incomplete fragments.  The registry verbs
+take witness bags holding the chosen terminal and products; ``is_pnno`` and
+``reflect_pnno`` take them separately.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .core import (
     find_iso,
 )
 from .errors import (
+    InvalidCert,
     OracleDisagreement,
     PreconditionViolation,
     ReflectionFails,
@@ -30,8 +33,6 @@ from .limits import (
     mediating,
     preserves_terminal,
     to_terminal,
-    transfer_binary_products,
-    transfer_terminal,
     _check_triangle,
 )
 
@@ -100,11 +101,14 @@ def is_pnno(
     return w
 
 
-def find_pnno(
-    C: FinCat,
-    term: ChosenTerminal,
-    prods: dict[tuple[int, int], BinProductW],
-) -> PNNOW | None:
+def check_pnno(C: FinCat, bag: dict) -> None:
+    w = bag["pnno"]
+    if is_pnno(C, bag["terminal"], bag["products"], w.N, w.z, w.s) is None:
+        raise InvalidCert("parameterized-N witness fails its defining property")
+
+
+def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
+    term, prods = bag["terminal"], bag["products"]
     for N in range(C.n_objects):
         for z in C.hom(term.t, N):
             for s in C.hom(N, N):
@@ -124,21 +128,17 @@ def _transported_triple(
 
 
 def transfer_pnno(
-    cert: WeakEquivalenceCert,
-    termC: ChosenTerminal,
-    prodsC: dict[tuple[int, int], BinProductW],
-    termD: ChosenTerminal,
-    prodsD: dict[tuple[int, int], BinProductW],
-    w: PNNOW,
+    cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[PNNOW, PNNOPreservationCert]:
     G = cert.functor
-    C = G.source
-    if is_pnno(C, termC, prodsC, w.N, w.z, w.s) is None:
+    termC, prodsC, w = src["terminal"], src["products"], src["pnno"]
+    termD, prodsD = dst["terminal"], dst["products"]
+    if is_pnno(G.source, termC, prodsC, w.N, w.z, w.s) is None:
         raise PreconditionViolation("source witness is not a parameterized N")
     wD = _transported_triple(cert, termC, termD, w)
     if is_pnno(G.target, termD, prodsD, wD.N, wD.z, wD.s) is None:
         raise OracleDisagreement("transferred triple failed re-validation")
-    pres = preserves_pnno(G, termC, prodsC, w, termD, prodsD, wD)
+    pres = preserves_pnno(G, src, {**dst, "pnno": wD}, {})
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the witness it transferred")
     return wD, pres
@@ -166,18 +166,12 @@ def reflect_pnno(
     return w
 
 
-def preserves_pnno(
-    F: Functor,
-    termC: ChosenTerminal,
-    prodsC: dict[tuple[int, int], BinProductW],
-    wC: PNNOW,
-    termD: ChosenTerminal,
-    prodsD: dict[tuple[int, int], BinProductW],
-    wD: PNNOW,
-) -> PNNOPreservationCert | None:
+def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
     """Canonical comparison: the recursor at parameter t', stage F(N),
     restricted along the unit point of the product."""
     D = F.target
+    termC, wC = src["terminal"], src["pnno"]
+    termD, prodsD, wD = dst["terminal"], dst["products"], dst["pnno"]
     if preserves_terminal(F, termC, termD) is None:
         return None
     if (termD.t, wD.N) not in prodsD:
@@ -206,35 +200,21 @@ def lift_preservation_pnno(
     F: Functor,
     H: Functor,
     alpha: NatIso,
-    termC: ChosenTerminal,
-    prodsC: dict[tuple[int, int], BinProductW],
-    wC: PNNOW,
-    termE: ChosenTerminal,
-    prodsE: dict[tuple[int, int], BinProductW],
-    wE: PNNOW,
-    Fcert: PNNOPreservationCert,
-    termD: ChosenTerminal | None = None,
-    prodsD: dict[tuple[int, int], BinProductW] | None = None,
-    wD: PNNOW | None = None,
+    src: dict,
+    dst: dict,
+    Fcerts: dict,
+    carried: dict,
 ) -> PNNOPreservationCert:
     """Comparison for the factored functor, built from F's through alpha;
     zero/successor compatibility pins it down, so the direct decision
-    procedure must return the same morphism.
-
-    termD, prodsD and wD are the witnesses already carried to the
-    completion; each is transferred here when omitted."""
+    procedure must return the same morphism.  carried holds the terminal,
+    products and parameterized N already transferred to the completion."""
     _check_triangle(cert, F, H, alpha)
     E = F.target
-    if termD is None:
-        termD, _ = transfer_terminal(cert, termC)
-    if prodsD is None:
-        prodsD, _ = transfer_binary_products(cert, prodsC)
-    if wD is None:
-        wD, _ = transfer_pnno(cert, termC, prodsC, termD, prodsD, wC)
-    direct = preserves_pnno(H, termD, prodsD, wD, termE, prodsE, wE)
+    direct = preserves_pnno(H, carried, dst, {})
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct check")
-    built = E.compose(Fcert.comparison.fwd, alpha.components[wC.N].inv)
+    built = E.compose(Fcerts["pnno"].comparison.fwd, alpha.components[src["pnno"].N].inv)
     if built != direct.comparison.fwd:
         raise OracleDisagreement("constructive and direct comparisons disagree")
     return direct

@@ -133,7 +133,7 @@ def test_criterion_2_fragment_topos_pipeline():
         x for x in objs if any(mono_by_cancellation(C, f) for f in C.hom(x, 1))
     ]
     assert subterminals == [0, 1]
-    soc = find_subobject_classifier(C, term)
+    soc = find_subobject_classifier(C, {"terminal": term})
     assert soc is not None and soc.omega == 2
     assert len(C.hom(term.t, soc.omega)) == len(subterminals) == 2
     points = [len(C.hom(term.t, x)) for x in objs]
@@ -176,7 +176,7 @@ def test_criterion_2_fragment_topos_pipeline():
     T_infl = assemble_topos(infl)
     T_skel = assemble_topos(skel)
     assert T_infl is not None and T_skel is not None
-    assert len(infl.hom(T_infl.terminal.t, T_infl.classifier.omega)) == 1
+    assert len(infl.hom(T_infl["terminal"].t, T_infl["classifier"].omega)) == 1
     assert is_logical_functor(sc.result.eta, T_infl, T_skel) is not None
     fact = factor_structured(sc, proj)
     assert set(fact.lifted_certs) == set(KIND_ORDER)
@@ -219,13 +219,15 @@ def test_criterion_3_transfer_equals_direct_search():
                 tI2, _ = transfer_terminal(cert_sec, term)
                 Ft = preserves_terminal(proj, tI2, term)
                 assert Ft is not None
-                lift_preservation_terminal(res.cert, proj, fac.functor, fac.alpha, Ft)
+                tD, _ = transfer_terminal(res.cert, tI2)
+                lift_preservation_terminal(res.cert, proj, fac.functor, fac.alpha, Ft, tD)
             if prods is not None:
                 pI2, _ = transfer_binary_products(cert_sec, prods)
                 Fp = preserves_binary_products(proj, pI2, prods)
                 assert Fp is not None
+                pD, _ = transfer_binary_products(res.cert, pI2)
                 lift_preservation_binary_products(
-                    res.cert, proj, fac.functor, fac.alpha, Fp
+                    res.cert, proj, fac.functor, fac.alpha, Fp, pD
                 )
     assert qualifying >= 100
 
@@ -307,7 +309,8 @@ def test_criterion_8_pnno_transport_and_fragment_absence():
         prods = find_binary_products(C)
         if prods is None:
             continue
-        w = find_pnno(C, term, prods)
+        bag = {"terminal": term, "products": prods}
+        w = find_pnno(C, bag)
         if w is None:
             continue
         carriers += 1
@@ -315,7 +318,7 @@ def test_criterion_8_pnno_transport_and_fragment_absence():
         cert = is_weak_equivalence(inflate_section(proj))
         termD, _ = transfer_terminal(cert, term)
         prodsD, _ = transfer_binary_products(cert, prods)
-        wD, _ = transfer_pnno(cert, term, prods, termD, prodsD, w)
+        wD, _ = transfer_pnno(cert, {**bag, "pnno": w}, {"terminal": termD, "products": prodsD})
         assert is_pnno(infl, termD, prodsD, wD.N, wD.z, wD.s) is not None
         cert_proj = is_weak_equivalence(proj)
         back = reflect_pnno(cert_proj, termD, prodsD, term, prods, wD.N, wD.z, wD.s)
@@ -325,7 +328,7 @@ def test_criterion_8_pnno_transport_and_fragment_absence():
     C = finset_fragment(2)
     term = find_terminal(C)
     partial = partial_binary_products(C)
-    assert find_pnno(C, term, partial) is None
+    assert find_pnno(C, {"terminal": term, "products": partial}) is None
     for N in range(C.n_objects):
         for z in C.hom(term.t, N):
             for s in C.hom(N, N):

@@ -1,4 +1,7 @@
 """Monomorphisms, subobject classifiers, topos bundles, logical functors."""
+import hashlib
+import json
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -85,7 +88,7 @@ def test_weak_equivalences_preserve_and_reflect_monos(seed):
 def test_fragment_classifier_is_two_with_true_point():
     C = finset_fragment(2)
     term = find_terminal(C)
-    soc = find_subobject_classifier(C, term)
+    soc = find_subobject_classifier(C, {"terminal": term})
     assert soc is not None
     p0 = finset_function(C, 1, 2, (0,))
     p1 = finset_function(C, 1, 2, (1,))
@@ -107,7 +110,7 @@ def test_fragment_classifier_is_two_with_true_point():
         swap: const0,
     }
     assert soc.chi == expected
-    check_subobject_classifier(C, term, soc)
+    check_subobject_classifier(C, {"terminal": term, "classifier": soc})
 
 
 def test_fragment_small_omega_rejected():
@@ -138,13 +141,13 @@ def test_classifiers_unique_up_to_truth_compatible_iso():
 def test_nontrivial_posets_have_no_classifier():
     for C in (chain_poset(2), chain_poset(3), heyting_category(heyting_chain(3))):
         term = find_terminal(C)
-        assert find_subobject_classifier(C, term) is None
+        assert find_subobject_classifier(C, {"terminal": term}) is None
 
 
 def test_codiscrete_groupoids_are_degenerate_topoi():
     S = _codiscrete(3)
     term = find_terminal(S)
-    soc = find_subobject_classifier(S, term)
+    soc = find_subobject_classifier(S, {"terminal": term})
     assert soc is not None
     # all monos collapse to the single degenerate subobject
     assert set(soc.chi) == set(monos(S))
@@ -170,26 +173,47 @@ def test_topos_gaps_names_first_missing_pieces():
     assert topos_gaps(M)[0] == "terminal"
 
 
+# sha1 of json.dumps of topos_gaps over random_category(0..39), recorded
+# before the gap lists were derived from the registry's dependencies
+GAPS_SHA1 = "eee0529686344f3314029e03aff3d06490d3ee9f"
+
+
+def test_topos_gaps_match_the_recorded_lists():
+    lists = [topos_gaps(random_category(seed)) for seed in range(40)]
+    assert hashlib.sha1(json.dumps(lists).encode()).hexdigest() == GAPS_SHA1
+    distinct = {json.dumps(gaps) for gaps in lists}
+    assert len(distinct) == 8 and "[]" in distinct
+    joined = "".join(distinct)
+    assert "(products missing)" in joined and "(terminal missing)" in joined
+    assert topos_gaps(finset_fragment(2)) == [
+        "binary products", "pullbacks", "exponentials (products missing)",
+    ]
+    assert topos_gaps(delooping([[0, 1], [1, 1]])) == [
+        "terminal", "binary products", "equalizers", "pullbacks",
+        "exponentials (products missing)", "subobject classifier (terminal missing)",
+    ]
+
+
 def test_transfer_classifier_matches_direct_search():
     S = _codiscrete(3)
     infl, proj = inflate(S, [2, 1, 2])
     cert = is_weak_equivalence(inflate_section(proj))
-    termC = find_terminal(S)
-    socC = find_subobject_classifier(S, termC)
-    termD, _ = transfer_terminal(cert, termC)
-    socD, pres = transfer_subobject_classifier(cert, termC, termD, socC)
-    check_subobject_classifier(infl, termD, socD)
+    src = {"terminal": find_terminal(S)}
+    src["classifier"] = find_subobject_classifier(S, src)
+    dst = {"terminal": transfer_terminal(cert, src["terminal"])[0]}
+    dst["classifier"], pres = transfer_subobject_classifier(cert, src, dst)
+    check_subobject_classifier(infl, dst)
     assert pres.functor is cert.functor
     assert find_iso(infl, pres.comparison.fwd) is not None
 
 
 def test_preserves_classifier_identity():
     S = _codiscrete(2)
-    term = find_terminal(S)
-    soc = find_subobject_classifier(S, term)
+    bag = {"terminal": find_terminal(S)}
+    bag["classifier"] = find_subobject_classifier(S, bag)
     from catkit.core import identity_functor
 
-    pres = preserves_subobject_classifier(identity_functor(S), term, soc, term, soc)
+    pres = preserves_subobject_classifier(identity_functor(S), bag, bag, {})
     assert pres is not None
     assert S.is_identity(pres.comparison.fwd)
 
@@ -201,16 +225,16 @@ def test_lift_preservation_classifier_through_completion():
     # the factorization target is the codiscrete base, which is not gaunt
     with pytest.warns(UserWarning, match="not gaunt"):
         fac = factor_through(res, proj)
-    term_infl = find_terminal(infl)
-    soc_infl = find_subobject_classifier(infl, term_infl)
-    termS = find_terminal(S)
-    socS = find_subobject_classifier(S, termS)
-    Fcert = preserves_subobject_classifier(proj, term_infl, soc_infl, termS, socS)
+    src = {"terminal": find_terminal(infl)}
+    src["classifier"] = find_subobject_classifier(infl, src)
+    dst = {"terminal": find_terminal(S)}
+    dst["classifier"] = find_subobject_classifier(S, dst)
+    Fcert = preserves_subobject_classifier(proj, src, dst, {})
     assert Fcert is not None
-    termD = find_terminal(res.completed)
-    socD = find_subobject_classifier(res.completed, termD)
+    carried = {"terminal": transfer_terminal(res.cert, src["terminal"])[0]}
+    carried["classifier"], _ = transfer_subobject_classifier(res.cert, src, carried)
     lifted = lift_preservation_subobject_classifier(
-        res.cert, proj, fac.functor, fac.alpha, term_infl, soc_infl, termS, socS, Fcert
+        res.cert, proj, fac.functor, fac.alpha, src, dst, {"classifier": Fcert}, carried
     )
     assert lifted.functor is fac.functor
 
@@ -223,4 +247,4 @@ def test_logical_functor_between_degenerate_topoi():
 
     cert = is_logical_functor(identity_functor(S), T, T)
     assert cert is not None
-    assert cert.classifier is not None
+    assert cert["classifier"] is not None

@@ -3,7 +3,7 @@ import pytest
 
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import functor, identity_functor, is_weak_equivalence
-from catkit.errors import NotACone
+from catkit.errors import InvalidCert, NotACone
 from catkit.exponentials import (
     ExponentialW,
     check_exp_preservation,
@@ -25,6 +25,7 @@ from catkit.generators import (
     setoid_groupoid,
 )
 from catkit.limits import (
+    BinProductW,
     find_binary_products,
     partial_binary_products,
     preserves_binary_products,
@@ -45,8 +46,7 @@ def _chain_functor(src, dst, obj_map, name):
 def test_heyting_exponentials_are_implications():
     for H in (heyting_chain(3), heyting_diamond()):
         C = heyting_category(H)
-        prods = find_binary_products(C)
-        exps = find_exponentials(C, prods)
+        exps = find_exponentials(C, {"products": find_binary_products(C)})
         assert exps is not None
         for (x, y), w in exps.items():
             assert w.obj == H.imp[x][y]
@@ -68,8 +68,7 @@ def test_wrong_object_is_not_exponential():
 def test_fragment1_exponential_cardinalities():
     # |hom(1, y^x)| must equal |y|^|x| with cardinalities 0 and 1
     C = finset_fragment(1)
-    prods = find_binary_products(C)
-    exps = find_exponentials(C, prods)
+    exps = find_exponentials(C, {"products": find_binary_products(C)})
     assert {k: w.obj for k, w in exps.items()} == {
         (0, 0): 1,
         (0, 1): 1,
@@ -90,7 +89,7 @@ def test_curry_is_a_bijection():
     H = heyting_diamond()
     C = heyting_category(H)
     prods = find_binary_products(C)
-    exps = find_exponentials(C, prods)
+    exps = find_exponentials(C, {"products": prods})
     for (x, y), w in exps.items():
         for z in range(C.n_objects):
             src = prods[(z, x)].apex
@@ -126,9 +125,9 @@ def test_transfer_exponentials_matches_direct_search():
     infl, proj = inflate(C, [2, 1, 2])
     cert = is_weak_equivalence(inflate_section(proj))
     prodsC = find_binary_products(C)
-    expsC = find_exponentials(C, prodsC)
+    src = {"products": prodsC, "exponentials": find_exponentials(C, {"products": prodsC})}
     prodsD, _ = transfer_binary_products(cert, prodsC)
-    expsD, pres = transfer_exponentials(cert, prodsC, expsC, prodsD)
+    expsD, pres = transfer_exponentials(cert, src, {"products": prodsD})
     assert set(expsD) == {(x, y) for x in range(infl.n_objects) for y in range(infl.n_objects)}
     for (x, y), w in expsD.items():
         assert is_exponential(infl, prodsD, w)
@@ -148,17 +147,17 @@ def test_preserves_exponentials_negative():
     prodsD = find_binary_products(C2)
     muF = preserves_binary_products(F, prodsC, prodsD)
     assert muF is not None
-    expsC = find_exponentials(C3, prodsC)
-    expsD = find_exponentials(C2, prodsD)
-    assert preserves_exponentials(F, prodsC, expsC, prodsD, expsD, muF) is None
+    src = {"products": prodsC, "exponentials": find_exponentials(C3, {"products": prodsC})}
+    dst = {"products": prodsD, "exponentials": find_exponentials(C2, {"products": prodsD})}
+    assert preserves_exponentials(F, src, dst, {"products": muF}) is None
 
 
 def test_preserves_exponentials_positive_identity():
     C = heyting_category(heyting_diamond())
     prods = find_binary_products(C)
-    exps = find_exponentials(C, prods)
+    bag = {"products": prods, "exponentials": find_exponentials(C, {"products": prods})}
     muI = preserves_binary_products(identity_functor(C), prods, prods)
-    cert = preserves_exponentials(identity_functor(C), prods, exps, prods, exps, muI)
+    cert = preserves_exponentials(identity_functor(C), bag, bag, {"products": muI})
     assert cert is not None
     for iso in cert.comparison.values():
         assert C.is_identity(iso.fwd)
@@ -170,14 +169,36 @@ def test_lift_preservation_exponentials_through_completion():
     infl, proj = inflate(C, [1, 3, 2])
     res = skeletize(infl)
     fac = factor_through(res, proj)
-    prods_infl = find_binary_products(infl)
-    exps_infl = find_exponentials(infl, prods_infl)
-    prodsC = find_binary_products(C)
-    expsC = find_exponentials(C, prodsC)
-    muF = preserves_binary_products(proj, prods_infl, prodsC)
-    Fexp = preserves_exponentials(proj, prods_infl, exps_infl, prodsC, expsC, muF)
-    assert Fexp is not None
-    lifted = lift_preservation_exponentials(res.cert, proj, fac.functor, fac.alpha, muF, Fexp)
+    src = {"products": find_binary_products(infl)}
+    src["exponentials"] = find_exponentials(infl, src)
+    dst = {"products": find_binary_products(C)}
+    dst["exponentials"] = find_exponentials(C, dst)
+    Fcerts = {"products": preserves_binary_products(proj, src["products"], dst["products"])}
+    Fcerts["exponentials"] = preserves_exponentials(proj, src, dst, Fcerts)
+    assert Fcerts["exponentials"] is not None
+    carried = {"products": transfer_binary_products(res.cert, src["products"])[0]}
+    carried["exponentials"], _ = transfer_exponentials(res.cert, src, carried)
+    lifted = lift_preservation_exponentials(
+        res.cert, proj, fac.functor, fac.alpha, src, dst, Fcerts, carried
+    )
     assert lifted.functor is fac.functor
     D = res.completed
     assert set(lifted.comparison) == {(x, y) for x in range(D.n_objects) for y in range(D.n_objects)}
+
+
+def test_preserves_exponentials_rejects_an_invalid_target():
+    # as preserves_binary_products does, an invalid target table raises
+    # instead of reading as "not preserved"
+    C = heyting_category(heyting_chain(3))
+    F = identity_functor(C)
+    bag = {"products": find_binary_products(C)}
+    bag["exponentials"] = find_exponentials(C, bag)
+    muI = preserves_binary_products(F, bag["products"], bag["products"])
+    bad = {**bag, "exponentials": {**bag["exponentials"], (0, 0): ExponentialW(0, 0, 0, 0)}}
+    with pytest.raises(InvalidCert):
+        preserves_exponentials(F, bag, bad, {"products": muI})
+    # the same kind of entry for products: (1, 1) on the apex below it
+    le01 = C.hom(0, 1)[0]
+    bad_prods = {**bag["products"], (1, 1): BinProductW(1, 1, 0, le01, le01)}
+    with pytest.raises(InvalidCert):
+        preserves_binary_products(F, bag["products"], bad_prods)

@@ -1,6 +1,10 @@
 """The structure registry: completion and factorization with carried kinds."""
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +279,16 @@ def test_factor_structured_checks_the_carried_source_bag():
     corrupted = dataclasses.replace(sc, source={"products": bad})
     with pytest.raises(InvalidCert):
         factor_structured(corrupted, proj)
+
+
+def test_demo_pipeline_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    script = root / "scripts" / "demo_pipeline.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--seed", "7", "--copies", "2"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "preservation lifted to H" in out.stdout

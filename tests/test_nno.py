@@ -42,8 +42,7 @@ def _codiscrete(n):
 def test_bounded_lattices_carry_the_degenerate_pnno():
     for C in (chain_poset(3), heyting_category(heyting_diamond())):
         term = find_terminal(C)
-        prods = find_binary_products(C)
-        w = find_pnno(C, term, prods)
+        w = find_pnno(C, {"terminal": term, "products": find_binary_products(C)})
         assert w is not None
         assert w.N == term.t
         assert C.is_identity(w.z) and C.is_identity(w.s)
@@ -53,7 +52,7 @@ def test_codiscrete_any_object_works():
     S = _codiscrete(3)
     term = find_terminal(S)
     prods = find_binary_products(S)
-    w = find_pnno(S, term, prods)
+    w = find_pnno(S, {"terminal": term, "products": prods})
     assert w is not None and w.N == 0
     # every object admits some witness in a codiscrete groupoid
     for N in range(S.n_objects):
@@ -66,7 +65,7 @@ def test_fragment_has_no_pnno():
     C = finset_fragment(2)
     term = find_terminal(C)
     prods = partial_binary_products(C)
-    assert find_pnno(C, term, prods) is None
+    assert find_pnno(C, {"terminal": term, "products": prods}) is None
     # exhaustive: no candidate triple survives even with vacuous pairs
     for N in range(C.n_objects):
         for z in C.hom(term.t, N):
@@ -81,7 +80,7 @@ def test_is_pnno_validates_what_find_returns():
         if term is None:
             continue
         prods = partial_binary_products(C)
-        w = find_pnno(C, term, prods)
+        w = find_pnno(C, {"terminal": term, "products": prods})
         if w is not None:
             assert is_pnno(C, term, prods, w.N, w.z, w.s) is not None
 
@@ -102,12 +101,11 @@ def test_transfer_pnno_matches_direct_search():
     S = _codiscrete(3)
     infl, proj = inflate(S, [2, 1, 2])
     cert = is_weak_equivalence(inflate_section(proj))
-    termC = find_terminal(S)
-    prodsC = find_binary_products(S)
-    wC = find_pnno(S, termC, prodsC)
-    termD, _ = transfer_terminal(cert, termC)
-    prodsD, _ = transfer_binary_products(cert, prodsC)
-    wD, pres = transfer_pnno(cert, termC, prodsC, termD, prodsD, wC)
+    src = {"terminal": find_terminal(S), "products": find_binary_products(S)}
+    src["pnno"] = find_pnno(S, src)
+    termD, _ = transfer_terminal(cert, src["terminal"])
+    prodsD, _ = transfer_binary_products(cert, src["products"])
+    wD, pres = transfer_pnno(cert, src, {"terminal": termD, "products": prodsD})
     assert is_pnno(infl, termD, prodsD, wD.N, wD.z, wD.s) is not None
     assert pres.functor is cert.functor
 
@@ -123,17 +121,16 @@ def test_reflect_pnno_along_equivalence():
     prodsS = find_binary_products(S)
     termI, _ = transfer_terminal(cert_sec, termS)
     prodsI, _ = transfer_binary_products(cert_sec, prodsS)
-    wI = find_pnno(infl, termI, prodsI)
+    wI = find_pnno(infl, {"terminal": termI, "products": prodsI})
     back = reflect_pnno(cert_proj, termI, prodsI, termS, prodsS, wI.N, wI.z, wI.s)
     assert is_pnno(infl, termI, prodsI, back.N, back.z, back.s) is not None
 
 
 def test_preserves_pnno_identity():
     C = chain_poset(3)
-    term = find_terminal(C)
-    prods = find_binary_products(C)
-    w = find_pnno(C, term, prods)
-    pres = preserves_pnno(identity_functor(C), term, prods, w, term, prods, w)
+    bag = {"terminal": find_terminal(C), "products": find_binary_products(C)}
+    bag["pnno"] = find_pnno(C, bag)
+    pres = preserves_pnno(identity_functor(C), bag, bag, {})
     assert pres is not None
     assert C.is_identity(pres.comparison.fwd)
 
@@ -144,25 +141,18 @@ def test_lift_preservation_pnno_through_completion():
     res = skeletize(infl)
     with pytest.warns(UserWarning, match="not gaunt"):
         fac = factor_through(res, proj)
-    term_infl = find_terminal(infl)
-    prods_infl = find_binary_products(infl)
-    w_infl = find_pnno(infl, term_infl, prods_infl)
-    termS = find_terminal(S)
-    prodsS = find_binary_products(S)
-    wS = find_pnno(S, termS, prodsS)
-    Fcert = preserves_pnno(proj, term_infl, prods_infl, w_infl, termS, prodsS, wS)
+    src = {"terminal": find_terminal(infl), "products": find_binary_products(infl)}
+    src["pnno"] = find_pnno(infl, src)
+    dst = {"terminal": find_terminal(S), "products": find_binary_products(S)}
+    dst["pnno"] = find_pnno(S, dst)
+    Fcert = preserves_pnno(proj, src, dst, {})
     assert Fcert is not None
+    carried = {
+        "terminal": transfer_terminal(res.cert, src["terminal"])[0],
+        "products": transfer_binary_products(res.cert, src["products"])[0],
+    }
+    carried["pnno"], _ = transfer_pnno(res.cert, src, carried)
     lifted = lift_preservation_pnno(
-        res.cert,
-        proj,
-        fac.functor,
-        fac.alpha,
-        term_infl,
-        prods_infl,
-        w_infl,
-        termS,
-        prodsS,
-        wS,
-        Fcert,
+        res.cert, proj, fac.functor, fac.alpha, src, dst, {"pnno": Fcert}, carried
     )
     assert lifted.functor is fac.functor

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from catkit import limits
+from catkit import classifier, exponentials, limits, nno
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import Iso, fincat, functor, identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert, PreconditionViolation, ReflectionFails
@@ -23,9 +23,10 @@ from catkit.generators import (
     heyting_category,
     heyting_diamond,
     random_category,
+    setoid_groupoid,
 )
 from catkit.interchange import structure_to_json
-from catkit.lifting import KINDS, complete_structured, factor_structured
+from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured
 from catkit.limits import (
     ChosenTerminal,
     cospan_pairs,
@@ -181,10 +182,9 @@ def test_lifted_terminal_preservation_equals_the_direct_certificate():
         Fcert = preserves_terminal(proj, find_terminal(infl), tC)
         tD, _ = transfer_terminal(res.cert, find_terminal(infl))
         direct = preserves_terminal(H, tD, tC)
-        for carried in (None, tD):
-            lifted = lift_preservation_terminal(res.cert, proj, H, alpha, Fcert, carried)
-            assert lifted.functor is H and lifted.source == {(): tD}
-            assert lifted.mu == direct.mu, C.name
+        lifted = lift_preservation_terminal(res.cert, proj, H, alpha, Fcert, tD)
+        assert lifted.functor is H and lifted.source == {(): tD}
+        assert lifted.mu == direct.mu, C.name
 
 
 @pytest.mark.filterwarnings("ignore:target")
@@ -204,8 +204,11 @@ def test_terminal_verbs_reject_bad_input_as_before():
     res = skeletize(infl)
     fac = factor_through(res, proj)
     Fcert = preserves_terminal(proj, find_terminal(infl), find_terminal(C))
+    tD, _ = transfer_terminal(res.cert, find_terminal(infl))
     with pytest.raises(PreconditionViolation):
-        lift_preservation_terminal(res.cert, identity_functor(infl), fac.functor, fac.alpha, Fcert)
+        lift_preservation_terminal(
+            res.cert, identity_functor(infl), fac.functor, fac.alpha, Fcert, tD
+        )
     pt = delooping([[0]], name="pt")
     crush = functor(chain_poset(2), pt, [0, 0], [0, 0, 0], name="crush")
     with pytest.raises(PreconditionViolation):
@@ -252,20 +255,29 @@ def test_direct_terminal_transfer_warns_at_the_caller():
     assert w.filename == __file__
 
 
+@pytest.mark.filterwarnings("ignore:target")
 def test_pipeline_reaches_the_limit_verbs_through_the_module(monkeypatch):
-    """The traced benchmark wraps the limits names on the module; a registry
-    that held on to the function objects would bypass the wrappers."""
+    """The traced benchmark wraps each kind's verbs on its module; a registry
+    that held on to the function objects would bypass the wrappers.  The
+    codiscrete groupoid carries every kind, so one pipeline reaches them all."""
     calls = Counter()
-    names = [prefix + suffix
+    limit_verbs = ("find_", "transfer_", "preserves_", "lift_preservation_")
+    names = [(limits, prefix + suffix)
              for suffix in ("terminal", "binary_products", "equalizers", "pullbacks")
-             for prefix in ("find_", "transfer_", "preserves_", "lift_preservation_")]
-    for name in names:
-        def counted(*args, _fn=getattr(limits, name), _name=name, **kwargs):
+             for prefix in limit_verbs]
+    names += [(module, prefix + suffix)
+              for module, suffix in ((exponentials, "exponentials"),
+                                     (classifier, "subobject_classifier"), (nno, "pnno"))
+              for prefix in ("check_",) + limit_verbs]
+    for module, name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(limits, name, counted)
-    C, proj = inflate(chain_poset(3), [1, 2, 2])
-    sc = complete_structured(C, kinds=("terminal", "products", "equalizers", "pullbacks"))
+        monkeypatch.setattr(module, name, counted)
+    S = setoid_groupoid(3, {(0, 1), (1, 2)})
+    C, proj = inflate(S, [2, 1, 2])
+    sc = complete_structured(C)
+    assert sc.kinds == KIND_ORDER
     factor_structured(sc, proj)
-    assert set(calls) == set(names)
+    assert set(calls) == {name for _, name in names}
