@@ -285,7 +285,7 @@ def lift_preservation_exponentials(
     direct = preserves_exponentials(H, carried, dst, {"products": HprodCert})
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct exponential check")
-    for (y1, y2), wD in expsD.items():
+    for y1, y2 in expsD:
         x1, phi1 = _phi(cert, H, alpha, y1)
         x2, phi2 = _phi(cert, H, alpha, y2)
         srcC = src["exponentials"][(x1, x2)]
