@@ -125,7 +125,7 @@ def subobject_classifier_cert(
     at the first offending mono."""
     if not is_terminal(C, term.t):
         raise InvalidCert("terminal witness does not name a terminal object")
-    if C.mor_src[tau] != term.t or C.mor_dst[tau] != omega:
+    if not C.has_morphisms(tau) or C.mor_src[tau] != term.t or C.mor_dst[tau] != omega:
         raise InvalidCert("truth arrow is not a point of omega")
     # a point of any object is split monic, with the terminal map as retract
     if is_mono(C, tau) is None:

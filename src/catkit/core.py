@@ -112,6 +112,15 @@ class FinCat:
             out = self.compose(out, f)
         return out
 
+    def has_morphisms(self, *fs: int) -> bool:
+        """Whether every f indexes a morphism; a witness field outside the
+        range would read as a morphism counted from the end, or not at all."""
+        m = len(self.mor_labels)
+        for f in fs:
+            if not 0 <= f < m:
+                return False
+        return True
+
     def is_identity(self, f: int) -> bool:
         return self.identity[self.mor_src[f]] == f and self.mor_src[f] == self.mor_dst[f]
 

@@ -74,7 +74,7 @@ def is_exponential(
     C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW
 ) -> bool:
     entry = prods.get((w.obj, w.x))
-    if entry is None:
+    if entry is None or not C.has_morphisms(w.ev):
         return False
     if C.mor_src[w.ev] != entry.apex or C.mor_dst[w.ev] != w.y:
         return False

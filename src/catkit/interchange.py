@@ -19,12 +19,12 @@ from typing import Any
 
 from .core import FinCat, Functor, fincat, functor
 from .errors import (
+    CategoryValidationError,
     DanglingReference,
+    FunctorValidationError,
     IllTypedComposite,
     MalformedInput,
-    MissingComposite,
     MissingIdentity,
-    UnitLawViolation,
 )
 from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, ChosenTerminal
 
@@ -48,7 +48,10 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
     """Parse and fully validate a category document.
 
     Raises a CategoryValidationError subclass with a JSON pointer into the
-    document on the first offence.
+    document on the first offence.  Labels and each composition triple are
+    checked here; the category laws are judged by
+    :func:`~catkit.core.check_category_tables`, and their errors point at
+    ``/composition``.
     """
     if not isinstance(doc, dict):
         raise MalformedInput("category document must be an object")
@@ -130,7 +133,7 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
             dsts.append(x)
             identity[x] = mor_index[mid]
 
-    # composition: declared triples, then unit-law inference
+    # composition: the declared triples, each typed and consistent
     comp: dict[tuple[int, int], int] = {}
     raw_comp = doc.get("composition", [])
     if not isinstance(raw_comp, list):
@@ -161,32 +164,12 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
             )
         comp[(f, g)] = fg
 
-    ident_set = set(identity)
-    for f in range(len(labels)):
-        for g in range(len(labels)):
-            if dsts[f] != srcs[g]:
-                continue
-            expected = None
-            if f in ident_set and identity[srcs[g]] == f:
-                expected = g
-            elif g in ident_set and identity[dsts[f]] == g:
-                expected = f
-            if expected is None:
-                if (f, g) not in comp:
-                    raise MissingComposite(
-                        f"composite of {labels[f]!r} then {labels[g]!r} is not declared",
-                        pointer="/composition",
-                    )
-                continue
-            if (f, g) in comp and comp[(f, g)] != expected:
-                raise UnitLawViolation(
-                    f"({labels[f]}, {labels[g]}, {labels[comp[(f, g)]]}): unit law forces "
-                    f"{labels[expected]}",
-                    pointer="/composition",
-                )
-            comp[(f, g)] = expected
-
-    return fincat(name, objects, labels, srcs, dsts, [i for i in identity if i is not None], comp)
+    # fincat fills the identity composites in and judges the laws; its
+    # errors concern the composition block as a whole
+    try:
+        return fincat(name, objects, labels, srcs, dsts, identity, comp)
+    except CategoryValidationError as e:
+        raise type(e)(str(e), pointer="/composition") from e
 
 
 def category_to_json(C: FinCat) -> dict[str, Any]:
@@ -245,7 +228,10 @@ def functor_from_json(doc: dict[str, Any], categories: dict[str, FinCat]) -> Fun
                 f"unknown target morphism {img!r}", pointer=f"/on_morphisms/{lbl}"
             )
         mor_map.append(D.mor_labels.index(img))
-    return functor(C, D, obj_map, mor_map, name=doc.get("name", ""))
+    try:
+        return functor(C, D, obj_map, mor_map, name=doc.get("name", ""))
+    except FunctorValidationError as e:
+        raise type(e)(str(e), pointer="/on_morphisms") from e
 
 
 def functor_to_json(F: Functor) -> dict[str, Any]:

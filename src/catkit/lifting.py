@@ -42,8 +42,8 @@ class StructureKind:
 
     All callables receive bags: plain dicts mapping kind names to witness
     payloads on a single category, so kinds can reach their dependencies.
-    ``transfer`` serves the pipeline, whose choices are fixed on the
-    skeleton, so it never warns about a non-skeletal target.  ``lift``
+    ``transfer`` carries the source bag's entries along a weak equivalence
+    into any target, skeletal or not, and re-validates them there.  ``lift``
     receives last the bag carried to the completion, whose entries are the
     transfers of the source bag along the equivalence.
     """
@@ -73,7 +73,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
         (),
         lambda C, bag: check_table(shape, C, bag[name] if shape.n_key else {(): bag[name]}),
         lambda C, bag: call("find_", C),
-        lambda cert, src, dst: call("transfer_", cert, src[name], skeletal_hint=False),
+        lambda cert, src, dst: call("transfer_", cert, src[name]),
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
         lambda cert, F, H, alpha, src, dst, Fcerts, carried: call(
             "lift_preservation_", cert, F, H, alpha, Fcerts[name], carried[name]

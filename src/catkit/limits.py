@@ -25,7 +25,6 @@ are cross-checked by direct searches.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
@@ -129,7 +128,7 @@ def is_terminal(C: FinCat, t: int) -> bool:
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
-    if not (0 <= w.pi1 < C.n_morphisms and 0 <= w.pi2 < C.n_morphisms):
+    if not C.has_morphisms(w.pi1, w.pi2):
         return False
     if C.mor_src[w.pi1] != w.apex or C.mor_dst[w.pi1] != w.x1:
         return False
@@ -149,6 +148,8 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
 
 
 def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
+    if not C.has_morphisms(w.f, w.g, w.arrow):
+        return False
     x = C.mor_src[w.f]
     if C.mor_src[w.g] != x or C.mor_dst[w.g] != C.mor_dst[w.f]:
         return False
@@ -168,6 +169,8 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
 
 
 def is_pullback(C: FinCat, w: PullbackW) -> bool:
+    if not C.has_morphisms(w.f, w.g, w.p1, w.p2):
+        return False
     x, z0 = C.mor_src[w.f], C.mor_dst[w.f]
     y = C.mor_src[w.g]
     if C.mor_dst[w.g] != z0:
@@ -426,13 +429,15 @@ def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Tabl
 
 
 def transfer(
-    shape: LimitShape, cert: WeakEquivalenceCert, table: Table, skeletal_hint: bool = True
+    shape: LimitShape, cert: WeakEquivalenceCert, table: Table
 ) -> tuple[Table, LimitPreservationCert]:
     """Push a table along the equivalence: the witness at each pulled-back
     key is imaged, its legs composed with the eso isos of the feet, and the
-    result re-validated."""
-    C, D = _validated(cert, skeletal_hint, stacklevel=4)   # under the per-kind name
+    result re-validated.  The target need not be skeletal: the witnesses
+    carried there are limits, though not the only choice."""
+    check_weak_equivalence_cert(cert)
     G = cert.functor
+    C, D = G.source, G.target
     k = shape.n_key   # witnesses read inline, as in mediator
     for key, w in table.items():
         if shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
@@ -513,27 +518,6 @@ def lift(
     return direct
 
 
-def _validated(
-    cert: WeakEquivalenceCert, skeletal_hint: bool = True, stacklevel: int = 3
-) -> tuple[FinCat, FinCat]:
-    """Re-check the certificate.  With skeletal_hint, warn when the target
-    is not skeletal: witnesses pushed there are valid but not the unique
-    choice.  Callers whose choices were already fixed on a skeleton turn the
-    hint off.  stacklevel points the warning at the public caller."""
-    check_weak_equivalence_cert(cert)
-    C, D = cert.functor.source, cert.functor.target
-    if skeletal_hint:
-        from .completion import skeletality
-
-        if not skeletality(D).is_skeletal:
-            warnings.warn(
-                f"transfer into non-skeletal {D.name!r}: witnesses remain valid "
-                "but choices are not unique",
-                stacklevel=stacklevel,
-            )
-    return C, D
-
-
 def _pull_back_morphism(cert: WeakEquivalenceCert, u: int) -> int:
     """The source morphism whose image is iso-conjugate to a target morphism."""
     D = cert.functor.target
@@ -585,8 +569,8 @@ def preserves_terminal(F: Functor, tC: ChosenTerminal, tD: ChosenTerminal):
     return preserves(TERMINAL, F, {(): tC}, {(): tD})
 
 
-def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal, skeletal_hint: bool = True):
-    table, pres = transfer(TERMINAL, cert, {(): tC}, skeletal_hint)
+def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal):
+    table, pres = transfer(TERMINAL, cert, {(): tC})
     return table[()], pres
 
 
@@ -629,8 +613,8 @@ def first_unpreserved_pair(F: Functor, prodsC: Table, prodsD: Table) -> tuple[in
     return first_unpreserved(PRODUCTS, F, prodsC, prodsD)
 
 
-def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table, skeletal_hint: bool = True):
-    return transfer(PRODUCTS, cert, prods, skeletal_hint)
+def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table):
+    return transfer(PRODUCTS, cert, prods)
 
 
 def reflects_binary_products(F: Functor, w: BinProductW) -> BinProductW:
@@ -661,8 +645,8 @@ def preserves_equalizers(F: Functor, eqsC: Table, eqsD: Table):
     return preserves(EQUALIZERS, F, eqsC, eqsD)
 
 
-def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table, skeletal_hint: bool = True):
-    return transfer(EQUALIZERS, cert, eqs, skeletal_hint)
+def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table):
+    return transfer(EQUALIZERS, cert, eqs)
 
 
 def lift_preservation_equalizers(cert, F, H, alpha, Fcert, transferred):
@@ -689,8 +673,8 @@ def preserves_pullbacks(F: Functor, pbsC: Table, pbsD: Table):
     return preserves(PULLBACKS, F, pbsC, pbsD)
 
 
-def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table, skeletal_hint: bool = True):
-    return transfer(PULLBACKS, cert, pbs, skeletal_hint)
+def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table):
+    return transfer(PULLBACKS, cert, pbs)
 
 
 def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred):

@@ -85,7 +85,7 @@ def is_pnno(
     z: int,
     s: int,
 ) -> PNNOW | None:
-    if C.mor_src[z] != term.t or C.mor_dst[z] != N:
+    if not C.has_morphisms(z, s) or C.mor_src[z] != term.t or C.mor_dst[z] != N:
         return None
     if C.mor_src[s] != N or C.mor_dst[s] != N:
         return None

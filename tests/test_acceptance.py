@@ -80,10 +80,7 @@ from catkit.limits import (
 )
 from catkit.nno import find_pnno, is_pnno, reflect_pnno, transfer_pnno
 
-pytestmark = [
-    pytest.mark.filterwarnings("ignore:transfer into non-skeletal"),
-    pytest.mark.filterwarnings("ignore:target"),
-]
+pytestmark = pytest.mark.filterwarnings("ignore:target")
 
 CORPUS = range(120)
 

@@ -41,8 +41,6 @@ from catkit.limits import find_terminal, transfer_terminal
 
 seeds = st.integers(min_value=0, max_value=119)
 
-pytestmark = pytest.mark.filterwarnings("ignore:transfer into non-skeletal")
-
 
 def _codiscrete(n):
     return setoid_groupoid(n, {(i, i + 1) for i in range(n - 1)}, name=f"codisc{n}")

@@ -333,6 +333,21 @@ def test_export_dot_clusters_iso_classes(setoid_path, tmp_path, capsys):
 def test_factor_malformed_structure_or_functor_exits_1(
     tmp_path, capsys, doc_name, path, value, pointer
 ):
+    err = _factor_error(tmp_path, capsys, doc_name, path, value)
+    assert err["type"] == "MalformedInput"
+    assert err["pointer"] == pointer
+
+
+def test_factor_functor_law_error_points_at_on_morphisms(tmp_path, capsys):
+    # le_c0_c1 sent to an arrow with the wrong endpoints
+    err = _factor_error(tmp_path, capsys, "functor", ("on_morphisms", "le_c0_c1"), "le_c0_c0")
+    assert err["type"] == "IllTypedImage"
+    assert err["pointer"] == "/on_morphisms"
+
+
+def _factor_error(tmp_path, capsys, doc_name, path, value):
+    """The JSON error of factor on chain_poset(2) documents with the entry at
+    path of one document replaced by value; the run must exit 1."""
     C = chain_poset(2)
     bag = {
         "products": partial_binary_products(C),
@@ -355,6 +370,4 @@ def test_factor_malformed_structure_or_functor_exits_1(
     code = main(["factor", "--source", str(paths["source"]), "--functor",
                  str(paths["functor"]), "--target", str(paths["target"]), "--json"])
     assert code == 1
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "MalformedInput"
-    assert err["pointer"] == pointer
+    return json.loads(capsys.readouterr().out)["error"]

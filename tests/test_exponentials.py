@@ -32,8 +32,6 @@ from catkit.limits import (
     transfer_binary_products,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:transfer into non-skeletal")
-
 
 def _chain_functor(src, dst, obj_map, name):
     mor_map = [

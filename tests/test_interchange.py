@@ -1,14 +1,21 @@
 """JSON round-trips for categories, functors, and structure blocks."""
+import copy
+import json
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from catkit.cli import main
 from catkit.core import functors_equal, identity_functor, same_tables
 from catkit.errors import (
+    AssociativityViolation,
     CategoryValidationError,
     DanglingReference,
     IllTypedComposite,
     MalformedInput,
+    MissingComposite,
+    UnitLawViolation,
 )
 from catkit.generators import (
     finset_fragment,
@@ -136,3 +143,58 @@ def test_category_json_lists_every_nonidentity_composite():
         if C.mor_dst[f] == C.mor_src[g] and f not in ident and g not in ident
     )
     assert len(doc["composition"]) == n_pairs
+
+
+def _mutants(C):
+    """C's document mutated three ways, by kind; a kind is left out when C
+    offers no place for it."""
+    doc = category_to_json(C)
+    ends = {m["id"]: (m["src"], m["dst"]) for m in doc["morphisms"]}
+    parallel = {
+        f: [g for g in ends if g != f and ends[g] == ends[f]] for f in ends
+    }
+    out = {}
+    if doc["composition"]:
+        drop = copy.deepcopy(doc)
+        del drop["composition"][0]
+        out["drop"] = drop
+    f = next((f for f in ends if parallel[f]), None)
+    if f is not None:
+        unit = copy.deepcopy(doc)
+        unit["composition"].append([doc["identities"][ends[f][0]], f, parallel[f][0]])
+        out["unit"] = unit
+    k = next((k for k, t in enumerate(doc["composition"]) if parallel[t[2]]), None)
+    if k is not None:
+        retarget = copy.deepcopy(doc)
+        retarget["composition"][k][2] = parallel[doc["composition"][k][2]][0]
+        out["retarget"] = retarget
+    return out
+
+
+def test_mutated_documents_fail_with_a_pointer(tmp_path, capsys):
+    """A dropped triple and a unit conflict must fail; a retargeted
+    composite may still make a category, and otherwise breaks
+    associativity.  Every failure points into the document, in the library
+    and in the CLI's JSON report."""
+    expected = {"drop": MissingComposite, "unit": UnitLawViolation}
+    first_failure = {}
+    n_assoc = 0
+    for seed in range(40):
+        for kind, doc in _mutants(random_category(seed)).items():
+            try:
+                validate_category(doc)
+            except CategoryValidationError as e:
+                assert e.pointer, (seed, kind, e)
+                assert isinstance(e, expected.get(kind, AssociativityViolation)), (seed, kind, e)
+                n_assoc += kind == "retarget"
+                first_failure.setdefault(kind, (doc, type(e).__name__, e.pointer))
+            else:
+                assert kind == "retarget", (seed, kind)
+    assert n_assoc > 0
+    assert set(first_failure) == {"drop", "unit", "retarget"}
+    for kind, (doc, name, pointer) in first_failure.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path), "--json"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["pointer"]) == (name, pointer), kind

@@ -3,7 +3,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -37,10 +36,7 @@ from catkit.limits import (
     is_terminal,
     product_comparison,
     pullback_comparison,
-    transfer_terminal,
 )
-
-pytestmark = pytest.mark.filterwarnings("ignore:transfer into non-skeletal")
 
 
 def _codiscrete(n):
@@ -253,20 +249,6 @@ def test_provided_witness_twisted_by_an_automorphism_lifts():
     with pytest.warns(UserWarning, match="not gaunt"):
         fact = factor_structured(sc, proj)
     assert set(fact.lifted_certs) == {"equalizers"}
-
-
-def test_pipeline_does_not_warn_about_non_skeletal_targets():
-    S = _codiscrete(3)
-    infl, proj = inflate(S, [2, 1, 2])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sc = complete_structured(infl)
-        factor_structured(sc, proj)
-    assert not [w for w in caught if "transfer into non-skeletal" in str(w.message)]
-    # a direct transfer into a non-skeletal target still warns
-    cert = is_weak_equivalence(inflate_section(proj))
-    with pytest.warns(UserWarning, match="transfer into non-skeletal"):
-        transfer_terminal(cert, sc.completed["terminal"])
 
 
 def test_factor_structured_checks_the_carried_source_bag():

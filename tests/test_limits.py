@@ -73,10 +73,6 @@ from catkit.limits import (
 
 seeds = st.integers(min_value=0, max_value=119)
 
-# transfers into inflated categories warn that the target is not skeletal;
-# that is the situation under test here
-pytestmark = pytest.mark.filterwarnings("ignore:transfer into non-skeletal")
-
 
 def test_terminal_search():
     assert find_terminal(chain_poset(3)).t == 2

@@ -32,8 +32,6 @@ from catkit.nno import (
 
 seeds = st.integers(min_value=0, max_value=119)
 
-pytestmark = pytest.mark.filterwarnings("ignore:transfer into non-skeletal")
-
 
 def _codiscrete(n):
     return setoid_groupoid(n, {(i, i + 1) for i in range(n - 1)}, name=f"codisc{n}")

@@ -6,7 +6,6 @@ import importlib
 import importlib.util
 import json
 import sys
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -193,7 +192,7 @@ def test_terminal_verbs_reject_bad_input_as_before():
     infl, proj = inflate(C, [2, 1, 2])
     cert = is_weak_equivalence(inflate_section(proj))
     with pytest.raises(InvalidCert):
-        transfer_terminal(cert, ChosenTerminal(0), skeletal_hint=False)
+        transfer_terminal(cert, ChosenTerminal(0))
     with pytest.raises(InvalidCert, match="terminal witness is not terminal"):
         KINDS["terminal"].check(C, {"terminal": ChosenTerminal(0)})
     with pytest.raises(InvalidCert, match="apex c0 admits 0 mediators from c2"):
@@ -242,17 +241,6 @@ def test_preserves_terminal_rejects_an_invalid_target():
         preserves_terminal(identity_functor(S), ChosenTerminal(0), ChosenTerminal(1))
     assert preserves_terminal(identity_functor(S), ChosenTerminal(0), ChosenTerminal(0))
     assert preserves_terminal(identity_functor(S), ChosenTerminal(1), ChosenTerminal(0)) is None
-
-
-def test_direct_terminal_transfer_warns_at_the_caller():
-    C = chain_poset(3)
-    infl, proj = inflate(C, [2, 1, 2])
-    cert = is_weak_equivalence(inflate_section(proj))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        transfer_terminal(cert, find_terminal(C))
-    (w,) = [w for w in caught if "transfer into non-skeletal" in str(w.message)]
-    assert w.filename == __file__
 
 
 @pytest.mark.filterwarnings("ignore:target")
