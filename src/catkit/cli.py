@@ -2,8 +2,9 @@
 
 Subcommands: validate, analyze, complete, factor, demo, export-dot.  Exit
 codes: 0 success, 1 validation failure, 2 requested structure absent or
-search budget exhausted, 3 IO or parse error, 4 internal assertion failure
-(two routes that must agree disagreed; always a bug worth reporting).
+search budget exhausted, 3 IO or parse error, 4 internal failure (two
+routes that must agree disagreed, or an unexpected exception; always a bug
+worth reporting).
 
 CATKIT_MAX_SEARCH caps brute-force candidate checks (default 10^7; 0 lifts
 the cap).  The cap applies to CLI runs only, never to library use.
@@ -447,6 +448,8 @@ def main(argv=None) -> int:
         return _fail(args, type(exc).__name__, str(exc), exc.pointer, EXIT_ABSENT)
     except CatkitError as exc:
         return _fail(args, type(exc).__name__, str(exc), exc.pointer, EXIT_INVALID)
+    except Exception as exc:   # anything else is an engine bug: report it, no traceback
+        return _fail(args, type(exc).__name__, str(exc), None, EXIT_INTERNAL)
     finally:
         set_search_budget(None)
     report.seconds = time.perf_counter() - t0

@@ -602,6 +602,21 @@ class WeakEquivalenceCert:
     def ff_inverse(self, x: int, y: int, h: int) -> int:
         return self.ff_witness[(x, y)][h]
 
+    @cached_property
+    def quasi_inverse(self) -> Functor:
+        """The functor back along the equivalence: each target object goes
+        to its eso source object, each target morphism to the source
+        morphism whose image is its conjugate by the eso isos.  Built from a
+        checked certificate, it is fully faithful, so it reflects limits."""
+        F = self.functor
+        D = F.target
+        eso = self.eso_witness
+        mor_map = []
+        for u in range(D.n_morphisms):
+            (x1, i1), (x2, i2) = eso[D.mor_src[u]], eso[D.mor_dst[u]]
+            mor_map.append(self.ff_inverse(x1, x2, D.compose_many(i1.fwd, u, i2.inv)))
+        return Functor(D, F.source, tuple(x for x, _ in eso), tuple(mor_map), f"{F.name}^-1")
+
 
 def is_fully_faithful(F: Functor) -> dict[tuple[int, int], dict[int, int]] | None:
     """Hom-set by hom-set bijectivity check; returns the inverse tables or

@@ -4,9 +4,10 @@ An exponential witness for a pair (x, y) names the object of maps from x to
 y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and transfer along a
 weak equivalence re-validates every produced witness.  The registry verbs
-(``check``, ``find``, ``transfer``, ``preserves`` and ``lift_preservation``)
-take witness bags and read the chosen products from them; ``is_exponential``,
-``curry`` and ``find_exponential`` take the product table itself.
+(``check``, ``check_along``, ``find``, ``transfer``, ``preserves`` and
+``lift_preservation``) take witness bags and read the chosen products from
+them; ``is_exponential``, ``curry`` and ``find_exponential`` take the
+product table itself.
 """
 from __future__ import annotations
 
@@ -139,6 +140,48 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
                 raise InvalidCert(f"exponential table is wrong at ({x},{y})")
 
 
+def check_exponentials_along(F: Functor, src: dict, dst: dict) -> None:
+    """:func:`check_exponentials` on the source of F, decided on its target.
+
+    F is a weak equivalence whose certificate was checked; the products of
+    src and dst are checked tables, and the exponentials of dst are known
+    to be exponentials.  A witness keyed by its pair and typed on the source
+    (``ev`` out of the chosen product of ``(obj, x)`` into ``y``) is an
+    exponential exactly when its image is one, with the image ``ev``
+    re-based onto the chosen product of the images through the mediator of
+    the image product: the equivalence F preserves and reflects products
+    and exponentials.  Each distinct image that is not in dst is checked by
+    brute force once.
+    """
+    C, D = F.source, F.target
+    table, prodsC, prodsD = src["exponentials"], src["products"], dst["products"]
+    good = {(w.x, w.y, w.obj, w.ev) for w in dst["exponentials"].values()}
+    rebase: dict[tuple[int, int], int] = {}   # (obj, x) -> mediator onto the image product
+    n = C.n_objects
+    for x in range(n):
+        for y in range(n):
+            w = table.get((x, y))
+            entry = None if w is None or not 0 <= w.obj < n else prodsC.get((w.obj, x))
+            if (
+                entry is None
+                or (w.x, w.y) != (x, y)
+                or not C.has_morphisms(w.ev)
+                or C.mor_src[w.ev] != entry.apex
+                or C.mor_dst[w.ev] != y
+            ):
+                raise InvalidCert(f"exponential table is wrong at ({x},{y})")
+            u = rebase.get((w.obj, x))
+            if u is None:
+                chosen = prodsD[(F.obj_map[w.obj], F.obj_map[x])]
+                u = mediating(D, PRODUCTS.image(F, entry), chosen.pi1, chosen.pi2)
+                rebase[(w.obj, x)] = u
+            image = (F.obj_map[x], F.obj_map[y], F.obj_map[w.obj], D.compose(u, F.mor_map[w.ev]))
+            if image not in good:
+                if not is_exponential(D, prodsD, ExponentialW(*image)):
+                    raise InvalidCert(f"exponential table is wrong at ({x},{y})")
+                good.add(image)
+
+
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
     prods = bag["products"]
     out = {}
@@ -174,7 +217,9 @@ def transfer_exponentials(
 ) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
     """Push every exponential of src along the equivalence: the image witness
     is re-based onto the chosen products of dst through the mediator of the
-    image cone, then re-validated."""
+    image cone.  The result is re-validated along the quasi-inverse
+    (:func:`check_exponentials_along`), which takes it back onto the source
+    entries it came from; the products of dst must be a checked table."""
     G = cert.functor
     C, D = G.source, G.target
     prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
@@ -198,12 +243,13 @@ def transfer_exponentials(
                     "image of a chosen product stopped being a product during transfer"
                 ) from None
             ev = D.compose_many(u, G.mor_map[wC.ev], i2.fwd)
-            w = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
-            if not is_exponential(D, prodsD, w):
-                raise OracleDisagreement(
-                    f"transferred exponential at ({d1},{d2}) failed re-validation"
-                )
-            out[(d1, d2)] = w
+            out[(d1, d2)] = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
+    try:
+        check_exponentials_along(
+            cert.quasi_inverse, {"products": prodsD, "exponentials": out}, src
+        )
+    except InvalidCert as e:
+        raise OracleDisagreement(f"transferred exponentials failed re-validation: {e}") from None
     muG = preserves_binary_products(G, prodsC, prodsD)
     if muG is None:
         raise OracleDisagreement("equivalence does not preserve the products in scope")

@@ -14,8 +14,12 @@ one walk that searches a category for a set of kinds.
 
 Structure is searched for on the skeleton, which is equivalent to the source
 and usually far smaller, and carried back to the source along the inclusion
-of the representatives; every carried source witness is re-validated there
-once.  Lifting preservation through a factorization reuses the carried
+of the representatives.  Carried witnesses are checked on the skeleton
+through eta: each is typed on its own category, and its image (or, inside a
+transfer, its pull-back) is checked by the brute-force ``is_*`` once per
+distinct image, since an equivalence preserves and reflects the structure.
+The classifier and the parameterized N, single witnesses, are checked
+directly.  Lifting preservation through a factorization reuses the carried
 witnesses instead of transferring them again.
 """
 from __future__ import annotations
@@ -30,7 +34,14 @@ from .completion import (
     skeletize,
     skeleton_inclusion,
 )
-from .core import FinCat, Functor, NatIso, WeakEquivalenceCert, same_tables
+from .core import (
+    FinCat,
+    Functor,
+    NatIso,
+    WeakEquivalenceCert,
+    check_weak_equivalence_cert,
+    same_tables,
+)
 from .errors import DependencyMissing, OracleDisagreement, PreconditionViolation
 from . import classifier, exponentials, limits, nno
 from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check_table
@@ -42,15 +53,22 @@ class StructureKind:
 
     All callables receive bags: plain dicts mapping kind names to witness
     payloads on a single category, so kinds can reach their dependencies.
+    ``check`` decides a bag on its category by brute force.  ``check_along``
+    decides a bag on the source of a checked weak equivalence through it:
+    typing on the source, then the image on the target, where the checked
+    target bag supplies images known to be good; the classifier and the
+    parameterized N are checked directly on the source instead.
     ``transfer`` carries the source bag's entries along a weak equivalence
-    into any target, skeletal or not, and re-validates them there.  ``lift``
-    receives last the bag carried to the completion, whose entries are the
-    transfers of the source bag along the equivalence.
+    into any target, skeletal or not, and re-validates them by pulling them
+    back onto the source entries.  ``lift`` receives last the bag carried to
+    the completion, whose entries are the transfers of the source bag along
+    the equivalence.
     """
 
     name: str
     deps: tuple[str, ...]
     check: Callable[[FinCat, dict], None]
+    check_along: Callable[[Functor, dict, dict], None]
     find: Callable[[FinCat, dict], object | None]
     transfer: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
@@ -68,10 +86,14 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     def call(prefix, *args, **kwargs):
         return getattr(limits, prefix + suffix)(*args, **kwargs)
 
+    def table(bag):
+        return bag[name] if shape.n_key else {(): bag[name]}
+
     return StructureKind(
         name,
         (),
-        lambda C, bag: check_table(shape, C, bag[name] if shape.n_key else {(): bag[name]}),
+        lambda C, bag: check_table(shape, C, table(bag)),
+        lambda F, src, dst: limits.check_table_along(shape, F, table(src), table(dst).values()),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst: call("transfer_", cert, src[name]),
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
@@ -82,15 +104,23 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
 
 
 def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> StructureKind:
-    """A kind whose five verbs are the names of module ending in suffix,
-    each taking the bags as they are; looked up when called, as in
-    :func:`_limit_kind`."""
+    """A kind whose verbs are the names of module ending in suffix, each
+    taking the bags as they are; looked up when called, as in
+    :func:`_limit_kind`.  A module without ``check_<suffix>_along`` has its
+    carried witness checked directly on the source."""
 
-    def verb(prefix):
-        return lambda *args: getattr(module, prefix + suffix)(*args)
+    def verb(prefix, end=""):
+        return lambda *args: getattr(module, prefix + suffix + end)(*args)
+
+    check = verb("check_")
+    if hasattr(module, f"check_{suffix}_along"):
+        check_along = verb("check_", "_along")
+    else:
+        def check_along(F, src, dst):
+            check(F.source, src)
 
     return StructureKind(
-        name, deps, verb("check_"), verb("find_"), verb("transfer_"), verb("preserves_"),
+        name, deps, check, check_along, verb("find_"), verb("transfer_"), verb("preserves_"),
         verb("lift_preservation_"),
     )
 
@@ -221,14 +251,25 @@ def factor_structured(
     """Factor a structure-preserving functor through the completion and lift
     every preservation certificate to the factored functor.
 
-    Both witness bags of sc are checked once here; the lifts then reuse the
-    bag carried to the completion instead of transferring again.
+    Both witness bags of sc are checked once here: the completed bag on
+    the skeleton, then the source bag through eta, with the completed
+    entries as images known to be good.  The lifts then reuse the bag
+    carried to the completion instead of transferring again.
     """
     if not same_tables(F.source, sc.result.source):
         raise PreconditionViolation("functor does not start at the completed source")
+    cert = sc.result.cert
+    check_weak_equivalence_cert(cert)
+    eta = cert.functor
+    if not (
+        same_tables(eta.source, sc.result.source)
+        and same_tables(eta.target, sc.result.completed)
+    ):
+        raise PreconditionViolation("eta's certificate does not run from source to completion")
     for name in sc.kinds:
-        KINDS[name].check(sc.result.source, sc.source)
         KINDS[name].check(sc.result.completed, sc.completed)
+    for name in sc.kinds:
+        KINDS[name].check_along(eta, sc.source, sc.completed)
     E = F.target
     target_witnesses = dict(target_witnesses or {})
     dst: dict[str, object] = {}

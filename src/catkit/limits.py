@@ -7,7 +7,9 @@ indices), ``transfer_*`` push chosen structure along a weak equivalence and
 re-validate every produced witness, ``preserves_*`` decide preservation and
 certify it with comparison isos, and ``lift_preservation_*`` derive
 preservation for a factored functor by two independent routes that must
-agree exactly.
+agree exactly.  :func:`check_table_along` checks a table through a weak
+equivalence: typing on its own category, the universal property on the
+image, which an equivalence preserves and reflects.
 
 Terminal objects, binary products, equalizers and pullbacks are keyed
 limits: a table maps each key (the empty diagram's one key ``()``, a pair of
@@ -28,7 +30,7 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     FinCat,
@@ -232,7 +234,9 @@ class LimitShape:
     of the key (two, or none for the terminal), the apex, then one leg per
     foot.  ``feet`` is None for a key that is not a diagram of the shape;
     ``commutes`` holds the equations on typed legs, if any.  Keys name
-    objects or, unless ``keyed_by_objects``, morphisms.
+    objects or, unless ``keyed_by_objects``, morphisms.  ``is_limit`` looks
+    the module's ``is_*`` up when called, so a wrapper installed on the
+    module sees every call.
     """
 
     name: str
@@ -263,14 +267,19 @@ class LimitShape:
         v, k = self.unpack(w), self.n_key
         return v[:k], v[k], v[k + 1:]
 
-    def pull_key(self, cert: WeakEquivalenceCert, key: Key) -> Key:
-        if self.keyed_by_objects:   # two parts or none, unrolled: a hot path
-            return (cert.eso_witness[key[0]][0], cert.eso_witness[key[1]][0]) if key else ()
-        return (_pull_back_morphism(cert, key[0]), _pull_back_morphism(cert, key[1])) if key else ()
-
     def image_key(self, F: Functor, key: Key) -> Key:
         image = F.obj_map if self.keyed_by_objects else F.mor_map
-        return (image[key[0]], image[key[1]]) if key else ()
+        return (image[key[0]], image[key[1]]) if key else ()   # unrolled: a hot path
+
+    def in_range(self, C: FinCat, v: tuple[int, ...]) -> bool:
+        """Whether each field of the flat witness v names an object or a
+        morphism of C, as its kind says; a field outside the range would be
+        read as an index counted from the end, or not at all."""
+        n, m = C.n_objects, C.n_morphisms
+        for x, (_, is_obj) in zip(v, self.field_kinds):
+            if not 0 <= x < (n if is_obj else m):
+                return False
+        return True
 
     def image(self, F: Functor, w) -> object:
         """The image under F of the cone w, keyed by the image diagram."""
@@ -286,17 +295,17 @@ TERMINAL = LimitShape(
 PRODUCTS = LimitShape(
     "product", "factor pair", BinProductW, 2,
     lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
-    None, is_binary_product, True,
+    None, lambda C, w: is_binary_product(C, w), True,
 )
 EQUALIZERS = LimitShape(
     "equalizer", "parallel pair", EqualizerW, 2, parallel_pairs, _parallel_feet,
     lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[0], key[1]),
-    is_equalizer, False,
+    lambda C, w: is_equalizer(C, w), False,
 )
 PULLBACKS = LimitShape(
     "pullback", "cospan", PullbackW, 2, cospan_pairs, _cospan_feet,
     lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[1], key[1]),
-    is_pullback, False,
+    lambda C, w: is_pullback(C, w), False,
 )
 
 
@@ -335,15 +344,55 @@ def partial_table(shape: LimitShape, C: FinCat) -> Table:
     return {key: w for key, w in found if w is not None}
 
 
+def _wrong_at(shape: LimitShape, key: Key) -> InvalidCert:
+    if not key:   # the one witness of a keyless shape, not a table
+        return InvalidCert(f"{shape.name} witness is not {shape.name}")
+    return InvalidCert(f"{shape.name} table is wrong at {key}")
+
+
 def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     """Every key of C carries a valid witness keyed by it."""
     k = shape.n_key   # witnesses read inline, as in mediator
     for key in shape.keys(C):
         w = table.get(key)
         if w is None or shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
-            if not key:   # the one witness of a keyless shape, not a table
-                raise InvalidCert(f"{shape.name} witness is not {shape.name}")
-            raise InvalidCert(f"{shape.name} table is wrong at {key}")
+            raise _wrong_at(shape, key)
+
+
+def check_table_along(shape: LimitShape, F: Functor, table: Table, known: Iterable) -> None:
+    """:func:`check_table` on the source of F, decided on its target.
+
+    F is a weak equivalence whose certificate was checked, and known holds
+    limit witnesses on its target.  An entry keyed by its key and typed on
+    the source (apex and legs in range, legs from the apex onto the feet)
+    is a limit exactly when its image is one: F reflects limits, being fully
+    faithful, and preserves them, being an equivalence.  The equations need
+    no check of their own, since a faithful F reflects equality of parallel
+    arrows.  Typing is checked on the source itself, because a leg into an
+    isomorphic twin of a foot is typed once imaged.  Each distinct image
+    that is not in known is checked by brute force once.
+    """
+    C, D = F.source, F.target
+    n, m, src, dst = C.n_objects, C.n_morphisms, C.mor_src, C.mor_dst
+    obj, mor = F.obj_map, F.mor_map
+    k = shape.n_key   # witnesses read inline, as in mediator
+    good = set(map(shape.unpack, known))
+    for key in shape.keys(C):
+        w = table.get(key)
+        if w is None:
+            raise _wrong_at(shape, key)
+        v = shape.unpack(w)
+        apex, legs = v[k], v[k + 1:]
+        if v[:k] != key or not 0 <= apex < n:   # key parts equal a key of C: in range
+            raise _wrong_at(shape, key)
+        for p, x in zip(legs, shape.feet(C, key)):
+            if not 0 <= p < m or src[p] != apex or dst[p] != x:
+                raise _wrong_at(shape, key)
+        image = (*shape.image_key(F, key), obj[apex], *map(mor.__getitem__, legs))
+        if image not in good:
+            if not shape.is_limit(D, shape.witness(*image)):
+                raise _wrong_at(shape, key)
+            good.add(image)
 
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
@@ -402,20 +451,35 @@ def preserves(
     shape: LimitShape, F: Functor, source: Table, target: Table
 ) -> LimitPreservationCert | None:
     """Each image cone must factor through the chosen limit of its diagram
-    by an iso; None when some image cone is not limiting."""
+    by an iso; None when some image cone is not limiting.  A target entry
+    with a field out of range raises, checked once per target key; each
+    distinct image cone is factored once."""
     mu: dict[Key, Iso] = {}
+    by_image: dict[tuple[int, ...], Iso] = {}   # image cone -> mu
+    in_range: set[Key] = set()   # target keys whose entry names objects and morphisms of E
+    E, obj, mor = F.target, F.obj_map, F.mor_map
     k = shape.n_key   # witnesses read inline, apex v[k] and legs v[k + 1:]: a hot path
     for key, w in source.items():
         v = shape.unpack(w)
-        legs = tuple(map(F.mor_map.__getitem__, v[k + 1:]))
-        try:
-            fwd = mediator(shape, F.target, target[shape.image_key(F, key)], F.obj_map[v[k]], legs)
-        except NotACone:
-            return None
-        iso = find_iso(F.target, fwd)
+        image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
+        iso = by_image.get(image)
         if iso is None:
-            return None
-        mu[key] = Iso(iso.inv, iso.fwd)   # chosen-of-images -> image-of-chosen
+            image_key = image[:k]
+            entry = target[image_key]
+            if image_key not in in_range:
+                if not shape.in_range(E, shape.unpack(entry)):
+                    raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
+                in_range.add(image_key)
+            try:
+                fwd = mediator(shape, E, entry, image[k], image[k + 1:])
+            except NotACone:
+                return None
+            found = find_iso(E, fwd)
+            if found is None:
+                return None
+            # chosen-of-images -> image-of-chosen
+            iso = by_image[image] = Iso(found.inv, found.fwd)
+        mu[key] = iso
     return LimitPreservationCert(F, source, target, mu)
 
 
@@ -432,11 +496,13 @@ def transfer(
     shape: LimitShape, cert: WeakEquivalenceCert, table: Table
 ) -> tuple[Table, LimitPreservationCert]:
     """Push a table along the equivalence: the witness at each pulled-back
-    key is imaged, its legs composed with the eso isos of the feet, and the
-    result re-validated.  The target need not be skeletal: the witnesses
-    carried there are limits, though not the only choice."""
+    key is imaged, its legs composed with the eso isos of the feet.  The
+    source table is checked on the source; the result is re-validated along
+    the quasi-inverse (:func:`check_table_along`), which takes it back onto
+    the source entries it came from.  The target need not be skeletal: the
+    witnesses carried there are limits, though not the only choice."""
     check_weak_equivalence_cert(cert)
-    G = cert.functor
+    G, Q = cert.functor, cert.quasi_inverse
     C, D = G.source, G.target
     k = shape.n_key   # witnesses read inline, as in mediator
     for key, w in table.items():
@@ -444,7 +510,7 @@ def transfer(
             raise InvalidCert(f"source {shape.name} table entry {key} is invalid")
     out = {}
     for key in shape.keys(D):
-        src_key = shape.pull_key(cert, key)
+        src_key = shape.image_key(Q, key)
         src = table.get(src_key)
         if src is None:
             raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
@@ -453,10 +519,11 @@ def transfer(
             D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
             for p, y in zip(v[k + 1:], shape.feet(D, key))
         ]
-        w = shape.witness(*key, G.obj_map[v[k]], *legs)
-        if not shape.is_limit(D, w):
-            raise OracleDisagreement(f"transferred {shape.name} at {key} failed re-validation")
-        out[key] = w
+        out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
+    try:
+        check_table_along(shape, Q, out, table.values())
+    except InvalidCert as e:
+        raise OracleDisagreement(f"transferred {shape.name}s failed re-validation: {e}") from None
     pres = preserves(shape, G, table, out)
     if pres is None:
         raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
@@ -496,7 +563,7 @@ def lift(
     k = shape.n_key   # witnesses read inline, as in preserves
     for key in shape.keys(D):
         phis = [_phi(cert, H, alpha, y)[1] for y in shape.feet(D, key)]
-        src_key = shape.pull_key(cert, key)
+        src_key = shape.image_key(cert.quasi_inverse, key)
         src = shape.unpack(Fcert.source[src_key])
         h = shape.unpack(Fcert.target[shape.image_key(H, key)])
         entry_f = Fcert.target[shape.image_key(F, src_key)]
@@ -516,16 +583,6 @@ def lift(
                 f"constructive and direct {shape.name} comparisons disagree at {key}"
             )
     return direct
-
-
-def _pull_back_morphism(cert: WeakEquivalenceCert, u: int) -> int:
-    """The source morphism whose image is iso-conjugate to a target morphism."""
-    D = cert.functor.target
-    y1, y2 = D.mor_src[u], D.mor_dst[u]
-    x1, i1 = cert.eso_witness[y1]
-    x2, i2 = cert.eso_witness[y2]
-    conj = D.compose_many(i1.fwd, u, i2.inv)
-    return cert.ff_inverse(x1, x2, conj)
 
 
 def _check_triangle(
@@ -707,6 +764,8 @@ def find_binary_coproducts(C: FinCat) -> dict[tuple[int, int], BinCoproductW] | 
 
 def is_binary_coproduct_direct(C: FinCat, w: BinCoproductW) -> bool:
     """Independent oracle: the cocone condition checked without opposites."""
+    if not C.has_morphisms(w.in1, w.in2):
+        return False
     if C.mor_src[w.in1] != w.x1 or C.mor_dst[w.in1] != w.apex:
         return False
     if C.mor_src[w.in2] != w.x2 or C.mor_dst[w.in2] != w.apex:
@@ -747,6 +806,8 @@ def find_coequalizers(C: FinCat) -> dict[tuple[int, int], CoequalizerW] | None:
 
 
 def is_coequalizer_direct(C: FinCat, w: CoequalizerW) -> bool:
+    if not C.has_morphisms(w.f, w.g, w.arrow):
+        return False
     y = C.mor_dst[w.f]
     if C.mor_src[w.g] != C.mor_src[w.f] or C.mor_dst[w.g] != y:
         return False

@@ -28,10 +28,11 @@ from .errors import (
     ReflectionFails,
 )
 from .limits import (
+    TERMINAL,
     BinProductW,
     ChosenTerminal,
     mediating,
-    preserves_terminal,
+    preserves,
     to_terminal,
     _check_triangle,
 )
@@ -168,11 +169,12 @@ def reflect_pnno(
 
 def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
     """Canonical comparison: the recursor at parameter t', stage F(N),
-    restricted along the unit point of the product."""
+    restricted along the unit point of the product.  The terminal of dst is
+    taken as checked, as it is in every bag the registry passes."""
     D = F.target
     termC, wC = src["terminal"], src["pnno"]
     termD, prodsD, wD = dst["terminal"], dst["products"], dst["pnno"]
-    if preserves_terminal(F, termC, termD) is None:
+    if preserves(TERMINAL, F, {(): termC}, {(): termD}) is None:
         return None
     if (termD.t, wD.N) not in prodsD:
         raise PreconditionViolation("product table lacks the pair needed for the comparison")

@@ -52,6 +52,18 @@ def test_validate_ok(walking_path, capsys):
     assert "valid" in out
 
 
+def test_unexpected_exception_exits_4_with_a_json_error(walking_path, monkeypatch, capsys):
+    import catkit.cli
+
+    def broken(args):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(catkit.cli, "cmd_validate", broken)
+    assert main(["validate", walking_path, "--json"]) == 4
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "RuntimeError", "message": "engine fault"}
+
+
 def test_validate_missing_file_exits_3(capsys):
     assert main(["validate", "/nonexistent/nope.json"]) == 3
 

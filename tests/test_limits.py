@@ -1,4 +1,6 @@
 """Finite limits and colimits: search, validation, transfer, reflection."""
+import dataclasses
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -351,6 +353,17 @@ def test_first_unpreserved_pair_raises_on_an_invalid_target_table():
         preserves_binary_products(F, prods, bad)
     with pytest.raises(InvalidCert, match="admits 0 mediators"):
         first_unpreserved_pair(F, prods, bad)
+
+
+def test_preserves_rejects_target_fields_out_of_range():
+    # -1 would be read as morphism 5, counted from the end; 6 names nothing
+    C = chain_poset(3)
+    P = find_binary_products(C)
+    assert C.n_morphisms == 6
+    for bad in (-1, 6):
+        T = {**P, (2, 2): dataclasses.replace(P[(2, 2)], pi2=bad)}
+        with pytest.raises(InvalidCert, match="out of range"):
+            preserves_binary_products(identity_functor(C), P, T)
 
 
 def test_first_unpreserved_pair_none_for_identity():

@@ -13,13 +13,17 @@ from catkit.generators import chain_poset, finset_fragment, heyting_category, he
 from catkit.lifting import complete_structured
 from catkit.limits import (
     EqualizerW,
+    find_binary_coproduct_direct,
+    find_coequalizer_direct,
     find_binary_product,
     find_binary_products,
     find_equalizer,
     find_equalizers,
     find_pullback,
     find_terminal,
+    is_binary_coproduct_direct,
     is_binary_product,
+    is_coequalizer_direct,
     is_equalizer,
     is_pullback,
 )
@@ -89,6 +93,14 @@ CHECKERS = {
     "is_pullback": (
         CHAIN, {}, find_pullback(CHAIN, 4, 2), ("f", "g", "p1", "p2"),
         lambda C, bag, w: is_pullback(C, w),
+    ),
+    "is_binary_coproduct_direct": (
+        CHAIN, {}, find_binary_coproduct_direct(CHAIN, 0, 1), ("in1", "in2"),
+        lambda C, bag, w: is_binary_coproduct_direct(C, w),
+    ),
+    "is_coequalizer_direct": (
+        CHAIN, {}, find_coequalizer_direct(CHAIN, 3, 3), ("f", "g", "arrow"),
+        lambda C, bag, w: is_coequalizer_direct(C, w),
     ),
     "is_exponential": (
         HEYTING, _lattice_bag(HEYTING),
