@@ -60,7 +60,7 @@ from .limits import (
     find_initial,
     find_pullbacks,
     find_terminal,
-    partial_binary_products,
+    partial_table,
     preserves_binary_products,
     preserves_equalizers,
     preserves_pullbacks,

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 from .classifier import gaps_from_found, topos_gaps
 from .completion import skeletize
-from .core import FinCat, set_search_budget
+from .core import FinCat, Functor, set_search_budget
 from .errors import (
     CatkitError,
+    DanglingReference,
     DependencyMissing,
     OracleDisagreement,
     PreconditionViolation,
@@ -212,8 +213,7 @@ def cmd_factor(args) -> tuple[RunReport, int]:
     C = validate_category(_load_json(args.source))
     tdoc = _load_json(args.target)
     E = validate_category(tdoc)
-    fdoc = _load_json(args.functor)
-    F = functor_from_json(fdoc, {C.name: C, E.name: E})
+    F = _functor_between(_load_json(args.functor), C, E)
     tokens = _parse_tokens(args.structures)
     kinds = _dep_closure([TOKEN_TO_KIND[t] for t in tokens])
     target_bag = structure_from_json(tdoc, E)
@@ -235,6 +235,20 @@ def cmd_factor(args) -> tuple[RunReport, int]:
         _write_json(args.out, report.payload)
         report.status["written"] = args.out
     return report, EXIT_OK
+
+
+def _functor_between(fdoc, C: FinCat, E: FinCat) -> Functor:
+    """The functor document with its source resolved to C and its target to
+    E by role: the two may share a name ("unnamed" when they carry none)."""
+    ends = {"source": C, "target": E}
+    if isinstance(fdoc, dict):
+        fdoc = dict(fdoc)
+        for end, cat in ends.items():
+            if isinstance(fdoc.get(end), str):   # other values fail the loader's type check
+                if fdoc[end] != cat.name:
+                    raise DanglingReference(f"{end} {fdoc[end]!r} is not {cat.name!r}", f"/{end}")
+                fdoc[end] = end
+    return functor_from_json(fdoc, ends)
 
 
 def preorder6_spec() -> tuple[list[str], set[tuple[str, str]]]:
@@ -352,22 +366,27 @@ def cmd_demo(args) -> tuple[RunReport, int]:
     return report, EXIT_OK
 
 
+def _dot_quote(label: str) -> str:
+    """label as a DOT quoted string: backslash and double quote escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_export_dot(args) -> tuple[RunReport, int]:
     from .core import iso_classes
 
     C = validate_category(_load_json(args.path))
-    lines = [f'digraph "{C.name}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_dot_quote(C.name)} {{", "  rankdir=LR;"]
     for i, cls in enumerate(iso_classes(C)):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append('    style=dashed; color=gray; label="iso class";')
         for x in sorted(cls):
-            lines.append(f'    "{C.objects[x]}";')
+            lines.append(f"    {_dot_quote(C.objects[x])};")
         lines.append("  }")
     for f in range(C.n_morphisms):
         if C.is_identity(f):
             continue
-        src, dst = C.objects[C.mor_src[f]], C.objects[C.mor_dst[f]]
-        lines.append(f'  "{src}" -> "{dst}" [label="{C.mor_labels[f]}"];')
+        src, dst = (_dot_quote(C.objects[x]) for x in (C.mor_src[f], C.mor_dst[f]))
+        lines.append(f"  {src} -> {dst} [label={_dot_quote(C.mor_labels[f])}];")
     lines.append("}")
     dot = "\n".join(lines) + "\n"
     report = RunReport(f"export-dot {args.path}")
@@ -431,7 +450,9 @@ def main(argv=None) -> int:
     try:
         cap = int(raw_cap) if raw_cap else 10_000_000
     except ValueError:
-        print(f"CATKIT_MAX_SEARCH must be an integer, got {raw_cap!r}", file=sys.stderr)
+        cap = -1
+    if cap < 0:   # only 0 lifts the cap
+        print(f"CATKIT_MAX_SEARCH must be an integer >= 0, got {raw_cap!r}", file=sys.stderr)
         return EXIT_IO
     set_search_budget(cap if cap > 0 else None)
     t0 = time.perf_counter()

@@ -61,15 +61,8 @@ class SkeletalityReport:
 def skeletality(C: FinCat) -> SkeletalityReport:
     classes = iso_classes(C)
     skeletal = all(len(c) == 1 for c in classes)
-    gaunt = skeletal
-    if skeletal:
-        for x in range(C.n_objects):
-            for y in range(C.n_objects):
-                if len(isos_between(C, x, y)) > 1:
-                    gaunt = False
-                    break
-            if not gaunt:
-                break
+    # in a skeletal category the only isos are automorphisms
+    gaunt = skeletal and all(len(isos_between(C, x, x)) == 1 for x in range(C.n_objects))
     return SkeletalityReport(skeletal, gaunt)
 
 

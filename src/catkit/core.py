@@ -89,12 +89,6 @@ class FinCat:
     def n_morphisms(self) -> int:
         return len(self.mor_labels)
 
-    def src(self, f: int) -> int:
-        return self.mor_src[f]
-
-    def dst(self, f: int) -> int:
-        return self.mor_dst[f]
-
     def compose(self, f: int, g: int) -> int:
         """Diagrammatic composite: f then g."""
         if self.mor_dst[f] != self.mor_src[g]:
@@ -413,12 +407,6 @@ class Functor:
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
     name: str = ""
-
-    def on_obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def on_mor(self, f: int) -> int:
-        return self.mor_map[f]
 
     def __repr__(self) -> str:
         label = self.name or "functor"

@@ -21,8 +21,9 @@ returning a single :class:`ChosenTerminal`, wrapped as the table
 ``{(): w}``.  The brute-force ``is_*`` checks stay one loop per shape: they
 define the limits, and they are the hot path of every search.
 
-Colimit duals delegate to the limit machinery on the opposite category and
-are cross-checked by direct searches.
+Colimit duals delegate to the limit machinery on the opposite category;
+the direct colimit searches they are cross-checked against live in the
+tests.
 """
 from __future__ import annotations
 
@@ -631,16 +632,8 @@ def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal):
     return table[()], pres
 
 
-def reflects_terminal(F: Functor, t: int) -> ChosenTerminal:
-    return reflect(TERMINAL, F, ChosenTerminal(t))
-
-
 def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD):
     return lift(TERMINAL, cert, F, H, alpha, Fcert, {(): tD})
-
-
-def find_binary_product(C: FinCat, x1: int, x2: int) -> BinProductW | None:
-    return find_limit(PRODUCTS, C, (x1, x2))
 
 
 def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None:
@@ -648,54 +641,25 @@ def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None
     return find_table(PRODUCTS, C)
 
 
-def partial_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW]:
-    """Chosen products for exactly the pairs that have one."""
-    return partial_table(PRODUCTS, C)
-
-
 def mediating(C: FinCat, w: BinProductW, g1: int, g2: int) -> int:
     """The unique morphism into the apex commuting with both projections."""
     return mediator(PRODUCTS, C, w, C.mor_src[g1], (g1, g2))
-
-
-def product_comparison(C: FinCat, a: BinProductW, b: BinProductW) -> Iso:
-    return comparison(PRODUCTS, C, a, b)
 
 
 def preserves_binary_products(F: Functor, prodsC: Table, prodsD: Table):
     return preserves(PRODUCTS, F, prodsC, prodsD)
 
 
-def first_unpreserved_pair(F: Functor, prodsC: Table, prodsD: Table) -> tuple[int, int] | None:
-    return first_unpreserved(PRODUCTS, F, prodsC, prodsD)
-
-
 def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table):
     return transfer(PRODUCTS, cert, prods)
-
-
-def reflects_binary_products(F: Functor, w: BinProductW) -> BinProductW:
-    return reflect(PRODUCTS, F, w)
 
 
 def lift_preservation_binary_products(cert, F, H, alpha, Fcert, transferred):
     return lift(PRODUCTS, cert, F, H, alpha, Fcert, transferred)
 
 
-def find_equalizer(C: FinCat, f: int, g: int) -> EqualizerW | None:
-    return find_limit(EQUALIZERS, C, (f, g))
-
-
 def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
     return find_table(EQUALIZERS, C)
-
-
-def mediating_equalizer(C: FinCat, w: EqualizerW, h: int) -> int:
-    return mediator(EQUALIZERS, C, w, C.mor_src[h], (h,))
-
-
-def equalizer_comparison(C: FinCat, a: EqualizerW, b: EqualizerW) -> Iso:
-    return comparison(EQUALIZERS, C, a, b)
 
 
 def preserves_equalizers(F: Functor, eqsC: Table, eqsD: Table):
@@ -710,20 +674,8 @@ def lift_preservation_equalizers(cert, F, H, alpha, Fcert, transferred):
     return lift(EQUALIZERS, cert, F, H, alpha, Fcert, transferred)
 
 
-def find_pullback(C: FinCat, f: int, g: int) -> PullbackW | None:
-    return find_limit(PULLBACKS, C, (f, g))
-
-
 def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
     return find_table(PULLBACKS, C)
-
-
-def mediating_pullback(C: FinCat, w: PullbackW, h1: int, h2: int) -> int:
-    return mediator(PULLBACKS, C, w, C.mor_src[h1], (h1, h2))
-
-
-def pullback_comparison(C: FinCat, a: PullbackW, b: PullbackW) -> Iso:
-    return comparison(PULLBACKS, C, a, b)
 
 
 def preserves_pullbacks(F: Functor, pbsC: Table, pbsD: Table):
@@ -739,8 +691,7 @@ def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred):
 
 
 # ---------------------------------------------------------------------------
-# colimit duals: delegate through the opposite category, with direct
-# searches available as independent oracles
+# colimit duals: delegate through the opposite category
 
 
 def find_initial(C: FinCat) -> ChosenInitial | None:
@@ -749,7 +700,7 @@ def find_initial(C: FinCat) -> ChosenInitial | None:
 
 
 def find_binary_coproduct(C: FinCat, x1: int, x2: int) -> BinCoproductW | None:
-    w = find_binary_product(opposite(C), x1, x2)
+    w = find_limit(PRODUCTS, opposite(C), (x1, x2))
     return None if w is None else BinCoproductW(x1, x2, w.apex, w.pi1, w.pi2)
 
 
@@ -762,39 +713,8 @@ def find_binary_coproducts(C: FinCat) -> dict[tuple[int, int], BinCoproductW] | 
     }
 
 
-def is_binary_coproduct_direct(C: FinCat, w: BinCoproductW) -> bool:
-    """Independent oracle: the cocone condition checked without opposites."""
-    if not C.has_morphisms(w.in1, w.in2):
-        return False
-    if C.mor_src[w.in1] != w.x1 or C.mor_dst[w.in1] != w.apex:
-        return False
-    if C.mor_src[w.in2] != w.x2 or C.mor_dst[w.in2] != w.apex:
-        return False
-    for z in range(C.n_objects):
-        for g1 in C.hom(w.x1, z):
-            for g2 in C.hom(w.x2, z):
-                budget_tick()
-                hits = 0
-                for h in C.hom(w.apex, z):
-                    if C.compose(w.in1, h) == g1 and C.compose(w.in2, h) == g2:
-                        hits += 1
-                if hits != 1:
-                    return False
-    return True
-
-
-def find_binary_coproduct_direct(C: FinCat, x1: int, x2: int) -> BinCoproductW | None:
-    for apex in range(C.n_objects):
-        for in1 in C.hom(x1, apex):
-            for in2 in C.hom(x2, apex):
-                w = BinCoproductW(x1, x2, apex, in1, in2)
-                if is_binary_coproduct_direct(C, w):
-                    return w
-    return None
-
-
 def find_coequalizer(C: FinCat, f: int, g: int) -> CoequalizerW | None:
-    w = find_equalizer(opposite(C), f, g)
+    w = find_limit(EQUALIZERS, opposite(C), (f, g))
     return None if w is None else CoequalizerW(f, g, w.obj, w.arrow)
 
 
@@ -803,36 +723,3 @@ def find_coequalizers(C: FinCat) -> dict[tuple[int, int], CoequalizerW] | None:
     if table is None:
         return None
     return {k: CoequalizerW(w.f, w.g, w.obj, w.arrow) for k, w in table.items()}
-
-
-def is_coequalizer_direct(C: FinCat, w: CoequalizerW) -> bool:
-    if not C.has_morphisms(w.f, w.g, w.arrow):
-        return False
-    y = C.mor_dst[w.f]
-    if C.mor_src[w.g] != C.mor_src[w.f] or C.mor_dst[w.g] != y:
-        return False
-    if C.mor_src[w.arrow] != y or C.mor_dst[w.arrow] != w.obj:
-        return False
-    if C.compose(w.f, w.arrow) != C.compose(w.g, w.arrow):
-        return False
-    for z in range(C.n_objects):
-        for h in C.hom(y, z):
-            if C.compose(w.f, h) != C.compose(w.g, h):
-                continue
-            budget_tick()
-            hits = sum(1 for u in C.hom(w.obj, z) if C.compose(w.arrow, u) == h)
-            if hits != 1:
-                return False
-    return True
-
-
-def find_coequalizer_direct(C: FinCat, f: int, g: int) -> CoequalizerW | None:
-    if C.mor_src[f] != C.mor_src[g] or C.mor_dst[f] != C.mor_dst[g]:
-        return None
-    for obj in range(C.n_objects):
-        for arrow in C.hom(C.mor_dst[f], obj):
-            w = CoequalizerW(f, g, obj, arrow)
-            if is_coequalizer_direct(C, w):
-                return w
-    return None
-

@@ -55,25 +55,23 @@ from catkit.generators import (
 )
 from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured
 from catkit.limits import (
-    equalizer_comparison,
+    EQUALIZERS,
+    PRODUCTS,
+    comparison,
     find_binary_coproduct,
-    find_binary_coproduct_direct,
-    find_binary_product,
     find_binary_products,
     find_coequalizer,
-    find_coequalizer_direct,
-    find_equalizer,
     find_equalizers,
+    find_limit,
     find_pullbacks,
     find_terminal,
     is_terminal,
     lift_preservation_binary_products,
     lift_preservation_terminal,
     parallel_pairs,
-    partial_binary_products,
+    partial_table,
     preserves_binary_products,
     preserves_terminal,
-    product_comparison,
     transfer_binary_products,
     transfer_equalizers,
     transfer_terminal,
@@ -83,6 +81,8 @@ from catkit.nno import find_pnno, is_pnno, reflect_pnno, transfer_pnno
 pytestmark = pytest.mark.filterwarnings("ignore:target")
 
 CORPUS = range(120)
+
+from colimit_oracles import find_binary_coproduct_direct, find_coequalizer_direct
 
 
 def _copies(seed, n):
@@ -136,7 +136,7 @@ def test_criterion_2_fragment_topos_pipeline():
     points = [len(C.hom(term.t, x)) for x in objs]
     assert points == [0, 1, 2]
     assert max(points) < points[2] * points[2] == 4
-    assert find_binary_product(C, 2, 2) is None
+    assert find_limit(PRODUCTS, C, (2, 2)) is None
     assert find_binary_products(C) is None, (
         "finset_fragment(2) cannot have a product of the two-element set with "
         "itself: no object carries four global points"
@@ -203,12 +203,12 @@ def test_criterion_3_transfer_equals_direct_search():
             pI, _ = transfer_binary_products(cert_sec, prods)
             pB, _ = transfer_binary_products(cert_proj, pI)
             for (x, y), w in pB.items():
-                product_comparison(C, w, find_binary_product(C, x, y))
+                comparison(PRODUCTS, C, w, find_limit(PRODUCTS, C, (x, y)))
         if eqs is not None:
             eI, _ = transfer_equalizers(cert_sec, eqs)
             eB, _ = transfer_equalizers(cert_proj, eI)
             for (f, g), w in eB.items():
-                equalizer_comparison(C, w, find_equalizer(C, f, g))
+                comparison(EQUALIZERS, C, w, find_limit(EQUALIZERS, C, (f, g)))
         if term is not None or prods is not None:
             res = skeletize(infl)
             fac = factor_through(res, proj)
@@ -324,7 +324,7 @@ def test_criterion_8_pnno_transport_and_fragment_absence():
     # the finset fragment carries none, even with vacuous parameter pairs
     C = finset_fragment(2)
     term = find_terminal(C)
-    partial = partial_binary_products(C)
+    partial = partial_table(PRODUCTS, C)
     assert find_pnno(C, {"terminal": term, "products": partial}) is None
     for N in range(C.n_objects):
         for z in C.hom(term.t, N):

@@ -21,7 +21,7 @@ from catkit.interchange import (
     structure_to_json,
     validate_category,
 )
-from catkit.limits import find_equalizers, find_pullbacks, partial_binary_products
+from catkit.limits import PRODUCTS, find_equalizers, find_pullbacks, partial_table
 
 
 @pytest.fixture()
@@ -176,13 +176,17 @@ def test_analyze_json_and_text_agree(fragment_path, capsys):
 
 
 def test_analyze_budget_exhaustion_exits_2(fragment_path, monkeypatch, capsys):
-    monkeypatch.setenv("CATKIT_MAX_SEARCH", "25")
+    # the terminal search alone takes 5 candidate checks on this input
+    monkeypatch.setenv("CATKIT_MAX_SEARCH", "2")
     assert main(["analyze", fragment_path, "--structure", "terminal"]) == 2
 
 
 def test_bad_budget_value_exits_3(walking_path, monkeypatch, capsys):
-    monkeypatch.setenv("CATKIT_MAX_SEARCH", "lots")
-    assert main(["validate", walking_path]) == 3
+    # only 0 lifts the cap: a negative value is as bad as a non-integer
+    for raw in ("lots", "-1"):
+        monkeypatch.setenv("CATKIT_MAX_SEARCH", raw)
+        assert main(["validate", walking_path]) == 3, raw
+        assert "CATKIT_MAX_SEARCH" in capsys.readouterr().err
 
 
 def test_complete_emits_revalidatable_category(setoid_path, tmp_path, capsys):
@@ -324,6 +328,51 @@ def test_export_dot_clusters_iso_classes(setoid_path, tmp_path, capsys):
 
 
 
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    doc = {
+        "name": 'say "hi"',
+        "objects": ['a"b', "c\\d"],
+        "morphisms": [{"id": 'f"x', "src": 'a"b', "dst": "c\\d"}],
+    }
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export-dot", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('digraph "say \\"hi\\"" {')
+    assert '    "a\\"b";' in out
+    assert '  "a\\"b" -> "c\\\\d" [label="f\\"x"];' in out
+
+
+def test_factor_resolves_both_ends_when_the_documents_share_a_name(tmp_path, capsys):
+    # neither category document carries a name, so both are "unnamed"
+    source = {k: v for k, v in category_to_json(walking_iso()).items() if k != "name"}
+    docs = {
+        "source": source,
+        "target": {"objects": ["x"]},
+        "functor": {
+            "source": "unnamed",
+            "target": "unnamed",
+            "on_objects": {"a": "x", "b": "x"},
+            "on_morphisms": {"f": "id_x", "g": "id_x"},
+        },
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    code = main(["factor", "--source", str(paths["source"]), "--functor",
+                 str(paths["functor"]), "--target", str(paths["target"]), "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "isomorphic to F" in report["status"]["factorization"]
+
+
+def test_factor_rejects_a_functor_end_naming_an_unknown_category(tmp_path, capsys):
+    err = _factor_error(tmp_path, capsys, "functor", ("source",), "elsewhere")
+    assert err["type"] == "DanglingReference"
+    assert err["pointer"] == "/source"
+
+
 @pytest.mark.parametrize(
     "doc_name, path, value, pointer",
     [
@@ -362,7 +411,7 @@ def _factor_error(tmp_path, capsys, doc_name, path, value):
     path of one document replaced by value; the run must exit 1."""
     C = chain_poset(2)
     bag = {
-        "products": partial_binary_products(C),
+        "products": partial_table(PRODUCTS, C),
         "equalizers": find_equalizers(C),
         "pullbacks": find_pullbacks(C),
     }

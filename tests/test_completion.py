@@ -1,4 +1,6 @@
 """Skeletization, its certificate, and factorization through it."""
+from collections import Counter
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from catkit.core import (
     identity_functor,
     is_weak_equivalence,
     iso_classes,
+    isos_between,
     nat_isos_between,
     same_tables,
 )
@@ -29,7 +32,13 @@ from catkit.errors import SourceMismatch, ZeroCopies
 from catkit.generators import (
     chain_poset,
     delooping,
+    discrete,
+    finset_fragment,
     functor_category,
+    heyting_category,
+    heyting_chain,
+    heyting_diamond,
+    hvalued_sets,
     random_category,
     setoid_groupoid,
     terminal_cat,
@@ -46,6 +55,34 @@ def test_skeletality_report():
     assert r.fidelity == "skeletal-approximation"
     z2 = skeletality(delooping([[0, 1], [1, 0]], name="Z2"))
     assert z2.is_skeletal and not z2.is_gaunt
+
+
+def _skeletality_corpus():
+    yield from (random_category(seed) for seed in range(200))
+    yield from (finset_fragment(n) for n in range(4))
+    yield chain_poset(6)
+    yield heyting_category(heyting_diamond())
+    yield hvalued_sets(heyting_chain(2), 2)
+    yield discrete(5)
+    yield delooping([[0, 1], [1, 0]], name="Z2")
+    for seed in range(30):
+        C = random_category(seed)
+        yield inflate(C, [1 + (seed + x) % 2 for x in range(C.n_objects)])[0]
+
+
+def test_skeletality_matches_the_all_pairs_definition():
+    """Gaunt means skeletal with at most one iso between any ordered pair of
+    objects; skeletality asks only for the automorphisms."""
+    verdicts = Counter()
+    for C in _skeletality_corpus():
+        n = range(C.n_objects)
+        skeletal = all(len(c) == 1 for c in iso_classes(C))
+        gaunt = skeletal and all(len(isos_between(C, x, y)) <= 1 for x in n for y in n)
+        rep = skeletality(C)
+        assert (rep.is_skeletal, rep.is_gaunt) == (skeletal, gaunt), C.name
+        verdicts[skeletal, gaunt] += 1
+    # every verdict is reached, so the parity is not vacuous
+    assert set(verdicts) == {(False, False), (True, False), (True, True)}
 
 
 def test_skeletize_walking_iso_gives_terminal():

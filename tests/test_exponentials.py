@@ -25,9 +25,10 @@ from catkit.generators import (
     setoid_groupoid,
 )
 from catkit.limits import (
+    PRODUCTS,
     BinProductW,
     find_binary_products,
-    partial_binary_products,
+    partial_table,
     preserves_binary_products,
     transfer_binary_products,
 )
@@ -77,7 +78,7 @@ def test_fragment1_exponential_cardinalities():
 
 def test_fragment2_exponentials_partial():
     C = finset_fragment(2)
-    prods = partial_binary_products(C)
+    prods = partial_table(PRODUCTS, C)
     w = find_exponential(C, prods, 1, 2)
     assert w is not None and w.obj == 2
     assert find_exponential(C, prods, 2, 2) is None

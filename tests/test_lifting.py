@@ -26,16 +26,15 @@ from catkit.generators import (
 from catkit.interchange import structure_to_json
 from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured
 from catkit.limits import (
+    EQUALIZERS,
+    PRODUCTS,
+    PULLBACKS,
     BinProductW,
     EqualizerW,
-    equalizer_comparison,
-    find_binary_product,
-    find_equalizer,
+    comparison,
     find_equalizers,
-    find_pullback,
+    find_limit,
     is_terminal,
-    product_comparison,
-    pullback_comparison,
 )
 
 
@@ -182,11 +181,11 @@ def _assert_matches_direct_search(C, bag):
     if "terminal" in bag:
         assert is_terminal(C, bag["terminal"].t)
     for (x, y), w in bag.get("products", {}).items():
-        product_comparison(C, w, find_binary_product(C, x, y))
+        comparison(PRODUCTS, C, w, find_limit(PRODUCTS, C, (x, y)))
     for (f, g), w in bag.get("equalizers", {}).items():
-        equalizer_comparison(C, w, find_equalizer(C, f, g))
+        comparison(EQUALIZERS, C, w, find_limit(EQUALIZERS, C, (f, g)))
     for (f, g), w in bag.get("pullbacks", {}).items():
-        pullback_comparison(C, w, find_pullback(C, f, g))
+        comparison(PULLBACKS, C, w, find_limit(PULLBACKS, C, (f, g)))
     for (x, y), w in bag.get("exponentials", {}).items():
         direct = find_exponential(C, bag["products"], x, y)
         exponential_comparison(C, bag["products"], w, direct)

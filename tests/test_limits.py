@@ -31,24 +31,24 @@ from catkit.generators import (
     walking_iso,
 )
 from catkit.limits import (
+    EQUALIZERS,
+    PRODUCTS,
+    PULLBACKS,
+    TERMINAL,
     BinProductW,
     ChosenTerminal,
     EqualizerW,
     PullbackW,
-    equalizer_comparison,
+    comparison,
     find_binary_coproduct,
-    find_binary_coproduct_direct,
-    find_binary_product,
     find_binary_products,
     find_coequalizer,
-    find_coequalizer_direct,
-    find_equalizer,
     find_equalizers,
     find_initial,
-    find_pullback,
+    find_limit,
     find_pullbacks,
     find_terminal,
-    first_unpreserved_pair,
+    first_unpreserved,
     is_binary_product,
     is_equalizer,
     is_pullback,
@@ -56,22 +56,20 @@ from catkit.limits import (
     lift_preservation_binary_products,
     lift_preservation_terminal,
     mediating,
-    mediating_equalizer,
-    mediating_pullback,
+    mediator,
     parallel_pairs,
-    partial_binary_products,
+    partial_table,
     preserves_binary_products,
     preserves_terminal,
-    product_comparison,
-    pullback_comparison,
-    reflects_binary_products,
-    reflects_terminal,
+    reflect,
     to_terminal,
     transfer_binary_products,
     transfer_equalizers,
     transfer_pullbacks,
     transfer_terminal,
 )
+
+from colimit_oracles import find_binary_coproduct_direct, find_coequalizer_direct
 
 seeds = st.integers(min_value=0, max_value=119)
 
@@ -102,7 +100,7 @@ def test_products_in_chain_are_minima():
 
 def test_product_witness_validation():
     C = chain_poset(3)
-    good = find_binary_product(C, 1, 2)
+    good = find_limit(PRODUCTS, C, (1, 2))
     assert is_binary_product(C, good)
     bad = BinProductW(1, 2, 0, C.hom(0, 1)[0], C.hom(0, 2)[0])
     # apex 0 gives a cone but not a limiting one: the cone at 1 beats it
@@ -112,7 +110,7 @@ def test_product_witness_validation():
 def test_fragment_products_partial():
     C = finset_fragment(2)
     assert find_binary_products(C) is None
-    partial = partial_binary_products(C)
+    partial = partial_table(PRODUCTS, C)
     missing = {(x, y) for x in range(3) for y in range(3)} - set(partial)
     assert missing == {(2, 2)}
     assert partial[(1, 2)].apex == 2
@@ -121,7 +119,7 @@ def test_fragment_products_partial():
 
 def test_mediating_factors_cones():
     C = chain_poset(4)
-    w = find_binary_product(C, 2, 3)
+    w = find_limit(PRODUCTS, C, (2, 3))
     g1, g2 = C.hom(1, 2)[0], C.hom(1, 3)[0]
     u = mediating(C, w, g1, g2)
     assert C.compose(u, w.pi1) == g1
@@ -133,10 +131,10 @@ def test_mediating_factors_cones():
 def test_product_comparison_connects_witnesses():
     # in a codiscrete groupoid any object is an apex for any pair
     S = setoid_groupoid(3, {(0, 1), (1, 2)})
-    a = find_binary_product(S, 0, 1)
+    a = find_limit(PRODUCTS, S, (0, 1))
     b = BinProductW(0, 1, 2, S.hom(2, 0)[0], S.hom(2, 1)[0])
     assert is_binary_product(S, b)
-    iso = product_comparison(S, a, b)
+    iso = comparison(PRODUCTS, S, a, b)
     assert S.compose(iso.fwd, b.pi1) == a.pi1
     assert S.compose(iso.fwd, b.pi2) == a.pi2
 
@@ -161,19 +159,19 @@ def test_mediating_equalizer():
     C = finset_fragment(2)
     swap = finset_function(C, 2, 2, (1, 0))
     const0 = finset_function(C, 2, 2, (0, 0))
-    w = find_equalizer(C, swap, const0)
+    w = find_limit(EQUALIZERS, C, (swap, const0))
     assert w is not None
     # maps equalizing swap and const0 land on 1, the only agreeing element
     h = finset_function(C, 1, 2, (1,))
-    u = mediating_equalizer(C, w, h)
+    u = mediator(EQUALIZERS, C, w, C.mor_src[h], (h,))
     assert C.compose(u, w.arrow) == h
 
 
 def test_equalizer_comparison_identity():
     C = finset_fragment(2)
     f, g = parallel_pairs(C)[0]
-    w = find_equalizer(C, f, g)
-    iso = equalizer_comparison(C, w, w)
+    w = find_limit(EQUALIZERS, C, (f, g))
+    iso = comparison(EQUALIZERS, C, w, w)
     assert C.is_identity(iso.fwd)
 
 
@@ -190,11 +188,11 @@ def test_mediating_pullback():
     C = finset_fragment(2)
     p0 = finset_function(C, 1, 2, (0,))
     const0 = finset_function(C, 2, 2, (0, 0))
-    w = find_pullback(C, const0, p0)
+    w = find_limit(PULLBACKS, C, (const0, p0))
     assert w is not None
     h1 = finset_function(C, 1, 2, (0,))
     h2 = C.identity[1]
-    u = mediating_pullback(C, w, h1, h2)
+    u = mediator(PULLBACKS, C, w, C.mor_src[h1], (h1, h2))
     assert C.compose(u, w.p1) == h1
     assert C.compose(u, w.p2) == h2
 
@@ -202,7 +200,7 @@ def test_mediating_pullback():
 def test_pullback_comparison_identity():
     C = chain_poset(3)
     (f, g), w = next(iter(find_pullbacks(C).items()))
-    iso = pullback_comparison(C, w, w)
+    iso = comparison(PULLBACKS, C, w, w)
     assert C.is_identity(iso.fwd)
 
 
@@ -264,8 +262,8 @@ def test_transfer_products_matches_direct_search():
     prodsD, pres = transfer_binary_products(cert, prodsC)
     assert set(prodsD) == {(x, y) for x in range(infl.n_objects) for y in range(infl.n_objects)}
     for (x, y), w in prodsD.items():
-        direct = find_binary_product(infl, x, y)
-        iso = product_comparison(infl, w, direct)
+        direct = find_limit(PRODUCTS, infl, (x, y))
+        iso = comparison(PRODUCTS, infl, w, direct)
         assert infl.compose(iso.fwd, direct.pi1) == w.pi1
         assert infl.compose(iso.fwd, direct.pi2) == w.pi2
 
@@ -294,9 +292,9 @@ def test_reflection_along_section():
             proj.mor_map[w.pi2],
         )
         assert is_binary_product(C, img)
-        assert reflects_binary_products(proj, w) == w
+        assert reflect(PRODUCTS, proj, w) == w
     t = find_terminal(infl)
-    assert reflects_terminal(proj, t.t).t == t.t
+    assert reflect(TERMINAL, proj, ChosenTerminal(t.t)).t == t.t
 
 
 def test_reflection_requires_fully_faithful():
@@ -306,7 +304,7 @@ def test_reflection_requires_fully_faithful():
 
     collapse = functor(C, T, [0, 0], [0, 0, 0], name="crush")
     with pytest.raises(PreconditionViolation):
-        reflects_terminal(collapse, 0)
+        reflect(TERMINAL, collapse, ChosenTerminal(0))
 
 
 def test_preserves_binary_products_negative():
@@ -332,7 +330,7 @@ def test_preserves_binary_products_negative():
     assert prodsC is not None and prodsD is not None
     assert preserves_binary_products(F, prodsC, prodsD) is None
     m1, m2 = 1, 2
-    assert first_unpreserved_pair(F, prodsC, prodsD) == (m1, m2)
+    assert first_unpreserved(PRODUCTS, F, prodsC, prodsD) == (m1, m2)
 
 
 def test_first_unpreserved_pair_raises_on_an_invalid_target_table():
@@ -352,7 +350,7 @@ def test_first_unpreserved_pair_raises_on_an_invalid_target_table():
     with pytest.raises(InvalidCert, match="admits 0 mediators"):
         preserves_binary_products(F, prods, bad)
     with pytest.raises(InvalidCert, match="admits 0 mediators"):
-        first_unpreserved_pair(F, prods, bad)
+        first_unpreserved(PRODUCTS, F, prods, bad)
 
 
 def test_preserves_rejects_target_fields_out_of_range():
@@ -369,7 +367,7 @@ def test_preserves_rejects_target_fields_out_of_range():
 def test_first_unpreserved_pair_none_for_identity():
     C = chain_poset(3)
     prods = find_binary_products(C)
-    assert first_unpreserved_pair(identity_functor(C), prods, prods) is None
+    assert first_unpreserved(PRODUCTS, identity_functor(C), prods, prods) is None
 
 
 def test_lift_preservation_through_completion():

@@ -14,9 +14,10 @@ from catkit.generators import (
     setoid_groupoid,
 )
 from catkit.limits import (
+    PRODUCTS,
     find_binary_products,
     find_terminal,
-    partial_binary_products,
+    partial_table,
     transfer_binary_products,
     transfer_terminal,
 )
@@ -62,7 +63,7 @@ def test_codiscrete_any_object_works():
 def test_fragment_has_no_pnno():
     C = finset_fragment(2)
     term = find_terminal(C)
-    prods = partial_binary_products(C)
+    prods = partial_table(PRODUCTS, C)
     assert find_pnno(C, {"terminal": term, "products": prods}) is None
     # exhaustive: no candidate triple survives even with vacuous pairs
     for N in range(C.n_objects):
@@ -77,7 +78,7 @@ def test_is_pnno_validates_what_find_returns():
         term = find_terminal(C)
         if term is None:
             continue
-        prods = partial_binary_products(C)
+        prods = partial_table(PRODUCTS, C)
         w = find_pnno(C, {"terminal": term, "products": prods})
         if w is not None:
             assert is_pnno(C, term, prods, w.N, w.z, w.s) is not None

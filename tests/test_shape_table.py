@@ -27,6 +27,8 @@ from catkit.generators import (
 from catkit.interchange import structure_to_json
 from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured
 from catkit.limits import (
+    PRODUCTS,
+    TERMINAL,
     ChosenTerminal,
     cospan_pairs,
     find_equalizers,
@@ -34,9 +36,9 @@ from catkit.limits import (
     find_terminal,
     lift_preservation_terminal,
     parallel_pairs,
-    partial_binary_products,
+    partial_table,
     preserves_terminal,
-    reflects_terminal,
+    reflect,
     to_terminal,
     transfer_terminal,
 )
@@ -97,7 +99,7 @@ def _digest(C, bag):
 def test_keyed_limit_choices_are_pinned(name):
     C = finset_fragment(2) if name == "finset2" else random_category(int(name[len("random"):]))
     bag = {
-        "products": partial_binary_products(C),
+        "products": partial_table(PRODUCTS, C),
         "equalizers": find_equalizers(C),
         "pullbacks": find_pullbacks(C),
     }
@@ -211,14 +213,14 @@ def test_terminal_verbs_reject_bad_input_as_before():
     pt = delooping([[0]], name="pt")
     crush = functor(chain_poset(2), pt, [0, 0], [0, 0, 0], name="crush")
     with pytest.raises(PreconditionViolation):
-        reflects_terminal(crush, 0)
+        reflect(TERMINAL, crush, ChosenTerminal(0))
     with pytest.raises(PreconditionViolation):
-        reflects_terminal(proj, 0)
+        reflect(TERMINAL, proj, ChosenTerminal(0))
     # only a wrong fully-faithfulness decision lets the reflection itself fail
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "is_fully_faithful", lambda F: True)
         with pytest.raises(ReflectionFails):
-            reflects_terminal(crush, 0)
+            reflect(TERMINAL, crush, ChosenTerminal(0))
 
 
 def _split_idempotent():

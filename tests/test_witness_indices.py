@@ -12,22 +12,26 @@ from catkit.exponentials import find_exponential, is_exponential
 from catkit.generators import chain_poset, finset_fragment, heyting_category, heyting_chain
 from catkit.lifting import complete_structured
 from catkit.limits import (
+    EQUALIZERS,
+    PRODUCTS,
+    PULLBACKS,
     EqualizerW,
-    find_binary_coproduct_direct,
-    find_coequalizer_direct,
-    find_binary_product,
     find_binary_products,
-    find_equalizer,
     find_equalizers,
-    find_pullback,
+    find_limit,
     find_terminal,
-    is_binary_coproduct_direct,
     is_binary_product,
-    is_coequalizer_direct,
     is_equalizer,
     is_pullback,
 )
 from catkit.nno import find_pnno, is_pnno
+
+from colimit_oracles import (
+    find_binary_coproduct_direct,
+    find_coequalizer_direct,
+    is_binary_coproduct_direct,
+    is_coequalizer_direct,
+)
 
 
 def _moved_last(C: FinCat, j: int) -> tuple[FinCat, list[int]]:
@@ -83,15 +87,15 @@ FRAGMENT = finset_fragment(2)
 # the checker accepts a witness)
 CHECKERS = {
     "is_binary_product": (
-        CHAIN, {}, find_binary_product(CHAIN, 0, 1), ("pi1", "pi2"),
+        CHAIN, {}, find_limit(PRODUCTS, CHAIN, (0, 1)), ("pi1", "pi2"),
         lambda C, bag, w: is_binary_product(C, w),
     ),
     "is_equalizer": (
-        CHAIN, {}, find_equalizer(CHAIN, 3, 3), ("f", "g", "arrow"),
+        CHAIN, {}, find_limit(EQUALIZERS, CHAIN, (3, 3)), ("f", "g", "arrow"),
         lambda C, bag, w: is_equalizer(C, w),
     ),
     "is_pullback": (
-        CHAIN, {}, find_pullback(CHAIN, 4, 2), ("f", "g", "p1", "p2"),
+        CHAIN, {}, find_limit(PULLBACKS, CHAIN, (4, 2)), ("f", "g", "p1", "p2"),
         lambda C, bag, w: is_pullback(C, w),
     ),
     "is_binary_coproduct_direct": (
