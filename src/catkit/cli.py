@@ -7,7 +7,9 @@ routes that must agree disagreed, or an unexpected exception; always a bug
 worth reporting).
 
 CATKIT_MAX_SEARCH caps brute-force candidate checks (default 10^7; 0 lifts
-the cap).  The cap applies to CLI runs only, never to library use.
+the cap), the validation of every loaded document included: its
+associativity check counts one candidate per composable triple.  The cap
+applies to CLI runs only, never to library use.
 """
 from __future__ import annotations
 

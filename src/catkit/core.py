@@ -128,6 +128,14 @@ class FinCat:
             out.setdefault((self.mor_src[f], self.mor_dst[f]), []).append(f)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def out_of(self) -> tuple[tuple[int, ...], ...]:
+        """``out_of[x]``: the morphisms leaving object x, in index order."""
+        out: list[list[int]] = [[] for _ in range(self.n_objects)]
+        for f in range(self.n_morphisms):
+            out[self.mor_src[f]].append(f)
+        return tuple(tuple(v) for v in out)
+
     def object_index(self, label: str) -> int:
         return self.objects.index(label)
 
@@ -142,7 +150,9 @@ def check_category_tables(C: FinCat) -> None:
     """Exhaustively verify the category laws on the tables.
 
     Raises a CategoryValidationError subclass naming the first offending
-    entry; returns None when everything holds.
+    entry (rows, then columns, then the third morphism, in index order);
+    returns None when everything holds.  Associativity is checked over the
+    composable triples only, ticking the search budget once per pair.
     """
     n, m = C.n_objects, C.n_morphisms
     if len(C.mor_src) != m or len(C.mor_dst) != m:
@@ -162,49 +172,64 @@ def check_category_tables(C: FinCat) -> None:
             )
     if len(C.comp_table) != m or any(len(row) != m for row in C.comp_table):
         raise MissingComposite("composition table has wrong shape")
+    src, dst, out_of, table = C.mor_src, C.mor_dst, C.out_of, C.comp_table
+    for f, row in enumerate(table):
+        # a row is well typed when its only set entries are its composable
+        # ones and each of those is a morphism with the composite's ends
+        outs, s = out_of[dst[f]], src[f]
+        if row.count(None) != m - len(outs) or not all(
+            (fg := row[g]) is not None and 0 <= fg < m and src[fg] == s and dst[fg] == dst[g]
+            for g in outs
+        ):
+            _raise_row_offence(C, f)
     for f in range(m):
-        for g in range(m):
-            fg = C.comp_table[f][g]
-            if C.mor_dst[f] != C.mor_src[g]:
-                if fg is not None:
-                    raise IllTypedComposite(
-                        f"{C.mor_labels[f]} then {C.mor_labels[g]} is not composable "
-                        "but the table defines it"
-                    )
-                continue
-            if fg is None:
-                raise MissingComposite(
-                    f"composite of {C.mor_labels[f]} then {C.mor_labels[g]} is missing"
-                )
-            if C.mor_src[fg] != C.mor_src[f] or C.mor_dst[fg] != C.mor_dst[g]:
-                raise IllTypedComposite(
-                    f"composite {C.mor_labels[f]};{C.mor_labels[g]} = {C.mor_labels[fg]} "
-                    f"is ill-typed"
-                )
-    for f in range(m):
-        i_s, i_t = C.identity[C.mor_src[f]], C.identity[C.mor_dst[f]]
-        if C.comp_table[i_s][f] != f:
+        i_s, i_t = C.identity[src[f]], C.identity[dst[f]]
+        if table[i_s][f] != f:
             raise UnitLawViolation(
                 f"({C.mor_labels[i_s]}, {C.mor_labels[f]}): left unit law fails"
             )
-        if C.comp_table[f][i_t] != f:
+        if table[f][i_t] != f:
             raise UnitLawViolation(
                 f"({C.mor_labels[f]}, {C.mor_labels[i_t]}): right unit law fails"
             )
-    for f in range(m):
-        for g in range(m):
-            if C.mor_dst[f] != C.mor_src[g]:
-                continue
-            fg = C.comp_table[f][g]
-            for h in range(m):
-                if C.mor_dst[g] != C.mor_src[h]:
-                    continue
-                gh = C.comp_table[g][h]
-                if C.comp_table[fg][h] != C.comp_table[f][gh]:
+    for f, row_f in enumerate(table):
+        for g in out_of[dst[f]]:
+            row_fg, row_g = table[row_f[g]], table[g]
+            hs = out_of[dst[g]]
+            budget_tick(len(hs))
+            for h in hs:
+                if row_fg[h] != row_f[row_g[h]]:
                     raise AssociativityViolation(
                         f"({C.mor_labels[f]}, {C.mor_labels[g]}, {C.mor_labels[h]}): "
                         "associativity fails"
                     )
+
+
+def _raise_row_offence(C: FinCat, f: int) -> None:
+    """Raise the first typing offence in row f of the composition table."""
+    m, labels = C.n_morphisms, C.mor_labels
+    for g, fg in enumerate(C.comp_table[f]):
+        if C.mor_dst[f] != C.mor_src[g]:
+            if fg is not None:
+                raise IllTypedComposite(
+                    f"{labels[f]} then {labels[g]} is not composable "
+                    "but the table defines it"
+                )
+            continue
+        if fg is None:
+            raise MissingComposite(
+                f"composite of {labels[f]} then {labels[g]} is missing"
+            )
+        if not 0 <= fg < m:
+            raise IllTypedComposite(
+                f"composite {labels[f]};{labels[g]} = {fg} is not a morphism index"
+            )
+        if C.mor_src[fg] != C.mor_src[f] or C.mor_dst[fg] != C.mor_dst[g]:
+            raise IllTypedComposite(
+                f"composite {labels[f]};{labels[g]} = {labels[fg]} "
+                f"is ill-typed"
+            )
+    raise AssertionError(f"row {labels[f]} of the composition table has no offence")
 
 
 def fincat(
@@ -436,12 +461,11 @@ def check_functor(F: Functor) -> None:
             raise IdentityNotPreserved(
                 f"identity of {C.objects[x]} is not sent to an identity"
             )
-    for f in range(C.n_morphisms):
-        for g in range(C.n_morphisms):
-            fg = C.comp_table[f][g]
-            if fg is None:
-                continue
-            if D.comp_table[F.mor_map[f]][F.mor_map[g]] != F.mor_map[fg]:
+    mor_map, out_of = F.mor_map, C.out_of
+    for f, row in enumerate(C.comp_table):
+        image_row = D.comp_table[mor_map[f]]
+        for g in out_of[C.mor_dst[f]]:
+            if image_row[mor_map[g]] != mor_map[row[g]]:
                 raise CompositionNotPreserved(
                     f"composite {C.mor_labels[f]};{C.mor_labels[g]} is not preserved"
                 )

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from catkit.classifier import (
-    SubobjectClassifierW,
     assemble_topos,
     check_subobject_classifier,
     find_subobject_classifier,

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from catkit.cli import main
-from catkit.core import identity_functor, same_tables
+from catkit.core import identity_functor
 from catkit.classifier import topos_gaps
 from catkit.generators import (
     chain_poset,
@@ -22,6 +22,7 @@ from catkit.interchange import (
     validate_category,
 )
 from catkit.limits import PRODUCTS, find_equalizers, find_pullbacks, partial_table
+from law_oracles import composable_triples
 
 
 @pytest.fixture()
@@ -176,9 +177,18 @@ def test_analyze_json_and_text_agree(fragment_path, capsys):
 
 
 def test_analyze_budget_exhaustion_exits_2(fragment_path, monkeypatch, capsys):
-    # the terminal search alone takes 5 candidate checks on this input
-    monkeypatch.setenv("CATKIT_MAX_SEARCH", "2")
+    # validation takes one check per composable triple, then the terminal
+    # search alone takes 5 candidate checks on this input
+    cap = composable_triples(finset_fragment(2)) + 2
+    monkeypatch.setenv("CATKIT_MAX_SEARCH", str(cap))
     assert main(["analyze", fragment_path, "--structure", "terminal"]) == 2
+
+
+def test_validate_budget_exhaustion_exits_2(fragment_path, monkeypatch, capsys):
+    cap = composable_triples(finset_fragment(2)) - 1
+    monkeypatch.setenv("CATKIT_MAX_SEARCH", str(cap))
+    assert main(["validate", fragment_path, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "SearchBudgetExceeded"
 
 
 def test_bad_budget_value_exits_3(walking_path, monkeypatch, capsys):

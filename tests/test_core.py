@@ -41,6 +41,7 @@ from catkit.generators import (
     terminal_cat,
     walking_iso,
 )
+from law_oracles import with_entry
 
 seeds = st.integers(min_value=0, max_value=119)
 
@@ -104,6 +105,23 @@ def test_ill_typed_composite_detected():
             [0, 1, 2],
             {(3, 4): 3},
         )
+
+
+def test_composite_past_the_last_morphism_is_ill_typed():
+    C = chain_poset(2)
+    m = C.n_morphisms
+    with pytest.raises(IllTypedComposite, match=f"le_c0_c0;le_c0_c1 = {m + 5} is not a morphism"):
+        check_category_tables(with_entry(C, 0, 1, m + 5))
+
+
+def test_negative_composite_is_ill_typed_not_an_associativity_failure():
+    # -1 would alias the last morphism, f22_11, which is the right composite
+    # of f21_00 then f12_1: only associativity would fail, at another triple
+    C = finset_fragment(2)
+    f, g = C.morphism_index("f21_00"), C.morphism_index("f12_1")
+    assert C.comp_table[f][g] == C.n_morphisms - 1
+    with pytest.raises(IllTypedComposite, match="f21_00;f12_1 = -1 is not a morphism index"):
+        check_category_tables(with_entry(C, f, g, -1))
 
 
 def test_associativity_checked():

@@ -17,7 +17,6 @@ from catkit.exponentials import (
     transfer_exponentials,
 )
 from catkit.generators import (
-    chain_poset,
     finset_fragment,
     heyting_category,
     heyting_chain,

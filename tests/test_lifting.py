@@ -9,7 +9,7 @@ import pytest
 
 from catkit.classifier import SubobjectClassifierW
 from catkit.completion import inflate, inflate_section
-from catkit.core import compose_functors, is_weak_equivalence, same_tables
+from catkit.core import is_weak_equivalence, same_tables
 from catkit.errors import DependencyMissing, InvalidCert, PreconditionViolation
 from catkit.exponentials import exponential_comparison, find_exponential
 from catkit.generators import (
@@ -21,7 +21,6 @@ from catkit.generators import (
     heyting_diamond,
     random_category,
     setoid_groupoid,
-    walking_iso,
 )
 from catkit.interchange import structure_to_json
 from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import (
-    compose_functors,
     identity_functor,
     is_weak_equivalence,
     opposite,
@@ -17,7 +16,6 @@ from catkit.errors import (
     InvalidCert,
     NotACone,
     PreconditionViolation,
-    ReflectionFails,
     SearchBudgetExceeded,
 )
 from catkit.generators import (
@@ -37,8 +35,6 @@ from catkit.limits import (
     TERMINAL,
     BinProductW,
     ChosenTerminal,
-    EqualizerW,
-    PullbackW,
     comparison,
     find_binary_coproduct,
     find_binary_products,

@@ -1,7 +1,5 @@
 """Parameterized natural-number objects and their transport."""
 import pytest
-import hypothesis.strategies as st
-from hypothesis import given, settings
 
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import identity_functor, is_weak_equivalence
@@ -22,7 +20,6 @@ from catkit.limits import (
     transfer_terminal,
 )
 from catkit.nno import (
-    PNNOW,
     find_pnno,
     is_pnno,
     lift_preservation_pnno,
@@ -30,9 +27,6 @@ from catkit.nno import (
     reflect_pnno,
     transfer_pnno,
 )
-
-seeds = st.integers(min_value=0, max_value=119)
-
 
 def _codiscrete(n):
     return setoid_groupoid(n, {(i, i + 1) for i in range(n - 1)}, name=f"codisc{n}")
