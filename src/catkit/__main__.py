@@ -1,0 +1,7 @@
+"""``python -m catkit``: the ``catkit`` command."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

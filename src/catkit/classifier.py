@@ -163,12 +163,20 @@ def check_subobject_classifier(C: FinCat, bag: dict) -> None:
 def transfer_subobject_classifier(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
-    """Transport omega and tau along the equivalence onto the terminal of
-    dst, rebuild chi two ways (ff-inverse transport and direct search), and
-    demand exact agreement."""
+    """:func:`carry_subobject_classifier` after checking the classifier of
+    src on the source."""
+    check_subobject_classifier(cert.functor.source, src)
+    return carry_subobject_classifier(cert, src, dst)
+
+
+def carry_subobject_classifier(
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
+    """Transport omega and tau of a classifier valid on the source along the
+    equivalence onto the terminal of dst, rebuild chi two ways (ff-inverse
+    transport and direct search), and demand exact agreement."""
     G = cert.functor
     C, D = G.source, G.target
-    check_subobject_classifier(C, src)
     termC, socC, termD = src["terminal"], src["classifier"], dst["terminal"]
     if not is_terminal(D, termD.t):
         raise InvalidCert("target terminal witness is not terminal")

@@ -10,10 +10,17 @@ CATKIT_MAX_SEARCH caps brute-force candidate checks (default 10^7; 0 lifts
 the cap), the validation of every loaded document included: its
 associativity check counts one candidate per composable triple.  The cap
 applies to CLI runs only, never to library use.
+
+``main(argv)`` may be called any number of times in one process.  The
+argument parser is built once, on the first call, and each call looks its
+handler ``cmd_<command>`` up on this module, so a replaced handler is the
+one that runs.  ``python -m catkit`` runs ``main`` as the ``catkit``
+command does.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -402,7 +409,9 @@ def cmd_export_dot(args) -> tuple[RunReport, int]:
     return report, EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call to main."""
     parser = argparse.ArgumentParser(
         prog="catkit",
         description="Finite-category engine: completions, structure transfer, certified factorizations.",
@@ -411,18 +420,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse and validate a category file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="search a category for chosen structure")
     p.add_argument("path")
     p.add_argument("--structure", help="comma-separated: terminal,products,equalizers,pullbacks,exponentials,omega,pnno")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("complete", help="skeletal completion, optionally carrying structure")
     p.add_argument("path")
     p.add_argument("--carry-structure", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("factor", help="factor a structured functor through the completion")
     p.add_argument("--source", required=True)
@@ -430,16 +436,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--structures", help="comma-separated structure list")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("demo", help="run a named example end to end")
     p.add_argument("name")
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("export-dot", help="emit a DOT graph with iso-class clusters")
     p.add_argument("path")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export_dot)
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", help="machine-readable report")
@@ -448,6 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     raw_cap = os.environ.get("CATKIT_MAX_SEARCH", "")
     try:
         cap = int(raw_cap) if raw_cap else 10_000_000
@@ -461,7 +465,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report, code = args.func(args)
+            report, code = handler(args)
         report.warnings.extend(str(w.message) for w in caught)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(args, "io", str(exc), None, EXIT_IO)

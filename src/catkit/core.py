@@ -136,14 +136,29 @@ class FinCat:
             out[self.mor_src[f]].append(f)
         return tuple(tuple(v) for v in out)
 
+    @cached_property
+    def object_indices(self) -> dict[str, int]:
+        """Object label -> index; a repeated label names its first object."""
+        return _first_indices(self.objects)
+
+    @cached_property
+    def morphism_indices(self) -> dict[str, int]:
+        """Morphism label -> index; a repeated label names its first morphism."""
+        return _first_indices(self.mor_labels)
+
     def object_index(self, label: str) -> int:
-        return self.objects.index(label)
+        return self.object_indices[label]
 
     def morphism_index(self, label: str) -> int:
-        return self.mor_labels.index(label)
+        return self.morphism_indices[label]
 
     def __repr__(self) -> str:
         return f"FinCat({self.name!r}, {self.n_objects} objects, {self.n_morphisms} morphisms)"
+
+
+def _first_indices(labels: tuple[str, ...]) -> dict[str, int]:
+    """label -> index of its first occurrence, as ``tuple.index`` finds it."""
+    return {label: i for i, label in reversed(tuple(enumerate(labels)))}
 
 
 def check_category_tables(C: FinCat) -> None:

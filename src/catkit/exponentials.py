@@ -4,8 +4,8 @@ An exponential witness for a pair (x, y) names the object of maps from x to
 y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and transfer along a
 weak equivalence re-validates every produced witness.  The registry verbs
-(``check``, ``check_along``, ``find``, ``transfer``, ``preserves`` and
-``lift_preservation``) take witness bags and read the chosen products from
+(``check``, ``check_along``, ``find``, ``transfer``, ``carry``,
+``preserves`` and ``lift_preservation``) take witness bags and read the chosen products from
 them; ``is_exponential``, ``curry`` and ``find_exponential`` take the
 product table itself.
 """
@@ -215,17 +215,27 @@ def exponential_comparison(
 def transfer_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
-    """Push every exponential of src along the equivalence: the image witness
-    is re-based onto the chosen products of dst through the mediator of the
-    image cone.  The result is re-validated along the quasi-inverse
-    (:func:`check_exponentials_along`), which takes it back onto the source
-    entries it came from; the products of dst must be a checked table."""
-    G = cert.functor
-    C, D = G.source, G.target
-    prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
-    for key, w in expsC.items():
-        if (w.x, w.y) != key or not is_exponential(C, prodsC, w):
+    """:func:`carry_exponentials` after checking every exponential of src on
+    the source."""
+    C = cert.functor.source
+    for key, w in src["exponentials"].items():
+        if (w.x, w.y) != key or not is_exponential(C, src["products"], w):
             raise InvalidCert(f"source exponential table entry {key} is invalid")
+    return carry_exponentials(cert, src, dst)
+
+
+def carry_exponentials(
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
+    """Push every exponential of src, each valid on the source, along the
+    equivalence: the image witness is re-based onto the chosen products of
+    dst through the mediator of the image cone.  The result is re-validated
+    along the quasi-inverse (:func:`check_exponentials_along`), which takes
+    it back onto the source entries it came from; the products of dst must
+    be a checked table."""
+    G = cert.functor
+    D = G.target
+    prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
     out: dict[tuple[int, int], ExponentialW] = {}
     for d1 in range(D.n_objects):
         for d2 in range(D.n_objects):

@@ -15,7 +15,7 @@ from the unit laws.  Every other composable pair must be listed.
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Container
 
 from .core import FinCat, Functor, fincat, functor
 from .errors import (
@@ -38,7 +38,12 @@ def _expect(value: Any, kind: type, what: str, pointer: str) -> Any:
     return value
 
 
-def _fresh(label: str, taken: set[str]) -> str:
+def _index_of(indices: dict[str, int], label: Any) -> int | None:
+    """The index label names in indices; None for any other value."""
+    return indices.get(label) if isinstance(label, str) else None
+
+
+def _fresh(label: str, taken: Container[str]) -> str:
     while label in taken:
         label += "'"
     return label
@@ -60,11 +65,7 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
     if not isinstance(raw_objects, list) or not all(isinstance(o, str) for o in raw_objects):
         raise MalformedInput("objects must be a list of labels", pointer="/objects")
 
-    # de-duplicate labels, first occurrence wins
-    objects: list[str] = []
-    for o in raw_objects:
-        if o not in objects:
-            objects.append(o)
+    objects = list(dict.fromkeys(raw_objects))   # de-duplicated, first occurrence wins
     obj_index = {o: i for i, o in enumerate(objects)}
 
     raw_mors = doc.get("morphisms", [])
@@ -126,7 +127,7 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
         identity[x] = mor_index[mid]
     for x, lbl in enumerate(objects):
         if identity[x] is None:
-            mid = _fresh(f"id_{lbl}", set(mor_index))
+            mid = _fresh(f"id_{lbl}", mor_index)
             mor_index[mid] = len(labels)
             labels.append(mid)
             srcs.append(x)
@@ -138,31 +139,33 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
     raw_comp = doc.get("composition", [])
     if not isinstance(raw_comp, list):
         raise MalformedInput("composition must be a list of triples", pointer="/composition")
+    # an accepted triple costs one lookup per label; pointers and messages
+    # are built only for the triple that fails
+    label_of = mor_index.get
     for k, triple in enumerate(raw_comp):
-        ptr = f"/composition/{k}"
         if not (isinstance(triple, list) and len(triple) == 3):
-            raise MalformedInput("composition entries are [f, g, fg] triples", pointer=ptr)
-        ids = []
-        for j, mid in enumerate(triple):
-            if not isinstance(mid, str):
-                raise MalformedInput("composition entries must be labels", pointer=f"{ptr}/{j}")
-            if mid not in mor_index:
-                raise DanglingReference(f"unknown morphism {mid!r}", pointer=ptr)
-            ids.append(mor_index[mid])
-        f, g, fg = ids
+            raise MalformedInput(
+                "composition entries are [f, g, fg] triples", pointer=f"/composition/{k}"
+            )
+        a, b, c = triple
+        try:   # the keys are labels, so a hit is a label
+            f, g, fg = label_of(a), label_of(b), label_of(c)
+        except TypeError:   # an unhashable entry, named below
+            f = None
+        if f is None or g is None or fg is None:
+            _raise_label_offence(triple, mor_index, f"/composition/{k}")
         if dsts[f] != srcs[g]:
             raise IllTypedComposite(
-                f"{triple[0]!r} then {triple[1]!r} is not composable", pointer=ptr
+                f"{a!r} then {b!r} is not composable", pointer=f"/composition/{k}"
             )
         if srcs[fg] != srcs[f] or dsts[fg] != dsts[g]:
             raise IllTypedComposite(
-                f"composite {triple[2]!r} has the wrong endpoints", pointer=ptr
+                f"composite {c!r} has the wrong endpoints", pointer=f"/composition/{k}"
             )
-        if (f, g) in comp and comp[(f, g)] != fg:
+        if comp.setdefault((f, g), fg) != fg:
             raise IllTypedComposite(
-                f"conflicting composite for ({triple[0]!r}, {triple[1]!r})", pointer=ptr
+                f"conflicting composite for ({a!r}, {b!r})", pointer=f"/composition/{k}"
             )
-        comp[(f, g)] = fg
 
     # fincat fills the identity composites in and judges the laws; its
     # errors concern the composition block as a whole
@@ -170,6 +173,15 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
         return fincat(name, objects, labels, srcs, dsts, identity, comp)
     except CategoryValidationError as e:
         raise type(e)(str(e), pointer="/composition") from e
+
+
+def _raise_label_offence(triple: list, mor_index: dict[str, int], ptr: str) -> None:
+    """Raise for the first entry of triple that is not a morphism label."""
+    for j, mid in enumerate(triple):
+        if not isinstance(mid, str):
+            raise MalformedInput("composition entries must be labels", pointer=f"{ptr}/{j}")
+        if mid not in mor_index:
+            raise DanglingReference(f"unknown morphism {mid!r}", pointer=ptr)
 
 
 def category_to_json(C: FinCat) -> dict[str, Any]:
@@ -212,9 +224,10 @@ def functor_from_json(doc: dict[str, Any], categories: dict[str, FinCat]) -> Fun
         img = doc["on_objects"].get(lbl)
         if img is None:
             raise MalformedInput(f"no image for object {lbl!r}", pointer="/on_objects")
-        if img not in D.objects:
+        y = _index_of(D.object_indices, img)
+        if y is None:
             raise DanglingReference(f"unknown target object {img!r}", pointer=f"/on_objects/{lbl}")
-        obj_map.append(D.objects.index(img))
+        obj_map.append(y)
     mor_map = []
     for f, lbl in enumerate(C.mor_labels):
         img = doc["on_morphisms"].get(lbl)
@@ -223,11 +236,12 @@ def functor_from_json(doc: dict[str, Any], categories: dict[str, FinCat]) -> Fun
                 mor_map.append(D.identity[obj_map[C.mor_src[f]]])
                 continue
             raise MalformedInput(f"no image for morphism {lbl!r}", pointer="/on_morphisms")
-        if img not in D.mor_labels:
+        g = _index_of(D.morphism_indices, img)
+        if g is None:
             raise DanglingReference(
                 f"unknown target morphism {img!r}", pointer=f"/on_morphisms/{lbl}"
             )
-        mor_map.append(D.mor_labels.index(img))
+        mor_map.append(g)
     try:
         return functor(C, D, obj_map, mor_map, name=doc.get("name", ""))
     except FunctorValidationError as e:
@@ -252,15 +266,17 @@ def functor_to_json(F: Functor) -> dict[str, Any]:
 
 
 def _obj_ref(C: FinCat, label: Any, pointer: str) -> int:
-    if not isinstance(label, str) or label not in C.objects:
+    x = _index_of(C.object_indices, label)
+    if x is None:
         raise DanglingReference(f"unknown object {label!r}", pointer=pointer)
-    return C.object_index(label)
+    return x
 
 
 def _mor_ref(C: FinCat, label: Any, pointer: str) -> int:
-    if not isinstance(label, str) or label not in C.mor_labels:
+    f = _index_of(C.morphism_indices, label)
+    if f is None:
         raise DanglingReference(f"unknown morphism {label!r}", pointer=pointer)
-    return C.morphism_index(label)
+    return f
 
 
 # bag kind, block name under "structure", and shape of the keyed limits; a

@@ -60,9 +60,10 @@ class StructureKind:
     parameterized N are checked directly on the source instead.
     ``transfer`` carries the source bag's entries along a weak equivalence
     into any target, skeletal or not, and re-validates them by pulling them
-    back onto the source entries.  ``lift`` receives last the bag carried to
-    the completion, whose entries are the transfers of the source bag along
-    the equivalence.
+    back onto the source entries.  ``carry`` is ``transfer`` without its
+    check of the source bag, for a bag that ``check`` already accepted.
+    ``lift`` receives last the bag carried to the completion, whose entries
+    are the transfers of the source bag along the equivalence.
     """
 
     name: str
@@ -71,6 +72,7 @@ class StructureKind:
     check_along: Callable[[Functor, dict, dict], None]
     find: Callable[[FinCat, dict], object | None]
     transfer: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
+    carry: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
     lift: Callable[
         [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict], object
@@ -89,6 +91,10 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     def table(bag):
         return bag[name] if shape.n_key else {(): bag[name]}
 
+    def carry(cert, src, dst):
+        out, pres = limits.carry(shape, cert, table(src))
+        return (out if shape.n_key else out[()]), pres
+
     return StructureKind(
         name,
         (),
@@ -96,6 +102,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
         lambda F, src, dst: limits.check_table_along(shape, F, table(src), table(dst).values()),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst: call("transfer_", cert, src[name]),
+        carry,
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
         lambda cert, F, H, alpha, src, dst, Fcerts, carried: call(
             "lift_preservation_", cert, F, H, alpha, Fcerts[name], carried[name]
@@ -120,8 +127,8 @@ def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> Structur
             check(F.source, src)
 
     return StructureKind(
-        name, deps, check, check_along, verb("find_"), verb("transfer_"), verb("preserves_"),
-        verb("lift_preservation_"),
+        name, deps, check, check_along, verb("find_"), verb("transfer_"), verb("carry_"),
+        verb("preserves_"), verb("lift_preservation_"),
     )
 
 
@@ -196,8 +203,9 @@ def complete_structured(
     With kinds=None, every findable kind is carried; kinds requested
     explicitly but absent raise.  A structure absent from the skeleton is
     absent from C, since the two are equivalent.  Provided witnesses are
-    validated on C and pushed along eta instead, so that the completed bag
-    is always the transfer of the source bag.
+    checked on C once, by the kind's ``check``, and carried along eta
+    instead, so that the completed bag is always the transfer of the source
+    bag.
     """
     witnesses = dict(witnesses or {})
     res = skeletize(C)
@@ -214,7 +222,7 @@ def complete_structured(
         if w is not None:
             src[name] = w
             kind.check(C, src)
-            completed[name], eta_certs[name] = kind.transfer(res.cert, src, completed)
+            completed[name], eta_certs[name] = kind.carry(res.cert, src, completed)
             continue
         found = kind.find(D, completed)
         if found is None:

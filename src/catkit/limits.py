@@ -496,19 +496,28 @@ def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Tabl
 def transfer(
     shape: LimitShape, cert: WeakEquivalenceCert, table: Table
 ) -> tuple[Table, LimitPreservationCert]:
-    """Push a table along the equivalence: the witness at each pulled-back
-    key is imaged, its legs composed with the eso isos of the feet.  The
-    source table is checked on the source; the result is re-validated along
-    the quasi-inverse (:func:`check_table_along`), which takes it back onto
-    the source entries it came from.  The target need not be skeletal: the
-    witnesses carried there are limits, though not the only choice."""
-    check_weak_equivalence_cert(cert)
-    G, Q = cert.functor, cert.quasi_inverse
-    C, D = G.source, G.target
-    k = shape.n_key   # witnesses read inline, as in mediator
+    """:func:`carry` after checking every entry of the source table on the
+    source."""
+    C, k = cert.functor.source, shape.n_key
     for key, w in table.items():
         if shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
             raise InvalidCert(f"source {shape.name} table entry {key} is invalid")
+    return carry(shape, cert, table)
+
+
+def carry(
+    shape: LimitShape, cert: WeakEquivalenceCert, table: Table
+) -> tuple[Table, LimitPreservationCert]:
+    """Push a table whose entries are limits on the source along the
+    equivalence: the witness at each pulled-back key is imaged, its legs
+    composed with the eso isos of the feet.  The result is re-validated
+    along the quasi-inverse (:func:`check_table_along`), which takes it back
+    onto the source entries it came from.  The target need not be skeletal:
+    the witnesses carried there are limits, though not the only choice."""
+    check_weak_equivalence_cert(cert)
+    G, Q = cert.functor, cert.quasi_inverse
+    D = G.target
+    k = shape.n_key   # witnesses read inline, as in mediator
     out = {}
     for key in shape.keys(D):
         src_key = shape.image_key(Q, key)

@@ -131,11 +131,21 @@ def _transported_triple(
 def transfer_pnno(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[PNNOW, PNNOPreservationCert]:
-    G = cert.functor
-    termC, prodsC, w = src["terminal"], src["products"], src["pnno"]
-    termD, prodsD = dst["terminal"], dst["products"]
-    if is_pnno(G.source, termC, prodsC, w.N, w.z, w.s) is None:
+    """:func:`carry_pnno` after checking the witness of src on the source."""
+    w = src["pnno"]
+    if is_pnno(cert.functor.source, src["terminal"], src["products"], w.N, w.z, w.s) is None:
         raise PreconditionViolation("source witness is not a parameterized N")
+    return carry_pnno(cert, src, dst)
+
+
+def carry_pnno(
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> tuple[PNNOW, PNNOPreservationCert]:
+    """Transport a parameterized N valid on the source along the equivalence
+    and re-validate it on the target."""
+    G = cert.functor
+    termC, w = src["terminal"], src["pnno"]
+    termD, prodsD = dst["terminal"], dst["products"]
     wD = _transported_triple(cert, termC, termD, w)
     if is_pnno(G.target, termD, prodsD, wD.N, wD.z, wD.s) is None:
         raise OracleDisagreement("transferred triple failed re-validation")

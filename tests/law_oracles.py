@@ -1,7 +1,9 @@
 """The category and functor laws checked by brute force over every pair and
 triple of morphisms: the oracles that the composable-tuple walks in
 ``catkit.core`` are compared against.  They do not tick the search budget,
-and an out-of-range composite makes them raise IndexError."""
+and an out-of-range composite makes them raise IndexError.  Beside them,
+the loader's composition pass label by label, which the one-lookup-per-label
+pass in ``catkit.interchange`` is compared against."""
 from dataclasses import replace
 
 from catkit.core import FinCat, Functor
@@ -12,6 +14,7 @@ from catkit.errors import (
     IdentityNotPreserved,
     IllTypedComposite,
     IllTypedImage,
+    MalformedInput,
     MissingComposite,
     MissingIdentity,
     UnitLawViolation,
@@ -135,3 +138,36 @@ def with_entry(C: FinCat, f: int, g: int, value) -> FinCat:
     table = [list(row) for row in C.comp_table]
     table[f][g] = value
     return replace(C, comp_table=tuple(map(tuple, table)))
+
+
+def resolve_composition(raw_comp: list, mor_index: dict, srcs, dsts) -> dict:
+    """The composition block of a category document as ``{(f, g): fg}``,
+    each entry typed and resolved one label at a time; raises on the first
+    offence what ``validate_category`` raises for it."""
+    comp = {}
+    for k, triple in enumerate(raw_comp):
+        ptr = f"/composition/{k}"
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise MalformedInput("composition entries are [f, g, fg] triples", pointer=ptr)
+        ids = []
+        for j, mid in enumerate(triple):
+            if not isinstance(mid, str):
+                raise MalformedInput("composition entries must be labels", pointer=f"{ptr}/{j}")
+            if mid not in mor_index:
+                raise DanglingReference(f"unknown morphism {mid!r}", pointer=ptr)
+            ids.append(mor_index[mid])
+        f, g, fg = ids
+        if dsts[f] != srcs[g]:
+            raise IllTypedComposite(
+                f"{triple[0]!r} then {triple[1]!r} is not composable", pointer=ptr
+            )
+        if srcs[fg] != srcs[f] or dsts[fg] != dsts[g]:
+            raise IllTypedComposite(
+                f"composite {triple[2]!r} has the wrong endpoints", pointer=ptr
+            )
+        if (f, g) in comp and comp[(f, g)] != fg:
+            raise IllTypedComposite(
+                f"conflicting composite for ({triple[0]!r}, {triple[1]!r})", pointer=ptr
+            )
+        comp[(f, g)] = fg
+    return comp

@@ -1,8 +1,14 @@
 """End-to-end CLI behavior: exit codes, reports, emitted files."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catkit
+from catkit import cli
 from catkit.cli import main
 from catkit.core import identity_functor
 from catkit.classifier import topos_gaps
@@ -63,6 +69,64 @@ def test_unexpected_exception_exits_4_with_a_json_error(walking_path, monkeypatc
     assert main(["validate", walking_path, "--json"]) == 4
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"type": "RuntimeError", "message": "engine fault"}
+
+
+def _fresh_process(argv):
+    """argv run as ``python -m catkit`` in a new interpreter."""
+    path = [str(Path(catkit.__file__).resolve().parent.parent)]
+    path += [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-m", "catkit", *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _without_seconds(out: str):
+    """A JSON or text report without its elapsed time."""
+    try:
+        doc = json.loads(out)
+    except json.JSONDecodeError:
+        return [line for line in out.splitlines() if not line.strip().startswith("elapsed:")]
+    doc.pop("seconds", None)
+    return doc
+
+
+def test_main_called_again_keeps_no_flag_of_the_last_call(fragment_path, tmp_path, capsys):
+    """Calls in one process share one parser, and each prints what the same
+    argv prints first in a new interpreter."""
+    runs = [
+        ["analyze", fragment_path, "--structure", "products", "--json"],
+        ["analyze", fragment_path],
+        ["complete", fragment_path, "--out", str(tmp_path / "skeleton.json")],
+        ["complete", fragment_path],
+    ]
+    cli._build_parser.cache_clear()
+    for argv in runs:
+        code = main(argv)
+        here = _without_seconds(capsys.readouterr().out)
+        fresh = _fresh_process(argv)
+        assert (code, here) == (fresh.returncode, _without_seconds(fresh.stdout)), argv
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["factor", "--functor", "f.json", "--target", "t.json"],
+])
+def test_argparse_errors_exit_2_with_usage_on_every_call(argv, capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "usage: catkit" in capsys.readouterr().err
+
+
+def test_python_dash_m_catkit_is_the_cli(walking_path):
+    ok = _fresh_process(["validate", walking_path, "--json"])
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["status"]["category"] == "valid"
+    assert _fresh_process(["demo", "nope"]).returncode == 2
 
 
 def test_validate_missing_file_exits_3(capsys):

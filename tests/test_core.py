@@ -1,4 +1,6 @@
 """Table-level category validation, isos, functors, weak equivalences."""
+from dataclasses import replace
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -112,6 +114,18 @@ def test_composite_past_the_last_morphism_is_ill_typed():
     m = C.n_morphisms
     with pytest.raises(IllTypedComposite, match=f"le_c0_c0;le_c0_c1 = {m + 5} is not a morphism"):
         check_category_tables(with_entry(C, 0, 1, m + 5))
+
+
+def test_label_indices_name_the_first_occurrence():
+    # built unchecked: a repeated label names what tuple.index finds first
+    C = replace(walking_iso(), objects=("a", "a"), mor_labels=("i", "f", "f", "i"))
+    assert C.object_indices == {"a": 0}
+    assert C.morphism_indices == {"i": 0, "f": 1}
+    for D in (C, finset_fragment(2)):
+        assert [D.object_index(x) for x in D.objects] == [D.objects.index(x) for x in D.objects]
+        assert [D.morphism_index(f) for f in D.mor_labels] == [
+            D.mor_labels.index(f) for f in D.mor_labels
+        ]
 
 
 def test_negative_composite_is_ill_typed_not_an_associativity_failure():

@@ -6,10 +6,13 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from catkit import interchange
 from catkit.cli import main
+from catkit.completion import inflate
 from catkit.core import functors_equal, identity_functor, same_tables
 from catkit.errors import (
     AssociativityViolation,
+    CatkitError,
     CategoryValidationError,
     DanglingReference,
     IllTypedComposite,
@@ -18,6 +21,7 @@ from catkit.errors import (
     UnitLawViolation,
 )
 from catkit.generators import (
+    chain_poset,
     finset_fragment,
     random_category,
     setoid_groupoid,
@@ -32,6 +36,7 @@ from catkit.interchange import (
     validate_category,
 )
 from catkit.lifting import complete_structured
+from law_oracles import resolve_composition
 
 seeds = st.integers(min_value=0, max_value=119)
 
@@ -198,3 +203,120 @@ def test_mutated_documents_fail_with_a_pointer(tmp_path, capsys):
         assert main(["validate", str(path), "--json"]) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["pointer"]) == (name, pointer), kind
+
+
+# ---------------------------------------------------------------------------
+# the composition pass against its label-by-label oracle
+
+
+def _parity_corpus():
+    """Documents with composition blocks: random categories, a finset
+    fragment, an inflated chain, and the walking iso with one-character
+    labels, so that a triple's labels also spell a string of labels."""
+    docs = [category_to_json(random_category(seed)) for seed in range(0, 40, 4)]
+    docs.append(category_to_json(finset_fragment(2)))
+    docs.append(category_to_json(inflate(chain_poset(3), [1, 2, 2])[0]))
+    docs.append({
+        "name": "iso",
+        "objects": ["a", "b"],
+        "morphisms": [{"id": "f", "src": "a", "dst": "b"}, {"id": "g", "src": "b", "dst": "a"}],
+        "identities": {"a": "i", "b": "j"},
+        "composition": [["f", "g", "i"], ["g", "f", "j"]],
+    })
+    return [doc for doc in docs if doc["composition"]]
+
+
+def _composition_mutants(doc, C):
+    """doc with one entry of its composition block replaced (or, for the
+    conflicting duplicate, appended), by kind; a kind is left out when C
+    offers no place for it."""
+    ends = {C.mor_labels[f]: (C.mor_src[f], C.mor_dst[f]) for f in range(C.n_morphisms)}
+    comp = doc["composition"]
+    k = len(comp) // 2
+    f, g, fg = comp[k]
+    entries = {
+        "non-list": {"f": f, "g": g, "fg": fg},
+        "wrong-length": [f, g],
+        "str-triple": f + g + fg,
+        "non-str-label": [f, 7, fg],
+        "list-label": [f, [g], fg],
+        "unknown-then-list": ["no-such-morphism", [g], fg],
+        "unknown-label": [f, g, "no-such-morphism"],
+    }
+    apart = next(((x, y) for x in ends for y in ends if ends[x][1] != ends[y][0]), None)
+    if apart:
+        entries["not-composable"] = [*apart, fg]
+    wrong = next((z for z in ends if ends[z] != (ends[f][0], ends[g][1])), None)
+    if wrong:
+        entries["wrong-endpoints"] = [f, g, wrong]
+    out = {}
+    for kind, entry in entries.items():
+        mutant = copy.deepcopy(doc)
+        mutant["composition"][k] = entry
+        out[kind] = mutant
+    twin = next((h for h in ends if h != fg and ends[h] == ends[fg]), None)
+    if twin:
+        out["conflicting-duplicate"] = copy.deepcopy(doc)
+        out["conflicting-duplicate"]["composition"].append([f, g, twin])
+    return out
+
+
+def _outcome(run):
+    try:
+        return run()
+    except CatkitError as e:   # anything else, a TypeError included, fails the test
+        return type(e), str(e), e.pointer
+
+
+def test_composition_pass_matches_the_label_by_label_oracle():
+    """Each one-entry mutation fails with the oracle's class, message and
+    pointer, and an intact block resolves to the oracle's composites."""
+    kinds_seen = set()
+    for doc in _parity_corpus():
+        C = validate_category(doc)
+        mor_index = {label: f for f, label in enumerate(C.mor_labels)}
+        for (f, g), fg in resolve_composition(
+            doc["composition"], mor_index, C.mor_src, C.mor_dst
+        ).items():
+            assert C.comp_table[f][g] == fg
+        for kind, mutant in _composition_mutants(doc, C).items():
+            want = _outcome(lambda: resolve_composition(
+                mutant["composition"], mor_index, C.mor_src, C.mor_dst))
+            assert isinstance(want, tuple), (doc["name"], kind)
+            assert _outcome(lambda: validate_category(mutant)) == want, (doc["name"], kind)
+            kinds_seen.add(kind)
+    assert kinds_seen == {
+        "non-list", "wrong-length", "str-triple", "non-str-label", "list-label",
+        "unknown-then-list", "unknown-label", "not-composable", "wrong-endpoints",
+        "conflicting-duplicate",
+    }
+
+
+def test_identity_synthesis_checks_one_taken_set(monkeypatch):
+    """3,000 objects and no identities block: every synthesized label is
+    checked against the same taken set, never a rebuilt one, and a label
+    already taken gains primes."""
+    n = 3000
+    loop = [["id_o5", "id_o5", "id_o5"]]
+    # two idempotents on o7, the second absorbing: e;e = e, e;e' = e';e = e';e' = e'
+    e, e2 = "id_o7", "id_o7'"
+    loop += [[e, e, e], [e, e2, e2], [e2, e, e2], [e2, e2, e2]]
+    doc = {
+        "objects": [f"o{x}" for x in range(n)],
+        "morphisms": [{"id": lbl, "src": obj, "dst": obj}
+                      for lbl, obj in (("id_o5", "o5"), (e, "o7"), (e2, "o7"))],
+        "composition": loop,
+    }
+    fresh, first, same = interchange._fresh, {}, []
+
+    def spy(label, taken):
+        same.append(taken is first.setdefault("taken", taken))
+        return fresh(label, taken)
+
+    monkeypatch.setattr(interchange, "_fresh", spy)
+    C = validate_category(doc)
+    assert len(same) == n and all(same)
+    primes = {5: "'", 7: "''"}
+    assert [C.mor_labels[C.identity[x]] for x in range(n)] == [
+        f"id_o{x}" + primes.get(x, "") for x in range(n)
+    ]

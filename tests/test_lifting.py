@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from catkit import limits
 from catkit.classifier import SubobjectClassifierW
 from catkit.completion import inflate, inflate_section
 from catkit.core import is_weak_equivalence, same_tables
@@ -105,6 +106,41 @@ def test_provided_witnesses_are_validated():
         complete_structured(
             C, kinds=("terminal", "classifier"), witnesses={"classifier": bad}
         )
+
+
+def test_provided_witnesses_are_checked_once_on_the_source(monkeypatch):
+    """The kind's check is the one brute-force pass over supplied witnesses;
+    carrying them along eta does not check them on the source again, and a
+    broken entry still fails that check."""
+    C, _ = inflate(chain_poset(4), [1, 2, 2, 3])
+    kinds = ("terminal", "products", "pullbacks")
+    given = complete_structured(C, kinds=kinds).source
+    assert (len(given["products"]), len(given["pullbacks"])) == (64, 261)
+    calls = {"is_binary_product": 0, "is_pullback": 0}
+    for name in calls:
+        def counting(D, w, checker=getattr(limits, name), name=name):
+            calls[name] += D is C
+            return checker(D, w)
+
+        monkeypatch.setattr(limits, name, counting)
+    sc = complete_structured(C, kinds=kinds, witnesses=given)
+    assert calls == {"is_binary_product": 64, "is_pullback": 261}
+    assert sc.source == given
+    key, w = next((key, w) for key, w in given["products"].items() if key[0] != key[1])
+    swapped = dataclasses.replace(w, pi1=w.pi2, pi2=w.pi1)   # legs onto the wrong factors
+    broken = {**given, "products": {**given["products"], key: swapped}}
+    with pytest.raises(InvalidCert, match="product table is wrong"):
+        complete_structured(C, kinds=kinds, witnesses=broken)
+
+
+def test_provided_witnesses_of_every_kind_are_carried():
+    C, _ = inflate(setoid_groupoid(4, {(0, 1), (1, 2), (2, 3)}), 2)
+    sc = complete_structured(C)
+    assert sc.kinds == KIND_ORDER
+    given = complete_structured(C, witnesses=sc.source)
+    assert given.kinds == KIND_ORDER and given.source == sc.source
+    for name in KIND_ORDER:
+        KINDS[name].check(given.result.completed, given.completed)
 
 
 def test_full_pipeline_on_codiscrete_groupoid():
