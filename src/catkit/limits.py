@@ -18,8 +18,12 @@ per kind holds what differs between them, and find, mediate, compare,
 preserve, transfer, reflect, lift and check are written once over it; the
 per-kind public names bind a shape.  The terminal names keep taking and
 returning a single :class:`ChosenTerminal`, wrapped as the table
-``{(): w}``.  The brute-force ``is_*`` checks stay one loop per shape: they
-define the limits, and they are the hot path of every search.
+``{(): w}``.  The brute-force ``is_*`` checks stay one loop per shape, the
+hot path of every search.  Each reads hom(z, apex) once per test object z
+into an image table, mapping the legs of each arrow to whether no other
+arrow has the same legs, and a cone from z factors exactly once when the
+table maps it to True.  The loops that rescan hom(z, apex) for every cone
+are kept in the tests as their oracles.
 
 Colimit duals delegate to the limit machinery on the opposite category;
 the direct colimit searches they are cross-checked against live in the
@@ -137,15 +141,19 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
         return False
     if C.mor_src[w.pi2] != w.apex or C.mor_dst[w.pi2] != w.x2:
         return False
+    comp, hom = C.comp_table, C.hom_map.get
+    x1, x2, apex, pi1, pi2 = w.x1, w.x2, w.apex, w.pi1, w.pi2
     for z in range(C.n_objects):
-        for g1 in C.hom(z, w.x1):
-            for g2 in C.hom(z, w.x2):
+        once = None   # the image table of hom(z, apex), built at the first cone from z
+        for g1 in hom((z, x1), ()):
+            for g2 in hom((z, x2), ()):
                 budget_tick()
-                hits = 0
-                for h in C.hom(z, w.apex):
-                    if C.compose(h, w.pi1) == g1 and C.compose(h, w.pi2) == g2:
-                        hits += 1
-                if hits != 1:
+                if once is None:
+                    once = {}
+                    for u in hom((z, apex), ()):
+                        legs = (comp[u][pi1], comp[u][pi2])
+                        once[legs] = legs not in once
+                if not once.get((g1, g2)):
                     return False
     return True
 
@@ -160,13 +168,20 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
         return False
     if C.compose(w.arrow, w.f) != C.compose(w.arrow, w.g):
         return False
+    comp, hom, f, g, obj, arrow = C.comp_table, C.hom_map.get, w.f, w.g, w.obj, w.arrow
     for z in range(C.n_objects):
-        for h in C.hom(z, x):
-            if C.compose(h, w.f) != C.compose(h, w.g):
+        once = None   # the image table of hom(z, obj), built at the first cone from z
+        for h in hom((z, x), ()):
+            row = comp[h]
+            if row[f] != row[g]:
                 continue
             budget_tick()
-            hits = sum(1 for u in C.hom(z, w.obj) if C.compose(u, w.arrow) == h)
-            if hits != 1:
+            if once is None:
+                once = {}
+                for u in hom((z, obj), ()):
+                    leg = comp[u][arrow]
+                    once[leg] = leg not in once
+            if not once.get(h):
                 return False
     return True
 
@@ -184,18 +199,21 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
         return False
     if C.compose(w.p1, w.f) != C.compose(w.p2, w.g):
         return False
+    comp, hom, f, g, apex, p1, p2 = C.comp_table, C.hom_map.get, w.f, w.g, w.apex, w.p1, w.p2
     for z in range(C.n_objects):
-        for h1 in C.hom(z, x):
-            c1 = C.compose(h1, w.f)
-            for h2 in C.hom(z, y):
-                if C.compose(h2, w.g) != c1:
+        once = None   # the image table of hom(z, apex), built at the first cone from z
+        for h1 in hom((z, x), ()):
+            c1 = comp[h1][f]
+            for h2 in hom((z, y), ()):
+                if comp[h2][g] != c1:
                     continue
                 budget_tick()
-                hits = 0
-                for u in C.hom(z, w.apex):
-                    if C.compose(u, w.p1) == h1 and C.compose(u, w.p2) == h2:
-                        hits += 1
-                if hits != 1:
+                if once is None:
+                    once = {}
+                    for u in hom((z, apex), ()):
+                        legs = (comp[u][p1], comp[u][p2])
+                        once[legs] = legs not in once
+                if not once.get((h1, h2)):
                     return False
     return True
 
@@ -454,7 +472,11 @@ def preserves(
     """Each image cone must factor through the chosen limit of its diagram
     by an iso; None when some image cone is not limiting.  A target entry
     with a field out of range raises, checked once per target key; each
-    distinct image cone is factored once."""
+    distinct image cone is factored once.  The target entries must be
+    limits, as every found or checked table is: an image cone equal to its
+    target entry then gets the identity comparison unsearched, since the
+    only endomorphism of a limit that commutes with its own legs is the
+    identity."""
     mu: dict[Key, Iso] = {}
     by_image: dict[tuple[int, ...], Iso] = {}   # image cone -> mu
     in_range: set[Key] = set()   # target keys whose entry names objects and morphisms of E
@@ -471,15 +493,19 @@ def preserves(
                 if not shape.in_range(E, shape.unpack(entry)):
                     raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
                 in_range.add(image_key)
-            try:
-                fwd = mediator(shape, E, entry, image[k], image[k + 1:])
-            except NotACone:
-                return None
-            found = find_iso(E, fwd)
-            if found is None:
-                return None
-            # chosen-of-images -> image-of-chosen
-            iso = by_image[image] = Iso(found.inv, found.fwd)
+            if image == shape.unpack(entry):
+                one = E.identity[image[k]]
+                iso = by_image[image] = Iso(one, one)
+            else:
+                try:
+                    fwd = mediator(shape, E, entry, image[k], image[k + 1:])
+                except NotACone:
+                    return None
+                found = find_iso(E, fwd)
+                if found is None:
+                    return None
+                # chosen-of-images -> image-of-chosen
+                iso = by_image[image] = Iso(found.inv, found.fwd)
         mu[key] = iso
     return LimitPreservationCert(F, source, target, mu)
 

@@ -56,6 +56,22 @@ class PNNOPreservationCert:
     comparison: Iso
 
 
+def _recursor_arrows(
+    C: FinCat,
+    prods: dict[tuple[int, int], BinProductW],
+    w: PNNOW,
+    t_prime: int,
+    term: ChosenTerminal,
+) -> tuple[int, int, int]:
+    """The apex of t' x N, the point (id, !;z) into it, and the step id x s
+    on it."""
+    entry = prods[(t_prime, w.N)]
+    bang = to_terminal(C, term, t_prime)
+    pair = mediating(C, entry, C.identity[t_prime], C.compose(bang, w.z))
+    step = mediating(C, entry, entry.pi1, C.compose(entry.pi2, w.s))
+    return entry.apex, pair, step
+
+
 def _recursors(
     C: FinCat,
     prods: dict[tuple[int, int], BinProductW],
@@ -66,12 +82,9 @@ def _recursors(
     s_prime: int,
     term: ChosenTerminal,
 ) -> list[int]:
-    entry = prods[(t_prime, w.N)]
-    bang = to_terminal(C, term, t_prime)
-    pair = mediating(C, entry, C.identity[t_prime], C.compose(bang, w.z))
-    step = mediating(C, entry, entry.pi1, C.compose(entry.pi2, w.s))
+    apex, pair, step = _recursor_arrows(C, prods, w, t_prime, term)
     out = []
-    for f in C.hom(entry.apex, m):
+    for f in C.hom(apex, m):
         budget_tick()
         if C.compose(pair, f) == z_prime and C.compose(step, f) == C.compose(f, s_prime):
             out.append(f)
@@ -86,18 +99,33 @@ def is_pnno(
     z: int,
     s: int,
 ) -> PNNOW | None:
+    """The recursor arrows are built once per t', and the candidate
+    recursors grouped by their restriction along the point once per
+    (t', m); the budget ticks once per candidate per (z', s'), as it would
+    testing each candidate."""
     if not C.has_morphisms(z, s) or C.mor_src[z] != term.t or C.mor_dst[z] != N:
         return None
     if C.mor_src[s] != N or C.mor_dst[s] != N:
         return None
     w = PNNOW(N, z, s)
+    comp, hom = C.comp_table, C.hom_map.get
     for t_prime in range(C.n_objects):
         if (t_prime, N) not in prods:
             continue
+        apex, pair, step = _recursor_arrows(C, prods, w, t_prime, term)
         for m in range(C.n_objects):
-            for z_prime in C.hom(t_prime, m):
-                for s_prime in C.hom(m, m):
-                    if len(_recursors(C, prods, w, t_prime, m, z_prime, s_prime, term)) != 1:
+            z_primes = hom((t_prime, m), ())
+            if not z_primes:
+                continue
+            candidates = hom((apex, m), ())
+            by_point: dict[int, list[tuple[int, int]]] = {}   # pair;f -> [(f, step;f)]
+            for f in candidates:
+                by_point.setdefault(comp[pair][f], []).append((f, comp[step][f]))
+            for z_prime in z_primes:
+                fits = by_point.get(z_prime, ())
+                for s_prime in hom((m, m), ()):
+                    budget_tick(len(candidates))
+                    if sum(1 for f, sf in fits if comp[f][s_prime] == sf) != 1:
                         return None
     return w
 

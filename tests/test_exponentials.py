@@ -6,9 +6,7 @@ from catkit.core import functor, identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert, NotACone
 from catkit.exponentials import (
     ExponentialW,
-    check_exp_preservation,
     curry,
-    exponential_comparison,
     find_exponential,
     find_exponentials,
     is_exponential,
@@ -31,6 +29,7 @@ from catkit.limits import (
     preserves_binary_products,
     transfer_binary_products,
 )
+from limit_oracles import check_exp_preservation, exponential_comparison
 
 
 def _chain_functor(src, dst, obj_map, name):

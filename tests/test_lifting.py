@@ -12,7 +12,7 @@ from catkit.classifier import SubobjectClassifierW
 from catkit.completion import inflate, inflate_section
 from catkit.core import is_weak_equivalence, same_tables
 from catkit.errors import DependencyMissing, InvalidCert, PreconditionViolation
-from catkit.exponentials import exponential_comparison, find_exponential
+from catkit.exponentials import find_exponential
 from catkit.generators import (
     chain_poset,
     delooping,
@@ -36,6 +36,7 @@ from catkit.limits import (
     find_limit,
     is_terminal,
 )
+from limit_oracles import exponential_comparison
 
 
 def _codiscrete(n):

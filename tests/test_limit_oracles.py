@@ -1,0 +1,145 @@
+"""The ``is_*`` checks that read hom(z, apex) once per test object against
+the loops kept in ``limit_oracles``, which rescan it for every cone: the
+same verdict and the same number of budget ticks on every candidate the
+``find_*`` searches enumerate, on corrupted table entries, and the same
+smallest budget that lets the check finish."""
+from functools import cache
+
+import pytest
+
+import limit_oracles
+from catkit import core, exponentials, limits, nno
+from catkit.completion import inflate
+from catkit.errors import SearchBudgetExceeded
+from catkit.generators import (
+    chain_poset,
+    finset_fragment,
+    heyting_category,
+    heyting_diamond,
+    random_category,
+)
+from test_reflected_checks import _exp_corruptions, _limit_corruptions, _sample, _twins
+
+# (module, name): the check in catkit and its oracle share the name
+CHECKS = (
+    (limits, "is_binary_product"),
+    (limits, "is_equalizer"),
+    (limits, "is_pullback"),
+    (exponentials, "is_exponential"),
+    (nno, "is_pnno"),
+)
+
+
+@cache
+def corpus():
+    out = [random_category(seed) for seed in range(40)]
+    out += [finset_fragment(2), finset_fragment(3), chain_poset(4)]
+    out.append(heyting_category(heyting_diamond()))
+    out.append(inflate(finset_fragment(2), [1, 2, 2])[0])
+    return tuple(out)
+
+
+def _searches(C):
+    """Run every search whose candidates go through the checks above; the
+    exponential and pnno searches get the partial product table, so that
+    product-incomplete categories exercise them too.  Returns the chosen
+    tables."""
+    prods = limits.partial_table(limits.PRODUCTS, C)
+    found = {
+        "products": limits.find_binary_products(C),
+        "equalizers": limits.find_equalizers(C),
+        "pullbacks": limits.find_pullbacks(C),
+        "exponentials": exponentials.find_exponentials(C, {"products": prods}),
+    }
+    term = limits.find_terminal(C)
+    if term is not None:
+        found["pnno"] = nno.find_pnno(C, {"terminal": term, "products": prods})
+    return prods, found
+
+
+@cache
+def candidates():
+    """(name, C, args) for every call the searches make to a check."""
+    calls = []
+    real = {name: getattr(mod, name) for mod, name in CHECKS}
+    try:
+        for mod, name in CHECKS:
+            def record(C, *args, _name=name):
+                calls.append((_name, C, args))
+                return real[_name](C, *args)
+            setattr(mod, name, record)
+        for C in corpus():
+            _searches(C)
+    finally:
+        for mod, name in CHECKS:
+            setattr(mod, name, real[name])
+    return tuple(calls)
+
+
+def _run(check, C, args, limit=10**18):
+    """The verdict of check and the ticks it took, or SearchBudgetExceeded
+    when the budget ran out."""
+    core.set_search_budget(limit)
+    try:
+        return check(C, *args), core._budget.used
+    except SearchBudgetExceeded:
+        return SearchBudgetExceeded
+    finally:
+        core.set_search_budget(None)
+
+
+def _kernel(name):
+    return next(getattr(mod, name) for mod, n in CHECKS if n == name)
+
+
+def test_every_searched_candidate_gets_the_oracles_verdict_and_ticks():
+    seen = {name: set() for _, name in CHECKS}
+    for name, C, args in candidates():
+        got = _run(_kernel(name), C, args)
+        assert got == _run(getattr(limit_oracles, name), C, args), (name, C.name, args)
+        seen[name].add(bool(got[0]))
+    # each check is met with both verdicts, so the parity is not vacuous
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
+
+def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
+    shapes = {
+        "products": (limits.PRODUCTS, "is_binary_product"),
+        "equalizers": (limits.EQUALIZERS, "is_equalizer"),
+        "pullbacks": (limits.PULLBACKS, "is_pullback"),
+    }
+    seen = set()
+    for C in corpus():
+        prods, found = _searches(C)
+        twins = _twins(C)
+        for kind, (shape, check) in shapes.items():
+            table = found[kind] or limits.partial_table(shape, C)
+            for key in _sample(table):
+                for how, bad in _limit_corruptions(shape, C, table[key], twins):
+                    got = _run(_kernel(check), C, (bad,))
+                    assert got == _run(getattr(limit_oracles, check), C, (bad,)), (
+                        C.name, kind, key, how, bad)
+                    seen.add((kind, got[0]))
+        exps = found["exponentials"] or {}
+        for key in _sample(exps):
+            for how, bad in _exp_corruptions(C, prods, exps[key], twins):
+                got = _run(exponentials.is_exponential, C, (prods, bad))
+                assert got == _run(limit_oracles.is_exponential, C, (prods, bad)), (
+                    C.name, key, how, bad)
+                seen.add(("exponentials", got[0]))
+    assert {(k, v) for k in [*shapes, "exponentials"] for v in (True, False)} <= seen, seen
+
+
+@pytest.mark.parametrize("name", [name for _, name in CHECKS])
+def test_the_budget_runs_out_at_the_same_count(name):
+    calls = [(C, args) for n, C, args in candidates() if n == name]
+    ticked = 0
+    for C, args in calls[:: max(1, len(calls) // 200)]:
+        _, used = _run(_kernel(name), C, args)
+        if used == 0:
+            continue
+        ticked += 1
+        for check in (_kernel(name), getattr(limit_oracles, name)):
+            assert _run(check, C, args, used)[1] == used, (name, C.name, args)
+            assert _run(check, C, args, used - 1) is SearchBudgetExceeded, (name, C.name, args)
+    assert ticked > 0
