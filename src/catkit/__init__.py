@@ -77,7 +77,6 @@ from .exponentials import (
     transfer_exponentials,
 )
 from .classifier import (
-    MonoCert,
     SubobjectClassifierW,
     assemble_topos,
     find_subobject_classifier,

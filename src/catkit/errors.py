@@ -144,10 +144,6 @@ class ReflectionFails(OracleDisagreement):
     pass
 
 
-class ConditionsDisagree(OracleDisagreement):
-    pass
-
-
 # --- resource limits -------------------------------------------------------
 
 class SearchBudgetExceeded(CatkitError):

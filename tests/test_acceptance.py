@@ -16,8 +16,6 @@ from catkit.classifier import (
     find_subobject_classifier,
     is_logical_functor,
     is_mono,
-    mono_by_cancellation,
-    mono_by_pullback,
     topos_gaps,
 )
 from catkit.cli import preorder6_spec
@@ -77,6 +75,7 @@ from catkit.limits import (
     transfer_terminal,
 )
 from catkit.nno import find_pnno, is_pnno, reflect_pnno, transfer_pnno
+from classifier_oracles import mono_by_cancellation, mono_by_pullback
 
 pytestmark = pytest.mark.filterwarnings("ignore:target")
 

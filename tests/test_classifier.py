@@ -6,6 +6,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from catkit import classifier
 from catkit.classifier import (
     assemble_topos,
     check_subobject_classifier,
@@ -14,8 +15,6 @@ from catkit.classifier import (
     is_mono,
     is_subobject_classifier,
     lift_preservation_subobject_classifier,
-    mono_by_cancellation,
-    mono_by_pullback,
     monos,
     preserves_subobject_classifier,
     subobject_classifier_cert,
@@ -36,7 +35,8 @@ from catkit.generators import (
     random_weak_equivalence,
     setoid_groupoid,
 )
-from catkit.limits import find_terminal, transfer_terminal
+from catkit.limits import PullbackW, find_terminal, is_pullback, transfer_terminal
+from classifier_oracles import mono_by_cancellation, mono_by_pullback
 
 seeds = st.integers(min_value=0, max_value=119)
 
@@ -54,7 +54,9 @@ def test_mono_characterizations_agree(seed):
         cert = is_mono(C, f)
         assert (cert is not None) == mono_by_cancellation(C, f)
         if cert is not None:
-            assert cert.cancellation and cert.pullback_square
+            x = C.mor_src[f]
+            assert cert == PullbackW(f, f, x, C.identity[x], C.identity[x])
+            assert is_pullback(C, cert)
 
 
 def test_every_poset_morphism_is_monic():
@@ -108,6 +110,22 @@ def test_fragment_classifier_is_two_with_true_point():
     }
     assert soc.chi == expected
     check_subobject_classifier(C, {"terminal": term, "classifier": soc})
+
+
+def test_find_builds_the_mono_list_once(monkeypatch):
+    # finset_fragment(2) rejects the candidate (1, id_1) before it finds
+    # (2, p0); both candidates share one mono list
+    C = finset_fragment(2)
+    calls = []
+    real = classifier.is_mono
+
+    def counted(C, f):
+        calls.append(f)
+        return real(C, f)
+
+    monkeypatch.setattr(classifier, "is_mono", counted)
+    assert find_subobject_classifier(C, {"terminal": find_terminal(C)}) is not None
+    assert len(calls) == C.n_morphisms
 
 
 def test_fragment_small_omega_rejected():

@@ -1,6 +1,8 @@
 """Every name a module imports is read somewhere in it, so an import list
 says what the module uses.  ``catkit/__init__.py`` is left out: its imports
-are the package's re-exports."""
+are the package's re-exports.  Every error class is named by some other
+module of the package, so none is left defined that nothing raises or
+catches."""
 import ast
 from pathlib import Path
 
@@ -40,3 +42,15 @@ def test_every_imported_name_is_read():
         if (found := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_every_error_class_is_named_elsewhere():
+    errors = ast.parse((ROOT / "src/catkit/errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    named = set()
+    for path in (ROOT / "src/catkit").glob("*.py"):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert sorted(classes - named) == []
