@@ -41,7 +41,6 @@ from .completion import (
     full_subcategory,
     inflate,
     inflate_section,
-    replete_image,
     skeletality,
     skeletize,
 )

@@ -481,7 +481,8 @@ def main(argv=None) -> int:
         set_search_budget(None)
     report.seconds = time.perf_counter() - t0
     if getattr(args, "json", False):
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        # compact, so json uses its C encoder; files written by --out stay indented
+        print(json.dumps(report.to_json(), sort_keys=True))
     elif "dot" in report.payload:
         # bare dot text so the output can be piped straight into graphviz
         print(report.payload["dot"], end="")
@@ -495,7 +496,7 @@ def _fail(args, kind: str, message: str, pointer: str | None, code: int) -> int:
         err = {"error": {"type": kind, "message": message}}
         if pointer:
             err["error"]["pointer"] = pointer
-        print(json.dumps(err, indent=2))
+        print(json.dumps(err, sort_keys=True))
     else:
         print(f"error [{kind}]: {message}", file=sys.stderr)
     return code

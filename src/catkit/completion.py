@@ -380,16 +380,3 @@ def full_subcategory(C: FinCat, object_ids: list[int]) -> tuple[FinCat, Functor]
     )
     incl = functor(sub, C, objs, keep, name=f"incl_{C.name}")
     return sub, incl
-
-
-def replete_image(F: Functor) -> FinCat:
-    """Full subcategory of the target on every object isomorphic to some
-    image object."""
-    D = F.target
-    image = set(F.obj_map)
-    hit = []
-    for y in range(D.n_objects):
-        if y in image or any(iso_between(D, fx, y) is not None for fx in image):
-            hit.append(y)
-    sub, _ = full_subcategory(D, hit)
-    return dataclasses.replace(sub, name=f"{D.name}|replete({F.name or 'F'})")

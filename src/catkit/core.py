@@ -581,32 +581,6 @@ def nat_iso(F: Functor, G: Functor, fwd_components: list[int]) -> NatIso:
     return alpha
 
 
-def nat_isos_between(F: Functor, G: Functor) -> list[NatIso]:
-    """Exhaustive enumeration of all natural isomorphisms F => G.  Desk-scale
-    only; the component search space is the product of iso sets."""
-    C, D = F.source, F.target
-    candidate_sets = []
-    for x in range(C.n_objects):
-        cands = isos_between(D, F.obj_map[x], G.obj_map[x])
-        if not cands:
-            return []
-        candidate_sets.append(cands)
-    out = []
-    for combo in itertools.product(*candidate_sets):
-        budget_tick()
-        ok = True
-        for f in range(C.n_morphisms):
-            x, y = C.mor_src[f], C.mor_dst[f]
-            if D.compose(F.mor_map[f], combo[y].fwd) != D.compose(
-                combo[x].fwd, G.mor_map[f]
-            ):
-                ok = False
-                break
-        if ok:
-            out.append(NatIso(F, G, tuple(combo)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weak equivalences
 

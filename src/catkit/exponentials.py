@@ -7,7 +7,9 @@ weak equivalence re-validates every produced witness.  The registry verbs
 (``check``, ``check_along``, ``find``, ``transfer``, ``carry``,
 ``preserves`` and ``lift_preservation``) take witness bags and read the chosen products from
 them; ``is_exponential``, ``curry`` and ``find_exponential`` take the
-product table itself.
+product table itself.  The searches test each typed candidate ``ev`` with
+the universal-property loop alone, and one sweep of ``find_exponentials``
+or ``check_exponentials`` computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
@@ -73,23 +75,48 @@ def _pairing(
 def is_exponential(
     C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW
 ) -> bool:
+    return _is_exponential(C, prods, w, {})
+
+
+def _is_exponential(
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW, pairs: dict
+) -> bool:
+    """:func:`is_exponential`, reading lam x id_x through the memo pairs,
+    which maps (lam, x) to :func:`_pairing` for these C and prods."""
     entry = prods.get((w.obj, w.x))
     if entry is None or not C.has_morphisms(w.ev):
         return False
     if C.mor_src[w.ev] != entry.apex or C.mor_dst[w.ev] != w.y:
         return False
-    comp, hom, x, obj, ev = C.comp_table, C.hom_map.get, w.x, w.obj, w.ev
+    return _exponential_universal(C, prods, w.x, w.y, w.obj, w.ev, pairs)
+
+
+def _exponential_universal(
+    C: FinCat,
+    prods: dict[tuple[int, int], BinProductW],
+    x: int,
+    y: int,
+    obj: int,
+    ev: int,
+    pairs: dict,
+) -> bool:
+    """Every f out of the chosen product of (z, x) into y curries exactly
+    once; ev is typed out of the chosen product of (obj, x) into y."""
+    comp, hom = C.comp_table, C.hom_map.get
     for z in range(C.n_objects):
         zx = prods.get((z, x))
         if zx is None:
             return False
         once = None   # the image table of hom(z, obj), built at the first cone from z
-        for f in hom((zx.apex, w.y), ()):
+        for f in hom((zx.apex, y), ()):
             budget_tick()
             if once is None:
                 once = {}
                 for lam in hom((z, obj), ()):
-                    g = comp[_pairing(C, prods, lam, x)][ev]
+                    pair = pairs.get((lam, x))
+                    if pair is None:
+                        pair = pairs[(lam, x)] = _pairing(C, prods, lam, x)
+                    g = comp[pair][ev]
                     once[g] = g not in once
             if not once.get(f):
                 return False
@@ -121,24 +148,34 @@ def curry(
 def find_exponential(
     C: FinCat, prods: dict[tuple[int, int], BinProductW], x: int, y: int
 ) -> ExponentialW | None:
+    return _find_exponential(C, prods, x, y, {})
+
+
+def _find_exponential(
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], x: int, y: int, pairs: dict
+) -> ExponentialW | None:
+    """Lowest obj first, then lowest ev.  Each ev is drawn from the hom out
+    of the chosen product of (obj, x) into y, so it is typed and goes
+    straight to the universal property; only the winner becomes a
+    witness."""
     for obj in range(C.n_objects):
         entry = prods.get((obj, x))
         if entry is None:
             return None
         for ev in C.hom(entry.apex, y):
-            w = ExponentialW(x, y, obj, ev)
-            if is_exponential(C, prods, w):
-                return w
+            if _exponential_universal(C, prods, x, y, obj, ev, pairs):
+                return ExponentialW(x, y, obj, ev)
     return None
 
 
 def check_exponentials(C: FinCat, bag: dict) -> None:
     table = bag["exponentials"]
     prods = bag["products"]
+    pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole sweep
     for x in range(C.n_objects):
         for y in range(C.n_objects):
             w = table.get((x, y))
-            if w is None or (w.x, w.y) != (x, y) or not is_exponential(C, prods, w):
+            if w is None or (w.x, w.y) != (x, y) or not _is_exponential(C, prods, w, pairs):
                 raise InvalidCert(f"exponential table is wrong at ({x},{y})")
 
 
@@ -186,10 +223,11 @@ def check_exponentials_along(F: Functor, src: dict, dst: dict) -> None:
 
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
     prods = bag["products"]
+    pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole sweep
     out = {}
     for x in range(C.n_objects):
         for y in range(C.n_objects):
-            w = find_exponential(C, prods, x, y)
+            w = _find_exponential(C, prods, x, y, pairs)
             if w is None:
                 return None
             out[(x, y)] = w

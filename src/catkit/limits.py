@@ -18,12 +18,18 @@ per kind holds what differs between them, and find, mediate, compare,
 preserve, transfer, reflect, lift and check are written once over it; the
 per-kind public names bind a shape.  The terminal names keep taking and
 returning a single :class:`ChosenTerminal`, wrapped as the table
-``{(): w}``.  The brute-force ``is_*`` checks stay one loop per shape, the
-hot path of every search.  Each reads hom(z, apex) once per test object z
-into an image table, mapping the legs of each arrow to whether no other
-arrow has the same legs, and a cone from z factors exactly once when the
-table maps it to True.  The loops that rescan hom(z, apex) for every cone
-are kept in the tests as their oracles.
+``{(): w}``.  The ``is_*`` checks are the public checks of a witness, which
+:func:`check_table`, :func:`transfer` and :func:`reflect` use: range,
+typing and the shape's equations, then one universal-property loop per
+shape, ``LimitShape.universal``.  The loop reads hom(z, apex) once per
+test object z into an image table, mapping the legs of each arrow to
+whether no other arrow has the same legs, and a cone from z factors exactly
+once when the table maps it to True.  :func:`find_limit`, the hot path of
+every search, draws typed legs, drops those that fail the equations and
+calls ``universal`` directly, building a witness only for the one it
+returns.  The loops that rescan hom(z, apex) for every cone, and the search
+that hands each candidate to ``is_*`` as a witness, are kept in the tests
+as their oracles.
 
 Colimit duals delegate to the limit machinery on the opposite category;
 the direct colimit searches they are cross-checked against live in the
@@ -141,8 +147,14 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
         return False
     if C.mor_src[w.pi2] != w.apex or C.mor_dst[w.pi2] != w.x2:
         return False
+    return _product_universal(C, (w.x1, w.x2), w.apex, (w.pi1, w.pi2))
+
+
+def _product_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
+    """Every cone over the factor pair factors exactly once; the legs are
+    typed."""
     comp, hom = C.comp_table, C.hom_map.get
-    x1, x2, apex, pi1, pi2 = w.x1, w.x2, w.apex, w.pi1, w.pi2
+    (x1, x2), (pi1, pi2) = key, legs
     for z in range(C.n_objects):
         once = None   # the image table of hom(z, apex), built at the first cone from z
         for g1 in hom((z, x1), ()):
@@ -151,8 +163,8 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
                 if once is None:
                     once = {}
                     for u in hom((z, apex), ()):
-                        legs = (comp[u][pi1], comp[u][pi2])
-                        once[legs] = legs not in once
+                        pair = (comp[u][pi1], comp[u][pi2])
+                        once[pair] = pair not in once
                 if not once.get((g1, g2)):
                     return False
     return True
@@ -168,7 +180,15 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
         return False
     if C.compose(w.arrow, w.f) != C.compose(w.arrow, w.g):
         return False
-    comp, hom, f, g, obj, arrow = C.comp_table, C.hom_map.get, w.f, w.g, w.obj, w.arrow
+    return _equalizer_universal(C, (w.f, w.g), w.obj, (w.arrow,))
+
+
+def _equalizer_universal(C: FinCat, key: Key, obj: int, legs: tuple[int, ...]) -> bool:
+    """Every arrow equalizing the parallel pair factors exactly once; the
+    leg is typed and equalizes the pair."""
+    comp, hom = C.comp_table, C.hom_map.get
+    (f, g), (arrow,) = key, legs
+    x = C.mor_src[f]
     for z in range(C.n_objects):
         once = None   # the image table of hom(z, obj), built at the first cone from z
         for h in hom((z, x), ()):
@@ -199,7 +219,15 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
         return False
     if C.compose(w.p1, w.f) != C.compose(w.p2, w.g):
         return False
-    comp, hom, f, g, apex, p1, p2 = C.comp_table, C.hom_map.get, w.f, w.g, w.apex, w.p1, w.p2
+    return _pullback_universal(C, (w.f, w.g), w.apex, (w.p1, w.p2))
+
+
+def _pullback_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
+    """Every commuting square over the cospan factors exactly once; the legs
+    are typed and commute."""
+    comp, hom = C.comp_table, C.hom_map.get
+    (f, g), (p1, p2) = key, legs
+    x, y = C.mor_src[f], C.mor_src[g]
     for z in range(C.n_objects):
         once = None   # the image table of hom(z, apex), built at the first cone from z
         for h1 in hom((z, x), ()):
@@ -211,8 +239,8 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
                 if once is None:
                     once = {}
                     for u in hom((z, apex), ()):
-                        legs = (comp[u][p1], comp[u][p2])
-                        once[legs] = legs not in once
+                        pair = (comp[u][p1], comp[u][p2])
+                        once[pair] = pair not in once
                 if not once.get((h1, h2)):
                     return False
     return True
@@ -253,9 +281,12 @@ class LimitShape:
     of the key (two, or none for the terminal), the apex, then one leg per
     foot.  ``feet`` is None for a key that is not a diagram of the shape;
     ``commutes`` holds the equations on typed legs, if any.  Keys name
-    objects or, unless ``keyed_by_objects``, morphisms.  ``is_limit`` looks
-    the module's ``is_*`` up when called, so a wrapper installed on the
-    module sees every call.
+    objects or, unless ``keyed_by_objects``, morphisms.  ``is_limit`` is the
+    public check of a witness, range, typing and equations first;
+    ``universal(C, key, apex, legs)`` is its universal-property loop alone,
+    for legs already typed onto the feet of the key and commuting, which is
+    what the searches enumerate.  Both look their function up on the module
+    when called, so a wrapper installed on the module sees every call.
     """
 
     name: str
@@ -266,6 +297,7 @@ class LimitShape:
     feet: Callable[[FinCat, Key], tuple[int, ...] | None]
     commutes: Callable[[FinCat, Key, tuple[int, ...]], bool] | None
     is_limit: Callable[[FinCat, object], bool]
+    universal: Callable[[FinCat, Key, int, tuple[int, ...]], bool]
     keyed_by_objects: bool
 
     @cached_property
@@ -309,22 +341,26 @@ class LimitShape:
 
 TERMINAL = LimitShape(
     "terminal", "empty diagram", ChosenTerminal, 0, lambda C: [()], lambda C, key: (),
-    None, lambda C, w: is_terminal(C, w.t), True,
+    None, lambda C, w: is_terminal(C, w.t),
+    lambda C, key, apex, legs: is_terminal(C, apex), True,
 )
 PRODUCTS = LimitShape(
     "product", "factor pair", BinProductW, 2,
     lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
-    None, lambda C, w: is_binary_product(C, w), True,
+    None, lambda C, w: is_binary_product(C, w),
+    lambda C, key, apex, legs: _product_universal(C, key, apex, legs), True,
 )
 EQUALIZERS = LimitShape(
     "equalizer", "parallel pair", EqualizerW, 2, parallel_pairs, _parallel_feet,
     lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[0], key[1]),
-    lambda C, w: is_equalizer(C, w), False,
+    lambda C, w: is_equalizer(C, w),
+    lambda C, key, apex, legs: _equalizer_universal(C, key, apex, legs), False,
 )
 PULLBACKS = LimitShape(
     "pullback", "cospan", PullbackW, 2, cospan_pairs, _cospan_feet,
     lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[1], key[1]),
-    lambda C, w: is_pullback(C, w), False,
+    lambda C, w: is_pullback(C, w),
+    lambda C, key, apex, legs: _pullback_universal(C, key, apex, legs), False,
 )
 
 
@@ -334,15 +370,20 @@ PULLBACKS = LimitShape(
 
 def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     """Lowest apex first, then lowest leg indices; None when the key is not
-    a diagram of the shape or has no limit."""
+    a diagram of the shape, names no object or morphism of C, or has no
+    limit.  The legs are drawn from hom(apex, foot), so they are typed;
+    those that fail the shape's equations are skipped, the others go to
+    ``shape.universal``, and only the winner becomes a witness."""
     feet = shape.feet(C, key)
-    if feet is None:
+    if feet is None or not shape.in_range(C, key):
         return None
+    commutes, universal = shape.commutes, shape.universal
     for apex in range(C.n_objects):
         for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
-            w = shape.witness(*key, apex, *legs)
-            if shape.is_limit(C, w):
-                return w
+            if commutes is not None and not commutes(C, key, legs):
+                continue
+            if universal(C, key, apex, legs):
+                return shape.witness(*key, apex, *legs)
     return None
 
 

@@ -2,9 +2,20 @@
 each test object, every arrow into the apex is composed with the legs and
 the hits counted.  These define the limits, exponentials and parameterized
 N; the checks in ``catkit`` that read hom(z, apex) once per test object are
-compared against them, verdict and budget ticks alike.  Beside them, the
-exponential comparison iso and the re-derivation of an exponential
-preservation certificate, which only the tests use."""
+compared against them, verdict and budget ticks alike.
+
+The searches as one witness per candidate: ``find_limit`` and
+``find_exponential`` hand every enumerated candidate, typed or not,
+commuting or not, to the public ``is_*`` of its module, looked up there at
+call time.  The searches in ``catkit``, which test only typed, commuting
+candidates with the universal-property loop alone, are compared against
+them, witnesses and budget ticks alike.
+
+Beside them, the exponential comparison iso and the re-derivation of an
+exponential preservation certificate, which only the tests use."""
+import itertools
+
+from catkit import exponentials
 from catkit.core import FinCat, Iso, budget_tick, find_iso
 from catkit.errors import InvalidCert, NotACone, OracleDisagreement
 from catkit.exponentials import ExpPreservationCert, ExponentialW, _pairing, curry
@@ -13,6 +24,7 @@ from catkit.limits import (
     ChosenTerminal,
     EqualizerW,
     LimitPreservationCert,
+    LimitShape,
     PullbackW,
     mediating,
     to_terminal,
@@ -111,6 +123,32 @@ def is_exponential(
             if hits != 1:
                 return False
     return True
+
+
+def find_limit(shape: LimitShape, C: FinCat, key: tuple[int, ...]) -> object | None:
+    feet = shape.feet(C, key)
+    if feet is None:
+        return None
+    for apex in range(C.n_objects):
+        for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
+            w = shape.witness(*key, apex, *legs)
+            if shape.is_limit(C, w):
+                return w
+    return None
+
+
+def find_exponential(
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], x: int, y: int
+) -> ExponentialW | None:
+    for obj in range(C.n_objects):
+        entry = prods.get((obj, x))
+        if entry is None:
+            return None
+        for ev in C.hom(entry.apex, y):
+            w = ExponentialW(x, y, obj, ev)
+            if exponentials.is_exponential(C, prods, w):
+                return w
+    return None
 
 
 def _recursors(

@@ -31,7 +31,6 @@ from catkit.core import (
     check_category_tables,
     functor,
     is_weak_equivalence,
-    nat_isos_between,
     opposite_functor,
     same_tables,
     table_isomorphic,
@@ -76,6 +75,7 @@ from catkit.limits import (
 )
 from catkit.nno import find_pnno, is_pnno, reflect_pnno, transfer_pnno
 from classifier_oracles import mono_by_cancellation, mono_by_pullback
+from completion_helpers import nat_isos_between
 
 pytestmark = pytest.mark.filterwarnings("ignore:target")
 

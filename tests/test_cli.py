@@ -144,6 +144,33 @@ def test_validate_malformed_doc_exits_1(tmp_path, capsys):
     assert err["error"]["pointer"].startswith("/composition")
 
 
+def test_json_reports_and_errors_print_as_one_sorted_line(fragment_path, tmp_path, monkeypatch,
+                                                          capsys):
+    built = []
+
+    def keep(args, _real=cli.cmd_analyze):
+        report, code = _real(args)
+        built.append(report)
+        return report, code
+
+    monkeypatch.setattr(cli, "cmd_analyze", keep)
+    assert main(["analyze", fragment_path, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(built[0].to_json(), sort_keys=True) + "\n"
+
+    doc = category_to_json(walking_iso())
+    doc["composition"][0][2] = doc["composition"][0][0]
+    with pytest.raises(catkit.errors.CatkitError) as raised:
+        validate_category(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "--json"]) == 1
+    out = capsys.readouterr().out
+    exc = raised.value
+    err = {"error": {"type": type(exc).__name__, "message": str(exc), "pointer": exc.pointer}}
+    assert out == json.dumps(err, sort_keys=True) + "\n"
+
+
 def _set_morphism_id(doc, label):
     doc["morphisms"][1]["id"] = label
 

@@ -12,7 +12,6 @@ from catkit.completion import (
     full_subcategory,
     inflate,
     inflate_section,
-    replete_image,
     skeletality,
     skeletize,
 )
@@ -25,7 +24,6 @@ from catkit.core import (
     is_weak_equivalence,
     iso_classes,
     isos_between,
-    nat_isos_between,
     same_tables,
 )
 from catkit.errors import SourceMismatch, ZeroCopies
@@ -44,6 +42,7 @@ from catkit.generators import (
     terminal_cat,
     walking_iso,
 )
+from completion_helpers import nat_isos_between, replete_image
 
 seeds = st.integers(min_value=0, max_value=119)
 

@@ -1,8 +1,11 @@
 """The ``is_*`` checks that read hom(z, apex) once per test object against
 the loops kept in ``limit_oracles``, which rescan it for every cone: the
 same verdict and the same number of budget ticks on every candidate the
-``find_*`` searches enumerate, on corrupted table entries, and the same
-smallest budget that lets the check finish."""
+oracle searches enumerate, on corrupted table entries, and the same
+smallest budget that lets the check finish.  The searches, which skip the
+checks' preamble, against the oracle searches, which build a witness per
+candidate and hand it to ``is_*``: the same witnesses and ticks."""
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -39,17 +42,42 @@ def corpus():
     return tuple(out)
 
 
+def _oracle_table(shape, C, partial=False):
+    """``limits.partial_table``, or ``find_table``, through the oracle search."""
+    out = {}
+    for key in shape.keys(C):
+        w = limit_oracles.find_limit(shape, C, key)
+        if w is not None:
+            out[key] = w
+        elif not partial:
+            return None
+    return out
+
+
+def _oracle_exponentials(C, prods):
+    """``exponentials.find_exponentials`` through the oracle search."""
+    out = {}
+    for x in range(C.n_objects):
+        for y in range(C.n_objects):
+            w = limit_oracles.find_exponential(C, prods, x, y)
+            if w is None:
+                return None
+            out[(x, y)] = w
+    return out
+
+
 def _searches(C):
-    """Run every search whose candidates go through the checks above; the
-    exponential and pnno searches get the partial product table, so that
-    product-incomplete categories exercise them too.  Returns the chosen
-    tables."""
-    prods = limits.partial_table(limits.PRODUCTS, C)
+    """Run every search whose candidates go through the checks above, the
+    limit and exponential ones as oracle searches, which hand each candidate
+    to a check; the exponential and pnno searches get the partial product
+    table, so that product-incomplete categories exercise them too.  Returns
+    the chosen tables."""
+    prods = _oracle_table(limits.PRODUCTS, C, partial=True)
     found = {
-        "products": limits.find_binary_products(C),
-        "equalizers": limits.find_equalizers(C),
-        "pullbacks": limits.find_pullbacks(C),
-        "exponentials": exponentials.find_exponentials(C, {"products": prods}),
+        "products": _oracle_table(limits.PRODUCTS, C),
+        "equalizers": _oracle_table(limits.EQUALIZERS, C),
+        "pullbacks": _oracle_table(limits.PULLBACKS, C),
+        "exponentials": _oracle_exponentials(C, prods),
     }
     term = limits.find_terminal(C)
     if term is not None:
@@ -143,3 +171,59 @@ def test_the_budget_runs_out_at_the_same_count(name):
             assert _run(check, C, args, used)[1] == used, (name, C.name, args)
             assert _run(check, C, args, used - 1) is SearchBudgetExceeded, (name, C.name, args)
     assert ticked > 0
+
+
+def test_the_searches_find_the_oracle_searches_witnesses_with_the_same_ticks():
+    seen = set()
+    for C in corpus():
+        searches = []
+        for shape in (limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
+            for partial in (True, False):
+                verb = limits.partial_table if partial else limits.find_table
+                searches.append((
+                    (shape.name, verb.__name__),
+                    lambda C, shape=shape, verb=verb: verb(shape, C),
+                    lambda C, shape=shape, partial=partial: _oracle_table(shape, C, partial),
+                ))
+        prods = limits.partial_table(limits.PRODUCTS, C)
+        searches.append((
+            ("exponential", "find_exponentials"),
+            lambda C: exponentials.find_exponentials(C, {"products": prods}),
+            lambda C: _oracle_exponentials(C, prods),
+        ))
+        for what, search, oracle in searches:
+            got = _run(search, C, ())
+            assert got == _run(oracle, C, ()), (C.name, what)
+            found, used = got
+            seen.add((what, found is not None))
+            if used:
+                assert _run(search, C, (), used - 1) is SearchBudgetExceeded, (C.name, what)
+                assert _run(oracle, C, (), used - 1) is SearchBudgetExceeded, (C.name, what)
+    # every search that can fail both succeeds and fails somewhere in the corpus
+    finds = {what for what, _ in seen if what[1] != "partial_table"}
+    assert {(what, ok) for what in finds for ok in (True, False)} <= seen, seen
+
+
+def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a search went through a public check")
+
+    for name in ("is_binary_product", "is_equalizer", "is_pullback"):
+        monkeypatch.setattr(limits, name, refuse)
+    monkeypatch.setattr(exponentials, "is_exponential", refuse)
+    pairings = Counter()
+    real = exponentials._pairing
+
+    def counted(C, prods, lam, x):
+        pairings[(lam, x)] += 1
+        return real(C, prods, lam, x)
+
+    monkeypatch.setattr(exponentials, "_pairing", counted)
+    for C in (finset_fragment(2), heyting_category(heyting_diamond())):
+        for shape in (limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
+            limits.find_table(shape, C)
+        prods = limits.partial_table(limits.PRODUCTS, C)
+        pairings.clear()
+        exponentials.find_exponentials(C, {"products": prods})
+        # one sweep builds each lam x id_x once
+        assert pairings and max(pairings.values()) == 1, (C.name, pairings)

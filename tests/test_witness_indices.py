@@ -148,3 +148,14 @@ def test_complete_structured_rejects_an_aliased_equalizer_arrow():
     eqs[(last, last)] = EqualizerW(w.f, w.g, w.obj, -1)
     with pytest.raises(InvalidCert):
         complete_structured(CHAIN, kinds=["equalizers"], witnesses={"equalizers": eqs})
+
+
+@pytest.mark.parametrize("shape", [PRODUCTS, EQUALIZERS, PULLBACKS])
+def test_find_limit_finds_nothing_for_a_key_read_from_the_end(shape):
+    """The search tests candidates with the universal property alone, so
+    the key is range-checked once: -1 would alias the last object or
+    morphism, whose own key has a limit."""
+    last = (CHAIN.n_objects if shape is PRODUCTS else CHAIN.n_morphisms) - 1
+    key = (last, last) if shape is not PULLBACKS else (last, CHAIN.identity[-1])
+    assert find_limit(shape, CHAIN, key) is not None
+    assert find_limit(shape, CHAIN, (-1, key[1])) is None
