@@ -13,7 +13,7 @@ or ``check_exponentials`` computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Functor,
@@ -54,12 +54,16 @@ class ExponentialW:
 @dataclass(frozen=True, eq=False)
 class ExpPreservationCert:
     """comparison[(x, y)] runs from F(obj) to the chosen exponential of the
-    images, commuting with evaluations through the product comparison."""
+    images, commuting with evaluations through the product comparison.  A
+    certificate that :func:`carry_exponentials` returns holds, as back, the
+    quasi-inverse's certificate from its re-validation; otherwise back is
+    None."""
 
     functor: Functor
     source: dict[tuple[int, int], ExponentialW]
     target: dict[tuple[int, int], ExponentialW]
     comparison: dict[tuple[int, int], Iso]
+    back: ExpPreservationCert | None = None
 
 
 def _pairing(
@@ -179,8 +183,10 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
                 raise InvalidCert(f"exponential table is wrong at ({x},{y})")
 
 
-def check_exponentials_along(F: Functor, src: dict, dst: dict) -> None:
-    """:func:`check_exponentials` on the source of F, decided on its target.
+def check_exponentials_along(F: Functor, src: dict, dst: dict) -> ExpPreservationCert:
+    """:func:`check_exponentials` on the source of F, decided on its target,
+    and F's preservation certificate of the exponentials of src into those
+    of dst.
 
     F is a weak equivalence whose certificate was checked; the products of
     src and dst are checked tables, and the exponentials of dst are known
@@ -188,14 +194,17 @@ def check_exponentials_along(F: Functor, src: dict, dst: dict) -> None:
     (``ev`` out of the chosen product of ``(obj, x)`` into ``y``) is an
     exponential exactly when its image is one, with the image ``ev``
     re-based onto the chosen product of the images through the mediator of
-    the image product: the equivalence F preserves and reflects products
-    and exponentials.  Each distinct image that is not in dst is checked by
-    brute force once.
+    the image product, which is ``mu;F(ev)`` for the product comparison
+    ``mu``: the equivalence F preserves and reflects products and
+    exponentials.  Each distinct image is decided once by its comparison
+    with the exponential of dst at its pair (:func:`_comparison_at`).
     """
     C, D = F.source, F.target
     table, prodsC, prodsD = src["exponentials"], src["products"], dst["products"]
-    good = {(w.x, w.y, w.obj, w.ev) for w in dst["exponentials"].values()}
+    expsD = dst["exponentials"]
     rebase: dict[tuple[int, int], int] = {}   # (obj, x) -> mediator onto the image product
+    by_image: dict[tuple[int, int, int, int], Iso] = {}   # image witness -> comparison
+    comparison: dict[tuple[int, int], Iso] = {}
     n = C.n_objects
     for x in range(n):
         for y in range(n):
@@ -215,10 +224,14 @@ def check_exponentials_along(F: Functor, src: dict, dst: dict) -> None:
                 u = mediating(D, PRODUCTS.image(F, entry), chosen.pi1, chosen.pi2)
                 rebase[(w.obj, x)] = u
             image = (F.obj_map[x], F.obj_map[y], F.obj_map[w.obj], D.compose(u, F.mor_map[w.ev]))
-            if image not in good:
-                if not is_exponential(D, prodsD, ExponentialW(*image)):
+            iso = by_image.get(image)
+            if iso is None:
+                iso = _comparison_at(D, prodsD, expsD[image[:2]], image[2], image[3])
+                if iso is None:
                     raise InvalidCert(f"exponential table is wrong at ({x},{y})")
-                good.add(image)
+                by_image[image] = iso
+            comparison[(x, y)] = iso
+    return ExpPreservationCert(F, table, expsD, comparison)
 
 
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
@@ -253,12 +266,14 @@ def carry_exponentials(
     equivalence: the image witness is re-based onto the chosen products of
     dst through the mediator of the image cone.  The result is re-validated
     along the quasi-inverse (:func:`check_exponentials_along`), which takes
-    it back onto the source entries it came from; the products of dst must
-    be a checked table."""
+    it back onto the source entries it came from and returns the
+    quasi-inverse's certificate as the back of the equivalence's; the
+    products of dst must be a checked table."""
     G = cert.functor
     D = G.target
     prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
     out: dict[tuple[int, int], ExponentialW] = {}
+    rebase: dict[tuple[int, int], int] = {}   # (wC.obj, d1) -> mediator onto the target product
     for d1 in range(D.n_objects):
         for d2 in range(D.n_objects):
             x1, i1 = cert.eso_witness[d1]
@@ -266,18 +281,21 @@ def carry_exponentials(
             wC = expsC.get((x1, x2))
             if wC is None:
                 raise PreconditionViolation(f"source table lacks the exponential of ({x1},{x2})")
-            image = PRODUCTS.image(G, prodsC[(wC.obj, x1)])
-            target_entry = prodsD[(G.obj_map[wC.obj], d1)]
-            try:
-                u = mediating(D, image, target_entry.pi1, D.compose(target_entry.pi2, i1.inv))
-            except InvalidCert:
-                raise OracleDisagreement(
-                    "image of a chosen product stopped being a product during transfer"
-                ) from None
+            u = rebase.get((wC.obj, d1))
+            if u is None:
+                image = PRODUCTS.image(G, prodsC[(wC.obj, x1)])
+                target_entry = prodsD[(G.obj_map[wC.obj], d1)]
+                try:
+                    u = mediating(D, image, target_entry.pi1, D.compose(target_entry.pi2, i1.inv))
+                except InvalidCert:
+                    raise OracleDisagreement(
+                        "image of a chosen product stopped being a product during transfer"
+                    ) from None
+                rebase[(wC.obj, d1)] = u
             ev = D.compose_many(u, G.mor_map[wC.ev], i2.fwd)
             out[(d1, d2)] = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
     try:
-        check_exponentials_along(
+        back = check_exponentials_along(
             cert.quasi_inverse, {"products": prodsD, "exponentials": out}, src
         )
     except InvalidCert as e:
@@ -290,7 +308,31 @@ def carry_exponentials(
     )
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the exponentials it transferred")
-    return out, pres
+    return out, replace(pres, back=back)
+
+
+def _comparison_at(
+    D: FinCat,
+    prods: dict[tuple[int, int], BinProductW],
+    target: ExponentialW,
+    obj: int,
+    g: int,
+) -> Iso | None:
+    """The comparison from obj, with evaluation g out of the chosen product
+    of (obj, target.x) into target.y, to the chosen exponential target;
+    None when it is not an iso.  target must be an exponential: the
+    identity is then taken unsearched where obj and g are target's obj and
+    ev, since the only endomorphism of an exponential that commutes with
+    its evaluation is the identity, and otherwise g curries through target
+    exactly once."""
+    if obj == target.obj and g == target.ev:
+        one = D.identity[obj]
+        return Iso(one, one)
+    try:
+        lam = curry(D, prods, target, obj, g)
+    except NotACone:
+        return None
+    return find_iso(D, lam)
 
 
 def preserves_exponentials(
@@ -299,27 +341,16 @@ def preserves_exponentials(
     """Canonical comparison by currying mu;F(ev), with mu from F's products
     certificate in certs; None when some comparison fails to invert.  An
     invalid target exponential raises.  The target exponentials must be
-    exponentials, as every found or checked table is: where F(obj) is the
-    target's obj and mu;F(ev) its ev, the comparison is the identity,
-    taken unsearched, since the only endomorphism of an exponential that
-    commutes with its evaluation is the identity."""
+    exponentials, as every found or checked table is
+    (:func:`_comparison_at`)."""
     D = F.target
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
     muF = certs["products"]
     comparison: dict[tuple[int, int], Iso] = {}
     for (x, y), w in expsC.items():
         target = expsD[(F.obj_map[x], F.obj_map[y])]
-        mu = muF.mu[(w.obj, x)]
-        g = D.compose(mu.fwd, F.mor_map[w.ev])
-        if F.obj_map[w.obj] == target.obj and g == target.ev:
-            one = D.identity[target.obj]
-            comparison[(x, y)] = Iso(one, one)
-            continue
-        try:
-            lam = curry(D, prodsD, target, F.obj_map[w.obj], g)
-        except NotACone:
-            return None
-        iso = find_iso(D, lam)
+        g = D.compose(muF.mu[(w.obj, x)].fwd, F.mor_map[w.ev])
+        iso = _comparison_at(D, prodsD, target, F.obj_map[w.obj], g)
         if iso is None:
             return None
         comparison[(x, y)] = iso
@@ -351,9 +382,9 @@ def lift_preservation_exponentials(
     direct = preserves_exponentials(H, carried, dst, {"products": HprodCert})
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct exponential check")
+    phi = [_phi(cert, H, alpha, y) for y in range(cert.functor.target.n_objects)]
     for y1, y2 in expsD:
-        x1, phi1 = _phi(cert, H, alpha, y1)
-        x2, phi2 = _phi(cert, H, alpha, y2)
+        (x1, phi1), (x2, phi2) = phi[y1], phi[y2]
         srcC = src["exponentials"][(x1, x2)]
         ef = expsE[(F.obj_map[x1], F.obj_map[x2])]
         eh = expsE[(H.obj_map[y1], H.obj_map[y2])]

@@ -16,15 +16,21 @@ Structure is searched for on the skeleton, which is equivalent to the source
 and usually far smaller, and carried back to the source along the inclusion
 of the representatives.  Carried witnesses are checked on the skeleton
 through eta: each is typed on its own category, and its image (or, inside a
-transfer, its pull-back) is checked by the brute-force ``is_*`` once per
-distinct image, since an equivalence preserves and reflects the structure.
-The classifier and the parameterized N, single witnesses, are checked
-directly.  Lifting preservation through a factorization reuses the carried
-witnesses instead of transferring them again.
+transfer, its pull-back along the quasi-inverse) is decided on the
+skeleton, since an equivalence preserves and reflects the structure.  A
+table's image entries are decided by their comparisons with the chosen
+ones, once per distinct image; the parameterized N's image is accepted when
+it is the chosen one and checked by ``is_pnno`` on the skeleton otherwise.
+The comparisons make up the quasi-inverse's preservation certificate, and
+where eta equals that quasi-inverse the certificate is eta's, so eta's
+preservation is not decided a second time.  The classifier is checked
+directly on the source, and eta's preservation of it decided by its
+comparison.  Lifting preservation through a factorization reuses the
+carried witnesses instead of transferring them again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .completion import (
@@ -40,6 +46,7 @@ from .core import (
     NatIso,
     WeakEquivalenceCert,
     check_weak_equivalence_cert,
+    functors_equal,
     same_tables,
 )
 from .errors import DependencyMissing, OracleDisagreement, PreconditionViolation
@@ -56,12 +63,14 @@ class StructureKind:
     ``check`` decides a bag on its category by brute force.  ``check_along``
     decides a bag on the source of a checked weak equivalence through it:
     typing on the source, then the image on the target, where the checked
-    target bag supplies images known to be good; the classifier and the
-    parameterized N are checked directly on the source instead.
-    ``transfer`` carries the source bag's entries along a weak equivalence
-    into any target, skeletal or not, and re-validates them by pulling them
-    back onto the source entries.  ``carry`` is ``transfer`` without its
-    check of the source bag, for a bag that ``check`` already accepted.
+    target bag supplies images known to be good; the classifier is checked
+    directly on the source instead.  ``transfer`` carries the source bag's
+    entries along a weak equivalence into any target, skeletal or not, and
+    re-validates them by pulling them back onto the source entries; the
+    certificate it returns holds the quasi-inverse's certificate from that
+    re-validation as ``back``, for every kind but the classifier, whose
+    carry searches its target instead.  ``carry`` is ``transfer`` without
+    its check of the source bag, for a bag that ``check`` already accepted.
     ``lift`` receives last the bag carried to the completion, whose entries
     are the transfers of the source bag along the equivalence.
     """
@@ -99,7 +108,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
         name,
         (),
         lambda C, bag: check_table(shape, C, table(bag)),
-        lambda F, src, dst: limits.check_table_along(shape, F, table(src), table(dst).values()),
+        lambda F, src, dst: limits.check_table_along(shape, F, table(src), table(dst)),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst: call("transfer_", cert, src[name]),
         carry,
@@ -113,8 +122,8 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
 def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> StructureKind:
     """A kind whose verbs are the names of module ending in suffix, each
     taking the bags as they are; looked up when called, as in
-    :func:`_limit_kind`.  A module without ``check_<suffix>_along`` has its
-    carried witness checked directly on the source."""
+    :func:`_limit_kind`.  A module without ``check_<suffix>_along`` (the
+    classifier's) has its carried witness checked directly on the source."""
 
     def verb(prefix, end=""):
         return lambda *args: getattr(module, prefix + suffix + end)(*args)
@@ -206,11 +215,17 @@ def complete_structured(
     checked on C once, by the kind's ``check``, and carried along eta
     instead, so that the completed bag is always the transfer of the source
     bag.
+
+    Where eta equals the inclusion's quasi-inverse, eta's certificate is the
+    one the carry's re-validation along that quasi-inverse returned;
+    otherwise, and for the classifier, it is decided by the kind's
+    ``preserves``.
     """
     witnesses = dict(witnesses or {})
     res = skeletize(C)
     D = res.completed
     incl = skeleton_inclusion(res)
+    eta_is_back = functors_equal(res.eta, incl.quasi_inverse)
     src: dict[str, object] = {}
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
@@ -232,7 +247,11 @@ def complete_structured(
                 f"requested structure '{name}' is absent from {C.name}"
             )
         completed[name] = found
-        src[name], _ = kind.transfer(incl, completed, src)
+        src[name], pres = kind.transfer(incl, completed, src)
+        back = getattr(pres, "back", None) if eta_is_back else None   # the classifier has none
+        if back is not None:
+            eta_certs[name] = replace(back, functor=res.eta)
+            continue
         cert = kind.preserves(res.eta, src, completed, eta_certs)
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")

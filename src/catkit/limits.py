@@ -9,7 +9,9 @@ certify it with comparison isos, and ``lift_preservation_*`` derive
 preservation for a factored functor by two independent routes that must
 agree exactly.  :func:`check_table_along` checks a table through a weak
 equivalence: typing on its own category, the universal property on the
-image, which an equivalence preserves and reflects.
+image, which an equivalence preserves and reflects, decided by the image's
+comparison with the chosen limit; the comparisons it finds make up the
+equivalence's preservation certificate, which it returns.
 
 Terminal objects, binary products, equalizers and pullbacks are keyed
 limits: a table maps each key (the empty diagram's one key ``()``, a pair of
@@ -38,10 +40,10 @@ tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import (
     FinCat,
@@ -419,24 +421,30 @@ def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
             raise _wrong_at(shape, key)
 
 
-def check_table_along(shape: LimitShape, F: Functor, table: Table, known: Iterable) -> None:
-    """:func:`check_table` on the source of F, decided on its target.
+def check_table_along(
+    shape: LimitShape, F: Functor, table: Table, target: Table
+) -> LimitPreservationCert:
+    """:func:`check_table` on the source of F, decided on its target, and
+    F's preservation certificate of table into target.
 
-    F is a weak equivalence whose certificate was checked, and known holds
-    limit witnesses on its target.  An entry keyed by its key and typed on
-    the source (apex and legs in range, legs from the apex onto the feet)
-    is a limit exactly when its image is one: F reflects limits, being fully
+    F is a weak equivalence whose certificate was checked, and target is a
+    checked table on its target.  An entry keyed by its key and typed on the
+    source (apex and legs in range, legs from the apex onto the feet) is a
+    limit exactly when its image is one: F reflects limits, being fully
     faithful, and preserves them, being an equivalence.  The equations need
     no check of their own, since a faithful F reflects equality of parallel
     arrows.  Typing is checked on the source itself, because a leg into an
-    isomorphic twin of a foot is typed once imaged.  Each distinct image
-    that is not in known is checked by brute force once.
+    isomorphic twin of a foot is typed once imaged.  Each distinct image is
+    decided once by its comparison with the target entry of its diagram, as
+    in :func:`preserves`: the identity where it is that entry, otherwise
+    its mediator into it, which is an iso exactly when the image is a limit.
     """
     C, D = F.source, F.target
     n, m, src, dst = C.n_objects, C.n_morphisms, C.mor_src, C.mor_dst
     obj, mor = F.obj_map, F.mor_map
     k = shape.n_key   # witnesses read inline, as in mediator
-    good = set(map(shape.unpack, known))
+    mu: dict[Key, Iso] = {}
+    by_image: dict[tuple[int, ...], Iso] = {}   # image cone -> mu
     for key in shape.keys(C):
         w = table.get(key)
         if w is None:
@@ -449,10 +457,14 @@ def check_table_along(shape: LimitShape, F: Functor, table: Table, known: Iterab
             if not 0 <= p < m or src[p] != apex or dst[p] != x:
                 raise _wrong_at(shape, key)
         image = (*shape.image_key(F, key), obj[apex], *map(mor.__getitem__, legs))
-        if image not in good:
-            if not shape.is_limit(D, shape.witness(*image)):
+        iso = by_image.get(image)
+        if iso is None:
+            iso = _comparison_at(shape, D, target[image[:k]], image)
+            if iso is None:
                 raise _wrong_at(shape, key)
-            good.add(image)
+            by_image[image] = iso
+        mu[key] = iso
+    return LimitPreservationCert(F, table, target, mu)
 
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
@@ -499,33 +511,60 @@ def comparison(shape: LimitShape, C: FinCat, a, b) -> Iso:
 class LimitPreservationCert:
     """mu maps the chosen limit of each image diagram onto the image of the
     chosen limit; composing mu with the image legs recovers the chosen
-    legs."""
+    legs.  A certificate that :func:`carry` returns holds, as back, the
+    quasi-inverse's certificate from its re-validation, which takes the
+    carried table onto the table it came from; otherwise back is None."""
 
     functor: Functor
     source: Table
     target: Table
     mu: dict[Key, Iso]
+    back: LimitPreservationCert | None = None
+
+
+def _comparison_at(shape: LimitShape, E: FinCat, entry, image: tuple[int, ...]) -> Iso | None:
+    """mu for the flat image cone image, from entry, the chosen limit of its
+    diagram, onto it; None when the image cone is not limiting.  entry must
+    be a limit: the identity is then taken unsearched where the image is
+    entry, since the only endomorphism of a limit that commutes with its own
+    legs is the identity, and any other cone is a limit exactly when its
+    mediator into entry is an iso."""
+    k = shape.n_key
+    if image == shape.unpack(entry):
+        one = E.identity[image[k]]
+        return Iso(one, one)
+    try:
+        fwd = mediator(shape, E, entry, image[k], image[k + 1:])
+    except NotACone:
+        return None
+    found = find_iso(E, fwd)
+    # chosen-of-images -> image-of-chosen
+    return None if found is None else Iso(found.inv, found.fwd)
 
 
 def preserves(
     shape: LimitShape, F: Functor, source: Table, target: Table
 ) -> LimitPreservationCert | None:
     """Each image cone must factor through the chosen limit of its diagram
-    by an iso; None when some image cone is not limiting.  A target entry
-    with a field out of range raises, checked once per target key; each
-    distinct image cone is factored once.  The target entries must be
-    limits, as every found or checked table is: an image cone equal to its
-    target entry then gets the identity comparison unsearched, since the
-    only endomorphism of a limit that commutes with its own legs is the
-    identity."""
+    by an iso; None when some image cone is not limiting.  A source entry
+    whose apex or legs are out of range, or a target entry with a field out
+    of range, raises, the latter checked once per target key; each distinct
+    image cone is compared once (:func:`_comparison_at`).  The target
+    entries must be limits, as every found or checked table is."""
     mu: dict[Key, Iso] = {}
     by_image: dict[tuple[int, ...], Iso] = {}   # image cone -> mu
     in_range: set[Key] = set()   # target keys whose entry names objects and morphisms of E
-    E, obj, mor = F.target, F.obj_map, F.mor_map
+    E = F.target
+    # F's maps as dicts, so that a source field out of range raises instead
+    # of being read from the end
+    obj, mor = dict(enumerate(F.obj_map)), dict(enumerate(F.mor_map))
     k = shape.n_key   # witnesses read inline, apex v[k] and legs v[k + 1:]: a hot path
     for key, w in source.items():
         v = shape.unpack(w)
-        image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
+        try:
+            image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
+        except KeyError:
+            raise InvalidCert(f"source {shape.name} entry {key} is out of range") from None
         iso = by_image.get(image)
         if iso is None:
             image_key = image[:k]
@@ -534,19 +573,10 @@ def preserves(
                 if not shape.in_range(E, shape.unpack(entry)):
                     raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
                 in_range.add(image_key)
-            if image == shape.unpack(entry):
-                one = E.identity[image[k]]
-                iso = by_image[image] = Iso(one, one)
-            else:
-                try:
-                    fwd = mediator(shape, E, entry, image[k], image[k + 1:])
-                except NotACone:
-                    return None
-                found = find_iso(E, fwd)
-                if found is None:
-                    return None
-                # chosen-of-images -> image-of-chosen
-                iso = by_image[image] = Iso(found.inv, found.fwd)
+            iso = _comparison_at(shape, E, entry, image)
+            if iso is None:
+                return None
+            by_image[image] = iso
         mu[key] = iso
     return LimitPreservationCert(F, source, target, mu)
 
@@ -579,8 +609,10 @@ def carry(
     equivalence: the witness at each pulled-back key is imaged, its legs
     composed with the eso isos of the feet.  The result is re-validated
     along the quasi-inverse (:func:`check_table_along`), which takes it back
-    onto the source entries it came from.  The target need not be skeletal:
-    the witnesses carried there are limits, though not the only choice."""
+    onto the source entries it came from and returns the quasi-inverse's
+    certificate as the back of the equivalence's.  The target need not be
+    skeletal: the witnesses carried there are limits, though not the only
+    choice."""
     check_weak_equivalence_cert(cert)
     G, Q = cert.functor, cert.quasi_inverse
     D = G.target
@@ -598,13 +630,13 @@ def carry(
         ]
         out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
     try:
-        check_table_along(shape, Q, out, table.values())
+        back = check_table_along(shape, Q, out, table)
     except InvalidCert as e:
         raise OracleDisagreement(f"transferred {shape.name}s failed re-validation: {e}") from None
     pres = preserves(shape, G, table, out)
     if pres is None:
         raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
-    return out, pres
+    return out, replace(pres, back=back)
 
 
 def reflect(shape: LimitShape, F: Functor, w):
@@ -637,9 +669,14 @@ def lift(
     D = cert.functor.target
     E = F.target
     built: dict[Key, int] = {}
+    phi_at: dict[int, int] = {}   # foot -> its transport iso, one find_iso per foot object
     k = shape.n_key   # witnesses read inline, as in preserves
     for key in shape.keys(D):
-        phis = [_phi(cert, H, alpha, y)[1] for y in shape.feet(D, key)]
+        feet = shape.feet(D, key)
+        for y in feet:
+            if y not in phi_at:
+                phi_at[y] = _phi(cert, H, alpha, y)[1]
+        phis = [phi_at[y] for y in feet]
         src_key = shape.image_key(cert.quasi_inverse, key)
         src = shape.unpack(Fcert.source[src_key])
         h = shape.unpack(Fcert.target[shape.image_key(H, key)])

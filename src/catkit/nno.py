@@ -10,7 +10,7 @@ take witness bags holding the chosen terminal and products; ``is_pnno`` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     FinCat,
@@ -50,10 +50,13 @@ class PNNOW:
 @dataclass(frozen=True, eq=False)
 class PNNOPreservationCert:
     """comparison runs from the codomain's candidate to the image of the
-    source one, commuting with zero and successor."""
+    source one, commuting with zero and successor.  A certificate that
+    :func:`carry_pnno` returns holds, as back, the quasi-inverse's
+    certificate from its re-validation; otherwise back is None."""
 
     functor: Functor
     comparison: Iso
+    back: PNNOPreservationCert | None = None
 
 
 def _recursor_arrows(
@@ -147,13 +150,51 @@ def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
     return None
 
 
-def _transported_triple(
-    cert: WeakEquivalenceCert, termC: ChosenTerminal, termD: ChosenTerminal, w: PNNOW
+def _image_triple(
+    F: Functor, termC: ChosenTerminal, termD: ChosenTerminal, w: PNNOW
 ) -> PNNOW:
-    G = cert.functor
-    D = G.target
-    u = to_terminal(D, ChosenTerminal(G.obj_map[termC.t]), termD.t)
-    return PNNOW(G.obj_map[w.N], D.compose(u, G.mor_map[w.z]), G.mor_map[w.s])
+    """The image of w under F, its zero re-based onto termD."""
+    D = F.target
+    u = to_terminal(D, ChosenTerminal(F.obj_map[termC.t]), termD.t)
+    return PNNOW(F.obj_map[w.N], D.compose(u, F.mor_map[w.z]), F.mor_map[w.s])
+
+
+def check_pnno_along(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert:
+    """:func:`check_pnno` on the source of F, decided on its target, and F's
+    preservation certificate of the witness of src into that of dst.
+
+    F is a weak equivalence whose certificate was checked; the terminals
+    and products of src and dst are checked, and the parameterized N of dst
+    is known to be one.  A triple typed on the source (``z`` out of the
+    chosen terminal into ``N``, ``s`` an endomorphism of ``N``) is a
+    parameterized N exactly when its image is one, with the image zero
+    re-based onto the terminal of dst: the equivalence F preserves and
+    reflects the terminal, products and the parameterized N.  An image
+    equal to the witness of dst is accepted, with the identity comparison,
+    since the recursor of a parameterized N's own zero and successor is the
+    product projection; any other is checked by :func:`is_pnno` on the
+    target, and compared by :func:`preserves_pnno`.
+    """
+    C = F.source
+    termC, w = src["terminal"], src["pnno"]
+    if (
+        not C.has_morphisms(w.z, w.s)
+        or C.mor_src[w.z] != termC.t
+        or C.mor_dst[w.z] != w.N
+        or C.mor_src[w.s] != w.N
+        or C.mor_dst[w.s] != w.N
+    ):
+        raise InvalidCert("parameterized-N witness is not typed on the source")
+    image = _image_triple(F, termC, dst["terminal"], w)
+    if image == dst["pnno"]:
+        one = F.target.identity[image.N]
+        return PNNOPreservationCert(F, Iso(one, one))
+    if is_pnno(F.target, dst["terminal"], dst["products"], image.N, image.z, image.s) is None:
+        raise InvalidCert("parameterized-N witness fails its defining property")
+    pres = preserves_pnno(F, src, dst, {})
+    if pres is None:
+        raise OracleDisagreement("image parameterized N is not isomorphic to the chosen one")
+    return pres
 
 
 def transfer_pnno(
@@ -170,17 +211,21 @@ def carry_pnno(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[PNNOW, PNNOPreservationCert]:
     """Transport a parameterized N valid on the source along the equivalence
-    and re-validate it on the target."""
+    and re-validate it along the quasi-inverse (:func:`check_pnno_along`),
+    which takes it back onto the witness it came from and returns the
+    quasi-inverse's certificate as the back of the equivalence's; the
+    terminal and products of dst must be checked."""
     G = cert.functor
-    termC, w = src["terminal"], src["pnno"]
-    termD, prodsD = dst["terminal"], dst["products"]
-    wD = _transported_triple(cert, termC, termD, w)
-    if is_pnno(G.target, termD, prodsD, wD.N, wD.z, wD.s) is None:
-        raise OracleDisagreement("transferred triple failed re-validation")
-    pres = preserves_pnno(G, src, {**dst, "pnno": wD}, {})
+    wD = _image_triple(G, src["terminal"], dst["terminal"], src["pnno"])
+    carried = {**dst, "pnno": wD}
+    try:
+        back = check_pnno_along(cert.quasi_inverse, carried, src)
+    except InvalidCert as e:
+        raise OracleDisagreement(f"transferred triple failed re-validation: {e}") from None
+    pres = preserves_pnno(G, src, carried, {})
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the witness it transferred")
-    return wD, pres
+    return wD, replace(pres, back=back)
 
 
 def reflect_pnno(
@@ -196,7 +241,7 @@ def reflect_pnno(
     """From a validated image triple back to the source; failure after a
     valid image is an engine bug, not bad input."""
     G = cert.functor
-    wD = _transported_triple(cert, termC, termD, PNNOW(N, z, s))
+    wD = _image_triple(G, termC, termD, PNNOW(N, z, s))
     if is_pnno(G.target, termD, prodsD, wD.N, wD.z, wD.s) is None:
         raise PreconditionViolation("image triple is not a parameterized N downstream")
     w = is_pnno(G.source, termC, prodsC, N, z, s)

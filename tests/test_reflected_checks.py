@@ -1,17 +1,19 @@
 """Carried witnesses are checked through eta on the skeleton.
 
-The reflected checks (``limits.check_table_along`` and
-``exponentials.check_exponentials_along``) must give the brute-force
-verdict of ``check_table``/``check_exponentials`` on the source, and the
-structured pipeline must not fall back to brute force on the source.
+The reflected checks (``limits.check_table_along``,
+``exponentials.check_exponentials_along`` and ``nno.check_pnno_along``)
+must give the brute-force verdict of ``check_table``/``check_exponentials``/
+``check_pnno`` on the source, and the structured pipeline must not fall back
+to brute force on the source.
 """
 import dataclasses
 import sys
 
 import pytest
 
-from catkit import exponentials, limits
-from catkit.completion import inflate
+from catkit import exponentials, limits, nno
+from catkit.completion import inflate, inflate_section
+from catkit.core import is_weak_equivalence
 from catkit.errors import InvalidCert, PreconditionViolation
 from catkit.generators import (
     chain_poset,
@@ -19,10 +21,14 @@ from catkit.generators import (
     heyting_category,
     heyting_diamond,
     random_category,
+    setoid_groupoid,
 )
-from catkit.lifting import complete_structured, factor_structured
+from catkit.lifting import complete_structured, factor_structured, find_bag
 
-CHECKERS = ("is_binary_product", "is_equalizer", "is_pullback", "is_terminal", "is_exponential")
+CHECKERS = (
+    "is_binary_product", "is_equalizer", "is_pullback", "is_terminal", "is_exponential", "is_pnno",
+)
+CHECKER_MODULES = {"is_exponential": exponentials, "is_pnno": nno}   # the rest are in limits
 
 
 def _corpus():
@@ -153,7 +159,7 @@ def test_reflected_checks_agree_with_brute_force_on_corrupted_tables():
                     corrupted = {**table, key: bad}
                     want = _entry_ok(shape, C, key, bad)
                     got = _verdict(
-                        limits.check_table_along, shape, eta, corrupted, known.values()
+                        limits.check_table_along, shape, eta, corrupted, known
                     )
                     assert got == want, (C.name, name, key, how, bad)
                     seen.setdefault(name, set()).add((how, want))
@@ -187,8 +193,7 @@ def test_reflected_checks_agree_with_brute_force_on_corrupted_tables():
 def test_pipeline_runs_no_brute_force_check_on_the_source(monkeypatch):
     C, proj = inflate(chain_poset(4), [1, 2, 2, 3])
     calls = []
-    real = {name: getattr(limits if name != "is_exponential" else exponentials, name)
-            for name in CHECKERS}
+    real = {name: getattr(CHECKER_MODULES.get(name, limits), name) for name in CHECKERS}
     for mod in [m for n, m in sys.modules.items() if n == "catkit" or n.startswith("catkit.")]:
         for attr, value in list(vars(mod).items()):
             for name, fn in real.items():
@@ -203,6 +208,78 @@ def test_pipeline_runs_no_brute_force_check_on_the_source(monkeypatch):
     assert [name for name, cat in calls if cat is C] == []
     # the wrappers do see the checks, made on the skeleton
     assert {name for name, cat in calls if cat is sc.result.completed} == set(CHECKERS)
+
+
+def _pnno_corruptions(C, term, w, twins):
+    """Corrupted copies of the parameterized-N witness w, each named by how,
+    and the witness moved onto an isomorphic twin of N, which is one too."""
+    out = []
+    src, dst = C.mor_src, C.mor_dst
+    for z in [f for f in C.out_of[term.t] if dst[f] != w.N][:2]:
+        out.append(("wrong z", dataclasses.replace(w, z=z)))
+    for s in [f for f in C.out_of[w.N] if dst[f] != w.N][:2]:
+        out.append(("s not an endomorphism of N", dataclasses.replace(w, s=s)))
+    for bad in (-1, C.n_objects):
+        out.append(("N out of range", dataclasses.replace(w, N=bad)))
+    for z in [f for f in range(C.n_morphisms) if dst[f] == w.N and src[f] != term.t][:2]:
+        out.append(("z not out of the terminal", dataclasses.replace(w, z=z)))
+    for i in twins[w.N][:1]:
+        out.append(("isomorphic twin of N", _moved_along(C, w, i)))
+    return out
+
+
+def _moved_along(C, w, i):
+    """The parameterized-N witness w carried along the iso i out of its N."""
+    j = next(g for g in C.hom(C.mor_dst[i], w.N) if C.compose(i, g) == C.identity[w.N])
+    return nno.PNNOW(C.mor_dst[i], C.compose(w.z, i), C.compose_many(j, w.s, i))
+
+
+def test_reflected_pnno_check_agrees_with_brute_force_on_corrupted_witnesses():
+    codiscrete = setoid_groupoid(3, {(0, 1), (1, 2)}, name="codisc3")
+    inputs = [
+        inflate(chain_poset(3), [1, 2, 3])[0],
+        inflate(heyting_category(heyting_diamond()), 2)[0],
+        inflate(codiscrete, [2, 1, 2])[0],
+    ] + [inflate(random_category(seed), 2)[0] for seed in (2, 4, 15)]
+    seen = set()
+    for C in inputs:
+        sc = complete_structured(C)
+        assert "pnno" in sc.kinds, C.name
+        eta = sc.result.cert.functor
+        term, prods = sc.source["terminal"], sc.source["products"]
+        nno.check_pnno(C, sc.source)
+        for how, bad in _pnno_corruptions(C, term, sc.source["pnno"], _twins(C)):
+            want = nno.is_pnno(C, term, prods, bad.N, bad.z, bad.s) is not None
+            got = _verdict(nno.check_pnno_along, eta, {**sc.source, "pnno": bad}, sc.completed)
+            assert got == want, (C.name, how, bad)
+            seen.add((how, want))
+    assert seen == {
+        ("wrong z", False), ("s not an endomorphism of N", False), ("N out of range", False),
+        ("z not out of the terminal", False), ("isomorphic twin of N", True),
+    }
+
+
+def test_reflected_pnno_check_decides_an_image_other_than_the_chosen_one_on_the_target(
+    monkeypatch,
+):
+    """Along a section into an inflation, the image of the chosen triple
+    lands on one copy of N while the target's witness sits on another: the
+    image is checked by is_pnno on the target and compared with the chosen
+    witness by an iso that is not the identity."""
+    S = chain_poset(3)
+    infl, proj = inflate(S, [1, 1, 2])
+    F = inflate_section(proj)
+    assert is_weak_equivalence(F) is not None
+    src = find_bag(S, ("terminal", "products", "pnno"))
+    dst = find_bag(infl, ("terminal", "products", "pnno"))
+    dst["pnno"] = _moved_along(infl, dst["pnno"], _twins(infl)[dst["pnno"].N][0])
+    calls = []
+    real = nno.is_pnno
+    monkeypatch.setattr(nno, "is_pnno", lambda C, *args: calls.append(C) or real(C, *args))
+    cert = nno.check_pnno_along(F, src, dst)
+    assert calls == [infl]
+    assert not infl.is_identity(cert.comparison.fwd)
+    assert cert.comparison == nno.preserves_pnno(F, src, dst, {}).comparison
 
 
 def test_factor_structured_checks_that_eta_runs_from_the_source():

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from catkit.classifier import find_subobject_classifier, subobject_classifier_cert
-from catkit.core import FinCat
+from catkit.core import FinCat, identity_functor
 from catkit.errors import InvalidCert
 from catkit.exponentials import find_exponential, is_exponential
 from catkit.generators import chain_poset, finset_fragment, heyting_category, heyting_chain
@@ -23,6 +23,7 @@ from catkit.limits import (
     is_binary_product,
     is_equalizer,
     is_pullback,
+    preserves_binary_products,
 )
 from catkit.nno import find_pnno, is_pnno
 
@@ -159,3 +160,13 @@ def test_find_limit_finds_nothing_for_a_key_read_from_the_end(shape):
     key = (last, last) if shape is not PULLBACKS else (last, CHAIN.identity[-1])
     assert find_limit(shape, CHAIN, key) is not None
     assert find_limit(shape, CHAIN, (-1, key[1])) is None
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_preserves_rejects_a_source_leg_out_of_range(bad):
+    """A source leg is imaged by index: 99 names no morphism and -1 would be
+    read as the last one, so both are refused, naming the key."""
+    P = find_binary_products(CHAIN)
+    broken = {**P, (2, 2): dataclasses.replace(P[(2, 2)], pi2=bad)}
+    with pytest.raises(InvalidCert, match=r"entry \(2, 2\) is out of range"):
+        preserves_binary_products(identity_functor(CHAIN), broken, P)
