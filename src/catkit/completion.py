@@ -174,9 +174,10 @@ def factor_through(cr: CompletionResult, F: Functor) -> Factorization:
     """Factor F: source -> E through eta as F iso eta;H.
 
     H sends a completed object to F of its eso preimage and a morphism to F
-    of its ff preimage; alpha's components are F of the canonical isos.
+    of its ff preimage; alpha's components are F of the canonical isos.  F
+    may start at any category with the same tables as the source.
     """
-    if F.source is not cr.source:
+    if F.source is not cr.source and not same_tables(F.source, cr.source):
         raise SourceMismatch("functor does not start at the completed category's source")
     E = F.target
     if not skeletality(E).is_gaunt:

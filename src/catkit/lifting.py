@@ -19,14 +19,15 @@ through eta: each is typed on its own category, and its image (or, inside a
 transfer, its pull-back along the quasi-inverse) is decided on the
 skeleton, since an equivalence preserves and reflects the structure.  A
 table's image entries are decided by their comparisons with the chosen
-ones, once per distinct image; the parameterized N's image is accepted when
-it is the chosen one and checked by ``is_pnno`` on the skeleton otherwise.
-The comparisons make up the quasi-inverse's preservation certificate, and
+ones, once per distinct image, and so is the parameterized N's, whose
+comparison is the identity when the image is the chosen one.  The
+comparisons make up the quasi-inverse's preservation certificate, and
 where eta equals that quasi-inverse the certificate is eta's, so eta's
 preservation is not decided a second time.  The classifier is checked
 directly on the source, and eta's preservation of it decided by its
 comparison.  Lifting preservation through a factorization reuses the
-carried witnesses instead of transferring them again.
+carried witnesses instead of transferring them again, and decides the
+factored functor's preservation directly.
 """
 from __future__ import annotations
 
@@ -178,11 +179,16 @@ def find_bag(C: FinCat, kinds) -> dict[str, object]:
     return bag
 
 
-def _ordered(kinds) -> tuple[str, ...]:
-    requested = list(kinds)
-    for k in requested:
+def _check_known(names) -> None:
+    for k in names:
         if k not in KINDS:
             raise PreconditionViolation(f"unknown structure kind '{k}'")
+
+
+def _ordered(kinds) -> tuple[str, ...]:
+    requested = list(kinds)
+    _check_known(requested)
+    for k in requested:
         for dep in KINDS[k].deps:
             if dep not in requested:
                 raise DependencyMissing(f"'{k}' needs '{dep}' in the request")
@@ -214,7 +220,7 @@ def complete_structured(
     absent from C, since the two are equivalent.  Provided witnesses are
     checked on C once, by the kind's ``check``, and carried along eta
     instead, so that the completed bag is always the transfer of the source
-    bag.
+    bag; a witness keyed by anything but a kind raises.
 
     Where eta equals the inclusion's quasi-inverse, eta's certificate is the
     one the carry's re-validation along that quasi-inverse returned;
@@ -222,6 +228,7 @@ def complete_structured(
     ``preserves``.
     """
     witnesses = dict(witnesses or {})
+    _check_known(witnesses)
     res = skeletize(C)
     D = res.completed
     incl = skeleton_inclusion(res)
@@ -281,8 +288,12 @@ def factor_structured(
     Both witness bags of sc are checked once here: the completed bag on
     the skeleton, then the source bag through eta, with the completed
     entries as images known to be good.  The lifts then reuse the bag
-    carried to the completion instead of transferring again.
+    carried to the completion instead of transferring again.  As in
+    :func:`complete_structured`, a target witness keyed by anything but a
+    kind raises.
     """
+    target_witnesses = dict(target_witnesses or {})
+    _check_known(target_witnesses)
     if not same_tables(F.source, sc.result.source):
         raise PreconditionViolation("functor does not start at the completed source")
     cert = sc.result.cert
@@ -298,7 +309,6 @@ def factor_structured(
     for name in sc.kinds:
         KINDS[name].check_along(eta, sc.source, sc.completed)
     E = F.target
-    target_witnesses = dict(target_witnesses or {})
     dst: dict[str, object] = {}
     for name in sc.kinds:
         kind = KINDS[name]

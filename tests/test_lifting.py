@@ -30,12 +30,11 @@ from catkit.limits import (
     PRODUCTS,
     PULLBACKS,
     BinProductW,
-    EqualizerW,
     comparison,
-    find_equalizers,
     find_limit,
     is_terminal,
 )
+from completion_helpers import twisted_equalizers
 from limit_oracles import exponential_comparison
 
 
@@ -181,6 +180,36 @@ def test_factor_structured_rejects_wrong_source():
         factor_structured(sc, identity_functor(chain_poset(2)))
 
 
+def test_factor_structured_accepts_a_source_with_the_same_tables():
+    """A second build of the same inflation is a different object with the
+    same tables; its projection factors as the first build's does."""
+    C, proj = inflate(chain_poset(3), [1, 2, 2])
+    twin, twin_proj = inflate(chain_poset(3), [1, 2, 2])
+    assert twin is not C and same_tables(twin, C)
+    sc = complete_structured(C)
+    fact = factor_structured(sc, twin_proj)
+    ref = factor_structured(sc, proj)
+    assert fact.factorization.functor.mor_map == ref.factorization.functor.mor_map
+    assert fact.factorization.alpha.components == ref.factorization.alpha.components
+    for name in sc.kinds:
+        assert fact.lifted_certs[name].functor is fact.factorization.functor
+        assert (structure_to_json(C, {name: fact.target[name]})
+                == structure_to_json(C, {name: ref.target[name]}))
+
+
+def test_witnesses_keyed_by_an_unknown_kind_are_refused():
+    """A misspelt kind, or the CLI's token for the classifier, is not
+    silently dropped."""
+    C, proj = inflate(chain_poset(3), [1, 2, 2])
+    for key in ("termnal", "omega"):
+        with pytest.raises(PreconditionViolation, match=f"unknown structure kind '{key}'"):
+            complete_structured(C, witnesses={key: limits.ChosenTerminal(0)})
+    sc = complete_structured(C, kinds=("terminal",))
+    for key in ("termnal", "omega"):
+        with pytest.raises(PreconditionViolation, match=f"unknown structure kind '{key}'"):
+            factor_structured(sc, proj, target_witnesses={key: limits.ChosenTerminal(2)})
+
+
 def test_factor_structured_rejects_structureless_target():
     S = _codiscrete(2)
     sc = complete_structured(S, kinds=("terminal",))
@@ -268,16 +297,7 @@ def test_carry_back_is_exact_when_the_least_automorphism_is_not_an_involution():
 
 def test_provided_witness_twisted_by_an_automorphism_lifts():
     C, proj = inflate(finset_fragment(2), [1, 1, 2])
-    twisted, n = {}, 0
-    for key, w in find_equalizers(C).items():
-        autos = [
-            a for a in C.hom(w.obj, w.obj)
-            if a != C.identity[w.obj] and C.compose(a, a) == C.identity[w.obj]
-        ]
-        if autos:
-            w = EqualizerW(w.f, w.g, w.obj, C.compose(autos[0], w.arrow))
-            n += 1
-        twisted[key] = w
+    twisted, n = twisted_equalizers(C)
     assert n > 0
     sc = complete_structured(C, kinds=("equalizers",), witnesses={"equalizers": twisted})
     assert sc.source["equalizers"] is twisted

@@ -264,8 +264,8 @@ def test_reflected_pnno_check_decides_an_image_other_than_the_chosen_one_on_the_
 ):
     """Along a section into an inflation, the image of the chosen triple
     lands on one copy of N while the target's witness sits on another: the
-    image is checked by is_pnno on the target and compared with the chosen
-    witness by an iso that is not the identity."""
+    image is decided by its comparison with the chosen witness alone, an
+    iso that is not the identity, and is_pnno does not run."""
     S = chain_poset(3)
     infl, proj = inflate(S, [1, 1, 2])
     F = inflate_section(proj)
@@ -277,9 +277,25 @@ def test_reflected_pnno_check_decides_an_image_other_than_the_chosen_one_on_the_
     real = nno.is_pnno
     monkeypatch.setattr(nno, "is_pnno", lambda C, *args: calls.append(C) or real(C, *args))
     cert = nno.check_pnno_along(F, src, dst)
-    assert calls == [infl]
+    assert calls == []
     assert not infl.is_identity(cert.comparison.fwd)
     assert cert.comparison == nno.preserves_pnno(F, src, dst, {}).comparison
+
+
+def test_a_supplied_twin_pnno_is_checked_once_on_the_source(monkeypatch):
+    """A supplied parameterized N on a twin of the chosen N is brute-forced
+    by check_pnno on the source, and only there: the carry's re-validation
+    decides the image by its comparison."""
+    C, _ = inflate(chain_poset(3), [1, 1, 3])
+    sc = complete_structured(C)
+    twin = _moved_along(C, sc.source["pnno"], _twins(C)[sc.source["pnno"].N][0])
+    assert twin != sc.source["pnno"]
+    calls = []
+    real = nno.is_pnno
+    monkeypatch.setattr(nno, "is_pnno", lambda D, *args: calls.append(D) or real(D, *args))
+    given = complete_structured(C, witnesses={**sc.source, "pnno": twin})
+    assert given.source["pnno"] == twin
+    assert [D for D in calls if D is C] == [C]
 
 
 def test_factor_structured_checks_that_eta_runs_from_the_source():

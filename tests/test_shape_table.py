@@ -1,6 +1,7 @@
 """Guards of the keyed-limit shape table: the pair enumerations, the witness
-choices, the terminal object as the limit of the empty diagram, and the
-benchmark's span targets."""
+choices, the terminal object as the limit of the empty diagram, the
+benchmark's span targets, and each kind's lifted preservation against its
+transport through alpha."""
 import hashlib
 import importlib
 import importlib.util
@@ -27,7 +28,9 @@ from catkit.generators import (
 from catkit.interchange import structure_to_json
 from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured
 from catkit.limits import (
+    EQUALIZERS,
     PRODUCTS,
+    PULLBACKS,
     TERMINAL,
     ChosenTerminal,
     cospan_pairs,
@@ -41,6 +44,14 @@ from catkit.limits import (
     reflect,
     to_terminal,
     transfer_terminal,
+)
+
+from completion_helpers import shifted_copies, twisted_equalizers
+from lift_oracles import (
+    classifier_transport,
+    exponential_transport,
+    limit_transport,
+    pnno_transport,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,22 +181,65 @@ def test_preserves_terminal_certifies_by_the_unique_arrows():
             assert preserves_terminal(F, ChosenTerminal(x), ChosenTerminal(terminals[0])) is None
 
 
-@pytest.mark.filterwarnings("ignore:target")
-def test_lifted_terminal_preservation_equals_the_direct_certificate():
+LIMIT_SHAPES = {"terminal": TERMINAL, "products": PRODUCTS, "equalizers": EQUALIZERS,
+                "pullbacks": PULLBACKS}
+POINT_TRANSPORTS = {"pnno": pnno_transport, "classifier": classifier_transport}
+
+
+def _lift_cases():
+    """(structured completion, functor to factor) pairs: the corpus's
+    inflations and an inflated fragment, which carries the classifier, once
+    with the found witnesses and once with automorphism-twisted equalizers,
+    each through its projection and through the automorphism shifting its
+    copies.  Along the shift, the image of each chosen witness is not the
+    chosen one of its diagram, so the comparisons are not identities, and
+    alpha is not the identity."""
     for C in _pair_corpus():
-        tC = find_terminal(C)
-        if tC is None:
-            continue
         infl, proj = inflate(C, 2)
-        res = skeletize(infl)
-        fac = factor_through(res, proj)
-        H, alpha = fac.functor, fac.alpha
-        Fcert = preserves_terminal(proj, find_terminal(infl), tC)
-        tD, _ = transfer_terminal(res.cert, find_terminal(infl))
-        direct = preserves_terminal(H, tD, tC)
-        lifted = lift_preservation_terminal(res.cert, proj, H, alpha, Fcert, tD)
-        assert lifted.functor is H and lifted.source == {(): tD}
-        assert lifted.mu == direct.mu, C.name
+        yield complete_structured(infl), proj
+    infl, proj = inflate(finset_fragment(2), [1, 1, 2])
+    twisted, n = twisted_equalizers(infl)
+    assert n > 0
+    yield complete_structured(infl), proj
+    yield complete_structured(infl, kinds=("equalizers",), witnesses={"equalizers": twisted}), proj
+
+
+@pytest.mark.filterwarnings("ignore:target")
+def test_lifted_preservation_equals_the_transport_through_alpha():
+    """Each lift decides the factored functor H directly; transporting F's
+    comparisons through alpha (``lift_oracles``) must build exactly the
+    certificate it returns, and every transport square must commute (the
+    limit route raises otherwise).  Every kind meets an alpha that is not
+    the identity and comparisons that are not identities."""
+    seen, twisted_alpha, moved = set(), set(), set()
+    cases = ((sc, F) for sc, proj in _lift_cases() for F in (proj, shifted_copies(proj)))
+    for sc, F in cases:
+        fact = factor_structured(sc, F)
+        E, H, alpha = F.target, fact.factorization.functor, fact.factorization.alpha
+        cert = sc.result.cert
+        args = (cert, F, H, alpha, sc.source, fact.target, fact.functor_certs, sc.completed)
+        for name in sc.kinds:
+            lifted = fact.lifted_certs[name]
+            assert lifted.functor is H
+            shape = LIMIT_SHAPES.get(name)
+            if shape is not None:
+                table = sc.completed[name] if shape.n_key else {(): sc.completed[name]}
+                built = limit_transport(shape, cert, F, H, alpha, fact.functor_certs[name], table)
+                assert lifted.source == table
+                got = {key: iso.fwd for key, iso in lifted.mu.items()}
+            elif name == "exponentials":
+                built = exponential_transport(*args)
+                got = {key: iso.fwd for key, iso in lifted.comparison.items()}
+            else:
+                built = {(): POINT_TRANSPORTS[name](*args)}
+                got = {(): lifted.comparison.fwd}
+            assert got == built, (sc.result.source.name, F.name, name)
+            if any(not E.is_identity(u) for u in got.values()):
+                moved.add(name)
+        seen |= set(sc.kinds)
+        if any(not E.is_identity(c.fwd) for c in alpha.components):
+            twisted_alpha |= set(sc.kinds)
+    assert seen == twisted_alpha == moved == set(KIND_ORDER)
 
 
 @pytest.mark.filterwarnings("ignore:target")
