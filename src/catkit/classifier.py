@@ -217,12 +217,14 @@ def lift_preservation_subobject_classifier(
     dst: dict,
     Fcerts: dict,
     carried: dict,
+    Hcerts: dict,
 ) -> OmegaPreservationCert:
     """Classifier preservation for the factored functor, decided directly;
     carried holds the terminal and classifier already transferred to the
-    completion.  A refusal is an engine bug, as in :func:`limits.lift`."""
+    completion, and Hcerts H's certificates already lifted.  A refusal is
+    an engine bug, as in :func:`limits.lift`."""
     _check_triangle(cert, F, H, alpha)
-    direct = preserves_subobject_classifier(H, carried, dst, {})
+    direct = preserves_subobject_classifier(H, carried, dst, Hcerts)
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct classifier check")
     return direct

@@ -5,8 +5,9 @@ y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and transfer along a
 weak equivalence re-validates every produced witness.  The registry verbs
 (``check``, ``check_along``, ``find``, ``transfer``, ``carry``,
-``preserves`` and ``lift_preservation``) take witness bags and read the chosen products from
-them; ``is_exponential``, ``curry`` and ``find_exponential`` take the
+``preserves`` and ``lift_preservation``) take witness bags and read the
+chosen products, or a functor's certificate for them, from them;
+``is_exponential``, ``curry`` and ``find_exponential`` take the
 product table itself.  The searches test each typed candidate ``ev`` with
 the universal-property loop alone, and one sweep of ``find_exponentials``
 or ``check_exponentials`` computes each ``lam x id_x`` once.
@@ -365,17 +366,15 @@ def lift_preservation_exponentials(
     dst: dict,
     Fcerts: dict,
     carried: dict,
+    Hcerts: dict,
 ) -> ExpPreservationCert:
     """Preservation of the transferred exponentials for the factored
     functor, decided directly through H's certificate for the products in
-    scope.  carried holds the products and exponentials already transferred
-    to the completion; a refusal of the exponentials is an engine bug, as
-    in :func:`limits.lift`."""
+    scope, which Hcerts holds already lifted.  carried holds the products
+    and exponentials already transferred to the completion; a refusal of
+    the exponentials is an engine bug, as in :func:`limits.lift`."""
     _check_triangle(cert, F, H, alpha)
-    HprodCert = preserves_binary_products(H, carried["products"], dst["products"])
-    if HprodCert is None:
-        raise PreconditionViolation("factored functor does not preserve the products in scope")
-    direct = preserves_exponentials(H, carried, dst, {"products": HprodCert})
+    direct = preserves_exponentials(H, carried, dst, Hcerts)
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct exponential check")
     return direct

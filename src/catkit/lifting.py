@@ -23,11 +23,14 @@ ones, once per distinct image, and so is the parameterized N's, whose
 comparison is the identity when the image is the chosen one.  The
 comparisons make up the quasi-inverse's preservation certificate, and
 where eta equals that quasi-inverse the certificate is eta's, so eta's
-preservation is not decided a second time.  The classifier is checked
-directly on the source, and eta's preservation of it decided by its
-comparison.  Lifting preservation through a factorization reuses the
-carried witnesses instead of transferring them again, and decides the
-factored functor's preservation directly.
+preservation is not decided a second time.  The classifier is searched
+for once on each side, and eta's preservation of it decided by its
+comparison.  A completion records what it validated, so factoring through
+it checks again only the entries that have changed since.  Lifting
+preservation through a factorization reuses the carried witnesses instead
+of transferring them again, and decides the factored functor's
+preservation directly, with the certificates already lifted for the kinds
+it depends on.
 """
 from __future__ import annotations
 
@@ -72,8 +75,9 @@ class StructureKind:
     re-validation as ``back``, for every kind but the classifier, whose
     carry searches its target instead.  ``carry`` is ``transfer`` without
     its check of the source bag, for a bag that ``check`` already accepted.
-    ``lift`` receives last the bag carried to the completion, whose entries
-    are the transfers of the source bag along the equivalence.
+    ``lift`` receives the bag carried to the completion, whose entries are
+    the transfers of the source bag along the equivalence, and last the
+    factored functor's certificates for the kinds before it.
     """
 
     name: str
@@ -85,7 +89,7 @@ class StructureKind:
     carry: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
     lift: Callable[
-        [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict], object
+        [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict, dict], object
     ]
 
 
@@ -114,7 +118,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
         lambda cert, src, dst: call("transfer_", cert, src[name]),
         carry,
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried: call(
+        lambda cert, F, H, alpha, src, dst, Fcerts, carried, Hcerts: call(
             "lift_preservation_", cert, F, H, alpha, Fcerts[name], carried[name]
         ),
     )
@@ -195,16 +199,63 @@ def _ordered(kinds) -> tuple[str, ...]:
     return tuple(k for k in KIND_ORDER if k in requested)
 
 
+def _snapshot(entry):
+    """A bag entry as it stands: a table's shallow copy, exact because its
+    witnesses are frozen and compare by value; the classifier itself, which
+    compares by identity, with a copy of its chi table; any other witness
+    as it is."""
+    if isinstance(entry, dict):
+        return dict(entry)
+    if isinstance(entry, classifier.SubobjectClassifierW):
+        return entry, dict(entry.chi)
+    return entry
+
+
+@dataclass(frozen=True, eq=False)
+class ValidatedBags:
+    """The result a completion was built with and a snapshot of each
+    carried kind's source and completed entries, all of them validated."""
+
+    result: CompletionResult
+    source: dict[str, object]
+    completed: dict[str, object]
+
+    @classmethod
+    def of(cls, result: CompletionResult, src: dict, dst: dict) -> ValidatedBags:
+        return cls(
+            result,
+            {k: _snapshot(w) for k, w in src.items()},
+            {k: _snapshot(w) for k, w in dst.items()},
+        )
+
+    def covers(self, sc: StructuredCompletion, name: str) -> bool:
+        """Whether sc still holds, for name and each of its dependencies,
+        the result and entries validated here."""
+        return sc.result is self.result and all(
+            k in self.source
+            and _snapshot(sc.source.get(k)) == self.source[k]
+            and _snapshot(sc.completed.get(k)) == self.completed[k]
+            for k in (name, *KINDS[name].deps)
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StructuredCompletion:
     """A completion together with structure carried across it: witness bags
-    on both sides and one preservation certificate per kind for eta."""
+    on both sides and one preservation certificate per kind for eta.
+
+    validated records what :func:`complete_structured` checked, both bags
+    on both sides; it is None for a completion built by hand, whose bags
+    :func:`factor_structured` checks in full.  ``dataclasses.replace``
+    keeps it, and a replaced result or changed entry no longer matches it.
+    """
 
     result: CompletionResult
     kinds: tuple[str, ...]
     source: dict[str, object]
     completed: dict[str, object]
     eta_certs: dict[str, object]
+    validated: ValidatedBags | None = None
 
 
 def complete_structured(
@@ -226,6 +277,11 @@ def complete_structured(
     one the carry's re-validation along that quasi-inverse returned;
     otherwise, and for the classifier, it is decided by the kind's
     ``preserves``.
+
+    Every bag returned has been validated on both sides: a found entry by
+    the transfer's check on the skeleton and the carry's re-validation on
+    C (the classifier by its search on C), a supplied one by ``check`` on C
+    and the carry along eta.  The result records this as ``validated``.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
@@ -263,7 +319,9 @@ def complete_structured(
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")
         eta_certs[name] = cert
-    return StructuredCompletion(res, tuple(src), src, completed, eta_certs)
+    return StructuredCompletion(
+        res, tuple(src), src, completed, eta_certs, ValidatedBags.of(res, src, completed)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,12 +343,15 @@ def factor_structured(
     """Factor a structure-preserving functor through the completion and lift
     every preservation certificate to the factored functor.
 
-    Both witness bags of sc are checked once here: the completed bag on
-    the skeleton, then the source bag through eta, with the completed
-    entries as images known to be good.  The lifts then reuse the bag
-    carried to the completion instead of transferring again.  As in
-    :func:`complete_structured`, a target witness keyed by anything but a
-    kind raises.
+    Eta's certificate is checked here.  A kind whose entries, and those
+    of its dependencies, are still the ones sc's ``validated`` records, on
+    the same result, is not checked again; every other kind is checked
+    once here: the completed bag on the skeleton, then the source bag
+    through eta, with the completed entries as images known to be good.
+    The lifts then reuse the bag carried to the completion instead of
+    transferring again, each with the lifted certificates of the kinds
+    before it.  As in :func:`complete_structured`, a target witness keyed
+    by anything but a kind raises.
     """
     target_witnesses = dict(target_witnesses or {})
     _check_known(target_witnesses)
@@ -304,9 +365,10 @@ def factor_structured(
         and same_tables(eta.target, sc.result.completed)
     ):
         raise PreconditionViolation("eta's certificate does not run from source to completion")
-    for name in sc.kinds:
+    unchecked = [k for k in sc.kinds if sc.validated is None or not sc.validated.covers(sc, k)]
+    for name in unchecked:
         KINDS[name].check(sc.result.completed, sc.completed)
-    for name in sc.kinds:
+    for name in unchecked:
         KINDS[name].check_along(eta, sc.source, sc.completed)
     E = F.target
     dst: dict[str, object] = {}
@@ -336,6 +398,6 @@ def factor_structured(
     for name in sc.kinds:
         Hcerts[name] = KINDS[name].lift(
             sc.result.cert, F, fact.functor, fact.alpha, sc.source, dst, Fcerts,
-            sc.completed,
+            sc.completed, Hcerts,
         )
     return StructuredFactorization(fact, dst, Fcerts, Hcerts)

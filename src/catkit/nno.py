@@ -288,13 +288,14 @@ def lift_preservation_pnno(
     dst: dict,
     Fcerts: dict,
     carried: dict,
+    Hcerts: dict,
 ) -> PNNOPreservationCert:
     """The comparison for the factored functor, decided directly; carried
     holds the terminal, products and parameterized N already transferred
-    to the completion.  A refusal is an engine bug, as in
-    :func:`limits.lift`."""
+    to the completion, and Hcerts H's certificates already lifted.  A
+    refusal is an engine bug, as in :func:`limits.lift`."""
     _check_triangle(cert, F, H, alpha)
-    direct = preserves_pnno(H, carried, dst, {})
+    direct = preserves_pnno(H, carried, dst, Hcerts)
     if direct is None:
         raise OracleDisagreement("lifted functor failed the direct check")
     return direct

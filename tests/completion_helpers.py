@@ -1,7 +1,8 @@
 """Constructions that only the tests use: every natural isomorphism between
 two functors, by exhaustive search, the replete image of a functor, the
-automorphism of an inflation that shifts its copies, and a table of
-equalizers twisted by automorphisms."""
+automorphism of an inflation that shifts its copies, a table of equalizers
+twisted by automorphisms, and the comparisons of a preservation
+certificate."""
 import dataclasses
 import itertools
 
@@ -93,3 +94,13 @@ def twisted_equalizers(C: FinCat) -> tuple[dict, int]:
             n += 1
         twisted[key] = w
     return twisted, n
+
+
+def cert_comparisons(cert) -> dict:
+    """A preservation certificate's comparisons as (fwd, inv) pairs, keyed as
+    its table."""
+    if hasattr(cert, "mu"):
+        return {key: (iso.fwd, iso.inv) for key, iso in cert.mu.items()}
+    if isinstance(cert.comparison, dict):
+        return {key: (iso.fwd, iso.inv) for key, iso in cert.comparison.items()}
+    return {(): (cert.comparison.fwd, cert.comparison.inv)}

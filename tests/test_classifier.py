@@ -249,7 +249,7 @@ def test_lift_preservation_classifier_through_completion():
     carried = {"terminal": transfer_terminal(res.cert, src["terminal"])[0]}
     carried["classifier"], _ = transfer_subobject_classifier(res.cert, src, carried)
     lifted = lift_preservation_subobject_classifier(
-        res.cert, proj, fac.functor, fac.alpha, src, dst, {"classifier": Fcert}, carried
+        res.cert, proj, fac.functor, fac.alpha, src, dst, {"classifier": Fcert}, carried, {}
     )
     assert lifted.functor is fac.functor
 

@@ -21,6 +21,7 @@ from catkit.generators import (
     hvalued_sets,
 )
 from catkit.lifting import KINDS, complete_structured
+from completion_helpers import cert_comparisons
 
 # Z/3 with its unit listed last: eta equals the quasi-inverse, and some of
 # the carried pullbacks image onto the chosen ones only up to an automorphism
@@ -44,15 +45,6 @@ def _eta_is_back(sc) -> bool:
     return functors_equal(sc.result.eta, skeleton_inclusion(sc.result).quasi_inverse)
 
 
-def _comparisons(cert) -> dict:
-    """A certificate's comparisons as (fwd, inv) pairs, keyed as its table."""
-    if hasattr(cert, "mu"):
-        return {key: (iso.fwd, iso.inv) for key, iso in cert.mu.items()}
-    if isinstance(cert.comparison, dict):
-        return {key: (iso.fwd, iso.inv) for key, iso in cert.comparison.items()}
-    return {(): (cert.comparison.fwd, cert.comparison.inv)}
-
-
 def test_eta_certificates_equal_the_direct_decision():
     non_identity, fallback = set(), set()
     for name, C in _inputs().items():
@@ -65,8 +57,8 @@ def test_eta_certificates_equal_the_direct_decision():
             direct[kind] = KINDS[kind].preserves(eta, sc.source, sc.completed, direct)
             got, want = sc.eta_certs[kind], direct[kind]
             assert got.functor is eta, (name, kind)
-            assert _comparisons(got) == _comparisons(want), (name, kind)
-            if any(not D.is_identity(fwd) for fwd, _ in _comparisons(got).values()):
+            assert cert_comparisons(got) == cert_comparisons(want), (name, kind)
+            if any(not D.is_identity(fwd) for fwd, _ in cert_comparisons(got).values()):
                 non_identity.add((name, _eta_is_back(sc)))
     assert fallback == {"hvalued"}
     # a comparison other than the identity, from the re-validation and from

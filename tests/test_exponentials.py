@@ -25,6 +25,7 @@ from catkit.limits import (
     PRODUCTS,
     BinProductW,
     find_binary_products,
+    lift_preservation_binary_products,
     partial_table,
     preserves_binary_products,
     transfer_binary_products,
@@ -175,8 +176,11 @@ def test_lift_preservation_exponentials_through_completion():
     assert Fcerts["exponentials"] is not None
     carried = {"products": transfer_binary_products(res.cert, src["products"])[0]}
     carried["exponentials"], _ = transfer_exponentials(res.cert, src, carried)
+    Hcerts = {"products": lift_preservation_binary_products(
+        res.cert, proj, fac.functor, fac.alpha, Fcerts["products"], carried["products"]
+    )}
     lifted = lift_preservation_exponentials(
-        res.cert, proj, fac.functor, fac.alpha, src, dst, Fcerts, carried
+        res.cert, proj, fac.functor, fac.alpha, src, dst, Fcerts, carried, Hcerts
     )
     assert lifted.functor is fac.functor
     D = res.completed

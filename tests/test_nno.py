@@ -146,6 +146,6 @@ def test_lift_preservation_pnno_through_completion():
     }
     carried["pnno"], _ = transfer_pnno(res.cert, src, carried)
     lifted = lift_preservation_pnno(
-        res.cert, proj, fac.functor, fac.alpha, src, dst, {"pnno": Fcert}, carried
+        res.cert, proj, fac.functor, fac.alpha, src, dst, {"pnno": Fcert}, carried, {}
     )
     assert lifted.functor is fac.functor
