@@ -31,6 +31,7 @@ from .core import (
     same_tables,
     set_search_budget,
     table_isomorphic,
+    tabulate,
 )
 from .completion import (
     CompletionResult,
@@ -102,6 +103,7 @@ from .lifting import (
     complete_structured,
     factor_structured,
     find_bag,
+    with_dependencies,
 )
 from .interchange import (
     category_to_json,

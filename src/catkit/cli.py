@@ -59,7 +59,7 @@ from .interchange import (
     structure_to_json,
     validate_category,
 )
-from .lifting import KINDS, KIND_ORDER, complete_structured, factor_structured, find_bag
+from .lifting import complete_structured, factor_structured, find_bag, with_dependencies
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -133,19 +133,6 @@ def _parse_tokens(raw: str | None) -> list[str]:
     return tokens
 
 
-def _dep_closure(kinds: list[str]) -> list[str]:
-    out = set(kinds)
-    changed = True
-    while changed:
-        changed = False
-        for k in list(out):
-            for dep in KINDS[k].deps:
-                if dep not in out:
-                    out.add(dep)
-                    changed = True
-    return [k for k in KIND_ORDER if k in out]
-
-
 def cmd_validate(args) -> tuple[RunReport, int]:
     report = RunReport(f"validate {args.path}")
     C = validate_category(_load_json(args.path))
@@ -173,7 +160,7 @@ def cmd_analyze(args) -> tuple[RunReport, int]:
     report = RunReport(f"analyze {args.path}")
     C = validate_category(_load_json(args.path))
     requested = _parse_tokens(args.structure)
-    bag = find_bag(C, _dep_closure([TOKEN_TO_KIND[t] for t in requested]))
+    bag = find_bag(C, with_dependencies([TOKEN_TO_KIND[t] for t in requested]))
     for t in requested:
         report.status[t] = "found" if TOKEN_TO_KIND[t] in bag else "absent"
     report.status["skeletality"] = skeletality_line(C)
@@ -224,7 +211,7 @@ def cmd_factor(args) -> tuple[RunReport, int]:
     E = validate_category(tdoc)
     F = _functor_between(_load_json(args.functor), C, E)
     tokens = _parse_tokens(args.structures)
-    kinds = _dep_closure([TOKEN_TO_KIND[t] for t in tokens])
+    kinds = with_dependencies([TOKEN_TO_KIND[t] for t in tokens])
     target_bag = structure_from_json(tdoc, E)
     sc = complete_structured(C, kinds=kinds)
     sf = factor_structured(

@@ -22,7 +22,6 @@ from .core import (
     check_nat_iso,
     check_weak_equivalence_cert,
     compose_functors,
-    fincat,
     find_iso,
     functor,
     functors_equal,
@@ -33,6 +32,7 @@ from .core import (
     isos_between,
     nat_iso,
     same_tables,
+    tabulate,
 )
 from .errors import (
     InvalidCert,
@@ -285,47 +285,30 @@ def inflate(C: FinCat, copies) -> tuple[FinCat, Functor]:
     if len(counts) != C.n_objects or any(c < 1 for c in counts):
         raise ZeroCopies("every object needs at least one copy")
 
-    objects: list[str] = []
-    obj_of: dict[tuple[int, int], int] = {}
-    base_obj: list[int] = []
-    for x in range(C.n_objects):
-        for j in range(counts[x]):
-            obj_of[(x, j)] = len(objects)
-            objects.append(C.objects[x] if j == 0 else f"{C.objects[x]}~{j}")
-            base_obj.append(x)
-
-    labels: list[str] = []
-    srcs: list[int] = []
-    dsts: list[int] = []
-    mor_of: dict[tuple[int, int, int], int] = {}
-    base_mor: list[int] = []
-    for f in range(C.n_morphisms):
-        x, y = C.mor_src[f], C.mor_dst[f]
-        for j in range(counts[x]):
-            for k in range(counts[y]):
-                mor_of[(f, j, k)] = len(labels)
-                lbl = C.mor_labels[f] if (j, k) == (0, 0) else f"{C.mor_labels[f]}~{j}.{k}"
-                labels.append(lbl)
-                srcs.append(obj_of[(x, j)])
-                dsts.append(obj_of[(y, k)])
-                base_mor.append(f)
-
-    identity = []
-    for x in range(C.n_objects):
-        for j in range(counts[x]):
-            identity.append(mor_of[(C.identity[x], j, j)])
-    comp: dict[tuple[int, int], int] = {}
-    for (f, j, k), fi in mor_of.items():
-        y = C.mor_dst[f]
-        for g in range(C.n_morphisms):
-            if C.mor_src[g] != y:
-                continue
-            for l in range(counts[C.mor_dst[g]]):
-                gi = mor_of[(g, k, l)]
-                comp[(fi, gi)] = mor_of[(C.comp_table[f][g], j, l)]
-
-    inflated = fincat(f"{C.name}~inflated", objects, labels, srcs, dsts, identity, comp)
-    proj = functor(inflated, C, base_obj, base_mor, name=f"proj_{C.name}")
+    # copy j of object x is object obj_of[(x, j)]; the entry (f, j, k) is
+    # the copy of f from copy j of its source to copy k of its target
+    obj_copies = [(x, j) for x in range(C.n_objects) for j in range(counts[x])]
+    obj_of = {xj: i for i, xj in enumerate(obj_copies)}
+    entries = [
+        (f, j, k)
+        for f in range(C.n_morphisms)
+        for j in range(counts[C.mor_src[f]])
+        for k in range(counts[C.mor_dst[f]])
+    ]
+    labels = C.mor_labels
+    inflated, _ = tabulate(
+        f"{C.name}~inflated",
+        [C.objects[x] if j == 0 else f"{C.objects[x]}~{j}" for x, j in obj_copies],
+        entries,
+        [obj_of[(C.mor_src[f], j)] for f, j, _ in entries],
+        [obj_of[(C.mor_dst[f], k)] for f, _, k in entries],
+        [labels[f] if j == k == 0 else f"{labels[f]}~{j}.{k}" for f, j, k in entries],
+        [(C.identity[x], j, j) for x, j in obj_copies],
+        lambda s, t: (C.comp_table[s[0]][t[0]], s[1], t[2]),
+    )
+    proj = functor(
+        inflated, C, [x for x, _ in obj_copies], [f for f, _, _ in entries], name=f"proj_{C.name}"
+    )
     return inflated, proj
 
 
@@ -363,21 +346,16 @@ def full_subcategory(C: FinCat, object_ids: list[int]) -> tuple[FinCat, Functor]
         for f in range(C.n_morphisms)
         if C.mor_src[f] in obj_reindex and C.mor_dst[f] in obj_reindex
     ]
-    mor_reindex = {f: i for i, f in enumerate(keep)}
-    comp = {}
-    for f in keep:
-        for g in keep:
-            fg = C.comp_table[f][g]
-            if fg is not None:
-                comp[(mor_reindex[f], mor_reindex[g])] = mor_reindex[fg]
-    sub = fincat(
+    table = C.comp_table
+    sub, _ = tabulate(
         f"{C.name}|full",
         [C.objects[x] for x in objs],
-        [C.mor_labels[f] for f in keep],
+        keep,
         [obj_reindex[C.mor_src[f]] for f in keep],
         [obj_reindex[C.mor_dst[f]] for f in keep],
-        [mor_reindex[C.identity[x]] for x in objs],
-        comp,
+        [C.mor_labels[f] for f in keep],
+        [C.identity[x] for x in objs],
+        lambda f, g: table[f][g],
     )
     incl = functor(sub, C, objs, keep, name=f"incl_{C.name}")
     return sub, incl

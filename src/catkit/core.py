@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +40,15 @@ from .errors import (
 # library runs uncapped by default; the CLI installs a cap so runaway inputs
 # abort with a clear message instead of hanging.
 
-_budget = threading.local()
+class _Budget(threading.local):
+    """Each thread's cap and count; the class attributes are the defaults
+    a thread starts with: uncapped, nothing used."""
+
+    limit: int | None = None
+    used = 0
+
+
+_budget = _Budget()
 
 
 def set_search_budget(limit: int | None) -> None:
@@ -48,10 +57,10 @@ def set_search_budget(limit: int | None) -> None:
 
 
 def budget_tick(n: int = 1) -> None:
-    limit = getattr(_budget, "limit", None)
+    limit = _budget.limit
     if limit is None:
         return
-    _budget.used = getattr(_budget, "used", 0) + n
+    _budget.used += n
     if _budget.used > limit:
         raise SearchBudgetExceeded(
             f"search budget of {limit} candidate checks exhausted; "
@@ -279,6 +288,37 @@ def fincat(
     )
     check_category_tables(C)
     return C
+
+
+def tabulate(
+    name: str,
+    objects: Sequence[str],
+    entries: Sequence[Hashable],
+    mor_src: Sequence[int],
+    mor_dst: Sequence[int],
+    mor_labels: Sequence[str],
+    identity: Sequence[Hashable],
+    compose: Callable[[Hashable, Hashable], Hashable],
+) -> tuple[FinCat, dict[Hashable, int]]:
+    """Tabulate a category whose morphisms are the given entries, distinct
+    hashable values.
+
+    Entry i becomes morphism i, from ``mor_src[i]`` to ``mor_dst[i]`` and
+    labelled ``mor_labels[i]``; ``identity[x]`` is the entry of object x's
+    identity, and ``compose(e1, e2)`` the entry of "e1 then e2", asked for
+    each composable pair exactly once.  The tables go through :func:`fincat`,
+    which checks every law.  Returns the category and the entry -> index map.
+    """
+    index = {e: i for i, e in enumerate(entries)}
+    outs: dict[int, list[int]] = {}
+    for i, x in enumerate(mor_src):
+        outs.setdefault(x, []).append(i)
+    comp = {}
+    for i, e in enumerate(entries):
+        for j in outs.get(mor_dst[i], ()):
+            comp[(i, j)] = index[compose(e, entries[j])]
+    ids = [index[e] for e in identity]
+    return fincat(name, objects, mor_labels, mor_src, mor_dst, ids, comp), index
 
 
 def same_tables(a: FinCat, b: FinCat) -> bool:

@@ -2,19 +2,33 @@
 
 Everything built here goes through the checked :func:`catkit.core.fincat`
 constructor, so every generator output satisfies the category laws by the
-time it is returned.
+time it is returned.  A construction whose morphisms are entries of its own
+(pairs, functions, relations, paths) lists them and its composition rule,
+and :func:`catkit.core.tabulate` assembles the tables; only the fixed
+literal shapes call ``fincat`` directly.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .completion import inflate
-from .core import FinCat, Functor, check_functor, fincat, functor
+from .completion import full_subcategory, inflate
+from .core import (
+    FinCat,
+    Functor,
+    check_functor,
+    fincat,
+    functor,
+    identity_functor,
+    tabulate,
+)
 from .errors import (
     AxiomViolation,
+    CategoryValidationError,
+    FunctorValidationError,
     MalformedInput,
     MonadLawViolation,
     SizeBoundExceeded,
@@ -69,16 +83,22 @@ def preorder_cat(elements: list[str], leq: set[tuple[str, str]], name: str = "pr
                 )
     pairs = sorted(rel)
     labels = [f"le_{elements[a]}_{elements[b]}" for a, b in pairs]
-    mor_idx = {p: i for i, p in enumerate(pairs)}
-    srcs = [a for a, _ in pairs]
-    dsts = [b for _, b in pairs]
-    identity = [mor_idx[(i, i)] for i in range(len(elements))]
-    comp = {}
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            if b == c:
-                comp[(mor_idx[(a, b)], mor_idx[(c, d)])] = mor_idx[(a, d)]
-    return fincat(name, elements, labels, srcs, dsts, identity, comp)
+    return _thin(name, elements, pairs, labels)
+
+
+def _thin(name: str, elements: list[str], pairs: list[tuple[int, int]], labels: list[str]) -> FinCat:
+    """The thin category of a reflexive transitive relation, given as its
+    sorted pairs of element indices: one morphism per pair."""
+    return tabulate(
+        name,
+        elements,
+        pairs,
+        [a for a, _ in pairs],
+        [b for _, b in pairs],
+        labels,
+        [(i, i) for i in range(len(elements))],
+        lambda ab, bd: (ab[0], bd[1]),
+    )[0]
 
 
 def chain_poset(n: int) -> FinCat:
@@ -106,7 +126,8 @@ def poset_from_pairs(elements: list[str], strict: set[tuple[str, str]], name: st
 
 
 def setoid_groupoid(n: int, pairs: set[tuple[int, int]], name: str = "setoid") -> FinCat:
-    """Groupoid of an equivalence relation: one morphism per related pair."""
+    """Groupoid of an equivalence relation: the thin category of the
+    relation, one morphism per related pair."""
     # symmetric-transitive-reflexive closure via union-find
     parent = list(range(n))
 
@@ -123,23 +144,7 @@ def setoid_groupoid(n: int, pairs: set[tuple[int, int]], name: str = "setoid") -
     related = sorted(
         (a, b) for a in range(n) for b in range(n) if root(a) == root(b)
     )
-    elements = [f"s{i}" for i in range(n)]
-    labels = [f"r_{a}_{b}" for a, b in related]
-    mor_idx = {p: i for i, p in enumerate(related)}
-    comp = {}
-    for (a, b) in related:
-        for (c, d) in related:
-            if b == c:
-                comp[(mor_idx[(a, b)], mor_idx[(c, d)])] = mor_idx[(a, d)]
-    return fincat(
-        name,
-        elements,
-        labels,
-        [a for a, _ in related],
-        [b for _, b in related],
-        [mor_idx[(i, i)] for i in range(n)],
-        comp,
-    )
+    return _thin(name, [f"s{i}" for i in range(n)], related, [f"r_{a}_{b}" for a, b in related])
 
 
 def delooping(table: list[list[int]], name: str = "delooping") -> FinCat:
@@ -178,27 +183,23 @@ def finset_fragment(max_card: int) -> FinCat:
     it is missing, and with it the pullbacks over 1 that it would be; for
     max_card = 1 there is no subobject classifier, which needs an object
     with two global points."""
-    objects = [str(k) for k in range(max_card + 1)]
-    labels: list[str] = []
-    srcs: list[int] = []
-    dsts: list[int] = []
-    fn_idx: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for a in range(max_card + 1):
-        for b in range(max_card + 1):
-            for images in itertools.product(range(b), repeat=a):
-                fn_idx[(a, b, images)] = len(labels)
-                img = "".join(str(i) for i in images)
-                labels.append(f"f{a}{b}_{img}")
-                srcs.append(a)
-                dsts.append(b)
-    identity = [fn_idx[(a, a, tuple(range(a)))] for a in range(max_card + 1)]
-    comp = {}
-    for (a, b, im1), i1 in fn_idx.items():
-        for (b2, c, im2), i2 in fn_idx.items():
-            if b2 != b:
-                continue
-            comp[(i1, i2)] = fn_idx[(a, c, tuple(im2[v] for v in im1))]
-    return fincat(f"finset<={max_card}", objects, labels, srcs, dsts, identity, comp)
+    sizes = range(max_card + 1)
+    fns = [
+        (a, b, images)
+        for a in sizes
+        for b in sizes
+        for images in itertools.product(range(b), repeat=a)
+    ]
+    return tabulate(
+        f"finset<={max_card}",
+        [str(k) for k in sizes],
+        fns,
+        [a for a, _, _ in fns],
+        [b for _, b, _ in fns],
+        [f"f{a}{b}_{''.join(map(str, images))}" for a, b, images in fns],
+        [(a, a, tuple(range(a))) for a in sizes],
+        lambda f, g: (f[0], g[1], tuple(g[2][v] for v in f[2])),
+    )[0]
 
 
 def finset_function(C: FinCat, a: int, b: int, images: tuple[int, ...]) -> int:
@@ -240,7 +241,7 @@ def functor_category(A: FinCat, C: FinCat, name: str = "") -> tuple[FinCat, list
             F = Functor(A, C, tuple(obj_map), tuple(mor_map))
             try:
                 check_functor(F)
-            except Exception:
+            except FunctorValidationError:
                 continue
             functors.append(F)
     if len(functors) > 128:
@@ -263,27 +264,15 @@ def functor_category(A: FinCat, C: FinCat, name: str = "") -> tuple[FinCat, list
                     nts.append((i, j, comps))
     if len(nts) > 2048:
         raise SizeBoundExceeded("functor category would have too many morphisms")
-    nt_idx = {t: k for k, t in enumerate(nts)}
-    labels = [f"nt{k}" for k in range(len(nts))]
-    identity = []
-    for i, F in enumerate(functors):
-        comps = tuple(C.identity[F.obj_map[x]] for x in range(A.n_objects))
-        identity.append(nt_idx[(i, i, comps)])
-    comp = {}
-    for (i, j, c1), k1 in nt_idx.items():
-        for (j2, l, c2), k2 in nt_idx.items():
-            if j2 != j:
-                continue
-            comps = tuple(C.compose(c1[x], c2[x]) for x in range(A.n_objects))
-            comp[(k1, k2)] = nt_idx[(i, l, comps)]
-    cat = fincat(
+    cat, _ = tabulate(
         name or f"[{A.name},{C.name}]",
         [f"F{i}" for i in range(len(functors))],
-        labels,
+        nts,
         [i for i, _, _ in nts],
         [j for _, j, _ in nts],
-        identity,
-        comp,
+        [f"nt{k}" for k in range(len(nts))],
+        [(i, i, tuple(C.identity[x] for x in F.obj_map)) for i, F in enumerate(functors)],
+        lambda s, t: (s[0], t[1], tuple(C.compose(f, g) for f, g in zip(s[2], t[2]))),
     )
     return cat, functors
 
@@ -334,8 +323,6 @@ def check_monad(m: MonadW) -> None:
 
 
 def identity_monad(C: FinCat) -> MonadW:
-    from .core import identity_functor
-
     m = MonadW(identity_functor(C), tuple(C.identity), tuple(C.identity))
     check_monad(m)
     return m
@@ -351,19 +338,16 @@ def kleisli(C: FinCat, m: MonadW) -> tuple[FinCat, Functor]:
         for y in range(C.n_objects):
             if T.obj_map[y] == C.mor_dst[f]:
                 entries.append((f, y))
-    idx = {e: i for i, e in enumerate(entries)}
-    labels = [f"{C.mor_labels[f]}@{C.objects[y]}" for f, y in entries]
-    srcs = [C.mor_src[f] for f, _ in entries]
-    dsts = [y for _, y in entries]
-    identity = [idx[(m.unit[x], x)] for x in range(C.n_objects)]
-    comp = {}
-    for (f, y), i1 in idx.items():
-        for (g, z), i2 in idx.items():
-            if C.mor_src[g] != y:
-                continue
-            composite = C.compose_many(f, T.mor_map[g], m.mult[z])
-            comp[(i1, i2)] = idx[(composite, z)]
-    K = fincat(f"kleisli({C.name})", list(C.objects), labels, srcs, dsts, identity, comp)
+    K, idx = tabulate(
+        f"kleisli({C.name})",
+        list(C.objects),
+        entries,
+        [C.mor_src[f] for f, _ in entries],
+        [y for _, y in entries],
+        [f"{C.mor_labels[f]}@{C.objects[y]}" for f, y in entries],
+        [(m.unit[x], x) for x in range(C.n_objects)],
+        lambda fy, gz: (C.compose_many(fy[0], T.mor_map[gz[0]], m.mult[gz[1]]), gz[1]),
+    )
     embed = functor(
         C,
         K,
@@ -390,22 +374,16 @@ def karoubi_envelope(C: FinCat) -> tuple[FinCat, Functor]:
             for g in C.hom(C.mor_src[e1], C.mor_src[e2]):
                 if C.comp_table[e1][g] == g and C.comp_table[g][e2] == g:
                     entries.append((e1, e2, g))
-    idx = {t: i for i, t in enumerate(entries)}
-    labels = [f"[{C.mor_labels[g]}:{C.mor_labels[e1]}>{C.mor_labels[e2]}]" for e1, e2, g in entries]
-    comp = {}
-    for (e1, e2, g), i1 in idx.items():
-        for (e2b, e3, h), i2 in idx.items():
-            if e2b != e2:
-                continue
-            comp[(i1, i2)] = idx[(e1, e3, C.comp_table[g][h])]
-    K = fincat(
+    labels = C.mor_labels
+    K, idx = tabulate(
         f"karoubi({C.name})",
-        [f"[{C.mor_labels[e]}]" for e in idems],
-        labels,
+        [f"[{labels[e]}]" for e in idems],
+        entries,
         [obj_idx[e1] for e1, _, _ in entries],
         [obj_idx[e2] for _, e2, _ in entries],
-        [idx[(e, e, e)] for e in idems],
-        comp,
+        [f"[{labels[g]}:{labels[e1]}>{labels[e2]}]" for e1, e2, g in entries],
+        [(e, e, e) for e in idems],
+        lambda s, t: (s[0], t[1], C.comp_table[s[2]][t[2]]),
     )
     embed = functor(
         C,
@@ -628,32 +606,25 @@ def hvalued_sets(H: FiniteHeytingAlgebra, max_carrier: int = 2) -> FinCat:
                     entries.append((i, j, F))
             if len(entries) > 3000:
                 raise SizeBoundExceeded("too many H-valued morphisms")
-    idx = {t: k for k, t in enumerate(entries)}
 
-    def compose_rel(X, Y, Z, F, G):
-        sx, sy, sz = X[0], Y[0], Z[0]
-        return tuple(
-            tuple(joins([meet(F[a][b], G[b][c]) for b in range(sy)]) for c in range(sz))
-            for a in range(sx)
+    def compose_rel(s, t):
+        (i, j, F), (_, l, G) = s, t
+        sy, sz = objects[j][0], objects[l][0]
+        return i, l, tuple(
+            tuple(joins([meet(Fa[b], G[b][c]) for b in range(sy)]) for c in range(sz))
+            for Fa in F
         )
 
-    identity = [idx[(i, i, X[1])] for i, X in enumerate(objects)]
-    comp = {}
-    for (i, j, F), k1 in idx.items():
-        for (j2, l, G), k2 in idx.items():
-            if j2 != j:
-                continue
-            comp[(k1, k2)] = idx[(i, l, compose_rel(objects[i], objects[j], objects[l], F, G))]
-    labels = [f"rel{k}" for k in range(len(entries))]
-    return fincat(
+    return tabulate(
         f"hsets({H.n})",
         [f"s{size}e{i}" for i, (size, _) in enumerate(objects)],
-        labels,
+        entries,
         [i for i, _, _ in entries],
         [j for _, j, _ in entries],
-        identity,
-        comp,
-    )
+        [f"rel{k}" for k in range(len(entries))],
+        [(i, i, X[1]) for i, X in enumerate(objects)],
+        compose_rel,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -666,23 +637,16 @@ def product_category(A: FinCat, B: FinCat) -> FinCat:
         (i, j) for i in range(A.n_objects) for j in range(B.n_objects)
     )}
     entries = [(f, g) for f in range(A.n_morphisms) for g in range(B.n_morphisms)]
-    idx = {e: k for k, e in enumerate(entries)}
-    labels = [f"{A.mor_labels[f]}|{B.mor_labels[g]}" for f, g in entries]
-    srcs = [obj_idx[(A.mor_src[f], B.mor_src[g])] for f, g in entries]
-    dsts = [obj_idx[(A.mor_dst[f], B.mor_dst[g])] for f, g in entries]
-    identity = [
-        idx[(A.identity[i], B.identity[j])]
-        for i in range(A.n_objects)
-        for j in range(B.n_objects)
-    ]
-    comp = {}
-    for (f, g), k1 in idx.items():
-        for (f2, g2), k2 in idx.items():
-            cf = A.comp_table[f][f2]
-            cg = B.comp_table[g][g2]
-            if cf is not None and cg is not None:
-                comp[(k1, k2)] = idx[(cf, cg)]
-    return fincat(f"{A.name}x{B.name}", objects, labels, srcs, dsts, identity, comp)
+    return tabulate(
+        f"{A.name}x{B.name}",
+        objects,
+        entries,
+        [obj_idx[(A.mor_src[f], B.mor_src[g])] for f, g in entries],
+        [obj_idx[(A.mor_dst[f], B.mor_dst[g])] for f, g in entries],
+        [f"{A.mor_labels[f]}|{B.mor_labels[g]}" for f, g in entries],
+        [(a, b) for a in A.identity for b in B.identity],
+        lambda s, t: (A.comp_table[s[0]][t[0]], B.comp_table[s[1]][t[1]]),
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -851,38 +815,26 @@ def _random_dag_quotient(rng: random.Random, max_hom: int) -> FinCat:
         else:
             continue
 
-        # materialize quotient
+        # materialize the quotient, one morphism per class representative;
+        # a composite past the path bound is missing from idx (KeyError)
         reps = sorted({root(i) for i in range(len(paths_list))})
-        rep_idx = {r: i for i, r in enumerate(reps)}
-        srcs, dsts, labels = [], [], []
-        for r in reps:
-            _, s, d = paths_list[r]
-            srcs.append(s)
-            dsts.append(d)
-            labels.append(f"q{r}")
-        identity = []
-        for x in range(n):
-            identity.append(rep_idx[root(idx[((), x, x)])])
-        comp = {}
-        ok = True
-        for i, r1 in enumerate(reps):
-            p1, s1, d1 = paths_list[r1]
-            for j, r2 in enumerate(reps):
-                p2, s2, d2 = paths_list[r2]
-                if d1 != s2:
-                    continue
-                key = (p1 + p2, s1, d2)
-                if key not in idx:
-                    ok = False
-                    break
-                comp[(i, j)] = rep_idx[root(idx[key])]
-            if not ok:
-                break
-        if not ok:
-            continue
+
+        def concat(r1: int, r2: int) -> int:
+            (p1, s1, _), (p2, _, d2) = paths_list[r1], paths_list[r2]
+            return root(idx[(p1 + p2, s1, d2)])
+
         try:
-            return fincat(f"dagq{n}", [f"v{i}" for i in range(n)], labels, srcs, dsts, identity, comp)
-        except Exception:
+            return tabulate(
+                f"dagq{n}",
+                [f"v{i}" for i in range(n)],
+                reps,
+                [paths_list[r][1] for r in reps],
+                [paths_list[r][2] for r in reps],
+                [f"q{r}" for r in reps],
+                [root(idx[((), x, x)]) for x in range(n)],
+                concat,
+            )[0]
+        except (KeyError, CategoryValidationError):
             continue
     # deterministic fallback: a chain always works
     return chain_poset(3)
@@ -912,12 +864,8 @@ def random_category(seed: int, max_objects: int = 5, max_hom: int = 3) -> FinCat
         B = _random_setoid(rng, 2) if rng.random() < 0.5 else chain_poset(2)
         C = product_category(A, B)
     if C.n_objects > max_objects:
-        from .completion import full_subcategory
-
         C, _ = full_subcategory(C, list(range(max_objects)))
-    import dataclasses as _dc
-
-    return _dc.replace(C, name=f"rnd{seed}:{C.name}")
+    return dataclasses.replace(C, name=f"rnd{seed}:{C.name}")
 
 
 def random_weak_equivalence(seed: int, max_objects: int = 5, max_copies: int = 3) -> Functor:

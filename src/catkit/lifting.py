@@ -183,6 +183,19 @@ def find_bag(C: FinCat, kinds) -> dict[str, object]:
     return bag
 
 
+def with_dependencies(kinds) -> tuple[str, ...]:
+    """kinds and every kind they depend on, in dependency order.  A kind's
+    dependencies come before it in KIND_ORDER, so one pass from the end
+    collects them all."""
+    kinds = tuple(kinds)
+    _check_known(kinds)
+    needed = set(kinds)
+    for name in reversed(KIND_ORDER):
+        if name in needed:
+            needed.update(KINDS[name].deps)
+    return tuple(k for k in KIND_ORDER if k in needed)
+
+
 def _check_known(names) -> None:
     for k in names:
         if k not in KINDS:

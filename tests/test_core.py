@@ -1,11 +1,15 @@
 """Table-level category validation, isos, functors, weak equivalences."""
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from catkit import core
 from catkit.core import (
+    budget_tick,
     check_category_tables,
     check_functor,
     check_nat_iso,
@@ -25,7 +29,9 @@ from catkit.core import (
     opposite,
     opposite_functor,
     same_tables,
+    set_search_budget,
     table_isomorphic,
+    tabulate,
 )
 from catkit.errors import (
     AssociativityViolation,
@@ -304,3 +310,84 @@ def test_table_isomorphic_detects_relabeling():
 def test_same_tables_is_strict():
     assert same_tables(walking_iso(), walking_iso())
     assert not same_tables(walking_iso(), terminal_cat())
+
+
+# ---------------------------------------------------------------------------
+# tabulate
+
+
+def _z3(entries, identity="0"):
+    """The cyclic group of order 3 on one object, its elements as the
+    strings "0", "1", "2" listed in the given order."""
+    return tabulate(
+        "z3", ["*"], entries, [0] * len(entries), [0] * len(entries),
+        [f"g{e}" for e in entries], [identity],
+        lambda a, b: str((int(a) + int(b)) % 3),
+    )
+
+
+def test_tabulate_keeps_the_entries_order_as_indices():
+    C, index = _z3(["2", "0", "1"])
+    assert index == {"2": 0, "0": 1, "1": 2}
+    assert C.mor_labels == ("g2", "g0", "g1")
+    assert C.identity == (1,)
+    # 2 + 2 = 1, 2 + 1 = 0, 1 + 1 = 2, each at its entry's index
+    assert C.comp_table[0][0] == 2 and C.comp_table[0][2] == 1 and C.comp_table[2][2] == 0
+    assert same_tables(C, _z3(["2", "0", "1"])[0])
+
+
+def test_tabulate_composes_each_composable_pair_once():
+    # the chain 0 <= 1 <= 2 as its pairs, listed out of order
+    pairs = [(1, 2), (0, 0), (2, 2), (0, 2), (1, 1), (0, 1)]
+    calls = Counter()
+
+    def compose(ab, cd):
+        calls[(ab, cd)] += 1
+        return ab[0], cd[1]
+
+    C, index = tabulate(
+        "chain", ["c0", "c1", "c2"], pairs, [a for a, _ in pairs], [b for _, b in pairs],
+        [f"{a}{b}" for a, b in pairs], [(0, 0), (1, 1), (2, 2)], compose,
+    )
+    assert calls == Counter({(p, q): 1 for p in pairs for q in pairs if p[1] == q[0]})
+    assert same_tables(C, chain_poset(3)) is False  # other indices, same category
+    assert table_isomorphic(C, chain_poset(3)) is not None
+    assert C.comp_table[index[(0, 1)]][index[(1, 2)]] == index[(0, 2)]
+
+
+def test_tabulate_leaves_the_laws_to_fincat():
+    # "a" then "a" is "b", and "a", "b" otherwise act as in fincat's
+    # non-associative example: refused with fincat's error
+    table = {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "a", ("b", "b"): "a"}
+    with pytest.raises(AssociativityViolation):
+        tabulate(
+            "nonassoc", ["x"], ["e", "a", "b"], [0, 0, 0], [0, 0, 0], ["e", "a", "b"], ["e"],
+            lambda s, t: t if s == "e" else s if t == "e" else table[(s, t)],
+        )
+    # an identity that is not one breaks the unit laws
+    with pytest.raises(UnitLawViolation):
+        _z3(["0", "1", "2"], identity="1")
+
+
+# ---------------------------------------------------------------------------
+# search budget
+
+
+def test_a_new_thread_starts_uncapped_while_this_one_holds_a_cap():
+    seen = []
+
+    def probe():
+        seen.append((core._budget.limit, core._budget.used))
+        budget_tick(10)   # past this thread's cap, were it inherited
+        seen.append((core._budget.limit, core._budget.used))
+
+    try:
+        set_search_budget(5)
+        budget_tick(3)
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join()
+        assert seen == [(None, 0), (None, 0)]
+        assert (core._budget.limit, core._budget.used) == (5, 3)
+    finally:
+        set_search_budget(None)

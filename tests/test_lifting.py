@@ -24,7 +24,13 @@ from catkit.generators import (
     setoid_groupoid,
 )
 from catkit.interchange import structure_to_json
-from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured
+from catkit.lifting import (
+    KIND_ORDER,
+    KINDS,
+    complete_structured,
+    factor_structured,
+    with_dependencies,
+)
 from catkit.limits import (
     EQUALIZERS,
     PRODUCTS,
@@ -329,3 +335,17 @@ def test_demo_pipeline_script_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "preservation lifted to H" in out.stdout
+
+
+@pytest.mark.parametrize("kinds, closed", [
+    (("exponentials",), ("products", "exponentials")),
+    (("pnno",), ("terminal", "products", "pnno")),
+    (("classifier",), ("terminal", "classifier")),
+])
+def test_with_dependencies_adds_what_each_kind_needs(kinds, closed):
+    assert with_dependencies(kinds) == closed
+
+
+def test_with_dependencies_refuses_an_unknown_kind():
+    with pytest.raises(PreconditionViolation, match="unknown structure kind 'monads'"):
+        with_dependencies(["terminal", "monads"])
