@@ -8,8 +8,9 @@ worth reporting).
 
 CATKIT_MAX_SEARCH caps brute-force candidate checks (default 10^7; 0 lifts
 the cap), the validation of every loaded document included: its
-associativity check counts one candidate per composable triple.  The cap
-applies to CLI runs only, never to library use.
+associativity check counts one candidate per composable triple whose middle
+morphism is in the generating set it walks.  The cap applies to CLI runs
+only, never to library use.
 
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built once, on the first call, and each call looks its

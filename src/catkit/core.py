@@ -15,6 +15,7 @@ import threading
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     AssociativityViolation,
@@ -40,28 +41,48 @@ from .errors import (
 # library runs uncapped by default; the CLI installs a cap so runaway inputs
 # abort with a clear message instead of hanging.
 
-class _Budget(threading.local):
-    """Each thread's cap and count; the class attributes are the defaults
-    a thread starts with: uncapped, nothing used."""
+class _Count:
+    """One thread's cap and the candidate checks it has used."""
 
-    limit: int | None = None
-    used = 0
+    __slots__ = ("limit", "used")
+
+    def __init__(self) -> None:
+        self.limit: int | None = None
+        self.used = 0
+
+
+class _Budget(threading.local):
+    """Each thread's count, created uncapped and unused the first time the
+    thread touches the budget; a tick reads the thread-local once."""
+
+    def __init__(self) -> None:
+        self.count = _Count()
+
+    @property
+    def limit(self) -> int | None:
+        return self.count.limit
+
+    @property
+    def used(self) -> int:
+        return self.count.used
 
 
 _budget = _Budget()
 
 
 def set_search_budget(limit: int | None) -> None:
-    _budget.limit = limit
-    _budget.used = 0
+    count = _budget.count
+    count.limit = limit
+    count.used = 0
 
 
 def budget_tick(n: int = 1) -> None:
-    limit = _budget.limit
+    count = _budget.count
+    limit = count.limit
     if limit is None:
         return
-    _budget.used += n
-    if _budget.used > limit:
+    count.used += n
+    if count.used > limit:
         raise SearchBudgetExceeded(
             f"search budget of {limit} candidate checks exhausted; "
             "raise CATKIT_MAX_SEARCH or shrink the input"
@@ -146,6 +167,14 @@ class FinCat:
         return tuple(tuple(v) for v in out)
 
     @cached_property
+    def into(self) -> tuple[tuple[int, ...], ...]:
+        """``into[x]``: the morphisms arriving at object x, in index order."""
+        out: list[list[int]] = [[] for _ in range(self.n_objects)]
+        for f in range(self.n_morphisms):
+            out[self.mor_dst[f]].append(f)
+        return tuple(tuple(v) for v in out)
+
+    @cached_property
     def object_indices(self) -> dict[str, int]:
         """Object label -> index; a repeated label names its first object."""
         return _first_indices(self.objects)
@@ -175,8 +204,16 @@ def check_category_tables(C: FinCat) -> None:
 
     Raises a CategoryValidationError subclass naming the first offending
     entry (rows, then columns, then the third morphism, in index order);
-    returns None when everything holds.  Associativity is checked over the
-    composable triples only, ticking the search budget once per pair.
+    returns None when everything holds.
+
+    Associativity is checked only at the middles in :func:`_generating_set`
+    (Light's associativity test).  Call ``g`` a good middle when
+    ``(f;g);h == f;(g;h)`` for every f into it and h out of it.  If ``a``
+    and ``b`` are good middles, so is ``a;b``, and identities are good by
+    the unit laws, so when every member is good, every morphism is.  Each
+    member ``g`` ticks the search budget once per triple through it,
+    ``|into[src g]| * |out_of[dst g]|``, never more than the composable
+    triples.
     """
     n, m = C.n_objects, C.n_morphisms
     if len(C.mor_src) != m or len(C.mor_dst) != m:
@@ -216,6 +253,56 @@ def check_category_tables(C: FinCat) -> None:
             raise UnitLawViolation(
                 f"({C.mor_labels[f]}, {C.mor_labels[i_t]}): right unit law fails"
             )
+    into = C.into
+    for g in _generating_set(C):
+        fs, hs = into[src[g]], out_of[dst[g]]
+        budget_tick(len(fs) * len(hs))
+        # (f;g);h == f;(g;h) for every h, compared as one tuple per f; hs
+        # holds dst g's identity, so neither getter is empty
+        pick_h = itemgetter(*hs)
+        row_g = table[g]
+        pick_gh = itemgetter(*[row_g[h] for h in hs])
+        for f in fs:
+            row_f = table[f]
+            if pick_h(table[row_f[g]]) != pick_gh(row_f):
+                _raise_associativity_offence(C)
+
+
+def _generating_set(C: FinCat) -> list[int]:
+    """The non-identity morphisms, in index order, that are not a
+    left-to-right composite of earlier members; every non-identity morphism
+    is a member or such a composite.  C's table must be well typed.
+
+    ``reached`` holds the composites of the members so far; adding ``g``
+    reaches ``g`` and each ``u;g`` with ``u`` reached, and every morphism
+    newly reached is extended on the right by each member."""
+    src, dst, table, into = C.mor_src, C.mor_dst, C.comp_table, C.into
+    reached = [False] * C.n_morphisms
+    members: list[int] = []
+    members_out: list[list[int]] = [[] for _ in range(C.n_objects)]
+    for g in range(C.n_morphisms):
+        if reached[g] or C.is_identity(g):
+            continue
+        members.append(g)
+        members_out[src[g]].append(g)
+        stack = [g]
+        stack += [table[u][g] for u in into[src[g]] if reached[u]]
+        while stack:
+            u = stack.pop()
+            if reached[u]:
+                continue
+            reached[u] = True
+            row_u = table[u]
+            for s in members_out[dst[u]]:
+                if not reached[row_u[s]]:
+                    stack.append(row_u[s])
+    return members
+
+
+def _raise_associativity_offence(C: FinCat) -> None:
+    """Raise the first associativity offence, in index order of (f, g, h),
+    walking every composable triple and ticking the budget as it goes."""
+    table, out_of, dst, labels = C.comp_table, C.out_of, C.mor_dst, C.mor_labels
     for f, row_f in enumerate(table):
         for g in out_of[dst[f]]:
             row_fg, row_g = table[row_f[g]], table[g]
@@ -224,9 +311,9 @@ def check_category_tables(C: FinCat) -> None:
             for h in hs:
                 if row_fg[h] != row_f[row_g[h]]:
                     raise AssociativityViolation(
-                        f"({C.mor_labels[f]}, {C.mor_labels[g]}, {C.mor_labels[h]}): "
-                        "associativity fails"
+                        f"({labels[f]}, {labels[g]}, {labels[h]}): associativity fails"
                     )
+    raise AssertionError("the composition table has no associativity offence")
 
 
 def _raise_row_offence(C: FinCat, f: int) -> None:

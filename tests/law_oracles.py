@@ -1,7 +1,9 @@
 """The category and functor laws checked by brute force over every pair and
 triple of morphisms: the oracles that the composable-tuple walks in
 ``catkit.core`` are compared against.  They do not tick the search budget,
-and an out-of-range composite makes them raise IndexError.  Beside them,
+and an out-of-range composite makes them raise IndexError.  The generating
+set whose members are the only middles ``catkit.core`` checks associativity
+at, by its definition, and the triples through those middles.  Beside them,
 the loader's composition pass label by label, which the one-lookup-per-label
 pass in ``catkit.interchange`` is compared against."""
 from dataclasses import replace
@@ -131,6 +133,53 @@ def composable_triples(C: FinCat) -> int:
         C.mor_dst[f] == C.mor_src[g] and C.mor_dst[g] == C.mor_src[h]
         for f in m for g in m for h in m
     )
+
+
+def composites(C: FinCat, members) -> set[int]:
+    """Every left-to-right composite ``s1;s2;...;sk`` (k >= 1) of the
+    members through the table, closed by brute force over all pairs."""
+    words = set(members)
+    while True:
+        new = {
+            C.comp_table[u][s] for u in words for s in members
+            if C.mor_dst[u] == C.mor_src[s]
+        } - words
+        if not new:
+            return words
+        words |= new
+
+
+def generating_set(C: FinCat) -> list[int]:
+    """The associativity check's middles by their definition: each
+    non-identity morphism, in index order, that is not a composite of the
+    members before it, the composites of each prefix closed afresh."""
+    members: list[int] = []
+    for f in range(C.n_morphisms):
+        if not C.is_identity(f) and f not in composites(C, members):
+            members.append(f)
+    return members
+
+
+def generator_middle_triples(C: FinCat) -> int:
+    """The number of composable triples (f, g, h) whose middle g is in the
+    generating set, counted over all m^2 ends of each middle."""
+    m = range(C.n_morphisms)
+    return sum(
+        C.mor_dst[f] == C.mor_src[g] and C.mor_dst[g] == C.mor_src[h]
+        for g in generating_set(C) for f in m for h in m
+    )
+
+
+def first_associativity_offence(C: FinCat) -> tuple[int, int, int] | None:
+    """The first (f, g, h) in index order at which associativity fails."""
+    m = range(C.n_morphisms)
+    for f in m:
+        for g in m:
+            for h in m:
+                if C.mor_dst[f] == C.mor_src[g] and C.mor_dst[g] == C.mor_src[h]:
+                    if C.comp_table[C.comp_table[f][g]][h] != C.comp_table[f][C.comp_table[g][h]]:
+                        return f, g, h
+    return None
 
 
 def with_entry(C: FinCat, f: int, g: int, value) -> FinCat:

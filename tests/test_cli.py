@@ -28,7 +28,7 @@ from catkit.interchange import (
     validate_category,
 )
 from catkit.limits import PRODUCTS, find_equalizers, find_pullbacks, partial_table
-from law_oracles import composable_triples
+from law_oracles import generator_middle_triples
 
 
 @pytest.fixture()
@@ -268,15 +268,16 @@ def test_analyze_json_and_text_agree(fragment_path, capsys):
 
 
 def test_analyze_budget_exhaustion_exits_2(fragment_path, monkeypatch, capsys):
-    # validation takes one check per composable triple, then the terminal
-    # search alone takes 5 candidate checks on this input
-    cap = composable_triples(finset_fragment(2)) + 2
+    # validation takes one check per composable triple through a generator
+    # middle, then the terminal search alone takes 5 candidate checks on
+    # this input
+    cap = generator_middle_triples(finset_fragment(2)) + 2
     monkeypatch.setenv("CATKIT_MAX_SEARCH", str(cap))
     assert main(["analyze", fragment_path, "--structure", "terminal"]) == 2
 
 
 def test_validate_budget_exhaustion_exits_2(fragment_path, monkeypatch, capsys):
-    cap = composable_triples(finset_fragment(2)) - 1
+    cap = generator_middle_triples(finset_fragment(2)) - 1
     monkeypatch.setenv("CATKIT_MAX_SEARCH", str(cap))
     assert main(["validate", fragment_path, "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "SearchBudgetExceeded"

@@ -13,7 +13,7 @@ from catkit.core import (
     table_isomorphic,
 )
 from catkit.completion import skeletality
-from catkit.errors import MalformedInput, MonadLawViolation
+from catkit.errors import AssociativityViolation, MalformedInput, MonadLawViolation
 from catkit.generators import (
     MonadW,
     chain_poset,
@@ -109,6 +109,12 @@ def test_delooping_needs_monoid():
     assert M.n_objects == 1 and M.n_morphisms == 2
     with pytest.raises(MalformedInput):
         delooping([[1, 0], [0, 0]])
+
+
+def test_delooping_leaves_associativity_to_fincat():
+    # unital, but (1*1)*2 = 1 while 1*(1*2) = 2
+    with pytest.raises(AssociativityViolation, match=r"^\(m1, m1, m2\): associativity fails$"):
+        delooping([[0, 1, 2], [1, 2, 1], [2, 1, 1]])
 
 
 def test_kleisli_identity_monad_is_isomorphic_to_base():

@@ -1,7 +1,9 @@
 """The composable-tuple walks of ``check_category_tables`` and
 ``check_functor`` against the all-pairs loops kept in ``law_oracles``: the
 same verdict and the same first offence (class and message) on the generator
-corpus and on tables with one entry mutated, for every law."""
+corpus and on tables with one entry mutated, for every law; and the
+generating set whose members are the associativity check's only middles
+against its definition."""
 import random
 from collections import Counter
 from functools import cache
@@ -10,7 +12,8 @@ import pytest
 
 import law_oracles
 from catkit.completion import inflate, skeletize
-from catkit.core import Functor, check_category_tables, check_functor, set_search_budget
+from catkit import core
+from catkit.core import Functor, check_category_tables, check_functor, fincat, set_search_budget
 from catkit.errors import (
     AssociativityViolation,
     CatkitError,
@@ -21,7 +24,7 @@ from catkit.errors import (
     SearchBudgetExceeded,
     UnitLawViolation,
 )
-from catkit.generators import finset_fragment, random_category
+from catkit.generators import discrete, finset_fragment, random_category
 
 
 @cache
@@ -124,7 +127,7 @@ def test_one_mutated_entry_gives_the_oracles_first_offence(law):
 
 def test_the_walk_ticks_the_budget_once_per_composable_triple():
     for C in (finset_fragment(2), corpus()[-1]):
-        triples = law_oracles.composable_triples(C)
+        triples = law_oracles.generator_middle_triples(C)
         try:
             set_search_budget(triples)
             check_category_tables(C)
@@ -133,6 +136,59 @@ def test_the_walk_ticks_the_budget_once_per_composable_triple():
                 check_category_tables(C)
         finally:
             set_search_budget(None)
+
+
+def test_the_generating_set_and_its_ticks_match_the_oracle():
+    for C in corpus():
+        assert core._generating_set(C) == law_oracles.generating_set(C), C.name
+        triples = law_oracles.generator_middle_triples(C)
+        assert triples <= law_oracles.composable_triples(C), C.name
+        try:
+            set_search_budget(triples)
+            check_category_tables(C)
+            assert core._budget.used == triples, C.name
+        finally:
+            set_search_budget(None)
+
+
+def test_every_non_identity_morphism_is_a_composite_of_the_generating_set():
+    for C in corpus():
+        reached = law_oracles.composites(C, core._generating_set(C))
+        assert all(f in reached for f in range(C.n_morphisms) if not C.is_identity(f)), C.name
+
+
+def test_an_offence_at_a_middle_outside_the_generating_set_is_found():
+    seen = 0
+    for k, C in enumerate(corpus()):
+        edits = _associativity(C)
+        for f, g, value in random.Random(k).sample(edits, min(10, len(edits))):
+            bad = law_oracles.with_entry(C, f, g, value)
+            offence = law_oracles.first_associativity_offence(bad)
+            if offence is None or offence[1] in core._generating_set(bad):
+                continue
+            got = _outcome(check_category_tables, bad)
+            assert got == _outcome(law_oracles.check_category_tables, bad), (C.name, f, g, value)
+            assert got[0] is AssociativityViolation
+            seen += 1
+    assert seen > 0
+
+
+def test_a_discrete_category_takes_no_associativity_ticks():
+    C = discrete(5)
+    assert core._generating_set(C) == []
+    try:
+        set_search_budget(0)
+        check_category_tables(C)
+        assert core._budget.used == 0
+    finally:
+        set_search_budget(None)
+
+
+def test_without_non_trivial_composites_every_non_identity_is_a_generator():
+    # three arrows into b, none composable with another
+    C = fincat("fan", ["a", "b", "c"], ["1a", "1b", "1c", "f", "g", "h"],
+               [0, 1, 2, 0, 0, 2], [0, 1, 2, 1, 1, 1], [0, 1, 2], {})
+    assert core._generating_set(C) == [3, 4, 5] == law_oracles.generating_set(C)
 
 
 def test_mutated_eta_gives_the_oracles_first_offence():
