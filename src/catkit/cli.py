@@ -4,7 +4,8 @@ Subcommands: validate, analyze, complete, factor, demo, export-dot.  Exit
 codes: 0 success, 1 validation failure, 2 requested structure absent or
 search budget exhausted, 3 IO or parse error, 4 internal failure (two
 routes that must agree disagreed, or an unexpected exception; always a bug
-worth reporting).
+worth reporting).  A report that cannot be written, because the reader
+closed standard output, exits 3; an error report keeps its own code.
 
 CATKIT_MAX_SEARCH caps brute-force candidate checks (default 10^7; 0 lifts
 the cap), the validation of every loaded document included: its
@@ -21,6 +22,7 @@ command does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -470,13 +472,13 @@ def main(argv=None) -> int:
     report.seconds = time.perf_counter() - t0
     if getattr(args, "json", False):
         # compact, so json uses its C encoder; files written by --out stay indented
-        print(json.dumps(report.to_json(), sort_keys=True))
+        written = _emit(json.dumps(report.to_json(), sort_keys=True), sys.stdout)
     elif "dot" in report.payload:
         # bare dot text so the output can be piped straight into graphviz
-        print(report.payload["dot"], end="")
+        written = _emit(report.payload["dot"], sys.stdout, end="")
     else:
-        print(report.to_text())
-    return code
+        written = _emit(report.to_text(), sys.stdout)
+    return code if written else EXIT_IO
 
 
 def _fail(args, kind: str, message: str, pointer: str | None, code: int) -> int:
@@ -484,10 +486,22 @@ def _fail(args, kind: str, message: str, pointer: str | None, code: int) -> int:
         err = {"error": {"type": kind, "message": message}}
         if pointer:
             err["error"]["pointer"] = pointer
-        print(json.dumps(err, sort_keys=True))
+        _emit(json.dumps(err, sort_keys=True), sys.stdout)
     else:
-        print(f"error [{kind}]: {message}", file=sys.stderr)
-    return code
+        _emit(f"error [{kind}]: {message}", sys.stderr)
+    return code   # whether or not the report could be written
+
+
+def _emit(text: str, stream, end: str = "\n") -> bool:
+    """Write and flush text; False when the reader has closed the stream,
+    whose descriptor then points at the null device for the flush at exit."""
+    try:
+        print(text, file=stream, end=end, flush=True)
+    except OSError:   # BrokenPipeError, or any other failed write
+        with contextlib.suppress(OSError, ValueError):   # a stream without a descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -135,10 +135,10 @@ class AxiomViolation(CatkitError):
 # --- internal consistency -------------------------------------------------
 
 class OracleDisagreement(CatkitError):
-    """A result the engine guarantees came out otherwise: a transfer that
-    fails its re-validation, a lift the direct decision refuses.  Always a
-    bug in the engine, never in user input; surfaces as exit code 4 in the
-    CLI."""
+    """A result the engine guarantees came out otherwise: a carried entry
+    that eta's preservation check refuses, a lift the direct decision
+    refuses.  Always a bug in the engine, never in user input; surfaces as
+    exit code 4 in the CLI."""
 
 
 class ReflectionFails(OracleDisagreement):

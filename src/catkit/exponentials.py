@@ -2,8 +2,9 @@
 
 An exponential witness for a pair (x, y) names the object of maps from x to
 y together with its evaluation morphism out of the chosen product.  All
-checks quantify exhaustively over currying candidates, and transfer along a
-weak equivalence re-validates every produced witness.  The registry verbs
+checks quantify exhaustively over currying candidates, and
+:func:`preserves_exponentials` is the one place that compares an image
+with a chosen exponential.  The registry verbs
 (``check``, ``check_along``, ``find``, ``transfer``, ``carry``,
 ``preserves`` and ``lift_preservation``) take witness bags and read the
 chosen products, or a functor's certificate for them, from them;
@@ -14,7 +15,8 @@ or ``check_exponentials`` computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 
 from .core import (
     Functor,
@@ -35,6 +37,7 @@ from .limits import (
     PRODUCTS,
     BinProductW,
     mediating,
+    preserves,
     preserves_binary_products,
     _check_triangle,
 )
@@ -54,16 +57,12 @@ class ExponentialW:
 @dataclass(frozen=True, eq=False)
 class ExpPreservationCert:
     """comparison[(x, y)] runs from F(obj) to the chosen exponential of the
-    images, commuting with evaluations through the product comparison.  A
-    certificate that :func:`carry_exponentials` returns holds, as back, the
-    quasi-inverse's certificate from its re-validation; otherwise back is
-    None."""
+    images, commuting with evaluations through the product comparison."""
 
     functor: Functor
     source: dict[tuple[int, int], ExponentialW]
     target: dict[tuple[int, int], ExponentialW]
     comparison: dict[tuple[int, int], Iso]
-    back: ExpPreservationCert | None = None
 
 
 def _pairing(
@@ -87,12 +86,18 @@ def _is_exponential(
 ) -> bool:
     """:func:`is_exponential`, reading lam x id_x through the memo pairs,
     which maps (lam, x) to :func:`_pairing` for these C and prods."""
+    return _is_typed(C, prods, w) and _exponential_universal(
+        C, prods, w.x, w.y, w.obj, w.ev, pairs
+    )
+
+
+def _is_typed(C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW) -> bool:
+    """Whether ev runs from the chosen product of (obj, x) into y."""
     entry = prods.get((w.obj, w.x))
-    if entry is None or not C.has_morphisms(w.ev):
-        return False
-    if C.mor_src[w.ev] != entry.apex or C.mor_dst[w.ev] != w.y:
-        return False
-    return _exponential_universal(C, prods, w.x, w.y, w.obj, w.ev, pairs)
+    return (
+        entry is not None and C.has_morphisms(w.ev)
+        and (C.mor_src[w.ev], C.mor_dst[w.ev]) == (entry.apex, w.y)
+    )
 
 
 def _exponential_universal(
@@ -193,45 +198,36 @@ def check_exponentials_along(F: Functor, src: dict, dst: dict) -> ExpPreservatio
     to be exponentials.  A witness keyed by its pair and typed on the source
     (``ev`` out of the chosen product of ``(obj, x)`` into ``y``) is an
     exponential exactly when its image is one, with the image ``ev``
-    re-based onto the chosen product of the images through the mediator of
-    the image product, which is ``mu;F(ev)`` for the product comparison
-    ``mu``: the equivalence F preserves and reflects products and
-    exponentials.  Each distinct image is decided once by its comparison
-    with the exponential of dst at its pair (:func:`_comparison_at`).
+    re-based onto the chosen product of the images through F's product
+    comparison: the equivalence F preserves and reflects products and
+    exponentials.  The witnesses typed before the first one that is not are
+    decided by :func:`preserves_exponentials`, and the first offending pair
+    in key order is named.
     """
-    C, D = F.source, F.target
-    table, prodsC, prodsD = src["exponentials"], src["products"], dst["products"]
-    expsD = dst["exponentials"]
-    rebase: dict[tuple[int, int], int] = {}   # (obj, x) -> mediator onto the image product
-    by_image: dict[tuple[int, int, int, int], Iso] = {}   # image witness -> comparison
-    comparison: dict[tuple[int, int], Iso] = {}
-    n = C.n_objects
-    for x in range(n):
-        for y in range(n):
-            w = table.get((x, y))
-            entry = None if w is None or not 0 <= w.obj < n else prodsC.get((w.obj, x))
-            if (
-                entry is None
-                or (w.x, w.y) != (x, y)
-                or not C.has_morphisms(w.ev)
-                or C.mor_src[w.ev] != entry.apex
-                or C.mor_dst[w.ev] != y
-            ):
-                raise InvalidCert(f"exponential table is wrong at ({x},{y})")
-            u = rebase.get((w.obj, x))
-            if u is None:
-                chosen = prodsD[(F.obj_map[w.obj], F.obj_map[x])]
-                u = mediating(D, PRODUCTS.image(F, entry), chosen.pi1, chosen.pi2)
-                rebase[(w.obj, x)] = u
-            image = (F.obj_map[x], F.obj_map[y], F.obj_map[w.obj], D.compose(u, F.mor_map[w.ev]))
-            iso = by_image.get(image)
-            if iso is None:
-                iso = _comparison_at(D, prodsD, expsD[image[:2]], image[2], image[3])
-                if iso is None:
-                    raise InvalidCert(f"exponential table is wrong at ({x},{y})")
-                by_image[image] = iso
-            comparison[(x, y)] = iso
-    return ExpPreservationCert(F, table, expsD, comparison)
+    C = F.source
+    table, prodsC = src["exponentials"], src["products"]
+    typed: dict[tuple[int, int], ExponentialW] = {}
+    for key in itertools.product(range(C.n_objects), repeat=2):
+        w = table.get(key)
+        if w is None or (w.x, w.y) != key or not _is_typed(C, prodsC, w):
+            break
+        typed[key] = w
+    else:
+        key = None   # every witness is typed
+    # F's comparisons at the products the typed witnesses evaluate out of
+    used = {(w.obj, w.x): prodsC[(w.obj, w.x)] for w in typed.values()}
+    certs = {"products": preserves(PRODUCTS, F, used, dst["products"])}
+    if certs["products"] is None:
+        raise InvalidCert("product table is not preserved by the equivalence")
+
+    def decide(exps):
+        return preserves_exponentials(F, {"exponentials": exps}, dst, certs)
+
+    pres = decide(typed)
+    bad = key if pres is not None else next(k for k in typed if decide({k: typed[k]}) is None)
+    if bad is not None:
+        raise InvalidCert(f"exponential table is wrong at ({bad[0]},{bad[1]})")
+    return pres
 
 
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
@@ -264,11 +260,9 @@ def carry_exponentials(
 ) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
     """Push every exponential of src, each valid on the source, along the
     equivalence: the image witness is re-based onto the chosen products of
-    dst through the mediator of the image cone.  The result is re-validated
-    along the quasi-inverse (:func:`check_exponentials_along`), which takes
-    it back onto the source entries it came from and returns the
-    quasi-inverse's certificate as the back of the equivalence's; the
-    products of dst must be a checked table."""
+    dst through the mediator of the image cone, so that every entry is
+    typed by construction.  Returns it with the equivalence's preservation
+    certificate; the products of dst must be a checked table."""
     G = cert.functor
     D = G.target
     prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
@@ -294,12 +288,6 @@ def carry_exponentials(
                 rebase[(wC.obj, d1)] = u
             ev = D.compose_many(u, G.mor_map[wC.ev], i2.fwd)
             out[(d1, d2)] = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
-    try:
-        back = check_exponentials_along(
-            cert.quasi_inverse, {"products": prodsD, "exponentials": out}, src
-        )
-    except InvalidCert as e:
-        raise OracleDisagreement(f"transferred exponentials failed re-validation: {e}") from None
     muG = preserves_binary_products(G, prodsC, prodsD)
     if muG is None:
         raise OracleDisagreement("equivalence does not preserve the products in scope")
@@ -308,51 +296,36 @@ def carry_exponentials(
     )
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the exponentials it transferred")
-    return out, replace(pres, back=back)
-
-
-def _comparison_at(
-    D: FinCat,
-    prods: dict[tuple[int, int], BinProductW],
-    target: ExponentialW,
-    obj: int,
-    g: int,
-) -> Iso | None:
-    """The comparison from obj, with evaluation g out of the chosen product
-    of (obj, target.x) into target.y, to the chosen exponential target;
-    None when it is not an iso.  target must be an exponential: the
-    identity is then taken unsearched where obj and g are target's obj and
-    ev, since the only endomorphism of an exponential that commutes with
-    its evaluation is the identity, and otherwise g curries through target
-    exactly once."""
-    if obj == target.obj and g == target.ev:
-        one = D.identity[obj]
-        return Iso(one, one)
-    try:
-        lam = curry(D, prods, target, obj, g)
-    except NotACone:
-        return None
-    return find_iso(D, lam)
+    return out, pres
 
 
 def preserves_exponentials(
     F: Functor, src: dict, dst: dict, certs: dict
 ) -> ExpPreservationCert | None:
     """Canonical comparison by currying mu;F(ev), with mu from F's products
-    certificate in certs; None when some comparison fails to invert.  An
-    invalid target exponential raises.  The target exponentials must be
-    exponentials, as every found or checked table is
-    (:func:`_comparison_at`)."""
+    certificate in certs, through the chosen exponential of the images;
+    None when some comparison fails to invert.  An invalid target
+    exponential raises.  The target exponentials must be exponentials, as
+    every found or checked table is: the identity is then taken unsearched
+    where the image is the chosen one, since the only endomorphism of an
+    exponential that commutes with its evaluation is the identity, and
+    otherwise mu;F(ev) curries through the chosen one exactly once."""
     D = F.target
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
     muF = certs["products"]
     comparison: dict[tuple[int, int], Iso] = {}
     for (x, y), w in expsC.items():
         target = expsD[(F.obj_map[x], F.obj_map[y])]
-        g = D.compose(muF.mu[(w.obj, x)].fwd, F.mor_map[w.ev])
-        iso = _comparison_at(D, prodsD, target, F.obj_map[w.obj], g)
-        if iso is None:
-            return None
+        obj, g = F.obj_map[w.obj], D.compose(muF.mu[(w.obj, x)].fwd, F.mor_map[w.ev])
+        if obj == target.obj and g == target.ev:
+            iso = Iso(D.identity[obj], D.identity[obj])
+        else:
+            try:
+                iso = find_iso(D, curry(D, prodsD, target, obj, g))
+            except NotACone:
+                return None
+            if iso is None:
+                return None
         comparison[(x, y)] = iso
     return ExpPreservationCert(F, expsC, expsD, comparison)
 

@@ -14,19 +14,13 @@ one walk that searches a category for a set of kinds.
 
 Structure is searched for on the skeleton, which is equivalent to the source
 and usually far smaller, and carried back to the source along the inclusion
-of the representatives.  Carried witnesses are checked on the skeleton
-through eta: each is typed on its own category, and its image (or, inside a
-transfer, its pull-back along the quasi-inverse) is decided on the
-skeleton, since an equivalence preserves and reflects the structure.  A
-table's image entries are decided by their comparisons with the chosen
-ones, once per distinct image, and so is the parameterized N's, whose
-comparison is the identity when the image is the chosen one.  The
-comparisons make up the quasi-inverse's preservation certificate, and
-where eta equals that quasi-inverse the certificate is eta's, so eta's
-preservation is not decided a second time.  The classifier is searched
-for once on each side, and eta's preservation of it decided by its
-comparison.  A completion records what it validated, so factoring through
-it checks again only the entries that have changed since.  Lifting
+of the representatives, typed by construction.  Each kind's ``preserves``
+is the one place that compares an image with a chosen entry: one call on
+eta per kind certifies eta and decides every carried entry on the
+skeleton, since an equivalence preserves and reflects the structure, and
+``check_along`` is typing followed by it.  The classifier is searched for
+once on each side.  A completion records what it validated, so factoring
+through it checks again only the entries that have changed since.  Lifting
 preservation through a factorization reuses the carried witnesses instead
 of transferring them again, and decides the factored functor's
 preservation directly, with the certificates already lifted for the kinds
@@ -34,7 +28,7 @@ it depends on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .completion import (
@@ -50,10 +44,9 @@ from .core import (
     NatIso,
     WeakEquivalenceCert,
     check_weak_equivalence_cert,
-    functors_equal,
     same_tables,
 )
-from .errors import DependencyMissing, OracleDisagreement, PreconditionViolation
+from .errors import DependencyMissing, InvalidCert, OracleDisagreement, PreconditionViolation
 from . import classifier, exponentials, limits, nno
 from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check_table
 
@@ -66,15 +59,14 @@ class StructureKind:
     payloads on a single category, so kinds can reach their dependencies.
     ``check`` decides a bag on its category by brute force.  ``check_along``
     decides a bag on the source of a checked weak equivalence through it:
-    typing on the source, then the image on the target, where the checked
+    typing on the source, then ``preserves`` on the image, where the checked
     target bag supplies images known to be good; the classifier is checked
-    directly on the source instead.  ``transfer`` carries the source bag's
-    entries along a weak equivalence into any target, skeletal or not, and
-    re-validates them by pulling them back onto the source entries; the
-    certificate it returns holds the quasi-inverse's certificate from that
-    re-validation as ``back``, for every kind but the classifier, whose
-    carry searches its target instead.  ``carry`` is ``transfer`` without
-    its check of the source bag, for a bag that ``check`` already accepted.
+    directly on the source instead.  ``transfer`` checks the source bag and
+    carries it along a weak equivalence into any target, skeletal or not,
+    with the equivalence's certificate; the carried entries are typed by
+    construction, or for the classifier searched for on the target.
+    ``carry`` is ``transfer`` without its check of the source bag, for a
+    bag that ``check`` already accepted.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and last the
     factored functor's certificates for the kinds before it.
@@ -286,22 +278,22 @@ def complete_structured(
     instead, so that the completed bag is always the transfer of the source
     bag; a witness keyed by anything but a kind raises.
 
-    Where eta equals the inclusion's quasi-inverse, eta's certificate is the
-    one the carry's re-validation along that quasi-inverse returned;
-    otherwise, and for the classifier, it is decided by the kind's
-    ``preserves``.
+    Eta's certificate for each kind comes from one ``preserves`` call on
+    eta, which also decides every carried source entry on the skeleton; a
+    refusal is an engine bug.  A supplied witness is carried along eta
+    itself, whose certificate the carry returns, and its carried entries
+    are checked on the skeleton by the kind's ``check``.
 
     Every bag returned has been validated on both sides: a found entry by
-    the transfer's check on the skeleton and the carry's re-validation on
-    C (the classifier by its search on C), a supplied one by ``check`` on C
-    and the carry along eta.  The result records this as ``validated``.
+    the transfer's check on the skeleton and eta's ``preserves`` on C (the
+    classifier by its search on C), a supplied one by ``check`` on C and on
+    the skeleton.  The result records this as ``validated``.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
     res = skeletize(C)
     D = res.completed
     incl = skeleton_inclusion(res)
-    eta_is_back = functors_equal(res.eta, incl.quasi_inverse)
     src: dict[str, object] = {}
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
@@ -314,6 +306,10 @@ def complete_structured(
             src[name] = w
             kind.check(C, src)
             completed[name], eta_certs[name] = kind.carry(res.cert, src, completed)
+            try:
+                kind.check(D, completed)
+            except InvalidCert as e:
+                raise OracleDisagreement(f"carried '{name}' fails on the skeleton: {e}") from None
             continue
         found = kind.find(D, completed)
         if found is None:
@@ -323,11 +319,7 @@ def complete_structured(
                 f"requested structure '{name}' is absent from {C.name}"
             )
         completed[name] = found
-        src[name], pres = kind.transfer(incl, completed, src)
-        back = getattr(pres, "back", None) if eta_is_back else None   # the classifier has none
-        if back is not None:
-            eta_certs[name] = replace(back, functor=res.eta)
-            continue
+        src[name], _ = kind.transfer(incl, completed, src)
         cert = kind.preserves(res.eta, src, completed, eta_certs)
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")

@@ -3,16 +3,15 @@
 Every structure is a small witness dataclass that can be re-validated from
 scratch by brute force.  ``is_*`` functions quantify over the whole category,
 ``find_*`` search deterministically (lowest apex first, then lowest morphism
-indices), ``transfer_*`` push chosen structure along a weak equivalence and
-re-validate every produced witness, ``preserves_*`` decide preservation and
-certify it with comparison isos, and ``lift_preservation_*`` decide
-preservation for a factored functor directly, by ``preserves``; the
-transport of the given functor's comparisons through the factorization is
-their oracle in the tests.  :func:`check_table_along` checks a table
-through a weak equivalence: typing on its own category, the universal
-property on the image, which an equivalence preserves and reflects, decided
-by the image's comparison with the chosen limit; the comparisons it finds
-make up the equivalence's preservation certificate, which it returns.
+indices), ``transfer_*`` check a table on its source and push it along a
+weak equivalence, ``preserves_*`` decide preservation and certify it with
+comparison isos, and ``lift_preservation_*`` decide preservation for a
+factored functor directly, by ``preserves``; the transport of the given
+functor's comparisons through the factorization is their oracle in the
+tests.  :func:`preserves` is the one place that compares an image cone with
+a chosen entry: a completion decides the table :func:`carry` builds, typed
+by construction, by eta's preservation of it, and :func:`check_table_along`
+is typing followed by :func:`preserves`.
 
 Terminal objects, binary products, equalizers and pullbacks are keyed
 limits: a table maps each key (the empty diagram's one key ``()``, a pair of
@@ -41,7 +40,7 @@ tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable
@@ -435,37 +434,28 @@ def check_table_along(
     faithful, and preserves them, being an equivalence.  The equations need
     no check of their own, since a faithful F reflects equality of parallel
     arrows.  Typing is checked on the source itself, because a leg into an
-    isomorphic twin of a foot is typed once imaged.  Each distinct image is
-    decided once by its comparison with the target entry of its diagram, as
-    in :func:`preserves`: the identity where it is that entry, otherwise
-    its mediator into it, which is an iso exactly when the image is a limit.
+    isomorphic twin of a foot is typed once imaged.  The entries typed
+    before the first one that is not are decided by :func:`preserves`, and
+    the first offending key in key order is named.
     """
-    C, D = F.source, F.target
-    n, m, src, dst = C.n_objects, C.n_morphisms, C.mor_src, C.mor_dst
-    obj, mor = F.obj_map, F.mor_map
-    k = shape.n_key   # witnesses read inline, as in mediator
-    mu: dict[Key, Iso] = {}
-    by_image: dict[tuple[int, ...], Iso] = {}   # image cone -> mu
+    C = F.source
+    src, dst, k = C.mor_src, C.mor_dst, shape.n_key
+    typed: Table = {}
     for key in shape.keys(C):
         w = table.get(key)
-        if w is None:
-            raise _wrong_at(shape, key)
-        v = shape.unpack(w)
-        apex, legs = v[k], v[k + 1:]
-        if v[:k] != key or not 0 <= apex < n:   # key parts equal a key of C: in range
-            raise _wrong_at(shape, key)
-        for p, x in zip(legs, shape.feet(C, key)):
-            if not 0 <= p < m or src[p] != apex or dst[p] != x:
-                raise _wrong_at(shape, key)
-        image = (*shape.image_key(F, key), obj[apex], *map(mor.__getitem__, legs))
-        iso = by_image.get(image)
-        if iso is None:
-            iso = _comparison_at(shape, D, target[image[:k]], image)
-            if iso is None:
-                raise _wrong_at(shape, key)
-            by_image[image] = iso
-        mu[key] = iso
-    return LimitPreservationCert(F, table, target, mu)
+        v = None if w is None else shape.unpack(w)
+        if v is None or v[:k] != key or not shape.in_range(C, v) or any(
+            src[p] != v[k] or dst[p] != x for p, x in zip(v[k + 1:], shape.feet(C, key))
+        ):
+            break
+        typed[key] = w
+    else:
+        key = None   # every entry is typed
+    pres = preserves(shape, F, typed, target)
+    bad = key if pres is not None else first_unpreserved(shape, F, typed, target)
+    if bad is not None:
+        raise _wrong_at(shape, bad)
+    return pres
 
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
@@ -512,15 +502,12 @@ def comparison(shape: LimitShape, C: FinCat, a, b) -> Iso:
 class LimitPreservationCert:
     """mu maps the chosen limit of each image diagram onto the image of the
     chosen limit; composing mu with the image legs recovers the chosen
-    legs.  A certificate that :func:`carry` returns holds, as back, the
-    quasi-inverse's certificate from its re-validation, which takes the
-    carried table onto the table it came from; otherwise back is None."""
+    legs."""
 
     functor: Functor
     source: Table
     target: Table
     mu: dict[Key, Iso]
-    back: LimitPreservationCert | None = None
 
 
 def _comparison_at(shape: LimitShape, E: FinCat, entry, image: tuple[int, ...]) -> Iso | None:
@@ -608,12 +595,12 @@ def carry(
 ) -> tuple[Table, LimitPreservationCert]:
     """Push a table whose entries are limits on the source along the
     equivalence: the witness at each pulled-back key is imaged, its legs
-    composed with the eso isos of the feet.  The result is re-validated
-    along the quasi-inverse (:func:`check_table_along`), which takes it back
-    onto the source entries it came from and returns the quasi-inverse's
-    certificate as the back of the equivalence's.  The target need not be
-    skeletal: the witnesses carried there are limits, though not the only
-    choice."""
+    composed with the eso isos of the feet, so that every entry is typed by
+    construction (``FinCat.compose`` refuses an ill-typed pair).  Returns it
+    with the equivalence's preservation certificate of table into it.  The
+    target need not be skeletal: the witnesses carried there are limits,
+    though not the only choice.  The carried entries are not decided here;
+    a completion decides them by eta's :func:`preserves`."""
     check_weak_equivalence_cert(cert)
     G, Q = cert.functor, cert.quasi_inverse
     D = G.target
@@ -630,14 +617,10 @@ def carry(
             for p, y in zip(v[k + 1:], shape.feet(D, key))
         ]
         out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
-    try:
-        back = check_table_along(shape, Q, out, table)
-    except InvalidCert as e:
-        raise OracleDisagreement(f"transferred {shape.name}s failed re-validation: {e}") from None
     pres = preserves(shape, G, table, out)
     if pres is None:
         raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
-    return out, replace(pres, back=back)
+    return out, pres
 
 
 def reflect(shape: LimitShape, F: Functor, w):

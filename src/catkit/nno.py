@@ -6,11 +6,12 @@ product with the candidate exists: for each parameter t', stage m, and data
 Pairs missing from a partial product table are skipped as vacuous, which is
 only ever exercised on product-incomplete fragments.  The registry verbs
 take witness bags holding the chosen terminal and products; ``is_pnno`` and
-``reflect_pnno`` take them separately.
+``reflect_pnno`` take them separately.  :func:`preserves_pnno` is the one
+place that compares an image triple with a chosen one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     FinCat,
@@ -50,13 +51,10 @@ class PNNOW:
 @dataclass(frozen=True, eq=False)
 class PNNOPreservationCert:
     """comparison runs from the codomain's candidate to the image of the
-    source one, commuting with zero and successor.  A certificate that
-    :func:`carry_pnno` returns holds, as back, the quasi-inverse's
-    certificate from its re-validation; otherwise back is None."""
+    source one, commuting with zero and successor."""
 
     functor: Functor
     comparison: Iso
-    back: PNNOPreservationCert | None = None
 
 
 def _recursor_arrows(
@@ -169,27 +167,17 @@ def check_pnno_along(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert:
     chosen terminal into ``N``, ``s`` an endomorphism of ``N``) is a
     parameterized N exactly when its image is one, with the image zero
     re-based onto the terminal of dst: the equivalence F preserves and
-    reflects the terminal, products and the parameterized N.  An image
-    equal to the witness of dst is accepted, with the identity comparison,
-    since the recursor of a parameterized N's own zero and successor is the
-    product projection.  Any other is decided by :func:`preserves_pnno`
-    alone: its comparison out of the known-good witness of dst is an iso
-    exactly when the image is a parameterized N.
+    reflects the terminal, products and the parameterized N.  A typed
+    triple is decided by :func:`preserves_pnno` alone: its comparison out
+    of the known-good witness of dst is an iso exactly when the image is a
+    parameterized N.
     """
     C = F.source
     termC, w = src["terminal"], src["pnno"]
-    if (
-        not C.has_morphisms(w.z, w.s)
-        or C.mor_src[w.z] != termC.t
-        or C.mor_dst[w.z] != w.N
-        or C.mor_src[w.s] != w.N
-        or C.mor_dst[w.s] != w.N
-    ):
+    if not C.has_morphisms(w.z, w.s) or (
+        C.mor_src[w.z], C.mor_dst[w.z], C.mor_src[w.s], C.mor_dst[w.s]
+    ) != (termC.t, w.N, w.N, w.N):
         raise InvalidCert("parameterized-N witness is not typed on the source")
-    image = _image_triple(F, termC, dst["terminal"], w)
-    if image == dst["pnno"]:
-        one = F.target.identity[image.N]
-        return PNNOPreservationCert(F, Iso(one, one))
     pres = preserves_pnno(F, src, dst, {})
     if pres is None:
         raise InvalidCert("parameterized-N witness fails its defining property")
@@ -209,22 +197,16 @@ def transfer_pnno(
 def carry_pnno(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> tuple[PNNOW, PNNOPreservationCert]:
-    """Transport a parameterized N valid on the source along the equivalence
-    and re-validate it along the quasi-inverse (:func:`check_pnno_along`),
-    which takes it back onto the witness it came from and returns the
-    quasi-inverse's certificate as the back of the equivalence's; the
-    terminal and products of dst must be checked."""
+    """Transport a parameterized N valid on the source along the
+    equivalence, its zero re-based onto the terminal of dst, so that the
+    triple is typed by construction, and return it with the equivalence's
+    certificate; the terminal and products of dst must be checked."""
     G = cert.functor
     wD = _image_triple(G, src["terminal"], dst["terminal"], src["pnno"])
-    carried = {**dst, "pnno": wD}
-    try:
-        back = check_pnno_along(cert.quasi_inverse, carried, src)
-    except InvalidCert as e:
-        raise OracleDisagreement(f"transferred triple failed re-validation: {e}") from None
-    pres = preserves_pnno(G, src, carried, {})
+    pres = preserves_pnno(G, src, {**dst, "pnno": wD}, {})
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the witness it transferred")
-    return wD, replace(pres, back=back)
+    return wD, pres
 
 
 def reflect_pnno(
@@ -251,8 +233,12 @@ def reflect_pnno(
 
 def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
     """Canonical comparison: the recursor at parameter t', stage F(N),
-    restricted along the unit point of the product.  The terminal of dst is
-    taken as checked, as it is in every bag the registry passes."""
+    restricted along the unit point of the product.  It is the identity,
+    unsearched, where the image triple, its zero re-based onto the terminal
+    of dst, is the witness of dst, since the recursor of a parameterized
+    N's own zero and successor is the product projection.  The terminal and
+    parameterized N of dst are taken as checked, as they are in every bag
+    the registry passes."""
     D = F.target
     termC, wC = src["terminal"], src["pnno"]
     termD, prodsD, wD = dst["terminal"], dst["products"], dst["pnno"]
@@ -260,10 +246,11 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
         return None
     if (termD.t, wD.N) not in prodsD:
         raise PreconditionViolation("product table lacks the pair needed for the comparison")
-    u = to_terminal(D, ChosenTerminal(F.obj_map[termC.t]), termD.t)
-    z_img = D.compose(u, F.mor_map[wC.z])
-    s_img = F.mor_map[wC.s]
-    hits = _recursors(D, prodsD, wD, termD.t, F.obj_map[wC.N], z_img, s_img, termD)
+    image = _image_triple(F, termC, termD, wC)
+    if image == wD:
+        one = D.identity[wD.N]
+        return PNNOPreservationCert(F, Iso(one, one))
+    hits = _recursors(D, prodsD, wD, termD.t, image.N, image.z, image.s, termD)
     if len(hits) != 1:
         raise OracleDisagreement("validated witness lost recursor uniqueness")
     entry = prodsD[(termD.t, wD.N)]
@@ -271,7 +258,7 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
         D, entry, to_terminal(D, termD, wD.N), D.identity[wD.N]
     )
     c = D.compose(point, hits[0])
-    if D.compose(wD.z, c) != z_img or D.compose(wD.s, c) != D.compose(c, s_img):
+    if D.compose(wD.z, c) != image.z or D.compose(wD.s, c) != D.compose(c, image.s):
         raise OracleDisagreement("comparison fails zero or successor compatibility")
     iso = find_iso(D, c)
     if iso is None:

@@ -129,6 +129,37 @@ def test_python_dash_m_catkit_is_the_cli(walking_path):
     assert _fresh_process(["demo", "nope"]).returncode == 2
 
 
+def _into_a_closed_pipe(argv):
+    """argv run as ``python -m catkit`` with standard output a pipe whose
+    read end is already closed; returns the exit code and standard error."""
+    path = [str(Path(catkit.__file__).resolve().parent.parent)]
+    path += [p for p in [os.environ.get("PYTHONPATH")] if p]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "catkit", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["demo", "hvalued", "--json"], 3),   # a success report that cannot be written
+    (["demo", "kleisli"], 3),
+    (["validate", "{bad}", "--json"], 1),   # an error report keeps its own code
+])
+def test_a_closed_standard_output_is_an_io_error_without_a_traceback(argv, code, tmp_path):
+    bad = tmp_path / "bad.json"
+    morphism = {"id": "f", "src": "a", "dst": "b"}   # into an object the document lacks
+    bad.write_text(json.dumps({"objects": ["a"], "morphisms": [morphism]}))
+    got, err = _into_a_closed_pipe([str(bad) if a == "{bad}" else a for a in argv])
+    assert got == code, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_validate_missing_file_exits_3(capsys):
     assert main(["validate", "/nonexistent/nope.json"]) == 3
 

@@ -1,16 +1,25 @@
-"""Eta's preservation certificates come out of the carry's re-validation.
+"""Eta's preservation certificates, and the carried bags, are decided by
+one ``preserves`` call per kind on eta.
 
-``complete_structured`` re-validates every carried table along the
-quasi-inverse of the inclusion of the representatives.  Where eta equals
-that quasi-inverse, the certificate the re-validation returns is eta's, and
-eta's preservation is not decided again; otherwise the kind's ``preserves``
-decides it.  Either way the certificate must be the one ``preserves`` gives.
+``complete_structured`` carries each bag found on the skeleton back to the
+source along the inclusion of the representatives, and takes eta's
+certificate from the kind's ``preserves``, which also decides every carried
+entry; a refusal there is an engine bug, exit 4 in the CLI.  The carries'
+old re-validation along the inclusion's quasi-inverse is the oracle in
+``carry_oracles``: it must accept every carried bag and, where eta equals
+that quasi-inverse, give eta's comparisons.
 """
-import sys
+import dataclasses
+import itertools
+import json
 
-from catkit import limits
+import pytest
+
+import carry_oracles
+from catkit import cli, exponentials, limits, nno
 from catkit.completion import inflate, skeletize, skeleton_inclusion
 from catkit.core import functors_equal
+from catkit.errors import InvalidCert, OracleDisagreement
 from catkit.generators import (
     chain_poset,
     delooping,
@@ -19,7 +28,9 @@ from catkit.generators import (
     heyting_chain,
     heyting_diamond,
     hvalued_sets,
+    random_category,
 )
+from catkit.interchange import category_to_json
 from catkit.lifting import KINDS, complete_structured
 from completion_helpers import cert_comparisons
 
@@ -66,35 +77,125 @@ def test_eta_certificates_equal_the_direct_decision():
     assert ("z3", True) in non_identity and ("hvalued", False) in non_identity
 
 
-def _preserves_calls(monkeypatch) -> list:
-    """Wrap limits.preserves wherever a catkit module holds it; returns the
-    list of functors it will have been called with."""
-    seen = []
-    real = limits.preserves
+def test_eta_is_decided_by_one_preserves_call_per_kind_and_no_check_along(monkeypatch):
+    """complete_structured calls no check_*_along, and decides each kind's
+    eta certificate by one call of the kind's preserves on eta, whether or
+    not eta equals the quasi-inverse of the inclusion."""
+    along = []
+    for module, name in ((limits, "check_table_along"), (exponentials, "check_exponentials_along"),
+                         (nno, "check_pnno_along")):
+        def counted_along(*args, _fn=getattr(module, name), _name=name):
+            along.append(_name)
+            return _fn(*args)
 
-    def wrapped(shape, F, *args):
-        seen.append(F)
-        return real(shape, F, *args)
+        monkeypatch.setattr(module, name, counted_along)
+    calls = []
+    for name, kind in list(KINDS.items()):
+        def counted(F, *args, _fn=kind.preserves, _name=name):
+            calls.append((_name, F))
+            return _fn(F, *args)
 
-    for mod in [m for n, m in sys.modules.items() if n == "catkit" or n.startswith("catkit.")]:
-        for attr, value in list(vars(mod).items()):
-            if value is real:
-                monkeypatch.setattr(mod, attr, wrapped)
-    return seen
+        monkeypatch.setitem(KINDS, name, dataclasses.replace(kind, preserves=counted))
+    fallback = set()
+    for name, C in _inputs().items():
+        calls.clear()
+        sc = complete_structured(C)
+        if not _eta_is_back(sc):
+            fallback.add(name)
+        assert [kind for kind, F in calls if F is sc.result.eta] == list(sc.kinds), name
+    assert along == []
+    assert fallback == {"hvalued"}
 
 
-def test_no_preservation_walk_receives_eta_when_it_equals_the_quasi_inverse(monkeypatch):
-    """No limits.preserves call gets eta when eta equals the quasi-inverse;
-    the fallback does call it.  The classifier is left out: its carry
-    searches the target rather than re-validating along the quasi-inverse,
-    so eta's preservation of it is decided by its comparison, through the
-    terminal's."""
-    inputs = _inputs()
-    seen = _preserves_calls(monkeypatch)
-    for name, kinds in (("chain3", None), ("chain4", None), ("diamond", None), ("z3", None),
-                        ("hvalued", ("terminal", "equalizers"))):
-        seen.clear()
-        sc = complete_structured(inputs[name], kinds)
-        assert "classifier" not in sc.kinds
-        got_eta = any(F is sc.result.eta for F in seen)
-        assert seen and got_eta == (not _eta_is_back(sc)), name
+def _corpus():
+    out = {}
+    for seed in range(40):
+        C = random_category(seed)
+        out[C.name] = inflate(C, [1 + (seed + i) % 2 for i in range(C.n_objects)])[0]
+    return {**out, **_inputs()}
+
+
+def test_the_carry_revalidation_oracle_accepts_every_carried_bag():
+    """The old route, each carried bag pulled back along the quasi-inverse
+    onto the skeleton's chosen entries, accepts every bag the completion
+    carries, with eta's comparisons wherever eta is that quasi-inverse."""
+    agreed = set()
+    for name, C in _corpus().items():
+        sc = complete_structured(C)
+        back = carry_oracles.revalidate_carried(sc)
+        assert set(back) == set(sc.kinds) - {"classifier"}, name
+        if _eta_is_back(sc):
+            for kind, cert in back.items():
+                assert cert_comparisons(cert) == cert_comparisons(sc.eta_certs[kind]), (name, kind)
+                agreed.add(kind)
+    assert agreed == set(KINDS) - {"classifier"}
+
+
+def _not_a_limit(shape, C, key):
+    """A typed cone over key whose legs commute but which is not a limit,
+    or None."""
+    feet = shape.feet(C, key)
+    for apex in range(C.n_objects):
+        for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
+            if shape.commutes is None or shape.commutes(C, key, legs):
+                w = shape.witness(*key, apex, *legs)
+                if not shape.is_limit(C, w):
+                    return w
+    return None
+
+
+def test_a_check_along_names_the_first_offending_key_as_the_old_route_did():
+    """Two corrupted entries, one a typed cone that is not a limit and one
+    typed wrongly, in either order: check_table_along, typing followed by
+    preserves, names the same first offending key as the old route's single
+    loop."""
+    n = 0
+    for seed in range(0, 40, 4):
+        C = inflate(random_category(seed), 2)[0]
+        sc = complete_structured(C)
+        for name, shape in carry_oracles.SHAPES.items():
+            if name not in sc.kinds or not shape.n_key:
+                continue
+            table, known = sc.source[name], sc.completed[name]
+            keys = sorted(table)
+            for a, b in ((keys[0], keys[-1]), (keys[-1], keys[0])):
+                bad = _not_a_limit(shape, C, a)
+                if bad is None or a == b:
+                    continue
+                key, apex, legs = shape.split(table[b])
+                corrupted = {**table, a: bad, b: shape.witness(*key, -1, *legs)}
+                messages = []
+                for check in (limits.check_table_along, carry_oracles.table_along):
+                    with pytest.raises(InvalidCert) as e:
+                        check(shape, sc.result.eta, corrupted, known)
+                    messages.append(str(e.value))
+                assert messages[0] == messages[1], (C.name, name, a, b)
+                n += 1
+    assert n
+
+
+def test_a_corrupted_carry_ends_in_exit_4(monkeypatch, tmp_path, capsys):
+    """A carry that moves one carried product to a typed cone that is not a
+    product is refused by eta's preservation check, as an engine bug."""
+    C = inflate(chain_poset(3), [1, 2, 2])[0]
+    real = limits.carry
+    moved = []
+
+    def corrupted(shape, cert, table):
+        out, pres = real(shape, cert, table)
+        if shape is limits.PRODUCTS:
+            for key in sorted(out):
+                bad = _not_a_limit(limits.PRODUCTS, cert.functor.target, key)
+                if bad is not None:
+                    moved.append(key)
+                    return {**out, key: bad}, pres
+        return out, pres
+
+    monkeypatch.setattr(limits, "carry", corrupted)
+    with pytest.raises(OracleDisagreement, match="eta does not preserve the carried 'products'"):
+        complete_structured(C)
+    assert moved
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(category_to_json(C)))
+    assert cli.main(["complete", str(path), "--carry-structure"]) == 4
+    assert "error [OracleDisagreement]" in capsys.readouterr().err
