@@ -141,16 +141,16 @@ def check_subobject_classifier(C: FinCat, bag: dict) -> None:
 
 
 def transfer_subobject_classifier(
-    cert: WeakEquivalenceCert, src: dict, dst: dict
+    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
     """:func:`carry_subobject_classifier` after checking the classifier of
     src on the source."""
     check_subobject_classifier(cert.functor.source, src)
-    return carry_subobject_classifier(cert, src, dst)
+    return carry_subobject_classifier(cert, src, dst, certs)
 
 
 def carry_subobject_classifier(
-    cert: WeakEquivalenceCert, src: dict, dst: dict
+    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
     """Transport omega and tau of a classifier valid on the source along the
     equivalence onto the terminal of dst, and build their chi table by one
@@ -166,7 +166,9 @@ def carry_subobject_classifier(
     u = to_terminal(D, ChosenTerminal(G.obj_map[termC.t]), termD.t)
     tau_D = D.compose(u, G.mor_map[socC.tau])
     searched = subobject_classifier_cert(D, termD, omega_D, tau_D)
-    pres = preserves_subobject_classifier(G, src, {"terminal": termD, "classifier": searched}, {})
+    pres = preserves_subobject_classifier(
+        G, src, {"terminal": termD, "classifier": searched}, certs or {}
+    )
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the classifier it transferred")
     return searched, pres

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Callable, Hashable, Sequence
+import weakref
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (
     AssociativityViolation,
@@ -580,6 +582,13 @@ class Functor:
         return f"Functor({label}: {self.source.name} -> {self.target.name})"
 
 
+# Functors that passed check_functor and whose maps are tuples, so that the
+# verdict still holds: a FinCat's tables are tuples too.  Held weakly, as is
+# the record of accepted certificates below, so neither keeps a category
+# alive.
+_checked_functors: weakref.WeakSet[Functor] = weakref.WeakSet()
+
+
 def check_functor(F: Functor) -> None:
     C, D = F.source, F.target
     if len(F.obj_map) != C.n_objects or len(F.mor_map) != C.n_morphisms:
@@ -611,6 +620,8 @@ def check_functor(F: Functor) -> None:
                 raise CompositionNotPreserved(
                     f"composite {C.mor_labels[f]};{C.mor_labels[g]} is not preserved"
                 )
+    if type(F.obj_map) is tuple and type(F.mor_map) is tuple:
+        _checked_functors.add(F)
 
 
 def functor(
@@ -721,10 +732,12 @@ class WeakEquivalenceCert:
     ``ff_witness[(x, y)][h] = f`` with ``mor_map[f] = h``.  eso_witness picks,
     for every target object, a source object and an iso from its image;
     choices are deterministic (lowest object index, then lowest morphism
-    index)."""
+    index).  A certificate that :func:`is_weak_equivalence` builds, or that
+    :func:`check_weak_equivalence_cert` records, holds its inverse tables
+    read-only."""
 
     functor: Functor
-    ff_witness: dict[tuple[int, int], dict[int, int]]
+    ff_witness: Mapping[tuple[int, int], Mapping[int, int]]
     eso_witness: tuple[tuple[int, Iso], ...]
 
     def ff_inverse(self, x: int, y: int, h: int) -> int:
@@ -746,11 +759,11 @@ class WeakEquivalenceCert:
         return Functor(D, F.source, tuple(x for x, _ in eso), tuple(mor_map), f"{F.name}^-1")
 
 
-def is_fully_faithful(F: Functor) -> dict[tuple[int, int], dict[int, int]] | None:
-    """Hom-set by hom-set bijectivity check; returns the inverse tables or
-    None on the first failing hom-set."""
+def is_fully_faithful(F: Functor) -> dict[tuple[int, int], Mapping[int, int]] | None:
+    """Hom-set by hom-set bijectivity check; returns the inverse tables,
+    each read-only, or None on the first failing hom-set."""
     C, D = F.source, F.target
-    out: dict[tuple[int, int], dict[int, int]] = {}
+    out: dict[tuple[int, int], Mapping[int, int]] = {}
     for x in range(C.n_objects):
         for y in range(C.n_objects):
             source_hom = C.hom(x, y)
@@ -764,7 +777,7 @@ def is_fully_faithful(F: Functor) -> dict[tuple[int, int], dict[int, int]] | Non
                 table[h] = f
             if len(table) != len(target_hom):
                 return None  # not full
-            out[(x, y)] = table
+            out[(x, y)] = MappingProxyType(table)
     return out
 
 
@@ -788,17 +801,51 @@ def is_essentially_surjective(F: Functor) -> tuple[tuple[int, Iso], ...] | None:
 
 
 def is_weak_equivalence(F: Functor) -> WeakEquivalenceCert | None:
+    """F's certificate, or None when F is not a weak equivalence.  When F
+    passed :func:`check_functor`, the certificate is recorded as accepted,
+    since it would pass :func:`check_weak_equivalence_cert`: F sends each
+    hom-set into the hom-set of the images, so an inverse table as large as
+    that hom-set covers it, and each eso iso is the one ``find_iso``
+    returns."""
     ff = is_fully_faithful(F)
     if ff is None:
         return None
     eso = is_essentially_surjective(F)
     if eso is None:
         return None
-    return WeakEquivalenceCert(F, ff, eso)
+    # nothing else holds the tables just built, so a read-only view freezes them
+    cert = WeakEquivalenceCert(F, MappingProxyType(ff), eso)
+    if F in _checked_functors:
+        _accepted_certs.add(cert)
+    return cert
+
+
+# Certificates that passed check_weak_equivalence_cert, or that
+# is_weak_equivalence built from a checked functor, and that nothing can
+# change: each field is a tuple or read-only, and so are its functor's maps.
+_accepted_certs: weakref.WeakSet[WeakEquivalenceCert] = weakref.WeakSet()
+
+
+def _accept(cert: WeakEquivalenceCert) -> None:
+    """Record a certificate that passed the check, its inverse tables
+    replaced by read-only copies, which no caller holds; one whose functor
+    maps or eso witness are not tuples could change, and is not recorded."""
+    F, eso = cert.functor, cert.eso_witness
+    if (
+        type(F.obj_map) is tuple and type(F.mor_map) is tuple
+        and type(eso) is tuple and all(type(e) is tuple for e in eso)
+    ):
+        frozen = {k: MappingProxyType(dict(v)) for k, v in cert.ff_witness.items()}
+        object.__setattr__(cert, "ff_witness", MappingProxyType(frozen))
+        _accepted_certs.add(cert)
 
 
 def check_weak_equivalence_cert(cert: WeakEquivalenceCert) -> None:
-    """Re-validate a certificate against its functor's tables."""
+    """Re-validate a certificate against its functor's tables.  A
+    certificate accepted before (see :func:`is_weak_equivalence`) returns at
+    once; one that passes here is recorded when nothing in it can change."""
+    if cert in _accepted_certs:
+        return
     F = cert.functor
     check_functor(F)
     C, D = F.source, F.target
@@ -820,6 +867,7 @@ def check_weak_equivalence_cert(cert: WeakEquivalenceCert) -> None:
             raise InvalidCert(f"eso witness for object {y} is ill-typed")
         if find_iso(D, iso.fwd) != iso:
             raise InvalidCert(f"eso witness for object {y} is not an iso")
+    _accept(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ with a chosen exponential.  The registry verbs
 chosen products, or a functor's certificate for them, from them;
 ``is_exponential``, ``curry`` and ``find_exponential`` take the
 product table itself.  The searches test each typed candidate ``ev`` with
-the universal-property loop alone, and one sweep of ``find_exponentials``
-or ``check_exponentials`` computes each ``lam x id_x`` once.
+the universal-property loop alone, and one sweep of ``find_exponentials``,
+``check_exponentials`` or the source check of ``transfer_exponentials``
+computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
@@ -244,25 +245,30 @@ def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], Exponential
 
 
 def transfer_exponentials(
-    cert: WeakEquivalenceCert, src: dict, dst: dict
+    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
     """:func:`carry_exponentials` after checking every exponential of src on
-    the source."""
-    C = cert.functor.source
+    the source, computing each ``lam x id_x`` once for the whole check."""
+    C, prods = cert.functor.source, src["products"]
+    pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole check
     for key, w in src["exponentials"].items():
-        if (w.x, w.y) != key or not is_exponential(C, src["products"], w):
+        if (w.x, w.y) != key or not _is_exponential(C, prods, w, pairs):
             raise InvalidCert(f"source exponential table entry {key} is invalid")
-    return carry_exponentials(cert, src, dst)
+    return carry_exponentials(cert, src, dst, certs)
 
 
 def carry_exponentials(
-    cert: WeakEquivalenceCert, src: dict, dst: dict
+    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
     """Push every exponential of src, each valid on the source, along the
     equivalence: the image witness is re-based onto the chosen products of
     dst through the mediator of the image cone, so that every entry is
     typed by construction.  Returns it with the equivalence's preservation
-    certificate; the products of dst must be a checked table."""
+    certificate; the products of dst must be a checked table.
+
+    ``certs["products"]``, when given, is the equivalence's certificate for
+    the products of src into those of dst, as transferring the products
+    returns it; otherwise it is decided here."""
     G = cert.functor
     D = G.target
     prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
@@ -288,9 +294,15 @@ def carry_exponentials(
                 rebase[(wC.obj, d1)] = u
             ev = D.compose_many(u, G.mor_map[wC.ev], i2.fwd)
             out[(d1, d2)] = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
-    muG = preserves_binary_products(G, prodsC, prodsD)
+    muG = (certs or {}).get("products")
     if muG is None:
-        raise OracleDisagreement("equivalence does not preserve the products in scope")
+        muG = preserves_binary_products(G, prodsC, prodsD)
+        if muG is None:
+            raise OracleDisagreement("equivalence does not preserve the products in scope")
+    elif not (muG.functor is G and muG.source is prodsC and muG.target is prodsD):
+        raise PreconditionViolation(
+            "products certificate is not the equivalence's for these tables"
+        )
     pres = preserves_exponentials(
         G, src, {"products": prodsD, "exponentials": out}, {"products": muG}
     )

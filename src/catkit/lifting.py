@@ -64,9 +64,11 @@ class StructureKind:
     directly on the source instead.  ``transfer`` checks the source bag and
     carries it along a weak equivalence into any target, skeletal or not,
     with the equivalence's certificate; the carried entries are typed by
-    construction, or for the classifier searched for on the target.
-    ``carry`` is ``transfer`` without its check of the source bag, for a
-    bag that ``check`` already accepted.
+    construction, or for the classifier searched for on the target.  Its
+    last argument holds the certificates the transfers of the kinds before
+    it returned, which the exponentials read for the products.  ``carry``
+    is ``transfer`` without its check of the source bag, for a bag that
+    ``check`` already accepted.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and last the
     factored functor's certificates for the kinds before it.
@@ -77,8 +79,8 @@ class StructureKind:
     check: Callable[[FinCat, dict], None]
     check_along: Callable[[Functor, dict, dict], None]
     find: Callable[[FinCat, dict], object | None]
-    transfer: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
-    carry: Callable[[WeakEquivalenceCert, dict, dict], tuple[object, object]]
+    transfer: Callable[[WeakEquivalenceCert, dict, dict, dict], tuple[object, object]]
+    carry: Callable[[WeakEquivalenceCert, dict, dict, dict], tuple[object, object]]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
     lift: Callable[
         [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict, dict], object
@@ -97,7 +99,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     def table(bag):
         return bag[name] if shape.n_key else {(): bag[name]}
 
-    def carry(cert, src, dst):
+    def carry(cert, src, dst, certs=None):
         out, pres = limits.carry(shape, cert, table(src))
         return (out if shape.n_key else out[()]), pres
 
@@ -107,7 +109,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
         lambda C, bag: check_table(shape, C, table(bag)),
         lambda F, src, dst: limits.check_table_along(shape, F, table(src), table(dst)),
         lambda C, bag: call("find_", C),
-        lambda cert, src, dst: call("transfer_", cert, src[name]),
+        lambda cert, src, dst, certs=None: call("transfer_", cert, src[name]),
         carry,
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
         lambda cert, F, H, alpha, src, dst, Fcerts, carried, Hcerts: call(
@@ -297,6 +299,7 @@ def complete_structured(
     src: dict[str, object] = {}
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
+    incl_certs: dict[str, object] = {}   # the inclusion's, as the transfers return them
     for name in KIND_ORDER if kinds is None else _ordered(kinds):
         kind = KINDS[name]
         if any(dep not in src for dep in kind.deps):
@@ -305,7 +308,7 @@ def complete_structured(
         if w is not None:
             src[name] = w
             kind.check(C, src)
-            completed[name], eta_certs[name] = kind.carry(res.cert, src, completed)
+            completed[name], eta_certs[name] = kind.carry(res.cert, src, completed, eta_certs)
             try:
                 kind.check(D, completed)
             except InvalidCert as e:
@@ -319,7 +322,7 @@ def complete_structured(
                 f"requested structure '{name}' is absent from {C.name}"
             )
         completed[name] = found
-        src[name], _ = kind.transfer(incl, completed, src)
+        src[name], incl_certs[name] = kind.transfer(incl, completed, src, incl_certs)
         cert = kind.preserves(res.eta, src, completed, eta_certs)
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")

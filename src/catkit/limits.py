@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import Callable
 
 from .core import (
@@ -530,42 +530,69 @@ def _comparison_at(shape: LimitShape, E: FinCat, entry, image: tuple[int, ...]) 
     return None if found is None else Iso(found.inv, found.fwd)
 
 
+def _first_out_of_range(columns, bounds, n: int) -> int:
+    """The index of the first of n rows, given column by column, with a
+    field outside ``range(bound)`` for its column's bound; n when none is."""
+    for col, bound in zip(columns, bounds):
+        if min(col) < 0 or max(col) >= bound:
+            n = min(n, next(i for i, x in enumerate(col) if not 0 <= x < bound))
+    return n
+
+
 def preserves(
     shape: LimitShape, F: Functor, source: Table, target: Table
 ) -> LimitPreservationCert | None:
     """Each image cone must factor through the chosen limit of its diagram
     by an iso; None when some image cone is not limiting.  A source entry
-    whose apex or legs are out of range, or a target entry with a field out
-    of range, raises, the latter checked once per target key; each distinct
-    image cone is compared once (:func:`_comparison_at`).  The target
-    entries must be limits, as every found or checked table is."""
-    mu: dict[Key, Iso] = {}
-    by_image: dict[tuple[int, ...], Iso] = {}   # image cone -> mu
-    in_range: set[Key] = set()   # target keys whose entry names objects and morphisms of E
-    E = F.target
-    # F's maps as dicts, so that a source field out of range raises instead
-    # of being read from the end
-    obj, mor = dict(enumerate(F.obj_map)), dict(enumerate(F.mor_map))
-    k = shape.n_key   # witnesses read inline, apex v[k] and legs v[k + 1:]: a hot path
-    for key, w in source.items():
-        v = shape.unpack(w)
-        try:
-            image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
-        except KeyError:
-            raise InvalidCert(f"source {shape.name} entry {key} is out of range") from None
-        iso = by_image.get(image)
-        if iso is None:
-            image_key = image[:k]
-            entry = target[image_key]
-            if image_key not in in_range:
-                if not shape.in_range(E, shape.unpack(entry)):
-                    raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
-                in_range.add(image_key)
+    whose key parts, apex or legs are out of range, or a target entry with
+    a field out of range, raises; each distinct image cone is compared
+    once, in the order of first occurrence, and the answer and raise are
+    those of a walk over the source in key order.  The target entries must
+    be limits, as every found or checked table is: an image cone equal to
+    its chosen limit then gets the identity, unsearched, since the only
+    endomorphism of a limit that commutes with its own legs is the
+    identity, and any other is compared by :func:`_comparison_at`."""
+    E, k = F.target, shape.n_key
+    # for each field of a flat cone (key parts, apex, legs), F's map and the
+    # number of objects or morphisms of E
+    maps, bounds = zip(*[
+        (F.obj_map, E.n_objects) if is_obj else (F.mor_map, E.n_morphisms)
+        for _, is_obj in shape.field_kinds
+    ])
+    keys = list(source)
+    # the source cones column by column; a field outside its map's indices
+    # would be read from the end, or not at all
+    columns = [*zip(*keys), *itertools.islice(zip(*map(shape.unpack, source.values())), k, None)]
+    n_ok = _first_out_of_range(columns, map(len, maps), len(keys))
+    images = list(zip(*[map(fmap.__getitem__, col[:n_ok]) for fmap, col in zip(maps, columns)]))
+    distinct = list(dict.fromkeys(images))
+    # the target entry of each distinct image's diagram, as far as the first
+    # one missing and then the first one with a field outside E
+    entries = list(map(target.get, [image[:k] for image in distinct]))
+    found = entries.index(None) if None in entries else len(distinct)
+    flat = list(map(shape.unpack, entries[:found]))
+    n_in = _first_out_of_range(list(zip(*flat)), bounds, found)
+    isos: list[Iso] = []
+    identities: dict[int, Iso] = {}
+    for image, entry, v in zip(distinct[:n_in], entries, flat):
+        if image == v:
+            one = E.identity[v[k]]
+            iso = identities.get(one)
+            if iso is None:
+                iso = identities[one] = Iso(one, one)
+        else:
             iso = _comparison_at(shape, E, entry, image)
             if iso is None:
                 return None
-            by_image[image] = iso
-        mu[key] = iso
+        isos.append(iso)
+    if n_in < found:
+        raise InvalidCert(f"target {shape.name} entry {distinct[n_in][:k]} is out of range")
+    if found < len(distinct):
+        target[distinct[found][:k]]   # raises KeyError, as a walk reading it would
+    if n_ok < len(keys):
+        raise InvalidCert(f"source {shape.name} entry {keys[n_ok]} is out of range")
+    by_image = dict(zip(distinct, isos))   # image cone -> mu
+    mu = dict(zip(keys, map(by_image.__getitem__, images)))
     return LimitPreservationCert(F, source, target, mu)
 
 
@@ -594,9 +621,11 @@ def carry(
     shape: LimitShape, cert: WeakEquivalenceCert, table: Table
 ) -> tuple[Table, LimitPreservationCert]:
     """Push a table whose entries are limits on the source along the
-    equivalence: the witness at each pulled-back key is imaged, its legs
-    composed with the eso isos of the feet, so that every entry is typed by
-    construction (``FinCat.compose`` refuses an ill-typed pair).  Returns it
+    equivalence: the witness at each pulled-back key is imaged, once for
+    all the keys pulled back to it, and its legs composed with the eso isos
+    of the feet, so that every entry is typed by construction (an
+    ill-typed pair raises as ``FinCat.compose`` does, at the first key in
+    key order that has one, and so does a missing entry).  Returns it
     with the equivalence's preservation certificate of table into it.  The
     target need not be skeletal: the witnesses carried there are limits,
     though not the only choice.  The carried entries are not decided here;
@@ -604,19 +633,47 @@ def carry(
     check_weak_equivalence_cert(cert)
     G, Q = cert.functor, cert.quasi_inverse
     D = G.target
+    comp, src, dst = D.comp_table, D.mor_src, D.mor_dst
+    eso = [iso.fwd for _, iso in cert.eso_witness]
     k = shape.n_key   # witnesses read inline, as in mediator
-    out = {}
-    for key in shape.keys(D):
-        src_key = shape.image_key(Q, key)
-        src = table.get(src_key)
-        if src is None:
+
+    def imaged(src_key):
+        """The source entry at src_key as its apex and legs imaged by G."""
+        w = table.get(src_key)
+        if w is None:
             raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
-        v = shape.unpack(src)
-        legs = [
-            D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
-            for p, y in zip(v[k + 1:], shape.feet(D, key))
-        ]
-        out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
+        v = shape.unpack(w)
+        return (G.obj_map[v[k]], *map(G.mor_map.__getitem__, v[k + 1:]))
+
+    keys = shape.keys(D)
+    src_keys = list(map(shape.image_key, itertools.repeat(Q), keys))
+    by_src: dict[Key, tuple[int, ...]] = {}   # each pulled-back key's entry, imaged once
+    n = len(keys)   # the keys before the first whose entry cannot be imaged
+    for src_key in dict.fromkeys(src_keys):
+        try:
+            by_src[src_key] = imaged(src_key)
+        except (PreconditionViolation, IndexError):
+            n = src_keys.index(src_key)
+            break
+    # the imaged apexes and legs of the first n keys column by column, and
+    # each leg then the eso iso of its foot, typed as FinCat.compose asks
+    n_legs = len(shape.field_kinds) - k - 1
+    apexes, *legs = list(zip(*map(by_src.__getitem__, src_keys[:n]))) or [()] * (1 + n_legs)
+    feet = list(zip(*map(shape.feet, itertools.repeat(D), keys[:n]))) or [()] * n_legs
+    composed, first_bad = [], None   # (key index, leg, eso iso) of the first ill-typed pair
+    for ps, ys in zip(legs, feet):
+        es = list(map(eso.__getitem__, ys))
+        if list(map(dst.__getitem__, ps)) != list(map(src.__getitem__, es)):
+            i = next(i for i, (p, e) in enumerate(zip(ps, es)) if dst[p] != src[e])
+            if first_bad is None or i < first_bad[0]:
+                first_bad = (i, ps[i], es[i])
+        composed.append(list(map(getitem, map(comp.__getitem__, ps), es)))
+    # raise what a walk over the keys in order would raise first
+    if first_bad is not None:
+        D.compose(*first_bad[1:])
+    if n < len(keys):
+        imaged(src_keys[n])
+    out = dict(zip(keys, map(shape.witness, *zip(*keys), apexes, *composed)))
     pres = preserves(shape, G, table, out)
     if pres is None:
         raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")

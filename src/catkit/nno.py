@@ -185,17 +185,17 @@ def check_pnno_along(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert:
 
 
 def transfer_pnno(
-    cert: WeakEquivalenceCert, src: dict, dst: dict
+    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[PNNOW, PNNOPreservationCert]:
     """:func:`carry_pnno` after checking the witness of src on the source."""
     w = src["pnno"]
     if is_pnno(cert.functor.source, src["terminal"], src["products"], w.N, w.z, w.s) is None:
         raise PreconditionViolation("source witness is not a parameterized N")
-    return carry_pnno(cert, src, dst)
+    return carry_pnno(cert, src, dst, certs)
 
 
 def carry_pnno(
-    cert: WeakEquivalenceCert, src: dict, dst: dict
+    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[PNNOW, PNNOPreservationCert]:
     """Transport a parameterized N valid on the source along the
     equivalence, its zero re-based onto the terminal of dst, so that the
@@ -203,7 +203,7 @@ def carry_pnno(
     certificate; the terminal and products of dst must be checked."""
     G = cert.functor
     wD = _image_triple(G, src["terminal"], dst["terminal"], src["pnno"])
-    pres = preserves_pnno(G, src, {**dst, "pnno": wD}, {})
+    pres = preserves_pnno(G, src, {**dst, "pnno": wD}, certs or {})
     if pres is None:
         raise OracleDisagreement("equivalence does not preserve the witness it transferred")
     return wD, pres

@@ -12,12 +12,24 @@ candidates with the universal-property loop alone, are compared against
 them, witnesses and budget ticks alike.
 
 Beside them, the exponential comparison iso and the re-derivation of an
-exponential preservation certificate, which only the tests use."""
+exponential preservation certificate, which only the tests use, and the
+carry and preserves loops as ``catkit`` first wrote them: every source
+field read through dicts of F's maps, every carried entry imaged and
+composed key by key.  ``limits.carry`` and ``limits.preserves`` are
+compared against them, entries, certificates and raises alike."""
 import itertools
 
 from catkit import exponentials
-from catkit.core import FinCat, Iso, budget_tick, find_iso
-from catkit.errors import InvalidCert, NotACone, OracleDisagreement
+from catkit.core import (
+    FinCat,
+    Functor,
+    Iso,
+    WeakEquivalenceCert,
+    budget_tick,
+    check_weak_equivalence_cert,
+    find_iso,
+)
+from catkit.errors import InvalidCert, NotACone, OracleDisagreement, PreconditionViolation
 from catkit.exponentials import ExpPreservationCert, ExponentialW, _pairing, curry
 from catkit.limits import (
     BinProductW,
@@ -26,6 +38,8 @@ from catkit.limits import (
     LimitPreservationCert,
     LimitShape,
     PullbackW,
+    Table,
+    _comparison_at,
     mediating,
     to_terminal,
 )
@@ -233,3 +247,65 @@ def check_exp_preservation(
         g = D.compose(mu.fwd, F.mor_map[w.ev])
         if D.compose(_pairing(D, prodsD, comp.fwd, target.x), target.ev) != g:
             raise InvalidCert(f"comparison at ({x},{y}) does not commute with evaluation")
+
+
+def preserves(
+    shape: LimitShape, F: Functor, source: Table, target: Table
+) -> LimitPreservationCert | None:
+    """``limits.preserves`` with each source field read through a dict of
+    F's map, so that an apex or leg out of range raises; the key parts are
+    read by bare index."""
+    mu: dict = {}
+    by_image: dict = {}
+    in_range: set = set()
+    E = F.target
+    obj, mor = dict(enumerate(F.obj_map)), dict(enumerate(F.mor_map))
+    k = shape.n_key
+    for key, w in source.items():
+        v = shape.unpack(w)
+        try:
+            image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
+        except KeyError:
+            raise InvalidCert(f"source {shape.name} entry {key} is out of range") from None
+        iso = by_image.get(image)
+        if iso is None:
+            image_key = image[:k]
+            entry = target[image_key]
+            if image_key not in in_range:
+                if not shape.in_range(E, shape.unpack(entry)):
+                    raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
+                in_range.add(image_key)
+            iso = _comparison_at(shape, E, entry, image)
+            if iso is None:
+                return None
+            by_image[image] = iso
+        mu[key] = iso
+    return LimitPreservationCert(F, source, target, mu)
+
+
+def carry(
+    shape: LimitShape, cert: WeakEquivalenceCert, table: Table
+) -> tuple[Table, LimitPreservationCert]:
+    """``limits.carry`` key by key: the entry at each pulled-back key is
+    imaged again for every key, and each leg composed with the eso iso of
+    its foot by ``FinCat.compose``."""
+    check_weak_equivalence_cert(cert)
+    G, Q = cert.functor, cert.quasi_inverse
+    D = G.target
+    k = shape.n_key
+    out = {}
+    for key in shape.keys(D):
+        src_key = shape.image_key(Q, key)
+        src = table.get(src_key)
+        if src is None:
+            raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
+        v = shape.unpack(src)
+        legs = [
+            D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
+            for p, y in zip(v[k + 1:], shape.feet(D, key))
+        ]
+        out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
+    pres = preserves(shape, G, table, out)
+    if pres is None:
+        raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
+    return out, pres

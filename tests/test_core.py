@@ -35,6 +35,7 @@ from catkit.core import (
 )
 from catkit.errors import (
     AssociativityViolation,
+    CatkitError,
     IllTypedComposite,
     IllTypedImage,
     MissingComposite,
@@ -254,6 +255,88 @@ def test_weak_equivalence_certificate_roundtrip():
         for y in range(S.n_objects):
             for h in S.hom(x, y):
                 assert cert.ff_inverse(x, y, G.mor_map[h]) == h
+
+
+def _eta_cert():
+    from catkit.completion import inflate, skeletize
+
+    return skeletize(inflate(chain_poset(3), [2, 1, 2])[0]).cert
+
+
+def test_a_recorded_certificate_cannot_be_altered():
+    cert = _eta_cert()
+    # eta passed check_functor, so is_weak_equivalence recorded its certificate
+    assert cert in core._accepted_certs
+    table = cert.ff_witness[(0, 0)]
+    (h, f), = table.items()
+    with pytest.raises(TypeError):
+        table[h] = f + 1
+    with pytest.raises(TypeError):
+        cert.ff_witness[(0, 0)] = {}
+    with pytest.raises(TypeError):
+        cert.functor.mor_map[f] = h
+    with pytest.raises(TypeError):
+        cert.eso_witness[0] = cert.eso_witness[1]
+    with pytest.raises(AttributeError):
+        cert.eso_witness = cert.eso_witness[::-1]
+    # a certificate built from outside is recorded with read-only copies of
+    # its tables, so their owner cannot reach it once it passed
+    ff = {k: dict(v) for k, v in cert.ff_witness.items()}
+    copy = core.WeakEquivalenceCert(cert.functor, ff, cert.eso_witness)
+    check_weak_equivalence_cert(copy)
+    assert copy in core._accepted_certs
+    ff[(0, 0)][h] = f + 1
+    assert copy.ff_witness[(0, 0)][h] == f
+    with pytest.raises(TypeError):
+        copy.ff_witness[(0, 0)][h] = f + 1
+
+
+def test_a_corrupted_copy_of_a_recorded_certificate_still_fails():
+    cert = _eta_cert()
+    check_weak_equivalence_cert(cert)
+    F, eso = cert.functor, cert.eso_witness
+    ff = {k: dict(v) for k, v in cert.ff_witness.items()}
+    (x, y), table = next((k, v) for k, v in ff.items() if k[0] != k[1] and v)
+    (h, f), = table.items()
+    wrong = next(g for g in range(F.source.n_morphisms) if F.mor_map[g] != h)
+    assert F.source.is_identity(0)
+    bad_mor_map = (next(u for u in range(F.target.n_morphisms) if not F.target.is_identity(u)),
+                   *F.mor_map[1:])
+    copies = [
+        replace(cert, eso_witness=(eso[1], eso[0], *eso[2:])),
+        replace(cert, ff_witness={**ff, (x, y): {h: wrong}}),
+        replace(cert, ff_witness={k: v for k, v in ff.items() if k != (x, y)}),
+        replace(cert, functor=core.Functor(F.source, F.target, F.obj_map, bad_mor_map)),
+    ]
+    for bad in copies:
+        with pytest.raises(CatkitError):
+            check_weak_equivalence_cert(bad)
+        assert bad not in core._accepted_certs
+
+
+def test_is_weak_equivalence_records_only_a_checked_functors_certificate():
+    cert = _eta_cert()
+    F = cert.functor
+    unchecked = core.Functor(F.source, F.target, F.obj_map, F.mor_map)
+    fresh = is_weak_equivalence(unchecked)
+    assert fresh not in core._accepted_certs
+    check_weak_equivalence_cert(fresh)
+    assert fresh in core._accepted_certs
+    # maps held in lists can change, so a certificate over them is checked every time
+    listed = core.Functor(F.source, F.target, list(F.obj_map), list(F.mor_map))
+    check_functor(listed)
+    again = is_weak_equivalence(listed)
+    check_weak_equivalence_cert(again)
+    assert again not in core._accepted_certs
+
+
+def test_the_record_does_not_keep_a_certificate_alive():
+    import gc
+    import weakref
+
+    ref = weakref.ref(_eta_cert())
+    gc.collect()
+    assert ref() is None
 
 
 def test_non_equivalences_rejected():

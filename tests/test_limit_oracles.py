@@ -12,8 +12,8 @@ import pytest
 
 import limit_oracles
 from catkit import core, exponentials, limits, nno
-from catkit.completion import inflate
-from catkit.errors import SearchBudgetExceeded
+from catkit.completion import inflate, skeletize, skeleton_inclusion
+from catkit.errors import InvalidCert, PreconditionViolation, SearchBudgetExceeded
 from catkit.generators import (
     chain_poset,
     finset_fragment,
@@ -227,3 +227,74 @@ def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
         exponentials.find_exponentials(C, {"products": prods})
         # one sweep builds each lam x id_x once
         assert pairings and max(pairings.values()) == 1, (C.name, pairings)
+
+
+def _carry_corpus():
+    """Inflations of the random corpus, then the five inputs of the
+    benchmark's structured-pipeline workload."""
+    out = []
+    for seed in range(40):
+        C = random_category(seed)
+        out.append(inflate(C, [1 + (seed + i) % 2 for i in range(C.n_objects)])[0])
+    diamond = heyting_category(heyting_diamond())
+    for base, copies in ((chain_poset(4), (3, 4, 4, 5)), (chain_poset(4), (2, 3, 3, 3)),
+                         (chain_poset(5), (1, 1, 2, 2, 2)), (chain_poset(4), (1, 2, 2, 3)),
+                         (diamond, (2, 2, 2, 2))):
+        out.append(inflate(base, copies)[0])
+    return out
+
+
+def _outcome(verb, *args):
+    """What verb returns, each certificate as its fields, or the type and
+    message of what it raises."""
+    try:
+        out = verb(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    table, cert = out if isinstance(out, tuple) else (None, out)
+    fields = None if cert is None else (cert.functor, cert.source, cert.target, cert.mu)
+    return table, fields
+
+
+def _one_corrupted(shape, C, table):
+    """table, then copies with the entry at one key corrupted, its fields
+    among others set to -1 and past the last index."""
+    if not table:
+        return [table]
+    keys = _sample(table)
+    key = keys[len(keys) // 2]
+    return [table] + [
+        {**table, key: bad} for _, bad in _limit_corruptions(shape, C, table[key], _twins(C))
+    ]
+
+
+def test_carry_and_preserves_give_the_entries_certificates_and_raises_of_their_loops():
+    seen = Counter()
+    for C in _carry_corpus():
+        res = skeletize(C)
+        D, eta, incl = res.completed, res.eta, skeleton_inclusion(res)
+        twins = _twins(C)
+        for shape in (limits.TERMINAL, limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
+            table = limits.partial_table(shape, D)
+            for case in _one_corrupted(shape, D, table):
+                got = _outcome(limits.carry, shape, incl, case)
+                assert got == _outcome(limit_oracles.carry, shape, incl, case), (C.name, shape.name)
+                seen["carry", got[0] if isinstance(got[0], type) else "ok"] += 1
+            carried = _outcome(limits.carry, shape, incl, table)[0]
+            if isinstance(carried, type):
+                continue
+            # eta's preserves of the carried table, whole, then one entry at a
+            # time, corrupted
+            cases = [carried] + [
+                {key: bad} for key in _sample(carried)
+                for _, bad in _limit_corruptions(shape, C, carried[key], twins)
+            ]
+            for case in cases:
+                got = _outcome(limits.preserves, shape, eta, case, table)
+                assert got == _outcome(limit_oracles.preserves, shape, eta, case, table), (
+                    C.name, shape.name, case if len(case) == 1 else "whole")
+                seen["preserves", got[0] if isinstance(got[0], type) else got[1] is not None] += 1
+    # each verb meets each outcome, so the parity is not vacuous
+    assert {("carry", "ok"), ("carry", PreconditionViolation), ("carry", InvalidCert),
+            ("carry", IndexError), ("preserves", True), ("preserves", False),
+            ("preserves", InvalidCert)} <= set(seen), seen

@@ -1,5 +1,6 @@
 """Finite limits and colimits: search, validation, transfer, reflection."""
 import dataclasses
+import re
 
 import pytest
 import hypothesis.strategies as st
@@ -55,6 +56,7 @@ from catkit.limits import (
     mediator,
     parallel_pairs,
     partial_table,
+    preserves,
     preserves_binary_products,
     preserves_terminal,
     reflect,
@@ -358,6 +360,20 @@ def test_preserves_rejects_target_fields_out_of_range():
         T = {**P, (2, 2): dataclasses.replace(P[(2, 2)], pi2=bad)}
         with pytest.raises(InvalidCert, match="out of range"):
             preserves_binary_products(identity_functor(C), P, T)
+
+
+def test_preserves_rejects_source_key_parts_out_of_range():
+    # a key part of -1 would be read from the end, as object 2 or morphism 5
+    C = chain_poset(3)
+    F = identity_functor(C)
+    P, E = find_binary_products(C), find_equalizers(C)
+    assert (C.n_objects, C.n_morphisms) == (3, 6)
+    g = next(f for f in range(C.n_morphisms) if not C.is_identity(f))
+    cases = [(PRODUCTS, (-1, 0), P[(2, 0)], P), (PRODUCTS, (3, 0), P[(2, 0)], P),
+             (EQUALIZERS, (-1, g), E[(g, g)], E), (EQUALIZERS, (g, 6), E[(g, g)], E)]
+    for shape, key, w, target in cases:
+        with pytest.raises(InvalidCert, match=re.escape(f"source {shape.name} entry {key} is out")):
+            preserves(shape, F, {key: w}, target)
 
 
 def test_first_unpreserved_pair_none_for_identity():
