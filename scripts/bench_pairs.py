@@ -3,12 +3,16 @@
 
     python3 scripts/bench_pairs.py BASE_REF --workload structured-pipeline --seed 0 --pairs 10
 
-Checks BASE_REF out with ``git worktree add --detach`` in a temporary
+Extracts BASE_REF's committed files with ``git archive`` into a temporary
 directory and runs ``perfbench/run.py --trace 0`` once on each side per
 pair, the side that goes first alternating from pair to pair.  Then it
 prints, for each end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles and the number of pairs the working tree won, ties counting
-for neither side.  The worktree is removed afterwards.
+for neither side; and, against the metric's bound, the relative change of
+the tree's median and one verdict: ``worse beyond bound``; ``unresolved``
+when the base's interquartile range, as a share of its median, exceeds the
+bound and not every tree run beats every base run; or ``within bound``.
+The directory is removed afterwards.
 """
 from __future__ import annotations
 
@@ -34,10 +38,27 @@ def run(checkout: Path, args) -> dict[str, float]:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def spread(values: list[float]) -> str:
     """Median [first quartile, third quartile]."""
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, q2, q3 = quartiles(values)
     return f"{q2:10.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(base: list[float], tree: list[float], higher: bool, bound: float) -> tuple[float, str]:
+    """The tree median's change relative to the base median, and whether
+    it is worse beyond bound, unresolved or within bound."""
+    q1, median, q3 = quartiles(base)
+    change = statistics.median(tree) / median - 1
+    if (-change if higher else change) > bound:
+        return change, "worse beyond bound"
+    beats_all = min(tree) > max(base) if higher else max(tree) < min(base)
+    if (q3 - q1) / median > bound and not beats_all:
+        return change, "unresolved"
+    return change, "within bound"
 
 
 def main() -> None:
@@ -49,29 +70,31 @@ def main() -> None:
     ap.add_argument("--seconds", type=float, default=35.0)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = spec["end_to_end"]
     runs: dict[str, list[dict[str, float]]] = {"base": [], "tree": []}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base), args.base],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            for i in range(args.pairs):
-                sides = [("base", base), ("tree", ROOT)]
-                for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                    runs[side].append(run(checkout, args))
-                base_ops, tree_ops = (runs[s][-1]["throughput_ops_s"] for s in ("base", "tree"))
-                print(f"pair {i + 1}: throughput_ops_s base {base_ops:.4g} tree {tree_ops:.4g}",
-                      flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base)],
-                           cwd=ROOT, check=False)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as base:
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        for i in range(args.pairs):
+            sides = [("base", Path(base)), ("tree", ROOT)]
+            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                runs[side].append(run(checkout, args))
+            base_ops, tree_ops = (runs[s][-1]["throughput_ops_s"] for s in ("base", "tree"))
+            print(f"pair {i + 1}: throughput_ops_s base {base_ops:.4g} tree {tree_ops:.4g}",
+                  flush=True)
+    columns = {m["name"]: ([r[m["name"]] for r in runs["base"]],
+                           [r[m["name"]] for r in runs["tree"]]) for m in metrics}
     print(f"{'metric':18} {'base median [q1, q3]':>30} {'tree median [q1, q3]':>30}  tree won")
-    for name, direction in better.items():
-        b = [r[name] for r in runs["base"]]
-        t = [r[name] for r in runs["tree"]]
-        wins = sum(tv > bv if direction == "higher" else tv < bv for bv, tv in zip(b, t))
-        print(f"{name:18} {spread(b):>30} {spread(t):>30}  {wins}/{len(b)}")
+    for m in metrics:
+        b, t = columns[m["name"]]
+        higher = m["better"] == "higher"
+        wins = sum(tv > bv if higher else tv < bv for bv, tv in zip(b, t))
+        print(f"{m['name']:18} {spread(b):>30} {spread(t):>30}  {wins}/{len(b)}")
+    print(f"{'metric':18} {'change':>8} {'bound':>7}  verdict")
+    for m in metrics:
+        change, said = verdict(*columns[m["name"]], m["better"] == "higher", m["bound"])
+        print(f"{m['name']:18} {change:+8.1%} {m['bound']:7.0%}  {said}")
 
 
 if __name__ == "__main__":

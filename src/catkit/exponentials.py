@@ -5,8 +5,8 @@ y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and
 :func:`preserves_exponentials` is the one place that compares an image
 with a chosen exponential.  The registry verbs
-(``check``, ``check_along``, ``find``, ``transfer``, ``carry``,
-``preserves`` and ``lift_preservation``) take witness bags and read the
+(``check``, ``find``, ``transfer``, ``carry``, ``preserves`` and
+``lift_preservation``) take witness bags and read the
 chosen products, or a functor's certificate for them, from them;
 ``is_exponential``, ``curry`` and ``find_exponential`` take the
 product table itself.  The searches test each typed candidate ``ev`` with
@@ -16,7 +16,6 @@ computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -38,7 +37,6 @@ from .limits import (
     PRODUCTS,
     BinProductW,
     mediating,
-    preserves,
     preserves_binary_products,
     _check_triangle,
 )
@@ -86,18 +84,14 @@ def _is_exponential(
     C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW, pairs: dict
 ) -> bool:
     """:func:`is_exponential`, reading lam x id_x through the memo pairs,
-    which maps (lam, x) to :func:`_pairing` for these C and prods."""
-    return _is_typed(C, prods, w) and _exponential_universal(
-        C, prods, w.x, w.y, w.obj, w.ev, pairs
-    )
-
-
-def _is_typed(C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW) -> bool:
-    """Whether ev runs from the chosen product of (obj, x) into y."""
+    which maps (lam, x) to :func:`_pairing` for these C and prods: ev runs
+    from the chosen product of (obj, x) into y and passes the
+    universal-property loop."""
     entry = prods.get((w.obj, w.x))
     return (
         entry is not None and C.has_morphisms(w.ev)
         and (C.mor_src[w.ev], C.mor_dst[w.ev]) == (entry.apex, w.y)
+        and _exponential_universal(C, prods, w.x, w.y, w.obj, w.ev, pairs)
     )
 
 
@@ -187,48 +181,6 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
             w = table.get((x, y))
             if w is None or (w.x, w.y) != (x, y) or not _is_exponential(C, prods, w, pairs):
                 raise InvalidCert(f"exponential table is wrong at ({x},{y})")
-
-
-def check_exponentials_along(F: Functor, src: dict, dst: dict) -> ExpPreservationCert:
-    """:func:`check_exponentials` on the source of F, decided on its target,
-    and F's preservation certificate of the exponentials of src into those
-    of dst.
-
-    F is a weak equivalence whose certificate was checked; the products of
-    src and dst are checked tables, and the exponentials of dst are known
-    to be exponentials.  A witness keyed by its pair and typed on the source
-    (``ev`` out of the chosen product of ``(obj, x)`` into ``y``) is an
-    exponential exactly when its image is one, with the image ``ev``
-    re-based onto the chosen product of the images through F's product
-    comparison: the equivalence F preserves and reflects products and
-    exponentials.  The witnesses typed before the first one that is not are
-    decided by :func:`preserves_exponentials`, and the first offending pair
-    in key order is named.
-    """
-    C = F.source
-    table, prodsC = src["exponentials"], src["products"]
-    typed: dict[tuple[int, int], ExponentialW] = {}
-    for key in itertools.product(range(C.n_objects), repeat=2):
-        w = table.get(key)
-        if w is None or (w.x, w.y) != key or not _is_typed(C, prodsC, w):
-            break
-        typed[key] = w
-    else:
-        key = None   # every witness is typed
-    # F's comparisons at the products the typed witnesses evaluate out of
-    used = {(w.obj, w.x): prodsC[(w.obj, w.x)] for w in typed.values()}
-    certs = {"products": preserves(PRODUCTS, F, used, dst["products"])}
-    if certs["products"] is None:
-        raise InvalidCert("product table is not preserved by the equivalence")
-
-    def decide(exps):
-        return preserves_exponentials(F, {"exponentials": exps}, dst, certs)
-
-    pres = decide(typed)
-    bad = key if pres is not None else next(k for k in typed if decide({k: typed[k]}) is None)
-    if bad is not None:
-        raise InvalidCert(f"exponential table is wrong at ({bad[0]},{bad[1]})")
-    return pres
 
 
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:

@@ -17,10 +17,10 @@ and usually far smaller, and carried back to the source along the inclusion
 of the representatives, typed by construction.  Each kind's ``preserves``
 is the one place that compares an image with a chosen entry: one call on
 eta per kind certifies eta and decides every carried entry on the
-skeleton, since an equivalence preserves and reflects the structure, and
-``check_along`` is typing followed by it.  The classifier is searched for
-once on each side.  A completion records what it validated, so factoring
-through it checks again only the entries that have changed since.  Lifting
+skeleton, since an equivalence preserves and reflects the structure.  The
+classifier is searched for once on each side.  A completion records what it
+validated, so factoring through it checks again only the entries that have
+changed since, each by the kind's own ``check`` on both sides.  Lifting
 preservation through a factorization reuses the carried witnesses instead
 of transferring them again, and decides the factored functor's
 preservation directly, with the certificates already lifted for the kinds
@@ -57,18 +57,15 @@ class StructureKind:
 
     All callables receive bags: plain dicts mapping kind names to witness
     payloads on a single category, so kinds can reach their dependencies.
-    ``check`` decides a bag on its category by brute force.  ``check_along``
-    decides a bag on the source of a checked weak equivalence through it:
-    typing on the source, then ``preserves`` on the image, where the checked
-    target bag supplies images known to be good; the classifier is checked
-    directly on the source instead.  ``transfer`` checks the source bag and
-    carries it along a weak equivalence into any target, skeletal or not,
-    with the equivalence's certificate; the carried entries are typed by
-    construction, or for the classifier searched for on the target.  Its
-    last argument holds the certificates the transfers of the kinds before
-    it returned, which the exponentials read for the products.  ``carry``
-    is ``transfer`` without its check of the source bag, for a bag that
-    ``check`` already accepted.
+    ``check`` decides a bag on its category by brute force; it is the one
+    check of a bag supplied from outside, on either side of a completion.
+    ``transfer`` checks the source bag and carries it along a weak
+    equivalence into any target, skeletal or not, with the equivalence's
+    certificate; the carried entries are typed by construction, or for the
+    classifier searched for on the target.  Its last argument holds the
+    certificates the transfers of the kinds before it returned, which the
+    exponentials read for the products.  ``carry`` is ``transfer`` without
+    its check of the source bag, for a bag that ``check`` already accepted.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and last the
     factored functor's certificates for the kinds before it.
@@ -77,7 +74,6 @@ class StructureKind:
     name: str
     deps: tuple[str, ...]
     check: Callable[[FinCat, dict], None]
-    check_along: Callable[[Functor, dict, dict], None]
     find: Callable[[FinCat, dict], object | None]
     transfer: Callable[[WeakEquivalenceCert, dict, dict, dict], tuple[object, object]]
     carry: Callable[[WeakEquivalenceCert, dict, dict, dict], tuple[object, object]]
@@ -107,7 +103,6 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
         name,
         (),
         lambda C, bag: check_table(shape, C, table(bag)),
-        lambda F, src, dst: limits.check_table_along(shape, F, table(src), table(dst)),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst, certs=None: call("transfer_", cert, src[name]),
         carry,
@@ -121,21 +116,13 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
 def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> StructureKind:
     """A kind whose verbs are the names of module ending in suffix, each
     taking the bags as they are; looked up when called, as in
-    :func:`_limit_kind`.  A module without ``check_<suffix>_along`` (the
-    classifier's) has its carried witness checked directly on the source."""
+    :func:`_limit_kind`."""
 
-    def verb(prefix, end=""):
-        return lambda *args: getattr(module, prefix + suffix + end)(*args)
-
-    check = verb("check_")
-    if hasattr(module, f"check_{suffix}_along"):
-        check_along = verb("check_", "_along")
-    else:
-        def check_along(F, src, dst):
-            check(F.source, src)
+    def verb(prefix):
+        return lambda *args: getattr(module, prefix + suffix)(*args)
 
     return StructureKind(
-        name, deps, check, check_along, verb("find_"), verb("transfer_"), verb("carry_"),
+        name, deps, verb("check_"), verb("find_"), verb("transfer_"), verb("carry_"),
         verb("preserves_"), verb("lift_preservation_"),
     )
 
@@ -351,15 +338,17 @@ def factor_structured(
     """Factor a structure-preserving functor through the completion and lift
     every preservation certificate to the factored functor.
 
-    Eta's certificate is checked here.  A kind whose entries, and those
-    of its dependencies, are still the ones sc's ``validated`` records, on
-    the same result, is not checked again; every other kind is checked
-    once here: the completed bag on the skeleton, then the source bag
-    through eta, with the completed entries as images known to be good.
-    The lifts then reuse the bag carried to the completion instead of
-    transferring again, each with the lifted certificates of the kinds
-    before it.  As in :func:`complete_structured`, a target witness keyed
-    by anything but a kind raises.
+    Eta's certificate is checked here, and sc's kinds must be known, come
+    with their dependencies and have an entry in both bags; they are taken
+    in dependency order.  A kind whose entries, and those of its
+    dependencies, are still the ones sc's ``validated`` records, on the
+    same result, is not checked again; every other kind is checked once
+    here by its ``check``: the completed bag on the skeleton, then the
+    source bag on the source.  The lifts then reuse the bag carried to the
+    completion instead of transferring again, each with the lifted
+    certificates of the kinds before it.  As in
+    :func:`complete_structured`, a target witness keyed by anything but a
+    kind raises.
     """
     target_witnesses = dict(target_witnesses or {})
     _check_known(target_witnesses)
@@ -373,14 +362,19 @@ def factor_structured(
         and same_tables(eta.target, sc.result.completed)
     ):
         raise PreconditionViolation("eta's certificate does not run from source to completion")
-    unchecked = [k for k in sc.kinds if sc.validated is None or not sc.validated.covers(sc, k)]
+    kinds = _ordered(sc.kinds)
+    for side, bag in (("source", sc.source), ("completed", sc.completed)):
+        for name in kinds:
+            if name not in bag:
+                raise PreconditionViolation(f"the {side} bag lacks structure '{name}'")
+    unchecked = [k for k in kinds if sc.validated is None or not sc.validated.covers(sc, k)]
     for name in unchecked:
         KINDS[name].check(sc.result.completed, sc.completed)
     for name in unchecked:
-        KINDS[name].check_along(eta, sc.source, sc.completed)
+        KINDS[name].check(sc.result.source, sc.source)
     E = F.target
     dst: dict[str, object] = {}
-    for name in sc.kinds:
+    for name in kinds:
         kind = KINDS[name]
         w = target_witnesses.get(name)
         if w is not None:
@@ -394,7 +388,7 @@ def factor_structured(
                 )
             dst[name] = found
     Fcerts: dict[str, object] = {}
-    for name in sc.kinds:
+    for name in kinds:
         cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
         if cert is None:
             raise PreconditionViolation(
@@ -403,7 +397,7 @@ def factor_structured(
         Fcerts[name] = cert
     fact = factor_through(sc.result, F)
     Hcerts: dict[str, object] = {}
-    for name in sc.kinds:
+    for name in kinds:
         Hcerts[name] = KINDS[name].lift(
             sc.result.cert, F, fact.functor, fact.alpha, sc.source, dst, Fcerts,
             sc.completed, Hcerts,

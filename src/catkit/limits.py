@@ -10,8 +10,7 @@ factored functor directly, by ``preserves``; the transport of the given
 functor's comparisons through the factorization is their oracle in the
 tests.  :func:`preserves` is the one place that compares an image cone with
 a chosen entry: a completion decides the table :func:`carry` builds, typed
-by construction, by eta's preservation of it, and :func:`check_table_along`
-is typing followed by :func:`preserves`.
+by construction, by eta's preservation of it.
 
 Terminal objects, binary products, equalizers and pullbacks are keyed
 limits: a table maps each key (the empty diagram's one key ``()``, a pair of
@@ -419,43 +418,6 @@ def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
         w = table.get(key)
         if w is None or shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
             raise _wrong_at(shape, key)
-
-
-def check_table_along(
-    shape: LimitShape, F: Functor, table: Table, target: Table
-) -> LimitPreservationCert:
-    """:func:`check_table` on the source of F, decided on its target, and
-    F's preservation certificate of table into target.
-
-    F is a weak equivalence whose certificate was checked, and target is a
-    checked table on its target.  An entry keyed by its key and typed on the
-    source (apex and legs in range, legs from the apex onto the feet) is a
-    limit exactly when its image is one: F reflects limits, being fully
-    faithful, and preserves them, being an equivalence.  The equations need
-    no check of their own, since a faithful F reflects equality of parallel
-    arrows.  Typing is checked on the source itself, because a leg into an
-    isomorphic twin of a foot is typed once imaged.  The entries typed
-    before the first one that is not are decided by :func:`preserves`, and
-    the first offending key in key order is named.
-    """
-    C = F.source
-    src, dst, k = C.mor_src, C.mor_dst, shape.n_key
-    typed: Table = {}
-    for key in shape.keys(C):
-        w = table.get(key)
-        v = None if w is None else shape.unpack(w)
-        if v is None or v[:k] != key or not shape.in_range(C, v) or any(
-            src[p] != v[k] or dst[p] != x for p, x in zip(v[k + 1:], shape.feet(C, key))
-        ):
-            break
-        typed[key] = w
-    else:
-        key = None   # every entry is typed
-    pres = preserves(shape, F, typed, target)
-    bad = key if pres is not None else first_unpreserved(shape, F, typed, target)
-    if bad is not None:
-        raise _wrong_at(shape, bad)
-    return pres
 
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:

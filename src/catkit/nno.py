@@ -157,40 +157,13 @@ def _image_triple(
     return PNNOW(F.obj_map[w.N], D.compose(u, F.mor_map[w.z]), F.mor_map[w.s])
 
 
-def check_pnno_along(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert:
-    """:func:`check_pnno` on the source of F, decided on its target, and F's
-    preservation certificate of the witness of src into that of dst.
-
-    F is a weak equivalence whose certificate was checked; the terminals
-    and products of src and dst are checked, and the parameterized N of dst
-    is known to be one.  A triple typed on the source (``z`` out of the
-    chosen terminal into ``N``, ``s`` an endomorphism of ``N``) is a
-    parameterized N exactly when its image is one, with the image zero
-    re-based onto the terminal of dst: the equivalence F preserves and
-    reflects the terminal, products and the parameterized N.  A typed
-    triple is decided by :func:`preserves_pnno` alone: its comparison out
-    of the known-good witness of dst is an iso exactly when the image is a
-    parameterized N.
-    """
-    C = F.source
-    termC, w = src["terminal"], src["pnno"]
-    if not C.has_morphisms(w.z, w.s) or (
-        C.mor_src[w.z], C.mor_dst[w.z], C.mor_src[w.s], C.mor_dst[w.s]
-    ) != (termC.t, w.N, w.N, w.N):
-        raise InvalidCert("parameterized-N witness is not typed on the source")
-    pres = preserves_pnno(F, src, dst, {})
-    if pres is None:
-        raise InvalidCert("parameterized-N witness fails its defining property")
-    return pres
-
-
 def transfer_pnno(
     cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
 ) -> tuple[PNNOW, PNNOPreservationCert]:
     """:func:`carry_pnno` after checking the witness of src on the source."""
     w = src["pnno"]
     if is_pnno(cert.functor.source, src["terminal"], src["products"], w.N, w.z, w.s) is None:
-        raise PreconditionViolation("source witness is not a parameterized N")
+        raise InvalidCert("source parameterized-N witness is invalid")
     return carry_pnno(cert, src, dst, certs)
 
 

@@ -5,7 +5,7 @@ comparison loop of its own per kind.  ``complete_structured`` decides the
 same entries once, by eta's ``preserves``; the tests check that this route
 accepts every carried bag and, where eta equals that quasi-inverse, gives
 eta's certificates.  Each check raises ``InvalidCert`` naming the first
-offending key, as the library's checks along an equivalence do."""
+offending key, as the library's brute-force checks do."""
 import itertools
 
 from catkit.completion import skeleton_inclusion

@@ -16,7 +16,7 @@ import json
 import pytest
 
 import carry_oracles
-from catkit import cli, exponentials, limits, nno
+from catkit import cli, limits
 from catkit.completion import inflate, skeletize, skeleton_inclusion
 from catkit.core import functors_equal
 from catkit.errors import InvalidCert, OracleDisagreement
@@ -31,7 +31,7 @@ from catkit.generators import (
     random_category,
 )
 from catkit.interchange import category_to_json
-from catkit.lifting import KINDS, complete_structured
+from catkit.lifting import KINDS, StructuredCompletion, complete_structured, factor_structured
 from completion_helpers import cert_comparisons
 
 # Z/3 with its unit listed last: eta equals the quasi-inverse, and some of
@@ -78,17 +78,9 @@ def test_eta_certificates_equal_the_direct_decision():
 
 
 def test_eta_is_decided_by_one_preserves_call_per_kind_and_no_check_along(monkeypatch):
-    """complete_structured calls no check_*_along, and decides each kind's
-    eta certificate by one call of the kind's preserves on eta, whether or
-    not eta equals the quasi-inverse of the inclusion."""
-    along = []
-    for module, name in ((limits, "check_table_along"), (exponentials, "check_exponentials_along"),
-                         (nno, "check_pnno_along")):
-        def counted_along(*args, _fn=getattr(module, name), _name=name):
-            along.append(_name)
-            return _fn(*args)
-
-        monkeypatch.setattr(module, name, counted_along)
+    """complete_structured decides each kind's eta certificate by one call
+    of the kind's preserves on eta, whether or not eta equals the
+    quasi-inverse of the inclusion."""
     calls = []
     for name, kind in list(KINDS.items()):
         def counted(F, *args, _fn=kind.preserves, _name=name):
@@ -103,7 +95,6 @@ def test_eta_is_decided_by_one_preserves_call_per_kind_and_no_check_along(monkey
         if not _eta_is_back(sc):
             fallback.add(name)
         assert [kind for kind, F in calls if F is sc.result.eta] == list(sc.kinds), name
-    assert along == []
     assert fallback == {"hvalued"}
 
 
@@ -146,12 +137,12 @@ def _not_a_limit(shape, C, key):
 
 def test_a_check_along_names_the_first_offending_key_as_the_old_route_did():
     """Two corrupted entries, one a typed cone that is not a limit and one
-    typed wrongly, in either order: check_table_along, typing followed by
-    preserves, names the same first offending key as the old route's single
-    loop."""
+    typed wrongly, in either order, in the source bag of a completion built
+    by hand: factor_structured's check of that bag names the same first
+    offending key as the old route's single loop."""
     n = 0
     for seed in range(0, 40, 4):
-        C = inflate(random_category(seed), 2)[0]
+        C, proj = inflate(random_category(seed), 2)
         sc = complete_structured(C)
         for name, shape in carry_oracles.SHAPES.items():
             if name not in sc.kinds or not shape.n_key:
@@ -164,12 +155,15 @@ def test_a_check_along_names_the_first_offending_key_as_the_old_route_did():
                     continue
                 key, apex, legs = shape.split(table[b])
                 corrupted = {**table, a: bad, b: shape.witness(*key, -1, *legs)}
-                messages = []
-                for check in (limits.check_table_along, carry_oracles.table_along):
-                    with pytest.raises(InvalidCert) as e:
-                        check(shape, sc.result.eta, corrupted, known)
-                    messages.append(str(e.value))
-                assert messages[0] == messages[1], (C.name, name, a, b)
+                by_hand = StructuredCompletion(
+                    sc.result, sc.kinds, {**sc.source, name: corrupted}, sc.completed,
+                    sc.eta_certs,
+                )
+                with pytest.raises(InvalidCert) as got:
+                    factor_structured(by_hand, proj)
+                with pytest.raises(InvalidCert) as want:
+                    carry_oracles.table_along(shape, sc.result.eta, corrupted, known)
+                assert str(got.value) == str(want.value), (C.name, name, a, b)
                 n += 1
     assert n
 

@@ -21,6 +21,7 @@ from catkit.generators import (
     heyting_diamond,
     random_category,
 )
+from completion_helpers import shifted_copies
 from test_reflected_checks import _exp_corruptions, _limit_corruptions, _sample, _twins
 
 # (module, name): the check in catkit and its oracle share the name
@@ -231,16 +232,16 @@ def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
 
 def _carry_corpus():
     """Inflations of the random corpus, then the five inputs of the
-    benchmark's structured-pipeline workload."""
+    benchmark's structured-pipeline workload, each with its projection."""
     out = []
     for seed in range(40):
         C = random_category(seed)
-        out.append(inflate(C, [1 + (seed + i) % 2 for i in range(C.n_objects)])[0])
+        out.append(inflate(C, [1 + (seed + i) % 2 for i in range(C.n_objects)]))
     diamond = heyting_category(heyting_diamond())
     for base, copies in ((chain_poset(4), (3, 4, 4, 5)), (chain_poset(4), (2, 3, 3, 3)),
                          (chain_poset(5), (1, 1, 2, 2, 2)), (chain_poset(4), (1, 2, 2, 3)),
                          (diamond, (2, 2, 2, 2))):
-        out.append(inflate(base, copies)[0])
+        out.append(inflate(base, copies))
     return out
 
 
@@ -270,7 +271,7 @@ def _one_corrupted(shape, C, table):
 
 def test_carry_and_preserves_give_the_entries_certificates_and_raises_of_their_loops():
     seen = Counter()
-    for C in _carry_corpus():
+    for C, _ in _carry_corpus():
         res = skeletize(C)
         D, eta, incl = res.completed, res.eta, skeleton_inclusion(res)
         twins = _twins(C)
@@ -298,3 +299,28 @@ def test_carry_and_preserves_give_the_entries_certificates_and_raises_of_their_l
     assert {("carry", "ok"), ("carry", PreconditionViolation), ("carry", InvalidCert),
             ("carry", IndexError), ("preserves", True), ("preserves", False),
             ("preserves", InvalidCert)} <= set(seen), seen
+
+
+def test_carry_and_preserves_keep_the_parity_along_copy_shifting_automorphisms():
+    """Along the automorphism of an inflation that moves each copy of an
+    object onto the next, preserves of the found table into itself and
+    carry along the shift's certificate give the oracles' answers.  The
+    shift moves chosen entries onto other copies, so some comparisons of
+    preserves are not identities and some carried entries are not the
+    found ones."""
+    moved = Counter()
+    for C, proj in _carry_corpus():
+        shift = shifted_copies(proj)
+        cert = core.is_weak_equivalence(shift)
+        for shape in (limits.TERMINAL, limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
+            table = limits.partial_table(shape, C)
+            got = _outcome(limits.preserves, shape, shift, table, table)
+            assert got == _outcome(limit_oracles.preserves, shape, shift, table, table), (
+                C.name, shape.name)
+            if not isinstance(got[0], type) and got[1] is not None:
+                moved["mu"] += sum(not C.is_identity(iso.fwd) for iso in got[1][3].values())
+            got = _outcome(limits.carry, shape, cert, table)
+            assert got == _outcome(limit_oracles.carry, shape, cert, table), (C.name, shape.name)
+            if not isinstance(got[0], type):
+                moved["carried"] += sum(w != table.get(key) for key, w in got[0].items())
+    assert moved["mu"] and moved["carried"], moved

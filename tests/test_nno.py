@@ -3,6 +3,7 @@ import pytest
 
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import identity_functor, is_weak_equivalence
+from catkit.errors import InvalidCert
 from catkit.generators import (
     chain_poset,
     finset_fragment,
@@ -20,6 +21,7 @@ from catkit.limits import (
     transfer_terminal,
 )
 from catkit.nno import (
+    PNNOW,
     find_pnno,
     is_pnno,
     lift_preservation_pnno,
@@ -101,6 +103,20 @@ def test_transfer_pnno_matches_direct_search():
     wD, pres = transfer_pnno(cert, src, {"terminal": termD, "products": prodsD})
     assert is_pnno(infl, termD, prodsD, wD.N, wD.z, wD.s) is not None
     assert pres.functor is cert.functor
+
+
+def test_transfer_pnno_refuses_an_invalid_source_witness_as_an_invalid_certificate():
+    S = chain_poset(3)
+    cert = is_weak_equivalence(inflate_section(inflate(S, [1, 2, 1])[1]))
+    src = {"terminal": find_terminal(S), "products": find_binary_products(S)}
+    src["pnno"] = find_pnno(S, src)
+    termD, _ = transfer_terminal(cert, src["terminal"])
+    prodsD, _ = transfer_binary_products(cert, src["products"])
+    dst = {"terminal": termD, "products": prodsD}
+    # the zero runs out of the terminal into the top, so nothing else is N
+    bad = PNNOW(0, src["pnno"].z, src["pnno"].s)
+    with pytest.raises(InvalidCert, match="source parameterized-N witness is invalid"):
+        transfer_pnno(cert, {**src, "pnno": bad}, dst)
 
 
 def test_reflect_pnno_along_equivalence():

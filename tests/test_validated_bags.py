@@ -12,10 +12,10 @@ import sys
 
 import pytest
 
-from catkit import classifier, exponentials, limits, nno
+from catkit import limits
 from catkit.completion import inflate, skeletize
 from catkit.core import iso_between
-from catkit.errors import InvalidCert
+from catkit.errors import DependencyMissing, InvalidCert, PreconditionViolation
 from catkit.generators import (
     chain_poset,
     finset_fragment,
@@ -129,21 +129,15 @@ def test_an_entry_edited_after_the_completion_is_refused(build, edit, message):
 
 
 def _source_checks(monkeypatch, C) -> list:
-    """Wrap the checks of a source bag through eta and the classifier's
-    brute force; returns the names of those that ran on C."""
+    """Wrap each kind's check; returns the kinds, in order, checked on C."""
     seen = []
-    for module, name, category in (
-        (limits, "check_table_along", lambda shape, F, *rest: F.source),
-        (exponentials, "check_exponentials_along", lambda F, *rest: F.source),
-        (nno, "check_pnno_along", lambda F, *rest: F.source),
-        (classifier, "subobject_classifier_cert", lambda D, *rest: D),
-    ):
-        def counted(*args, _fn=getattr(module, name), _name=name, _cat=category):
-            if _cat(*args) is C:
+    for name, kind in list(KINDS.items()):
+        def counted(D, bag, _fn=kind.check, _name=name):
+            if D is C:
                 seen.append(_name)
-            return _fn(*args)
+            return _fn(D, bag)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setitem(KINDS, name, dataclasses.replace(kind, check=counted))
     return seen
 
 
@@ -165,8 +159,33 @@ def test_a_completion_built_by_hand_or_on_another_result_gets_every_check(monkey
     for edited in (by_hand, other_result):
         seen.clear()
         factor_structured(edited, proj)
-        assert set(seen) == {"check_table_along", "check_exponentials_along",
-                             "check_pnno_along", "subobject_classifier_cert"}
+        assert seen == list(sc.kinds)
+
+
+def test_a_completion_built_by_hand_with_bad_kinds_is_refused():
+    C, proj = inflate(chain_poset(3), [1, 2, 2])
+    sc = complete_structured(C, kinds=("terminal", "products", "exponentials"))
+    by_hand = StructuredCompletion(sc.result, sc.kinds, sc.source, sc.completed, sc.eta_certs)
+
+    def without_products(bag):
+        return {k: w for k, w in bag.items() if k != "products"}
+
+    for edit, error, message in (
+        ({"kinds": ("terminal", "exponentials")}, DependencyMissing,
+         "'exponentials' needs 'products'"),
+        ({"kinds": (*sc.kinds, "omega")}, PreconditionViolation,
+         "unknown structure kind 'omega'"),
+        ({"source": without_products(sc.source)}, PreconditionViolation,
+         "the source bag lacks structure 'products'"),
+        ({"completed": without_products(sc.completed)}, PreconditionViolation,
+         "the completed bag lacks structure 'products'"),
+    ):
+        with pytest.raises(error, match=message):
+            factor_structured(dataclasses.replace(by_hand, **edit), proj)
+    # kinds out of dependency order are taken in it
+    got = factor_structured(dataclasses.replace(by_hand, kinds=sc.kinds[::-1]), proj)
+    want = factor_structured(sc, proj)
+    assert _all_comparisons(got.lifted_certs) == _all_comparisons(want.lifted_certs)
 
 
 # ---------------------------------------------------------------------------
