@@ -30,7 +30,6 @@ from .errors import (
     InvalidCert,
     NoClassifier,
     OracleDisagreement,
-    PreconditionViolation,
 )
 from .limits import (
     ChosenTerminal,
@@ -141,21 +140,21 @@ def check_subobject_classifier(C: FinCat, bag: dict) -> None:
 
 
 def transfer_subobject_classifier(
-    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
-) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> SubobjectClassifierW:
     """:func:`carry_subobject_classifier` after checking the classifier of
     src on the source."""
     check_subobject_classifier(cert.functor.source, src)
-    return carry_subobject_classifier(cert, src, dst, certs)
+    return carry_subobject_classifier(cert, src, dst)
 
 
 def carry_subobject_classifier(
-    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
-) -> tuple[SubobjectClassifierW, "OmegaPreservationCert"]:
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> SubobjectClassifierW:
     """Transport omega and tau of a classifier valid on the source along the
     equivalence onto the terminal of dst, and build their chi table by one
-    search on the target.  An equivalence preserves classifiers, so the
-    functor's preservation certificate comes back with it."""
+    search on the target.  The equivalence is certified by
+    :func:`preserves_subobject_classifier`, not here."""
     G = cert.functor
     D = G.target
     termC, socC, termD = src["terminal"], src["classifier"], dst["terminal"]
@@ -165,13 +164,7 @@ def carry_subobject_classifier(
     # both t_D and G(t_C) are terminal in D, so the connecting map is unique
     u = to_terminal(D, ChosenTerminal(G.obj_map[termC.t]), termD.t)
     tau_D = D.compose(u, G.mor_map[socC.tau])
-    searched = subobject_classifier_cert(D, termD, omega_D, tau_D)
-    pres = preserves_subobject_classifier(
-        G, src, {"terminal": termD, "classifier": searched}, certs or {}
-    )
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the classifier it transferred")
-    return searched, pres
+    return subobject_classifier_cert(D, termD, omega_D, tau_D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,15 +180,15 @@ def preserves_subobject_classifier(
     F: Functor, src: dict, dst: dict, certs: dict
 ) -> OmegaPreservationCert | None:
     """The comparison, the classifying morphism in the chi table of dst of
-    the image truth arrow, as an iso; None when it is not invertible.  The
-    bag dst must be a found or checked one, whose chi table classifies every
-    mono: the image pair then classifies exactly when the comparison is an
-    iso."""
+    the image truth arrow, as an iso; None when F does not preserve the
+    terminal or the comparison is not invertible.  The bag dst must be a
+    found or checked one, whose chi table classifies every mono: the image
+    pair then classifies exactly when the comparison is an iso."""
     D = F.target
     termC, socC = src["terminal"], src["classifier"]
     termD, socD = dst["terminal"], dst["classifier"]
     if preserves_terminal(F, termC, termD) is None:
-        raise PreconditionViolation("functor does not preserve the terminal object")
+        return None
     # the image of tau is split monic, so the chosen chi table classifies it
     i = socD.chi.get(F.mor_map[socC.tau])
     if i is None:

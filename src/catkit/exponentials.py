@@ -4,15 +4,15 @@ An exponential witness for a pair (x, y) names the object of maps from x to
 y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and
 :func:`preserves_exponentials` is the one place that compares an image
-with a chosen exponential.  The registry verbs
-(``check``, ``find``, ``transfer``, ``carry``, ``preserves`` and
-``lift_preservation``) take witness bags and read the
-chosen products, or a functor's certificate for them, from them;
-``is_exponential``, ``curry`` and ``find_exponential`` take the
-product table itself.  The searches test each typed candidate ``ev`` with
-the universal-property loop alone, and one sweep of ``find_exponentials``,
-``check_exponentials`` or the source check of ``transfer_exponentials``
-computes each ``lam x id_x`` once.
+with a chosen exponential and that certifies an equivalence.  The registry
+verbs (``check``, ``find``, ``transfer``, ``carry``, ``preserves`` and
+``lift_preservation``) take witness bags and read the chosen products, or
+a functor's certificate for them, from them; ``transfer`` and ``carry``
+return only the table they carried.  ``is_exponential``, ``curry`` and
+``find_exponential`` take the product table itself.  The searches test
+each typed candidate ``ev`` with the universal-property loop alone, and one
+sweep of ``find_exponentials``, ``check_exponentials`` or the source check
+of ``transfer_exponentials`` computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .limits import (
     PRODUCTS,
     BinProductW,
     mediating,
-    preserves_binary_products,
     _check_triangle,
 )
 
@@ -197,8 +196,8 @@ def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], Exponential
 
 
 def transfer_exponentials(
-    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
-) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> dict[tuple[int, int], ExponentialW]:
     """:func:`carry_exponentials` after checking every exponential of src on
     the source, computing each ``lam x id_x`` once for the whole check."""
     C, prods = cert.functor.source, src["products"]
@@ -206,21 +205,18 @@ def transfer_exponentials(
     for key, w in src["exponentials"].items():
         if (w.x, w.y) != key or not _is_exponential(C, prods, w, pairs):
             raise InvalidCert(f"source exponential table entry {key} is invalid")
-    return carry_exponentials(cert, src, dst, certs)
+    return carry_exponentials(cert, src, dst)
 
 
 def carry_exponentials(
-    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
-) -> tuple[dict[tuple[int, int], ExponentialW], ExpPreservationCert]:
+    cert: WeakEquivalenceCert, src: dict, dst: dict
+) -> dict[tuple[int, int], ExponentialW]:
     """Push every exponential of src, each valid on the source, along the
     equivalence: the image witness is re-based onto the chosen products of
     dst through the mediator of the image cone, so that every entry is
-    typed by construction.  Returns it with the equivalence's preservation
-    certificate; the products of dst must be a checked table.
-
-    ``certs["products"]``, when given, is the equivalence's certificate for
-    the products of src into those of dst, as transferring the products
-    returns it; otherwise it is decided here."""
+    typed by construction.  The products of dst must be a checked table;
+    the carried entries are decided, and the equivalence certified, by
+    :func:`preserves_exponentials`."""
     G = cert.functor
     D = G.target
     prodsC, expsC, prodsD = src["products"], src["exponentials"], dst["products"]
@@ -246,21 +242,7 @@ def carry_exponentials(
                 rebase[(wC.obj, d1)] = u
             ev = D.compose_many(u, G.mor_map[wC.ev], i2.fwd)
             out[(d1, d2)] = ExponentialW(d1, d2, G.obj_map[wC.obj], ev)
-    muG = (certs or {}).get("products")
-    if muG is None:
-        muG = preserves_binary_products(G, prodsC, prodsD)
-        if muG is None:
-            raise OracleDisagreement("equivalence does not preserve the products in scope")
-    elif not (muG.functor is G and muG.source is prodsC and muG.target is prodsD):
-        raise PreconditionViolation(
-            "products certificate is not the equivalence's for these tables"
-        )
-    pres = preserves_exponentials(
-        G, src, {"products": prodsD, "exponentials": out}, {"products": muG}
-    )
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the exponentials it transferred")
-    return out, pres
+    return out
 
 
 def preserves_exponentials(

@@ -60,12 +60,12 @@ class StructureKind:
     ``check`` decides a bag on its category by brute force; it is the one
     check of a bag supplied from outside, on either side of a completion.
     ``transfer`` checks the source bag and carries it along a weak
-    equivalence into any target, skeletal or not, with the equivalence's
-    certificate; the carried entries are typed by construction, or for the
-    classifier searched for on the target.  Its last argument holds the
-    certificates the transfers of the kinds before it returned, which the
-    exponentials read for the products.  ``carry`` is ``transfer`` without
-    its check of the source bag, for a bag that ``check`` already accepted.
+    equivalence into any target, skeletal or not, and returns the carried
+    entry; it is typed by construction, or for the classifier searched for
+    on the target.  ``carry`` is ``transfer`` without its check of the
+    source bag, for a bag that ``check`` already accepted.  Neither
+    certifies the equivalence: ``preserves`` does, and decides the carried
+    entry with it.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and last the
     factored functor's certificates for the kinds before it.
@@ -75,8 +75,8 @@ class StructureKind:
     deps: tuple[str, ...]
     check: Callable[[FinCat, dict], None]
     find: Callable[[FinCat, dict], object | None]
-    transfer: Callable[[WeakEquivalenceCert, dict, dict, dict], tuple[object, object]]
-    carry: Callable[[WeakEquivalenceCert, dict, dict, dict], tuple[object, object]]
+    transfer: Callable[[WeakEquivalenceCert, dict, dict], object]
+    carry: Callable[[WeakEquivalenceCert, dict, dict], object]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
     lift: Callable[
         [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict, dict], object
@@ -95,16 +95,16 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     def table(bag):
         return bag[name] if shape.n_key else {(): bag[name]}
 
-    def carry(cert, src, dst, certs=None):
-        out, pres = limits.carry(shape, cert, table(src))
-        return (out if shape.n_key else out[()]), pres
+    def carry(cert, src, dst):
+        out = limits.carry(shape, cert, table(src))
+        return out if shape.n_key else out[()]
 
     return StructureKind(
         name,
         (),
         lambda C, bag: check_table(shape, C, table(bag)),
         lambda C, bag: call("find_", C),
-        lambda cert, src, dst, certs=None: call("transfer_", cert, src[name]),
+        lambda cert, src, dst: call("transfer_", cert, src[name]),
         carry,
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
         lambda cert, F, H, alpha, src, dst, Fcerts, carried, Hcerts: call(
@@ -181,6 +181,13 @@ def _check_known(names) -> None:
     for k in names:
         if k not in KINDS:
             raise PreconditionViolation(f"unknown structure kind '{k}'")
+
+
+def _check_carried(witnesses, kinds) -> None:
+    """Refuse, rather than drop unchecked, a witness for a kind not carried."""
+    for k in witnesses:
+        if k not in kinds:
+            raise PreconditionViolation(f"supplied structure '{k}' is not carried")
 
 
 def _ordered(kinds) -> tuple[str, ...]:
@@ -265,13 +272,13 @@ def complete_structured(
     absent from C, since the two are equivalent.  Provided witnesses are
     checked on C once, by the kind's ``check``, and carried along eta
     instead, so that the completed bag is always the transfer of the source
-    bag; a witness keyed by anything but a kind raises.
+    bag; a witness keyed by anything but a kind raises, and so does one for
+    a kind not carried, unrequested or lacking a dependency.
 
-    Eta's certificate for each kind comes from one ``preserves`` call on
-    eta, which also decides every carried source entry on the skeleton; a
-    refusal is an engine bug.  A supplied witness is carried along eta
-    itself, whose certificate the carry returns, and its carried entries
-    are checked on the skeleton by the kind's ``check``.
+    Eta's certificate for each kind, found or supplied, comes from one
+    ``preserves`` call on eta, which also decides every carried entry; a
+    refusal is an engine bug.  A supplied witness's carried entries are
+    also checked on the skeleton by the kind's ``check``.
 
     Every bag returned has been validated on both sides: a found entry by
     the transfer's check on the skeleton and eta's ``preserves`` on C (the
@@ -286,7 +293,6 @@ def complete_structured(
     src: dict[str, object] = {}
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
-    incl_certs: dict[str, object] = {}   # the inclusion's, as the transfers return them
     for name in KIND_ORDER if kinds is None else _ordered(kinds):
         kind = KINDS[name]
         if any(dep not in src for dep in kind.deps):
@@ -295,25 +301,24 @@ def complete_structured(
         if w is not None:
             src[name] = w
             kind.check(C, src)
-            completed[name], eta_certs[name] = kind.carry(res.cert, src, completed, eta_certs)
+            completed[name] = kind.carry(res.cert, src, completed)
             try:
                 kind.check(D, completed)
             except InvalidCert as e:
                 raise OracleDisagreement(f"carried '{name}' fails on the skeleton: {e}") from None
-            continue
-        found = kind.find(D, completed)
-        if found is None:
-            if kinds is None:
-                continue
-            raise PreconditionViolation(
-                f"requested structure '{name}' is absent from {C.name}"
-            )
-        completed[name] = found
-        src[name], incl_certs[name] = kind.transfer(incl, completed, src, incl_certs)
+        else:
+            found = kind.find(D, completed)
+            if found is None:
+                if kinds is None:
+                    continue
+                raise PreconditionViolation(f"requested structure '{name}' is absent from {C.name}")
+            completed[name] = found
+            src[name] = kind.transfer(incl, completed, src)
         cert = kind.preserves(res.eta, src, completed, eta_certs)
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")
         eta_certs[name] = cert
+    _check_carried(witnesses, src)
     return StructuredCompletion(
         res, tuple(src), src, completed, eta_certs, ValidatedBags.of(res, src, completed)
     )
@@ -348,7 +353,7 @@ def factor_structured(
     completion instead of transferring again, each with the lifted
     certificates of the kinds before it.  As in
     :func:`complete_structured`, a target witness keyed by anything but a
-    kind raises.
+    kind raises, and so does one for a kind outside sc's kinds.
     """
     target_witnesses = dict(target_witnesses or {})
     _check_known(target_witnesses)
@@ -363,6 +368,7 @@ def factor_structured(
     ):
         raise PreconditionViolation("eta's certificate does not run from source to completion")
     kinds = _ordered(sc.kinds)
+    _check_carried(target_witnesses, kinds)
     for side, bag in (("source", sc.source), ("completed", sc.completed)):
         for name in kinds:
             if name not in bag:

@@ -4,13 +4,15 @@ Every structure is a small witness dataclass that can be re-validated from
 scratch by brute force.  ``is_*`` functions quantify over the whole category,
 ``find_*`` search deterministically (lowest apex first, then lowest morphism
 indices), ``transfer_*`` check a table on its source and push it along a
-weak equivalence, ``preserves_*`` decide preservation and certify it with
-comparison isos, and ``lift_preservation_*`` decide preservation for a
-factored functor directly, by ``preserves``; the transport of the given
-functor's comparisons through the factorization is their oracle in the
-tests.  :func:`preserves` is the one place that compares an image cone with
-a chosen entry: a completion decides the table :func:`carry` builds, typed
-by construction, by eta's preservation of it.
+weak equivalence, returning only the table pushed, ``preserves_*`` decide
+preservation and certify it with comparison isos, and
+``lift_preservation_*`` decide preservation for a factored functor
+directly, by ``preserves``; the transport of the given functor's
+comparisons through the factorization is their oracle in the tests.
+:func:`preserves` is the one place that compares an image cone with a
+chosen entry, and the one that certifies an equivalence: a completion
+decides the table :func:`carry` builds, typed by construction, by eta's
+preservation of it.
 
 Terminal objects, binary products, equalizers and pullbacks are keyed
 limits: a table maps each key (the empty diagram's one key ``()``, a pair of
@@ -567,9 +569,7 @@ def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Tabl
     return None
 
 
-def transfer(
-    shape: LimitShape, cert: WeakEquivalenceCert, table: Table
-) -> tuple[Table, LimitPreservationCert]:
+def transfer(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     """:func:`carry` after checking every entry of the source table on the
     source."""
     C, k = cert.functor.source, shape.n_key
@@ -579,19 +579,17 @@ def transfer(
     return carry(shape, cert, table)
 
 
-def carry(
-    shape: LimitShape, cert: WeakEquivalenceCert, table: Table
-) -> tuple[Table, LimitPreservationCert]:
+def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     """Push a table whose entries are limits on the source along the
     equivalence: the witness at each pulled-back key is imaged, once for
     all the keys pulled back to it, and its legs composed with the eso isos
     of the feet, so that every entry is typed by construction (an
     ill-typed pair raises as ``FinCat.compose`` does, at the first key in
-    key order that has one, and so does a missing entry).  Returns it
-    with the equivalence's preservation certificate of table into it.  The
-    target need not be skeletal: the witnesses carried there are limits,
-    though not the only choice.  The carried entries are not decided here;
-    a completion decides them by eta's :func:`preserves`."""
+    key order that has one, and so does a missing entry).  The target need
+    not be skeletal: the witnesses carried there are limits, though not the
+    only choice.  The carried entries are not decided here, and the
+    equivalence is not certified: a completion decides both by eta's
+    :func:`preserves`."""
     check_weak_equivalence_cert(cert)
     G, Q = cert.functor, cert.quasi_inverse
     D = G.target
@@ -635,11 +633,7 @@ def carry(
         D.compose(*first_bad[1:])
     if n < len(keys):
         imaged(src_keys[n])
-    out = dict(zip(keys, map(shape.witness, *zip(*keys), apexes, *composed)))
-    pres = preserves(shape, G, table, out)
-    if pres is None:
-        raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
-    return out, pres
+    return dict(zip(keys, map(shape.witness, *zip(*keys), apexes, *composed)))
 
 
 def reflect(shape: LimitShape, F: Functor, w):
@@ -705,9 +699,8 @@ def preserves_terminal(F: Functor, tC: ChosenTerminal, tD: ChosenTerminal):
     return preserves(TERMINAL, F, {(): tC}, {(): tD})
 
 
-def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal):
-    table, pres = transfer(TERMINAL, cert, {(): tC})
-    return table[()], pres
+def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal) -> ChosenTerminal:
+    return transfer(TERMINAL, cert, {(): tC})[()]
 
 
 def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD):

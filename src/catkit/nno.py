@@ -157,29 +157,19 @@ def _image_triple(
     return PNNOW(F.obj_map[w.N], D.compose(u, F.mor_map[w.z]), F.mor_map[w.s])
 
 
-def transfer_pnno(
-    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
-) -> tuple[PNNOW, PNNOPreservationCert]:
+def transfer_pnno(cert: WeakEquivalenceCert, src: dict, dst: dict) -> PNNOW:
     """:func:`carry_pnno` after checking the witness of src on the source."""
     w = src["pnno"]
     if is_pnno(cert.functor.source, src["terminal"], src["products"], w.N, w.z, w.s) is None:
         raise InvalidCert("source parameterized-N witness is invalid")
-    return carry_pnno(cert, src, dst, certs)
+    return carry_pnno(cert, src, dst)
 
 
-def carry_pnno(
-    cert: WeakEquivalenceCert, src: dict, dst: dict, certs: dict | None = None
-) -> tuple[PNNOW, PNNOPreservationCert]:
-    """Transport a parameterized N valid on the source along the
+def carry_pnno(cert: WeakEquivalenceCert, src: dict, dst: dict) -> PNNOW:
+    """The image of a parameterized N valid on the source along the
     equivalence, its zero re-based onto the terminal of dst, so that the
-    triple is typed by construction, and return it with the equivalence's
-    certificate; the terminal and products of dst must be checked."""
-    G = cert.functor
-    wD = _image_triple(G, src["terminal"], dst["terminal"], src["pnno"])
-    pres = preserves_pnno(G, src, {**dst, "pnno": wD}, certs or {})
-    if pres is None:
-        raise OracleDisagreement("equivalence does not preserve the witness it transferred")
-    return wD, pres
+    triple is typed by construction; :func:`preserves_pnno` decides it."""
+    return _image_triple(cert.functor, src["terminal"], dst["terminal"], src["pnno"])
 
 
 def reflect_pnno(

@@ -283,9 +283,7 @@ def preserves(
     return LimitPreservationCert(F, source, target, mu)
 
 
-def carry(
-    shape: LimitShape, cert: WeakEquivalenceCert, table: Table
-) -> tuple[Table, LimitPreservationCert]:
+def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     """``limits.carry`` key by key: the entry at each pulled-back key is
     imaged again for every key, and each leg composed with the eso iso of
     its foot by ``FinCat.compose``."""
@@ -305,7 +303,4 @@ def carry(
             for p, y in zip(v[k + 1:], shape.feet(D, key))
         ]
         out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
-    pres = preserves(shape, G, table, out)
-    if pres is None:
-        raise OracleDisagreement(f"equivalence does not preserve the {shape.name}s it transferred")
-    return out, pres
+    return out

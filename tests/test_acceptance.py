@@ -195,33 +195,33 @@ def test_criterion_3_transfer_equals_direct_search():
         cert_proj = is_weak_equivalence(proj)
         assert cert_sec is not None and cert_proj is not None
         if term is not None:
-            tI, _ = transfer_terminal(cert_sec, term)
-            tB, _ = transfer_terminal(cert_proj, tI)
+            tI = transfer_terminal(cert_sec, term)
+            tB = transfer_terminal(cert_proj, tI)
             assert is_terminal(C, tB.t)
         if prods is not None:
-            pI, _ = transfer_binary_products(cert_sec, prods)
-            pB, _ = transfer_binary_products(cert_proj, pI)
+            pI = transfer_binary_products(cert_sec, prods)
+            pB = transfer_binary_products(cert_proj, pI)
             for (x, y), w in pB.items():
                 comparison(PRODUCTS, C, w, find_limit(PRODUCTS, C, (x, y)))
         if eqs is not None:
-            eI, _ = transfer_equalizers(cert_sec, eqs)
-            eB, _ = transfer_equalizers(cert_proj, eI)
+            eI = transfer_equalizers(cert_sec, eqs)
+            eB = transfer_equalizers(cert_proj, eI)
             for (f, g), w in eB.items():
                 comparison(EQUALIZERS, C, w, find_limit(EQUALIZERS, C, (f, g)))
         if term is not None or prods is not None:
             res = skeletize(infl)
             fac = factor_through(res, proj)
             if term is not None:
-                tI2, _ = transfer_terminal(cert_sec, term)
+                tI2 = transfer_terminal(cert_sec, term)
                 Ft = preserves_terminal(proj, tI2, term)
                 assert Ft is not None
-                tD, _ = transfer_terminal(res.cert, tI2)
+                tD = transfer_terminal(res.cert, tI2)
                 lift_preservation_terminal(res.cert, proj, fac.functor, fac.alpha, Ft, tD)
             if prods is not None:
-                pI2, _ = transfer_binary_products(cert_sec, prods)
+                pI2 = transfer_binary_products(cert_sec, prods)
                 Fp = preserves_binary_products(proj, pI2, prods)
                 assert Fp is not None
-                pD, _ = transfer_binary_products(res.cert, pI2)
+                pD = transfer_binary_products(res.cert, pI2)
                 lift_preservation_binary_products(
                     res.cert, proj, fac.functor, fac.alpha, Fp, pD
                 )
@@ -312,9 +312,9 @@ def test_criterion_8_pnno_transport_and_fragment_absence():
         carriers += 1
         infl, proj = inflate(C, _copies(seed, C.n_objects))
         cert = is_weak_equivalence(inflate_section(proj))
-        termD, _ = transfer_terminal(cert, term)
-        prodsD, _ = transfer_binary_products(cert, prods)
-        wD, _ = transfer_pnno(cert, {**bag, "pnno": w}, {"terminal": termD, "products": prodsD})
+        termD = transfer_terminal(cert, term)
+        prodsD = transfer_binary_products(cert, prods)
+        wD = transfer_pnno(cert, {**bag, "pnno": w}, {"terminal": termD, "products": prodsD})
         assert is_pnno(infl, termD, prodsD, wD.N, wD.z, wD.s) is not None
         cert_proj = is_weak_equivalence(proj)
         back = reflect_pnno(cert_proj, termD, prodsD, term, prods, wD.N, wD.z, wD.s)

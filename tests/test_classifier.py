@@ -22,7 +22,7 @@ from catkit.classifier import (
     transfer_subobject_classifier,
 )
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
-from catkit.core import find_iso, is_weak_equivalence
+from catkit.core import find_iso, functor, is_weak_equivalence
 from catkit.errors import InvalidCert
 from catkit.generators import (
     chain_poset,
@@ -35,7 +35,8 @@ from catkit.generators import (
     random_weak_equivalence,
     setoid_groupoid,
 )
-from catkit.limits import PullbackW, find_terminal, is_pullback, transfer_terminal
+from catkit.lifting import find_bag
+from catkit.limits import PullbackW, find_terminal, is_pullback, is_terminal, transfer_terminal
 from classifier_oracles import mono_by_cancellation, mono_by_pullback
 
 seeds = st.integers(min_value=0, max_value=119)
@@ -215,9 +216,10 @@ def test_transfer_classifier_matches_direct_search():
     cert = is_weak_equivalence(inflate_section(proj))
     src = {"terminal": find_terminal(S)}
     src["classifier"] = find_subobject_classifier(S, src)
-    dst = {"terminal": transfer_terminal(cert, src["terminal"])[0]}
-    dst["classifier"], pres = transfer_subobject_classifier(cert, src, dst)
+    dst = {"terminal": transfer_terminal(cert, src["terminal"])}
+    dst["classifier"] = transfer_subobject_classifier(cert, src, dst)
     check_subobject_classifier(infl, dst)
+    pres = preserves_subobject_classifier(cert.functor, src, dst, {})
     assert pres.functor is cert.functor
     assert find_iso(infl, pres.comparison.fwd) is not None
 
@@ -233,6 +235,16 @@ def test_preserves_classifier_identity():
     assert S.is_identity(pres.comparison.fwd)
 
 
+def test_preserves_classifier_is_none_for_a_functor_off_the_terminal():
+    """A functor that does not preserve the terminal does not preserve the
+    classifier: None, as preserves_pnno answers, not an exception."""
+    C = finset_fragment(2)
+    bag = find_bag(C, ("terminal", "classifier"))
+    assert not is_terminal(C, 0)
+    const = functor(C, C, [0] * C.n_objects, [C.identity[0]] * C.n_morphisms)
+    assert preserves_subobject_classifier(const, bag, bag, {}) is None
+
+
 def test_lift_preservation_classifier_through_completion():
     S = _codiscrete(3)
     infl, proj = inflate(S, [2, 2, 1])
@@ -246,8 +258,8 @@ def test_lift_preservation_classifier_through_completion():
     dst["classifier"] = find_subobject_classifier(S, dst)
     Fcert = preserves_subobject_classifier(proj, src, dst, {})
     assert Fcert is not None
-    carried = {"terminal": transfer_terminal(res.cert, src["terminal"])[0]}
-    carried["classifier"], _ = transfer_subobject_classifier(res.cert, src, carried)
+    carried = {"terminal": transfer_terminal(res.cert, src["terminal"])}
+    carried["classifier"] = transfer_subobject_classifier(res.cert, src, carried)
     lifted = lift_preservation_subobject_classifier(
         res.cert, proj, fac.functor, fac.alpha, src, dst, {"classifier": Fcert}, carried, {}
     )

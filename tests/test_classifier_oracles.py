@@ -81,7 +81,7 @@ def test_carried_chi_equals_the_transported_chi():
         src = _bag(cert.functor.source)
         # the first terminal of the target, not necessarily the image of the source's
         dst = {"terminal": find_terminal(cert.functor.target)}
-        soc, _ = carry_subobject_classifier(cert, src, dst)
+        soc = carry_subobject_classifier(cert, src, dst)
         assert soc.chi == transported_chi(cert, src), cert.functor.name
 
 

@@ -16,7 +16,7 @@ import json
 import pytest
 
 import carry_oracles
-from catkit import cli, limits
+from catkit import classifier, cli, exponentials, limits, nno
 from catkit.completion import inflate, skeletize, skeleton_inclusion
 from catkit.core import functors_equal
 from catkit.errors import InvalidCert, OracleDisagreement
@@ -77,10 +77,13 @@ def test_eta_certificates_equal_the_direct_decision():
     assert ("z3", True) in non_identity and ("hvalued", False) in non_identity
 
 
-def test_eta_is_decided_by_one_preserves_call_per_kind_and_no_check_along(monkeypatch):
+def test_eta_is_decided_by_one_preserves_call_per_kind_and_nothing_along_the_inclusion(
+    monkeypatch,
+):
     """complete_structured decides each kind's eta certificate by one call
     of the kind's preserves on eta, whether or not eta equals the
-    quasi-inverse of the inclusion."""
+    quasi-inverse of the inclusion, and decides no certificate along the
+    inclusion, for found and supplied structure alike."""
     calls = []
     for name, kind in list(KINDS.items()):
         def counted(F, *args, _fn=kind.preserves, _name=name):
@@ -88,13 +91,29 @@ def test_eta_is_decided_by_one_preserves_call_per_kind_and_no_check_along(monkey
             return _fn(F, *args)
 
         monkeypatch.setitem(KINDS, name, dataclasses.replace(kind, preserves=counted))
+    deciders = []   # the functor of every preservation decision, at any depth
+    for module, verb, at in ((limits, "preserves", 1),
+                             (exponentials, "preserves_exponentials", 0),
+                             (nno, "preserves_pnno", 0),
+                             (classifier, "preserves_subobject_classifier", 0)):
+        def watched(*args, _fn=getattr(module, verb), _at=at):
+            deciders.append(args[_at])
+            return _fn(*args)
+
+        monkeypatch.setattr(module, verb, watched)
     fallback = set()
     for name, C in _inputs().items():
         calls.clear()
+        deciders.clear()
         sc = complete_structured(C)
         if not _eta_is_back(sc):
             fallback.add(name)
         assert [kind for kind, F in calls if F is sc.result.eta] == list(sc.kinds), name
+        given = complete_structured(C, witnesses=sc.source)
+        assert given.kinds == sc.kinds, name
+        for res in (sc.result, given.result):
+            incl = skeleton_inclusion(res).functor
+            assert deciders and not any(F is incl for F in deciders), name
     assert fallback == {"hvalued"}
 
 
@@ -135,7 +154,7 @@ def _not_a_limit(shape, C, key):
     return None
 
 
-def test_a_check_along_names_the_first_offending_key_as_the_old_route_did():
+def test_a_hand_built_bag_check_names_the_first_offending_key_as_the_old_route_did():
     """Two corrupted entries, one a typed cone that is not a limit and one
     typed wrongly, in either order, in the source bag of a completion built
     by hand: factor_structured's check of that bag names the same first
@@ -176,14 +195,14 @@ def test_a_corrupted_carry_ends_in_exit_4(monkeypatch, tmp_path, capsys):
     moved = []
 
     def corrupted(shape, cert, table):
-        out, pres = real(shape, cert, table)
+        out = real(shape, cert, table)
         if shape is limits.PRODUCTS:
             for key in sorted(out):
                 bad = _not_a_limit(limits.PRODUCTS, cert.functor.target, key)
                 if bad is not None:
                     moved.append(key)
-                    return {**out, key: bad}, pres
-        return out, pres
+                    return {**out, key: bad}
+        return out
 
     monkeypatch.setattr(limits, "carry", corrupted)
     with pytest.raises(OracleDisagreement, match="eta does not preserve the carried 'products'"):

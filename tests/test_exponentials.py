@@ -124,14 +124,16 @@ def test_transfer_exponentials_matches_direct_search():
     cert = is_weak_equivalence(inflate_section(proj))
     prodsC = find_binary_products(C)
     src = {"products": prodsC, "exponentials": find_exponentials(C, {"products": prodsC})}
-    prodsD, _ = transfer_binary_products(cert, prodsC)
-    expsD, pres = transfer_exponentials(cert, src, {"products": prodsD})
+    prodsD = transfer_binary_products(cert, prodsC)
+    expsD = transfer_exponentials(cert, src, {"products": prodsD})
     assert set(expsD) == {(x, y) for x in range(infl.n_objects) for y in range(infl.n_objects)}
     for (x, y), w in expsD.items():
         assert is_exponential(infl, prodsD, w)
         direct = find_exponential(infl, prodsD, x, y)
         exponential_comparison(infl, prodsD, w, direct)
     muG = preserves_binary_products(cert.functor, prodsC, prodsD)
+    dst = {"products": prodsD, "exponentials": expsD}
+    pres = preserves_exponentials(cert.functor, src, dst, {"products": muG})
     check_exp_preservation(pres, prodsC, prodsD, muG)
 
 
@@ -174,8 +176,8 @@ def test_lift_preservation_exponentials_through_completion():
     Fcerts = {"products": preserves_binary_products(proj, src["products"], dst["products"])}
     Fcerts["exponentials"] = preserves_exponentials(proj, src, dst, Fcerts)
     assert Fcerts["exponentials"] is not None
-    carried = {"products": transfer_binary_products(res.cert, src["products"])[0]}
-    carried["exponentials"], _ = transfer_exponentials(res.cert, src, carried)
+    carried = {"products": transfer_binary_products(res.cert, src["products"])}
+    carried["exponentials"] = transfer_exponentials(res.cert, src, carried)
     Hcerts = {"products": lift_preservation_binary_products(
         res.cert, proj, fac.functor, fac.alpha, Fcerts["products"], carried["products"]
     )}

@@ -37,9 +37,11 @@ from catkit.limits import (
     PULLBACKS,
     BinProductW,
     comparison,
+    find_binary_products,
     find_limit,
     is_terminal,
 )
+from catkit.nno import PNNOW
 from completion_helpers import twisted_equalizers
 from limit_oracles import exponential_comparison
 
@@ -216,6 +218,29 @@ def test_witnesses_keyed_by_an_unknown_kind_are_refused():
             factor_structured(sc, proj, target_witnesses={key: limits.ChosenTerminal(2)})
 
 
+def test_witnesses_for_a_kind_that_is_not_carried_are_refused():
+    """A supplied witness for a kind that is not requested, that lacks a
+    dependency, or that a factorization does not lift is not silently
+    dropped unchecked either."""
+    C, proj = inflate(chain_poset(3), [1, 2, 2])
+
+    def swapped(prods):
+        return {key: dataclasses.replace(w, pi1=w.pi2, pi2=w.pi1) for key, w in prods.items()}
+
+    bad = swapped(find_binary_products(C))
+    with pytest.raises(InvalidCert):
+        complete_structured(C, kinds=("terminal", "products"), witnesses={"products": bad})
+    with pytest.raises(PreconditionViolation, match="supplied structure 'products' is not carried"):
+        complete_structured(C, kinds=("terminal",), witnesses={"products": bad})
+    sc = complete_structured(C, kinds=("terminal",))
+    bad_target = swapped(find_binary_products(proj.target))
+    with pytest.raises(PreconditionViolation, match="supplied structure 'products' is not carried"):
+        factor_structured(sc, proj, target_witnesses={"products": bad_target})
+    # the fragment has no products, so no parameterized N is carried
+    with pytest.raises(PreconditionViolation, match="supplied structure 'pnno' is not carried"):
+        complete_structured(finset_fragment(2), witnesses={"pnno": PNNOW(0, 0, 0)})
+
+
 def test_factor_structured_rejects_structureless_target():
     S = _codiscrete(2)
     sc = complete_structured(S, kinds=("terminal",))
@@ -265,7 +290,7 @@ def _assert_matches_direct_search(C, bag):
 def _transfer_along_eta(sc):
     out = {}
     for name in sc.kinds:
-        out[name], _ = KINDS[name].transfer(sc.result.cert, sc.source, out)
+        out[name] = KINDS[name].transfer(sc.result.cert, sc.source, out)
     return out
 
 

@@ -13,7 +13,12 @@ import pytest
 import limit_oracles
 from catkit import core, exponentials, limits, nno
 from catkit.completion import inflate, skeletize, skeleton_inclusion
-from catkit.errors import InvalidCert, PreconditionViolation, SearchBudgetExceeded
+from catkit.errors import (
+    IllTypedComposite,
+    InvalidCert,
+    PreconditionViolation,
+    SearchBudgetExceeded,
+)
 from catkit.generators import (
     chain_poset,
     finset_fragment,
@@ -246,15 +251,15 @@ def _carry_corpus():
 
 
 def _outcome(verb, *args):
-    """What verb returns, each certificate as its fields, or the type and
-    message of what it raises."""
+    """What verb returns, a carried table or a certificate as its fields, or
+    the type and message of what it raises."""
     try:
         out = verb(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    table, cert = out if isinstance(out, tuple) else (None, out)
-    fields = None if cert is None else (cert.functor, cert.source, cert.target, cert.mu)
-    return table, fields
+    if isinstance(out, dict):
+        return out, None
+    return None, None if out is None else (out.functor, out.source, out.target, out.mu)
 
 
 def _one_corrupted(shape, C, table):
@@ -296,7 +301,7 @@ def test_carry_and_preserves_give_the_entries_certificates_and_raises_of_their_l
                     C.name, shape.name, case if len(case) == 1 else "whole")
                 seen["preserves", got[0] if isinstance(got[0], type) else got[1] is not None] += 1
     # each verb meets each outcome, so the parity is not vacuous
-    assert {("carry", "ok"), ("carry", PreconditionViolation), ("carry", InvalidCert),
+    assert {("carry", "ok"), ("carry", PreconditionViolation), ("carry", IllTypedComposite),
             ("carry", IndexError), ("preserves", True), ("preserves", False),
             ("preserves", InvalidCert)} <= set(seen), seen
 

@@ -61,6 +61,7 @@ from catkit.limits import (
     preserves_terminal,
     reflect,
     to_terminal,
+    transfer,
     transfer_binary_products,
     transfer_equalizers,
     transfer_pullbacks,
@@ -248,8 +249,9 @@ def _inflated_chain():
 def test_transfer_terminal_matches_direct_search():
     C, infl, proj, sec, cert = _inflated_chain()
     tC = find_terminal(C)
-    tD, pres = transfer_terminal(cert, tC)
+    tD = transfer_terminal(cert, tC)
     assert is_terminal(infl, tD.t)
+    assert preserves_terminal(cert.functor, tC, tD) is not None
     direct = find_terminal(infl)
     assert preserves_terminal(identity_functor(infl), tD, direct) is not None
 
@@ -257,7 +259,8 @@ def test_transfer_terminal_matches_direct_search():
 def test_transfer_products_matches_direct_search():
     C, infl, proj, sec, cert = _inflated_chain()
     prodsC = find_binary_products(C)
-    prodsD, pres = transfer_binary_products(cert, prodsC)
+    prodsD = transfer_binary_products(cert, prodsC)
+    assert preserves_binary_products(cert.functor, prodsC, prodsD) is not None
     assert set(prodsD) == {(x, y) for x in range(infl.n_objects) for y in range(infl.n_objects)}
     for (x, y), w in prodsD.items():
         direct = find_limit(PRODUCTS, infl, (x, y))
@@ -268,18 +271,18 @@ def test_transfer_products_matches_direct_search():
 
 def test_transfer_equalizers_and_pullbacks():
     C, infl, proj, sec, cert = _inflated_chain()
-    eqsD, _ = transfer_equalizers(cert, find_equalizers(C))
+    eqsD = transfer_equalizers(cert, find_equalizers(C))
     assert set(eqsD) == set(parallel_pairs(infl))
     for w in eqsD.values():
         assert is_equalizer(infl, w)
-    pbsD, _ = transfer_pullbacks(cert, find_pullbacks(C))
+    pbsD = transfer_pullbacks(cert, find_pullbacks(C))
     for w in pbsD.values():
         assert is_pullback(infl, w)
 
 
 def test_reflection_along_section():
     C, infl, proj, sec, cert = _inflated_chain()
-    prodsD, _ = transfer_binary_products(cert, find_binary_products(C))
+    prodsD = transfer_binary_products(cert, find_binary_products(C))
     # proj is fully faithful, so limiting image cones reflect
     for w in find_binary_products(infl).values():
         img = BinProductW(
@@ -363,17 +366,23 @@ def test_preserves_rejects_target_fields_out_of_range():
 
 
 def test_preserves_rejects_source_key_parts_out_of_range():
-    # a key part of -1 would be read from the end, as object 2 or morphism 5
+    # a key part of -1 would be read from the end, as object 2 or morphism 5;
+    # the last case's witness names the same key as its entry.  transfer,
+    # which checks each entry before carrying, refuses every case too
     C = chain_poset(3)
     F = identity_functor(C)
+    cert = is_weak_equivalence(F)
     P, E = find_binary_products(C), find_equalizers(C)
     assert (C.n_objects, C.n_morphisms) == (3, 6)
     g = next(f for f in range(C.n_morphisms) if not C.is_identity(f))
     cases = [(PRODUCTS, (-1, 0), P[(2, 0)], P), (PRODUCTS, (3, 0), P[(2, 0)], P),
-             (EQUALIZERS, (-1, g), E[(g, g)], E), (EQUALIZERS, (g, 6), E[(g, g)], E)]
+             (EQUALIZERS, (-1, g), E[(g, g)], E), (EQUALIZERS, (g, 6), E[(g, g)], E),
+             (PRODUCTS, (-1, 0), dataclasses.replace(P[(2, 0)], x1=-1), P)]
     for shape, key, w, target in cases:
         with pytest.raises(InvalidCert, match=re.escape(f"source {shape.name} entry {key} is out")):
             preserves(shape, F, {key: w}, target)
+        with pytest.raises(InvalidCert, match=re.escape(f"{shape.name} table entry {key} is inv")):
+            transfer(shape, cert, {key: w})
 
 
 def test_first_unpreserved_pair_none_for_identity():
@@ -387,7 +396,7 @@ def test_lift_preservation_through_completion():
     res = skeletize(infl)
     fac = factor_through(res, proj)
     H, alpha = fac.functor, fac.alpha
-    tD, Ft = transfer_terminal(res.cert, find_terminal(infl))
+    tD = transfer_terminal(res.cert, find_terminal(infl))
     # proj preserves the terminal; its lift through the completion must too
     FtermCert = preserves_terminal(proj, find_terminal(infl), find_terminal(C))
     lifted = lift_preservation_terminal(res.cert, proj, H, alpha, FtermCert, tD)
@@ -395,7 +404,7 @@ def test_lift_preservation_through_completion():
     prods_infl = find_binary_products(infl)
     FprodCert = preserves_binary_products(proj, prods_infl, find_binary_products(C))
     assert FprodCert is not None
-    pD, _ = transfer_binary_products(res.cert, prods_infl)
+    pD = transfer_binary_products(res.cert, prods_infl)
     lifted_p = lift_preservation_binary_products(res.cert, proj, H, alpha, FprodCert, pD)
     assert lifted_p.functor is H
     assert set(lifted_p.source) == {

@@ -98,10 +98,12 @@ def test_transfer_pnno_matches_direct_search():
     cert = is_weak_equivalence(inflate_section(proj))
     src = {"terminal": find_terminal(S), "products": find_binary_products(S)}
     src["pnno"] = find_pnno(S, src)
-    termD, _ = transfer_terminal(cert, src["terminal"])
-    prodsD, _ = transfer_binary_products(cert, src["products"])
-    wD, pres = transfer_pnno(cert, src, {"terminal": termD, "products": prodsD})
+    termD = transfer_terminal(cert, src["terminal"])
+    prodsD = transfer_binary_products(cert, src["products"])
+    dst = {"terminal": termD, "products": prodsD}
+    wD = transfer_pnno(cert, src, dst)
     assert is_pnno(infl, termD, prodsD, wD.N, wD.z, wD.s) is not None
+    pres = preserves_pnno(cert.functor, src, {**dst, "pnno": wD}, {})
     assert pres.functor is cert.functor
 
 
@@ -110,8 +112,8 @@ def test_transfer_pnno_refuses_an_invalid_source_witness_as_an_invalid_certifica
     cert = is_weak_equivalence(inflate_section(inflate(S, [1, 2, 1])[1]))
     src = {"terminal": find_terminal(S), "products": find_binary_products(S)}
     src["pnno"] = find_pnno(S, src)
-    termD, _ = transfer_terminal(cert, src["terminal"])
-    prodsD, _ = transfer_binary_products(cert, src["products"])
+    termD = transfer_terminal(cert, src["terminal"])
+    prodsD = transfer_binary_products(cert, src["products"])
     dst = {"terminal": termD, "products": prodsD}
     # the zero runs out of the terminal into the top, so nothing else is N
     bad = PNNOW(0, src["pnno"].z, src["pnno"].s)
@@ -128,8 +130,8 @@ def test_reflect_pnno_along_equivalence():
     cert_proj = is_weak_equivalence(proj)
     termS = find_terminal(S)
     prodsS = find_binary_products(S)
-    termI, _ = transfer_terminal(cert_sec, termS)
-    prodsI, _ = transfer_binary_products(cert_sec, prodsS)
+    termI = transfer_terminal(cert_sec, termS)
+    prodsI = transfer_binary_products(cert_sec, prodsS)
     wI = find_pnno(infl, {"terminal": termI, "products": prodsI})
     back = reflect_pnno(cert_proj, termI, prodsI, termS, prodsS, wI.N, wI.z, wI.s)
     assert is_pnno(infl, termI, prodsI, back.N, back.z, back.s) is not None
@@ -157,10 +159,10 @@ def test_lift_preservation_pnno_through_completion():
     Fcert = preserves_pnno(proj, src, dst, {})
     assert Fcert is not None
     carried = {
-        "terminal": transfer_terminal(res.cert, src["terminal"])[0],
-        "products": transfer_binary_products(res.cert, src["products"])[0],
+        "terminal": transfer_terminal(res.cert, src["terminal"]),
+        "products": transfer_binary_products(res.cert, src["products"]),
     }
-    carried["pnno"], _ = transfer_pnno(res.cert, src, carried)
+    carried["pnno"] = transfer_pnno(res.cert, src, carried)
     lifted = lift_preservation_pnno(
         res.cert, proj, fac.functor, fac.alpha, src, dst, {"pnno": Fcert}, carried, {}
     )

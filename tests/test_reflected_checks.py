@@ -132,9 +132,7 @@ def _moved_along(C, w, i):
     return nno.PNNOW(C.mor_dst[i], C.compose(w.z, i), C.compose_many(j, w.s, i))
 
 
-def test_reflected_pnno_check_decides_an_image_other_than_the_chosen_one_on_the_target(
-    monkeypatch,
-):
+def test_preserves_pnno_decides_an_image_other_than_the_chosen_one_on_the_target(monkeypatch):
     """Along a section into an inflation, the image of the chosen triple
     lands on one copy of N while the target's witness sits on another:
     preserves_pnno decides the image by its comparison with the chosen

@@ -259,7 +259,7 @@ def test_terminal_verbs_reject_bad_input_as_before():
     res = skeletize(infl)
     fac = factor_through(res, proj)
     Fcert = preserves_terminal(proj, find_terminal(infl), find_terminal(C))
-    tD, _ = transfer_terminal(res.cert, find_terminal(infl))
+    tD = transfer_terminal(res.cert, find_terminal(infl))
     with pytest.raises(PreconditionViolation):
         lift_preservation_terminal(
             res.cert, identity_functor(infl), fac.functor, fac.alpha, Fcert, tD
