@@ -36,9 +36,9 @@ from .limits import (
     PullbackW,
     is_pullback,
     is_terminal,
+    decide_lift,
     preserves_terminal,
     to_terminal,
-    _check_triangle,
 )
 
 
@@ -204,25 +204,14 @@ def preserves_subobject_classifier(
 
 
 def lift_preservation_subobject_classifier(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    src: dict,
-    dst: dict,
-    Fcerts: dict,
-    carried: dict,
-    Hcerts: dict,
+    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, src: dict, dst: dict,
+    Fcerts: dict, carried: dict, Hcerts: dict,
 ) -> OmegaPreservationCert:
     """Classifier preservation for the factored functor, decided directly;
     carried holds the terminal and classifier already transferred to the
-    completion, and Hcerts H's certificates already lifted.  A refusal is
-    an engine bug, as in :func:`limits.lift`."""
-    _check_triangle(cert, F, H, alpha)
-    direct = preserves_subobject_classifier(H, carried, dst, Hcerts)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct classifier check")
-    return direct
+    completion, and Hcerts H's certificates already lifted."""
+    return decide_lift("classifier", cert, F, H, alpha, preserves_subobject_classifier,
+                       carried, dst, Hcerts)
 
 
 # the structure kinds of an elementary topos, in dependency order, with the

@@ -5,17 +5,19 @@ y together with its evaluation morphism out of the chosen product.  All
 checks quantify exhaustively over currying candidates, and
 :func:`preserves_exponentials` is the one place that compares an image
 with a chosen exponential and that certifies an equivalence.  The registry
-verbs (``check``, ``find``, ``transfer``, ``carry``, ``preserves`` and
+verbs (``check``, ``find``, ``transfer``, ``preserves`` and
 ``lift_preservation``) take witness bags and read the chosen products, or
-a functor's certificate for them, from them; ``transfer`` and ``carry``
-return only the table they carried.  ``is_exponential``, ``curry`` and
-``find_exponential`` take the product table itself.  The searches test
-each typed candidate ``ev`` with the universal-property loop alone, and one
-sweep of ``find_exponentials``, ``check_exponentials`` or the source check
-of ``transfer_exponentials`` computes each ``lam x id_x`` once.
+a functor's certificate for them, from them.  ``transfer`` is ``check`` on
+the source followed by :func:`carry_exponentials`, and returns only the
+table carried; the lift is :func:`limits.decide_lift` by ``preserves``.
+``is_exponential``, ``curry`` and ``find_exponential`` take the product
+table itself.  The searches test each typed candidate ``ev`` with the
+universal-property loop alone, and one sweep of ``find_exponentials`` or
+``check_exponentials`` computes each ``lam x id_x`` once.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -36,8 +38,10 @@ from .errors import (
 from .limits import (
     PRODUCTS,
     BinProductW,
+    decide_lift,
     mediating,
-    _check_triangle,
+    refuse_other_keys,
+    _first_out_of_range,
 )
 
 
@@ -172,14 +176,17 @@ def _find_exponential(
 
 
 def check_exponentials(C: FinCat, bag: dict) -> None:
+    """Every pair of objects of C carries a valid exponential keyed by it,
+    and the table has no other entry."""
     table = bag["exponentials"]
     prods = bag["products"]
     pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole sweep
-    for x in range(C.n_objects):
-        for y in range(C.n_objects):
-            w = table.get((x, y))
-            if w is None or (w.x, w.y) != (x, y) or not _is_exponential(C, prods, w, pairs):
-                raise InvalidCert(f"exponential table is wrong at ({x},{y})")
+    keys = list(itertools.product(range(C.n_objects), repeat=2))
+    for x, y in keys:
+        w = table.get((x, y))
+        if w is None or (w.x, w.y) != (x, y) or not _is_exponential(C, prods, w, pairs):
+            raise InvalidCert(f"exponential table is wrong at ({x},{y})")
+    refuse_other_keys("exponential", "pair of objects", table, keys)
 
 
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
@@ -198,13 +205,9 @@ def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], Exponential
 def transfer_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> dict[tuple[int, int], ExponentialW]:
-    """:func:`carry_exponentials` after checking every exponential of src on
-    the source, computing each ``lam x id_x`` once for the whole check."""
-    C, prods = cert.functor.source, src["products"]
-    pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole check
-    for key, w in src["exponentials"].items():
-        if (w.x, w.y) != key or not _is_exponential(C, prods, w, pairs):
-            raise InvalidCert(f"source exponential table entry {key} is invalid")
+    """:func:`check_exponentials` on the source, then
+    :func:`carry_exponentials`."""
+    check_exponentials(cert.functor.source, src)
     return carry_exponentials(cert, src, dst)
 
 
@@ -250,17 +253,23 @@ def preserves_exponentials(
 ) -> ExpPreservationCert | None:
     """Canonical comparison by currying mu;F(ev), with mu from F's products
     certificate in certs, through the chosen exponential of the images;
-    None when some comparison fails to invert.  An invalid target
-    exponential raises.  The target exponentials must be exponentials, as
-    every found or checked table is: the identity is then taken unsearched
+    None when some comparison fails to invert.  A source entry whose key
+    parts, object or evaluation are out of range raises, as in
+    :func:`limits.preserves`, and so does an invalid target exponential.
+    The target exponentials must be exponentials, as every found or
+    checked table is: the identity is then taken unsearched
     where the image is the chosen one, since the only endomorphism of an
     exponential that commutes with its evaluation is the identity, and
     otherwise mu;F(ev) curries through the chosen one exactly once."""
     D = F.target
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
     muF = certs["products"]
+    keys, ws, n = list(expsC), list(expsC.values()), len(F.obj_map)
+    # key parts, objects and evaluations column by column, as limits.preserves reads them
+    columns = [*zip(*keys), *zip(*[(w.obj, w.ev) for w in ws])]
+    n_ok = _first_out_of_range(columns, (n, n, n, len(F.mor_map)), len(keys))
     comparison: dict[tuple[int, int], Iso] = {}
-    for (x, y), w in expsC.items():
+    for (x, y), w in zip(keys[:n_ok], ws):
         target = expsD[(F.obj_map[x], F.obj_map[y])]
         obj, g = F.obj_map[w.obj], D.compose(muF.mu[(w.obj, x)].fwd, F.mor_map[w.ev])
         if obj == target.obj and g == target.ev:
@@ -273,27 +282,18 @@ def preserves_exponentials(
             if iso is None:
                 return None
         comparison[(x, y)] = iso
+    if n_ok < len(keys):
+        raise InvalidCert(f"source exponential entry {keys[n_ok]} is out of range")
     return ExpPreservationCert(F, expsC, expsD, comparison)
 
 
 def lift_preservation_exponentials(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    src: dict,
-    dst: dict,
-    Fcerts: dict,
-    carried: dict,
-    Hcerts: dict,
+    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, src: dict, dst: dict,
+    Fcerts: dict, carried: dict, Hcerts: dict,
 ) -> ExpPreservationCert:
     """Preservation of the transferred exponentials for the factored
     functor, decided directly through H's certificate for the products in
-    scope, which Hcerts holds already lifted.  carried holds the products
-    and exponentials already transferred to the completion; a refusal of
-    the exponentials is an engine bug, as in :func:`limits.lift`."""
-    _check_triangle(cert, F, H, alpha)
-    direct = preserves_exponentials(H, carried, dst, Hcerts)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct exponential check")
-    return direct
+    scope, which Hcerts holds already lifted; carried holds the products
+    and exponentials already transferred to the completion."""
+    return decide_lift("exponential", cert, F, H, alpha, preserves_exponentials,
+                       carried, dst, Hcerts)

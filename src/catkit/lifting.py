@@ -59,16 +59,16 @@ class StructureKind:
     payloads on a single category, so kinds can reach their dependencies.
     ``check`` decides a bag on its category by brute force; it is the one
     check of a bag supplied from outside, on either side of a completion.
-    ``transfer`` checks the source bag and carries it along a weak
-    equivalence into any target, skeletal or not, and returns the carried
-    entry; it is typed by construction, or for the classifier searched for
-    on the target.  ``carry`` is ``transfer`` without its check of the
-    source bag, for a bag that ``check`` already accepted.  Neither
-    certifies the equivalence: ``preserves`` does, and decides the carried
-    entry with it.
+    ``transfer`` is ``check`` on the source bag followed by the kind's
+    carry along a weak equivalence into any target, skeletal or not, and
+    returns the carried entry; it is typed by construction, or for the
+    classifier searched for on the target.  It does not certify the
+    equivalence: ``preserves`` does, and decides the carried entry with it.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and last the
-    factored functor's certificates for the kinds before it.
+    factored functor's certificates for the kinds before it; every kind's
+    lift is ``limits.decide_lift``, the triangle's check and then
+    ``preserves`` on the factored functor.
     """
 
     name: str
@@ -76,7 +76,6 @@ class StructureKind:
     check: Callable[[FinCat, dict], None]
     find: Callable[[FinCat, dict], object | None]
     transfer: Callable[[WeakEquivalenceCert, dict, dict], object]
-    carry: Callable[[WeakEquivalenceCert, dict, dict], object]
     preserves: Callable[[Functor, dict, dict, dict], object | None]
     lift: Callable[
         [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict, dict], object
@@ -95,17 +94,12 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     def table(bag):
         return bag[name] if shape.n_key else {(): bag[name]}
 
-    def carry(cert, src, dst):
-        out = limits.carry(shape, cert, table(src))
-        return out if shape.n_key else out[()]
-
     return StructureKind(
         name,
         (),
         lambda C, bag: check_table(shape, C, table(bag)),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst: call("transfer_", cert, src[name]),
-        carry,
         lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
         lambda cert, F, H, alpha, src, dst, Fcerts, carried, Hcerts: call(
             "lift_preservation_", cert, F, H, alpha, Fcerts[name], carried[name]
@@ -122,8 +116,8 @@ def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> Structur
         return lambda *args: getattr(module, prefix + suffix)(*args)
 
     return StructureKind(
-        name, deps, verb("check_"), verb("find_"), verb("transfer_"), verb("carry_"),
-        verb("preserves_"), verb("lift_preservation_"),
+        name, deps, verb("check_"), verb("find_"), verb("transfer_"), verb("preserves_"),
+        verb("lift_preservation_"),
     )
 
 
@@ -270,9 +264,9 @@ def complete_structured(
     With kinds=None, every findable kind is carried; kinds requested
     explicitly but absent raise.  A structure absent from the skeleton is
     absent from C, since the two are equivalent.  Provided witnesses are
-    checked on C once, by the kind's ``check``, and carried along eta
-    instead, so that the completed bag is always the transfer of the source
-    bag; a witness keyed by anything but a kind raises, and so does one for
+    transferred along eta instead, checked on C once by the kind's
+    ``check`` and then carried, so that the completed bag is always the
+    transfer of the source bag; a witness keyed by anything but a kind raises, and so does one for
     a kind not carried, unrequested or lacking a dependency.
 
     Eta's certificate for each kind, found or supplied, comes from one
@@ -300,8 +294,7 @@ def complete_structured(
         w = witnesses.get(name)
         if w is not None:
             src[name] = w
-            kind.check(C, src)
-            completed[name] = kind.carry(res.cert, src, completed)
+            completed[name] = kind.transfer(res.cert, src, completed)
             try:
                 kind.check(D, completed)
             except InvalidCert as e:

@@ -3,11 +3,12 @@
 Every structure is a small witness dataclass that can be re-validated from
 scratch by brute force.  ``is_*`` functions quantify over the whole category,
 ``find_*`` search deterministically (lowest apex first, then lowest morphism
-indices), ``transfer_*`` check a table on its source and push it along a
-weak equivalence, returning only the table pushed, ``preserves_*`` decide
-preservation and certify it with comparison isos, and
-``lift_preservation_*`` decide preservation for a factored functor
-directly, by ``preserves``; the transport of the given functor's
+indices), ``transfer_*`` are :func:`check_table` on the source, then
+:func:`carry` along a weak equivalence, returning only the table pushed,
+``preserves_*`` decide preservation and certify it with comparison isos,
+and ``lift_preservation_*`` decide it for a factored functor by
+:func:`decide_lift`, every kind's one lift body: the triangle's check,
+then the kind's ``preserves``.  The transport of the given functor's
 comparisons through the factorization is their oracle in the tests.
 :func:`preserves` is the one place that compares an image cone with a
 chosen entry, and the one that certifies an equivalence: a completion
@@ -22,9 +23,9 @@ preserve, transfer, reflect, lift and check are written once over it; the
 per-kind public names bind a shape.  The terminal names keep taking and
 returning a single :class:`ChosenTerminal`, wrapped as the table
 ``{(): w}``.  The ``is_*`` checks are the public checks of a witness, which
-:func:`check_table`, :func:`transfer` and :func:`reflect` use: range,
-typing and the shape's equations, then one universal-property loop per
-shape, ``LimitShape.universal``.  The loop reads hom(z, apex) once per
+:func:`check_table` and :func:`reflect` use: range, typing and the
+shape's equations, then one universal-property loop per shape,
+``LimitShape.universal``.  The loop reads hom(z, apex) once per
 test object z into an image table, mapping the legs of each arrow to
 whether no other arrow has the same legs, and a cone from z factors exactly
 once when the table maps it to True.  :func:`find_limit`, the hot path of
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter, getitem
 from typing import Callable
 
@@ -414,12 +415,24 @@ def _wrong_at(shape: LimitShape, key: Key) -> InvalidCert:
 
 
 def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
-    """Every key of C carries a valid witness keyed by it."""
+    """Every key of C carries a valid witness keyed by it, and the table
+    has no other entry."""
     k = shape.n_key   # witnesses read inline, as in mediator
-    for key in shape.keys(C):
+    keys = shape.keys(C)
+    for key in keys:
         w = table.get(key)
         if w is None or shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
             raise _wrong_at(shape, key)
+    refuse_other_keys(shape.name, shape.diagram, table, keys)
+
+
+def refuse_other_keys(name: str, what: str, table: dict, keys: list) -> None:
+    """Refuse the first entry of table at a key outside keys, all of which
+    it holds."""
+    if len(table) != len(keys):
+        known = set(keys)
+        key = next(key for key in table if key not in known)
+        raise InvalidCert(f"{name} table has an entry at {key}, not a {what} of the category")
 
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
@@ -570,12 +583,8 @@ def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Tabl
 
 
 def transfer(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
-    """:func:`carry` after checking every entry of the source table on the
-    source."""
-    C, k = cert.functor.source, shape.n_key
-    for key, w in table.items():
-        if shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
-            raise InvalidCert(f"source {shape.name} table entry {key} is invalid")
+    """:func:`check_table` on the source, then :func:`carry`."""
+    check_table(shape, cert.functor.source, table)
     return carry(shape, cert, table)
 
 
@@ -638,7 +647,11 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
 
 def reflect(shape: LimitShape, F: Functor, w):
     """A fully faithful functor whose image cone is limiting forces the source
-    cone to be limiting; a failure here is an internal error, not bad input."""
+    cone to be limiting; a witness with a field outside the source is bad
+    input, refused before it is imaged, and a failure after a limiting image
+    is an internal error."""
+    if not shape.in_range(F.source, shape.unpack(w)):
+        raise InvalidCert(f"source {shape.name} witness {w} is out of range")
     if is_fully_faithful(F) is None:
         raise PreconditionViolation("reflection requires a fully faithful functor")
     if not shape.is_limit(F.target, shape.image(F, w)):
@@ -648,34 +661,33 @@ def reflect(shape: LimitShape, F: Functor, w):
     return w
 
 
-def lift(
-    shape: LimitShape,
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    Fcert: LimitPreservationCert,
-    transferred: Table,
-) -> LimitPreservationCert:
+def decide_lift(name: str, cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso,
+                decide: Callable, *args):
     """Preservation for H, the factorization of F through the equivalence
-    by alpha, decided directly: transferred is the table carried to the
-    completion (the transfer of Fcert.source along cert) and the target is
-    F's.  The equivalence then H is isomorphic to F, which preserves the
-    table, so a refusal here is an engine bug."""
-    _check_triangle(cert, F, H, alpha)
-    direct = preserves(shape, H, transferred, Fcert.target)
-    if direct is None:
-        raise OracleDisagreement(f"lifted functor failed the direct {shape.name} check")
-    return direct
-
-
-def _check_triangle(
-    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso
-) -> None:
+    by alpha, decided directly by ``decide(H, *args)``: a kind's
+    ``preserves`` of the structure carried to the completion into F's
+    target.  The equivalence then H is isomorphic to F, which preserves the
+    structure, so a refusal here is an engine bug; this is every kind's
+    lift."""
     if not functors_equal(alpha.source, compose_functors(cert.functor, H)):
         raise PreconditionViolation("alpha must start at the composite through the equivalence")
     if not functors_equal(alpha.target, F):
         raise PreconditionViolation("alpha must end at the outer functor")
+    direct = decide(H, *args)
+    if direct is None:
+        raise OracleDisagreement(f"lifted functor failed the direct {name} check")
+    return direct
+
+
+def lift(
+    shape: LimitShape, cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso,
+    Fcert: LimitPreservationCert, transferred: Table,
+) -> LimitPreservationCert:
+    """:func:`decide_lift` by :func:`preserves` of transferred, the table
+    carried to the completion (the transfer of Fcert.source along cert),
+    into F's target table."""
+    return decide_lift(shape.name, cert, F, H, alpha, partial(preserves, shape),
+                       transferred, Fcert.target)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ product with the candidate exists: for each parameter t', stage m, and data
 Pairs missing from a partial product table are skipped as vacuous, which is
 only ever exercised on product-incomplete fragments.  The registry verbs
 take witness bags holding the chosen terminal and products; ``is_pnno`` and
-``reflect_pnno`` take them separately.  :func:`preserves_pnno` is the one
-place that compares an image triple with a chosen one.
+``reflect_pnno`` take them separately.  :func:`transfer_pnno` is
+:func:`check_pnno` on the source followed by :func:`carry_pnno`, the lift
+is :func:`limits.decide_lift` by ``preserves``, and :func:`preserves_pnno`
+is the one place that compares an image triple with a chosen one.
 """
 from __future__ import annotations
 
@@ -32,10 +34,10 @@ from .limits import (
     TERMINAL,
     BinProductW,
     ChosenTerminal,
+    decide_lift,
     mediating,
     preserves,
     to_terminal,
-    _check_triangle,
 )
 
 
@@ -148,6 +150,11 @@ def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
     return None
 
 
+def _refuse_out_of_range(C: FinCat, term: ChosenTerminal, w: PNNOW) -> None:
+    if not (0 <= term.t < C.n_objects and 0 <= w.N < C.n_objects and C.has_morphisms(w.z, w.s)):
+        raise InvalidCert(f"source parameterized-N witness {w} on {term} is out of range")
+
+
 def _image_triple(
     F: Functor, termC: ChosenTerminal, termD: ChosenTerminal, w: PNNOW
 ) -> PNNOW:
@@ -158,10 +165,8 @@ def _image_triple(
 
 
 def transfer_pnno(cert: WeakEquivalenceCert, src: dict, dst: dict) -> PNNOW:
-    """:func:`carry_pnno` after checking the witness of src on the source."""
-    w = src["pnno"]
-    if is_pnno(cert.functor.source, src["terminal"], src["products"], w.N, w.z, w.s) is None:
-        raise InvalidCert("source parameterized-N witness is invalid")
+    """:func:`check_pnno` on the source, then :func:`carry_pnno`."""
+    check_pnno(cert.functor.source, src)
     return carry_pnno(cert, src, dst)
 
 
@@ -182,9 +187,11 @@ def reflect_pnno(
     z: int,
     s: int,
 ) -> PNNOW:
-    """From a validated image triple back to the source; failure after a
-    valid image is an engine bug, not bad input."""
+    """From a validated image triple back to the source; a triple out of
+    range on the source is bad input, and a failure after a valid image an
+    engine bug."""
     G = cert.functor
+    _refuse_out_of_range(G.source, termC, PNNOW(N, z, s))
     wD = _image_triple(G, termC, termD, PNNOW(N, z, s))
     if is_pnno(G.target, termD, prodsD, wD.N, wD.z, wD.s) is None:
         raise PreconditionViolation("image triple is not a parameterized N downstream")
@@ -201,12 +208,13 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
     of dst, is the witness of dst, since the recursor of a parameterized
     N's own zero and successor is the product projection.  The terminal and
     parameterized N of dst are taken as checked, as they are in every bag
-    the registry passes."""
+    the registry passes; a source triple out of range raises."""
     D = F.target
     termC, wC = src["terminal"], src["pnno"]
     termD, prodsD, wD = dst["terminal"], dst["products"], dst["pnno"]
     if preserves(TERMINAL, F, {(): termC}, {(): termD}) is None:
         return None
+    _refuse_out_of_range(F.source, termC, wC)
     if (termD.t, wD.N) not in prodsD:
         raise PreconditionViolation("product table lacks the pair needed for the comparison")
     image = _image_triple(F, termC, termD, wC)
@@ -230,22 +238,10 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
 
 
 def lift_preservation_pnno(
-    cert: WeakEquivalenceCert,
-    F: Functor,
-    H: Functor,
-    alpha: NatIso,
-    src: dict,
-    dst: dict,
-    Fcerts: dict,
-    carried: dict,
-    Hcerts: dict,
+    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, src: dict, dst: dict,
+    Fcerts: dict, carried: dict, Hcerts: dict,
 ) -> PNNOPreservationCert:
     """The comparison for the factored functor, decided directly; carried
     holds the terminal, products and parameterized N already transferred
-    to the completion, and Hcerts H's certificates already lifted.  A
-    refusal is an engine bug, as in :func:`limits.lift`."""
-    _check_triangle(cert, F, H, alpha)
-    direct = preserves_pnno(H, carried, dst, Hcerts)
-    if direct is None:
-        raise OracleDisagreement("lifted functor failed the direct check")
-    return direct
+    to the completion, and Hcerts H's certificates already lifted."""
+    return decide_lift("parameterized-N", cert, F, H, alpha, preserves_pnno, carried, dst, Hcerts)

@@ -10,6 +10,7 @@ import pytest
 import catkit
 from catkit import cli
 from catkit.cli import main
+from catkit.completion import inflate
 from catkit.core import identity_functor
 from catkit.classifier import topos_gaps
 from catkit.generators import (
@@ -27,6 +28,7 @@ from catkit.interchange import (
     structure_to_json,
     validate_category,
 )
+from catkit.lifting import KIND_ORDER, find_bag
 from catkit.limits import PRODUCTS, find_equalizers, find_pullbacks, partial_table
 from law_oracles import generator_middle_triples
 
@@ -433,6 +435,30 @@ def test_factor_absent_target_structure_exits_2(setoid_path, tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_factor_refuses_a_target_entry_at_a_key_the_category_does_not_have(tmp_path, capsys):
+    """An equalizer entry on a pair that is not parallel names no key of the
+    target: the target's check refuses it rather than ignore it."""
+    base = heyting_category(heyting_chain(3))
+    source, proj = inflate(base, [1, 2, 1])
+    target = {**category_to_json(base), **structure_to_json(base, find_bag(base, KIND_ORDER))}
+    target["structure"]["equalizers"].append(
+        {"f": "le_h0_h1", "g": "le_h1_h2", "obj": "h0", "arrow": "le_h0_h0"}
+    )
+    docs = {"source": category_to_json(source), "functor": functor_to_json(proj),
+            "target": target}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    code = main(["factor", "--source", str(paths["source"]), "--functor", str(paths["functor"]),
+                 "--target", str(paths["target"]), "--structures",
+                 "terminal,products,equalizers,pullbacks,exponentials,pnno", "--json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "InvalidCert"
+    assert "equalizer table has an entry at (1, 4)" in err["message"]
 
 
 def test_demo_runs_each_example(capsys):

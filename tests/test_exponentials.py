@@ -1,9 +1,13 @@
 """Exponential objects relative to chosen products."""
+import dataclasses
+import re
+
 import pytest
 
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import functor, identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert, NotACone
+from catkit.lifting import KINDS, find_bag
 from catkit.exponentials import (
     ExponentialW,
     curry,
@@ -205,3 +209,23 @@ def test_preserves_exponentials_rejects_an_invalid_target():
     bad_prods = {**bag["products"], (1, 1): BinProductW(1, 1, 0, le01, le01)}
     with pytest.raises(InvalidCert):
         preserves_binary_products(F, bag["products"], bad_prods)
+
+
+def test_preserves_exponentials_refuses_a_source_entry_out_of_range():
+    """An evaluation of ev - m would be read from the end of F's map, one
+    of m not at all, and a key part of -1 as the last object."""
+    C = heyting_category(heyting_chain(3))
+    b = find_bag(C, ("terminal", "products", "exponentials", "pnno"))
+    F = identity_functor(C)
+    certs = {}
+    for k in ("terminal", "products"):
+        certs[k] = KINDS[k].preserves(F, b, b, certs)
+    exps, m = b["exponentials"], C.n_morphisms
+    w = exps[(1, 2)]
+    cases = [((1, 2), dataclasses.replace(w, ev=w.ev - m)), ((1, 2), dataclasses.replace(w, ev=m)),
+             ((1, 2), dataclasses.replace(w, obj=-1)), ((-1, 1), exps[(2, 1)])]
+    for key, bad in cases:
+        src = {**b, "exponentials": {**exps, key: bad}}
+        with pytest.raises(InvalidCert, match=re.escape(f"source exponential entry {key} is out")):
+            preserves_exponentials(F, src, b, certs)
+    assert preserves_exponentials(F, b, b, certs) is not None

@@ -1,6 +1,7 @@
 """The structure registry: completion and factorization with carried kinds."""
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,9 @@ import pytest
 from catkit import limits
 from catkit.classifier import SubobjectClassifierW
 from catkit.completion import inflate, inflate_section
-from catkit.core import is_weak_equivalence, same_tables
+from catkit.core import Functor, compose_functors, functors_equal, is_weak_equivalence, same_tables
 from catkit.errors import DependencyMissing, InvalidCert, PreconditionViolation
-from catkit.exponentials import find_exponential
+from catkit.exponentials import ExponentialW, find_exponential
 from catkit.generators import (
     chain_poset,
     delooping,
@@ -29,6 +30,7 @@ from catkit.lifting import (
     KINDS,
     complete_structured,
     factor_structured,
+    find_bag,
     with_dependencies,
 )
 from catkit.limits import (
@@ -36,6 +38,8 @@ from catkit.limits import (
     PRODUCTS,
     PULLBACKS,
     BinProductW,
+    EqualizerW,
+    PullbackW,
     comparison,
     find_binary_products,
     find_limit,
@@ -374,3 +378,59 @@ def test_with_dependencies_adds_what_each_kind_needs(kinds, closed):
 def test_with_dependencies_refuses_an_unknown_kind():
     with pytest.raises(PreconditionViolation, match="unknown structure kind 'monads'"):
         with_dependencies(["terminal", "monads"])
+
+
+def test_a_check_refuses_an_entry_at_a_key_the_category_does_not_have():
+    """An equalizer of a pair that is not parallel, a pullback of arrows
+    with different targets and an exponential off range(n)^2 name no key:
+    each kind's check refuses them rather than ignore them."""
+    C = heyting_category(heyting_chain(3))
+    bag = find_bag(C, ("terminal", "products", "equalizers", "pullbacks", "exponentials"))
+    n = C.n_objects
+    h01, h12, h02 = (C.mor_labels.index(f"le_h{a}_h{b}") for a, b in ((0, 1), (1, 2), (0, 2)))
+    cases = [
+        ("equalizers", (h01, h12), EqualizerW(h01, h12, 0, C.identity[0])),
+        ("pullbacks", (h01, h02), PullbackW(h01, h02, 0, C.identity[0], C.identity[0])),
+        ("exponentials", (n, 0), ExponentialW(n, 0, 0, 0)),
+        ("exponentials", (-1, 1), bag["exponentials"][(n - 1, 1)]),
+    ]
+    for kind, key, w in cases:
+        junk = {**bag, kind: {**bag[kind], key: w}}
+        with pytest.raises(InvalidCert, match=re.escape(f"table has an entry at {key}, not a")):
+            KINDS[kind].check(C, junk)
+        KINDS[kind].check(C, bag)
+
+
+@pytest.fixture(scope="module")
+def factored_pair():
+    """The projection of an inflated codiscrete pair, which carries all
+    seven kinds, factored through the completion; and a functor into the
+    pair that is neither the projection nor eta;H."""
+    pair = setoid_groupoid(2, {(0, 1)}, name="pair")
+    C, proj = inflate(pair, [2, 1])
+    sc = complete_structured(C)
+    with pytest.warns(UserWarning, match="not gaunt"):
+        sf = factor_structured(sc, proj)
+    swap = tuple(1 - x for x in proj.obj_map)
+    other = Functor(C, pair, swap, tuple(
+        pair.hom(swap[C.mor_src[f]], swap[C.mor_dst[f]])[0] for f in range(C.n_morphisms)
+    ))
+    H = sf.factorization.functor
+    assert not functors_equal(other, proj)
+    assert not functors_equal(other, compose_functors(sc.result.eta, H))
+    return sc, proj, sf, other
+
+
+@pytest.mark.parametrize("name", KIND_ORDER)
+def test_every_lift_checks_the_factorization_triangle(factored_pair, name):
+    """alpha must run from eta;H to F: an alpha from elsewhere, or to
+    elsewhere, is refused before any preservation is decided."""
+    sc, proj, sf, other = factored_pair
+    H, alpha = sf.factorization.functor, sf.factorization.alpha
+    args = (sc.source, sf.target, sf.functor_certs, sc.completed, sf.lifted_certs)
+    lift = KINDS[name].lift
+    with pytest.raises(PreconditionViolation, match="alpha must start at the composite"):
+        lift(sc.result.cert, proj, H, dataclasses.replace(alpha, source=other), *args)
+    with pytest.raises(PreconditionViolation, match="alpha must end at the outer functor"):
+        lift(sc.result.cert, proj, H, dataclasses.replace(alpha, target=other), *args)
+    assert lift(sc.result.cert, proj, H, alpha, *args) is not None

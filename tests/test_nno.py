@@ -1,19 +1,24 @@
 """Parameterized natural-number objects and their transport."""
+import dataclasses
+
 import pytest
 
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert
+from catkit.lifting import KINDS, find_bag
 from catkit.generators import (
     chain_poset,
     finset_fragment,
     heyting_category,
+    heyting_chain,
     heyting_diamond,
     random_category,
     setoid_groupoid,
 )
 from catkit.limits import (
     PRODUCTS,
+    ChosenTerminal,
     find_binary_products,
     find_terminal,
     partial_table,
@@ -117,7 +122,7 @@ def test_transfer_pnno_refuses_an_invalid_source_witness_as_an_invalid_certifica
     dst = {"terminal": termD, "products": prodsD}
     # the zero runs out of the terminal into the top, so nothing else is N
     bad = PNNOW(0, src["pnno"].z, src["pnno"].s)
-    with pytest.raises(InvalidCert, match="source parameterized-N witness is invalid"):
+    with pytest.raises(InvalidCert, match="parameterized-N witness fails its defining property"):
         transfer_pnno(cert, {**src, "pnno": bad}, dst)
 
 
@@ -135,6 +140,42 @@ def test_reflect_pnno_along_equivalence():
     wI = find_pnno(infl, {"terminal": termI, "products": prodsI})
     back = reflect_pnno(cert_proj, termI, prodsI, termS, prodsS, wI.N, wI.z, wI.s)
     assert is_pnno(infl, termI, prodsI, back.N, back.z, back.s) is not None
+
+
+def test_reflect_pnno_refuses_a_triple_out_of_range_before_imaging_it():
+    S = chain_poset(3)
+    infl, proj = inflate(S, [1, 2, 1])
+    cert = is_weak_equivalence(proj)
+    termI, prodsI = find_terminal(infl), find_binary_products(infl)
+    termS, prodsS = find_terminal(S), find_binary_products(S)
+    w = find_pnno(infl, {"terminal": termI, "products": prodsI})
+    n, m = infl.n_objects, infl.n_morphisms
+    for N, z, s in ((w.N - n, w.z, w.s), (w.N, w.z - m, w.s), (w.N, w.z, 999)):
+        with pytest.raises(InvalidCert, match="source parameterized-N witness .* is out of range"):
+            reflect_pnno(cert, termI, prodsI, termS, prodsS, N, z, s)
+    # so is a chosen terminal of the source that names no object
+    for t in (-1, 99):
+        with pytest.raises(InvalidCert, match="source parameterized-N witness .* is out of range"):
+            reflect_pnno(cert, ChosenTerminal(t), prodsI, termS, prodsS, w.N, w.z, w.s)
+    assert reflect_pnno(cert, termI, prodsI, termS, prodsS, w.N, w.z, w.s) == w
+
+
+def test_preserves_pnno_refuses_a_source_triple_out_of_range():
+    """Fields of -n or -m would be read from the end of F's maps, as the
+    triple they shift."""
+    C = heyting_category(heyting_chain(3))
+    b = find_bag(C, ("terminal", "products", "pnno"))
+    F = identity_functor(C)
+    certs = {}
+    for k in ("terminal", "products"):
+        certs[k] = KINDS[k].preserves(F, b, b, certs)
+    w = b["pnno"]
+    for bad in (dataclasses.replace(w, N=w.N - C.n_objects),
+                dataclasses.replace(w, z=w.z - C.n_morphisms),
+                dataclasses.replace(w, s=C.n_morphisms)):
+        with pytest.raises(InvalidCert, match="source parameterized-N witness .* is out of range"):
+            preserves_pnno(F, {**b, "pnno": bad}, b, certs)
+    assert preserves_pnno(F, b, b, certs) is not None
 
 
 def test_preserves_pnno_identity():

@@ -155,8 +155,8 @@ def test_preserves_pnno_decides_an_image_other_than_the_chosen_one_on_the_target
 
 def test_a_supplied_twin_pnno_is_checked_once_on_the_source(monkeypatch):
     """A supplied parameterized N on a twin of the chosen N is brute-forced
-    by check_pnno on the source, and only there: the carry's re-validation
-    decides the image by its comparison."""
+    by check_pnno on the source, in its transfer along eta, and only there:
+    eta's preserves_pnno then decides the carried image by its comparison."""
     C, _ = inflate(chain_poset(3), [1, 1, 3])
     sc = complete_structured(C)
     twin = _moved_along(C, sc.source["pnno"], _twins(C)[sc.source["pnno"].N][0])

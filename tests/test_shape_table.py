@@ -2,6 +2,7 @@
 choices, the terminal object as the limit of the empty diagram, the
 benchmark's span targets, and each kind's lifted preservation against its
 transport through alpha."""
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -35,6 +36,7 @@ from catkit.limits import (
     ChosenTerminal,
     cospan_pairs,
     find_equalizers,
+    find_limit,
     find_pullbacks,
     find_terminal,
     lift_preservation_terminal,
@@ -275,6 +277,18 @@ def test_terminal_verbs_reject_bad_input_as_before():
         mp.setattr(limits, "is_fully_faithful", lambda F: True)
         with pytest.raises(ReflectionFails):
             reflect(TERMINAL, crush, ChosenTerminal(0))
+
+
+def test_reflect_refuses_a_witness_out_of_range_before_imaging_it():
+    """A field of -1 would be imaged as the last object or morphism, and one
+    past the end would not be imaged at all: both are bad input."""
+    C, proj = inflate(chain_poset(3), [1, 2, 1])
+    w = find_limit(PRODUCTS, C, (0, 0))
+    for bad, shape in ((dataclasses.replace(w, pi1=w.pi1 - C.n_morphisms), PRODUCTS),
+                       (ChosenTerminal(-1), TERMINAL), (ChosenTerminal(99), TERMINAL)):
+        with pytest.raises(InvalidCert, match=f"source {shape.name} witness .* is out of range"):
+            reflect(shape, proj, bad)
+    assert reflect(PRODUCTS, proj, w) == w
 
 
 def _split_idempotent():
