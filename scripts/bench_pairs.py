@@ -12,6 +12,9 @@ for neither side; and, against the metric's bound, the relative change of
 the tree's median and one verdict: ``worse beyond bound``; ``unresolved``
 when the base's interquartile range, as a share of its median, exceeds the
 bound and not every tree run beats every base run; or ``within bound``.
+Last it runs one traced pass of ``TRACE_SECONDS`` on each side
+(``--trace 1``) and prints each side's ``search.candidate_checks``, which
+does not depend on the machine, so that a rise shows in the same command.
 The directory is removed afterwards.
 """
 from __future__ import annotations
@@ -25,12 +28,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACE_SECONDS = 3.0
 
 
-def run(checkout: Path, args) -> dict[str, float]:
-    """One benchmark run in checkout: its end-to-end metrics by name."""
+def run(checkout: Path, args, seconds: float, trace: int = 0) -> dict[str, float]:
+    """One benchmark run in checkout: its metrics by name."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
-           str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           str(args.seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"]:
@@ -79,10 +83,12 @@ def main() -> None:
         for i in range(args.pairs):
             sides = [("base", Path(base)), ("tree", ROOT)]
             for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                runs[side].append(run(checkout, args))
+                runs[side].append(run(checkout, args, args.seconds))
             base_ops, tree_ops = (runs[s][-1]["throughput_ops_s"] for s in ("base", "tree"))
             print(f"pair {i + 1}: throughput_ops_s base {base_ops:.4g} tree {tree_ops:.4g}",
                   flush=True)
+        checks = {side: run(checkout, args, TRACE_SECONDS, trace=1)["search.candidate_checks"]
+                  for side, checkout in (("base", Path(base)), ("tree", ROOT))}
     columns = {m["name"]: ([r[m["name"]] for r in runs["base"]],
                            [r[m["name"]] for r in runs["tree"]]) for m in metrics}
     print(f"{'metric':18} {'base median [q1, q3]':>30} {'tree median [q1, q3]':>30}  tree won")
@@ -95,6 +101,8 @@ def main() -> None:
     for m in metrics:
         change, said = verdict(*columns[m["name"]], m["better"] == "higher", m["bound"])
         print(f"{m['name']:18} {change:+8.1%} {m['bound']:7.0%}  {said}")
+    print(f"search.candidate_checks (one traced pass): base {checks['base']:.0f} "
+          f"tree {checks['tree']:.0f}  {'rise' if checks['tree'] > checks['base'] else 'no rise'}")
 
 
 if __name__ == "__main__":

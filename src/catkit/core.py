@@ -446,7 +446,15 @@ def table_isomorphic(a: FinCat, b: FinCat) -> tuple[tuple[int, ...], tuple[int, 
 
         def assign(f: int) -> bool:
             if f == a.n_morphisms:
-                return True
+                # the full check: a composite assigned after both its
+                # factors was never compared, so a failure backtracks
+                return all(
+                    mor_map[a.identity[x]] == b.identity[obj_map[x]]
+                    for x in range(a.n_objects)
+                ) and all(
+                    c is None or b.comp_table[mor_map[h]][mor_map[k]] == mor_map[c]
+                    for h, row in enumerate(a.comp_table) for k, c in enumerate(row)
+                )
             cands = b.hom(obj_map[a.mor_src[f]], obj_map[a.mor_dst[f]])
             for img in cands:
                 if img in used:
@@ -480,22 +488,7 @@ def table_isomorphic(a: FinCat, b: FinCat) -> tuple[tuple[int, ...], tuple[int, 
             return False
 
         if assign(0):
-            mm = tuple(x for x in mor_map if x is not None)
-            # full re-check: identities and all composites
-            good = all(
-                mm[a.identity[x]] == b.identity[obj_map[x]] for x in range(a.n_objects)
-            )
-            if good:
-                for f in range(a.n_morphisms):
-                    for g in range(a.n_morphisms):
-                        c = a.comp_table[f][g]
-                        if c is not None and b.comp_table[mm[f]][mm[g]] != mm[c]:
-                            good = False
-                            break
-                    if not good:
-                        break
-            if good:
-                return obj_map, mm
+            return obj_map, tuple(mor_map)
     return None
 
 

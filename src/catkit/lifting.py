@@ -20,7 +20,11 @@ eta per kind certifies eta and decides every carried entry on the
 skeleton, since an equivalence preserves and reflects the structure.  The
 classifier is searched for once on each side.  A completion records what it
 validated, so factoring through it checks again only the entries that have
-changed since, each by the kind's own ``check`` on both sides.  Lifting
+changed since, each by the kind's own ``check`` on both sides.  Factoring
+into a target with the completion's tables takes the completion's found
+entries instead of searching again, and, for a functor with eta's maps,
+eta's certificates instead of deciding again.  Pullbacks are absent without
+a search where a terminal object is found and products are not.  Lifting
 preservation through a factorization reuses the carried witnesses instead
 of transferring them again, and decides the factored functor's
 preservation directly, with the certificates already lifted for the kinds
@@ -28,7 +32,7 @@ it depends on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .completion import (
@@ -144,13 +148,23 @@ KINDS: dict[str, StructureKind] = {
 KIND_ORDER = tuple(KINDS)
 
 
+def _refuted(name: str, bag: dict, searched) -> bool:
+    """Whether name is absent from bag's category without a search: over a
+    terminal object a pullback of (!x, !y) is a product of x and y, so a
+    category with a terminal object and no products has no pullbacks."""
+    return name == "pullbacks" and "terminal" in bag and "products" in searched \
+        and "products" not in bag
+
+
 def find_bag(C: FinCat, kinds) -> dict[str, object]:
     """Search C for each of kinds in dependency order; a kind whose
     dependencies were not found is skipped, as is one the search does not
-    find.  Returns the bag of what was found."""
+    find or that :func:`_refuted` rules out.  Returns the bag of what was
+    found."""
     bag: dict[str, object] = {}
     for name in KIND_ORDER:
-        if name not in kinds or any(dep not in bag for dep in KINDS[name].deps):
+        if name not in kinds or any(dep not in bag for dep in KINDS[name].deps) \
+                or _refuted(name, bag, kinds):
             continue
         w = KINDS[name].find(C, bag)
         if w is not None:
@@ -209,18 +223,25 @@ def _snapshot(entry):
 @dataclass(frozen=True, eq=False)
 class ValidatedBags:
     """The result a completion was built with and a snapshot of each
-    carried kind's source and completed entries, all of them validated."""
+    carried kind's source and completed entries, all of them validated;
+    the kinds whose completed entry was found on the skeleton rather than
+    carried from a supplied witness; and eta's certificate objects."""
 
     result: CompletionResult
     source: dict[str, object]
     completed: dict[str, object]
+    found: frozenset[str]
+    eta_certs: dict[str, object]
 
     @classmethod
-    def of(cls, result: CompletionResult, src: dict, dst: dict) -> ValidatedBags:
+    def of(cls, result: CompletionResult, src: dict, dst: dict, found, certs: dict
+           ) -> ValidatedBags:
         return cls(
             result,
             {k: _snapshot(w) for k, w in src.items()},
             {k: _snapshot(w) for k, w in dst.items()},
+            frozenset(found),
+            dict(certs),
         )
 
     def covers(self, sc: StructuredCompletion, name: str) -> bool:
@@ -239,10 +260,11 @@ class StructuredCompletion:
     """A completion together with structure carried across it: witness bags
     on both sides and one preservation certificate per kind for eta.
 
-    validated records what :func:`complete_structured` checked, both bags
-    on both sides; it is None for a completion built by hand, whose bags
-    :func:`factor_structured` checks in full.  ``dataclasses.replace``
-    keeps it, and a replaced result or changed entry no longer matches it.
+    validated records what :func:`complete_structured` checked and decided;
+    it is None for a completion built by hand, whose bags
+    :func:`factor_structured` checks in full and never reuses.
+    ``dataclasses.replace`` keeps it, and a replaced result, changed entry
+    or replaced certificate no longer matches it.
     """
 
     result: CompletionResult
@@ -277,7 +299,9 @@ def complete_structured(
     Every bag returned has been validated on both sides: a found entry by
     the transfer's check on the skeleton and eta's ``preserves`` on C (the
     classifier by its search on C), a supplied one by ``check`` on C and on
-    the skeleton.  The result records this as ``validated``.
+    the skeleton.  The result records this, the kinds found and eta's
+    certificates as ``validated``.  With kinds=None, pullbacks that
+    :func:`_refuted` rules out are not searched for.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
@@ -287,7 +311,9 @@ def complete_structured(
     src: dict[str, object] = {}
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
-    for name in KIND_ORDER if kinds is None else _ordered(kinds):
+    found_kinds = []
+    requested = KIND_ORDER if kinds is None else _ordered(kinds)
+    for name in requested:
         kind = KINDS[name]
         if any(dep not in src for dep in kind.deps):
             continue
@@ -300,12 +326,13 @@ def complete_structured(
             except InvalidCert as e:
                 raise OracleDisagreement(f"carried '{name}' fails on the skeleton: {e}") from None
         else:
-            found = kind.find(D, completed)
+            found = None if _refuted(name, completed, requested) else kind.find(D, completed)
             if found is None:
                 if kinds is None:
                     continue
                 raise PreconditionViolation(f"requested structure '{name}' is absent from {C.name}")
             completed[name] = found
+            found_kinds.append(name)
             src[name] = kind.transfer(incl, completed, src)
         cert = kind.preserves(res.eta, src, completed, eta_certs)
         if cert is None:
@@ -313,8 +340,20 @@ def complete_structured(
         eta_certs[name] = cert
     _check_carried(witnesses, src)
     return StructuredCompletion(
-        res, tuple(src), src, completed, eta_certs, ValidatedBags.of(res, src, completed)
+        res, tuple(src), src, completed, eta_certs,
+        ValidatedBags.of(res, src, completed, found_kinds, eta_certs),
     )
+
+
+def _as_cert_of(cert, F: Functor, entry):
+    """Eta's certificate cert as F's into entry, a target entry equal to
+    eta's: every dict copied, so that none is shared with the completion,
+    and a target table entry itself, as ``preserves`` would return it."""
+    copies = {f.name: dict(getattr(cert, f.name)) for f in fields(cert)
+              if isinstance(getattr(cert, f.name), dict)}
+    if isinstance(entry, dict) and "target" in copies:
+        copies["target"] = entry
+    return replace(cert, functor=F, **copies)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +381,13 @@ def factor_structured(
     dependencies, are still the ones sc's ``validated`` records, on the
     same result, is not checked again; every other kind is checked once
     here by its ``check``: the completed bag on the skeleton, then the
-    source bag on the source.  The lifts then reuse the bag carried to the
+    source bag on the source.  Into a target with the completion's tables,
+    a kind so covered, but for the classifier, which compares by identity,
+    takes a copy of the completed entry if the completion found it, instead
+    of a search; and, for an F with eta's maps, where the target's entries
+    of the kind and its dependencies equal the completed ones, eta's
+    recorded certificate by :func:`_as_cert_of`, since ``preserves`` would
+    take eta's inputs.  The lifts then reuse the bag carried to the
     completion instead of transferring again, each with the lifted
     certificates of the kinds before it.  As in
     :func:`complete_structured`, a target witness keyed by anything but a
@@ -366,12 +411,16 @@ def factor_structured(
         for name in kinds:
             if name not in bag:
                 raise PreconditionViolation(f"the {side} bag lacks structure '{name}'")
-    unchecked = [k for k in kinds if sc.validated is None or not sc.validated.covers(sc, k)]
+    v = sc.validated
+    covered = {k for k in kinds if v is not None and v.covers(sc, k)}
+    unchecked = [k for k in kinds if k not in covered]
     for name in unchecked:
         KINDS[name].check(sc.result.completed, sc.completed)
     for name in unchecked:
         KINDS[name].check(sc.result.source, sc.source)
     E = F.target
+    own = covered - {"classifier"} if same_tables(E, sc.result.completed) else set()
+    unit = F.obj_map == sc.result.eta.obj_map and F.mor_map == sc.result.eta.mor_map
     dst: dict[str, object] = {}
     for name in kinds:
         kind = KINDS[name]
@@ -379,6 +428,8 @@ def factor_structured(
         if w is not None:
             dst[name] = w
             kind.check(E, dst)
+        elif name in own and name in v.found:
+            dst[name] = _snapshot(sc.completed[name])
         else:
             found = kind.find(E, dst)
             if found is None:
@@ -388,7 +439,13 @@ def factor_structured(
             dst[name] = found
     Fcerts: dict[str, object] = {}
     for name in kinds:
-        cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
+        eta_cert = sc.eta_certs.get(name)
+        if unit and name in own and eta_cert is v.eta_certs[name] and all(
+            dst[k] == sc.completed[k] for k in (name, *KINDS[name].deps)
+        ):
+            cert = _as_cert_of(eta_cert, F, dst[name])
+        else:
+            cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
         if cert is None:
             raise PreconditionViolation(
                 f"functor does not preserve structure '{name}'"

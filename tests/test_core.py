@@ -1,4 +1,5 @@
 """Table-level category validation, isos, functors, weak equivalences."""
+import random
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -388,6 +389,42 @@ def test_table_isomorphic_detects_relabeling():
     )
     assert table_isomorphic(C, relabeled)
     assert not table_isomorphic(C, terminal_cat())
+
+
+def _relabeled(C, rng):
+    """C with its objects and morphisms renumbered by random permutations,
+    and the permutations."""
+    objs, mors = list(range(C.n_objects)), list(range(C.n_morphisms))
+    rng.shuffle(objs)
+    rng.shuffle(mors)
+    back = sorted(range(C.n_morphisms), key=mors.__getitem__)
+    identity = [0] * C.n_objects
+    for x in range(C.n_objects):
+        identity[objs[x]] = mors[C.identity[x]]
+    P = fincat(
+        f"{C.name}-relabeled",
+        [str(x) for x in range(C.n_objects)],
+        [str(f) for f in range(C.n_morphisms)],
+        [objs[C.mor_src[f]] for f in back],
+        [objs[C.mor_dst[f]] for f in back],
+        identity,
+        {(mors[f], mors[g]): mors[c] for f, row in enumerate(C.comp_table)
+         for g, c in enumerate(row) if c is not None},
+    )
+    return P, objs, mors
+
+
+@pytest.mark.parametrize("seed", [38, 68])
+def test_table_isomorphic_backtracks_past_a_composite_assigned_last(seed):
+    # composites whose image is assigned after both factors are compared
+    # only by the full check, which used to end the object permutation
+    C = random_category(seed)
+    P, objs, mors = _relabeled(C, random.Random(seed))
+    functor(C, P, objs, mors)   # the relabelling is an isomorphism
+    found = table_isomorphic(C, P)
+    assert found is not None
+    functor(C, P, *found)
+    assert sorted(found[0]) == sorted(objs) and sorted(found[1]) == sorted(mors)
 
 
 def test_same_tables_is_strict():
