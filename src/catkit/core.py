@@ -432,59 +432,36 @@ def table_isomorphic(a: FinCat, b: FinCat) -> tuple[tuple[int, ...], tuple[int, 
     hom_sizes_b: dict[tuple[int, int], int] = {
         k: len(v) for k, v in b.hom_map.items()
     }
+    # each composite h;k = c is compared once the last of h, k and c is
+    # assigned, so every branch is pruned as soon as it fails
+    last: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n_morphisms)]
+    for h, row in enumerate(a.comp_table):
+        for k, c in enumerate(row):
+            if c is not None:
+                last[max(h, k, c)].append((h, k, c))
     for obj_map in itertools.permutations(range(b.n_objects)):
         budget_tick()
-        ok = True
-        for (x, y), fs in a.hom_map.items():
-            if hom_sizes_b.get((obj_map[x], obj_map[y]), 0) != len(fs):
-                ok = False
-                break
-        if not ok:
+        if any(hom_sizes_b.get((obj_map[x], obj_map[y]), 0) != len(fs)
+               for (x, y), fs in a.hom_map.items()):
             continue
         mor_map: list[int | None] = [None] * a.n_morphisms
         used: set[int] = set()
 
         def assign(f: int) -> bool:
             if f == a.n_morphisms:
-                # the full check: a composite assigned after both its
-                # factors was never compared, so a failure backtracks
-                return all(
-                    mor_map[a.identity[x]] == b.identity[obj_map[x]]
-                    for x in range(a.n_objects)
-                ) and all(
-                    c is None or b.comp_table[mor_map[h]][mor_map[k]] == mor_map[c]
-                    for h, row in enumerate(a.comp_table) for k, c in enumerate(row)
-                )
-            cands = b.hom(obj_map[a.mor_src[f]], obj_map[a.mor_dst[f]])
-            for img in cands:
-                if img in used:
-                    continue
-                if a.is_identity(f) != b.is_identity(img):
+                return True
+            for img in b.hom(obj_map[a.mor_src[f]], obj_map[a.mor_dst[f]]):
+                # an identity goes to the one identity of its image's hom-set
+                if img in used or a.is_identity(f) != b.is_identity(img):
                     continue
                 mor_map[f] = img
-                used.add(img)
-                consistent = True
-                for g in range(f + 1):
-                    if a.mor_dst[g] == a.mor_src[f] and mor_map[g] is not None:
-                        gi = mor_map[g]
-                        comp_a = a.comp_table[g][f]
-                        if comp_a is not None and mor_map[comp_a] is not None:
-                            if b.comp_table[gi][img] != mor_map[comp_a]:
-                                consistent = False
-                    if not consistent:
-                        break
-                    if a.mor_dst[f] == a.mor_src[g] and mor_map[g] is not None:
-                        gi = mor_map[g]
-                        comp_a = a.comp_table[f][g]
-                        if comp_a is not None and mor_map[comp_a] is not None:
-                            if b.comp_table[img][gi] != mor_map[comp_a]:
-                                consistent = False
-                    if not consistent:
-                        break
-                if consistent and assign(f + 1):
-                    return True
-                used.discard(img)
-                mor_map[f] = None
+                if all(b.comp_table[mor_map[h]][mor_map[k]] == mor_map[c]
+                       for h, k, c in last[f]):
+                    used.add(img)
+                    if assign(f + 1):
+                        return True
+                    used.discard(img)
+            mor_map[f] = None
             return False
 
         if assign(0):

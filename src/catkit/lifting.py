@@ -225,13 +225,14 @@ class ValidatedBags:
     """The result a completion was built with and a snapshot of each
     carried kind's source and completed entries, all of them validated;
     the kinds whose completed entry was found on the skeleton rather than
-    carried from a supplied witness; and eta's certificate objects."""
+    carried from a supplied witness; and eta's certificate objects, each
+    with a copy of its dicts."""
 
     result: CompletionResult
     source: dict[str, object]
     completed: dict[str, object]
     found: frozenset[str]
-    eta_certs: dict[str, object]
+    eta_certs: dict[str, tuple[object, dict]]
 
     @classmethod
     def of(cls, result: CompletionResult, src: dict, dst: dict, found, certs: dict
@@ -241,7 +242,7 @@ class ValidatedBags:
             {k: _snapshot(w) for k, w in src.items()},
             {k: _snapshot(w) for k, w in dst.items()},
             frozenset(found),
-            dict(certs),
+            {k: (c, _dicts(c)) for k, c in certs.items()},
         )
 
     def covers(self, sc: StructuredCompletion, name: str) -> bool:
@@ -254,6 +255,13 @@ class ValidatedBags:
             for k in (name, *KINDS[name].deps)
         )
 
+    def certifies(self, sc: StructuredCompletion, name: str) -> bool:
+        """Whether sc still holds eta's certificate for name recorded here:
+        the same object, its dicts unchanged."""
+        cert, dicts = self.eta_certs[name]
+        return sc.eta_certs.get(name) is cert and all(
+            getattr(cert, k) == d for k, d in dicts.items())
+
 
 @dataclass(frozen=True, eq=False)
 class StructuredCompletion:
@@ -264,7 +272,7 @@ class StructuredCompletion:
     it is None for a completion built by hand, whose bags
     :func:`factor_structured` checks in full and never reuses.
     ``dataclasses.replace`` keeps it, and a replaced result, changed entry
-    or replaced certificate no longer matches it.
+    or replaced or changed certificate no longer matches it.
     """
 
     result: CompletionResult
@@ -345,12 +353,17 @@ def complete_structured(
     )
 
 
+def _dicts(cert) -> dict[str, dict]:
+    """A copy of each of cert's dict fields, by field name."""
+    return {f.name: dict(getattr(cert, f.name)) for f in fields(cert)
+            if isinstance(getattr(cert, f.name), dict)}
+
+
 def _as_cert_of(cert, F: Functor, entry):
     """Eta's certificate cert as F's into entry, a target entry equal to
     eta's: every dict copied, so that none is shared with the completion,
     and a target table entry itself, as ``preserves`` would return it."""
-    copies = {f.name: dict(getattr(cert, f.name)) for f in fields(cert)
-              if isinstance(getattr(cert, f.name), dict)}
+    copies = _dicts(cert)
     if isinstance(entry, dict) and "target" in copies:
         copies["target"] = entry
     return replace(cert, functor=F, **copies)
@@ -383,15 +396,17 @@ def factor_structured(
     here by its ``check``: the completed bag on the skeleton, then the
     source bag on the source.  Into a target with the completion's tables,
     a kind so covered, but for the classifier, which compares by identity,
-    takes a copy of the completed entry if the completion found it, instead
+    takes a copy of the completed entry if the completion found it and the
+    target's entries of its dependencies equal the completed ones, instead
     of a search; and, for an F with eta's maps, where the target's entries
     of the kind and its dependencies equal the completed ones, eta's
-    recorded certificate by :func:`_as_cert_of`, since ``preserves`` would
-    take eta's inputs.  The lifts then reuse the bag carried to the
-    completion instead of transferring again, each with the lifted
-    certificates of the kinds before it.  As in
-    :func:`complete_structured`, a target witness keyed by anything but a
-    kind raises, and so does one for a kind outside sc's kinds.
+    certificate, if ``validated`` still certifies it, by
+    :func:`_as_cert_of`, since ``preserves`` would take eta's inputs.  The
+    lifts then reuse the bag carried to the completion instead of
+    transferring again, each with the lifted certificates of the kinds
+    before it.  As in :func:`complete_structured`, a target witness keyed
+    by anything but a kind raises, and so does one for a kind outside sc's
+    kinds.
     """
     target_witnesses = dict(target_witnesses or {})
     _check_known(target_witnesses)
@@ -428,7 +443,9 @@ def factor_structured(
         if w is not None:
             dst[name] = w
             kind.check(E, dst)
-        elif name in own and name in v.found:
+        elif name in own and name in v.found and all(
+            dst[k] == sc.completed[k] for k in kind.deps
+        ):
             dst[name] = _snapshot(sc.completed[name])
         else:
             found = kind.find(E, dst)
@@ -439,11 +456,10 @@ def factor_structured(
             dst[name] = found
     Fcerts: dict[str, object] = {}
     for name in kinds:
-        eta_cert = sc.eta_certs.get(name)
-        if unit and name in own and eta_cert is v.eta_certs[name] and all(
+        if unit and name in own and v.certifies(sc, name) and all(
             dst[k] == sc.completed[k] for k in (name, *KINDS[name].deps)
         ):
-            cert = _as_cert_of(eta_cert, F, dst[name])
+            cert = _as_cert_of(sc.eta_certs[name], F, dst[name])
         else:
             cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
         if cert is None:

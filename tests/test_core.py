@@ -427,6 +427,36 @@ def test_table_isomorphic_backtracks_past_a_composite_assigned_last(seed):
     assert sorted(found[0]) == sorted(objs) and sorted(found[1]) == sorted(mors)
 
 
+def _two_step(name, composite):
+    """Objects 0, 1, 2 with four arrows 0 -> 1, four arrows 1 -> 2 and ten
+    arrows 0 -> 2 indexed last; the composite of the i-th and j-th of the
+    first two is the composite(i, j)-th of the ten."""
+    src = [0, 1, 2] + [0] * 4 + [1] * 4 + [0] * 10
+    dst = [0, 1, 2] + [1] * 4 + [2] * 4 + [2] * 10
+    comp = {(3 + i, 7 + j): 11 + composite(i, j) for i in range(4) for j in range(4)}
+    return fincat(name, "012", [str(f) for f in range(21)], src, dst, [0, 1, 2], comp)
+
+
+def test_table_isomorphic_prunes_a_composite_assigned_last(monkeypatch):
+    # equal hom sizes, but composition hits all ten composites in one and
+    # seven in the other; a search that compared composites indexed after
+    # both factors only at its leaves would visit up to 4! 4! 10! of them
+    A = _two_step("onto", lambda i, j: (4 * i + j) % 10)
+    B = _two_step("into", lambda i, j: i + j)
+    calls = Counter()
+    is_identity = core.FinCat.is_identity
+
+    def counted(self, f):
+        calls["n"] += 1
+        if calls["n"] > 10 ** 6:
+            raise AssertionError("table_isomorphic did not prune")
+        return is_identity(self, f)
+
+    monkeypatch.setattr(core.FinCat, "is_identity", counted)
+    assert table_isomorphic(A, B) is None and table_isomorphic(B, A) is None
+    assert table_isomorphic(A, A) is not None
+
+
 def test_same_tables_is_strict():
     assert same_tables(walking_iso(), walking_iso())
     assert not same_tables(walking_iso(), terminal_cat())

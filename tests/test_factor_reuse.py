@@ -14,7 +14,7 @@ import pytest
 
 from catkit import limits
 from catkit.completion import inflate, skeletize
-from catkit.core import Functor, compose_functors, functor, identity_functor
+from catkit.core import Functor, compose_functors, functor, identity_functor, iso_between
 from catkit.generators import (
     chain_poset,
     finset_fragment,
@@ -27,7 +27,9 @@ from catkit.generators import (
 )
 from catkit.interchange import structure_to_json
 from catkit.lifting import KIND_ORDER, KINDS, complete_structured, factor_structured, find_bag
-from catkit.limits import PULLBACKS
+from catkit.errors import CatkitError
+from catkit.exponentials import find_exponentials
+from catkit.limits import PULLBACKS, BinProductW, find_binary_products
 from completion_helpers import cert_comparisons, twisted_equalizers
 
 pytestmark = pytest.mark.filterwarnings("ignore:target")
@@ -219,6 +221,39 @@ def _a_replaced_eta_certificate():
     return sc, eta, {}, [], ["products"]
 
 
+def _an_eta_certificate_edited_in_place():
+    sc = complete_structured(INFLATIONS["chain4"])
+    mu = sc.eta_certs["products"].mu
+    mu.pop(next(iter(mu)))
+    return sc, sc.result.eta, {}, [], ["products"]
+
+
+def _twin_products(C, table) -> dict:
+    """table with the product under the first exponential of C moved to a
+    twin of its apex: still a products table, but not the one found."""
+    table = dict(table)
+    (x, _), w = next(iter(find_exponentials(C, {"products": table}).items()))
+    p = table[(w.obj, x)]
+    twin = next(b for b in range(C.n_objects)
+                if b != p.apex and iso_between(C, b, p.apex) is not None)
+    i = iso_between(C, twin, p.apex).fwd
+    table[(w.obj, x)] = BinProductW(p.x1, p.x2, twin, C.compose(i, p.pi1), C.compose(i, p.pi2))
+    return table
+
+
+def _twin_products_supplied_at_completion():
+    # a finite category with binary products is a preorder, as hom(t, y^n)
+    # has |hom(t, y)|^n arrows, so the carried table is the skeleton's only
+    # one: the exponentials found against it are copied, and still valid
+    C = INFLATIONS["diamond"]
+    twin = _twin_products(C, find_binary_products(C))
+    assert twin != find_binary_products(C)
+    sc = complete_structured(C, witnesses={"products": twin})
+    assert sc.completed["products"] == find_binary_products(sc.result.completed)
+    assert {"exponentials", "pnno"} <= set(sc.kinds)
+    return sc, sc.result.eta, {}, ["products"], []
+
+
 def _no_record():
     sc = dataclasses.replace(complete_structured(INFLATIONS["chain4"]), validated=None)
     return sc, sc.result.eta, {}, list(sc.kinds), list(sc.kinds)
@@ -226,7 +261,8 @@ def _no_record():
 
 @pytest.mark.parametrize("build", [
     _other_maps, _other_tables, _a_differing_target_witness, _an_equal_target_witness,
-    _supplied_witnesses, _an_edited_completed_entry, _a_replaced_eta_certificate, _no_record,
+    _supplied_witnesses, _an_edited_completed_entry, _a_replaced_eta_certificate,
+    _an_eta_certificate_edited_in_place, _twin_products_supplied_at_completion, _no_record,
 ])
 def test_only_what_the_completion_decided_is_reused(monkeypatch, build):
     """Each case gives a completion, a functor, target witnesses, and the
@@ -243,9 +279,32 @@ def test_only_what_the_completion_decided_is_reused(monkeypatch, build):
     # the same factorization as with every decision taken afresh
     want = factor_structured(dataclasses.replace(sc, validated=None), F, witnesses)
     E = F.target
+    for k in sc.kinds:
+        KINDS[k].check(E, got.target)
     assert structure_to_json(E, got.target) == structure_to_json(E, want.target)
     assert _comparisons(got.functor_certs) == _comparisons(want.functor_certs)
     assert _comparisons(got.lifted_certs) == _comparisons(want.lifted_certs)
+
+
+def test_a_found_entry_is_copied_only_against_the_completed_dependencies(monkeypatch):
+    """No valid products table on a skeleton differs from the completed one
+    (see :func:`_twin_products_supplied_at_completion`), so products' check
+    is stubbed out to supply one: exponentials, which depend on products,
+    are then searched for afresh against it, not copied."""
+    sc = complete_structured(INFLATIONS["diamond"])
+    D = sc.result.completed
+    table = dict(sc.completed["products"])
+    t = sc.completed["terminal"].t
+    bottom = next(x for x in range(D.n_objects) if all(D.hom(x, y) for y in range(D.n_objects)))
+    table[(t, t)] = BinProductW(t, t, bottom, D.hom(bottom, t)[0], D.hom(bottom, t)[0])
+    calls = _spy(monkeypatch)
+    monkeypatch.setitem(KINDS, "products", dataclasses.replace(
+        KINDS["products"], check=lambda C, bag: None))
+    try:
+        factor_structured(sc, sc.result.eta, {"products": table})
+    except CatkitError:   # whatever the search makes of the stubbed table
+        pass
+    assert "exponentials" in [k for verb, k, C in calls if verb == "find" and C is D]
 
 
 def _outcome(sc, F) -> str:
