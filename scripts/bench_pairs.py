@@ -14,7 +14,8 @@ when the base's interquartile range, as a share of its median, exceeds the
 bound and not every tree run beats every base run; or ``within bound``.
 Last it runs one traced pass of ``TRACE_SECONDS`` on each side
 (``--trace 1``) and prints each side's ``search.candidate_checks``, which
-does not depend on the machine, so that a rise shows in the same command.
+does not depend on the machine, so that a rise shows in the same command,
+and each side's line count of ``src/catkit/*.py``, as ``wc -l`` counts it.
 The directory is removed afterwards.
 """
 from __future__ import annotations
@@ -40,6 +41,11 @@ def run(checkout: Path, args, seconds: float, trace: int = 0) -> dict[str, float
     if not result["correct"]:
         sys.exit(f"{checkout}: {result['failed']} of {result['attempted']} operations failed")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in checkout's src/catkit/*.py, the total of ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "catkit").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -87,8 +93,10 @@ def main() -> None:
             base_ops, tree_ops = (runs[s][-1]["throughput_ops_s"] for s in ("base", "tree"))
             print(f"pair {i + 1}: throughput_ops_s base {base_ops:.4g} tree {tree_ops:.4g}",
                   flush=True)
-        checks = {side: run(checkout, args, TRACE_SECONDS, trace=1)["search.candidate_checks"]
-                  for side, checkout in (("base", Path(base)), ("tree", ROOT))}
+        checks, lines = {}, {}
+        for side, checkout in (("base", Path(base)), ("tree", ROOT)):
+            checks[side] = run(checkout, args, TRACE_SECONDS, trace=1)["search.candidate_checks"]
+            lines[side] = src_lines(checkout)
     columns = {m["name"]: ([r[m["name"]] for r in runs["base"]],
                            [r[m["name"]] for r in runs["tree"]]) for m in metrics}
     print(f"{'metric':18} {'base median [q1, q3]':>30} {'tree median [q1, q3]':>30}  tree won")
@@ -103,6 +111,8 @@ def main() -> None:
         print(f"{m['name']:18} {change:+8.1%} {m['bound']:7.0%}  {said}")
     print(f"search.candidate_checks (one traced pass): base {checks['base']:.0f} "
           f"tree {checks['tree']:.0f}  {'rise' if checks['tree'] > checks['base'] else 'no rise'}")
+    print(f"src/catkit lines (wc -l): base {lines['base']} tree {lines['tree']} "
+          f"({lines['tree'] - lines['base']:+d})")
 
 
 if __name__ == "__main__":

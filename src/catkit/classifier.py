@@ -54,7 +54,7 @@ def monos(C: FinCat) -> list[int]:
     return [f for f in range(C.n_morphisms) if is_mono(C, f) is not None]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubobjectClassifierW:
     """tau points from the chosen terminal into omega; chi maps each mono to
     its unique classifying morphism."""

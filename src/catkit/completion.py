@@ -8,7 +8,6 @@ up to a connecting natural isomorphism.
 """
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -99,9 +98,7 @@ def skeletize(C: FinCat) -> CompletionResult:
             assert iso is not None
             canon.append(iso)
 
-    sub, incl = full_subcategory(C, reps)
-    completed = dataclasses.replace(sub, name=f"{C.name}|skeleton")
-    incl = dataclasses.replace(incl, source=completed)
+    completed, incl = full_subcategory(C, reps, f"{C.name}|skeleton")
     obj_reindex = {r: i for i, r in enumerate(incl.obj_map)}
     mor_reindex = {f: i for i, f in enumerate(incl.mor_map)}
 
@@ -337,8 +334,8 @@ def inflate_section(proj: Functor) -> Functor:
 # full subcategories and replete images
 
 
-def full_subcategory(C: FinCat, object_ids: list[int]) -> tuple[FinCat, Functor]:
-    """The full subcategory on the given objects plus its inclusion."""
+def full_subcategory(C: FinCat, object_ids: list[int], name: str = "") -> tuple[FinCat, Functor]:
+    """The full subcategory on the given objects, named name or after C, plus its inclusion."""
     objs = sorted(set(object_ids))
     obj_reindex = {x: i for i, x in enumerate(objs)}
     keep = [
@@ -348,7 +345,7 @@ def full_subcategory(C: FinCat, object_ids: list[int]) -> tuple[FinCat, Functor]
     ]
     table = C.comp_table
     sub, _ = tabulate(
-        f"{C.name}|full",
+        name or f"{C.name}|full",
         [C.objects[x] for x in objs],
         keep,
         [obj_reindex[C.mor_src[f]] for f in keep],

@@ -813,11 +813,13 @@ def _accept(cert: WeakEquivalenceCert) -> None:
 def check_weak_equivalence_cert(cert: WeakEquivalenceCert) -> None:
     """Re-validate a certificate against its functor's tables.  A
     certificate accepted before (see :func:`is_weak_equivalence`) returns at
-    once; one that passes here is recorded when nothing in it can change."""
+    once, and a functor checked before is not checked again; a certificate
+    that passes here is recorded when nothing in it can change."""
     if cert in _accepted_certs:
         return
     F = cert.functor
-    check_functor(F)
+    if F not in _checked_functors:
+        check_functor(F)
     C, D = F.source, F.target
     for x in range(C.n_objects):
         for y in range(C.n_objects):

@@ -38,6 +38,12 @@ def _expect(value: Any, kind: type, what: str, pointer: str) -> Any:
     return value
 
 
+def _enter(table: dict, key: Any, w: Any, pointer: str) -> None:
+    """Enter w at key: a repeat is dropped, a second, different entry refused."""
+    if table.setdefault(key, w) != w:
+        raise MalformedInput("a second, different entry for the same key", pointer=pointer)
+
+
 def _index_of(indices: dict[str, int], label: Any) -> int | None:
     """The index label names in indices; None for any other value."""
     return indices.get(label) if isinstance(label, str) else None
@@ -329,8 +335,8 @@ def structure_to_json(C: FinCat, bag: dict[str, Any]) -> dict[str, Any]:
 
 def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
     """Parse whatever structure blocks a category document carries into a
-    witness bag.  Reference shape is checked here; semantic validity is the
-    caller's job."""
+    witness bag.  Reference shape is checked here, and so is that no key
+    has two different entries; semantic validity is the caller's job."""
     from .classifier import SubobjectClassifierW
     from .exponentials import ExponentialW
     from .nno import PNNOW
@@ -350,7 +356,7 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
                 (_obj_ref if is_obj else _mor_ref)(C, e.get(f), p)
                 for f, is_obj in shape.field_kinds
             ))
-            table[shape.split(w)[0]] = w
+            _enter(table, shape.split(w)[0], w, p)
         bag[kind] = table
     if "exponentials" in doc:
         table = {}
@@ -361,7 +367,7 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
                 _obj_ref(C, e.get("base"), p), _obj_ref(C, e.get("target"), p),
                 _obj_ref(C, e.get("obj"), p), _mor_ref(C, e.get("ev"), p),
             )
-            table[(w.x, w.y)] = w
+            _enter(table, (w.x, w.y), w, p)
         bag["exponentials"] = table
     if "subobject_classifier" in doc:
         p = "/subobject_classifier"

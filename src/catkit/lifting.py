@@ -18,17 +18,18 @@ of the representatives, typed by construction.  Each kind's ``preserves``
 is the one place that compares an image with a chosen entry: one call on
 eta per kind certifies eta and decides every carried entry on the
 skeleton, since an equivalence preserves and reflects the structure.  The
-classifier is searched for once on each side.  A completion records what it
-validated, so factoring through it checks again only the entries that have
-changed since, each by the kind's own ``check`` on both sides.  Factoring
-into a target with the completion's tables takes the completion's found
-entries instead of searching again, and, for a functor with eta's maps,
-eta's certificates instead of deciding again.  Pullbacks are absent without
-a search where a terminal object is found and products are not.  Lifting
-preservation through a factorization reuses the carried witnesses instead
-of transferring them again, and decides the factored functor's
-preservation directly, with the certificates already lifted for the kinds
-it depends on.
+classifier is searched for once on each side.  A completion records a copy
+of what it validated, so factoring through it checks again only the entries
+that no longer equal that copy, each by the kind's own ``check`` on both
+sides; every witness compares by value.  Factoring into a target with the
+completion's tables takes the completion's found entries instead of
+searching again, and, for a functor with eta's maps, eta's certificates
+instead of deciding again, by one rule for every kind.  Pullbacks are
+absent without a search where a terminal object is found and products are
+not.  Lifting preservation through a factorization reuses the carried
+witnesses instead of transferring them again, and decides the factored
+functor's preservation directly, with the certificates already lifted for
+the kinds it depends on.
 """
 from __future__ import annotations
 
@@ -208,59 +209,55 @@ def _ordered(kinds) -> tuple[str, ...]:
     return tuple(k for k in KIND_ORDER if k in requested)
 
 
-def _snapshot(entry):
-    """A bag entry as it stands: a table's shallow copy, exact because its
-    witnesses are frozen and compare by value; the classifier itself, which
-    compares by identity, with a copy of its chi table; any other witness
-    as it is."""
-    if isinstance(entry, dict):
-        return dict(entry)
-    if isinstance(entry, classifier.SubobjectClassifierW):
-        return entry, dict(entry.chi)
-    return entry
+def _copy(x, **changes):
+    """x with nothing mutable shared: a table's shallow copy, or a witness
+    or certificate with changes made and each other dict field copied, equal
+    to x's, since what the dicts hold is frozen or shared."""
+    if isinstance(x, dict):
+        return dict(x)
+    copies = {f.name: dict(getattr(x, f.name)) for f in fields(x)
+              if f.name not in changes and isinstance(getattr(x, f.name), dict)}
+    return replace(x, **copies, **changes)
 
 
 @dataclass(frozen=True, eq=False)
 class ValidatedBags:
-    """The result a completion was built with and a snapshot of each
-    carried kind's source and completed entries, all of them validated;
-    the kinds whose completed entry was found on the skeleton rather than
-    carried from a supplied witness; and eta's certificate objects, each
-    with a copy of its dicts."""
+    """The result a completion was built with and a copy of each carried
+    kind's source and completed entries, all of them validated; the kinds
+    whose completed entry was found on the skeleton rather than carried
+    from a supplied witness; and eta's certificate objects, each with a
+    copy."""
 
     result: CompletionResult
     source: dict[str, object]
     completed: dict[str, object]
     found: frozenset[str]
-    eta_certs: dict[str, tuple[object, dict]]
+    eta_certs: dict[str, tuple[object, object]]
 
     @classmethod
     def of(cls, result: CompletionResult, src: dict, dst: dict, found, certs: dict
            ) -> ValidatedBags:
         return cls(
             result,
-            {k: _snapshot(w) for k, w in src.items()},
-            {k: _snapshot(w) for k, w in dst.items()},
+            {k: _copy(w) for k, w in src.items()},
+            {k: _copy(w) for k, w in dst.items()},
             frozenset(found),
-            {k: (c, _dicts(c)) for k, c in certs.items()},
+            {k: (c, _copy(c)) for k, c in certs.items()},
         )
 
-    def covers(self, sc: StructuredCompletion, name: str) -> bool:
-        """Whether sc still holds, for name and each of its dependencies,
-        the result and entries validated here."""
-        return sc.result is self.result and all(
-            k in self.source
-            and _snapshot(sc.source.get(k)) == self.source[k]
-            and _snapshot(sc.completed.get(k)) == self.completed[k]
-            for k in (name, *KINDS[name].deps)
-        )
+    def intact(self, sc: StructuredCompletion) -> set[str]:
+        """The kinds whose entries sc still holds, on the result recorded
+        here, equal to the ones validated here."""
+        if sc.result is not self.result:
+            return set()
+        return {k for k, w in self.source.items()
+                if sc.source.get(k) == w and sc.completed.get(k) == self.completed[k]}
 
     def certifies(self, sc: StructuredCompletion, name: str) -> bool:
         """Whether sc still holds eta's certificate for name recorded here:
-        the same object, its dicts unchanged."""
-        cert, dicts = self.eta_certs[name]
-        return sc.eta_certs.get(name) is cert and all(
-            getattr(cert, k) == d for k, d in dicts.items())
+        the same object, its fields unchanged."""
+        cert, copy = self.eta_certs[name]
+        return sc.eta_certs.get(name) is cert and vars(cert) == vars(copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,20 +350,12 @@ def complete_structured(
     )
 
 
-def _dicts(cert) -> dict[str, dict]:
-    """A copy of each of cert's dict fields, by field name."""
-    return {f.name: dict(getattr(cert, f.name)) for f in fields(cert)
-            if isinstance(getattr(cert, f.name), dict)}
-
-
 def _as_cert_of(cert, F: Functor, entry):
     """Eta's certificate cert as F's into entry, a target entry equal to
     eta's: every dict copied, so that none is shared with the completion,
     and a target table entry itself, as ``preserves`` would return it."""
-    copies = _dicts(cert)
-    if isinstance(entry, dict) and "target" in copies:
-        copies["target"] = entry
-    return replace(cert, functor=F, **copies)
+    target = {"target": entry} if isinstance(entry, dict) and hasattr(cert, "target") else {}
+    return _copy(cert, functor=F, **target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,19 +383,19 @@ def factor_structured(
     dependencies, are still the ones sc's ``validated`` records, on the
     same result, is not checked again; every other kind is checked once
     here by its ``check``: the completed bag on the skeleton, then the
-    source bag on the source.  Into a target with the completion's tables,
-    a kind so covered, but for the classifier, which compares by identity,
-    takes a copy of the completed entry if the completion found it and the
-    target's entries of its dependencies equal the completed ones, instead
-    of a search; and, for an F with eta's maps, where the target's entries
-    of the kind and its dependencies equal the completed ones, eta's
-    certificate, if ``validated`` still certifies it, by
-    :func:`_as_cert_of`, since ``preserves`` would take eta's inputs.  The
-    lifts then reuse the bag carried to the completion instead of
-    transferring again, each with the lifted certificates of the kinds
-    before it.  As in :func:`complete_structured`, a target witness keyed
-    by anything but a kind raises, and so does one for a kind outside sc's
-    kinds.
+    source bag on the source.  The record is read once, and each target
+    entry compared once with the completed one.  Into a target with the
+    completion's tables, every kind so covered takes a copy of the
+    completed entry if the completion found it and the target's entries of
+    its dependencies equal the completed ones, instead of a search; and,
+    for an F with eta's maps, where the target's entries of the kind and
+    its dependencies equal the completed ones, eta's certificate, if
+    ``validated`` still certifies it, by :func:`_as_cert_of`, since
+    ``preserves`` would take eta's inputs.  The lifts then reuse the bag
+    carried to the completion instead of transferring again, each with the
+    lifted certificates of the kinds before it.  As in
+    :func:`complete_structured`, a target witness keyed by anything but a
+    kind raises, and so does one for a kind outside sc's kinds.
     """
     target_witnesses = dict(target_witnesses or {})
     _check_known(target_witnesses)
@@ -427,26 +416,27 @@ def factor_structured(
             if name not in bag:
                 raise PreconditionViolation(f"the {side} bag lacks structure '{name}'")
     v = sc.validated
-    covered = {k for k in kinds if v is not None and v.covers(sc, k)}
+    intact = v.intact(sc) if v is not None else set()
+    covered = {k for k in kinds if k in intact and intact.issuperset(KINDS[k].deps)}
     unchecked = [k for k in kinds if k not in covered]
     for name in unchecked:
         KINDS[name].check(sc.result.completed, sc.completed)
     for name in unchecked:
         KINDS[name].check(sc.result.source, sc.source)
     E = F.target
-    own = covered - {"classifier"} if same_tables(E, sc.result.completed) else set()
+    own = covered if same_tables(E, sc.result.completed) else set()
     unit = F.obj_map == sc.result.eta.obj_map and F.mor_map == sc.result.eta.mor_map
     dst: dict[str, object] = {}
+    agree = set()   # the kinds of own whose target entry equals the completed one
     for name in kinds:
         kind = KINDS[name]
         w = target_witnesses.get(name)
-        if w is not None:
+        copied = w is None and name in own and name in v.found and agree.issuperset(kind.deps)
+        if copied:
+            dst[name] = _copy(sc.completed[name])
+        elif w is not None:
             dst[name] = w
             kind.check(E, dst)
-        elif name in own and name in v.found and all(
-            dst[k] == sc.completed[k] for k in kind.deps
-        ):
-            dst[name] = _snapshot(sc.completed[name])
         else:
             found = kind.find(E, dst)
             if found is None:
@@ -454,11 +444,11 @@ def factor_structured(
                     f"factorization target lacks structure '{name}'"
                 )
             dst[name] = found
+        if copied or name in own and dst[name] == sc.completed[name]:
+            agree.add(name)
     Fcerts: dict[str, object] = {}
     for name in kinds:
-        if unit and name in own and v.certifies(sc, name) and all(
-            dst[k] == sc.completed[k] for k in (name, *KINDS[name].deps)
-        ):
+        if unit and agree.issuperset((name, *KINDS[name].deps)) and v.certifies(sc, name):
             cert = _as_cert_of(sc.eta_certs[name], F, dst[name])
         else:
             cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)

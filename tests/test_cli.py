@@ -461,6 +461,34 @@ def test_factor_refuses_a_target_entry_at_a_key_the_category_does_not_have(tmp_p
     assert "equalizer table has an entry at (1, 4)" in err["message"]
 
 
+@pytest.mark.parametrize("block, wrong, pointer", [
+    ("binproducts", {"apex": "c2"}, "/structure/binproducts/1"),
+    ("exponentials", {"ev": "le_c0_c2"}, "/exponentials/1"),
+])
+def test_factor_refuses_a_target_entry_shadowed_by_another(
+    tmp_path, capsys, block, wrong, pointer
+):
+    """A wrong entry before the valid one at the same key of the target that
+    ``complete --carry-structure`` wrote: factor refuses the document rather
+    than keep the last entry and report the structure lifted."""
+    source, target = tmp_path / "c.json", tmp_path / "t.json"
+    source.write_text(json.dumps(category_to_json(inflate(chain_poset(3), [1, 2, 2])[0])))
+    assert main(["complete", str(source), "--carry-structure", "--out", str(target)]) == 0
+    doc = json.loads(target.read_text())
+    (tmp_path / "eta.json").write_text(json.dumps(doc["eta"]))
+    entries = doc["structure"][block] if block in doc["structure"] else doc[block]
+    entries.insert(0, {**entries[0], **wrong})
+    target.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["factor", "--source", str(source), "--functor", str(tmp_path / "eta.json"),
+                 "--target", str(target), "--structures", "terminal,products,exponentials",
+                 "--json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "MalformedInput"
+    assert err["pointer"] == pointer
+
+
 def test_demo_runs_each_example(capsys):
     for name in ("walking-iso", "preorder", "setoid", "karoubi", "kleisli", "finset2"):
         assert main(["demo", name]) == 0, name

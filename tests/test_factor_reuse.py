@@ -105,14 +105,12 @@ def test_the_unit_copies_the_found_bag_and_eta_certificates(monkeypatch):
         E = F.target
         calls.clear()
         got = factor_structured(sc, F)
-        # only the classifier, which compares by identity, is searched and decided again
-        fresh = [k for k in sc.kinds if k == "classifier"]
-        assert _fresh_route(calls, F) == (fresh, fresh), name
+        # no kind is searched for or decided again
+        assert _fresh_route(calls, F) == ([], []), name
         want, fresh_certs = {}, {}
         for k in sc.kinds:
             want[k] = KINDS[k].find(E, want)
-            if k != "classifier":
-                assert got.target[k] == want[k], (name, k)
+            assert got.target[k] == want[k], (name, k)
             fresh_certs[k] = KINDS[k].preserves(F, sc.source, got.target, fresh_certs)
         assert structure_to_json(E, got.target) == structure_to_json(E, want), name
         assert _comparisons(got.functor_certs) == _comparisons(fresh_certs), name
@@ -141,6 +139,17 @@ def test_a_copied_entry_can_be_edited_without_touching_the_completion():
     # and the completion still factors as before
     again = factor_structured(sc, sc.result.eta)
     assert again.target["products"] == before
+
+
+def test_a_copied_classifier_can_be_edited_without_touching_the_completion():
+    sc = complete_structured(INFLATIONS["codiscrete3"])
+    got = factor_structured(sc, sc.result.eta)
+    before = dict(sc.completed["classifier"].chi)
+    assert got.target["classifier"] == sc.completed["classifier"]
+    got.target["classifier"].chi.clear()
+    assert sc.completed["classifier"].chi == before
+    again = factor_structured(sc, sc.result.eta)
+    assert again.target["classifier"].chi == before
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +206,15 @@ def _a_differing_target_witness():
 def _an_equal_target_witness():
     sc = complete_structured(INFLATIONS["chain4"])
     return sc, sc.result.eta, {"products": dict(sc.completed["products"])}, [], []
+
+
+def _an_equal_valued_classifier():
+    sc = complete_structured(INFLATIONS["codiscrete3"])
+    for bag in (sc.source, sc.completed):
+        w = bag["classifier"]
+        bag["classifier"] = dataclasses.replace(w, chi=dict(w.chi))
+    # a witness compares by value, so an equal copy is reused as the original
+    return sc, sc.result.eta, {}, [], []
 
 
 def _supplied_witnesses():
@@ -261,20 +279,18 @@ def _no_record():
 
 @pytest.mark.parametrize("build", [
     _other_maps, _other_tables, _a_differing_target_witness, _an_equal_target_witness,
-    _supplied_witnesses, _an_edited_completed_entry, _a_replaced_eta_certificate,
-    _an_eta_certificate_edited_in_place, _twin_products_supplied_at_completion, _no_record,
+    _an_equal_valued_classifier, _supplied_witnesses, _an_edited_completed_entry,
+    _a_replaced_eta_certificate, _an_eta_certificate_edited_in_place,
+    _twin_products_supplied_at_completion, _no_record,
 ])
 def test_only_what_the_completion_decided_is_reused(monkeypatch, build):
     """Each case gives a completion, a functor, target witnesses, and the
-    kinds, besides the classifier, searched for on the target and decided
-    for the functor."""
+    kinds searched for on the target and decided for the functor."""
     sc, F, witnesses, searched, decided = build()
     calls = _spy(monkeypatch)
     got = factor_structured(sc, F, witnesses)
-    # the classifier, which compares by identity, always takes the fresh route
     assert _fresh_route(calls, F) == tuple(
-        [k for k in sc.kinds if k in kinds or k == "classifier" and k not in witnesses]
-        for kinds in (searched, decided)
+        [k for k in sc.kinds if k in kinds] for kinds in (searched, decided)
     )
     # the same factorization as with every decision taken afresh
     want = factor_structured(dataclasses.replace(sc, validated=None), F, witnesses)

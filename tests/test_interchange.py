@@ -136,6 +136,35 @@ def test_structure_from_json_bad_label_pointer():
     assert e.value.pointer is not None
 
 
+def _shadowed_target():
+    """The document of the completion of an inflated chain with its carried
+    structure, as ``catkit complete --carry-structure`` writes it."""
+    sc = complete_structured(inflate(chain_poset(3), [1, 2, 2])[0])
+    D = sc.result.completed
+    return D, {**category_to_json(D), **structure_to_json(D, sc.completed)}
+
+
+def test_a_second_different_structure_entry_at_a_key_is_refused():
+    D, doc = _shadowed_target()
+    # an identical repeat is dropped
+    twice = copy.deepcopy(doc)
+    twice["structure"]["binproducts"].append(doc["structure"]["binproducts"][0])
+    twice["exponentials"].append(doc["exponentials"][-1])
+    assert structure_from_json(twice, D) == structure_from_json(doc, D)
+    # a wrong entry before the valid one at its key, which used to shadow it
+    products, exps = doc["structure"]["binproducts"], doc["exponentials"]
+    assert products[0]["x1"] == products[0]["x2"] == "c0"
+    for entries, wrong, pointer in (
+        (products, {**products[0], "apex": "c2"}, "/structure/binproducts/1"),
+        (exps, {**exps[0], "ev": "le_c0_c2"}, "/exponentials/1"),
+    ):
+        entries.insert(0, wrong)
+        with pytest.raises(MalformedInput) as e:
+            structure_from_json(doc, D)
+        assert e.value.pointer == pointer
+        entries.pop(0)
+
+
 def test_category_json_lists_every_nonidentity_composite():
     # identity composites are implied by the unit laws and omitted
     C = finset_fragment(1)

@@ -91,10 +91,13 @@ def _move_product_to_a_twin(sc):
     KINDS["products"].check(C, sc.source)
 
 
-def _edit_chi(sc):
-    C, chi = sc.result.source, sc.source["classifier"].chi
-    m = next(k for k in chi if len(C.hom(C.mor_dst[k], C.mor_dst[chi[k]])) > 1)
-    chi[m] = next(c for c in C.hom(C.mor_dst[m], C.mor_dst[chi[m]]) if c != chi[m])
+def _edit_chi(side):
+    def edit(sc):
+        C = sc.result.completed if side == "completed" else sc.result.source
+        chi = getattr(sc, side)["classifier"].chi
+        m = next(k for k in chi if len(C.hom(C.mor_dst[k], C.mor_dst[chi[k]])) > 1)
+        chi[m] = next(c for c in C.hom(C.mor_dst[m], C.mor_dst[chi[m]]) if c != chi[m])
+    return edit
 
 
 def _move_completed_terminal(sc):
@@ -110,12 +113,14 @@ def _move_completed_terminal(sc):
      r"exponential table is wrong at \(0,0\)"),
     (_heyting_exponentials, _move_product_to_a_twin,
      r"exponential table is wrong at \(0,0\)"),
-    (lambda: _complete(inflate(finset_fragment(2), [1, 1, 2])), _edit_chi,
+    (lambda: _complete(inflate(finset_fragment(2), [1, 1, 2])), _edit_chi("source"),
      "chi table does not match the rebuilt classifier"),
     (lambda: _complete(inflate(chain_poset(3), [1, 2, 2])), _move_completed_terminal,
      "terminal witness is not terminal"),
+    (lambda: _complete(inflate(finset_fragment(2), [1, 1, 2])), _edit_chi("completed"),
+     "chi table does not match the rebuilt classifier"),
 ], ids=["source-products", "completed-exponential", "source-exponential",
-        "source-products-dependency", "source-chi", "completed-terminal"])
+        "source-products-dependency", "source-chi", "completed-terminal", "completed-chi"])
 def test_an_entry_edited_after_the_completion_is_refused(build, edit, message):
     sc, proj = build()
     factor_structured(sc, proj)
@@ -143,6 +148,17 @@ def _source_checks(monkeypatch, C) -> list:
 
 def test_an_unedited_completion_is_not_checked_again(monkeypatch):
     sc, proj = _every_kind()
+    seen = _source_checks(monkeypatch, sc.result.source)
+    factor_structured(sc, proj)
+    assert seen == []
+
+
+def test_a_classifier_replaced_by_an_equal_one_is_not_checked_again(monkeypatch):
+    sc, proj = _every_kind()
+    for bag in (sc.source, sc.completed):
+        w = bag["classifier"]
+        bag["classifier"] = dataclasses.replace(w, chi=dict(w.chi))
+    # a kind not covered is checked on both sides, the source last
     seen = _source_checks(monkeypatch, sc.result.source)
     factor_structured(sc, proj)
     assert seen == []
