@@ -183,12 +183,17 @@ def preserves_subobject_classifier(
     the image truth arrow, as an iso; None when F does not preserve the
     terminal or the comparison is not invertible.  The bag dst must be a
     found or checked one, whose chi table classifies every mono: the image
-    pair then classifies exactly when the comparison is an iso."""
-    D = F.target
+    pair then classifies exactly when the comparison is an iso.  A source
+    omega, tau or chi entry out of range raises."""
+    C, D = F.source, F.target
     termC, socC = src["terminal"], src["classifier"]
     termD, socD = dst["terminal"], dst["classifier"]
     if preserves_terminal(F, termC, termD) is None:
         return None
+    if not (0 <= socC.omega < C.n_objects
+            and C.has_morphisms(socC.tau, *socC.chi, *socC.chi.values())):
+        raise InvalidCert(f"source classifier witness at omega {socC.omega}, tau {socC.tau} "
+                          "is out of range")
     # the image of tau is split monic, so the chosen chi table classifies it
     i = socD.chi.get(F.mor_map[socC.tau])
     if i is None:

@@ -62,7 +62,7 @@ from .interchange import (
     structure_to_json,
     validate_category,
 )
-from .lifting import complete_structured, factor_structured, find_bag, with_dependencies
+from .lifting import KIND_ORDER, complete_structured, factor_structured, find_bag, with_dependencies
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -178,17 +178,13 @@ def cmd_analyze(args) -> tuple[RunReport, int]:
 def cmd_complete(args) -> tuple[RunReport, int]:
     report = RunReport(f"complete {args.path}")
     C = validate_category(_load_json(args.path))
+    res = skeletize(C)
+    out_doc = category_to_json(res.completed)
     if args.carry_structure:
-        sc = complete_structured(C)
-        res = sc.result
-        out_doc = category_to_json(res.completed)
-        out_doc.update(structure_to_json(res.completed, sc.completed))
-        report.status["carried"] = (
-            ", ".join(KIND_TO_TOKEN[k] for k in sc.kinds) if sc.kinds else "nothing"
-        )
-    else:
-        res = skeletize(C)
-        out_doc = category_to_json(res.completed)
+        # the bag complete_structured would carry, found on the completion alone
+        bag = find_bag(res.completed, KIND_ORDER)
+        out_doc.update(structure_to_json(res.completed, bag))
+        report.status["carried"] = ", ".join(KIND_TO_TOKEN[k] for k in bag) or "nothing"
     report.status["objects"] = f"{C.n_objects} -> {res.completed.n_objects}"
     report.status["morphisms"] = f"{C.n_morphisms} -> {res.completed.n_morphisms}"
     report.status["fidelity"] = res.fidelity

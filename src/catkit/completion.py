@@ -73,7 +73,6 @@ class CompletionResult:
     cert: WeakEquivalenceCert
     fidelity: str
     representative: tuple[int, ...]      # per source object: its class representative (source index)
-    canonical_isos: tuple[Iso, ...]      # per source object: chosen iso to its representative
     rep_objects: tuple[int, ...]         # source indices of representatives, ascending
     inclusion: Functor                   # completed -> source, onto the representatives
 
@@ -123,7 +122,6 @@ def skeletize(C: FinCat) -> CompletionResult:
         cert=cert,
         fidelity=report.fidelity,
         representative=tuple(rep_of),
-        canonical_isos=tuple(canon),
         rep_objects=reps,
         inclusion=incl,
     )

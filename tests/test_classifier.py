@@ -1,4 +1,5 @@
 """Monomorphisms, subobject classifiers, topos bundles, logical functors."""
+import dataclasses
 import hashlib
 import json
 
@@ -35,7 +36,7 @@ from catkit.generators import (
     random_weak_equivalence,
     setoid_groupoid,
 )
-from catkit.lifting import find_bag
+from catkit.lifting import complete_structured, find_bag
 from catkit.limits import PullbackW, find_terminal, is_pullback, is_terminal, transfer_terminal
 from classifier_oracles import mono_by_cancellation, mono_by_pullback
 
@@ -243,6 +244,28 @@ def test_preserves_classifier_is_none_for_a_functor_off_the_terminal():
     assert not is_terminal(C, 0)
     const = functor(C, C, [0] * C.n_objects, [C.identity[0]] * C.n_morphisms)
     assert preserves_subobject_classifier(const, bag, bag, {}) is None
+    # the terminal is decided first, so an out-of-range witness changes nothing
+    bad = dataclasses.replace(bag["classifier"], tau=-1)
+    assert preserves_subobject_classifier(const, {**bag, "classifier": bad}, bag, {}) is None
+
+
+def test_preserves_classifier_refuses_a_source_witness_out_of_range():
+    """A tau of -1 would read the last morphism, and one past the end raise
+    IndexError; omega and the chi table, which the comparison does not
+    read, are refused out of range as well."""
+    C = inflate(setoid_groupoid(2, {(0, 1)}), [2, 1])[0]
+    sc = complete_structured(C)
+    w, n, m = sc.source["classifier"], C.n_objects, C.n_morphisms
+    f, chi_f = next(iter(w.chi.items()))
+    for bad in (dataclasses.replace(w, tau=-1), dataclasses.replace(w, tau=m),
+                dataclasses.replace(w, omega=-1), dataclasses.replace(w, omega=n),
+                dataclasses.replace(w, chi={**w.chi, -1: chi_f}),
+                dataclasses.replace(w, chi={**w.chi, f: m})):
+        with pytest.raises(InvalidCert, match="source classifier witness .* is out of range"):
+            preserves_subobject_classifier(
+                sc.result.eta, {**sc.source, "classifier": bad}, sc.completed, {}
+            )
+    assert preserves_subobject_classifier(sc.result.eta, sc.source, sc.completed, {}) is not None
 
 
 def test_lift_preservation_classifier_through_completion():

@@ -3,22 +3,26 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import catkit
-from catkit import cli
+from catkit import classifier, cli, core, exponentials, lifting, limits, nno
 from catkit.cli import main
-from catkit.completion import inflate
+from catkit.completion import inflate, skeletize
 from catkit.core import identity_functor
 from catkit.classifier import topos_gaps
 from catkit.generators import (
     chain_poset,
+    delooping,
     discrete,
     finset_fragment,
     heyting_category,
     heyting_chain,
+    heyting_diamond,
+    hvalued_sets,
     setoid_groupoid,
     walking_iso,
 )
@@ -28,7 +32,7 @@ from catkit.interchange import (
     structure_to_json,
     validate_category,
 )
-from catkit.lifting import KIND_ORDER, find_bag
+from catkit.lifting import KIND_ORDER, complete_structured, find_bag
 from catkit.limits import PRODUCTS, find_equalizers, find_pullbacks, partial_table
 from law_oracles import generator_middle_triples
 
@@ -348,6 +352,87 @@ def test_complete_carry_structure(setoid_path, tmp_path, capsys):
     assert "classifier" in bag
     # a skeletized codiscrete groupoid is gaunt, hence exact
     assert report["status"]["fidelity"] == "exact"
+
+
+def _completion_corpus():
+    """The paper's inputs and chain inflations up to 906 morphisms, a
+    codiscrete triple that carries all seven kinds, and the walking
+    idempotent, which carries none."""
+    return [
+        inflate(chain_poset(4), [6] * 4)[0],
+        inflate(chain_poset(4), [9] * 4)[0],
+        inflate(heyting_category(heyting_diamond()), 4)[0],
+        inflate(finset_fragment(3), [1, 2, 2, 3])[0],
+        hvalued_sets(heyting_diamond(), 2),
+        inflate(setoid_groupoid(3, {(0, 1), (1, 2)}), [2, 1, 2])[0],
+        chain_poset(3),
+        finset_fragment(2),
+        delooping([[0, 1], [1, 1]], name="idempotent"),
+    ]
+
+
+def test_complete_carry_structure_writes_the_bag_complete_structured_carries(tmp_path, capsys):
+    """The library route is the oracle: the completion, its structure
+    blocks and eta are the ones complete_structured gives, and ``carried``
+    lists its kinds."""
+    for i, C in enumerate(_completion_corpus()):
+        path, out = tmp_path / f"c{i}.json", tmp_path / f"c{i}.done.json"
+        path.write_text(json.dumps(category_to_json(C)))
+        assert main(["complete", str(path), "--carry-structure", "--out", str(out), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sc = complete_structured(C)
+        D = sc.result.completed
+        want = {**category_to_json(D), **structure_to_json(D, sc.completed),
+                "eta": functor_to_json(sc.result.eta)}
+        assert json.loads(out.read_text()) == json.loads(json.dumps(want)), C.name
+        carried = ", ".join(cli.KIND_TO_TOKEN[k] for k in sc.kinds) or "nothing"
+        assert report["status"]["carried"] == carried, C.name
+    assert carried == "nothing"
+
+
+def test_complete_carry_structure_carries_nothing_to_the_source(tmp_path, monkeypatch):
+    """Neither complete_structured nor any transfer or preserves verb runs:
+    the command searches the completion it writes, and nothing else."""
+    calls = Counter()
+    wrapped = [(module, name) for module in (limits, exponentials, classifier, nno)
+               for name in dir(module) if name.startswith(("transfer", "preserves"))]
+    wrapped += [(cli, "complete_structured"), (lifting, "complete_structured")]
+    for module, name in wrapped:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    S = setoid_groupoid(3, {(0, 1), (1, 2)})
+    C = inflate(S, [2, 1, 2])[0]
+    path, out = tmp_path / "c.json", tmp_path / "done.json"
+    path.write_text(json.dumps(category_to_json(C)))
+    assert main(["complete", str(path), "--carry-structure", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())) >= {"structure", "exponentials",
+                                                "subobject_classifier", "pnno"}
+    assert calls == Counter()
+    # the wrappers see the library route's calls
+    lifting.complete_structured(C)
+    assert calls["complete_structured"] == 1
+    assert {"transfer", "preserves", "transfer_exponentials", "preserves_pnno"} <= set(calls)
+
+
+def test_complete_carry_structure_spends_only_the_completion_search(tmp_path, monkeypatch):
+    """The command's candidate checks are those of validating the document,
+    skeletizing it and searching the completion: that cap is enough, and
+    one fewer is not."""
+    C = inflate(chain_poset(3), [1, 2, 2])[0]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(category_to_json(C)))
+    core.set_search_budget(10**18)
+    try:
+        find_bag(skeletize(validate_category(json.loads(path.read_text()))).completed, KIND_ORDER)
+        used = core._budget.used
+    finally:
+        core.set_search_budget(None)
+    for cap, code in ((used, 0), (used - 1, 2)):
+        monkeypatch.setenv("CATKIT_MAX_SEARCH", str(cap))
+        assert main(["complete", str(path), "--carry-structure"]) == code, cap
 
 
 def test_complete_warns_on_approximation(tmp_path, capsys):

@@ -189,8 +189,16 @@ def test_a_hand_built_bag_check_names_the_first_offending_key_as_the_old_route_d
 
 def test_a_corrupted_carry_ends_in_exit_4(monkeypatch, tmp_path, capsys):
     """A carry that moves one carried product to a typed cone that is not a
-    product is refused by eta's preservation check, as an engine bug."""
+    product is refused by eta's preservation check, as an engine bug: in
+    complete_structured, and in ``catkit factor``, which runs it.  ``catkit
+    complete`` carries nothing, so the target and eta it writes are made
+    before the carry is corrupted."""
     C = inflate(chain_poset(3), [1, 2, 2])[0]
+    path, target, eta = (tmp_path / name for name in ("chain3.json", "done.json", "eta.json"))
+    path.write_text(json.dumps(category_to_json(C)))
+    assert cli.main(["complete", str(path), "--carry-structure", "--out", str(target)]) == 0
+    eta.write_text(json.dumps(json.loads(target.read_text())["eta"]))
+    capsys.readouterr()
     real = limits.carry
     moved = []
 
@@ -208,7 +216,9 @@ def test_a_corrupted_carry_ends_in_exit_4(monkeypatch, tmp_path, capsys):
     with pytest.raises(OracleDisagreement, match="eta does not preserve the carried 'products'"):
         complete_structured(C)
     assert moved
-    path = tmp_path / "chain3.json"
-    path.write_text(json.dumps(category_to_json(C)))
-    assert cli.main(["complete", str(path), "--carry-structure"]) == 4
-    assert "error [OracleDisagreement]" in capsys.readouterr().err
+    argv = ["factor", "--source", str(path), "--functor", str(eta), "--target", str(target),
+            "--structures", "terminal,products,equalizers,pullbacks,exponentials,pnno"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "error [OracleDisagreement]" in err
+    assert "eta does not preserve the carried 'products'" in err
