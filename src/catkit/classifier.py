@@ -6,7 +6,10 @@ mono list per category, a carry searches the target's table once, and a
 functor preserves the classifier when the classifying morphism of its image
 truth arrow is an iso.  The second routes are oracles in
 ``tests/classifier_oracles.py``.  The classifier's registry verbs take
-witness bags and read the chosen terminal from them.
+witness bags and read the chosen terminal from them.  On a thin category
+with an arrow that is not an iso, the search decides the classifier absent
+by a theorem, not by a search: every arrow of a thin category is monic,
+and every mono a classifier classifies there is an iso.
 
 A topos is a bag of its six components keyed by kind name, and the topos
 helpers walk the kinds through ``lifting.KINDS``; they import ``lifting``
@@ -118,10 +121,20 @@ def is_subobject_classifier(
 
 def find_subobject_classifier(C: FinCat, bag: dict) -> SubobjectClassifierW | None:
     """The first point tau of an omega, in object and hom order, that
-    classifies every mono; the mono list is built once for all candidates."""
+    classifies every mono; the mono list is built once for all candidates.
+    A thin category with an arrow that is not an iso is refuted with one
+    tick: a pullback of tau along any chi is the whole of its domain there,
+    so every mono it classifies is an iso, and every arrow of a thin
+    category is monic."""
     term = bag["terminal"]
     if not is_terminal(C, term.t):
         raise InvalidCert("terminal witness does not name a terminal object")
+    down = C.down_sets
+    if down is not None:
+        budget_tick()
+        # x -> y is an iso exactly when y -> x exists
+        if any(not down[x] >> y & 1 for x, y in C.hom_map):
+            return None
     ms = monos(C)
     for omega in range(C.n_objects):
         for tau in C.hom(term.t, omega):

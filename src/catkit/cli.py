@@ -38,6 +38,7 @@ from .errors import (
     CatkitError,
     DanglingReference,
     DependencyMissing,
+    MalformedInput,
     OracleDisagreement,
     PreconditionViolation,
     SearchBudgetExceeded,
@@ -114,8 +115,56 @@ class RunReport:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at path.  A key repeated in one object with a
+    different value raises MalformedInput at a pointer to it, the first
+    such object in document order; a repeat with the same value is
+    dropped, as a repeated structure entry is."""
+    repeats: list[_Repeated] = []
+
+    def build(pairs: list) -> dict:
+        out = dict(pairs)
+        if len(out) != len(pairs):
+            key = _different_repeat(pairs)
+            if key is not None:
+                out = _Repeated(out)
+                out.key = key
+                repeats.append(out)
+        return out
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh, object_pairs_hook=build)
+    if repeats:
+        pointer, key = _first_repeat(doc, "")
+        raise MalformedInput(f"key {key!r} is repeated with a different value", pointer=pointer)
+    return doc
+
+
+class _Repeated(dict):
+    """A JSON object that repeats ``key`` with a different value."""
+
+    key: str
+
+
+def _different_repeat(pairs: list) -> str | None:
+    """The first key of pairs repeated with a value unlike its first one."""
+    first: dict = {}
+    for k, v in pairs:
+        if k in first and json.dumps(first[k], sort_keys=True) != json.dumps(v, sort_keys=True):
+            return k
+        first.setdefault(k, v)
+    return None
+
+
+def _first_repeat(doc, path: str) -> tuple[str, str] | None:
+    """The pointer to the first repeated key in doc, with the key."""
+    if isinstance(doc, _Repeated):
+        return f"{path}/{doc.key}", doc.key
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        found = _first_repeat(v, f"{path}/{k}")
+        if found is not None:
+            return found
+    return None
 
 
 def _write_json(path: str, doc: dict) -> None:

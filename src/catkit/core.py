@@ -161,6 +161,24 @@ class FinCat:
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
+    def down_sets(self) -> tuple[int, ...] | None:
+        """``down_sets[x]``: the objects with an arrow into x, as a bitset
+        with bit z set when hom(z, x) is not empty, when the category is
+        thin (no hom-set holds two arrows); None otherwise.  One scan of
+        ``hom_map`` stops at the first hom-set holding two arrows and ticks
+        the search budget once per hom-set it visits."""
+        down = [0] * self.n_objects
+        visited = 0
+        for (z, x), fs in self.hom_map.items():
+            visited += 1
+            if len(fs) > 1:
+                budget_tick(visited)
+                return None
+            down[x] |= 1 << z
+        budget_tick(visited)
+        return tuple(down)
+
+    @cached_property
     def out_of(self) -> tuple[tuple[int, ...], ...]:
         """``out_of[x]``: the morphisms leaving object x, in index order."""
         out: list[list[int]] = [[] for _ in range(self.n_objects)]

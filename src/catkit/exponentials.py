@@ -14,6 +14,13 @@ table carried; the lift is :func:`limits.decide_lift` by ``preserves``.
 table itself.  The searches test each typed candidate ``ev`` with the
 universal-property loop alone, and one sweep of ``find_exponentials`` or
 ``check_exponentials`` computes each ``lam x id_x`` once.
+
+On a thin category whose chosen products are all meets, an exponential is
+a Heyting implication: the search takes each at once, one tick per pair,
+and the check is one bitset test, so an absence follows from the order
+rather than from a search over candidates.  Exponentials depend on
+products, which a finite category has only when it is thin (Freyd); a
+partial or wrong products table keeps the general loops.
 """
 from __future__ import annotations
 
@@ -42,6 +49,7 @@ from .limits import (
     mediating,
     refuse_other_keys,
     _first_out_of_range,
+    _lowest_by_down_set,
 )
 
 
@@ -87,9 +95,9 @@ def _is_exponential(
     C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW, pairs: dict
 ) -> bool:
     """:func:`is_exponential`, reading lam x id_x through the memo pairs,
-    which maps (lam, x) to :func:`_pairing` for these C and prods: ev runs
-    from the chosen product of (obj, x) into y and passes the
-    universal-property loop."""
+    which maps (lam, x) to :func:`_pairing` and x to :func:`_meet_apexes`
+    for these C and prods: ev runs from the chosen product of (obj, x) into
+    y and passes the universal-property loop."""
     entry = prods.get((w.obj, w.x))
     return (
         entry is not None and C.has_morphisms(w.ev)
@@ -108,7 +116,16 @@ def _exponential_universal(
     pairs: dict,
 ) -> bool:
     """Every f out of the chosen product of (z, x) into y curries exactly
-    once; ev is typed out of the chosen product of (obj, x) into y."""
+    once; ev is typed out of the chosen product of (obj, x) into y.  On a
+    thin category whose chosen products of (z, x) are all meets, with one
+    tick: every z whose product with x lies below y lies below obj, since
+    the curried forms are then unique."""
+    if x not in pairs:
+        pairs[x] = _meet_apexes(C, prods, x)
+    apexes = pairs[x]
+    if apexes is not None and 0 <= obj < C.n_objects:
+        budget_tick()
+        return not _below(C, apexes, y) & ~C.down_sets[obj]
     comp, hom = C.comp_table, C.hom_map.get
     for z in range(C.n_objects):
         zx = prods.get((z, x))
@@ -128,6 +145,34 @@ def _exponential_universal(
             if not once.get(f):
                 return False
     return True
+
+
+def _meet_apexes(
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], x: int
+) -> list[int] | None:
+    """On a thin category, the apex of the chosen product of (z, x) for
+    each z, when every one is there and is a product: its apex has the
+    lower bounds of z and x as its down-set, and its legs are typed.  None
+    otherwise, and on a category that is not thin."""
+    down, n = C.down_sets, C.n_objects
+    if down is None or not 0 <= x < n:
+        return None
+    src, dst = C.mor_src, C.mor_dst
+    apexes = []
+    for z in range(n):
+        w = prods.get((z, x))
+        if w is None or not (0 <= w.apex < n and C.has_morphisms(w.pi1, w.pi2)) \
+                or down[w.apex] != down[z] & down[x] \
+                or (src[w.pi1], dst[w.pi1], src[w.pi2], dst[w.pi2]) != (w.apex, z, w.apex, x):
+            return None
+        apexes.append(w.apex)
+    return apexes
+
+
+def _below(C: FinCat, apexes: list[int], y: int) -> int:
+    """The z whose apex in apexes lies below y, as a bitset."""
+    down_y = C.down_sets[y]
+    return sum(1 << z for z, a in enumerate(apexes) if down_y >> a & 1)
 
 
 def curry(
@@ -180,7 +225,7 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
     and the table has no other entry."""
     table = bag["exponentials"]
     prods = bag["products"]
-    pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole sweep
+    pairs: dict = {}   # (lam, x) -> lam x id_x and x -> its meet apexes, for the whole sweep
     keys = list(itertools.product(range(C.n_objects), repeat=2))
     for x, y in keys:
         w = table.get((x, y))
@@ -190,8 +235,14 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
 
 
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
+    """The witnesses :func:`_find_exponential` returns for every pair, or
+    None if some pair has none; by :func:`_thin_exponentials` on a thin
+    category whose chosen products are all meets."""
     prods = bag["products"]
-    pairs: dict = {}   # (lam, x) -> lam x id_x, shared by the whole sweep
+    apexes = [_meet_apexes(C, prods, x) for x in range(C.n_objects)]
+    if None not in apexes:
+        return _thin_exponentials(C, apexes)
+    pairs: dict = dict(enumerate(apexes))   # the sweep's memo, as in check_exponentials
     out = {}
     for x in range(C.n_objects):
         for y in range(C.n_objects):
@@ -199,6 +250,25 @@ def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], Exponential
             if w is None:
                 return None
             out[(x, y)] = w
+    return out
+
+
+def _thin_exponentials(
+    C: FinCat, apexes: list[list[int]]
+) -> dict[tuple[int, int], ExponentialW] | None:
+    """:func:`find_exponentials` on a thin category, given the apex of the
+    chosen product of (z, x) at ``apexes[x][z]``, one tick per pair.  The
+    exponential of (x, y) is the Heyting implication: obj is the lowest
+    object whose down-set is the z with z x x below y, with the unique ev."""
+    lowest, hom = _lowest_by_down_set(C), C.hom_map
+    out = {}
+    for x, xs in enumerate(apexes):
+        for y in range(C.n_objects):
+            budget_tick()
+            obj = lowest.get(_below(C, xs, y))
+            if obj is None:
+                return None
+            out[(x, y)] = ExponentialW(x, y, obj, hom[(xs[obj], y)][0])
     return out
 
 

@@ -35,6 +35,18 @@ returns.  The loops that rescan hom(z, apex) for every cone, and the search
 that hands each candidate to ``is_*`` as a witness, are kept in the tests
 as their oracles.
 
+On a thin category, one whose hom-sets hold at most one arrow
+(``FinCat.down_sets``), every limit is a meet: :func:`find_table` takes
+each as the lowest object whose down-set is the lower bounds of the key's
+feet, one tick per key, and each ``universal`` is one bitset test, one tick
+per call.  Elsewhere :func:`find_table` decides equalizers by counting
+cones, one tick per key.  An absence can be decided by a theorem rather
+than by a search: a finite category that is not thin has no binary
+products (Freyd), so :func:`find_binary_products` refutes them after the
+thinness scan, and the coproducts follow through the opposite category.
+The loops over cones and :func:`find_limit`'s key-by-key search serve the
+other categories and remain these routes' oracles in the tests.
+
 Colimit duals delegate to the limit machinery on the opposite category;
 the direct colimit searches they are cross-checked against live in the
 tests.
@@ -133,11 +145,41 @@ class CoequalizerW:
 def is_terminal(C: FinCat, t: int) -> bool:
     if not (0 <= t < C.n_objects):
         return False
+    if C.down_sets is not None:
+        return _thin_universal(C, (), t)
     for x in range(C.n_objects):
         budget_tick()
         if len(C.hom(x, t)) != 1:
             return False
     return True
+
+
+def _lower_bounds(C: FinCat, feet) -> int:
+    """On a thin category, the objects below every one of feet, as a bitset
+    (every object when there is no foot)."""
+    down = C.down_sets
+    bound = (1 << C.n_objects) - 1
+    for x in feet:
+        bound &= down[x]
+    return bound
+
+
+def _lowest_by_down_set(C: FinCat) -> dict[int, int]:
+    """On a thin category, each down-set -> the lowest object that has it,
+    the lowest index in its isomorphism class."""
+    lowest: dict[int, int] = {}
+    for x, d in enumerate(C.down_sets):
+        lowest.setdefault(d, x)
+    return lowest
+
+
+def _thin_universal(C: FinCat, feet, apex: int) -> bool:
+    """The universal property on a thin category, with one tick: a cone
+    from apex typed onto feet is a limit exactly when every lower bound of
+    the feet lies below apex, since every cone from a lower bound, and its
+    mediator, is then unique."""
+    budget_tick()
+    return not _lower_bounds(C, feet) & ~C.down_sets[apex]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +198,9 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
 
 def _product_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
     """Every cone over the factor pair factors exactly once; the legs are
-    typed."""
+    typed.  On a thin category, :func:`_thin_universal`."""
+    if C.down_sets is not None:
+        return _thin_universal(C, key, apex)
     comp, hom = C.comp_table, C.hom_map.get
     (x1, x2), (pi1, pi2) = key, legs
     for z in range(C.n_objects):
@@ -189,10 +233,13 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
 
 def _equalizer_universal(C: FinCat, key: Key, obj: int, legs: tuple[int, ...]) -> bool:
     """Every arrow equalizing the parallel pair factors exactly once; the
-    leg is typed and equalizes the pair."""
-    comp, hom = C.comp_table, C.hom_map.get
+    leg is typed and equalizes the pair.  On a thin category,
+    :func:`_thin_universal`."""
     (f, g), (arrow,) = key, legs
     x = C.mor_src[f]
+    if C.down_sets is not None:
+        return _thin_universal(C, (x,), obj)
+    comp, hom = C.comp_table, C.hom_map.get
     for z in range(C.n_objects):
         once = None   # the image table of hom(z, obj), built at the first cone from z
         for h in hom((z, x), ()):
@@ -228,10 +275,12 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
 
 def _pullback_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
     """Every commuting square over the cospan factors exactly once; the legs
-    are typed and commute."""
-    comp, hom = C.comp_table, C.hom_map.get
+    are typed and commute.  On a thin category, :func:`_thin_universal`."""
     (f, g), (p1, p2) = key, legs
     x, y = C.mor_src[f], C.mor_src[g]
+    if C.down_sets is not None:
+        return _thin_universal(C, (x, y), apex)
+    comp, hom = C.comp_table, C.hom_map.get
     for z in range(C.n_objects):
         once = None   # the image table of hom(z, apex), built at the first cone from z
         for h1 in hom((z, x), ()):
@@ -392,13 +441,74 @@ def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
 
 
 def find_table(shape: LimitShape, C: FinCat) -> Table | None:
-    """Chosen limits for every key, or None if some key has none."""
+    """Chosen limits for every key, or None if some key has none: the
+    witnesses :func:`find_limit` returns, taken as meets on a thin category
+    (:func:`_thin_table`) and by counting for the equalizers of any other
+    (:func:`_counted_equalizers`); the other shapes search key by key."""
+    if C.down_sets is not None:
+        return _thin_table(shape, C)
+    if shape is EQUALIZERS:
+        return _counted_equalizers(C)
     out = {}
     for key in shape.keys(C):
         w = find_limit(shape, C, key)
         if w is None:
             return None
         out[key] = w
+    return out
+
+
+def _thin_table(shape: LimitShape, C: FinCat) -> Table | None:
+    """:func:`find_table` on a thin category, one tick per key.  The limits
+    of a key are the objects whose down-set is the lower bounds of its
+    feet, its meet and the objects isomorphic to it; the witness is the one
+    with the lowest index, which :func:`find_limit` meets first, with its
+    unique legs."""
+    lowest = _lowest_by_down_set(C)
+    hom = C.hom_map
+    out = {}
+    for key in shape.keys(C):
+        budget_tick()
+        feet = shape.feet(C, key)
+        apex = lowest.get(_lower_bounds(C, feet))
+        if apex is None:
+            return None
+        out[key] = shape.witness(*key, apex, *[hom[(apex, x)][0] for x in feet])
+    return out
+
+
+def _counted_equalizers(C: FinCat) -> Table | None:
+    """:func:`find_table` for equalizers, one tick per key.  An arrow a
+    with a;f == a;g equalizes (f, g) exactly when u -> u;a is injective on
+    into(src a) and into(src a) is as large as the set of h into src f with
+    h;f == h;g: mediation is then a bijection onto the cones.  Injectivity
+    is decided once per arrow for the whole table, and the candidates into
+    src f are scanned by apex, then index, as :func:`find_limit` takes
+    them."""
+    comp, src, into = C.comp_table, C.mor_src, C.into
+    by_apex: dict[int, list[int]] = {}   # x -> into(x) by apex, then index
+    monic: dict[int, bool] = {}
+    out = {}
+    for f, g in parallel_pairs(C):
+        budget_tick()
+        x = src[f]
+        arrows = by_apex.get(x)
+        if arrows is None:
+            arrows = by_apex[x] = sorted(into[x], key=src.__getitem__)
+        cones = len(into[x]) if f == g else sum(1 for h in into[x] if comp[h][f] == comp[h][g])
+        for a in arrows:
+            row = comp[a]
+            if len(into[src[a]]) != cones or row[f] != row[g]:
+                continue
+            mono = monic.get(a)
+            if mono is None:
+                us = into[src[a]]
+                mono = monic[a] = len({comp[u][a] for u in us}) == len(us)
+            if mono:
+                out[(f, g)] = EqualizerW(f, g, src[a], a)
+                break
+        else:
+            return None
     return out
 
 
@@ -696,7 +806,8 @@ def lift(
 
 
 def find_terminal(C: FinCat) -> ChosenTerminal | None:
-    return find_limit(TERMINAL, C, ())
+    table = find_table(TERMINAL, C)
+    return None if table is None else table[()]
 
 
 def to_terminal(C: FinCat, term: ChosenTerminal, x: int) -> int:
@@ -720,7 +831,13 @@ def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD):
 
 
 def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None:
-    """Chosen products for every ordered pair, or None if some pair has none."""
+    """Chosen products for every ordered pair, or None if some pair has
+    none.  A category that is not thin is refuted with one tick: a finite
+    category with binary products is thin, since hom(t, y^n) would hold
+    |hom(t, y)|^n arrows for every n (Freyd; Mac Lane, CWM V.2)."""
+    if C.down_sets is None:
+        budget_tick()
+        return None
     return find_table(PRODUCTS, C)
 
 

@@ -16,10 +16,15 @@ exponential preservation certificate, which only the tests use, and the
 carry and preserves loops as ``catkit`` first wrote them: every source
 field read through dicts of F's maps, every carried entry imaged and
 composed key by key.  ``limits.carry`` and ``limits.preserves`` are
-compared against them, entries, certificates and raises alike."""
+compared against them, entries, certificates and raises alike.
+
+Last, the generic searches, which decide every limit by its loops over
+cones whatever the category: the oracles of the routes that decide limits
+by order on thin categories and by counting elsewhere."""
+import dataclasses
 import itertools
 
-from catkit import exponentials
+from catkit import classifier, exponentials, limits, nno
 from catkit.core import (
     FinCat,
     Functor,
@@ -43,6 +48,7 @@ from catkit.limits import (
     mediating,
     to_terminal,
 )
+from catkit.lifting import KINDS
 from catkit.nno import PNNOW
 
 
@@ -304,3 +310,63 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
         ]
         out[key] = shape.witness(*key, G.obj_map[v[k]], *legs)
     return out
+
+
+def generic_view(C: FinCat) -> FinCat:
+    """C's tables with its down-sets hidden, so that every check and search
+    in ``catkit`` takes its generic route: the loops over cones, and
+    ``find_limit`` key by key."""
+    G = dataclasses.replace(C)
+    G.__dict__["down_sets"] = None
+    return G
+
+
+def generic_table(shape: LimitShape, C: FinCat) -> Table | None:
+    """``limits.find_table`` by the generic search: ``find_limit`` key by
+    key, with the loops over cones."""
+    G = generic_view(C)
+    out = {}
+    for key in shape.keys(G):
+        w = limits.find_limit(shape, G, key)
+        if w is None:
+            return None
+        out[key] = w
+    return out
+
+
+def generic_exponentials(C: FinCat, prods: Table) -> dict | None:
+    """``exponentials.find_exponentials`` by the generic search."""
+    G = generic_view(C)
+    pairs: dict = {}
+    out = {}
+    for x in range(G.n_objects):
+        for y in range(G.n_objects):
+            w = exponentials._find_exponential(G, prods, x, y, pairs)
+            if w is None:
+                return None
+            out[(x, y)] = w
+    return out
+
+
+# kind -> its generic search, taking the bag of the kinds before it
+GENERIC_FINDS = {
+    "terminal": lambda C, bag: (generic_table(limits.TERMINAL, C) or {}).get(()),
+    "products": lambda C, bag: generic_table(limits.PRODUCTS, C),
+    "equalizers": lambda C, bag: generic_table(limits.EQUALIZERS, C),
+    "pullbacks": lambda C, bag: generic_table(limits.PULLBACKS, C),
+    "exponentials": lambda C, bag: generic_exponentials(C, bag["products"]),
+    "classifier": lambda C, bag: classifier.find_subobject_classifier(generic_view(C), bag),
+    "pnno": lambda C, bag: nno.find_pnno(C, bag),
+}
+
+
+def generic_bag(C: FinCat) -> dict:
+    """``lifting.find_bag(C, KIND_ORDER)`` by the generic searches, every
+    kind whose dependencies were found searched, pullbacks included."""
+    bag: dict = {}
+    for name, find in GENERIC_FINDS.items():
+        if all(dep in bag for dep in KINDS[name].deps):
+            w = find(C, bag)
+            if w is not None:
+                bag[name] = w
+    return bag

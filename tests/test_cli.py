@@ -574,6 +574,63 @@ def test_factor_refuses_a_target_entry_shadowed_by_another(
     assert err["pointer"] == pointer
 
 
+def _repeat_key(doc, path, wrong):
+    """doc as JSON text in which the key at path is written twice in its
+    object: first with the value wrong, then with its own."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    right, node[path[-1]] = node[path[-1]], "<repeated>"
+    text = json.dumps(doc)
+    pair = f'{json.dumps(path[-1])}: "<repeated>"'
+    assert text.count(pair) == 1
+    return text.replace(pair, f"{json.dumps(path[-1])}: {json.dumps(wrong)}, "
+                              f"{json.dumps(path[-1])}: {json.dumps(right)}", 1)
+
+
+@pytest.mark.parametrize("base, kinds, doc_name, path", [
+    (chain_poset(3), "terminal,products", "functor", ("on_morphisms", "le_c0_c0")),
+    (chain_poset(3), "terminal,products", "functor", ("on_objects", "c0")),
+    (chain_poset(3), "terminal,products", "source", ("identities", "c0")),
+    (finset_fragment(2), "terminal,omega", "target", ("subobject_classifier", "chi", 0)),
+])
+@pytest.mark.parametrize("same", [False, True])
+def test_factor_refuses_a_key_repeated_with_a_different_value(
+    tmp_path, capsys, base, kinds, doc_name, path, same
+):
+    """A key written twice in one object of a document that ``complete
+    --carry-structure`` and its eta made: with a different value first,
+    factor exits 1 at a pointer to the key rather than keep the last value
+    unchecked; with the same value twice, the repeat is dropped."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("source", "target", "functor")}
+    paths["source"].write_text(json.dumps(category_to_json(inflate(base, [1, 2, 2])[0])))
+    assert main(["complete", str(paths["source"]), "--carry-structure",
+                 "--out", str(paths["target"])]) == 0
+    docs = {"source": json.loads(paths["source"].read_text()),
+            "target": json.loads(paths["target"].read_text())}
+    docs["functor"] = docs["target"]["eta"]
+    node = docs[doc_name]
+    for key in path[:-1]:
+        node = node[key]
+    key = path[-1] if isinstance(path[-1], str) else list(node)[path[-1]]
+    path = (*path[:-1], key)
+    # a wrong value of the right kind: another entry's value in the same object
+    wrong = node[key] if same else next(v for v in node.values() if v != node[key])
+    for name, doc in docs.items():
+        text = _repeat_key(doc, path, wrong) if name == doc_name else json.dumps(doc)
+        paths[name].write_text(text)
+    capsys.readouterr()
+    code = main(["factor", "--source", str(paths["source"]), "--functor", str(paths["functor"]),
+                 "--target", str(paths["target"]), "--structures", kinds, "--json"])
+    if same:
+        assert code == 0
+        return
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "MalformedInput"
+    assert err["pointer"] == "/" + "/".join(path)
+
+
 def test_demo_runs_each_example(capsys):
     for name in ("walking-iso", "preorder", "setoid", "karoubi", "kleisli", "finset2"):
         assert main(["demo", name]) == 0, name

@@ -1,10 +1,15 @@
 """The ``is_*`` checks that read hom(z, apex) once per test object against
 the loops kept in ``limit_oracles``, which rescan it for every cone: the
-same verdict and the same number of budget ticks on every candidate the
-oracle searches enumerate, on corrupted table entries, and the same
-smallest budget that lets the check finish.  The searches, which skip the
-checks' preamble, against the oracle searches, which build a witness per
-candidate and hand it to ``is_*``: the same witnesses and ticks."""
+same verdict on every candidate the oracle searches enumerate and on
+corrupted table entries, and the same number of budget ticks, so the same
+smallest budget that lets the check finish, wherever the check takes its
+generic route.  On a thin category a check takes its order route instead,
+one tick per call.  The searches, which skip the checks' preamble, against
+the oracle searches, which build a witness per candidate and hand it to
+``is_*``: the same witnesses, and the same ticks where the search is
+generic; a search that decides by order or by counting ticks once per
+key."""
+import itertools
 from collections import Counter
 from functools import cache
 
@@ -112,7 +117,9 @@ def candidates():
 
 def _run(check, C, args, limit=10**18):
     """The verdict of check and the ticks it took, or SearchBudgetExceeded
-    when the budget ran out."""
+    when the budget ran out.  C's thinness scan, which runs once per
+    category, is made before the count starts."""
+    C.down_sets
     core.set_search_budget(limit)
     try:
         return check(C, *args), core._budget.used
@@ -126,14 +133,45 @@ def _kernel(name):
     return next(getattr(mod, name) for mod, n in CHECKS if n == name)
 
 
+def _thin_route(name, C, args) -> bool:
+    """Whether the check decides these arguments by order: on a thin
+    category, the exponential check only where the chosen products it reads
+    are all meets; the parameterized N is always generic."""
+    if C.down_sets is None or name == "is_pnno":
+        return False
+    if name == "is_exponential":
+        prods, w = args
+        return exponentials._meet_apexes(C, prods, w.x) is not None
+    return True
+
+
+def _owed(name, C, args, oracle):
+    """The verdict and ticks the check owes where the oracle's run gave
+    oracle: the same, but one tick on the order route, where the oracle
+    ticks whenever the check reaches its universal property."""
+    verdict, used = oracle
+    return (verdict, min(used, 1)) if _thin_route(name, C, args) else oracle
+
+
 def test_every_searched_candidate_gets_the_oracles_verdict_and_ticks():
     seen = {name: set() for _, name in CHECKS}
+    routes = {name: set() for _, name in CHECKS}
+    views = {}
     for name, C, args in candidates():
         got = _run(_kernel(name), C, args)
-        assert got == _run(getattr(limit_oracles, name), C, args), (name, C.name, args)
+        oracle = _run(getattr(limit_oracles, name), C, args)
+        assert got == _owed(name, C, args, oracle), (name, C.name, args)
+        # the generic loop, which the order route stands in for, keeps the
+        # oracle's verdict and ticks on every candidate
+        G = views.setdefault(C, limit_oracles.generic_view(C))
+        assert _run(_kernel(name), G, args) == oracle, (name, C.name, args)
         seen[name].add(bool(got[0]))
-    # each check is met with both verdicts, so the parity is not vacuous
+        routes[name].add(_thin_route(name, C, args))
+    # each check is met with both verdicts, so the parity is not vacuous, and
+    # each but the parameterized N's on both routes
     assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+    assert all(r == ({False} if name == "is_pnno" else {True, False})
+               for name, r in routes.items()), routes
 
 
 def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
@@ -151,14 +189,15 @@ def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
             for key in _sample(table):
                 for how, bad in _limit_corruptions(shape, C, table[key], twins):
                     got = _run(_kernel(check), C, (bad,))
-                    assert got == _run(getattr(limit_oracles, check), C, (bad,)), (
-                        C.name, kind, key, how, bad)
+                    oracle = _run(getattr(limit_oracles, check), C, (bad,))
+                    assert got == _owed(check, C, (bad,), oracle), (C.name, kind, key, how, bad)
                     seen.add((kind, got[0]))
         exps = found["exponentials"] or {}
         for key in _sample(exps):
             for how, bad in _exp_corruptions(C, prods, exps[key], twins):
                 got = _run(exponentials.is_exponential, C, (prods, bad))
-                assert got == _run(limit_oracles.is_exponential, C, (prods, bad)), (
+                oracle = _run(limit_oracles.is_exponential, C, (prods, bad))
+                assert got == _owed("is_exponential", C, (prods, bad), oracle), (
                     C.name, key, how, bad)
                 seen.add(("exponentials", got[0]))
     assert {(k, v) for k in [*shapes, "exponentials"] for v in (True, False)} <= seen, seen
@@ -166,48 +205,81 @@ def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
 
 @pytest.mark.parametrize("name", [name for _, name in CHECKS])
 def test_the_budget_runs_out_at_the_same_count(name):
+    """The check and its oracle each finish at the count they tick and run
+    out one below it; the check's count is the oracle's on the generic
+    route, and one on the order route."""
     calls = [(C, args) for n, C, args in candidates() if n == name]
     ticked = 0
     for C, args in calls[:: max(1, len(calls) // 200)]:
-        _, used = _run(_kernel(name), C, args)
+        oracle = _run(getattr(limit_oracles, name), C, args)
+        used = _owed(name, C, args, oracle)[1]
         if used == 0:
             continue
         ticked += 1
-        for check in (_kernel(name), getattr(limit_oracles, name)):
-            assert _run(check, C, args, used)[1] == used, (name, C.name, args)
-            assert _run(check, C, args, used - 1) is SearchBudgetExceeded, (name, C.name, args)
+        for check, count in ((_kernel(name), used), (getattr(limit_oracles, name), oracle[1])):
+            assert _run(check, C, args, count)[1] == count, (name, C.name, args)
+            assert _run(check, C, args, count - 1) is SearchBudgetExceeded, (name, C.name, args)
     assert ticked > 0
 
 
+def _keys_to_first_gap(keys, table) -> int:
+    """The keys a search that stops at the first key without an entry in
+    table visits."""
+    return next((i + 1 for i, key in enumerate(keys) if key not in table), len(keys))
+
+
 def test_the_searches_find_the_oracle_searches_witnesses_with_the_same_ticks():
+    """The same witnesses everywhere, and the oracle search's ticks wherever
+    the search is generic: ``partial_table`` always, ``find_table`` for
+    products and pullbacks on a category that is not thin, and
+    ``find_exponentials`` unless every chosen product is a meet.  Elsewhere
+    the search decides by order or by counting, one tick per key it
+    visits."""
     seen = set()
     for C in corpus():
+        thin = C.down_sets is not None
         searches = []
         for shape in (limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
+            per_key = None
+            if thin or shape is limits.EQUALIZERS:
+                per_key = _keys_to_first_gap(shape.keys(C), _oracle_table(shape, C, partial=True))
             for partial in (True, False):
                 verb = limits.partial_table if partial else limits.find_table
                 searches.append((
                     (shape.name, verb.__name__),
                     lambda C, shape=shape, verb=verb: verb(shape, C),
                     lambda C, shape=shape, partial=partial: _oracle_table(shape, C, partial),
+                    None if partial else per_key,
                 ))
         prods = limits.partial_table(limits.PRODUCTS, C)
+        ordered = thin and all(exponentials._meet_apexes(C, prods, x) is not None
+                               for x in range(C.n_objects))
+        per_key = None
+        if ordered:
+            pairs = list(itertools.product(range(C.n_objects), repeat=2))
+            exps = {(x, y): w for x, y in pairs
+                    if (w := limit_oracles.find_exponential(C, prods, x, y)) is not None}
+            per_key = _keys_to_first_gap(pairs, exps)
         searches.append((
             ("exponential", "find_exponentials"),
             lambda C: exponentials.find_exponentials(C, {"products": prods}),
             lambda C: _oracle_exponentials(C, prods),
+            per_key,
         ))
-        for what, search, oracle in searches:
-            got = _run(search, C, ())
-            assert got == _run(oracle, C, ()), (C.name, what)
-            found, used = got
-            seen.add((what, found is not None))
-            if used:
-                assert _run(search, C, (), used - 1) is SearchBudgetExceeded, (C.name, what)
-                assert _run(oracle, C, (), used - 1) is SearchBudgetExceeded, (C.name, what)
-    # every search that can fail both succeeds and fails somewhere in the corpus
+        for what, search, oracle, per_key in searches:
+            got, want = _run(search, C, ()), _run(oracle, C, ())
+            assert got == (want if per_key is None else (want[0], per_key)), (C.name, what)
+            seen.add((what, got[0] is not None))
+            seen.add((what, "per key" if per_key is not None else "generic"))
+            for run, (_, used) in ((search, got), (oracle, want)):
+                if used:
+                    assert _run(run, C, (), used - 1) is SearchBudgetExceeded, (C.name, what)
+    # every search that can fail both succeeds and fails somewhere in the
+    # corpus, and every find both decides per key and searches
     finds = {what for what, _ in seen if what[1] != "partial_table"}
     assert {(what, ok) for what in finds for ok in (True, False)} <= seen, seen
+    assert {(what, route) for what in finds for route in ("per key", "generic")
+            if what[0] != "equalizer" or route == "per key"} <= seen, seen
 
 
 def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
@@ -231,8 +303,12 @@ def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
         prods = limits.partial_table(limits.PRODUCTS, C)
         pairings.clear()
         exponentials.find_exponentials(C, {"products": prods})
-        # one sweep builds each lam x id_x once
-        assert pairings and max(pairings.values()) == 1, (C.name, pairings)
+        if C.down_sets is None:
+            # one generic sweep builds each lam x id_x once
+            assert pairings and max(pairings.values()) == 1, (C.name, pairings)
+        else:
+            # the diamond's products are meets: the order route builds none
+            assert not pairings, (C.name, pairings)
 
 
 def _carry_corpus():

@@ -414,12 +414,26 @@ def test_lift_preservation_through_completion():
 
 
 def test_search_budget_caps_product_search():
+    # chain_poset(7) is thin, with 49 keys, each of which ticks once
     set_search_budget(40)
     try:
         with pytest.raises(SearchBudgetExceeded):
-            find_binary_products(finset_fragment(2))
+            find_binary_products(chain_poset(7))
     finally:
         set_search_budget(None)
+
+
+def test_products_are_refuted_on_a_category_that_is_not_thin():
+    """hom(1, 2) of finset_fragment(2) holds two arrows, so it has no
+    binary products (Freyd): one tick after the thinness scan."""
+    C = finset_fragment(2)
+    assert len(C.hom(1, 2)) == 2 and C.down_sets is None
+    set_search_budget(1)
+    try:
+        assert find_binary_products(C) is None
+    finally:
+        set_search_budget(None)
+    assert partial_table(PRODUCTS, C).keys() != set(PRODUCTS.keys(C))
 
 
 def test_walking_iso_everything_is_terminal():
