@@ -25,11 +25,12 @@ sides; every witness compares by value.  Factoring into a target with the
 completion's tables takes the completion's found entries instead of
 searching again, and, for a functor with eta's maps, eta's certificates
 instead of deciding again, by one rule for every kind.  Pullbacks are
-absent without a search where a terminal object is found and products are
-not.  Lifting preservation through a factorization reuses the carried
-witnesses instead of transferring them again, and decides the factored
-functor's preservation directly, with the certificates already lifted for
-the kinds it depends on.
+absent without a search where a category with a terminal object has no
+products: they were not found, or it is not thin.  Lifting preservation
+through a factorization reuses the carried witnesses instead of
+transferring them again, and decides the factored functor's preservation
+directly, with the certificates already lifted for the kinds it depends
+on.
 """
 from __future__ import annotations
 
@@ -149,12 +150,18 @@ KINDS: dict[str, StructureKind] = {
 KIND_ORDER = tuple(KINDS)
 
 
-def _refuted(name: str, bag: dict, searched) -> bool:
-    """Whether name is absent from bag's category without a search: over a
-    terminal object a pullback of (!x, !y) is a product of x and y, so a
-    category with a terminal object and no products has no pullbacks."""
-    return name == "pullbacks" and "terminal" in bag and "products" in searched \
-        and "products" not in bag
+def _refuted(name: str, C: FinCat, bag: dict, searched) -> bool:
+    """Whether name is absent from C, whose bag is bag, without a search:
+    over a terminal object a pullback of (!x, !y) is a product of x and y,
+    so a category with a terminal object and no products has no pullbacks.
+    It has no products when they were searched for and not found, or when
+    it is not thin (Freyd); its terminal is the bag's, or, where the
+    terminal was not searched for, one found without adding it to bag."""
+    if name != "pullbacks":
+        return False
+    no_products = "products" in searched and "products" not in bag or C.down_sets is None
+    return no_products and ("terminal" in bag or "terminal" not in searched
+                            and limits.find_terminal(C) is not None)
 
 
 def find_bag(C: FinCat, kinds) -> dict[str, object]:
@@ -165,7 +172,7 @@ def find_bag(C: FinCat, kinds) -> dict[str, object]:
     bag: dict[str, object] = {}
     for name in KIND_ORDER:
         if name not in kinds or any(dep not in bag for dep in KINDS[name].deps) \
-                or _refuted(name, bag, kinds):
+                or _refuted(name, C, bag, kinds):
             continue
         w = KINDS[name].find(C, bag)
         if w is not None:
@@ -305,8 +312,8 @@ def complete_structured(
     the transfer's check on the skeleton and eta's ``preserves`` on C (the
     classifier by its search on C), a supplied one by ``check`` on C and on
     the skeleton.  The result records this, the kinds found and eta's
-    certificates as ``validated``.  With kinds=None, pullbacks that
-    :func:`_refuted` rules out are not searched for.
+    certificates as ``validated``.  Pullbacks that :func:`_refuted` rules
+    out are not searched for, and are absent.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
@@ -331,7 +338,7 @@ def complete_structured(
             except InvalidCert as e:
                 raise OracleDisagreement(f"carried '{name}' fails on the skeleton: {e}") from None
         else:
-            found = None if _refuted(name, completed, requested) else kind.find(D, completed)
+            found = None if _refuted(name, D, completed, requested) else kind.find(D, completed)
             if found is None:
                 if kinds is None:
                     continue

@@ -173,6 +173,28 @@ def _lowest_by_down_set(C: FinCat) -> dict[int, int]:
     return lowest
 
 
+def _meet_apexes(
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], x: int
+) -> list[int] | None:
+    """On a thin category, the apex of the chosen product of (z, x) for
+    each z, when every one is there and is a product: its apex has the
+    lower bounds of z and x as its down-set, and its legs are typed.  None
+    otherwise, and on a category that is not thin."""
+    down, n = C.down_sets, C.n_objects
+    if down is None or not 0 <= x < n:
+        return None
+    src, dst = C.mor_src, C.mor_dst
+    apexes = []
+    for z in range(n):
+        w = prods.get((z, x))
+        if w is None or not (0 <= w.apex < n and C.has_morphisms(w.pi1, w.pi2)) \
+                or down[w.apex] != down[z] & down[x] \
+                or (src[w.pi1], dst[w.pi1], src[w.pi2], dst[w.pi2]) != (w.apex, z, w.apex, x):
+            return None
+        apexes.append(w.apex)
+    return apexes
+
+
 def _thin_universal(C: FinCat, feet, apex: int) -> bool:
     """The universal property on a thin category, with one tick: a cone
     from apex typed onto feet is a limit exactly when every lower bound of

@@ -1,15 +1,25 @@
-"""Parameterized natural-number objects relative to chosen structure.
+"""Parameterized natural-number objects relative to chosen structure,
+decided by order.
 
-The defining property quantifies over every parameter object whose chosen
-product with the candidate exists: for each parameter t', stage m, and data
-(z': t' -> m, s': m -> m) there is exactly one recursor out of t' x N.
-Pairs missing from a partial product table are skipped as vacuous, which is
-only ever exercised on product-incomplete fragments.  The registry verbs
-take witness bags holding the chosen terminal and products; ``is_pnno`` and
-``reflect_pnno`` take them separately.  :func:`transfer_pnno` is
-:func:`check_pnno` on the source followed by :func:`carry_pnno`, the lift
-is :func:`limits.decide_lift` by ``preserves``, and :func:`preserves_pnno`
-is the one place that compares an image triple with a chosen one.
+A parameterized N is a triple (N, z: 1 -> N, s: N -> N) such that for each
+parameter t', stage m and data (z': t' -> m, s': m -> m) there is exactly
+one recursor out of t' x N.  It needs binary products, which a finite
+category has only when it is thin (Freyd; Mac Lane, CWM V.2, Prop. 3).  On
+a thin category whose chosen products with N are meets
+(``limits._meet_apexes``), a parameterized N is a top with its one zero and
+the identity as successor: an arrow from the terminal into N makes N a
+top, and every recursor is the one arrow from t' x N, which lies below t'
+and so below m.  Every verb here decides by that rule; elsewhere the
+predicates answer None, the search returns None, and ``check`` and
+``preserves`` refuse with ``InvalidCert``.  The general loop over
+recursors is kept in the tests as the rule's oracle.
+
+The registry verbs take witness bags holding the chosen terminal and
+products; ``is_pnno`` and ``reflect_pnno`` take them separately.
+:func:`transfer_pnno` is :func:`check_pnno` on the source followed by
+:func:`carry_pnno`, the lift is :func:`limits.decide_lift` by
+``preserves``, and :func:`preserves_pnno` is the one place that compares an
+image triple with a chosen one, by the pair of arrows between their N.
 """
 from __future__ import annotations
 
@@ -21,12 +31,9 @@ from .core import (
     Iso,
     NatIso,
     WeakEquivalenceCert,
-    budget_tick,
-    find_iso,
 )
 from .errors import (
     InvalidCert,
-    OracleDisagreement,
     PreconditionViolation,
     ReflectionFails,
 )
@@ -34,10 +41,11 @@ from .limits import (
     TERMINAL,
     BinProductW,
     ChosenTerminal,
+    check_table,
     decide_lift,
-    mediating,
     preserves,
     to_terminal,
+    _meet_apexes,
 )
 
 
@@ -59,41 +67,6 @@ class PNNOPreservationCert:
     comparison: Iso
 
 
-def _recursor_arrows(
-    C: FinCat,
-    prods: dict[tuple[int, int], BinProductW],
-    w: PNNOW,
-    t_prime: int,
-    term: ChosenTerminal,
-) -> tuple[int, int, int]:
-    """The apex of t' x N, the point (id, !;z) into it, and the step id x s
-    on it."""
-    entry = prods[(t_prime, w.N)]
-    bang = to_terminal(C, term, t_prime)
-    pair = mediating(C, entry, C.identity[t_prime], C.compose(bang, w.z))
-    step = mediating(C, entry, entry.pi1, C.compose(entry.pi2, w.s))
-    return entry.apex, pair, step
-
-
-def _recursors(
-    C: FinCat,
-    prods: dict[tuple[int, int], BinProductW],
-    w: PNNOW,
-    t_prime: int,
-    m: int,
-    z_prime: int,
-    s_prime: int,
-    term: ChosenTerminal,
-) -> list[int]:
-    apex, pair, step = _recursor_arrows(C, prods, w, t_prime, term)
-    out = []
-    for f in C.hom(apex, m):
-        budget_tick()
-        if C.compose(pair, f) == z_prime and C.compose(step, f) == C.compose(f, s_prime):
-            out.append(f)
-    return out
-
-
 def is_pnno(
     C: FinCat,
     term: ChosenTerminal,
@@ -102,35 +75,17 @@ def is_pnno(
     z: int,
     s: int,
 ) -> PNNOW | None:
-    """The recursor arrows are built once per t', and the candidate
-    recursors grouped by their restriction along the point once per
-    (t', m); the budget ticks once per candidate per (z', s'), as it would
-    testing each candidate."""
-    if not C.has_morphisms(z, s) or C.mor_src[z] != term.t or C.mor_dst[z] != N:
+    """The triple when z runs from the chosen terminal into N and s from N
+    to N, on a thin category whose chosen products with N are meets: N is
+    then a top, and for every parameter t', stage m and data (z', s') the
+    one arrow from t' x N, which lies below t' and so below m, is the one
+    recursor.  A chosen terminal that is not terminal raises; the terminal
+    check is the one tick."""
+    if not C.has_morphisms(z, s) or (C.mor_src[z], C.mor_dst[z]) != (term.t, N) \
+            or (C.mor_src[s], C.mor_dst[s]) != (N, N) or _meet_apexes(C, prods, N) is None:
         return None
-    if C.mor_src[s] != N or C.mor_dst[s] != N:
-        return None
-    w = PNNOW(N, z, s)
-    comp, hom = C.comp_table, C.hom_map.get
-    for t_prime in range(C.n_objects):
-        if (t_prime, N) not in prods:
-            continue
-        apex, pair, step = _recursor_arrows(C, prods, w, t_prime, term)
-        for m in range(C.n_objects):
-            z_primes = hom((t_prime, m), ())
-            if not z_primes:
-                continue
-            candidates = hom((apex, m), ())
-            by_point: dict[int, list[tuple[int, int]]] = {}   # pair;f -> [(f, step;f)]
-            for f in candidates:
-                by_point.setdefault(comp[pair][f], []).append((f, comp[step][f]))
-            for z_prime in z_primes:
-                fits = by_point.get(z_prime, ())
-                for s_prime in hom((m, m), ()):
-                    budget_tick(len(candidates))
-                    if sum(1 for f, sf in fits if comp[f][s_prime] == sf) != 1:
-                        return None
-    return w
+    check_table(TERMINAL, C, {(): term})
+    return PNNOW(N, z, s)
 
 
 def check_pnno(C: FinCat, bag: dict) -> None:
@@ -140,14 +95,14 @@ def check_pnno(C: FinCat, bag: dict) -> None:
 
 
 def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
-    term, prods = bag["terminal"], bag["products"]
-    for N in range(C.n_objects):
-        for z in C.hom(term.t, N):
-            for s in C.hom(N, N):
-                w = is_pnno(C, term, prods, N, z, s)
-                if w is not None:
-                    return w
-    return None
+    """The lowest object N with an arrow z from the chosen terminal, with z
+    and its identity, when :func:`is_pnno` accepts them: on a thin category
+    the lowest top, the triple a search over (N, z, s) meets first."""
+    term = bag["terminal"]
+    N = next((N for N in range(C.n_objects) if C.hom(term.t, N)), None)
+    if N is None:
+        return None
+    return is_pnno(C, term, bag["products"], N, C.hom(term.t, N)[0], C.identity[N])
 
 
 def _refuse_out_of_range(C: FinCat, term: ChosenTerminal, w: PNNOW) -> None:
@@ -202,39 +157,26 @@ def reflect_pnno(
 
 
 def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
-    """Canonical comparison: the recursor at parameter t', stage F(N),
-    restricted along the unit point of the product.  It is the identity,
-    unsearched, where the image triple, its zero re-based onto the terminal
-    of dst, is the witness of dst, since the recursor of a parameterized
-    N's own zero and successor is the product projection.  The terminal and
-    parameterized N of dst are taken as checked, as they are in every bag
-    the registry passes; a source triple out of range raises."""
+    """The comparison is the pair of arrows between the parameterized N of
+    dst and the image of the source one; None when F does not preserve the
+    terminal, or the two are not isomorphic.  On a thin category both are
+    tops when the terminal is preserved, and the arrows between them
+    commute with zero and successor.  The terminal and parameterized N of
+    dst are taken as checked, as they are in every bag the registry passes,
+    and a category that is not thin, which carries none, is refused; so is
+    a source triple out of range."""
     D = F.target
-    termC, wC = src["terminal"], src["pnno"]
-    termD, prodsD, wD = dst["terminal"], dst["products"], dst["pnno"]
-    if preserves(TERMINAL, F, {(): termC}, {(): termD}) is None:
+    termC, wC, wD = src["terminal"], src["pnno"], dst["pnno"]
+    if preserves(TERMINAL, F, {(): termC}, {(): dst["terminal"]}) is None:
         return None
     _refuse_out_of_range(F.source, termC, wC)
-    if (termD.t, wD.N) not in prodsD:
-        raise PreconditionViolation("product table lacks the pair needed for the comparison")
-    image = _image_triple(F, termC, termD, wC)
-    if image == wD:
-        one = D.identity[wD.N]
-        return PNNOPreservationCert(F, Iso(one, one))
-    hits = _recursors(D, prodsD, wD, termD.t, image.N, image.z, image.s, termD)
-    if len(hits) != 1:
-        raise OracleDisagreement("validated witness lost recursor uniqueness")
-    entry = prodsD[(termD.t, wD.N)]
-    point = mediating(
-        D, entry, to_terminal(D, termD, wD.N), D.identity[wD.N]
-    )
-    c = D.compose(point, hits[0])
-    if D.compose(wD.z, c) != image.z or D.compose(wD.s, c) != D.compose(c, image.s):
-        raise OracleDisagreement("comparison fails zero or successor compatibility")
-    iso = find_iso(D, c)
-    if iso is None:
+    if D.down_sets is None:
+        raise InvalidCert("a category that is not thin carries no parameterized N")
+    N = F.obj_map[wC.N]
+    fwd, inv = D.hom_map.get((wD.N, N)), D.hom_map.get((N, wD.N))
+    if fwd is None or inv is None:
         return None
-    return PNNOPreservationCert(F, iso)
+    return PNNOPreservationCert(F, Iso(fwd[0], inv[0]))
 
 
 def lift_preservation_pnno(

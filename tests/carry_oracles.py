@@ -11,7 +11,7 @@ import itertools
 from catkit.completion import skeleton_inclusion
 from catkit.core import Functor, Iso, find_iso
 from catkit.errors import InvalidCert, NotACone
-from catkit.exponentials import ExpPreservationCert, curry
+from catkit.exponentials import ExpPreservationCert
 from catkit.limits import (
     EQUALIZERS,
     PRODUCTS,
@@ -24,6 +24,7 @@ from catkit.limits import (
     mediating,
 )
 from catkit.nno import PNNOPreservationCert, _image_triple, preserves_pnno
+from limit_oracles import curry
 
 SHAPES = {"terminal": TERMINAL, "products": PRODUCTS, "equalizers": EQUALIZERS,
           "pullbacks": PULLBACKS}

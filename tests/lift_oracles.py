@@ -8,8 +8,8 @@ comparisons it builds; the limit route also raises when a square
 transporting the universal property fails to commute."""
 from catkit.core import Functor, NatIso, WeakEquivalenceCert, find_iso
 from catkit.errors import OracleDisagreement
-from catkit.exponentials import curry
 from catkit.limits import Key, LimitPreservationCert, LimitShape, Table, mediating, mediator
+from limit_oracles import curry
 
 
 def transport_iso(cert: WeakEquivalenceCert, H: Functor, alpha: NatIso, y: int) -> tuple[int, int]:

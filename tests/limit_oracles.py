@@ -11,20 +11,25 @@ call time.  The searches in ``catkit``, which test only typed, commuting
 candidates with the universal-property loop alone, are compared against
 them, witnesses and budget ticks alike.
 
-Beside them, the exponential comparison iso and the re-derivation of an
-exponential preservation certificate, which only the tests use, and the
-carry and preserves loops as ``catkit`` first wrote them: every source
-field read through dicts of F's maps, every carried entry imaged and
-composed key by key.  ``limits.carry`` and ``limits.preserves`` are
-compared against them, entries, certificates and raises alike.
+Beside them, currying, the exponential comparison iso and the
+re-derivation of an exponential preservation certificate, which only the
+tests use, and the carry and preserves loops as ``catkit`` first wrote
+them: every source field read through dicts of F's maps, every carried
+entry imaged and composed key by key.  ``limits.carry`` and
+``limits.preserves`` are compared against them, entries, certificates and
+raises alike.  The comparisons of exponentials and parameterized N by
+currying and by recursion are the oracles of ``preserves_exponentials``
+and ``preserves_pnno``, which compare by order.
 
-Last, the generic searches, which decide every limit by its loops over
-cones whatever the category: the oracles of the routes that decide limits
-by order on thin categories and by counting elsewhere."""
+Last, the generic searches, which decide every limit, exponential and
+parameterized N by its loops whatever the category: the oracles of the
+routes that decide by order on thin categories and by counting
+elsewhere."""
 import dataclasses
 import itertools
+from functools import cache, partial
 
-from catkit import classifier, exponentials, limits, nno
+from catkit import classifier, exponentials, limits
 from catkit.core import (
     FinCat,
     Functor,
@@ -35,7 +40,7 @@ from catkit.core import (
     find_iso,
 )
 from catkit.errors import InvalidCert, NotACone, OracleDisagreement, PreconditionViolation
-from catkit.exponentials import ExpPreservationCert, ExponentialW, _pairing, curry
+from catkit.exponentials import ExpPreservationCert, ExponentialW
 from catkit.limits import (
     BinProductW,
     ChosenTerminal,
@@ -49,7 +54,7 @@ from catkit.limits import (
     to_terminal,
 )
 from catkit.lifting import KINDS
-from catkit.nno import PNNOW
+from catkit.nno import PNNOW, PNNOPreservationCert, _image_triple
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
@@ -122,9 +127,43 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
     return True
 
 
+def _pairing(
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], lam: int, x: int
+) -> int:
+    """lam x id_x: the mediator taking the product of (src lam, x) to the
+    product of (dst lam, x)."""
+    src_w = prods[(C.mor_src[lam], x)]
+    dst_w = prods[(C.mor_dst[lam], x)]
+    return mediating(C, dst_w, C.compose(src_w.pi1, lam), src_w.pi2)
+
+
+def curry(
+    C: FinCat,
+    prods: dict[tuple[int, int], BinProductW],
+    w: ExponentialW,
+    z: int,
+    f: int,
+) -> int:
+    """The unique lam out of z with (lam x id);ev = f, for f out of the
+    chosen product of (z, w.x)."""
+    entry = prods.get((z, w.x))
+    if entry is None or entry.apex != C.mor_src[f] or C.mor_dst[f] != w.y:
+        raise NotACone("morphism is not shaped like an uncurried map out of z")
+    hits = [
+        lam
+        for lam in C.hom(z, w.obj)
+        if C.compose(_pairing(C, prods, lam, w.x), w.ev) == f
+    ]
+    if len(hits) != 1:
+        raise InvalidCert(f"exponential witness admits {len(hits)} curried forms")
+    return hits[0]
+
+
 def is_exponential(
-    C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW
+    C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW, pairing=None
 ) -> bool:
+    """pairing(lam, x) is lam x id_x, by :func:`_pairing` unless given."""
+    pairing = pairing or partial(_pairing, C, prods)
     entry = prods.get((w.obj, w.x))
     if entry is None or not C.has_morphisms(w.ev):
         return False
@@ -138,7 +177,7 @@ def is_exponential(
             budget_tick()
             hits = 0
             for lam in C.hom(z, w.obj):
-                if C.compose(_pairing(C, prods, lam, w.x), w.ev) == f:
+                if C.compose(pairing(lam, w.x), w.ev) == f:
                     hits += 1
             if hits != 1:
                 return False
@@ -217,6 +256,19 @@ def is_pnno(
     return w
 
 
+def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
+    """``nno.find_pnno`` by the general search: the first typed triple, by
+    N, then z, then s, that passes the loop over recursors."""
+    term, prods = bag["terminal"], bag["products"]
+    for N in range(C.n_objects):
+        for z in C.hom(term.t, N):
+            for s in C.hom(N, N):
+                w = is_pnno(C, term, prods, N, z, s)
+                if w is not None:
+                    return w
+    return None
+
+
 def exponential_comparison(
     C: FinCat,
     prods: dict[tuple[int, int], BinProductW],
@@ -253,6 +305,51 @@ def check_exp_preservation(
         g = D.compose(mu.fwd, F.mor_map[w.ev])
         if D.compose(_pairing(D, prodsD, comp.fwd, target.x), target.ev) != g:
             raise InvalidCert(f"comparison at ({x},{y}) does not commute with evaluation")
+
+
+def preserves_exponentials(F: Functor, src: dict, dst: dict, certs: dict
+                           ) -> ExpPreservationCert | None:
+    """``exponentials.preserves_exponentials`` by currying: mu;F(ev), with
+    mu from F's products certificate in certs, curried through the chosen
+    exponential of the images; None when it is not shaped as an uncurried
+    map or does not invert."""
+    D = F.target
+    prodsD, expsD, muF = dst["products"], dst["exponentials"], certs["products"]
+    comparison = {}
+    for (x, y), w in src["exponentials"].items():
+        target = expsD[(F.obj_map[x], F.obj_map[y])]
+        g = D.compose(muF.mu[(w.obj, x)].fwd, F.mor_map[w.ev])
+        try:
+            iso = find_iso(D, curry(D, prodsD, target, F.obj_map[w.obj], g))
+        except NotACone:
+            return None
+        if iso is None:
+            return None
+        comparison[(x, y)] = iso
+    return ExpPreservationCert(F, src["exponentials"], expsD, comparison)
+
+
+def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
+    """``nno.preserves_pnno`` by recursion: the recursor at parameter the
+    terminal and stage F(N), restricted along the unit point of the
+    product; None when F does not preserve the terminal or the comparison
+    does not invert."""
+    D = F.target
+    termC, wC = src["terminal"], src["pnno"]
+    termD, prodsD, wD = dst["terminal"], dst["products"], dst["pnno"]
+    if limits.preserves(limits.TERMINAL, F, {(): termC}, {(): termD}) is None:
+        return None
+    image = _image_triple(F, termC, termD, wC)
+    hits = _recursors(D, prodsD, wD, termD.t, image.N, image.z, image.s, termD)
+    if len(hits) != 1:
+        raise OracleDisagreement("validated witness lost recursor uniqueness")
+    entry = prodsD[(termD.t, wD.N)]
+    point = mediating(D, entry, to_terminal(D, termD, wD.N), D.identity[wD.N])
+    c = D.compose(point, hits[0])
+    if D.compose(wD.z, c) != image.z or D.compose(wD.s, c) != D.compose(c, image.s):
+        raise OracleDisagreement("comparison fails zero or successor compatibility")
+    iso = find_iso(D, c)
+    return None if iso is None else PNNOPreservationCert(F, iso)
 
 
 def preserves(
@@ -335,17 +432,28 @@ def generic_table(shape: LimitShape, C: FinCat) -> Table | None:
 
 
 def generic_exponentials(C: FinCat, prods: Table) -> dict | None:
-    """``exponentials.find_exponentials`` by the generic search."""
-    G = generic_view(C)
-    pairs: dict = {}
+    """``exponentials.find_exponentials`` by the general search: for each
+    pair the lowest obj, then the lowest ev, that passes the loop over
+    curried forms, each lam x id_x built once."""
+    pairing = cache(partial(_pairing, C, prods))
     out = {}
-    for x in range(G.n_objects):
-        for y in range(G.n_objects):
-            w = exponentials._find_exponential(G, prods, x, y, pairs)
-            if w is None:
-                return None
-            out[(x, y)] = w
+    for x, y in itertools.product(range(C.n_objects), repeat=2):
+        out[(x, y)] = w = _generic_exponential(C, prods, x, y, pairing)
+        if w is None:
+            return None
     return out
+
+
+def _generic_exponential(C: FinCat, prods: Table, x: int, y: int, pairing) -> ExponentialW | None:
+    for obj in range(C.n_objects):
+        entry = prods.get((obj, x))
+        if entry is None:
+            return None
+        for ev in C.hom(entry.apex, y):
+            w = ExponentialW(x, y, obj, ev)
+            if is_exponential(C, prods, w, pairing):
+                return w
+    return None
 
 
 # kind -> its generic search, taking the bag of the kinds before it
@@ -356,7 +464,7 @@ GENERIC_FINDS = {
     "pullbacks": lambda C, bag: generic_table(limits.PULLBACKS, C),
     "exponentials": lambda C, bag: generic_exponentials(C, bag["products"]),
     "classifier": lambda C, bag: classifier.find_subobject_classifier(generic_view(C), bag),
-    "pnno": lambda C, bag: nno.find_pnno(C, bag),
+    "pnno": find_pnno,
 }
 
 

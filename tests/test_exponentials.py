@@ -10,7 +10,6 @@ from catkit.errors import InvalidCert, NotACone
 from catkit.lifting import KINDS, find_bag
 from catkit.exponentials import (
     ExponentialW,
-    curry,
     find_exponential,
     find_exponentials,
     is_exponential,
@@ -34,7 +33,8 @@ from catkit.limits import (
     preserves_binary_products,
     transfer_binary_products,
 )
-from limit_oracles import check_exp_preservation, exponential_comparison
+import limit_oracles
+from limit_oracles import check_exp_preservation, curry, exponential_comparison
 
 
 def _chain_functor(src, dst, obj_map, name):
@@ -80,11 +80,23 @@ def test_fragment1_exponential_cardinalities():
 
 
 def test_fragment2_exponentials_partial():
+    """The fragment is not thin, so it has no products (Freyd) and no bag
+    of products and exponentials: over its partial products table no pair
+    gets an exponential, not even (1, 2), whose loop over curried forms
+    passes with obj 2, and no candidate passes the check."""
     C = finset_fragment(2)
+    assert C.down_sets is None
     prods = partial_table(PRODUCTS, C)
-    w = find_exponential(C, prods, 1, 2)
-    assert w is not None and w.obj == 2
-    assert find_exponential(C, prods, 2, 2) is None
+    for x in range(C.n_objects):
+        for y in range(C.n_objects):
+            assert find_exponential(C, prods, x, y) is None
+            for obj in range(C.n_objects):
+                entry = prods.get((obj, x))
+                for ev in C.hom(entry.apex, y) if entry else ():
+                    assert not is_exponential(C, prods, ExponentialW(x, y, obj, ev))
+    assert find_exponentials(C, {"products": prods}) is None
+    assert any(limit_oracles.is_exponential(C, prods, ExponentialW(1, 2, 2, ev))
+               for ev in C.hom(prods[(2, 1)].apex, 2))
 
 
 def test_curry_is_a_bijection():

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from catkit import limits
+from catkit import core, limits
 from catkit.completion import inflate, skeletize
 from catkit.core import Functor, compose_functors, functor, identity_functor, iso_between
 from catkit.generators import (
@@ -383,6 +383,34 @@ def test_pullbacks_are_refuted_by_a_terminal_without_products(monkeypatch):
         assert "pullbacks" not in sc.kinds
         assert [k for verb, k, _ in calls if verb == "find"].count("pullbacks") == 0
     assert fired >= 5
+
+
+def test_pullbacks_are_refuted_on_a_category_that_is_not_thin(monkeypatch):
+    """A category that is not thin has no products (Freyd), so with a
+    terminal object it has no pullbacks: without a search, whether the
+    terminal was searched for or not, and without adding the terminal to
+    the bag.  A completion asked for them alone refuses as a search
+    would."""
+    calls = _spy(monkeypatch)
+    fired = 0
+    H = hvalued_sets(heyting_chain(2), max_carrier=2)
+    for C in (*_refutation_inputs(), H, skeletize(H).completed):
+        if C.down_sets is not None or limits.find_terminal(C) is None:
+            continue
+        fired += 1
+        assert limits.find_table(PULLBACKS, C) is None, C.name
+        for kinds in (("pullbacks",), ("terminal", "pullbacks")):
+            calls.clear()
+            assert set(find_bag(C, kinds)) == set(kinds) - {"pullbacks"}, (C.name, kinds)
+            assert ("find", "pullbacks", C) not in calls
+        with pytest.raises(CatkitError, match="requested structure 'pullbacks' is absent"):
+            complete_structured(C, kinds=("pullbacks",))
+    assert fired >= 5, fired
+    core.set_search_budget(20)
+    try:
+        assert find_bag(dataclasses.replace(finset_fragment(3)), ("pullbacks",)) == {}
+    finally:
+        core.set_search_budget(None)
 
 
 def test_pullbacks_are_searched_for_when_products_were_not():

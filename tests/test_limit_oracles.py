@@ -4,7 +4,9 @@ same verdict on every candidate the oracle searches enumerate and on
 corrupted table entries, and the same number of budget ticks, so the same
 smallest budget that lets the check finish, wherever the check takes its
 generic route.  On a thin category a check takes its order route instead,
-one tick per call.  The searches, which skip the checks' preamble, against
+one tick per call.  The exponential and parameterized-N checks have no
+generic route: they decide by order where the chosen products they read
+are meets, and answer no, with no tick, elsewhere.  The searches, which skip the checks' preamble, against
 the oracle searches, which build a witness per candidate and hand it to
 ``is_*``: the same witnesses, and the same ticks where the search is
 generic; a search that decides by order or by counting ticks once per
@@ -133,45 +135,58 @@ def _kernel(name):
     return next(getattr(mod, name) for mod, n in CHECKS if n == name)
 
 
+# the checks that have no generic route: off the order route they answer no
+ORDER_ONLY = {"is_exponential": False, "is_pnno": None}
+
+
 def _thin_route(name, C, args) -> bool:
     """Whether the check decides these arguments by order: on a thin
-    category, the exponential check only where the chosen products it reads
-    are all meets; the parameterized N is always generic."""
-    if C.down_sets is None or name == "is_pnno":
-        return False
+    category, the exponential and parameterized-N checks only where the
+    chosen products they read, with x or with N, are all meets."""
     if name == "is_exponential":
         prods, w = args
-        return exponentials._meet_apexes(C, prods, w.x) is not None
-    return True
+        return limits._meet_apexes(C, prods, w.x) is not None
+    if name == "is_pnno":
+        return limits._meet_apexes(C, args[1], args[2]) is not None
+    return C.down_sets is not None
 
 
 def _owed(name, C, args, oracle):
     """The verdict and ticks the check owes where the oracle's run gave
     oracle: the same, but one tick on the order route, where the oracle
-    ticks whenever the check reaches its universal property."""
+    ticks whenever the check reaches its universal property, and no, with
+    no tick, off it for the checks that have no generic route."""
     verdict, used = oracle
-    return (verdict, min(used, 1)) if _thin_route(name, C, args) else oracle
+    if _thin_route(name, C, args):
+        return verdict, min(used, 1)
+    return (ORDER_ONLY[name], 0) if name in ORDER_ONLY else oracle
 
 
 def test_every_searched_candidate_gets_the_oracles_verdict_and_ticks():
     seen = {name: set() for _, name in CHECKS}
     routes = {name: set() for _, name in CHECKS}
+    differ = set()
     views = {}
     for name, C, args in candidates():
         got = _run(_kernel(name), C, args)
         oracle = _run(getattr(limit_oracles, name), C, args)
         assert got == _owed(name, C, args, oracle), (name, C.name, args)
-        # the generic loop, which the order route stands in for, keeps the
-        # oracle's verdict and ticks on every candidate
-        G = views.setdefault(C, limit_oracles.generic_view(C))
-        assert _run(_kernel(name), G, args) == oracle, (name, C.name, args)
+        if name not in ORDER_ONLY:
+            # the generic loop, which the order route stands in for, keeps
+            # the oracle's verdict and ticks on every candidate
+            G = views.setdefault(C, limit_oracles.generic_view(C))
+            assert _run(_kernel(name), G, args) == oracle, (name, C.name, args)
+        elif bool(got[0]) != bool(oracle[0]):
+            # off a preorder, over a partial products table
+            differ.add(name)
         seen[name].add(bool(got[0]))
         routes[name].add(_thin_route(name, C, args))
-    # each check is met with both verdicts, so the parity is not vacuous, and
-    # each but the parameterized N's on both routes
+    # each check is met with both verdicts and on both routes, so the parity
+    # is not vacuous; the exponential check answers no where a partial
+    # products table on a category that is not thin let the loop answer yes
     assert all(verdicts == {True, False} for verdicts in seen.values()), seen
-    assert all(r == ({False} if name == "is_pnno" else {True, False})
-               for name, r in routes.items()), routes
+    assert all(r == {True, False} for r in routes.values()), routes
+    assert differ == {"is_exponential"}, differ
 
 
 def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
@@ -207,18 +222,19 @@ def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
 def test_the_budget_runs_out_at_the_same_count(name):
     """The check and its oracle each finish at the count they tick and run
     out one below it; the check's count is the oracle's on the generic
-    route, and one on the order route."""
+    route, one on the order route, and none where the exponential and
+    parameterized-N checks answer no off it."""
     calls = [(C, args) for n, C, args in candidates() if n == name]
     ticked = 0
     for C, args in calls[:: max(1, len(calls) // 200)]:
         oracle = _run(getattr(limit_oracles, name), C, args)
         used = _owed(name, C, args, oracle)[1]
-        if used == 0:
-            continue
-        ticked += 1
         for check, count in ((_kernel(name), used), (getattr(limit_oracles, name), oracle[1])):
             assert _run(check, C, args, count)[1] == count, (name, C.name, args)
-            assert _run(check, C, args, count - 1) is SearchBudgetExceeded, (name, C.name, args)
+            if count:
+                assert _run(check, C, args, count - 1) is SearchBudgetExceeded, (
+                    name, C.name, args)
+        ticked += used > 0
     assert ticked > 0
 
 
@@ -252,7 +268,7 @@ def test_the_searches_find_the_oracle_searches_witnesses_with_the_same_ticks():
                     None if partial else per_key,
                 ))
         prods = limits.partial_table(limits.PRODUCTS, C)
-        ordered = thin and all(exponentials._meet_apexes(C, prods, x) is not None
+        ordered = thin and all(limits._meet_apexes(C, prods, x) is not None
                                for x in range(C.n_objects))
         per_key = None
         if ordered:
@@ -283,32 +299,23 @@ def test_the_searches_find_the_oracle_searches_witnesses_with_the_same_ticks():
 
 
 def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
+    """Nor, for the exponentials, through the check's own verdict: one tick
+    per pair on the diamond, whose products are meets, and none on the
+    fragment, which is not thin."""
     def refuse(*args):
         raise AssertionError("a search went through a public check")
 
     for name in ("is_binary_product", "is_equalizer", "is_pullback"):
         monkeypatch.setattr(limits, name, refuse)
     monkeypatch.setattr(exponentials, "is_exponential", refuse)
-    pairings = Counter()
-    real = exponentials._pairing
-
-    def counted(C, prods, lam, x):
-        pairings[(lam, x)] += 1
-        return real(C, prods, lam, x)
-
-    monkeypatch.setattr(exponentials, "_pairing", counted)
+    monkeypatch.setattr(exponentials, "_exponential_universal", refuse)
     for C in (finset_fragment(2), heyting_category(heyting_diamond())):
         for shape in (limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
             limits.find_table(shape, C)
         prods = limits.partial_table(limits.PRODUCTS, C)
-        pairings.clear()
-        exponentials.find_exponentials(C, {"products": prods})
-        if C.down_sets is None:
-            # one generic sweep builds each lam x id_x once
-            assert pairings and max(pairings.values()) == 1, (C.name, pairings)
-        else:
-            # the diamond's products are meets: the order route builds none
-            assert not pairings, (C.name, pairings)
+        found, used = _run(exponentials.find_exponentials, C, ({"products": prods},))
+        thin = C.down_sets is not None
+        assert (found is not None, used) == (thin, C.n_objects ** 2 if thin else 0), C.name
 
 
 def _carry_corpus():

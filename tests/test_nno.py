@@ -97,6 +97,20 @@ def test_chain_rejects_nonterminal_candidates():
         assert C.hom(term.t, N) == ()
 
 
+def test_is_pnno_refuses_a_chosen_terminal_that_is_not_terminal():
+    """The bottom of the chain chosen as its terminal: every typed triple,
+    and the search, raise rather than read the chain's tops as N."""
+    C = chain_poset(3)
+    bottom, prods = ChosenTerminal(0), find_binary_products(C)
+    triples = [(N, z, s) for N in range(C.n_objects) for z in C.hom(0, N) for s in C.hom(N, N)]
+    assert len(triples) == C.n_objects
+    for N, z, s in triples:
+        with pytest.raises(InvalidCert, match="terminal witness"):
+            is_pnno(C, bottom, prods, N, z, s)
+    with pytest.raises(InvalidCert, match="terminal witness"):
+        find_pnno(C, {"terminal": bottom, "products": prods})
+
+
 def test_transfer_pnno_matches_direct_search():
     S = _codiscrete(3)
     infl, proj = inflate(S, [2, 1, 2])
