@@ -17,7 +17,7 @@ when called, since ``lifting`` imports this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     FinCat,
@@ -65,6 +65,10 @@ class SubobjectClassifierW:
     omega: int
     tau: int
     chi: dict[int, int]
+
+    def _replace(self, **changes) -> SubobjectClassifierW:
+        """A copy with changes made, as every tuple witness's ``_replace``."""
+        return replace(self, **changes)
 
 
 def _classify_one(

@@ -1,6 +1,7 @@
 """Exponential objects relative to chosen binary products, decided by order.
 
-An exponential witness for a pair (x, y) names the object of maps from x to
+An exponential witness for a pair (x, y), a ``NamedTuple`` of indices that
+is its own flat tuple (x, y, obj, ev), names the object of maps from x to
 y together with its evaluation morphism out of the chosen product.  A
 finite category with binary products is thin (Freyd; Mac Lane, CWM V.2,
 Prop. 3), and in a thin category whose chosen products are meets an
@@ -17,17 +18,20 @@ The registry verbs (``check``, ``find``, ``transfer``, ``preserves`` and
 them.  ``check`` is one bitset test per pair, ``find`` takes each
 implication at the lowest object that has its down-set, one tick per pair,
 and ``transfer`` is ``check`` on the source followed by
-:func:`carry_exponentials`.  :func:`preserves_exponentials` is the one
-place that compares an image with a chosen exponential, by the pair of
-arrows between the two objects, and that certifies an equivalence; the
-lift is :func:`limits.decide_lift` by ``preserves``.  ``is_exponential``
-and ``find_exponential`` take the product table itself.  The general loops
-over curried forms are kept in the tests as these rules' oracles.
+:func:`carry_exponentials`, which builds the table column by column.
+:func:`preserves_exponentials` is the one place that compares an image
+with a chosen exponential, by the pair of arrows between the two objects,
+and that certifies an equivalence; the lift is :func:`limits.decide_lift`
+by ``preserves``.  ``is_exponential`` and ``find_exponential`` take the
+product table itself.  The general loops over curried forms are kept in
+the tests as these rules' oracles.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (
     Functor,
@@ -45,11 +49,11 @@ from .limits import (
     _first_out_of_range,
     _lowest_by_down_set,
     _meet_apexes,
+    _table,
 )
 
 
-@dataclass(frozen=True)
-class ExponentialW:
+class ExponentialW(NamedTuple):
     """obj is the object of maps from x to y; ev evaluates out of the chosen
     product of (obj, x)."""
 
@@ -80,10 +84,11 @@ def _is_exponential(C: FinCat, apexes: list[int] | None, w: ExponentialW) -> boo
     """:func:`is_exponential`, given the meet apexes of w.x, or None: ev
     runs from the chosen product of (obj, x) into y and passes
     :func:`_exponential_universal`."""
+    _, y, obj, ev = w
     return (
-        apexes is not None and 0 <= w.obj < C.n_objects and C.has_morphisms(w.ev)
-        and (C.mor_src[w.ev], C.mor_dst[w.ev]) == (apexes[w.obj], w.y)
-        and _exponential_universal(C, apexes, w.y, w.obj)
+        apexes is not None and 0 <= obj < C.n_objects and C.has_morphisms(ev)
+        and (C.mor_src[ev], C.mor_dst[ev]) == (apexes[obj], y)
+        and _exponential_universal(C, apexes, y, obj)
     )
 
 
@@ -130,7 +135,7 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
     keys = list(itertools.product(range(C.n_objects), repeat=2))
     for x, y in keys:
         w = table.get((x, y))
-        if w is None or (w.x, w.y) != (x, y) or not _is_exponential(C, apexes[x], w):
+        if w is None or w[:2] != (x, y) or not _is_exponential(C, apexes[x], w):
             raise InvalidCert(f"exponential table is wrong at ({x},{y})")
     refuse_other_keys("exponential", "pair of objects", table, keys)
 
@@ -169,19 +174,46 @@ def carry_exponentials(
     of (G(obj), d1) of dst into d2, so that every entry is typed by
     construction.  The products of dst must be a checked table, so that
     its category is thin; the carried entries are decided, and the
-    equivalence certified, by :func:`preserves_exponentials`."""
+    equivalence certified, by :func:`preserves_exponentials`.  The table
+    is built column by column, each source entry imaged once for all the
+    pairs pulled back to it, and a missing or unreadable entry raises what
+    a walk over the pairs in order would raise first."""
     G = cert.functor
     D = G.target
     expsC, prodsD, hom = src["exponentials"], dst["products"], D.hom_map
-    out: dict[tuple[int, int], ExponentialW] = {}
-    for d1, d2 in itertools.product(range(D.n_objects), repeat=2):
-        x1, x2 = cert.eso_witness[d1][0], cert.eso_witness[d2][0]
-        wC = expsC.get((x1, x2))
-        if wC is None:
+
+    def imaged(x1, x2):
+        """The object of the source exponential of (x1, x2), imaged by G."""
+        w = expsC.get((x1, x2))
+        if w is None:
             raise PreconditionViolation(f"source table lacks the exponential of ({x1},{x2})")
-        obj = G.obj_map[wC.obj]
-        out[(d1, d2)] = ExponentialW(d1, d2, obj, hom[(prodsD[(obj, d1)].apex, d2)][0])
-    return out
+        return G.obj_map[w.obj]
+
+    keys = list(itertools.product(range(D.n_objects), repeat=2))
+    src_keys = list(itertools.product([x for x, _ in cert.eso_witness], repeat=2))
+    by_src: dict[tuple[int, int], int] = {}
+    n = len(keys)   # the pairs before the first whose entry cannot be imaged
+    for src_key in dict.fromkeys(src_keys):
+        try:
+            by_src[src_key] = imaged(*src_key)
+        except (PreconditionViolation, IndexError):
+            n = src_keys.index(src_key)
+            break
+    d1s, d2s = list(zip(*keys)) or [(), ()]
+    objs = list(map(by_src.__getitem__, src_keys[:n]))
+    # the chosen product of (G(obj), d1) as far as the first missing, then the
+    # arrow from its apex into d2 as far as the first missing
+    prods = list(map(prodsD.get, zip(objs, d1s)))
+    a = prods.index(None) if None in prods else n
+    evs = list(map(hom.get, zip([w[2] for w in prods[:a]], d2s)))
+    h = evs.index(None) if None in evs else a
+    if h < a:
+        hom[(prods[h][2], d2s[h])]   # raises KeyError, as a walk reading it would
+    if a < n:
+        prodsD[(objs[a], d1s[a])]
+    if n < len(keys):
+        imaged(*src_keys[n])
+    return _table(ExponentialW, keys, zip(d1s, d2s, objs, map(itemgetter(0), evs)))
 
 
 def preserves_exponentials(
@@ -200,19 +232,19 @@ def preserves_exponentials(
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
     keys, ws, n = list(expsC), list(expsC.values()), len(F.obj_map)
     # key parts, objects and evaluations column by column, as limits.preserves reads them
-    columns = [*zip(*keys), *zip(*[(w.obj, w.ev) for w in ws])]
+    columns = [*zip(*keys), *list(zip(*ws))[2:]]
     n_ok = _first_out_of_range(columns, (n, n, n, len(F.mor_map)), len(keys))
     hom = D.hom_map
     comparison: dict[tuple[int, int], Iso] = {}
-    for (x, y), w in zip(keys[:n_ok], ws):
-        key, obj = (F.obj_map[x], F.obj_map[y]), F.obj_map[w.obj]
-        target = expsD[key]
-        entry, fwd = prodsD.get((target.obj, key[0])), hom.get((obj, target.obj))
+    for (x, y), (_, _, src_obj, _) in zip(keys[:n_ok], ws):
+        key, obj = (F.obj_map[x], F.obj_map[y]), F.obj_map[src_obj]
+        tx, ty, tobj, tev = expsD[key]
+        entry, fwd = prodsD.get((tobj, key[0])), hom.get((obj, tobj))
         if (D.down_sets is None or fwd is None or entry is None
-                or (target.x, target.y) != key or not D.has_morphisms(target.ev)
-                or (D.mor_src[target.ev], D.mor_dst[target.ev]) != (entry.apex, key[1])):
+                or (tx, ty) != key or not D.has_morphisms(tev)
+                or (D.mor_src[tev], D.mor_dst[tev]) != (entry[2], key[1])):
             raise InvalidCert(f"target exponential entry {key} is not an exponential")
-        inv = hom.get((target.obj, obj))
+        inv = hom.get((tobj, obj))
         if inv is None:
             return None
         comparison[(x, y)] = Iso(fwd[0], inv[0])

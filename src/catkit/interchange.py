@@ -309,7 +309,7 @@ def structure_to_json(C: FinCat, bag: dict[str, Any]) -> dict[str, Any]:
             block[name] = [
                 {
                     f: (o if is_obj else m)(v)
-                    for (f, is_obj), v in zip(shape.field_kinds, shape.unpack(w))
+                    for (f, is_obj), v in zip(shape.field_kinds, w)
                 }
                 for _, w in sorted(bag[kind].items())
             ]
@@ -356,7 +356,7 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
                 (_obj_ref if is_obj else _mor_ref)(C, e.get(f), p)
                 for f, is_obj in shape.field_kinds
             ))
-            _enter(table, shape.split(w)[0], w, p)
+            _enter(table, w[:shape.n_key], w, p)
         bag[kind] = table
     if "exponentials" in doc:
         table = {}
@@ -367,7 +367,7 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
                 _obj_ref(C, e.get("base"), p), _obj_ref(C, e.get("target"), p),
                 _obj_ref(C, e.get("obj"), p), _mor_ref(C, e.get("ev"), p),
             )
-            _enter(table, (w.x, w.y), w, p)
+            _enter(table, w[:2], w, p)
         bag["exponentials"] = table
     if "subobject_classifier" in doc:
         p = "/subobject_classifier"

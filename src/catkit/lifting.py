@@ -217,11 +217,14 @@ def _ordered(kinds) -> tuple[str, ...]:
 
 
 def _copy(x, **changes):
-    """x with nothing mutable shared: a table's shallow copy, or a witness
-    or certificate with changes made and each other dict field copied, equal
-    to x's, since what the dicts hold is frozen or shared."""
+    """x with nothing mutable shared: a table's shallow copy, a witness
+    tuple itself, or a classifier witness or certificate with changes made
+    and each other dict field copied, equal to x's, since what the dicts
+    hold is immutable or shared."""
     if isinstance(x, dict):
         return dict(x)
+    if isinstance(x, tuple):
+        return x
     copies = {f.name: dict(getattr(x, f.name)) for f in fields(x)
               if f.name not in changes and isinstance(getattr(x, f.name), dict)}
     return replace(x, **copies, **changes)

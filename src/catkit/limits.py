@@ -1,12 +1,15 @@
 """Finite limits and colimits: checkers, finders, transfer, preservation.
 
-Every structure is a small witness dataclass that can be re-validated from
-scratch by brute force.  ``is_*`` functions quantify over the whole category,
-``find_*`` search deterministically (lowest apex first, then lowest morphism
-indices), ``transfer_*`` are :func:`check_table` on the source, then
-:func:`carry` along a weak equivalence, returning only the table pushed,
-``preserves_*`` decide preservation and certify it with comparison isos,
-and ``lift_preservation_*`` decide it for a factored functor by
+Every structure is a small witness, a ``NamedTuple`` of object and
+morphism indices, that can be re-validated from scratch by brute force; a
+keyed limit's witness is its own flat tuple of key parts, apex and legs,
+so the verbs read and build tables column by column.  ``is_*`` functions
+quantify over the whole category, ``find_*`` search deterministically
+(lowest apex first, then lowest morphism indices), ``transfer_*`` are
+:func:`check_table` on the source, then :func:`carry` along a weak
+equivalence, returning only the table pushed, ``preserves_*`` decide
+preservation and certify it with comparison isos, and
+``lift_preservation_*`` decide it for a factored functor by
 :func:`decide_lift`, every kind's one lift body: the triangle's check,
 then the kind's ``preserves``.  The transport of the given functor's
 comparisons through the factorization is their oracle in the tests.
@@ -54,10 +57,10 @@ tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import attrgetter, getitem
-from typing import Callable
+from operator import and_, getitem, itemgetter
+from typing import Callable, NamedTuple
 
 from .core import (
     FinCat,
@@ -85,13 +88,11 @@ from .errors import (
 # witness types
 
 
-@dataclass(frozen=True)
-class ChosenTerminal:
+class ChosenTerminal(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class BinProductW:
+class BinProductW(NamedTuple):
     x1: int
     x2: int
     apex: int
@@ -99,16 +100,14 @@ class BinProductW:
     pi2: int
 
 
-@dataclass(frozen=True)
-class EqualizerW:
+class EqualizerW(NamedTuple):
     f: int
     g: int
     obj: int
     arrow: int
 
 
-@dataclass(frozen=True)
-class PullbackW:
+class PullbackW(NamedTuple):
     f: int
     g: int
     apex: int
@@ -116,13 +115,11 @@ class PullbackW:
     p2: int
 
 
-@dataclass(frozen=True)
-class ChosenInitial:
+class ChosenInitial(NamedTuple):
     i: int
 
 
-@dataclass(frozen=True)
-class BinCoproductW:
+class BinCoproductW(NamedTuple):
     x1: int
     x2: int
     apex: int
@@ -130,8 +127,7 @@ class BinCoproductW:
     in2: int
 
 
-@dataclass(frozen=True)
-class CoequalizerW:
+class CoequalizerW(NamedTuple):
     f: int
     g: int
     obj: int
@@ -187,11 +183,14 @@ def _meet_apexes(
     apexes = []
     for z in range(n):
         w = prods.get((z, x))
-        if w is None or not (0 <= w.apex < n and C.has_morphisms(w.pi1, w.pi2)) \
-                or down[w.apex] != down[z] & down[x] \
-                or (src[w.pi1], dst[w.pi1], src[w.pi2], dst[w.pi2]) != (w.apex, z, w.apex, x):
+        if w is None:
             return None
-        apexes.append(w.apex)
+        _, _, apex, pi1, pi2 = w
+        if not (0 <= apex < n and C.has_morphisms(pi1, pi2)) \
+                or down[apex] != down[z] & down[x] \
+                or (src[pi1], dst[pi1], src[pi2], dst[pi2]) != (apex, z, apex, x):
+            return None
+        apexes.append(apex)
     return apexes
 
 
@@ -209,13 +208,14 @@ def _thin_universal(C: FinCat, feet, apex: int) -> bool:
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
-    if not C.has_morphisms(w.pi1, w.pi2):
+    x1, x2, apex, pi1, pi2 = w
+    if not C.has_morphisms(pi1, pi2):
         return False
-    if C.mor_src[w.pi1] != w.apex or C.mor_dst[w.pi1] != w.x1:
+    if C.mor_src[pi1] != apex or C.mor_dst[pi1] != x1:
         return False
-    if C.mor_src[w.pi2] != w.apex or C.mor_dst[w.pi2] != w.x2:
+    if C.mor_src[pi2] != apex or C.mor_dst[pi2] != x2:
         return False
-    return _product_universal(C, (w.x1, w.x2), w.apex, (w.pi1, w.pi2))
+    return _product_universal(C, (x1, x2), apex, (pi1, pi2))
 
 
 def _product_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
@@ -241,16 +241,17 @@ def _product_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) ->
 
 
 def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
-    if not C.has_morphisms(w.f, w.g, w.arrow):
+    f, g, obj, arrow = w
+    if not C.has_morphisms(f, g, arrow):
         return False
-    x = C.mor_src[w.f]
-    if C.mor_src[w.g] != x or C.mor_dst[w.g] != C.mor_dst[w.f]:
+    x = C.mor_src[f]
+    if C.mor_src[g] != x or C.mor_dst[g] != C.mor_dst[f]:
         return False
-    if C.mor_src[w.arrow] != w.obj or C.mor_dst[w.arrow] != x:
+    if C.mor_src[arrow] != obj or C.mor_dst[arrow] != x:
         return False
-    if C.compose(w.arrow, w.f) != C.compose(w.arrow, w.g):
+    if C.compose(arrow, f) != C.compose(arrow, g):
         return False
-    return _equalizer_universal(C, (w.f, w.g), w.obj, (w.arrow,))
+    return _equalizer_universal(C, (f, g), obj, (arrow,))
 
 
 def _equalizer_universal(C: FinCat, key: Key, obj: int, legs: tuple[int, ...]) -> bool:
@@ -280,19 +281,20 @@ def _equalizer_universal(C: FinCat, key: Key, obj: int, legs: tuple[int, ...]) -
 
 
 def is_pullback(C: FinCat, w: PullbackW) -> bool:
-    if not C.has_morphisms(w.f, w.g, w.p1, w.p2):
+    f, g, apex, p1, p2 = w
+    if not C.has_morphisms(f, g, p1, p2):
         return False
-    x, z0 = C.mor_src[w.f], C.mor_dst[w.f]
-    y = C.mor_src[w.g]
-    if C.mor_dst[w.g] != z0:
+    x, z0 = C.mor_src[f], C.mor_dst[f]
+    y = C.mor_src[g]
+    if C.mor_dst[g] != z0:
         return False
-    if C.mor_src[w.p1] != w.apex or C.mor_dst[w.p1] != x:
+    if C.mor_src[p1] != apex or C.mor_dst[p1] != x:
         return False
-    if C.mor_src[w.p2] != w.apex or C.mor_dst[w.p2] != y:
+    if C.mor_src[p2] != apex or C.mor_dst[p2] != y:
         return False
-    if C.compose(w.p1, w.f) != C.compose(w.p2, w.g):
+    if C.compose(p1, f) != C.compose(p2, g):
         return False
-    return _pullback_universal(C, (w.f, w.g), w.apex, (w.p1, w.p2))
+    return _pullback_universal(C, (f, g), apex, (p1, p2))
 
 
 def _pullback_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
@@ -379,23 +381,23 @@ class LimitShape:
     def field_kinds(self) -> tuple[tuple[str, bool], ...]:
         """(name, whether it names an object) for each witness field."""
         k = self.n_key
-        names = [f.name for f in fields(self.witness)]
-        return tuple((n, i == k or (i < k and self.keyed_by_objects)) for i, n in enumerate(names))
+        return tuple((n, i == k or (i < k and self.keyed_by_objects))
+                     for i, n in enumerate(self.witness._fields))
 
-    @cached_property
-    def unpack(self) -> Callable[[object], tuple[int, ...]]:
-        """A witness as the flat tuple of its fields: key parts, apex, legs."""
-        get = attrgetter(*(n for n, _ in self.field_kinds))
-        return get if len(self.field_kinds) > 1 else lambda w: (get(w),)
+    @staticmethod
+    def unpack(w) -> tuple[int, ...]:
+        """A witness as the flat tuple of its fields, key parts, apex and
+        legs: the witness itself."""
+        return w
 
     def split(self, w) -> tuple[Key, int, tuple[int, ...]]:
         """A witness as (key, apex, legs)."""
-        v, k = self.unpack(w), self.n_key
-        return v[:k], v[k], v[k + 1:]
+        k = self.n_key
+        return w[:k], w[k], w[k + 1:]
 
     def image_key(self, F: Functor, key: Key) -> Key:
         image = F.obj_map if self.keyed_by_objects else F.mor_map
-        return (image[key[0]], image[key[1]]) if key else ()   # unrolled: a hot path
+        return (image[key[0]], image[key[1]]) if key else ()
 
     def in_range(self, C: FinCat, v: tuple[int, ...]) -> bool:
         """Whether each field of the flat witness v names an object or a
@@ -481,22 +483,44 @@ def find_table(shape: LimitShape, C: FinCat) -> Table | None:
 
 
 def _thin_table(shape: LimitShape, C: FinCat) -> Table | None:
-    """:func:`find_table` on a thin category, one tick per key.  The limits
-    of a key are the objects whose down-set is the lower bounds of its
-    feet, its meet and the objects isomorphic to it; the witness is the one
-    with the lowest index, which :func:`find_limit` meets first, with its
-    unique legs."""
-    lowest = _lowest_by_down_set(C)
-    hom = C.hom_map
-    out = {}
-    for key in shape.keys(C):
-        budget_tick()
-        feet = shape.feet(C, key)
-        apex = lowest.get(_lower_bounds(C, feet))
-        if apex is None:
-            return None
-        out[key] = shape.witness(*key, apex, *[hom[(apex, x)][0] for x in feet])
-    return out
+    """:func:`find_table` on a thin category, one tick per key, as far as
+    the first key without a limit.  The limits of a key are the objects
+    whose down-set is the lower bounds of its feet, its meet and the objects
+    isomorphic to it; the witness is the one with the lowest index, which
+    :func:`find_limit` meets first, with its unique legs.  The table is
+    built column by column."""
+    keys = shape.keys(C)
+    columns = list(zip(*keys))
+    feet = _feet_columns(shape, C, columns)
+    down = C.down_sets
+    bounds = itertools.repeat((1 << C.n_objects) - 1, len(keys))
+    for col in feet:
+        bounds = map(and_, bounds, map(down.__getitem__, col))
+    apexes = list(map(_lowest_by_down_set(C).get, bounds))
+    if None in apexes:
+        budget_tick(apexes.index(None) + 1)
+        return None
+    budget_tick(len(keys))
+    hom, first = C.hom_map, itemgetter(0)
+    legs = [list(map(first, map(hom.__getitem__, zip(apexes, col)))) for col in feet]
+    return _table(shape.witness, keys, zip(*columns, apexes, *legs))
+
+
+def _feet_columns(shape: LimitShape, C: FinCat, columns: list) -> list:
+    """The feet of keys that are diagrams of the shape, one column per leg,
+    from the keys' parts given column by column: the parts themselves for
+    keys of objects, and the sources of the first parts for keys of
+    morphisms (a parallel pair's one foot, a cospan's two)."""
+    n_legs = len(shape.field_kinds) - shape.n_key - 1
+    if shape.keyed_by_objects:
+        return columns[:n_legs]
+    return [list(map(C.mor_src.__getitem__, col)) for col in columns[:n_legs]]
+
+
+def _table(witness: type, keys, rows) -> dict:
+    """The table mapping each key to its row, the fields of a witness in
+    order, each row made a witness as the tuple it is, in one pass."""
+    return dict(zip(keys, map(tuple.__new__, itertools.repeat(witness), rows)))
 
 
 def _counted_equalizers(C: FinCat) -> Table | None:
@@ -549,11 +573,11 @@ def _wrong_at(shape: LimitShape, key: Key) -> InvalidCert:
 def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     """Every key of C carries a valid witness keyed by it, and the table
     has no other entry."""
-    k = shape.n_key   # witnesses read inline, as in mediator
+    k = shape.n_key
     keys = shape.keys(C)
     for key in keys:
         w = table.get(key)
-        if w is None or shape.unpack(w)[:k] != key or not shape.is_limit(C, w):
+        if w is None or w[:k] != key or not shape.is_limit(C, w):
             raise _wrong_at(shape, key)
     refuse_other_keys(shape.name, shape.diagram, table, keys)
 
@@ -570,8 +594,8 @@ def refuse_other_keys(name: str, what: str, table: dict, keys: list) -> None:
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
     """The unique morphism into the apex of w through which the cone with
     vertex z and the given legs factors."""
-    v, k = shape.unpack(w), shape.n_key   # split inline: a hot path
-    apex, wlegs = v[k], v[k + 1:]
+    k = shape.n_key   # split inline: a hot path
+    apex, wlegs = w[k], w[k + 1:]
     hits = []
     for u in C.hom(z, apex):
         row = C.comp_table[u]
@@ -584,7 +608,7 @@ def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> 
         return hits[0]
     # a cone that factors through a limit witness is typed and commutes, so
     # the cone itself is checked only when it does not factor exactly once
-    key = v[:k]
+    key = w[:k]
     feet = shape.feet(C, key)
     if feet is None or any(C.mor_src[h] != z or C.mor_dst[h] != x for h, x in zip(legs, feet)):
         raise NotACone(f"legs must share a source and land on the feet of the {shape.diagram}")
@@ -627,7 +651,7 @@ def _comparison_at(shape: LimitShape, E: FinCat, entry, image: tuple[int, ...]) 
     legs is the identity, and any other cone is a limit exactly when its
     mediator into entry is an iso."""
     k = shape.n_key
-    if image == shape.unpack(entry):
+    if image == entry:
         one = E.identity[image[k]]
         return Iso(one, one)
     try:
@@ -660,7 +684,11 @@ def preserves(
     be limits, as every found or checked table is: an image cone equal to
     its chosen limit then gets the identity, unsearched, since the only
     endomorphism of a limit that commutes with its own legs is the
-    identity, and any other is compared by :func:`_comparison_at`."""
+    identity, and any other is compared by :func:`_comparison_at`.  So
+    where F's maps are the identities of E, the target table equals the
+    source table and every entry is in range and keyed by its own key, each
+    image cone is its own chosen entry, and mu is the identity at every
+    key, taken without a walk."""
     E, k = F.target, shape.n_key
     # for each field of a flat cone (key parts, apex, legs), F's map and the
     # number of objects or morphisms of E
@@ -669,17 +697,24 @@ def preserves(
         for _, is_obj in shape.field_kinds
     ])
     keys = list(source)
-    # the source cones column by column; a field outside its map's indices
-    # would be read from the end, or not at all
-    columns = [*zip(*keys), *itertools.islice(zip(*map(shape.unpack, source.values())), k, None)]
+    # the source cones column by column, their key parts read from the keys;
+    # a field outside its map's indices would be read from the end, or not at all
+    cones = list(zip(*source.values()))
+    columns = [*zip(*keys), *cones[k:]]
     n_ok = _first_out_of_range(columns, map(len, maps), len(keys))
+    if keys and n_ok == len(keys) and cones[:k] == columns[:k] and target == source \
+            and list(F.obj_map) == list(range(E.n_objects)) \
+            and list(F.mor_map) == list(range(E.n_morphisms)):
+        apexes = cones[k]
+        isos = {a: Iso(E.identity[a], E.identity[a]) for a in set(apexes)}
+        return LimitPreservationCert(F, source, target, dict(zip(keys, map(isos.get, apexes))))
     images = list(zip(*[map(fmap.__getitem__, col[:n_ok]) for fmap, col in zip(maps, columns)]))
     distinct = list(dict.fromkeys(images))
     # the target entry of each distinct image's diagram, as far as the first
     # one missing and then the first one with a field outside E
     entries = list(map(target.get, [image[:k] for image in distinct]))
     found = entries.index(None) if None in entries else len(distinct)
-    flat = list(map(shape.unpack, entries[:found]))
+    flat = entries[:found]
     n_in = _first_out_of_range(list(zip(*flat)), bounds, found)
     isos: list[Iso] = []
     identities: dict[int, Iso] = {}
@@ -736,18 +771,20 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     D = G.target
     comp, src, dst = D.comp_table, D.mor_src, D.mor_dst
     eso = [iso.fwd for _, iso in cert.eso_witness]
-    k = shape.n_key   # witnesses read inline, as in mediator
+    k = shape.n_key
 
     def imaged(src_key):
         """The source entry at src_key as its apex and legs imaged by G."""
         w = table.get(src_key)
         if w is None:
             raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
-        v = shape.unpack(w)
-        return (G.obj_map[v[k]], *map(G.mor_map.__getitem__, v[k + 1:]))
+        return (G.obj_map[w[k]], *map(G.mor_map.__getitem__, w[k + 1:]))
 
     keys = shape.keys(D)
-    src_keys = list(map(shape.image_key, itertools.repeat(Q), keys))
+    columns = list(zip(*keys))   # the keys' parts column by column
+    # each key pulled back along Q, read from the key columns
+    pull = (Q.obj_map if shape.keyed_by_objects else Q.mor_map).__getitem__
+    src_keys = list(zip(*[map(pull, col) for col in columns])) if k else [()] * len(keys)
     by_src: dict[Key, tuple[int, ...]] = {}   # each pulled-back key's entry, imaged once
     n = len(keys)   # the keys before the first whose entry cannot be imaged
     for src_key in dict.fromkeys(src_keys):
@@ -760,7 +797,7 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     # each leg then the eso iso of its foot, typed as FinCat.compose asks
     n_legs = len(shape.field_kinds) - k - 1
     apexes, *legs = list(zip(*map(by_src.__getitem__, src_keys[:n]))) or [()] * (1 + n_legs)
-    feet = list(zip(*map(shape.feet, itertools.repeat(D), keys[:n]))) or [()] * n_legs
+    feet = _feet_columns(shape, D, [col[:n] for col in columns])
     composed, first_bad = [], None   # (key index, leg, eso iso) of the first ill-typed pair
     for ps, ys in zip(legs, feet):
         es = list(map(eso.__getitem__, ys))
@@ -774,7 +811,7 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
         D.compose(*first_bad[1:])
     if n < len(keys):
         imaged(src_keys[n])
-    return dict(zip(keys, map(shape.witness, *zip(*keys), apexes, *composed)))
+    return _table(shape.witness, keys, zip(*columns, apexes, *composed))
 
 
 def reflect(shape: LimitShape, F: Functor, w):
@@ -782,7 +819,7 @@ def reflect(shape: LimitShape, F: Functor, w):
     cone to be limiting; a witness with a field outside the source is bad
     input, refused before it is imaged, and a failure after a limiting image
     is an internal error."""
-    if not shape.in_range(F.source, shape.unpack(w)):
+    if not shape.in_range(F.source, w):
         raise InvalidCert(f"source {shape.name} witness {w} is out of range")
     if is_fully_faithful(F) is None:
         raise PreconditionViolation("reflection requires a fully faithful functor")
@@ -918,30 +955,24 @@ def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred):
 
 def find_initial(C: FinCat) -> ChosenInitial | None:
     t = find_terminal(opposite(C))
-    return None if t is None else ChosenInitial(t.t)
+    return None if t is None else ChosenInitial(*t)
 
 
 def find_binary_coproduct(C: FinCat, x1: int, x2: int) -> BinCoproductW | None:
     w = find_limit(PRODUCTS, opposite(C), (x1, x2))
-    return None if w is None else BinCoproductW(x1, x2, w.apex, w.pi1, w.pi2)
+    return None if w is None else BinCoproductW(*w)
 
 
 def find_binary_coproducts(C: FinCat) -> dict[tuple[int, int], BinCoproductW] | None:
     table = find_binary_products(opposite(C))
-    if table is None:
-        return None
-    return {
-        k: BinCoproductW(w.x1, w.x2, w.apex, w.pi1, w.pi2) for k, w in table.items()
-    }
+    return None if table is None else _table(BinCoproductW, table, table.values())
 
 
 def find_coequalizer(C: FinCat, f: int, g: int) -> CoequalizerW | None:
     w = find_limit(EQUALIZERS, opposite(C), (f, g))
-    return None if w is None else CoequalizerW(f, g, w.obj, w.arrow)
+    return None if w is None else CoequalizerW(*w)
 
 
 def find_coequalizers(C: FinCat) -> dict[tuple[int, int], CoequalizerW] | None:
     table = find_equalizers(opposite(C))
-    if table is None:
-        return None
-    return {k: CoequalizerW(w.f, w.g, w.obj, w.arrow) for k, w in table.items()}
+    return None if table is None else _table(CoequalizerW, table, table.values())

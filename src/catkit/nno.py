@@ -3,7 +3,8 @@ decided by order.
 
 A parameterized N is a triple (N, z: 1 -> N, s: N -> N) such that for each
 parameter t', stage m and data (z': t' -> m, s': m -> m) there is exactly
-one recursor out of t' x N.  It needs binary products, which a finite
+one recursor out of t' x N; its witness :class:`PNNOW` is that triple, a
+``NamedTuple`` of indices.  It needs binary products, which a finite
 category has only when it is thin (Freyd; Mac Lane, CWM V.2, Prop. 3).  On
 a thin category whose chosen products with N are meets
 (``limits._meet_apexes``), a parameterized N is a top with its one zero and
@@ -24,6 +25,7 @@ image triple with a chosen one, by the pair of arrows between their N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     FinCat,
@@ -49,8 +51,7 @@ from .limits import (
 )
 
 
-@dataclass(frozen=True)
-class PNNOW:
+class PNNOW(NamedTuple):
     """z is the zero point out of the chosen terminal; s the successor."""
 
     N: int

@@ -1,5 +1,4 @@
 """Exponential objects relative to chosen products."""
-import dataclasses
 import re
 
 import pytest
@@ -234,8 +233,8 @@ def test_preserves_exponentials_refuses_a_source_entry_out_of_range():
         certs[k] = KINDS[k].preserves(F, b, b, certs)
     exps, m = b["exponentials"], C.n_morphisms
     w = exps[(1, 2)]
-    cases = [((1, 2), dataclasses.replace(w, ev=w.ev - m)), ((1, 2), dataclasses.replace(w, ev=m)),
-             ((1, 2), dataclasses.replace(w, obj=-1)), ((-1, 1), exps[(2, 1)])]
+    cases = [((1, 2), w._replace(ev=w.ev - m)), ((1, 2), w._replace(ev=m)),
+             ((1, 2), w._replace(obj=-1)), ((-1, 1), exps[(2, 1)])]
     for key, bad in cases:
         src = {**b, "exponentials": {**exps, key: bad}}
         with pytest.raises(InvalidCert, match=re.escape(f"source exponential entry {key} is out")):

@@ -139,7 +139,7 @@ def test_provided_witnesses_are_checked_once_on_the_source(monkeypatch):
     assert calls == {"is_binary_product": 64, "is_pullback": 261}
     assert sc.source == given
     key, w = next((key, w) for key, w in given["products"].items() if key[0] != key[1])
-    swapped = dataclasses.replace(w, pi1=w.pi2, pi2=w.pi1)   # legs onto the wrong factors
+    swapped = w._replace(pi1=w.pi2, pi2=w.pi1)   # legs onto the wrong factors
     broken = {**given, "products": {**given["products"], key: swapped}}
     with pytest.raises(InvalidCert, match="product table is wrong"):
         complete_structured(C, kinds=kinds, witnesses=broken)
@@ -229,7 +229,7 @@ def test_witnesses_for_a_kind_that_is_not_carried_are_refused():
     C, proj = inflate(chain_poset(3), [1, 2, 2])
 
     def swapped(prods):
-        return {key: dataclasses.replace(w, pi1=w.pi2, pi2=w.pi1) for key, w in prods.items()}
+        return {key: w._replace(pi1=w.pi2, pi2=w.pi1) for key, w in prods.items()}
 
     bad = swapped(find_binary_products(C))
     with pytest.raises(InvalidCert):

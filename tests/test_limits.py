@@ -1,5 +1,4 @@
 """Finite limits and colimits: search, validation, transfer, reflection."""
-import dataclasses
 import re
 
 import pytest
@@ -360,7 +359,7 @@ def test_preserves_rejects_target_fields_out_of_range():
     P = find_binary_products(C)
     assert C.n_morphisms == 6
     for bad in (-1, 6):
-        T = {**P, (2, 2): dataclasses.replace(P[(2, 2)], pi2=bad)}
+        T = {**P, (2, 2): P[(2, 2)]._replace(pi2=bad)}
         with pytest.raises(InvalidCert, match="out of range"):
             preserves_binary_products(identity_functor(C), P, T)
 
@@ -378,7 +377,7 @@ def test_preserves_rejects_source_key_parts_out_of_range():
     g = next(f for f in range(C.n_morphisms) if not C.is_identity(f))
     cases = [(PRODUCTS, (-1, 0), P[(2, 0)], P), (PRODUCTS, (3, 0), P[(2, 0)], P),
              (EQUALIZERS, (-1, g), E[(g, g)], E), (EQUALIZERS, (g, 6), E[(g, g)], E),
-             (PRODUCTS, (-1, 0), dataclasses.replace(P[(2, 0)], x1=-1), P)]
+             (PRODUCTS, (-1, 0), P[(2, 0)]._replace(x1=-1), P)]
     for shape, key, w, target in cases:
         with pytest.raises(InvalidCert, match=re.escape(f"source {shape.name} entry {key} is out")):
             preserves(shape, F, {key: w}, target)

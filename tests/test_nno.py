@@ -1,5 +1,4 @@
 """Parameterized natural-number objects and their transport."""
-import dataclasses
 
 import pytest
 
@@ -184,9 +183,9 @@ def test_preserves_pnno_refuses_a_source_triple_out_of_range():
     for k in ("terminal", "products"):
         certs[k] = KINDS[k].preserves(F, b, b, certs)
     w = b["pnno"]
-    for bad in (dataclasses.replace(w, N=w.N - C.n_objects),
-                dataclasses.replace(w, z=w.z - C.n_morphisms),
-                dataclasses.replace(w, s=C.n_morphisms)):
+    for bad in (w._replace(N=w.N - C.n_objects),
+                w._replace(z=w.z - C.n_morphisms),
+                w._replace(s=C.n_morphisms)):
         with pytest.raises(InvalidCert, match="source parameterized-N witness .* is out of range"):
             preserves_pnno(F, {**b, "pnno": bad}, b, certs)
     assert preserves_pnno(F, b, b, certs) is not None

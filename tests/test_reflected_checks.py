@@ -85,15 +85,15 @@ def _exp_corruptions(C, prods, w, twins):
             break
     for ev in C.hom(prods[(w.obj, w.x)].apex, w.y)[:3]:
         if ev != w.ev:
-            out.append(("legs redrawn", dataclasses.replace(w, ev=ev)))
+            out.append(("legs redrawn", w._replace(ev=ev)))
     for iso in twins[w.y][:1]:
-        out.append(("leg into a twin", dataclasses.replace(w, ev=C.compose(w.ev, iso))))
+        out.append(("leg into a twin", w._replace(ev=C.compose(w.ev, iso))))
     if w.x != w.y:
-        out.append(("key mismatch", dataclasses.replace(w, x=w.y, y=w.x)))
+        out.append(("key mismatch", w._replace(x=w.y, y=w.x)))
     for bad in (-1, C.n_morphisms):
-        out.append(("field out of range", dataclasses.replace(w, ev=bad)))
+        out.append(("field out of range", w._replace(ev=bad)))
     for bad in (-1, C.n_objects):
-        out.append(("field out of range", dataclasses.replace(w, obj=bad)))
+        out.append(("field out of range", w._replace(obj=bad)))
     return out
 
 

@@ -2,7 +2,6 @@
 choices, the terminal object as the limit of the empty diagram, the
 benchmark's span targets, and each kind's lifted preservation against its
 transport through alpha."""
-import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -284,7 +283,7 @@ def test_reflect_refuses_a_witness_out_of_range_before_imaging_it():
     past the end would not be imaged at all: both are bad input."""
     C, proj = inflate(chain_poset(3), [1, 2, 1])
     w = find_limit(PRODUCTS, C, (0, 0))
-    for bad, shape in ((dataclasses.replace(w, pi1=w.pi1 - C.n_morphisms), PRODUCTS),
+    for bad, shape in ((w._replace(pi1=w.pi1 - C.n_morphisms), PRODUCTS),
                        (ChosenTerminal(-1), TERMINAL), (ChosenTerminal(99), TERMINAL)):
         with pytest.raises(InvalidCert, match=f"source {shape.name} witness .* is out of range"):
             reflect(shape, proj, bad)

@@ -72,8 +72,8 @@ def _move_exponential(side):
         table = getattr(sc, side)["exponentials"]
         C = sc.result.completed if side == "completed" else sc.result.source
         w = table[(0, 0)]
-        table[(0, 0)] = dataclasses.replace(
-            w, obj=next(o for o in range(C.n_objects) if o != w.obj)
+        table[(0, 0)] = w._replace(
+            obj=next(o for o in range(C.n_objects) if o != w.obj)
         )
     return edit
 

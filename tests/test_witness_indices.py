@@ -1,7 +1,6 @@
 """Witness checkers read morphism fields as indices into the tables.  A field
 outside ``range(n_morphisms)`` must be rejected: a negative one would alias
 a morphism counted from the end, and a too-large one names nothing."""
-import dataclasses
 
 import pytest
 
@@ -57,7 +56,7 @@ def _moved_last(C: FinCat, j: int) -> tuple[FinCat, list[int]]:
 
 
 def _renumbered(w, new, fields):
-    return dataclasses.replace(w, **{f: new[getattr(w, f)] for f in fields})
+    return w._replace(**{f: new[getattr(w, f)] for f in fields})
 
 
 def _lattice_bag(C):
@@ -138,7 +137,7 @@ def test_checkers_reject_morphism_fields_out_of_range(checker, field):
     assert accepts(D, bag, w)
     # -1 is morphism m - 1 read from the end; m is past the end
     for bad in (-1, m):
-        assert not accepts(D, bag, dataclasses.replace(w, **{field: bad})), bad
+        assert not accepts(D, bag, w._replace(**{field: bad})), bad
 
 
 def test_complete_structured_rejects_an_aliased_equalizer_arrow():
@@ -167,6 +166,6 @@ def test_preserves_rejects_a_source_leg_out_of_range(bad):
     """A source leg is imaged by index: 99 names no morphism and -1 would be
     read as the last one, so both are refused, naming the key."""
     P = find_binary_products(CHAIN)
-    broken = {**P, (2, 2): dataclasses.replace(P[(2, 2)], pi2=bad)}
+    broken = {**P, (2, 2): P[(2, 2)]._replace(pi2=bad)}
     with pytest.raises(InvalidCert, match=r"entry \(2, 2\) is out of range"):
         preserves_binary_products(identity_functor(CHAIN), broken, P)
