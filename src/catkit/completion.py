@@ -60,8 +60,12 @@ class SkeletalityReport:
 def skeletality(C: FinCat) -> SkeletalityReport:
     classes = iso_classes(C)
     skeletal = all(len(c) == 1 for c in classes)
-    # in a skeletal category the only isos are automorphisms
-    gaunt = skeletal and all(len(isos_between(C, x, x)) == 1 for x in range(C.n_objects))
+    # in a skeletal category the only isos are automorphisms, and in a thin
+    # one the only automorphism is the identity
+    gaunt = skeletal and (
+        C.order_scan[0] is not None
+        or all(len(isos_between(C, x, x)) == 1 for x in range(C.n_objects))
+    )
     return SkeletalityReport(skeletal, gaunt)
 
 
@@ -79,7 +83,9 @@ class CompletionResult:
 
 def skeletize(C: FinCat) -> CompletionResult:
     """Skeleton on lowest-index representatives, eta by conjugation with the
-    canonical isos, and a validated weak-equivalence certificate."""
+    canonical isos, and a validated weak-equivalence certificate.  On a
+    thin category eta sends each arrow to the skeleton's one arrow between
+    the classes of its ends, which is what the conjugate is."""
     classes = iso_classes(C)
     rep_of = [0] * C.n_objects
     for cls in classes:
@@ -87,26 +93,28 @@ def skeletize(C: FinCat) -> CompletionResult:
             rep_of[x] = cls[0]
     reps = tuple(cls[0] for cls in classes)
 
-    canon: list[Iso] = []
-    for x in range(C.n_objects):
-        r = rep_of[x]
-        if x == r:
-            canon.append(Iso(C.identity[x], C.identity[x]))
-        else:
-            iso = iso_between(C, x, r)
-            assert iso is not None
-            canon.append(iso)
-
     completed, incl = full_subcategory(C, reps, f"{C.name}|skeleton")
     obj_reindex = {r: i for i, r in enumerate(incl.obj_map)}
-    mor_reindex = {f: i for i, f in enumerate(incl.mor_map)}
-
     eta_obj = [obj_reindex[rep_of[x]] for x in range(C.n_objects)]
-    eta_mor = []
-    for f in range(C.n_morphisms):
-        x, y = C.mor_src[f], C.mor_dst[f]
-        conj = C.compose_many(canon[x].inv, f, canon[y].fwd)
-        eta_mor.append(mor_reindex[conj])
+    if C.order_scan[0] is not None:
+        hom = completed.hom_map
+        eta_mor = [hom[(eta_obj[x], eta_obj[y])][0] for x, y in zip(C.mor_src, C.mor_dst)]
+    else:
+        canon: list[Iso] = []
+        for x in range(C.n_objects):
+            r = rep_of[x]
+            if x == r:
+                canon.append(Iso(C.identity[x], C.identity[x]))
+            else:
+                iso = iso_between(C, x, r)
+                assert iso is not None
+                canon.append(iso)
+        mor_reindex = {f: i for i, f in enumerate(incl.mor_map)}
+        eta_mor = []
+        for f in range(C.n_morphisms):
+            x, y = C.mor_src[f], C.mor_dst[f]
+            conj = C.compose_many(canon[x].inv, f, canon[y].fwd)
+            eta_mor.append(mor_reindex[conj])
     eta = functor(C, completed, eta_obj, eta_mor, name=f"eta_{C.name}")
 
     cert = is_weak_equivalence(eta)

@@ -164,19 +164,26 @@ class FinCat:
     def down_sets(self) -> tuple[int, ...] | None:
         """``down_sets[x]``: the objects with an arrow into x, as a bitset
         with bit z set when hom(z, x) is not empty, when the category is
-        thin (no hom-set holds two arrows); None otherwise.  One scan of
-        ``hom_map`` stops at the first hom-set holding two arrows and ticks
-        the search budget once per hom-set it visits."""
+        thin (no hom-set holds two arrows); None otherwise.  The first read
+        ticks the search budget once per hom-set the scan visited."""
+        down, visited = self.order_scan
+        budget_tick(visited)
+        return down
+
+    @cached_property
+    def order_scan(self) -> tuple[tuple[int, ...] | None, int]:
+        """The down-sets of :attr:`down_sets` and the number of hom-sets
+        the scan visited, read without a tick: the certificate checks
+        decide a thin category by order.  One scan of ``hom_map`` stops at
+        the first hom-set holding two arrows."""
         down = [0] * self.n_objects
         visited = 0
         for (z, x), fs in self.hom_map.items():
             visited += 1
             if len(fs) > 1:
-                budget_tick(visited)
-                return None
+                return None, visited
             down[x] |= 1 << z
-        budget_tick(visited)
-        return tuple(down)
+        return tuple(down), visited
 
     @cached_property
     def out_of(self) -> tuple[tuple[int, ...], ...]:
@@ -226,14 +233,19 @@ def check_category_tables(C: FinCat) -> None:
     entry (rows, then columns, then the third morphism, in index order);
     returns None when everything holds.
 
-    Associativity is checked only at the middles in :func:`_generating_set`
-    (Light's associativity test).  Call ``g`` a good middle when
-    ``(f;g);h == f;(g;h)`` for every f into it and h out of it.  If ``a``
-    and ``b`` are good middles, so is ``a;b``, and identities are good by
-    the unit laws, so when every member is good, every morphism is.  Each
-    member ``g`` ticks the search budget once per triple through it,
-    ``|into[src g]| * |out_of[dst g]|``, never more than the composable
-    triples.
+    On a thin category (no hom-set holds two arrows) the checks end with
+    the row typing: both sides of a unit or associativity law are then
+    arrows of one hom-set, which holds one arrow, so the laws hold and
+    take no tick.
+
+    Elsewhere, associativity is checked only at the middles in
+    :func:`_generating_set` (Light's associativity test).  Call ``g`` a
+    good middle when ``(f;g);h == f;(g;h)`` for every f into it and h out
+    of it.  If ``a`` and ``b`` are good middles, so is ``a;b``, and
+    identities are good by the unit laws, so when every member is good,
+    every morphism is.  Each member ``g`` ticks the search budget once per
+    triple through it, ``|into[src g]| * |out_of[dst g]|``, never more than
+    the composable triples.
     """
     n, m = C.n_objects, C.n_morphisms
     if len(C.mor_src) != m or len(C.mor_dst) != m:
@@ -263,6 +275,8 @@ def check_category_tables(C: FinCat) -> None:
             for g in outs
         ):
             _raise_row_offence(C, f)
+    if C.order_scan[0] is not None:
+        return
     for f in range(m):
         i_s, i_t = C.identity[src[f]], C.identity[dst[f]]
         if table[i_s][f] != f:
@@ -531,7 +545,15 @@ def isos_between(C: FinCat, x: int, y: int) -> list[Iso]:
 
 def iso_classes(C: FinCat) -> tuple[tuple[int, ...], ...]:
     """Partition of objects into isomorphism classes, each class sorted
-    ascending, classes ordered by least member."""
+    ascending, classes ordered by least member.  In a thin category x and
+    y are isomorphic exactly when each has an arrow into the other, that
+    is, when their down-sets are equal."""
+    down = C.order_scan[0]
+    if down is not None:
+        by_down: dict[int, list[int]] = {}
+        for x, d in enumerate(down):
+            by_down.setdefault(d, []).append(x)
+        return tuple(map(tuple, by_down.values()))
     parent = list(range(C.n_objects))
 
     def root(x: int) -> int:
@@ -584,30 +606,33 @@ def check_functor(F: Functor) -> None:
     for x in range(C.n_objects):
         if not (0 <= F.obj_map[x] < D.n_objects):
             raise IllTypedImage(f"image of object {C.objects[x]} is out of range")
-    for f in range(C.n_morphisms):
-        ff = F.mor_map[f]
-        if not (0 <= ff < D.n_morphisms):
+    obj_map, m = F.obj_map, D.n_morphisms
+    for f, ff in enumerate(F.mor_map):
+        if not (0 <= ff < m):
             raise IllTypedImage(f"image of {C.mor_labels[f]} is out of range")
         if (
-            D.mor_src[ff] != F.obj_map[C.mor_src[f]]
-            or D.mor_dst[ff] != F.obj_map[C.mor_dst[f]]
+            D.mor_src[ff] != obj_map[C.mor_src[f]]
+            or D.mor_dst[ff] != obj_map[C.mor_dst[f]]
         ):
             raise IllTypedImage(
                 f"image of {C.mor_labels[f]} has the wrong endpoints"
             )
-    for x in range(C.n_objects):
-        if F.mor_map[C.identity[x]] != D.identity[F.obj_map[x]]:
-            raise IdentityNotPreserved(
-                f"identity of {C.objects[x]} is not sent to an identity"
-            )
-    mor_map, out_of = F.mor_map, C.out_of
-    for f, row in enumerate(C.comp_table):
-        image_row = D.comp_table[mor_map[f]]
-        for g in out_of[C.mor_dst[f]]:
-            if image_row[mor_map[g]] != mor_map[row[g]]:
-                raise CompositionNotPreserved(
-                    f"composite {C.mor_labels[f]};{C.mor_labels[g]} is not preserved"
+    # in a thin target the image of an identity, and both images of a
+    # composite, lie in a hom-set that holds one arrow
+    if D.order_scan[0] is None:
+        for x in range(C.n_objects):
+            if F.mor_map[C.identity[x]] != D.identity[F.obj_map[x]]:
+                raise IdentityNotPreserved(
+                    f"identity of {C.objects[x]} is not sent to an identity"
                 )
+        mor_map, out_of = F.mor_map, C.out_of
+        for f, row in enumerate(C.comp_table):
+            image_row = D.comp_table[mor_map[f]]
+            for g in out_of[C.mor_dst[f]]:
+                if image_row[mor_map[g]] != mor_map[row[g]]:
+                    raise CompositionNotPreserved(
+                        f"composite {C.mor_labels[f]};{C.mor_labels[g]} is not preserved"
+                    )
     if type(F.obj_map) is tuple and type(F.mor_map) is tuple:
         _checked_functors.add(F)
 
@@ -662,6 +687,10 @@ class NatIso:
 
 
 def check_nat_iso(alpha: NatIso) -> None:
+    """Check each component, an iso from F(x) to G(x) with its inverse, and
+    then each naturality square.  When the target is thin and F and G send
+    every morphism between the images of its ends, every square commutes:
+    both of its paths are arrows of one hom-set, which holds one arrow."""
     F, G = alpha.source, alpha.target
     C, D = F.source, F.target
     if G.source is not C and not same_tables(G.source, C):
@@ -671,6 +700,10 @@ def check_nat_iso(alpha: NatIso) -> None:
     for x in range(C.n_objects):
         comp = alpha.components[x]
         fwd = comp.fwd
+        if not D.has_morphisms(fwd):
+            raise ComponentNotIso(
+                f"component at {C.objects[x]} is not a morphism of the target"
+            )
         if D.mor_src[fwd] != F.obj_map[x] or D.mor_dst[fwd] != G.obj_map[x]:
             raise ComponentNotIso(
                 f"component at {C.objects[x]} has the wrong endpoints"
@@ -680,6 +713,9 @@ def check_nat_iso(alpha: NatIso) -> None:
             raise ComponentNotIso(
                 f"component at {C.objects[x]} is not an isomorphism"
             )
+    if D.order_scan[0] is not None and _sends_between_images(F, D) \
+            and _sends_between_images(G, D):
+        return
     for f in range(C.n_morphisms):
         x, y = C.mor_src[f], C.mor_dst[f]
         left = D.compose(F.mor_map[f], alpha.components[y].fwd)
@@ -688,6 +724,16 @@ def check_nat_iso(alpha: NatIso) -> None:
             raise NaturalitySquareFails(
                 f"naturality square for {C.mor_labels[f]} does not commute"
             )
+
+
+def _sends_between_images(F: Functor, D: FinCat) -> bool:
+    """Whether F sends every morphism of its source to a morphism of D
+    from the image of its source to the image of its target."""
+    C, obj_map, m = F.source, F.obj_map, D.n_morphisms
+    return len(F.mor_map) >= C.n_morphisms and all(
+        0 <= h < m and D.mor_src[h] == obj_map[x] and D.mor_dst[h] == obj_map[y]
+        for h, x, y in zip(F.mor_map, C.mor_src, C.mor_dst)
+    )
 
 
 def nat_iso(F: Functor, G: Functor, fwd_components: list[int]) -> NatIso:
@@ -749,21 +795,27 @@ class WeakEquivalenceCert:
 
 def is_fully_faithful(F: Functor) -> dict[tuple[int, int], Mapping[int, int]] | None:
     """Hom-set by hom-set bijectivity check; returns the inverse tables,
-    each read-only, or None on the first failing hom-set."""
-    C, D = F.source, F.target
+    each read-only, or None on the first failing hom-set.  Each source
+    morphism ticks the search budget once, as far as the first repeated
+    image."""
+    C, obj_map, mor_map = F.source, F.obj_map, F.mor_map
+    source_homs, target_homs = C.hom_map, F.target.hom_map
     out: dict[tuple[int, int], Mapping[int, int]] = {}
     for x in range(C.n_objects):
+        fx = obj_map[x]
         for y in range(C.n_objects):
-            source_hom = C.hom(x, y)
-            target_hom = D.hom(F.obj_map[x], F.obj_map[y])
+            source_hom = source_homs.get((x, y), ())
+            target_size = len(target_homs.get((fx, obj_map[y]), ()))
             table: dict[int, int] = {}
             for f in source_hom:
-                budget_tick()
-                h = F.mor_map[f]
+                h = mor_map[f]
                 if h in table:
+                    budget_tick(len(table) + 1)
                     return None  # not faithful
                 table[h] = f
-            if len(table) != len(target_hom):
+            if source_hom:
+                budget_tick(len(source_hom))
+            if len(table) != target_size:
                 return None  # not full
             out[(x, y)] = MappingProxyType(table)
     return out
@@ -774,6 +826,9 @@ def is_essentially_surjective(F: Functor) -> tuple[tuple[int, Iso], ...] | None:
     isomorphic to it, with the least such iso; None if some object is
     missed."""
     C, D = F.source, F.target
+    down = D.order_scan[0]
+    if down is not None:
+        return _essentially_surjective_by_order(F, down)
     out = []
     for y in range(D.n_objects):
         hit = None
@@ -785,6 +840,29 @@ def is_essentially_surjective(F: Functor) -> tuple[tuple[int, Iso], ...] | None:
         if hit is None:
             return None
         out.append(hit)
+    return tuple(out)
+
+
+def _essentially_surjective_by_order(
+    F: Functor, down: tuple[int, ...]
+) -> tuple[tuple[int, Iso], ...] | None:
+    """:func:`is_essentially_surjective` on a thin target with the given
+    down-sets: F(x) is isomorphic to y when their down-sets are equal, and
+    the iso is the one arrow each way."""
+    D = F.target
+    hom, n = D.hom_map, D.n_objects
+    lowest: dict[int, int] = {}
+    for x in range(F.source.n_objects):
+        fx = F.obj_map[x]
+        if 0 <= fx < n:
+            lowest.setdefault(down[fx], x)
+    out = []
+    for y, d in enumerate(down):
+        x = lowest.get(d)
+        if x is None:
+            return None
+        fx = F.obj_map[x]
+        out.append((x, Iso(hom[(fx, y)][0], hom[(y, fx)][0])))
     return tuple(out)
 
 
@@ -848,12 +926,24 @@ def check_weak_equivalence_cert(cert: WeakEquivalenceCert) -> None:
             if sorted(table.keys()) != sorted(target_hom):
                 raise InvalidCert(f"ff witness at ({x},{y}) does not cover the hom-set")
             for h, f in table.items():
+                # a value outside hom(x, y), or outside C, inverts nothing
+                if not C.has_morphisms(f) or C.mor_src[f] != x or C.mor_dst[f] != y:
+                    raise InvalidCert(
+                        f"ff witness at ({x},{y}) holds a morphism outside hom({x},{y})"
+                    )
                 if F.mor_map[f] != h:
                     raise InvalidCert(f"ff witness at ({x},{y}) is not a section")
+            # the values are distinct, since their images are; so F is
+            # injective on hom(x, y) when they are all of it
+            if len(C.hom(x, y)) != len(table):
+                raise InvalidCert(f"functor is not faithful on hom({x},{y})")
     if len(cert.eso_witness) != D.n_objects:
         raise InvalidCert("eso witness does not cover the target objects")
     for y, (x, iso) in enumerate(cert.eso_witness):
-        if D.mor_src[iso.fwd] != F.obj_map[x] or D.mor_dst[iso.fwd] != y:
+        if (
+            not (0 <= x < C.n_objects and D.has_morphisms(iso.fwd))
+            or D.mor_src[iso.fwd] != F.obj_map[x] or D.mor_dst[iso.fwd] != y
+        ):
             raise InvalidCert(f"eso witness for object {y} is ill-typed")
         if find_iso(D, iso.fwd) != iso:
             raise InvalidCert(f"eso witness for object {y} is not an iso")

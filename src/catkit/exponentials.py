@@ -234,10 +234,13 @@ def preserves_exponentials(
     # key parts, objects and evaluations column by column, as limits.preserves reads them
     columns = [*zip(*keys), *list(zip(*ws))[2:]]
     n_ok = _first_out_of_range(columns, (n, n, n, len(F.mor_map)), len(keys))
-    hom = D.hom_map
-    comparison: dict[tuple[int, int], Iso] = {}
-    for (x, y), (_, _, src_obj, _) in zip(keys[:n_ok], ws):
-        key, obj = (F.obj_map[x], F.obj_map[y]), F.obj_map[src_obj]
+    hom, obj_map = D.hom_map, F.obj_map
+    # each distinct image, the key's and the object's, is compared once, in
+    # the order of first occurrence, so the first to fail is a walk's first
+    images = [((obj_map[x], obj_map[y]), obj_map[w[2]]) for (x, y), w in zip(keys[:n_ok], ws)]
+    by_image: dict[tuple[tuple[int, int], int], Iso] = {}
+    for image in dict.fromkeys(images):
+        key, obj = image
         tx, ty, tobj, tev = expsD[key]
         entry, fwd = prodsD.get((tobj, key[0])), hom.get((obj, tobj))
         if (D.down_sets is None or fwd is None or entry is None
@@ -247,9 +250,10 @@ def preserves_exponentials(
         inv = hom.get((tobj, obj))
         if inv is None:
             return None
-        comparison[(x, y)] = Iso(fwd[0], inv[0])
+        by_image[image] = Iso(fwd[0], inv[0])
     if n_ok < len(keys):
         raise InvalidCert(f"source exponential entry {keys[n_ok]} is out of range")
+    comparison = dict(zip(keys, map(by_image.__getitem__, images)))
     return ExpPreservationCert(F, expsC, expsD, comparison)
 
 

@@ -126,6 +126,12 @@ def check_functor(F: Functor) -> None:
                 )
 
 
+def is_thin(C: FinCat) -> bool:
+    """Whether no two distinct morphisms share their source and target."""
+    ends = list(zip(C.mor_src, C.mor_dst))
+    return not any(ends[f] == ends[g] for f in range(len(ends)) for g in range(f))
+
+
 def composable_triples(C: FinCat) -> int:
     """The number of composable triples (f, g, h), counted over all m^3."""
     m = range(C.n_morphisms)

@@ -411,10 +411,11 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
 
 def generic_view(C: FinCat) -> FinCat:
     """C's tables with its down-sets hidden, so that every check and search
-    in ``catkit`` takes its generic route: the loops over cones, and
-    ``find_limit`` key by key."""
+    in ``catkit`` takes its generic route: the loops over cones,
+    ``find_limit`` key by key, and the certificate checks' walks."""
     G = dataclasses.replace(C)
     G.__dict__["down_sets"] = None
+    G.__dict__["order_scan"] = (None, 0)
     return G
 
 
