@@ -1,15 +1,18 @@
 """Monomorphisms, subobject classifiers, and elementary topoi.
 
-Each classifier decision takes one route: a morphism is monic when its
-kernel-pair square is a pullback, the search builds its chi tables from one
-mono list per category, a carry searches the target's table once, and a
-functor preserves the classifier when the classifying morphism of its image
-truth arrow is an iso.  The second routes are oracles in
-``tests/classifier_oracles.py``.  The classifier's registry verbs take
-witness bags and read the chosen terminal from them.  On a thin category
-with an arrow that is not an iso, the search decides the classifier absent
-by a theorem, not by a search: every arrow of a thin category is monic,
-and every mono a classifier classifies there is an iso.
+Each classifier decision takes one route.  Monos and chi entries are
+decided by the counting kernel of ``limits``, one tick per check: f is
+monic when u -> u;f is injective on into(src f), and chi classifies the
+mono m when the h into dst m with h;chi == !;tau number |into(src m)|.
+The search builds its chi tables from one mono list per category, a carry
+searches the target's table once, and a functor preserves the classifier
+when the classifying morphism of its image truth arrow is an iso.  The
+second routes are oracles in ``tests/classifier_oracles.py``.  The
+classifier's registry verbs take witness bags and read the chosen terminal
+from them.  On a thin category with an arrow that is not an iso, the
+search decides the classifier absent by a theorem, not by a search: every
+arrow of a thin category is monic, and every mono a classifier classifies
+there is an iso.
 
 A topos is a bag of its six components keyed by kind name, and the topos
 helpers walk the kinds through ``lifting.KINDS``; they import ``lifting``
@@ -35,9 +38,11 @@ from .errors import (
     OracleDisagreement,
 )
 from .limits import (
+    PULLBACKS,
     ChosenTerminal,
     PullbackW,
-    is_pullback,
+    _counted_universal,
+    _jointly_monic,
     is_terminal,
     decide_lift,
     preserves_terminal,
@@ -46,11 +51,11 @@ from .limits import (
 
 
 def is_mono(C: FinCat, f: int) -> PullbackW | None:
-    """The kernel-pair square of f, when it is a pullback, which is exactly
-    when f is monic; None otherwise."""
+    """The kernel-pair square of f, a pullback exactly when f is monic,
+    when u -> u;f is injective on into(src f); None otherwise.  One tick."""
+    budget_tick()
     x = C.mor_src[f]
-    w = PullbackW(f, f, x, C.identity[x], C.identity[x])
-    return w if is_pullback(C, w) else None
+    return PullbackW(f, f, x, C.identity[x], C.identity[x]) if _jointly_monic(C, x, (f,)) else None
 
 
 def monos(C: FinCat) -> list[int]:
@@ -71,35 +76,37 @@ class SubobjectClassifierW:
         return replace(self, **changes)
 
 
-def _classify_one(
-    C: FinCat, term: ChosenTerminal, omega: int, tau: int, m: int
-) -> int:
-    """The unique chi whose square on m against tau commutes and is a
-    pullback; raises when existence or uniqueness fails."""
-    x, y = C.mor_src[m], C.mor_dst[m]
-    bang = to_terminal(C, term, x)
-    hits = []
-    for chi in C.hom(y, omega):
-        budget_tick()
-        if C.compose(m, chi) != C.compose(bang, tau):
-            continue
-        if is_pullback(C, PullbackW(chi, tau, x, m, bang)):
-            hits.append(chi)
-    if not hits:
-        raise NoClassifier(f"mono {m} has no classifying morphism into object {omega}")
-    if len(hits) > 1:
-        raise AmbiguousClassifier(
-            f"mono {m} has {len(hits)} classifying morphisms into object {omega}"
-        )
-    return hits[0]
-
-
 def _chi_table(
     C: FinCat, term: ChosenTerminal, omega: int, tau: int, ms: list[int]
 ) -> SubobjectClassifierW:
-    """omega and tau with a chi entry for each of the monos ms; raises
-    NoClassifier / AmbiguousClassifier at the first offending mono."""
-    return SubobjectClassifierW(omega, tau, {m: _classify_one(C, term, omega, tau, m) for m in ms})
+    """omega and tau with a chi entry for each of the monos ms: the unique
+    chi whose square on m against tau commutes and is a pullback, one tick
+    per candidate; raises NoClassifier / AmbiguousClassifier at the first
+    mono where existence or uniqueness fails.  bang[z], the one arrow from
+    z to the terminal, and top[z] = bang[z];tau are read once per object,
+    so the cones over the cospan (chi, tau) are the h into dst m with
+    h;chi == top[src h]: the kernel is given that count."""
+    comp, src = C.comp_table, C.mor_src
+    bang = [C.hom_map[(z, term.t)][0] for z in range(C.n_objects)]
+    top = [comp[b][tau] for b in bang]
+    chi = {}
+    for m in ms:
+        x, y = src[m], C.mor_dst[m]
+        hits = []
+        for c in C.hom(y, omega):
+            budget_tick()
+            if comp[m][c] == top[x] and _counted_universal(
+                    C, PULLBACKS, (c, tau), x, (m, bang[x]),
+                    sum(comp[h][c] == top[src[h]] for h in C.into[y])):
+                hits.append(c)
+        if not hits:
+            raise NoClassifier(f"mono {m} has no classifying morphism into object {omega}")
+        if len(hits) > 1:
+            raise AmbiguousClassifier(
+                f"mono {m} has {len(hits)} classifying morphisms into object {omega}"
+            )
+        chi[m] = hits[0]
+    return SubobjectClassifierW(omega, tau, chi)
 
 
 def subobject_classifier_cert(

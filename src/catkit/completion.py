@@ -216,7 +216,9 @@ def factor_through(cr: CompletionResult, F: Functor) -> Factorization:
 
 
 def check_factorization(cr: CompletionResult, F: Functor, fac: Factorization) -> None:
-    """Validate that fac really factors F through cr's eta."""
+    """Validate that fac really factors F through cr's eta; an F that is not
+    a functor is refused before alpha is walked."""
+    check_functor(F)
     check_functor(fac.functor)
     if fac.functor.source is not cr.completed and not same_tables(
         fac.functor.source, cr.completed

@@ -14,6 +14,7 @@ import itertools
 import threading
 import weakref
 from collections.abc import Callable, Hashable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -386,18 +387,21 @@ def fincat(
     identity: list[int],
     comp: dict[tuple[int, int], int],
 ) -> FinCat:
-    """Assemble and fully check a category from sparse composition data."""
+    """Assemble and fully check a category from sparse composition data.
+    The unit composites are filled in as far as the typing tables are in
+    range; the law check refuses the others before it reads the table."""
     m = len(mor_labels)
     table = [[None] * m for _ in range(m)]
     for (f, g), fg in comp.items():
         table[f][g] = fg
     # identity composites follow from the unit laws; fill the gaps
-    for f in range(m):
-        i_s, i_t = identity[mor_src[f]], identity[mor_dst[f]]
-        if table[i_s][f] is None:
-            table[i_s][f] = f
-        if table[f][i_t] is None:
-            table[f][i_t] = f
+    with suppress(IndexError):
+        for f in range(m):
+            i_s, i_t = identity[mor_src[f]], identity[mor_dst[f]]
+            if table[i_s][f] is None:
+                table[i_s][f] = f
+            if table[f][i_t] is None:
+                table[f][i_t] = f
     C = FinCat(
         name=name,
         objects=tuple(objects),
@@ -428,17 +432,21 @@ def tabulate(
     labelled ``mor_labels[i]``; ``identity[x]`` is the entry of object x's
     identity, and ``compose(e1, e2)`` the entry of "e1 then e2", asked for
     each composable pair exactly once.  The tables go through :func:`fincat`,
-    which checks every law.  Returns the category and the entry -> index map.
+    which checks every law and refuses an identity that is not one of the
+    entries, read as index -1; a composite that is not one is refused here.
+    Returns the category and the entry -> index map.
     """
     index = {e: i for i, e in enumerate(entries)}
     outs: dict[int, list[int]] = {}
     for i, x in enumerate(mor_src):
         outs.setdefault(x, []).append(i)
     comp = {}
-    for i, e in enumerate(entries):
-        for j in outs.get(mor_dst[i], ()):
-            comp[(i, j)] = index[compose(e, entries[j])]
-    ids = [index[e] for e in identity]
+    for i, (e, y) in enumerate(zip(entries, mor_dst)):
+        for j in outs.get(y, ()):
+            fg = comp[(i, j)] = index.get(compose(e, entries[j]))
+            if fg is None:
+                raise DanglingReference(f"composite of entries {i} then {j} is not an entry")
+    ids = [index.get(e, -1) for e in identity]
     return fincat(name, objects, mor_labels, mor_src, mor_dst, ids, comp), index
 
 

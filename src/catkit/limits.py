@@ -27,28 +27,24 @@ per-kind public names bind a shape.  The terminal names keep taking and
 returning a single :class:`ChosenTerminal`, wrapped as the table
 ``{(): w}``.  The ``is_*`` checks are the public checks of a witness, which
 :func:`check_table` and :func:`reflect` use: range, typing and the
-shape's equations, then one universal-property loop per shape,
-``LimitShape.universal``.  The loop reads hom(z, apex) once per
-test object z into an image table, mapping the legs of each arrow to
-whether no other arrow has the same legs, and a cone from z factors exactly
-once when the table maps it to True.  :func:`find_limit`, the hot path of
-every search, draws typed legs, drops those that fail the equations and
-calls ``universal`` directly, building a witness only for the one it
-returns.  The loops that rescan hom(z, apex) for every cone, and the search
-that hands each candidate to ``is_*`` as a witness, are kept in the tests
-as their oracles.
+shape's equations, then the universal property, one tick per check.
 
 On a thin category, one whose hom-sets hold at most one arrow
 (``FinCat.down_sets``), every limit is a meet: :func:`find_table` takes
 each as the lowest object whose down-set is the lower bounds of the key's
-feet, one tick per key, and each ``universal`` is one bitset test, one tick
-per call.  Elsewhere :func:`find_table` decides equalizers by counting
-cones, one tick per key.  An absence can be decided by a theorem rather
+feet, one tick per key, and each universal property is one bitset test.
+Elsewhere one counting kernel decides them all,
+:func:`_counted_universal`: a cone is a limit exactly when its legs are
+jointly monic and its apex has as many arrows into it as there are cones
+over the key, and a shape supplies only that count.  :func:`find_limit`
+counts once per key, with one tick, and tries only the apexes with that
+many arrows into them.  An absence can be decided by a theorem rather
 than by a search: a finite category that is not thin has no binary
 products (Freyd), so :func:`find_binary_products` refutes them after the
 thinness scan, and the coproducts follow through the opposite category.
-The loops over cones and :func:`find_limit`'s key-by-key search serve the
-other categories and remain these routes' oracles in the tests.
+The loops over cones, and the search that hands each candidate to
+``is_*`` as a witness, are kept in the tests as the oracles of both
+routes.
 
 Colimit duals delegate to the limit machinery on the opposite category;
 the direct colimit searches they are cross-checked against live in the
@@ -57,9 +53,10 @@ tests.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import and_, getitem, itemgetter
+from operator import and_, eq, getitem, itemgetter
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -143,21 +140,7 @@ def is_terminal(C: FinCat, t: int) -> bool:
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (), t)
-    for x in range(C.n_objects):
-        budget_tick()
-        if len(C.hom(x, t)) != 1:
-            return False
-    return True
-
-
-def _lower_bounds(C: FinCat, feet) -> int:
-    """On a thin category, the objects below every one of feet, as a bitset
-    (every object when there is no foot)."""
-    down = C.down_sets
-    bound = (1 << C.n_objects) - 1
-    for x in feet:
-        bound &= down[x]
-    return bound
+    return _counted_universal(C, TERMINAL, (), t, ())
 
 
 def _lowest_by_down_set(C: FinCat) -> dict[int, int]:
@@ -200,11 +183,76 @@ def _thin_universal(C: FinCat, feet, apex: int) -> bool:
     the feet lies below apex, since every cone from a lower bound, and its
     mediator, is then unique."""
     budget_tick()
-    return not _lower_bounds(C, feet) & ~C.down_sets[apex]
+    down = C.down_sets
+    bound = (1 << C.n_objects) - 1
+    for x in feet:
+        bound &= down[x]
+    return not bound & ~down[apex]
+
+
+def _counted_universal(
+    C: FinCat, shape: LimitShape, key: Key, apex: int, legs: tuple[int, ...],
+    cones: int | None = None,
+) -> bool:
+    """The universal property off the order route: a typed cone from apex
+    that satisfies the shape's equations is a limit exactly when its legs
+    are jointly monic and into(apex) holds as many arrows as there are cones
+    over key from all vertices.  Mediation is then injective at every
+    vertex, and equal sums make it a bijection: apex represents the cones
+    (Mac Lane, CWM III.4).  Counting, ``shape.cones``, takes one tick; a
+    search that counts once per key passes cones, and ticks itself."""
+    if cones is None:
+        budget_tick()
+        cones = shape.cones(_Counts(C), key)
+    return len(C.into[apex]) == cones and _jointly_monic(C, apex, legs)
+
+
+def _jointly_monic(C: FinCat, apex: int, legs: tuple[int, ...]) -> bool:
+    """Whether u -> (src u, u;legs) is injective on into(apex), no tick.  A
+    composite names its source, so with a leg the composites alone are
+    compared, column by column."""
+    us = C.into[apex]
+    if not legs:
+        return len(set(map(C.mor_src.__getitem__, us))) == len(us)
+    rows = list(map(C.comp_table.__getitem__, us))
+    return len(set(zip(*[map(itemgetter(p), rows) for p in legs]))) == len(us)
+
+
+class _Counts:
+    """What counting reads of C, each part built when first read and kept
+    for the other keys of one table: the objects by the number of arrows
+    into them, each morphism's column of composites and its groups, and
+    the verdicts of :func:`_jointly_monic` by apex and legs."""
+
+    def __init__(self, C: FinCat) -> None:
+        self.C, self.columns, self.groups, self.monics = C, {}, {}, {}
+
+    @cached_property
+    def by_arrows_in(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for apex, us in enumerate(self.C.into):
+            out.setdefault(len(us), []).append(apex)
+        return out
+
+    def column(self, f: int) -> list[int]:
+        """h;f for each h into src f, in index order."""
+        col = self.columns.get(f)
+        if col is None:
+            C = self.C
+            comp = C.comp_table
+            col = self.columns[f] = [comp[h][f] for h in C.into[C.mor_src[f]]]
+        return col
+
+    def group(self, f: int) -> Counter:
+        """The arrows h into src f counted by h;f."""
+        out = self.groups.get(f)
+        if out is None:
+            out = self.groups[f] = Counter(self.column(f))
+        return out
 
 
 # ---------------------------------------------------------------------------
-# the shape table: a brute-force defining check per shape, then the shapes
+# the shape table: a defining check and a cone count per shape, then the shapes
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
@@ -215,29 +263,15 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
         return False
     if C.mor_src[pi2] != apex or C.mor_dst[pi2] != x2:
         return False
-    return _product_universal(C, (x1, x2), apex, (pi1, pi2))
-
-
-def _product_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
-    """Every cone over the factor pair factors exactly once; the legs are
-    typed.  On a thin category, :func:`_thin_universal`."""
     if C.down_sets is not None:
-        return _thin_universal(C, key, apex)
-    comp, hom = C.comp_table, C.hom_map.get
-    (x1, x2), (pi1, pi2) = key, legs
-    for z in range(C.n_objects):
-        once = None   # the image table of hom(z, apex), built at the first cone from z
-        for g1 in hom((z, x1), ()):
-            for g2 in hom((z, x2), ()):
-                budget_tick()
-                if once is None:
-                    once = {}
-                    for u in hom((z, apex), ()):
-                        pair = (comp[u][pi1], comp[u][pi2])
-                        once[pair] = pair not in once
-                if not once.get((g1, g2)):
-                    return False
-    return True
+        return _thin_universal(C, (x1, x2), apex)
+    return _counted_universal(C, PRODUCTS, (x1, x2), apex, (pi1, pi2))
+
+
+def _product_cones(counts: _Counts, key: Key) -> int:
+    """The pairs of arrows from one vertex onto the two factors."""
+    (x1, x2), hom = key, counts.C.hom_map.get
+    return sum(len(hom((z, x1), ())) * len(hom((z, x2), ())) for z in range(counts.C.n_objects))
 
 
 def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
@@ -251,33 +285,15 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
         return False
     if C.compose(arrow, f) != C.compose(arrow, g):
         return False
-    return _equalizer_universal(C, (f, g), obj, (arrow,))
-
-
-def _equalizer_universal(C: FinCat, key: Key, obj: int, legs: tuple[int, ...]) -> bool:
-    """Every arrow equalizing the parallel pair factors exactly once; the
-    leg is typed and equalizes the pair.  On a thin category,
-    :func:`_thin_universal`."""
-    (f, g), (arrow,) = key, legs
-    x = C.mor_src[f]
     if C.down_sets is not None:
         return _thin_universal(C, (x,), obj)
-    comp, hom = C.comp_table, C.hom_map.get
-    for z in range(C.n_objects):
-        once = None   # the image table of hom(z, obj), built at the first cone from z
-        for h in hom((z, x), ()):
-            row = comp[h]
-            if row[f] != row[g]:
-                continue
-            budget_tick()
-            if once is None:
-                once = {}
-                for u in hom((z, obj), ()):
-                    leg = comp[u][arrow]
-                    once[leg] = leg not in once
-            if not once.get(h):
-                return False
-    return True
+    return _counted_universal(C, EQUALIZERS, (f, g), obj, (arrow,))
+
+
+def _equalizer_cones(counts: _Counts, key: Key) -> int:
+    """The arrows h into src f with h;f == h;g, read from the columns of f
+    and g, which line up."""
+    return sum(map(eq, counts.column(key[0]), counts.column(key[1])))
 
 
 def is_pullback(C: FinCat, w: PullbackW) -> bool:
@@ -294,33 +310,18 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
         return False
     if C.compose(p1, f) != C.compose(p2, g):
         return False
-    return _pullback_universal(C, (f, g), apex, (p1, p2))
-
-
-def _pullback_universal(C: FinCat, key: Key, apex: int, legs: tuple[int, ...]) -> bool:
-    """Every commuting square over the cospan factors exactly once; the legs
-    are typed and commute.  On a thin category, :func:`_thin_universal`."""
-    (f, g), (p1, p2) = key, legs
-    x, y = C.mor_src[f], C.mor_src[g]
     if C.down_sets is not None:
         return _thin_universal(C, (x, y), apex)
-    comp, hom = C.comp_table, C.hom_map.get
-    for z in range(C.n_objects):
-        once = None   # the image table of hom(z, apex), built at the first cone from z
-        for h1 in hom((z, x), ()):
-            c1 = comp[h1][f]
-            for h2 in hom((z, y), ()):
-                if comp[h2][g] != c1:
-                    continue
-                budget_tick()
-                if once is None:
-                    once = {}
-                    for u in hom((z, apex), ()):
-                        pair = (comp[u][p1], comp[u][p2])
-                        once[pair] = pair not in once
-                if not once.get((h1, h2)):
-                    return False
-    return True
+    return _counted_universal(C, PULLBACKS, (f, g), apex, (p1, p2))
+
+
+def _pullback_cones(counts: _Counts, key: Key) -> int:
+    """The commuting squares h1;f == h2;g: the arrows into src f grouped by
+    h1;f and those into src g by h2;g, then the products of the sizes of
+    matching groups summed.  A composite names its source, so each group
+    holds arrows from one vertex."""
+    right = counts.group(key[1])
+    return sum(n * right[c] for c, n in counts.group(key[0]).items())
 
 
 def parallel_pairs(C: FinCat) -> list[tuple[int, int]]:
@@ -357,13 +358,14 @@ class LimitShape:
     """A keyed finite-limit shape.  Witness fields are the ``n_key`` parts
     of the key (two, or none for the terminal), the apex, then one leg per
     foot.  ``feet`` is None for a key that is not a diagram of the shape;
-    ``commutes`` holds the equations on typed legs, if any.  Keys name
-    objects or, unless ``keyed_by_objects``, morphisms.  ``is_limit`` is the
-    public check of a witness, range, typing and equations first;
-    ``universal(C, key, apex, legs)`` is its universal-property loop alone,
-    for legs already typed onto the feet of the key and commuting, which is
-    what the searches enumerate.  Both look their function up on the module
-    when called, so a wrapper installed on the module sees every call.
+    ``commutes`` holds the equations on typed legs, read from the table, if
+    any; ``cones(counts, key)`` counts the cones over a key, summed over all
+    vertices, from what :class:`_Counts` reads of the category, and is all
+    that :func:`_counted_universal` needs of a shape.  Keys name objects or,
+    unless ``keyed_by_objects``, morphisms.  ``is_limit`` is the public
+    check of a witness, range, typing and equations first, and looks its
+    function up on the module when called, so a wrapper installed on the
+    module sees every call.
     """
 
     name: str
@@ -374,7 +376,7 @@ class LimitShape:
     feet: Callable[[FinCat, Key], tuple[int, ...] | None]
     commutes: Callable[[FinCat, Key, tuple[int, ...]], bool] | None
     is_limit: Callable[[FinCat, object], bool]
-    universal: Callable[[FinCat, Key, int, tuple[int, ...]], bool]
+    cones: Callable[[_Counts, Key], int]
     keyed_by_objects: bool
 
     @cached_property
@@ -418,26 +420,22 @@ class LimitShape:
 
 TERMINAL = LimitShape(
     "terminal", "empty diagram", ChosenTerminal, 0, lambda C: [()], lambda C, key: (),
-    None, lambda C, w: is_terminal(C, w.t),
-    lambda C, key, apex, legs: is_terminal(C, apex), True,
+    None, lambda C, w: is_terminal(C, w.t), lambda counts, key: counts.C.n_objects, True,
 )
 PRODUCTS = LimitShape(
     "product", "factor pair", BinProductW, 2,
     lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
-    None, lambda C, w: is_binary_product(C, w),
-    lambda C, key, apex, legs: _product_universal(C, key, apex, legs), True,
+    None, lambda C, w: is_binary_product(C, w), _product_cones, True,
 )
 EQUALIZERS = LimitShape(
     "equalizer", "parallel pair", EqualizerW, 2, parallel_pairs, _parallel_feet,
-    lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[0], key[1]),
-    lambda C, w: is_equalizer(C, w),
-    lambda C, key, apex, legs: _equalizer_universal(C, key, apex, legs), False,
+    lambda C, key, legs: (row := C.comp_table[legs[0]])[key[0]] == row[key[1]],
+    lambda C, w: is_equalizer(C, w), _equalizer_cones, False,
 )
 PULLBACKS = LimitShape(
     "pullback", "cospan", PullbackW, 2, cospan_pairs, _cospan_feet,
-    lambda C, key, legs: C.compose(legs[0], key[0]) == C.compose(legs[1], key[1]),
-    lambda C, w: is_pullback(C, w),
-    lambda C, key, apex, legs: _pullback_universal(C, key, apex, legs), False,
+    lambda C, key, legs: C.comp_table[legs[0]][key[0]] == C.comp_table[legs[1]][key[1]],
+    lambda C, w: is_pullback(C, w), _pullback_cones, False,
 )
 
 
@@ -448,34 +446,52 @@ PULLBACKS = LimitShape(
 def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     """Lowest apex first, then lowest leg indices; None when the key is not
     a diagram of the shape, names no object or morphism of C, or has no
-    limit.  The legs are drawn from hom(apex, foot), so they are typed;
-    those that fail the shape's equations are skipped, the others go to
-    ``shape.universal``, and only the winner becomes a witness."""
+    limit.  The legs are drawn from hom(apex, foot), so they are typed, and
+    those that fail the shape's equations are skipped.  On a thin category
+    each other candidate is decided by order, one tick each; elsewhere by
+    :func:`_counted_limit`, one tick for the key.  Only the winner becomes
+    a witness."""
     feet = shape.feet(C, key)
     if feet is None or not shape.in_range(C, key):
         return None
-    commutes, universal = shape.commutes, shape.universal
+    if C.down_sets is None:
+        return _counted_limit(shape, C, key, feet, _Counts(C))
+    commutes = shape.commutes
     for apex in range(C.n_objects):
         for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
-            if commutes is not None and not commutes(C, key, legs):
-                continue
-            if universal(C, key, apex, legs):
+            if (commutes is None or commutes(C, key, legs)) and _thin_universal(C, feet, apex):
                 return shape.witness(*key, apex, *legs)
+    return None
+
+
+def _counted_limit(shape: LimitShape, C: FinCat, key: Key, feet, counts: _Counts) -> object | None:
+    """:func:`find_limit` off a thin category, with one tick: the cones over
+    the key are counted once, only the apexes with that many arrows into
+    them are tried, and the first commuting legs that are jointly monic
+    win (:func:`_counted_universal`).  counts is shared by the keys of one
+    table."""
+    budget_tick()
+    commutes, monics = shape.commutes, counts.monics
+    for apex in counts.by_arrows_in.get(shape.cones(counts, key), ()):
+        for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
+            if commutes is None or commutes(C, key, legs):
+                ok = monics.get((apex, legs))
+                if ok is None:
+                    ok = monics[apex, legs] = _jointly_monic(C, apex, legs)
+                if ok:
+                    return shape.witness(*key, apex, *legs)
     return None
 
 
 def find_table(shape: LimitShape, C: FinCat) -> Table | None:
     """Chosen limits for every key, or None if some key has none: the
     witnesses :func:`find_limit` returns, taken as meets on a thin category
-    (:func:`_thin_table`) and by counting for the equalizers of any other
-    (:func:`_counted_equalizers`); the other shapes search key by key."""
+    (:func:`_thin_table`) and by counting, key by key, elsewhere."""
     if C.down_sets is not None:
         return _thin_table(shape, C)
-    if shape is EQUALIZERS:
-        return _counted_equalizers(C)
-    out = {}
+    counts, out = _Counts(C), {}
     for key in shape.keys(C):
-        w = find_limit(shape, C, key)
+        w = _counted_limit(shape, C, key, shape.feet(C, key), counts)
         if w is None:
             return None
         out[key] = w
@@ -521,41 +537,6 @@ def _table(witness: type, keys, rows) -> dict:
     """The table mapping each key to its row, the fields of a witness in
     order, each row made a witness as the tuple it is, in one pass."""
     return dict(zip(keys, map(tuple.__new__, itertools.repeat(witness), rows)))
-
-
-def _counted_equalizers(C: FinCat) -> Table | None:
-    """:func:`find_table` for equalizers, one tick per key.  An arrow a
-    with a;f == a;g equalizes (f, g) exactly when u -> u;a is injective on
-    into(src a) and into(src a) is as large as the set of h into src f with
-    h;f == h;g: mediation is then a bijection onto the cones.  Injectivity
-    is decided once per arrow for the whole table, and the candidates into
-    src f are scanned by apex, then index, as :func:`find_limit` takes
-    them."""
-    comp, src, into = C.comp_table, C.mor_src, C.into
-    by_apex: dict[int, list[int]] = {}   # x -> into(x) by apex, then index
-    monic: dict[int, bool] = {}
-    out = {}
-    for f, g in parallel_pairs(C):
-        budget_tick()
-        x = src[f]
-        arrows = by_apex.get(x)
-        if arrows is None:
-            arrows = by_apex[x] = sorted(into[x], key=src.__getitem__)
-        cones = len(into[x]) if f == g else sum(1 for h in into[x] if comp[h][f] == comp[h][g])
-        for a in arrows:
-            row = comp[a]
-            if len(into[src[a]]) != cones or row[f] != row[g]:
-                continue
-            mono = monic.get(a)
-            if mono is None:
-                us = into[src[a]]
-                mono = monic[a] = len({comp[u][a] for u in us}) == len(us)
-            if mono:
-                out[(f, g)] = EqualizerW(f, g, src[a], a)
-                break
-        else:
-            return None
-    return out
 
 
 def partial_table(shape: LimitShape, C: FinCat) -> Table:

@@ -1,11 +1,13 @@
-"""The second route of each classifier decision, which ``catkit.classifier``
-no longer runs: left cancellation for monos, the chi table transported
-through the quasi-inverse of an equivalence, and the image pair classifying
-for preservation.  The tests compare ``is_mono``, the carried chi table and
+"""The second routes of each classifier decision, which ``catkit.classifier``
+does not run: left cancellation and the kernel-pair square walked by the
+loop over cones for monos, the chi table transported through the
+quasi-inverse of an equivalence, and the image pair classifying for
+preservation.  The tests compare ``is_mono``, the carried chi table and
 ``preserves_subobject_classifier`` against them."""
+import limit_oracles
 from catkit.classifier import is_subobject_classifier
 from catkit.core import FinCat, Functor, WeakEquivalenceCert, budget_tick
-from catkit.limits import ChosenTerminal, PullbackW, is_pullback, to_terminal
+from catkit.limits import ChosenTerminal, PullbackW, to_terminal
 
 
 def mono_by_cancellation(C: FinCat, f: int) -> bool:
@@ -23,7 +25,7 @@ def mono_by_cancellation(C: FinCat, f: int) -> bool:
 def mono_by_pullback(C: FinCat, f: int) -> bool:
     x = C.mor_src[f]
     w = PullbackW(f, f, x, C.identity[x], C.identity[x])
-    return is_pullback(C, w)
+    return limit_oracles.is_pullback(C, w)
 
 
 def transported_chi(cert: WeakEquivalenceCert, src: dict) -> dict[int, int]:

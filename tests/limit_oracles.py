@@ -1,8 +1,10 @@
 """The universal-property checks as one loop per cone: for each cone from
 each test object, every arrow into the apex is composed with the legs and
 the hits counted.  These define the limits, exponentials and parameterized
-N; the checks in ``catkit`` that read hom(z, apex) once per test object are
-compared against them, verdict and budget ticks alike.
+N; the checks in ``catkit``, which decide by order on a thin category and
+by counting cones elsewhere, one tick per check, are compared against them:
+the same verdict, and one tick wherever the loop reaches its universal
+property.
 
 The searches as one witness per candidate: ``find_limit`` and
 ``find_exponential`` hand every enumerated candidate, typed or not,
@@ -21,15 +23,16 @@ raises alike.  The comparisons of exponentials and parameterized N by
 currying and by recursion are the oracles of ``preserves_exponentials``
 and ``preserves_pnno``, which compare by order.
 
-Last, the generic searches, which decide every limit, exponential and
-parameterized N by its loops whatever the category: the oracles of the
-routes that decide by order on thin categories and by counting
-elsewhere."""
+Last, the generic searches, which decide every limit, exponential,
+parameterized N and subobject classifier by its loops over cones whatever
+the category: the oracles of the routes that decide by order on thin
+categories and by counting elsewhere."""
 import dataclasses
 import itertools
 from functools import cache, partial
 
-from catkit import classifier, exponentials, limits
+from catkit import exponentials, limits
+from catkit.classifier import SubobjectClassifierW
 from catkit.core import (
     FinCat,
     Functor,
@@ -55,6 +58,16 @@ from catkit.limits import (
 )
 from catkit.lifting import KINDS
 from catkit.nno import PNNOW, PNNOPreservationCert, _image_triple
+
+
+def is_terminal(C: FinCat, t: int) -> bool:
+    if not 0 <= t < C.n_objects:
+        return False
+    for x in range(C.n_objects):
+        budget_tick()
+        if len(C.hom(x, t)) != 1:
+            return False
+    return True
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
@@ -184,14 +197,17 @@ def is_exponential(
     return True
 
 
-def find_limit(shape: LimitShape, C: FinCat, key: tuple[int, ...]) -> object | None:
+def find_limit(shape: LimitShape, C: FinCat, key: tuple[int, ...], check=None) -> object | None:
+    """The first candidate, by apex, then legs, that check passes:
+    ``shape.is_limit`` unless given."""
     feet = shape.feet(C, key)
     if feet is None:
         return None
+    check = check or shape.is_limit
     for apex in range(C.n_objects):
         for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
             w = shape.witness(*key, apex, *legs)
-            if shape.is_limit(C, w):
+            if check(C, w):
                 return w
     return None
 
@@ -411,25 +427,65 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
 
 def generic_view(C: FinCat) -> FinCat:
     """C's tables with its down-sets hidden, so that every check and search
-    in ``catkit`` takes its generic route: the loops over cones,
-    ``find_limit`` key by key, and the certificate checks' walks."""
+    in ``catkit`` takes the route it takes off a thin category: the
+    counting kernel, ``find_limit`` key by key, and the certificate checks'
+    walks."""
     G = dataclasses.replace(C)
     G.__dict__["down_sets"] = None
     G.__dict__["order_scan"] = (None, 0)
     return G
 
 
+# shape name -> its loop over cones, taking a witness
+CONE_LOOPS = {
+    "terminal": lambda C, w: is_terminal(C, w.t),
+    "product": is_binary_product,
+    "equalizer": is_equalizer,
+    "pullback": is_pullback,
+}
+
+
 def generic_table(shape: LimitShape, C: FinCat) -> Table | None:
     """``limits.find_table`` by the generic search: ``find_limit`` key by
-    key, with the loops over cones."""
-    G = generic_view(C)
+    key, every candidate decided by the loop over cones."""
     out = {}
-    for key in shape.keys(G):
-        w = limits.find_limit(shape, G, key)
+    for key in shape.keys(C):
+        w = find_limit(shape, C, key, CONE_LOOPS[shape.name])
         if w is None:
             return None
         out[key] = w
     return out
+
+
+def chi_by_pullback(C: FinCat, t: int, omega: int, tau: int) -> dict | None:
+    """The chi table of omega and tau by the loops over cones: the monos
+    are the arrows whose kernel-pair square is a pullback, and each is
+    classified by the one chi whose square against tau is a pullback; None
+    when some mono has no such chi or more than one."""
+    ids, chi = C.identity, {}
+    for m in range(C.n_morphisms):
+        x, y = C.mor_src[m], C.mor_dst[m]
+        if not is_pullback(C, PullbackW(m, m, x, ids[x], ids[x])):
+            continue
+        bang = C.hom(x, t)[0]
+        hits = [c for c in C.hom(y, omega) if is_pullback(C, PullbackW(c, tau, x, m, bang))]
+        if len(hits) != 1:
+            return None
+        chi[m] = hits[0]
+    return chi
+
+
+def find_subobject_classifier(C: FinCat, bag: dict) -> SubobjectClassifierW | None:
+    """``classifier.find_subobject_classifier`` by the loops over cones:
+    the first omega and tau, in object and hom order, that
+    :func:`chi_by_pullback` classifies every mono with."""
+    t = bag["terminal"].t
+    for omega in range(C.n_objects):
+        for tau in C.hom(t, omega):
+            chi = chi_by_pullback(C, t, omega, tau)
+            if chi is not None:
+                return SubobjectClassifierW(omega, tau, chi)
+    return None
 
 
 def generic_exponentials(C: FinCat, prods: Table) -> dict | None:
@@ -464,7 +520,7 @@ GENERIC_FINDS = {
     "equalizers": lambda C, bag: generic_table(limits.EQUALIZERS, C),
     "pullbacks": lambda C, bag: generic_table(limits.PULLBACKS, C),
     "exponentials": lambda C, bag: generic_exponentials(C, bag["products"]),
-    "classifier": lambda C, bag: classifier.find_subobject_classifier(generic_view(C), bag),
+    "classifier": find_subobject_classifier,
     "pnno": find_pnno,
 }
 

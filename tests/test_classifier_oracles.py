@@ -1,13 +1,19 @@
-"""The one route of each classifier decision against the second route kept in
-``classifier_oracles``: ``is_mono`` against left cancellation, the chi table
-a carry searches against the one transported through the equivalence, and
+"""The one route of each classifier decision against the second routes kept
+in ``classifier_oracles`` and ``limit_oracles``: ``is_mono`` against left
+cancellation and the kernel-pair square walked by the loop over cones, each
+chi table against the one the loops over cones build, the chi table a carry
+searches against the one transported through the equivalence, and
 ``preserves_subobject_classifier`` against the image pair classifying."""
 from functools import cache
+
+import limit_oracles
+from catkit import core
 
 from catkit.classifier import (
     carry_subobject_classifier,
     find_subobject_classifier,
     is_mono,
+    is_subobject_classifier,
     preserves_subobject_classifier,
 )
 from catkit.completion import (
@@ -20,7 +26,12 @@ from catkit.completion import (
 from catkit.core import functor, identity_functor, is_weak_equivalence
 from catkit.generators import finset_fragment, finset_function, random_category, setoid_groupoid
 from catkit.limits import find_terminal
-from classifier_oracles import image_pair_classifies, mono_by_cancellation, transported_chi
+from classifier_oracles import (
+    image_pair_classifies,
+    mono_by_cancellation,
+    mono_by_pullback,
+    transported_chi,
+)
 
 
 def _codiscrete(n):
@@ -74,6 +85,54 @@ def test_is_mono_agrees_with_cancellation():
     for C in corpus():
         for f in range(C.n_morphisms):
             assert mono_by_cancellation(C, f) == (is_mono(C, f) is not None), (C.name, f)
+
+
+def _ticks(call):
+    """What call returns and the budget ticks it took."""
+    core.set_search_budget(10**18)
+    try:
+        return call(), core._budget.used
+    finally:
+        core.set_search_budget(None)
+
+
+def test_is_mono_takes_one_tick_and_agrees_with_the_kernel_pair_walk():
+    seen = set()
+    for C in corpus():
+        for f in range(C.n_morphisms):
+            got, used = _ticks(lambda: is_mono(C, f))
+            assert used == 1, (C.name, f)
+            assert (got is not None) == mono_by_pullback(C, f) == mono_by_cancellation(C, f), (
+                C.name, f)
+            seen.add(got is not None)
+    assert seen == {True, False}
+
+
+def test_each_chi_table_is_the_one_the_loops_over_cones_build():
+    """For every point tau of every omega: the same chi table, or the same
+    refusal, and where a table is built, one tick per candidate chi past
+    the terminal check and the mono list; and the same classifier found."""
+    verdicts = set()
+    for C in corpus():
+        term = find_terminal(C)
+        if term is None:
+            continue
+        C.down_sets
+        for omega in range(C.n_objects):
+            for tau in C.hom(term.t, omega):
+                got, used = _ticks(lambda: is_subobject_classifier(C, term, omega, tau))
+                want = limit_oracles.chi_by_pullback(C, term.t, omega, tau)
+                assert (got and got.chi) == want, (C.name, omega, tau)
+                if got is not None:
+                    candidates = sum(len(C.hom(C.mor_dst[m], omega)) for m in got.chi)
+                    # the terminal check, one tick per arrow for the mono
+                    # list, then one per candidate chi of each mono
+                    assert used == 1 + C.n_morphisms + candidates, (C.name, omega, tau)
+                verdicts.add(got is not None)
+        bag = {"terminal": term}
+        assert find_subobject_classifier(C, bag) == limit_oracles.find_subobject_classifier(
+            C, bag), C.name
+    assert verdicts == {True, False}
 
 
 def test_carried_chi_equals_the_transported_chi():

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from catkit.completion import (
+    Factorization,
     check_factorization,
     factor_through,
     factorization_unique,
@@ -16,6 +17,8 @@ from catkit.completion import (
     skeletize,
 )
 from catkit.core import (
+    Functor,
+    NatIso,
     check_weak_equivalence_cert,
     compose_functors,
     functor,
@@ -26,7 +29,7 @@ from catkit.core import (
     isos_between,
     same_tables,
 )
-from catkit.errors import SourceMismatch, ZeroCopies
+from catkit.errors import IllTypedImage, SourceMismatch, ZeroCopies
 from catkit.generators import (
     chain_poset,
     delooping,
@@ -175,6 +178,23 @@ def test_factor_through_nontrivial_target():
     F = functor(S, E, obj_map, mor_map, name="collapse")
     fac = factor_through(res, F)
     check_factorization(res, F, fac)
+
+
+@pytest.mark.parametrize("image", [-1, 7])
+def test_check_factorization_refuses_a_functor_with_an_image_out_of_range(image):
+    """The identity of a thin inflation with its last image moved off the
+    morphisms, and an alpha that ends at it: refused before alpha's squares
+    are walked, for an index read from the end and one past the last."""
+    C = inflate(chain_poset(2), [1, 2])[0]
+    assert C.n_morphisms == 7
+    res = skeletize(C)
+    F = identity_functor(C)
+    with pytest.warns(UserWarning, match="not gaunt"):
+        fac = factor_through(res, F)
+    bad = Functor(C, C, F.obj_map, F.mor_map[:-1] + (image,), "bad")
+    alpha = NatIso(fac.alpha.source, bad, fac.alpha.components)
+    with pytest.raises(IllTypedImage, match="out of range"):
+        check_factorization(res, bad, Factorization(fac.functor, alpha))
 
 
 def test_factor_through_rejects_wrong_source():

@@ -37,9 +37,11 @@ from catkit.core import (
 from catkit.errors import (
     AssociativityViolation,
     CatkitError,
+    DanglingReference,
     IllTypedComposite,
     IllTypedImage,
     MissingComposite,
+    MissingIdentity,
     UnitLawViolation,
 )
 from catkit.generators import (
@@ -517,6 +519,27 @@ def test_tabulate_leaves_the_laws_to_fincat():
     # an identity that is not one breaks the unit laws
     with pytest.raises(UnitLawViolation):
         _z3(["0", "1", "2"], identity="1")
+
+
+@pytest.mark.parametrize("mor_src, mor_dst, identity, comp, error, message", [
+    ([0], [0], [5], {}, MissingIdentity, "object a has no identity morphism"),
+    ([0], [0], [-1], {}, MissingIdentity, "object a has no identity morphism"),
+    ([3], [0], [0], {}, DanglingReference, "morphism f references a missing object"),
+    ([0], [-2], [0], {}, DanglingReference, "morphism f references a missing object"),
+    ([0, 0], [0], [0], {}, DanglingReference, "disagree in length"),
+])
+def test_fincat_refuses_an_index_out_of_range_before_filling_in_the_units(
+        mor_src, mor_dst, identity, comp, error, message):
+    with pytest.raises(error, match=message):
+        fincat("x", ["a"], ["f"], mor_src, mor_dst, identity, comp)
+
+
+def test_tabulate_refuses_an_identity_or_a_composite_that_is_not_an_entry():
+    with pytest.raises(MissingIdentity, match="has no identity morphism"):
+        _z3(["0", "1", "2"], identity="3")
+    with pytest.raises(DanglingReference, match="composite of entries 1 then 2 is not an entry"):
+        tabulate("z3", ["x"], ["0", "1", "2"], [0, 0, 0], [0, 0, 0], ["g0", "g1", "g2"], ["0"],
+                 lambda a, b: str(int(a) + int(b)))
 
 
 # ---------------------------------------------------------------------------

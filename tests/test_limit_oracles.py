@@ -1,15 +1,16 @@
-"""The ``is_*`` checks that read hom(z, apex) once per test object against
-the loops kept in ``limit_oracles``, which rescan it for every cone: the
-same verdict on every candidate the oracle searches enumerate and on
-corrupted table entries, and the same number of budget ticks, so the same
-smallest budget that lets the check finish, wherever the check takes its
-generic route.  On a thin category a check takes its order route instead,
-one tick per call.  The exponential and parameterized-N checks have no
-generic route: they decide by order where the chosen products they read
-are meets, and answer no, with no tick, elsewhere.  The searches, which skip the checks' preamble, against
+"""The ``is_*`` checks against the loops kept in ``limit_oracles``, which
+rescan hom(z, apex) for every cone: the same verdict on every candidate the
+oracle searches enumerate and on corrupted table entries.  A check decides
+by order on a thin category and by counting cones elsewhere, one tick per
+call where the loop reaches its universal property, so each check runs out
+of budget at that tick, and the oracle at its own count.  The exponential
+and parameterized-N checks have no route but the order: they decide by
+order where the chosen products they read are meets, and answer no, with
+no tick, elsewhere.  The searches, which skip the checks' preamble, against
 the oracle searches, which build a witness per candidate and hand it to
-``is_*``: the same witnesses, and the same ticks where the search is
-generic; a search that decides by order or by counting ticks once per
+``is_*``: the same witnesses everywhere, and the same ticks where the
+search decides candidate by candidate, as ``partial_table`` does on a thin
+category; a search that decides by order or by counting ticks once per
 key."""
 import itertools
 from collections import Counter
@@ -153,13 +154,13 @@ def _thin_route(name, C, args) -> bool:
 
 def _owed(name, C, args, oracle):
     """The verdict and ticks the check owes where the oracle's run gave
-    oracle: the same, but one tick on the order route, where the oracle
-    ticks whenever the check reaches its universal property, and no, with
-    no tick, off it for the checks that have no generic route."""
+    oracle: the same verdict with one tick where the oracle ticks, which it
+    does whenever the check reaches its universal property, and no, with
+    no tick, off the order route for the checks that have no other."""
     verdict, used = oracle
-    if _thin_route(name, C, args):
-        return verdict, min(used, 1)
-    return (ORDER_ONLY[name], 0) if name in ORDER_ONLY else oracle
+    if name in ORDER_ONLY and not _thin_route(name, C, args):
+        return ORDER_ONLY[name], 0
+    return verdict, min(used, 1)
 
 
 def test_every_searched_candidate_gets_the_oracles_verdict_and_ticks():
@@ -172,10 +173,11 @@ def test_every_searched_candidate_gets_the_oracles_verdict_and_ticks():
         oracle = _run(getattr(limit_oracles, name), C, args)
         assert got == _owed(name, C, args, oracle), (name, C.name, args)
         if name not in ORDER_ONLY:
-            # the generic loop, which the order route stands in for, keeps
-            # the oracle's verdict and ticks on every candidate
+            # the counting kernel, which the order route stands in for on a
+            # thin category, gives the oracle's verdict with one tick there too
             G = views.setdefault(C, limit_oracles.generic_view(C))
-            assert _run(_kernel(name), G, args) == oracle, (name, C.name, args)
+            assert _run(_kernel(name), G, args) == (oracle[0], min(oracle[1], 1)), (
+                name, C.name, args)
         elif bool(got[0]) != bool(oracle[0]):
             # off a preorder, over a partial products table
             differ.add(name)
@@ -221,9 +223,10 @@ def test_corrupted_entries_get_the_oracles_verdict_and_ticks():
 @pytest.mark.parametrize("name", [name for _, name in CHECKS])
 def test_the_budget_runs_out_at_the_same_count(name):
     """The check and its oracle each finish at the count they tick and run
-    out one below it; the check's count is the oracle's on the generic
-    route, one on the order route, and none where the exponential and
-    parameterized-N checks answer no off it."""
+    out one below it; the check's count is one where the oracle's loop
+    reaches the universal property, on the order route and off it, and
+    none where the exponential and parameterized-N checks answer no off
+    the order route."""
     calls = [(C, args) for n, C, args in candidates() if n == name]
     ticked = 0
     for C, args in calls[:: max(1, len(calls) // 200)]:
@@ -245,27 +248,26 @@ def _keys_to_first_gap(keys, table) -> int:
 
 
 def test_the_searches_find_the_oracle_searches_witnesses_with_the_same_ticks():
-    """The same witnesses everywhere, and the oracle search's ticks wherever
-    the search is generic: ``partial_table`` always, ``find_table`` for
-    products and pullbacks on a category that is not thin, and
-    ``find_exponentials`` unless every chosen product is a meet.  Elsewhere
-    the search decides by order or by counting, one tick per key it
-    visits."""
+    """The same witnesses everywhere, and the oracle search's ticks where
+    the search decides candidate by candidate: ``partial_table`` on a thin
+    category, and ``find_exponentials`` unless every chosen product is a
+    meet.  Elsewhere the search decides by order or by counting, one tick
+    per key it visits: ``find_table`` always, and ``partial_table`` off a
+    thin category, at every key."""
     seen = set()
     for C in corpus():
         thin = C.down_sets is not None
         searches = []
         for shape in (limits.PRODUCTS, limits.EQUALIZERS, limits.PULLBACKS):
-            per_key = None
-            if thin or shape is limits.EQUALIZERS:
-                per_key = _keys_to_first_gap(shape.keys(C), _oracle_table(shape, C, partial=True))
+            keys = shape.keys(C)
+            gap = _keys_to_first_gap(keys, _oracle_table(shape, C, partial=True))
             for partial in (True, False):
                 verb = limits.partial_table if partial else limits.find_table
                 searches.append((
                     (shape.name, verb.__name__),
                     lambda C, shape=shape, verb=verb: verb(shape, C),
                     lambda C, shape=shape, partial=partial: _oracle_table(shape, C, partial),
-                    None if partial else per_key,
+                    gap if not partial else None if thin else len(keys),
                 ))
         prods = limits.partial_table(limits.PRODUCTS, C)
         ordered = thin and all(limits._meet_apexes(C, prods, x) is not None
@@ -286,16 +288,19 @@ def test_the_searches_find_the_oracle_searches_witnesses_with_the_same_ticks():
             got, want = _run(search, C, ()), _run(oracle, C, ())
             assert got == (want if per_key is None else (want[0], per_key)), (C.name, what)
             seen.add((what, got[0] is not None))
-            seen.add((what, "per key" if per_key is not None else "generic"))
+            seen.add((what, "per key" if per_key is not None else "per candidate"))
             for run, (_, used) in ((search, got), (oracle, want)):
                 if used:
                     assert _run(run, C, (), used - 1) is SearchBudgetExceeded, (C.name, what)
     # every search that can fail both succeeds and fails somewhere in the
-    # corpus, and every find both decides per key and searches
+    # corpus; the limit finds tick per key, the exponential search both per
+    # key and per candidate, and partial_table both per key and per candidate
     finds = {what for what, _ in seen if what[1] != "partial_table"}
     assert {(what, ok) for what in finds for ok in (True, False)} <= seen, seen
-    assert {(what, route) for what in finds for route in ("per key", "generic")
-            if what[0] != "equalizer" or route == "per key"} <= seen, seen
+    partials = {what for what, _ in seen if what[1] == "partial_table"}
+    assert {(what, "per key") for what in finds} <= seen, seen
+    assert {(what, route) for what in partials | {("exponential", "find_exponentials")}
+            for route in ("per key", "per candidate")} <= seen, seen
 
 
 def test_the_searches_do_not_go_through_the_public_checks(monkeypatch):
