@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Write one bench file: every workload, end to end and layer by layer.
 
-    python3 scripts/write_bench.py BENCH_<n>.json [--seed 0] [--seconds 35]
+    python3 scripts/write_bench.py BENCH_<n>.json
 
-Runs ``perfbench/run.py`` on each workload of ``BENCHMARK.json`` at the
-given seed, once with ``--trace 0`` (the end-to-end metrics) and once with
-``--trace 1`` (each layer's time, calls and candidate checks), and writes
+Runs ``perfbench/run.py`` on each workload of ``BENCHMARK.json`` at seed 0
+and its default run length, once with ``--trace 0`` (the end-to-end
+metrics) and once with ``--trace 1`` (each layer's time, calls and
+candidate checks), and writes
 the two result objects per workload to the named JSON file, with the line
 count of ``src/catkit/*.py`` as ``wc -l`` counts it, the commit measured
 (and whether the tree differed from it), the Python version and the number
@@ -24,10 +25,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(workload: str, trace: int) -> dict:
     """The result object ``perfbench/run.py`` prints last."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -47,17 +48,15 @@ def git(*args: str) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="the JSON file to write, relative to the current directory")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=35.0)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {}
     for w in (entry["name"] for entry in spec["workloads"]):
-        workloads[w] = {f"trace{t}": run(w, args.seed, args.seconds, t) for t in (0, 1)}
+        workloads[w] = {f"trace{t}": run(w, t) for t in (0, 1)}
         print(f"{w}: done", flush=True)
     bench = {
-        "command": f"perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds}"
-                   " --trace T, for each workload W and T in 0, 1",
+        "command": "perfbench/run.py --workload W --seed 0 --trace T,"
+                   " for each workload W and T in 0, 1",
         "commit": git("rev-parse", "HEAD"),
         "tree_differs_from_commit": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         "python": platform.python_version(),

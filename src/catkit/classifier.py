@@ -41,6 +41,7 @@ from .limits import (
     PULLBACKS,
     ChosenTerminal,
     PullbackW,
+    _Counts,
     _counted_universal,
     _jointly_monic,
     is_terminal,
@@ -83,21 +84,21 @@ def _chi_table(
     chi whose square on m against tau commutes and is a pullback, one tick
     per candidate; raises NoClassifier / AmbiguousClassifier at the first
     mono where existence or uniqueness fails.  bang[z], the one arrow from
-    z to the terminal, and top[z] = bang[z];tau are read once per object,
-    so the cones over the cospan (chi, tau) are the h into dst m with
-    h;chi == top[src h]: the kernel is given that count."""
+    z to the terminal, and top[z] = bang[z];tau are read once per object
+    for the commuting test; a commuting square is decided by the kernel on
+    the cospan (chi, tau), over one count of each arrow's composites for
+    the whole table."""
     comp, src = C.comp_table, C.mor_src
     bang = [C.hom_map[(z, term.t)][0] for z in range(C.n_objects)]
     top = [comp[b][tau] for b in bang]
-    chi = {}
+    counts, chi = _Counts(C), {}
     for m in ms:
         x, y = src[m], C.mor_dst[m]
         hits = []
         for c in C.hom(y, omega):
-            budget_tick()
-            if comp[m][c] == top[x] and _counted_universal(
-                    C, PULLBACKS, (c, tau), x, (m, bang[x]),
-                    sum(comp[h][c] == top[src[h]] for h in C.into[y])):
+            if comp[m][c] != top[x]:
+                budget_tick()
+            elif _counted_universal(counts, PULLBACKS, (c, tau), x, (m, bang[x])):
                 hits.append(c)
         if not hits:
             raise NoClassifier(f"mono {m} has no classifying morphism into object {omega}")

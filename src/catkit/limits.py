@@ -56,7 +56,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import and_, eq, getitem, itemgetter
+from operator import and_, eq, getitem, itemgetter, mul
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -140,7 +140,7 @@ def is_terminal(C: FinCat, t: int) -> bool:
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (), t)
-    return _counted_universal(C, TERMINAL, (), t, ())
+    return _counted_universal(_Counts(C), TERMINAL, (), t, ())
 
 
 def _lowest_by_down_set(C: FinCat) -> dict[int, int]:
@@ -191,20 +191,18 @@ def _thin_universal(C: FinCat, feet, apex: int) -> bool:
 
 
 def _counted_universal(
-    C: FinCat, shape: LimitShape, key: Key, apex: int, legs: tuple[int, ...],
-    cones: int | None = None,
+    counts: _Counts, shape: LimitShape, key: Key, apex: int, legs: tuple[int, ...]
 ) -> bool:
-    """The universal property off the order route: a typed cone from apex
-    that satisfies the shape's equations is a limit exactly when its legs
-    are jointly monic and into(apex) holds as many arrows as there are cones
-    over key from all vertices.  Mediation is then injective at every
-    vertex, and equal sums make it a bijection: apex represents the cones
-    (Mac Lane, CWM III.4).  Counting, ``shape.cones``, takes one tick; a
-    search that counts once per key passes cones, and ticks itself."""
-    if cones is None:
-        budget_tick()
-        cones = shape.cones(_Counts(C), key)
-    return len(C.into[apex]) == cones and _jointly_monic(C, apex, legs)
+    """The universal property off the order route, with one tick: a typed
+    cone from apex that satisfies the shape's equations is a limit exactly
+    when its legs are jointly monic and into(apex) holds as many arrows as
+    there are cones over key from all vertices, ``shape.cones``.  Mediation
+    is then injective at every vertex, and equal sums make it a bijection:
+    apex represents the cones (Mac Lane, CWM III.4).  counts is shared by
+    the cones a caller decides over one category."""
+    budget_tick()
+    C = counts.C
+    return len(C.into[apex]) == shape.cones(counts, key) and _jointly_monic(C, apex, legs)
 
 
 def _jointly_monic(C: FinCat, apex: int, legs: tuple[int, ...]) -> bool:
@@ -265,7 +263,7 @@ def is_binary_product(C: FinCat, w: BinProductW) -> bool:
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (x1, x2), apex)
-    return _counted_universal(C, PRODUCTS, (x1, x2), apex, (pi1, pi2))
+    return _counted_universal(_Counts(C), PRODUCTS, (x1, x2), apex, (pi1, pi2))
 
 
 def _product_cones(counts: _Counts, key: Key) -> int:
@@ -287,7 +285,7 @@ def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (x,), obj)
-    return _counted_universal(C, EQUALIZERS, (f, g), obj, (arrow,))
+    return _counted_universal(_Counts(C), EQUALIZERS, (f, g), obj, (arrow,))
 
 
 def _equalizer_cones(counts: _Counts, key: Key) -> int:
@@ -312,7 +310,7 @@ def is_pullback(C: FinCat, w: PullbackW) -> bool:
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (x, y), apex)
-    return _counted_universal(C, PULLBACKS, (f, g), apex, (p1, p2))
+    return _counted_universal(_Counts(C), PULLBACKS, (f, g), apex, (p1, p2))
 
 
 def _pullback_cones(counts: _Counts, key: Key) -> int:
@@ -320,8 +318,9 @@ def _pullback_cones(counts: _Counts, key: Key) -> int:
     h1;f and those into src g by h2;g, then the products of the sizes of
     matching groups summed.  A composite names its source, so each group
     holds arrows from one vertex."""
-    right = counts.group(key[1])
-    return sum(n * right[c] for c, n in counts.group(key[0]).items())
+    left, right = counts.group(key[0]), counts.group(key[1])
+    common = left.keys() & right.keys()
+    return sum(map(mul, map(left.__getitem__, common), map(right.__getitem__, common)))
 
 
 def parallel_pairs(C: FinCat) -> list[tuple[int, int]]:
@@ -489,13 +488,20 @@ def find_table(shape: LimitShape, C: FinCat) -> Table | None:
     (:func:`_thin_table`) and by counting, key by key, elsewhere."""
     if C.down_sets is not None:
         return _thin_table(shape, C)
-    counts, out = _Counts(C), {}
-    for key in shape.keys(C):
-        w = _counted_limit(shape, C, key, shape.feet(C, key), counts)
+    out = {}
+    for key, w in _counted_limits(shape, C):
         if w is None:
             return None
         out[key] = w
     return out
+
+
+def _counted_limits(shape: LimitShape, C: FinCat):
+    """(key, :func:`_counted_limit`'s witness or None) for each key in
+    order, lazily, over one :class:`_Counts`."""
+    counts = _Counts(C)
+    for key in shape.keys(C):
+        yield key, _counted_limit(shape, C, key, shape.feet(C, key), counts)
 
 
 def _thin_table(shape: LimitShape, C: FinCat) -> Table | None:
@@ -540,8 +546,13 @@ def _table(witness: type, keys, rows) -> dict:
 
 
 def partial_table(shape: LimitShape, C: FinCat) -> Table:
-    """Chosen limits for exactly the keys that have one."""
-    found = ((key, find_limit(shape, C, key)) for key in shape.keys(C))
+    """Chosen limits for exactly the keys that have one: the witnesses
+    :func:`find_limit` returns, off a thin category sharing one
+    :class:`_Counts` across the keys, as :func:`find_table` does."""
+    if C.down_sets is not None:
+        found = ((key, find_limit(shape, C, key)) for key in shape.keys(C))
+    else:
+        found = _counted_limits(shape, C)
     return {key: w for key, w in found if w is not None}
 
 

@@ -67,7 +67,7 @@ def _kernel(C, shape, key, apex, legs):
     """The kernel's verdict and the ticks it took."""
     core.set_search_budget(10**18)
     try:
-        return limits._counted_universal(C, shape, key, apex, legs), core._budget.used
+        return limits._counted_universal(limits._Counts(C), shape, key, apex, legs), core._budget.used
     finally:
         core.set_search_budget(None)
 
