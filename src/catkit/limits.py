@@ -385,12 +385,6 @@ class LimitShape:
         return tuple((n, i == k or (i < k and self.keyed_by_objects))
                      for i, n in enumerate(self.witness._fields))
 
-    @staticmethod
-    def unpack(w) -> tuple[int, ...]:
-        """A witness as the flat tuple of its fields, key parts, apex and
-        legs: the witness itself."""
-        return w
-
     def split(self, w) -> tuple[Key, int, tuple[int, ...]]:
         """A witness as (key, apex, legs)."""
         k = self.n_key
@@ -454,7 +448,7 @@ def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     if feet is None or not shape.in_range(C, key):
         return None
     if C.down_sets is None:
-        return _counted_limit(shape, C, key, feet, _Counts(C))
+        return _counted_limit(shape, _Counts(C), key)
     commutes = shape.commutes
     for apex in range(C.n_objects):
         for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
@@ -463,14 +457,16 @@ def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     return None
 
 
-def _counted_limit(shape: LimitShape, C: FinCat, key: Key, feet, counts: _Counts) -> object | None:
-    """:func:`find_limit` off a thin category, with one tick: the cones over
-    the key are counted once, only the apexes with that many arrows into
-    them are tried, and the first commuting legs that are jointly monic
-    win (:func:`_counted_universal`).  counts is shared by the keys of one
+def _counted_limit(shape: LimitShape, counts: _Counts, key: Key) -> object | None:
+    """:func:`find_limit` off a thin category, for a key that is a diagram
+    of the shape, with one tick: the cones over the key are counted once,
+    only the apexes with that many arrows into them are tried, and the
+    first commuting legs that are jointly monic win
+    (:func:`_counted_universal`).  counts is shared by the keys of one
     table."""
     budget_tick()
-    commutes, monics = shape.commutes, counts.monics
+    C, commutes, monics = counts.C, shape.commutes, counts.monics
+    feet = shape.feet(C, key)
     for apex in counts.by_arrows_in.get(shape.cones(counts, key), ()):
         for legs in itertools.product(*[C.hom(apex, x) for x in feet]):
             if commutes is None or commutes(C, key, legs):
@@ -488,20 +484,13 @@ def find_table(shape: LimitShape, C: FinCat) -> Table | None:
     (:func:`_thin_table`) and by counting, key by key, elsewhere."""
     if C.down_sets is not None:
         return _thin_table(shape, C)
-    out = {}
-    for key, w in _counted_limits(shape, C):
+    counts, out = _Counts(C), {}
+    for key in shape.keys(C):
+        w = _counted_limit(shape, counts, key)
         if w is None:
             return None
         out[key] = w
     return out
-
-
-def _counted_limits(shape: LimitShape, C: FinCat):
-    """(key, :func:`_counted_limit`'s witness or None) for each key in
-    order, lazily, over one :class:`_Counts`."""
-    counts = _Counts(C)
-    for key in shape.keys(C):
-        yield key, _counted_limit(shape, C, key, shape.feet(C, key), counts)
 
 
 def _thin_table(shape: LimitShape, C: FinCat) -> Table | None:
@@ -546,13 +535,13 @@ def _table(witness: type, keys, rows) -> dict:
 
 
 def partial_table(shape: LimitShape, C: FinCat) -> Table:
-    """Chosen limits for exactly the keys that have one: the witnesses
-    :func:`find_limit` returns, off a thin category sharing one
-    :class:`_Counts` across the keys, as :func:`find_table` does."""
-    if C.down_sets is not None:
-        found = ((key, find_limit(shape, C, key)) for key in shape.keys(C))
+    """Chosen limits for exactly the keys that have one, as :func:`find_limit`
+    chooses them; off a thin category one :class:`_Counts` serves every key."""
+    if C.down_sets is None:
+        find = partial(_counted_limit, shape, _Counts(C))
     else:
-        found = _counted_limits(shape, C)
+        find = partial(find_limit, shape, C)
+    found = ((key, find(key)) for key in shape.keys(C))
     return {key: w for key, w in found if w is not None}
 
 

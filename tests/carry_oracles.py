@@ -39,8 +39,7 @@ def table_along(
     k = shape.n_key
     mu, by_image = {}, {}
     for key in shape.keys(C):
-        w = table.get(key)
-        v = None if w is None else shape.unpack(w)
+        v = table.get(key)
         if v is None or v[:k] != key or not 0 <= v[k] < C.n_objects:
             raise InvalidCert(f"{shape.name} table is wrong at {key}")
         for p, x in zip(v[k + 1:], shape.feet(C, key)):

@@ -46,14 +46,14 @@ def limit_transport(
                 phi_at[y] = transport_iso(cert, H, alpha, y)[1]
         phis = [phi_at[y] for y in feet]
         src_key = shape.image_key(cert.quasi_inverse, key)
-        src = shape.unpack(Fcert.source[src_key])
-        h = shape.unpack(Fcert.target[shape.image_key(H, key)])
+        src = Fcert.source[src_key]
+        h = Fcert.target[shape.image_key(H, key)]
         entry_f = Fcert.target[shape.image_key(F, src_key)]
         theta = mediator(shape, E, entry_f, h[k], tuple(map(E.compose, h[k + 1:], phis)))
         psi = alpha.components[src[k]]
         built[key] = E.compose_many(theta, Fcert.mu[src_key].fwd, psi.inv)
         # the square transporting the universal property must commute
-        for p, phi, rho in zip(shape.unpack(transferred[key])[k + 1:], phis, src[k + 1:]):
+        for p, phi, rho in zip(transferred[key][k + 1:], phis, src[k + 1:]):
             if E.compose(H.mor_map[p], phi) != E.compose(psi.fwd, F.mor_map[rho]):
                 raise OracleDisagreement(f"transport square for lifted {shape.name}s broke")
     return built

@@ -380,8 +380,7 @@ def preserves(
     E = F.target
     obj, mor = dict(enumerate(F.obj_map)), dict(enumerate(F.mor_map))
     k = shape.n_key
-    for key, w in source.items():
-        v = shape.unpack(w)
+    for key, v in source.items():
         try:
             image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
         except KeyError:
@@ -391,7 +390,7 @@ def preserves(
             image_key = image[:k]
             entry = target[image_key]
             if image_key not in in_range:
-                if not shape.in_range(E, shape.unpack(entry)):
+                if not shape.in_range(E, entry):
                     raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
                 in_range.add(image_key)
             iso = _comparison_at(shape, E, entry, image)
@@ -413,10 +412,9 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     out = {}
     for key in shape.keys(D):
         src_key = shape.image_key(Q, key)
-        src = table.get(src_key)
-        if src is None:
+        v = table.get(src_key)
+        if v is None:
             raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
-        v = shape.unpack(src)
         legs = [
             D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
             for p, y in zip(v[k + 1:], shape.feet(D, key))

@@ -62,10 +62,9 @@ def _limit_corruptions(shape, C, w, twins):
         if swapped != key:
             out.append(("key mismatch", shape.witness(*swapped, apex, *legs)))
     bounds = [C.n_objects if is_obj else C.n_morphisms for _, is_obj in shape.field_kinds]
-    v = shape.unpack(w)
-    for i in range(k, len(v)):
+    for i in range(k, len(w)):
         for bad in (-1, bounds[i]):
-            out.append(("field out of range", shape.witness(*v[:i], bad, *v[i + 1:])))
+            out.append(("field out of range", shape.witness(*w[:i], bad, *w[i + 1:])))
     return out
 
 
