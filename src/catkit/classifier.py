@@ -21,6 +21,8 @@ when called, since ``lifting`` imports this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import (
     FinCat,
@@ -53,7 +55,10 @@ from .limits import (
 
 def is_mono(C: FinCat, f: int) -> PullbackW | None:
     """The kernel-pair square of f, a pullback exactly when f is monic,
-    when u -> u;f is injective on into(src f); None otherwise.  One tick."""
+    when u -> u;f is injective on into(src f); None otherwise, and for an
+    f that is no morphism of C.  One tick."""
+    if not C.has_morphisms(f):
+        return None
     budget_tick()
     x = C.mor_src[f]
     return PullbackW(f, f, x, C.identity[x], C.identity[x]) if _jointly_monic(C, x, (f,)) else None
@@ -70,7 +75,7 @@ class SubobjectClassifierW:
 
     omega: int
     tau: int
-    chi: dict[int, int]
+    chi: Mapping[int, int]
 
     def _replace(self, **changes) -> SubobjectClassifierW:
         """A copy with changes made, as every tuple witness's ``_replace``."""
@@ -107,7 +112,7 @@ def _chi_table(
                 f"mono {m} has {len(hits)} classifying morphisms into object {omega}"
             )
         chi[m] = hits[0]
-    return SubobjectClassifierW(omega, tau, chi)
+    return SubobjectClassifierW(omega, tau, MappingProxyType(chi))
 
 
 def subobject_classifier_cert(

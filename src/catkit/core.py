@@ -389,8 +389,15 @@ def fincat(
 ) -> FinCat:
     """Assemble and fully check a category from sparse composition data.
     The unit composites are filled in as far as the typing tables are in
-    range; the law check refuses the others before it reads the table."""
+    range; the law check refuses the others before it reads the table.  A
+    key of comp that names no morphism is refused before the fill, in one
+    pass over the keys."""
     m = len(mor_labels)
+    if comp:
+        fs, gs = zip(*comp)
+        if min(min(fs), min(gs)) < 0 or max(max(fs), max(gs)) >= m:
+            key = next(k for k in comp if not (0 <= k[0] < m and 0 <= k[1] < m))
+            raise DanglingReference(f"composition entry {key} names a missing morphism")
     table = [[None] * m for _ in range(m)]
     for (f, g), fg in comp.items():
         table[f][g] = fg
@@ -695,14 +702,18 @@ class NatIso:
 
 
 def check_nat_iso(alpha: NatIso) -> None:
-    """Check each component, an iso from F(x) to G(x) with its inverse, and
-    then each naturality square.  When the target is thin and F and G send
-    every morphism between the images of its ends, every square commutes:
-    both of its paths are arrows of one hom-set, which holds one arrow."""
+    """Check that F and G send every morphism between the images of its
+    ends, before any image is read, then each component, an iso from F(x)
+    to G(x) with its inverse, and then each naturality square.  When the
+    target is thin every square commutes: both of its paths are arrows of
+    one hom-set, which holds one arrow."""
     F, G = alpha.source, alpha.target
     C, D = F.source, F.target
     if G.source is not C and not same_tables(G.source, C):
         raise NaturalitySquareFails("functors are not parallel")
+    for H, end in ((F, "source"), (G, "target")):
+        if not _sends_between_images(H, D):
+            raise IllTypedImage(f"{end} functor {H.name} has an image out of range or ill-typed")
     if len(alpha.components) != C.n_objects:
         raise ComponentNotIso("one component per source object is required")
     for x in range(C.n_objects):
@@ -721,8 +732,7 @@ def check_nat_iso(alpha: NatIso) -> None:
             raise ComponentNotIso(
                 f"component at {C.objects[x]} is not an isomorphism"
             )
-    if D.order_scan[0] is not None and _sends_between_images(F, D) \
-            and _sends_between_images(G, D):
+    if D.order_scan[0] is not None:
         return
     for f in range(C.n_morphisms):
         x, y = C.mor_src[f], C.mor_dst[f]
@@ -735,10 +745,11 @@ def check_nat_iso(alpha: NatIso) -> None:
 
 
 def _sends_between_images(F: Functor, D: FinCat) -> bool:
-    """Whether F sends every morphism of its source to a morphism of D
-    from the image of its source to the image of its target."""
+    """Whether F's maps cover its source and F sends every morphism to a
+    morphism of D from the image of its source to the image of its target;
+    every object is the source of its identity, so its image is in range."""
     C, obj_map, m = F.source, F.obj_map, D.n_morphisms
-    return len(F.mor_map) >= C.n_morphisms and all(
+    return len(obj_map) == C.n_objects and len(F.mor_map) == C.n_morphisms and all(
         0 <= h < m and D.mor_src[h] == obj_map[x] and D.mor_dst[h] == obj_map[y]
         for h, x, y in zip(F.mor_map, C.mor_src, C.mor_dst)
     )

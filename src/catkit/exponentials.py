@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .core import (
     Functor,
@@ -69,9 +70,9 @@ class ExpPreservationCert:
     images, commuting with evaluations through the product comparison."""
 
     functor: Functor
-    source: dict[tuple[int, int], ExponentialW]
-    target: dict[tuple[int, int], ExponentialW]
-    comparison: dict[tuple[int, int], Iso]
+    source: Mapping[tuple[int, int], ExponentialW]
+    target: Mapping[tuple[int, int], ExponentialW]
+    comparison: Mapping[tuple[int, int], Iso]
 
 
 def is_exponential(
@@ -158,7 +159,7 @@ def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], Exponential
 
 def transfer_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
-) -> dict[tuple[int, int], ExponentialW]:
+) -> Mapping[tuple[int, int], ExponentialW]:
     """:func:`check_exponentials` on the source, then
     :func:`carry_exponentials`."""
     check_exponentials(cert.functor.source, src)
@@ -167,7 +168,7 @@ def transfer_exponentials(
 
 def carry_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
-) -> dict[tuple[int, int], ExponentialW]:
+) -> Mapping[tuple[int, int], ExponentialW]:
     """Push every exponential of src, each valid on the source, along the
     equivalence: the exponential of (d1, d2) is the image G(obj) of the
     one at their eso witnesses, with the one arrow from the chosen product
@@ -213,7 +214,8 @@ def carry_exponentials(
         prodsD[(objs[a], d1s[a])]
     if n < len(keys):
         imaged(*src_keys[n])
-    return _table(ExponentialW, keys, zip(d1s, d2s, objs, map(itemgetter(0), evs)))
+    table = _table(ExponentialW, keys, zip(d1s, d2s, objs, map(itemgetter(0), evs)))
+    return MappingProxyType(table)
 
 
 def preserves_exponentials(
@@ -253,7 +255,7 @@ def preserves_exponentials(
         by_image[image] = Iso(fwd[0], inv[0])
     if n_ok < len(keys):
         raise InvalidCert(f"source exponential entry {keys[n_ok]} is out of range")
-    comparison = dict(zip(keys, map(by_image.__getitem__, images)))
+    comparison = MappingProxyType(dict(zip(keys, map(by_image.__getitem__, images))))
     return ExpPreservationCert(F, expsC, expsD, comparison)
 
 

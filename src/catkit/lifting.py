@@ -18,24 +18,23 @@ of the representatives, typed by construction.  Each kind's ``preserves``
 is the one place that compares an image with a chosen entry: one call on
 eta per kind certifies eta and decides every carried entry on the
 skeleton, since an equivalence preserves and reflects the structure.  The
-classifier is searched for once on each side.  A completion records a copy
-of what it validated, so factoring through it checks again only the entries
-that no longer equal that copy, each by the kind's own ``check`` on both
-sides; every witness compares by value.  Factoring into a target with the
-completion's tables takes the completion's found entries instead of
-searching again, and, for a functor with eta's maps, eta's certificates
-instead of deciding again, by one rule for every kind.  Pullbacks are
-absent without a search where a category with a terminal object has no
-products: they were not found, or it is not thin.  Lifting preservation
-through a factorization reuses the carried witnesses instead of
-transferring them again, and decides the factored functor's preservation
-directly, with the certificates already lifted for the kinds it depends
-on.
+classifier is searched for once on each side.  Everything a completion holds
+is read-only: bags, tables, chi tables and certificate dicts are mapping
+views that nothing else holds.  So a completion still made of the objects
+it recorded holds what it validated, and factoring through it checks
+nothing again; any other completion is checked in full and reuses nothing.
+Pullbacks are absent without a search where a category with a terminal
+object has no products: they were not found, or it is not thin.  Lifting
+preservation through a factorization reuses the carried witnesses instead
+of transferring them again, and decides the factored functor's
+preservation directly, with the certificates already lifted for the kinds
+it depends on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .completion import (
     CompletionResult,
@@ -61,7 +60,7 @@ from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check
 class StructureKind:
     """Uniform handle on one kind of categorical structure.
 
-    All callables receive bags: plain dicts mapping kind names to witness
+    All callables receive bags: mappings from kind names to witness
     payloads on a single category, so kinds can reach their dependencies.
     ``check`` decides a bag on its category by brute force; it is the one
     check of a bag supplied from outside, on either side of a completion.
@@ -216,77 +215,57 @@ def _ordered(kinds) -> tuple[str, ...]:
     return tuple(k for k in KIND_ORDER if k in requested)
 
 
-def _copy(x, **changes):
-    """x with nothing mutable shared: a table's shallow copy, a witness
-    tuple itself, or a classifier witness or certificate with changes made
-    and each other dict field copied, equal to x's, since what the dicts
-    hold is immutable or shared."""
-    if isinstance(x, dict):
-        return dict(x)
-    if isinstance(x, tuple):
-        return x
-    copies = {f.name: dict(getattr(x, f.name)) for f in fields(x)
-              if f.name not in changes and isinstance(getattr(x, f.name), dict)}
-    return replace(x, **copies, **changes)
+def _view(found):
+    """A found entry, read-only: a table as a view of itself, which nothing
+    else holds; a tuple witness, and a classifier's chi table, already are."""
+    return MappingProxyType(found) if isinstance(found, dict) else found
+
+
+def _copied(w):
+    """A supplied witness, already checked, copied once into a read-only
+    view: a table, or a classifier witness's chi table."""
+    if isinstance(w, Mapping):
+        return MappingProxyType(dict(w))
+    if isinstance(w, classifier.SubobjectClassifierW):
+        return w._replace(chi=MappingProxyType(dict(w.chi)))
+    return w
 
 
 @dataclass(frozen=True, eq=False)
 class ValidatedBags:
-    """The result a completion was built with and a copy of each carried
-    kind's source and completed entries, all of them validated; the kinds
-    whose completed entry was found on the skeleton rather than carried
-    from a supplied witness; and eta's certificate objects, each with a
-    copy."""
+    """The result and the three read-only bags that :func:`complete_structured`
+    validated, and the kinds it found rather than carried from a supplied
+    witness."""
 
     result: CompletionResult
-    source: dict[str, object]
-    completed: dict[str, object]
+    source: Mapping[str, object]
+    completed: Mapping[str, object]
+    eta_certs: Mapping[str, object]
     found: frozenset[str]
-    eta_certs: dict[str, tuple[object, object]]
 
-    @classmethod
-    def of(cls, result: CompletionResult, src: dict, dst: dict, found, certs: dict
-           ) -> ValidatedBags:
-        return cls(
-            result,
-            {k: _copy(w) for k, w in src.items()},
-            {k: _copy(w) for k, w in dst.items()},
-            frozenset(found),
-            {k: (c, _copy(c)) for k, c in certs.items()},
-        )
-
-    def intact(self, sc: StructuredCompletion) -> set[str]:
-        """The kinds whose entries sc still holds, on the result recorded
-        here, equal to the ones validated here."""
-        if sc.result is not self.result:
-            return set()
-        return {k for k, w in self.source.items()
-                if sc.source.get(k) == w and sc.completed.get(k) == self.completed[k]}
-
-    def certifies(self, sc: StructuredCompletion, name: str) -> bool:
-        """Whether sc still holds eta's certificate for name recorded here:
-        the same object, its fields unchanged."""
-        cert, copy = self.eta_certs[name]
-        return sc.eta_certs.get(name) is cert and vars(cert) == vars(copy)
+    def holds(self, sc: StructuredCompletion) -> bool:
+        """Whether sc is still made of the objects recorded here: all of
+        them read-only, so it holds what was validated."""
+        return (sc.result is self.result and sc.source is self.source
+                and sc.completed is self.completed and sc.eta_certs is self.eta_certs)
 
 
 @dataclass(frozen=True, eq=False)
 class StructuredCompletion:
-    """A completion together with structure carried across it: witness bags
-    on both sides and one preservation certificate per kind for eta.
+    """A completion together with structure carried across it: read-only
+    witness bags on both sides and one preservation certificate per kind for
+    eta.
 
     validated records what :func:`complete_structured` checked and decided;
-    it is None for a completion built by hand, whose bags
-    :func:`factor_structured` checks in full and never reuses.
-    ``dataclasses.replace`` keeps it, and a replaced result, changed entry
-    or replaced or changed certificate no longer matches it.
+    it is None for a completion built by hand.  ``dataclasses.replace``
+    keeps it, but a replaced result or bag no longer matches it.
     """
 
     result: CompletionResult
     kinds: tuple[str, ...]
-    source: dict[str, object]
-    completed: dict[str, object]
-    eta_certs: dict[str, object]
+    source: Mapping[str, object]
+    completed: Mapping[str, object]
+    eta_certs: Mapping[str, object]
     validated: ValidatedBags | None = None
 
 
@@ -299,24 +278,15 @@ def complete_structured(
     back to C along the inclusion of the representatives.
 
     With kinds=None, every findable kind is carried; kinds requested
-    explicitly but absent raise.  A structure absent from the skeleton is
-    absent from C, since the two are equivalent.  Provided witnesses are
-    transferred along eta instead, checked on C once by the kind's
-    ``check`` and then carried, so that the completed bag is always the
-    transfer of the source bag; a witness keyed by anything but a kind raises, and so does one for
-    a kind not carried, unrequested or lacking a dependency.
-
-    Eta's certificate for each kind, found or supplied, comes from one
-    ``preserves`` call on eta, which also decides every carried entry; a
-    refusal is an engine bug.  A supplied witness's carried entries are
-    also checked on the skeleton by the kind's ``check``.
-
-    Every bag returned has been validated on both sides: a found entry by
-    the transfer's check on the skeleton and eta's ``preserves`` on C (the
-    classifier by its search on C), a supplied one by ``check`` on C and on
-    the skeleton.  The result records this, the kinds found and eta's
-    certificates as ``validated``.  Pullbacks that :func:`_refuted` rules
-    out are not searched for, and are absent.
+    explicitly but absent raise, and pullbacks that :func:`_refuted` rules
+    out are absent unsearched.  A supplied witness is checked on C by the
+    kind's ``check``, copied once into a read-only view and carried along
+    eta instead, and its carried entries are checked on the skeleton; one
+    keyed by anything but a kind raises, and so does one for a kind not
+    carried, unrequested or lacking a dependency.  Eta's certificate for
+    each kind comes from one ``preserves`` call on eta, which also decides
+    every carried entry; a refusal is an engine bug.  The bags returned are
+    read-only, and ``validated`` records them.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
@@ -336,6 +306,7 @@ def complete_structured(
         if w is not None:
             src[name] = w
             completed[name] = kind.transfer(res.cert, src, completed)
+            src[name] = _copied(w)
             try:
                 kind.check(D, completed)
             except InvalidCert as e:
@@ -346,7 +317,7 @@ def complete_structured(
                 if kinds is None:
                     continue
                 raise PreconditionViolation(f"requested structure '{name}' is absent from {C.name}")
-            completed[name] = found
+            completed[name] = _view(found)
             found_kinds.append(name)
             src[name] = kind.transfer(incl, completed, src)
         cert = kind.preserves(res.eta, src, completed, eta_certs)
@@ -354,29 +325,22 @@ def complete_structured(
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")
         eta_certs[name] = cert
     _check_carried(witnesses, src)
+    bags = [MappingProxyType(bag) for bag in (src, completed, eta_certs)]
     return StructuredCompletion(
-        res, tuple(src), src, completed, eta_certs,
-        ValidatedBags.of(res, src, completed, found_kinds, eta_certs),
+        res, tuple(src), *bags, ValidatedBags(res, *bags, frozenset(found_kinds))
     )
-
-
-def _as_cert_of(cert, F: Functor, entry):
-    """Eta's certificate cert as F's into entry, a target entry equal to
-    eta's: every dict copied, so that none is shared with the completion,
-    and a target table entry itself, as ``preserves`` would return it."""
-    target = {"target": entry} if isinstance(entry, dict) and hasattr(cert, "target") else {}
-    return _copy(cert, functor=F, **target)
 
 
 @dataclass(frozen=True, eq=False)
 class StructuredFactorization:
     """A factorization through the completion plus, per kind, preservation
-    certificates for the given functor and for the lifted one."""
+    certificates for the given functor and for the lifted one; the bags are
+    read-only."""
 
     factorization: Factorization
-    target: dict[str, object]
-    functor_certs: dict[str, object]
-    lifted_certs: dict[str, object]
+    target: Mapping[str, object]
+    functor_certs: Mapping[str, object]
+    lifted_certs: Mapping[str, object]
 
 
 def factor_structured(
@@ -389,21 +353,17 @@ def factor_structured(
 
     Eta's certificate is checked here, and sc's kinds must be known, come
     with their dependencies and have an entry in both bags; they are taken
-    in dependency order.  A kind whose entries, and those of its
-    dependencies, are still the ones sc's ``validated`` records, on the
-    same result, is not checked again; every other kind is checked once
-    here by its ``check``: the completed bag on the skeleton, then the
-    source bag on the source.  The record is read once, and each target
-    entry compared once with the completed one.  Into a target with the
-    completion's tables, every kind so covered takes a copy of the
-    completed entry if the completion found it and the target's entries of
-    its dependencies equal the completed ones, instead of a search; and,
-    for an F with eta's maps, where the target's entries of the kind and
-    its dependencies equal the completed ones, eta's certificate, if
-    ``validated`` still certifies it, by :func:`_as_cert_of`, since
-    ``preserves`` would take eta's inputs.  The lifts then reuse the bag
-    carried to the completion instead of transferring again, each with the
-    lifted certificates of the kinds before it.  As in
+    in dependency order.  Unless sc's ``validated`` holds it, every kind is
+    checked by its ``check``, the completed bag on the skeleton and then the
+    source bag on the source, and nothing of sc is reused.  When it holds,
+    nothing is checked, and into a target with the completion's tables a
+    kind the completion found, without a target witness and with its
+    dependencies' target entries equal to the completed ones, takes the
+    completed entry itself instead of a search; for an F with eta's maps, a
+    kind whose target entries and its dependencies' equal the completed
+    ones takes eta's certificate, since ``preserves`` would take eta's
+    inputs.  The lifts reuse the bag carried to the completion, each with
+    the lifted certificates of the kinds before it.  As in
     :func:`complete_structured`, a target witness keyed by anything but a
     kind raises, and so does one for a kind outside sc's kinds.
     """
@@ -426,40 +386,43 @@ def factor_structured(
             if name not in bag:
                 raise PreconditionViolation(f"the {side} bag lacks structure '{name}'")
     v = sc.validated
-    intact = v.intact(sc) if v is not None else set()
-    covered = {k for k in kinds if k in intact and intact.issuperset(KINDS[k].deps)}
-    unchecked = [k for k in kinds if k not in covered]
-    for name in unchecked:
-        KINDS[name].check(sc.result.completed, sc.completed)
-    for name in unchecked:
-        KINDS[name].check(sc.result.source, sc.source)
+    holds = v is not None and v.holds(sc)
+    if not holds:
+        for name in kinds:
+            KINDS[name].check(sc.result.completed, sc.completed)
+        for name in kinds:
+            KINDS[name].check(sc.result.source, sc.source)
     E = F.target
-    own = covered if same_tables(E, sc.result.completed) else set()
-    unit = F.obj_map == sc.result.eta.obj_map and F.mor_map == sc.result.eta.mor_map
+    own = holds and same_tables(E, sc.result.completed)
+    unit = own and F.obj_map == eta.obj_map and F.mor_map == eta.mor_map
     dst: dict[str, object] = {}
-    agree = set()   # the kinds of own whose target entry equals the completed one
+    agree = set()   # the kinds whose target entry equals the completed one
     for name in kinds:
         kind = KINDS[name]
         w = target_witnesses.get(name)
-        copied = w is None and name in own and name in v.found and agree.issuperset(kind.deps)
-        if copied:
-            dst[name] = _copy(sc.completed[name])
+        reused = w is None and own and name in v.found and agree.issuperset(kind.deps)
+        if reused:
+            dst[name] = sc.completed[name]
         elif w is not None:
             dst[name] = w
             kind.check(E, dst)
+            dst[name] = _copied(w)
         else:
             found = kind.find(E, dst)
             if found is None:
                 raise PreconditionViolation(
                     f"factorization target lacks structure '{name}'"
                 )
-            dst[name] = found
-        if copied or name in own and dst[name] == sc.completed[name]:
+            dst[name] = _view(found)
+        if reused or own and dst[name] == sc.completed[name]:
             agree.add(name)
     Fcerts: dict[str, object] = {}
     for name in kinds:
-        if unit and agree.issuperset((name, *KINDS[name].deps)) and v.certifies(sc, name):
-            cert = _as_cert_of(sc.eta_certs[name], F, dst[name])
+        if unit and agree.issuperset((name, *KINDS[name].deps)):
+            # a table entry is the target of the certificate, as preserves returns it
+            entry = dst[name]
+            target = {"target": entry} if isinstance(entry, Mapping) else {}
+            cert = replace(sc.eta_certs[name], functor=F, **target)
         else:
             cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
         if cert is None:
@@ -474,4 +437,6 @@ def factor_structured(
             sc.result.cert, F, fact.functor, fact.alpha, sc.source, dst, Fcerts,
             sc.completed, Hcerts,
         )
-    return StructuredFactorization(fact, dst, Fcerts, Hcerts)
+    return StructuredFactorization(
+        fact, MappingProxyType(dst), MappingProxyType(Fcerts), MappingProxyType(Hcerts)
+    )

@@ -7,9 +7,9 @@ so the verbs read and build tables column by column.  ``is_*`` functions
 quantify over the whole category, ``find_*`` search deterministically
 (lowest apex first, then lowest morphism indices), ``transfer_*`` are
 :func:`check_table` on the source, then :func:`carry` along a weak
-equivalence, returning only the table pushed, ``preserves_*`` decide
-preservation and certify it with comparison isos, and
-``lift_preservation_*`` decide it for a factored functor by
+equivalence, returning only the table pushed, read-only, ``preserves_*``
+decide preservation and certify it with a read-only table of comparison
+isos, and ``lift_preservation_*`` decide it for a factored functor by
 :func:`decide_lift`, every kind's one lift body: the triangle's check,
 then the kind's ``preserves``.  The transport of the given functor's
 comparisons through the factorization is their oracle in the tests.
@@ -57,7 +57,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import and_, eq, getitem, itemgetter, mul
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .core import (
     FinCat,
@@ -349,7 +350,7 @@ def _cospan_feet(C: FinCat, key: tuple[int, int]) -> tuple[int, int] | None:
 
 
 Key = tuple[int, ...]
-Table = dict[Key, object]   # key -> witness
+Table = Mapping[Key, object]   # key -> witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,8 +445,7 @@ def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     each other candidate is decided by order, one tick each; elsewhere by
     :func:`_counted_limit`, one tick for the key.  Only the winner becomes
     a witness."""
-    feet = shape.feet(C, key)
-    if feet is None or not shape.in_range(C, key):
+    if not shape.in_range(C, key) or (feet := shape.feet(C, key)) is None:
         return None
     if C.down_sets is None:
         return _counted_limit(shape, _Counts(C), key)
@@ -589,6 +589,8 @@ def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> 
         return hits[0]
     # a cone that factors through a limit witness is typed and commutes, so
     # the cone itself is checked only when it does not factor exactly once
+    if not (0 <= z < C.n_objects and C.has_morphisms(*legs)):
+        raise NotACone(f"vertex {z} or legs {legs} name no object or morphism of the category")
     key = w[:k]
     feet = shape.feet(C, key)
     if feet is None or any(C.mor_src[h] != z or C.mor_dst[h] != x for h, x in zip(legs, feet)):
@@ -621,7 +623,7 @@ class LimitPreservationCert:
     functor: Functor
     source: Table
     target: Table
-    mu: dict[Key, Iso]
+    mu: Mapping[Key, Iso]
 
 
 def _comparison_at(shape: LimitShape, E: FinCat, entry, image: tuple[int, ...]) -> Iso | None:
@@ -688,7 +690,8 @@ def preserves(
             and list(F.mor_map) == list(range(E.n_morphisms)):
         apexes = cones[k]
         isos = {a: Iso(E.identity[a], E.identity[a]) for a in set(apexes)}
-        return LimitPreservationCert(F, source, target, dict(zip(keys, map(isos.get, apexes))))
+        mu = MappingProxyType(dict(zip(keys, map(isos.get, apexes))))
+        return LimitPreservationCert(F, source, target, mu)
     images = list(zip(*[map(fmap.__getitem__, col[:n_ok]) for fmap, col in zip(maps, columns)]))
     distinct = list(dict.fromkeys(images))
     # the target entry of each distinct image's diagram, as far as the first
@@ -717,7 +720,7 @@ def preserves(
     if n_ok < len(keys):
         raise InvalidCert(f"source {shape.name} entry {keys[n_ok]} is out of range")
     by_image = dict(zip(distinct, isos))   # image cone -> mu
-    mu = dict(zip(keys, map(by_image.__getitem__, images)))
+    mu = MappingProxyType(dict(zip(keys, map(by_image.__getitem__, images))))
     return LimitPreservationCert(F, source, target, mu)
 
 
@@ -792,7 +795,7 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
         D.compose(*first_bad[1:])
     if n < len(keys):
         imaged(src_keys[n])
-    return _table(shape.witness, keys, zip(*columns, apexes, *composed))
+    return MappingProxyType(_table(shape.witness, keys, zip(*columns, apexes, *composed)))
 
 
 def reflect(shape: LimitShape, F: Functor, w):
@@ -855,11 +858,17 @@ def to_terminal(C: FinCat, term: ChosenTerminal, x: int) -> int:
     return mediator(TERMINAL, C, term, x, ())
 
 
+def _terminal_table(t: ChosenTerminal) -> Table:
+    """The read-only table {(): t} that a terminal certificate holds."""
+    return MappingProxyType({(): t})
+
+
 def preserves_terminal(F: Functor, tC: ChosenTerminal, tD: ChosenTerminal):
     """mu[()] is the pair of unique arrows tD -> F(tC) and back; a tD that is
     not terminal raises."""
-    check_table(TERMINAL, F.target, {(): tD})
-    return preserves(TERMINAL, F, {(): tC}, {(): tD})
+    target = _terminal_table(tD)
+    check_table(TERMINAL, F.target, target)
+    return preserves(TERMINAL, F, _terminal_table(tC), target)
 
 
 def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal) -> ChosenTerminal:
@@ -867,7 +876,7 @@ def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal) -> ChosenTe
 
 
 def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD):
-    return lift(TERMINAL, cert, F, H, alpha, Fcert, {(): tD})
+    return lift(TERMINAL, cert, F, H, alpha, Fcert, _terminal_table(tD))
 
 
 def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None:
@@ -882,8 +891,10 @@ def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None
 
 
 def mediating(C: FinCat, w: BinProductW, g1: int, g2: int) -> int:
-    """The unique morphism into the apex commuting with both projections."""
-    return mediator(PRODUCTS, C, w, C.mor_src[g1], (g1, g2))
+    """The unique morphism into the apex commuting with both projections;
+    a leg that is no morphism of C leaves the vertex out of range, which
+    :func:`mediator` refuses."""
+    return mediator(PRODUCTS, C, w, C.mor_src[g1] if C.has_morphisms(g1) else -1, (g1, g2))
 
 
 def preserves_binary_products(F: Functor, prodsC: Table, prodsD: Table):

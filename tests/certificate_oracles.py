@@ -10,7 +10,7 @@ down-sets."""
 from types import MappingProxyType
 
 from catkit.core import FinCat, Functor, Iso, NatIso, budget_tick, same_tables
-from catkit.errors import ComponentNotIso, InvalidCert, NaturalitySquareFails
+from catkit.errors import ComponentNotIso, IllTypedImage, InvalidCert, NaturalitySquareFails
 from catkit.exponentials import ExpPreservationCert
 
 
@@ -66,12 +66,23 @@ def skeletality(C: FinCat) -> tuple[bool, bool]:
 
 
 def check_nat_iso(alpha: NatIso) -> None:
-    """Every component, an iso from F(x) to G(x) with its inverse, then
-    every naturality square by composing both of its paths."""
+    """Every image of F and of G, object by object and morphism by
+    morphism, then every component, an iso from F(x) to G(x) with its
+    inverse, then every naturality square by composing both of its paths."""
     F, G = alpha.source, alpha.target
     C, D = F.source, F.target
     if G.source is not C and not same_tables(G.source, C):
         raise NaturalitySquareFails("functors are not parallel")
+    for H, end in ((F, "source"), (G, "target")):
+        typed = len(H.obj_map) == C.n_objects and len(H.mor_map) == C.n_morphisms
+        for x in range(C.n_objects if typed else 0):
+            typed = typed and 0 <= H.obj_map[x] < D.n_objects
+        for f in range(C.n_morphisms if typed else 0):
+            h = H.mor_map[f]
+            typed = typed and 0 <= h < D.n_morphisms and (D.mor_src[h], D.mor_dst[h]) == (
+                H.obj_map[C.mor_src[f]], H.obj_map[C.mor_dst[f]])
+        if not typed:
+            raise IllTypedImage(f"{end} functor {H.name} has an image out of range or ill-typed")
     if len(alpha.components) != C.n_objects:
         raise ComponentNotIso("one component per source object is required")
     for x, comp in enumerate(alpha.components):

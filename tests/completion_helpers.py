@@ -5,6 +5,7 @@ twisted by automorphisms, and the comparisons of a preservation
 certificate."""
 import dataclasses
 import itertools
+from collections.abc import Mapping
 
 from catkit.completion import full_subcategory
 from catkit.core import (
@@ -101,6 +102,6 @@ def cert_comparisons(cert) -> dict:
     its table."""
     if hasattr(cert, "mu"):
         return {key: (iso.fwd, iso.inv) for key, iso in cert.mu.items()}
-    if isinstance(cert.comparison, dict):
+    if isinstance(cert.comparison, Mapping):
         return {key: (iso.fwd, iso.inv) for key, iso in cert.comparison.items()}
     return {(): (cert.comparison.fwd, cert.comparison.inv)}

@@ -9,7 +9,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from catkit import core
+from catkit.completion import inflate
 from catkit.core import (
+    Functor,
+    Iso,
+    NatIso,
     budget_tick,
     check_category_tables,
     check_functor,
@@ -241,6 +245,24 @@ def test_nat_iso_validation():
     swap = functor(C, C, [1, 0], [1, 0, 3, 2])
     a = nat_iso(I, swap, [C.hom(0, 1)[0], C.hom(1, 0)[0]])
     check_nat_iso(a)
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+@pytest.mark.parametrize("images", ["last -1", "last past the end", "short"])
+def test_nat_iso_refuses_a_functor_image_out_of_range_before_reading_it(end, images):
+    """-1 would read the last morphism, one past the end would raise a bare
+    IndexError, and a short map would leave a morphism without an image."""
+    C = inflate(chain_poset(2), [1, 2])[0]
+    F = identity_functor(C)
+    m = C.n_morphisms
+    mor_map = {"last -1": F.mor_map[:-1] + (-1,), "last past the end": F.mor_map[:-1] + (m,),
+               "short": F.mor_map[:-1]}[images]
+    G = Functor(C, C, F.obj_map, mor_map, "G")
+    ids = tuple(Iso(C.identity[x], C.identity[x]) for x in range(C.n_objects))
+    alpha = NatIso(F, G, ids) if end == "target" else NatIso(G, F, ids)
+    with pytest.raises(IllTypedImage, match=f"{end} functor G has an image out of range"):
+        check_nat_iso(alpha)
+    check_nat_iso(NatIso(F, F, ids))
 
 
 def test_weak_equivalence_certificate_roundtrip():
@@ -527,11 +549,23 @@ def test_tabulate_leaves_the_laws_to_fincat():
     ([3], [0], [0], {}, DanglingReference, "morphism f references a missing object"),
     ([0], [-2], [0], {}, DanglingReference, "morphism f references a missing object"),
     ([0, 0], [0], [0], {}, DanglingReference, "disagree in length"),
+    ([0], [0], [0], {(0, 1): 0}, DanglingReference,
+     r"composition entry \(0, 1\) names a missing morphism"),
+    ([0], [0], [0], {(-1, 0): 0}, DanglingReference,
+     r"composition entry \(-1, 0\) names a missing morphism"),
 ])
 def test_fincat_refuses_an_index_out_of_range_before_filling_in_the_units(
         mor_src, mor_dst, identity, comp, error, message):
     with pytest.raises(error, match=message):
         fincat("x", ["a"], ["f"], mor_src, mor_dst, identity, comp)
+
+
+def test_fincat_refuses_a_composition_key_it_would_write_to_another_row():
+    """(-1, 0) would fill the last row, and the law check would then name an
+    entry the caller never gave."""
+    for key in ((0, 4), (-1, 0), (0, -1), (3, 0)):
+        with pytest.raises(DanglingReference, match="names a missing morphism"):
+            fincat("x", ["a", "b"], ["ida", "idb", "f"], [0, 1, 0], [0, 1, 1], [0, 1], {key: 0})
 
 
 def test_tabulate_refuses_an_identity_or_a_composite_that_is_not_an_entry():

@@ -1,11 +1,12 @@
 """Factoring a completion's own unit decides nothing twice.
 
-Into a target with the completion's tables, ``factor_structured`` copies the
+Into a target with the completion's tables, ``factor_structured`` takes the
 entries the completion found instead of searching again, and, for a functor
-with eta's maps, takes eta's certificates instead of deciding again.  The
-copies must equal a fresh search and a fresh decision, share no dict with
-the completion, and every other case must take the fresh route: a search
-or check on the target, then ``preserves``.  With a terminal object and no
+with eta's maps, eta's certificates instead of deciding again.  What it
+takes must equal a fresh search and a fresh decision, and be the
+completion's own read-only objects; every other case, a completion that no
+longer holds its record among them, must take the fresh route: a search or
+check on the target, then ``preserves``.  With a terminal object and no
 products, pullbacks are refuted without a search.
 """
 import dataclasses
@@ -91,7 +92,7 @@ def _comparisons(certs: dict) -> dict:
 # the unit reuses the completion's decisions, and they are the fresh ones
 
 
-def test_the_unit_copies_the_found_bag_and_eta_certificates(monkeypatch):
+def test_the_unit_reuses_the_found_bag_and_eta_certificates(monkeypatch):
     cases = []
     for name, C in _inputs():
         sc = complete_structured(C)
@@ -114,42 +115,39 @@ def test_the_unit_copies_the_found_bag_and_eta_certificates(monkeypatch):
             fresh_certs[k] = KINDS[k].preserves(F, sc.source, got.target, fresh_certs)
         assert structure_to_json(E, got.target) == structure_to_json(E, want), name
         assert _comparisons(got.functor_certs) == _comparisons(fresh_certs), name
-        # nothing mutable is shared with the completion
+        # the completion's own entries and eta's own certificate fields, no copy
         for k in sc.kinds:
-            if isinstance(got.target[k], dict):
-                assert got.target[k] is not sc.completed[k]
+            assert got.target[k] is sc.completed[k], (name, k)
             cert, eta_cert = got.functor_certs[k], sc.eta_certs[k]
             assert cert.functor is F
             for field in dataclasses.fields(cert):
-                value = getattr(cert, field.name)
-                if isinstance(value, dict):
-                    assert value is not getattr(eta_cert, field.name), (name, k, field.name)
-            if isinstance(got.target[k], dict):
-                assert cert.target is got.target[k]
+                if field.name != "functor":
+                    assert getattr(cert, field.name) is getattr(eta_cert, field.name), (name, k)
 
 
-def test_a_copied_entry_can_be_edited_without_touching_the_completion():
+def test_a_reused_table_and_its_certificate_are_read_only():
     sc = complete_structured(INFLATIONS["chain4"])
     got = factor_structured(sc, sc.result.eta)
-    before = dict(sc.completed["products"])
-    got.target["products"].clear()
-    got.functor_certs["products"].mu.clear()
-    assert sc.completed["products"] == before
-    assert sc.eta_certs["products"].mu
+    table, mu = got.target["products"], got.functor_certs["products"].mu
+    assert table is sc.completed["products"] and mu is sc.eta_certs["products"].mu
+    key = next(iter(table))
+    for mapping, value in ((table, table[key]), (mu, mu[key]), (got.target, table)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
     # and the completion still factors as before
-    again = factor_structured(sc, sc.result.eta)
-    assert again.target["products"] == before
+    assert factor_structured(sc, sc.result.eta).target["products"] is table
 
 
-def test_a_copied_classifier_can_be_edited_without_touching_the_completion():
+def test_a_reused_classifier_is_read_only():
     sc = complete_structured(INFLATIONS["codiscrete3"])
     got = factor_structured(sc, sc.result.eta)
-    before = dict(sc.completed["classifier"].chi)
-    assert got.target["classifier"] == sc.completed["classifier"]
-    got.target["classifier"].chi.clear()
-    assert sc.completed["classifier"].chi == before
-    again = factor_structured(sc, sc.result.eta)
-    assert again.target["classifier"].chi == before
+    w = got.target["classifier"]
+    assert w is sc.completed["classifier"]
+    m = next(iter(w.chi))
+    with pytest.raises(TypeError):
+        w.chi[m] = w.chi[m]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.chi = {}
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +206,17 @@ def _an_equal_target_witness():
     return sc, sc.result.eta, {"products": dict(sc.completed["products"])}, [], []
 
 
+def _replaced(sc, side, name, entry):
+    return dataclasses.replace(sc, **{side: {**getattr(sc, side), name: entry}})
+
+
 def _an_equal_valued_classifier():
     sc = complete_structured(INFLATIONS["codiscrete3"])
-    for bag in (sc.source, sc.completed):
-        w = bag["classifier"]
-        bag["classifier"] = dataclasses.replace(w, chi=dict(w.chi))
-    # a witness compares by value, so an equal copy is reused as the original
-    return sc, sc.result.eta, {}, [], []
+    for side in ("source", "completed"):
+        w = getattr(sc, side)["classifier"]
+        sc = _replaced(sc, side, "classifier", dataclasses.replace(w, chi=dict(w.chi)))
+    # a replaced bag no longer holds the record, however equal its entries
+    return sc, sc.result.eta, {}, list(sc.kinds), list(sc.kinds)
 
 
 def _supplied_witnesses():
@@ -227,23 +229,26 @@ def _supplied_witnesses():
 
 def _an_edited_completed_entry():
     sc, twisted = _hvalued()
-    sc = dataclasses.replace(sc, completed={**sc.completed, "equalizers": twisted})
-    return sc, sc.result.eta, {}, ["equalizers"], ["equalizers"]
+    sc = _replaced(sc, "completed", "equalizers", twisted)
+    return sc, sc.result.eta, {}, list(sc.kinds), list(sc.kinds)
 
 
 def _a_replaced_eta_certificate():
     sc = complete_structured(INFLATIONS["chain4"])
     eta = sc.result.eta
     again = KINDS["products"].preserves(eta, sc.source, sc.completed, {})
-    sc = dataclasses.replace(sc, eta_certs={**sc.eta_certs, "products": again})
-    return sc, eta, {}, [], ["products"]
+    sc = _replaced(sc, "eta_certs", "products", again)
+    return sc, eta, {}, list(sc.kinds), list(sc.kinds)
 
 
-def _an_eta_certificate_edited_in_place():
+def _an_eta_certificate_edited_in_a_copy():
     sc = complete_structured(INFLATIONS["chain4"])
-    mu = sc.eta_certs["products"].mu
+    cert = sc.eta_certs["products"]
+    mu = dict(cert.mu)
     mu.pop(next(iter(mu)))
-    return sc, sc.result.eta, {}, [], ["products"]
+    sc = _replaced(sc, "eta_certs", "products", dataclasses.replace(cert, mu=mu))
+    # the edited certificate is never handed out
+    return sc, sc.result.eta, {}, list(sc.kinds), list(sc.kinds)
 
 
 def _twin_products(C, table) -> dict:
@@ -280,7 +285,7 @@ def _no_record():
 @pytest.mark.parametrize("build", [
     _other_maps, _other_tables, _a_differing_target_witness, _an_equal_target_witness,
     _an_equal_valued_classifier, _supplied_witnesses, _an_edited_completed_entry,
-    _a_replaced_eta_certificate, _an_eta_certificate_edited_in_place,
+    _a_replaced_eta_certificate, _an_eta_certificate_edited_in_a_copy,
     _twin_products_supplied_at_completion, _no_record,
 ])
 def test_only_what_the_completion_decided_is_reused(monkeypatch, build):

@@ -14,6 +14,7 @@ category; a search that decides by order or by counting ticks once per
 key."""
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from functools import cache
 
 import pytest
@@ -345,7 +346,7 @@ def _outcome(verb, *args):
         out = verb(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    if isinstance(out, dict):
+    if isinstance(out, Mapping):
         return out, None
     return None, None if out is None else (out.functor, out.source, out.target, out.mu)
 

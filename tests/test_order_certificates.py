@@ -202,8 +202,10 @@ def test_the_naturality_check_gives_the_walks_verdict():
                 assert _ticks(check_nat_iso, generic) == (got, ticks), (C.name, a)
                 seen.add((a.source.target.order_scan[0] is not None,
                           None if got is None else got[0].__name__))
-    assert {(True, None), (True, "ComponentNotIso"), (True, "IllTypedComposite"),
-            (True, "IndexError"), (False, "NaturalitySquareFails")} <= seen, seen
+    assert {(True, None), (True, "ComponentNotIso"), (True, "IllTypedImage"),
+            (False, "IllTypedImage"), (False, "NaturalitySquareFails")} <= seen, seen
+    # an image out of range is refused before it is read
+    assert not {name for _, name in seen} & {"IndexError", "IllTypedComposite"}, seen
 
 
 def _ff_functors(C):

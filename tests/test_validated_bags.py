@@ -1,11 +1,11 @@
 """A completion's bags are checked once per pipeline.
 
-``complete_structured`` validates both bags and records them in
-``validated``; ``factor_structured`` checks again only a kind whose entries,
-or those of its dependencies, no longer match that record, or all of them
-when there is none.  Edits after the completion must be refused exactly as
-when every bag was checked, and the factorization must not depend on the
-record.
+``complete_structured`` validates both bags, makes them read-only and
+records them in ``validated``; ``factor_structured`` checks nothing again
+for a completion still made of the recorded objects, and every kind of any
+other.  An edit in place raises ``TypeError``; one made through
+``dataclasses.replace`` must be refused exactly as when every bag was
+checked, and the factorization must not depend on the record.
 """
 import dataclasses
 import sys
@@ -62,47 +62,61 @@ def _heyting_exponentials():
 # edits after the completion are refused as before
 
 
+def _with(sc, side, name, entry):
+    """sc with the entry of name in its side bag replaced, by
+    ``dataclasses.replace``: the bags themselves are read-only."""
+    return dataclasses.replace(sc, **{side: {**getattr(sc, side), name: entry}})
+
+
 def _swap_product_legs(sc):
-    w = sc.source["products"][(0, 1)]
-    sc.source["products"][(0, 1)] = BinProductW(w.x1, w.x2, w.apex, w.pi2, w.pi1)
+    table = dict(sc.source["products"])
+    w = table[(0, 1)]
+    table[(0, 1)] = BinProductW(w.x1, w.x2, w.apex, w.pi2, w.pi1)
+    return _with(sc, "source", "products", table)
 
 
 def _move_exponential(side):
     def edit(sc):
-        table = getattr(sc, side)["exponentials"]
+        table = dict(getattr(sc, side)["exponentials"])
         C = sc.result.completed if side == "completed" else sc.result.source
         w = table[(0, 0)]
         table[(0, 0)] = w._replace(
             obj=next(o for o in range(C.n_objects) if o != w.obj)
         )
+        return _with(sc, side, "exponentials", table)
     return edit
 
 
 def _move_product_to_a_twin(sc):
     """A valid product on the twin of its apex, which the exponential of
     the same pair no longer evaluates out of: only the dependency changed."""
-    C, table = sc.result.source, sc.source["products"]
+    C, table = sc.result.source, dict(sc.source["products"])
     (x, y), w = next(iter(sc.source["exponentials"].items()))
     p = table[(w.obj, x)]
     twin = next(b for b in range(C.n_objects)
                 if b != p.apex and iso_between(C, b, p.apex) is not None)
     i = iso_between(C, twin, p.apex).fwd
     table[(w.obj, x)] = BinProductW(p.x1, p.x2, twin, C.compose(i, p.pi1), C.compose(i, p.pi2))
-    KINDS["products"].check(C, sc.source)
+    edited = _with(sc, "source", "products", table)
+    KINDS["products"].check(C, edited.source)
+    return edited
 
 
 def _edit_chi(side):
     def edit(sc):
         C = sc.result.completed if side == "completed" else sc.result.source
-        chi = getattr(sc, side)["classifier"].chi
+        w = getattr(sc, side)["classifier"]
+        chi = dict(w.chi)
         m = next(k for k in chi if len(C.hom(C.mor_dst[k], C.mor_dst[chi[k]])) > 1)
         chi[m] = next(c for c in C.hom(C.mor_dst[m], C.mor_dst[chi[m]]) if c != chi[m])
+        return _with(sc, side, "classifier", dataclasses.replace(w, chi=chi))
     return edit
 
 
 def _move_completed_terminal(sc):
     D, t = sc.result.completed, sc.completed["terminal"].t
-    sc.completed["terminal"] = ChosenTerminal(next(o for o in range(D.n_objects) if o != t))
+    moved = ChosenTerminal(next(o for o in range(D.n_objects) if o != t))
+    return _with(sc, "completed", "terminal", moved)
 
 
 @pytest.mark.parametrize("build, edit, message", [
@@ -124,9 +138,12 @@ def _move_completed_terminal(sc):
 def test_an_entry_edited_after_the_completion_is_refused(build, edit, message):
     sc, proj = build()
     factor_structured(sc, proj)
-    edit(sc)
+    edited = edit(sc)
+    assert edited.validated is sc.validated
     with pytest.raises(InvalidCert, match=message):
-        factor_structured(sc, proj)
+        factor_structured(edited, proj)
+    # the completion itself is untouched and still factors
+    factor_structured(sc, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +170,16 @@ def test_an_unedited_completion_is_not_checked_again(monkeypatch):
     assert seen == []
 
 
-def test_a_classifier_replaced_by_an_equal_one_is_not_checked_again(monkeypatch):
+def test_a_classifier_replaced_by_an_equal_one_gets_every_check(monkeypatch):
     sc, proj = _every_kind()
-    for bag in (sc.source, sc.completed):
-        w = bag["classifier"]
-        bag["classifier"] = dataclasses.replace(w, chi=dict(w.chi))
-    # a kind not covered is checked on both sides, the source last
+    for side in ("source", "completed"):
+        w = getattr(sc, side)["classifier"]
+        sc = _with(sc, side, "classifier", dataclasses.replace(w, chi=dict(w.chi)))
+    # a replaced bag no longer holds the record, however equal its entries:
+    # every kind is checked on both sides, the source last
     seen = _source_checks(monkeypatch, sc.result.source)
     factor_structured(sc, proj)
-    assert seen == []
+    assert seen == list(sc.kinds)
 
 
 def test_a_completion_built_by_hand_or_on_another_result_gets_every_check(monkeypatch):

@@ -4,9 +4,9 @@ a morphism counted from the end, and a too-large one names nothing."""
 
 import pytest
 
-from catkit.classifier import find_subobject_classifier, subobject_classifier_cert
+from catkit.classifier import find_subobject_classifier, is_mono, subobject_classifier_cert
 from catkit.core import FinCat, identity_functor
-from catkit.errors import InvalidCert
+from catkit.errors import InvalidCert, NotACone
 from catkit.exponentials import find_exponential, is_exponential
 from catkit.generators import chain_poset, finset_fragment, heyting_category, heyting_chain
 from catkit.lifting import complete_structured
@@ -16,13 +16,16 @@ from catkit.limits import (
     PULLBACKS,
     EqualizerW,
     find_binary_products,
+    find_coequalizer,
     find_equalizers,
     find_limit,
     find_terminal,
     is_binary_product,
     is_equalizer,
     is_pullback,
+    mediating,
     preserves_binary_products,
+    to_terminal,
 )
 from catkit.nno import find_pnno, is_pnno
 
@@ -159,6 +162,35 @@ def test_find_limit_finds_nothing_for_a_key_read_from_the_end(shape):
     key = (last, last) if shape is not PULLBACKS else (last, CHAIN.identity[-1])
     assert find_limit(shape, CHAIN, key) is not None
     assert find_limit(shape, CHAIN, (-1, key[1])) is None
+
+
+@pytest.mark.parametrize("shape", [PRODUCTS, EQUALIZERS, PULLBACKS])
+@pytest.mark.parametrize("part", [0, 1])
+def test_find_limit_finds_nothing_for_a_key_part_out_of_range(shape, part):
+    """Each key part is range-checked before the feet are read from it."""
+    C = finset_fragment(2)
+    n = C.n_objects if shape is PRODUCTS else C.n_morphisms
+    for bad in (-1, n, 999):
+        key = (bad, 0) if part == 0 else (0, bad)
+        assert find_limit(shape, C, key) is None, key
+    assert find_coequalizer(C, n, 0) is None and find_coequalizer(C, -1, 0) is None
+
+
+@pytest.mark.parametrize("bad", ["-1", "past the end"])
+def test_the_public_verbs_refuse_an_index_out_of_range(bad):
+    """is_mono answers no; a mediator into a limit refuses the cone with
+    NotACone rather than read an object or morphism the caller never named."""
+    n, m = CHAIN.n_objects, CHAIN.n_morphisms
+    x, f = (-1, -1) if bad == "-1" else (n, m)
+    assert is_mono(CHAIN, f) is None
+    assert is_mono(CHAIN, m - 1) is not None
+    t = find_terminal(CHAIN)
+    with pytest.raises(NotACone):
+        to_terminal(CHAIN, t, x)
+    w = find_binary_products(CHAIN)[(0, 1)]
+    for legs in ((f, 0), (0, f)):
+        with pytest.raises(NotACone):
+            mediating(CHAIN, w, *legs)
 
 
 @pytest.mark.parametrize("bad", [99, -1])

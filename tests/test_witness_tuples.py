@@ -7,6 +7,7 @@ field names and their order, the hash and the repr."""
 import contextlib
 import dataclasses
 import json
+from collections.abc import Mapping
 
 import pytest
 
@@ -67,7 +68,7 @@ def _inputs():
 
 def _entries(entry) -> list:
     """The witnesses of a bag entry: a table's values, or the entry itself."""
-    return list(entry.values()) if isinstance(entry, dict) else [entry]
+    return list(entry.values()) if isinstance(entry, Mapping) else [entry]
 
 
 def _assert_typed(bag: dict, where) -> None:
