@@ -267,7 +267,7 @@ def _twin_products(C, table) -> dict:
 def _twin_products_supplied_at_completion():
     # a finite category with binary products is a preorder, as hom(t, y^n)
     # has |hom(t, y)|^n arrows, so the carried table is the skeleton's only
-    # one: the exponentials found against it are copied, and still valid
+    # one: the exponentials found against it are reused, and still valid
     C = INFLATIONS["diamond"]
     twin = _twin_products(C, find_binary_products(C))
     assert twin != find_binary_products(C)
@@ -307,11 +307,11 @@ def test_only_what_the_completion_decided_is_reused(monkeypatch, build):
     assert _comparisons(got.lifted_certs) == _comparisons(want.lifted_certs)
 
 
-def test_a_found_entry_is_copied_only_against_the_completed_dependencies(monkeypatch):
+def test_a_found_entry_is_reused_only_against_the_completed_dependencies(monkeypatch):
     """No valid products table on a skeleton differs from the completed one
     (see :func:`_twin_products_supplied_at_completion`), so products' check
     is stubbed out to supply one: exponentials, which depend on products,
-    are then searched for afresh against it, not copied."""
+    are then searched for afresh against it, not reused."""
     sc = complete_structured(INFLATIONS["diamond"])
     D = sc.result.completed
     table = dict(sc.completed["products"])

@@ -28,6 +28,13 @@ from catkit.limits import PULLBACKS, find_binary_products, find_equalizers, find
 pytestmark = pytest.mark.filterwarnings("ignore:target")
 
 HVALUED = skeletize(hvalued_sets(heyting_chain(2), max_carrier=2)).completed
+INFLATIONS = {
+    "chain4": inflate(chain_poset(4), [1, 2, 2, 3])[0],
+    "diamond": inflate(heyting_category(heyting_diamond()), 2)[0],
+    "codiscrete3": inflate(setoid_groupoid(3, {(0, 1), (1, 2)}), [2, 1, 2])[0],
+    "finset2": inflate(finset_fragment(2), [1, 1, 2])[0],
+    "hvalued": inflate(HVALUED, [3, 2, 2])[0],
+}
 
 
 def _corpus():
@@ -35,11 +42,7 @@ def _corpus():
         C = random_category(seed)
         yield f"random{seed}", C
         yield f"random{seed}-inflated", inflate(C, [1 + x % 2 for x in range(C.n_objects)])[0]
-    yield "chain4", inflate(chain_poset(4), [1, 2, 2, 3])[0]
-    yield "diamond", inflate(heyting_category(heyting_diamond()), 2)[0]
-    yield "codiscrete3", inflate(setoid_groupoid(3, {(0, 1), (1, 2)}), [2, 1, 2])[0]
-    yield "finset2", inflate(finset_fragment(2), [1, 1, 2])[0]
-    yield "hvalued", inflate(HVALUED, [3, 2, 2])[0]
+    yield from INFLATIONS.items()
 
 
 def _mappings(x, path=()):
@@ -88,7 +91,7 @@ def test_every_mapping_of_a_completion_and_its_factorizations_is_read_only():
 
 def test_a_supplied_witness_is_held_as_a_read_only_copy():
     for name in ("chain4", "codiscrete3", "hvalued"):
-        C = dict(_corpus())[name]
+        C = INFLATIONS[name]
         found = complete_structured(C)
         supplied = {k: dict(w) if isinstance(w, Mapping) else w for k, w in found.source.items()}
         if "classifier" in supplied:
