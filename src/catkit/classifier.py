@@ -31,6 +31,7 @@ from .core import (
     NatIso,
     WeakEquivalenceCert,
     budget_tick,
+    check_weak_equivalence_cert,
     find_iso,
 )
 from .errors import (
@@ -49,6 +50,7 @@ from .limits import (
     is_terminal,
     decide_lift,
     preserves_terminal,
+    refuse_missing_kinds,
     to_terminal,
 )
 
@@ -173,18 +175,23 @@ def transfer_subobject_classifier(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> SubobjectClassifierW:
     """:func:`carry_subobject_classifier` after checking the classifier of
-    src on the source."""
+    src on the source and the certificate."""
+    refuse_missing_kinds(src, ("terminal", "classifier"))
+    refuse_missing_kinds(dst, ("terminal",))
     check_subobject_classifier(cert.functor.source, src)
+    check_weak_equivalence_cert(cert)
     return carry_subobject_classifier(cert, src, dst)
 
 
 def carry_subobject_classifier(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> SubobjectClassifierW:
-    """Transport omega and tau of a classifier valid on the source along the
-    equivalence onto the terminal of dst, and build their chi table by one
-    search on the target.  The equivalence is certified by
-    :func:`preserves_subobject_classifier`, not here."""
+    """Transport omega and tau of a classifier along the equivalence onto
+    the terminal of dst, and build their chi table by one search on the
+    target.  The classifier of src must be checked on the source and cert
+    a checked certificate, as :func:`transfer_subobject_classifier`
+    ensures; the terminal of dst is checked here.  The carried classifier
+    is decided by :func:`preserves_subobject_classifier`."""
     G = cert.functor
     D = G.target
     termC, socC, termD = src["terminal"], src["classifier"], dst["terminal"]

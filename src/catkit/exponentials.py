@@ -17,8 +17,9 @@ The registry verbs (``check``, ``find``, ``transfer``, ``preserves`` and
 ``lift_preservation``) take witness bags and read the chosen products from
 them.  ``check`` is one bitset test per pair, ``find`` takes each
 implication at the lowest object that has its down-set, one tick per pair,
-and ``transfer`` is ``check`` on the source followed by
-:func:`carry_exponentials`, which builds the table column by column.
+and ``transfer`` is ``check`` on the source and the check of the
+certificate, followed by :func:`carry_exponentials`, which trusts both
+and builds the table column by column.
 :func:`preserves_exponentials` is the one place that compares an image
 with a chosen exponential, by the pair of arrows between the two objects,
 and that certifies an equivalence; the lift is :func:`limits.decide_lift`
@@ -41,11 +42,13 @@ from .core import (
     NatIso,
     WeakEquivalenceCert,
     budget_tick,
+    check_weak_equivalence_cert,
 )
-from .errors import InvalidCert, PreconditionViolation
+from .errors import InvalidCert
 from .limits import (
     BinProductW,
     decide_lift,
+    refuse_missing_kinds,
     refuse_other_keys,
     _first_out_of_range,
     _lowest_by_down_set,
@@ -160,60 +163,42 @@ def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], Exponential
 def transfer_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> Mapping[tuple[int, int], ExponentialW]:
-    """:func:`check_exponentials` on the source, then
-    :func:`carry_exponentials`."""
+    """:func:`check_exponentials` on the source and
+    :func:`check_weak_equivalence_cert`, then :func:`carry_exponentials`."""
+    refuse_missing_kinds(src, ("products", "exponentials"))
+    refuse_missing_kinds(dst, ("products",))
     check_exponentials(cert.functor.source, src)
+    check_weak_equivalence_cert(cert)
     return carry_exponentials(cert, src, dst)
 
 
 def carry_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> Mapping[tuple[int, int], ExponentialW]:
-    """Push every exponential of src, each valid on the source, along the
-    equivalence: the exponential of (d1, d2) is the image G(obj) of the
-    one at their eso witnesses, with the one arrow from the chosen product
-    of (G(obj), d1) of dst into d2, so that every entry is typed by
-    construction.  The products of dst must be a checked table, so that
-    its category is thin; the carried entries are decided, and the
-    equivalence certified, by :func:`preserves_exponentials`.  The table
-    is built column by column, each source entry imaged once for all the
-    pairs pulled back to it, and a missing or unreadable entry raises what
-    a walk over the pairs in order would raise first."""
+    """Push every exponential of src along the equivalence: the exponential
+    of (d1, d2) is the image G(obj) of the one at their eso witnesses, with
+    the one arrow from the chosen product of (G(obj), d1) of dst into d2,
+    so that every entry is typed by construction.  The exponentials of src
+    must be a checked table and cert a checked certificate, as
+    :func:`transfer_exponentials` ensures; a target product that is
+    missing, or that lies above no arrow into d2, is refused.  The carried
+    entries are decided by :func:`preserves_exponentials`.  The table is
+    built column by column, each source entry imaged once for all the
+    pairs pulled back to it."""
     G = cert.functor
     D = G.target
     expsC, prodsD, hom = src["exponentials"], dst["products"], D.hom_map
-
-    def imaged(x1, x2):
-        """The object of the source exponential of (x1, x2), imaged by G."""
-        w = expsC.get((x1, x2))
-        if w is None:
-            raise PreconditionViolation(f"source table lacks the exponential of ({x1},{x2})")
-        return G.obj_map[w.obj]
-
     keys = list(itertools.product(range(D.n_objects), repeat=2))
     src_keys = list(itertools.product([x for x, _ in cert.eso_witness], repeat=2))
-    by_src: dict[tuple[int, int], int] = {}
-    n = len(keys)   # the pairs before the first whose entry cannot be imaged
-    for src_key in dict.fromkeys(src_keys):
-        try:
-            by_src[src_key] = imaged(*src_key)
-        except (PreconditionViolation, IndexError):
-            n = src_keys.index(src_key)
-            break
+    by_src = {key: G.obj_map[expsC[key].obj] for key in dict.fromkeys(src_keys)}
     d1s, d2s = list(zip(*keys)) or [(), ()]
-    objs = list(map(by_src.__getitem__, src_keys[:n]))
-    # the chosen product of (G(obj), d1) as far as the first missing, then the
-    # arrow from its apex into d2 as far as the first missing
-    prods = list(map(prodsD.get, zip(objs, d1s)))
-    a = prods.index(None) if None in prods else n
-    evs = list(map(hom.get, zip([w[2] for w in prods[:a]], d2s)))
-    h = evs.index(None) if None in evs else a
-    if h < a:
-        hom[(prods[h][2], d2s[h])]   # raises KeyError, as a walk reading it would
-    if a < n:
-        prodsD[(objs[a], d1s[a])]
-    if n < len(keys):
-        imaged(*src_keys[n])
+    objs = list(map(by_src.__getitem__, src_keys))
+    # the arrow from the chosen product of (G(obj), d1) into d2
+    evs = [None if w is None else hom.get((w[2], d2))
+           for w, d2 in zip(map(prodsD.get, zip(objs, d1s)), d2s)]
+    if None in evs:
+        i = evs.index(None)
+        raise InvalidCert(f"target products lack a product of ({objs[i]},{d1s[i]}) below {d2s[i]}")
     table = _table(ExponentialW, keys, zip(d1s, d2s, objs, map(itemgetter(0), evs)))
     return MappingProxyType(table)
 
@@ -223,38 +208,46 @@ def preserves_exponentials(
 ) -> ExpPreservationCert | None:
     """Each image F(obj) compared with the chosen exponential of the images
     by the pair of arrows between the two objects; None when some pair is
-    not isomorphic.  A source entry whose key parts, object or evaluation
-    are out of range raises, as in :func:`limits.preserves`, and so does a
-    target entry that cannot be an exponential: F, preserving products,
-    takes the product of (obj, x) below y to one below F(y), so F(obj)
-    lies below the implication, whose ev is the arrow out of its chosen
-    product.  certs is not read: the order decides without F's products
-    certificate."""
+    not isomorphic.  Bad input is refused before anything is decided, as in
+    :func:`limits.preserves`: a bag without a kind read here, then a source
+    entry whose key parts, object or evaluation are out of range, then a
+    target entry that is missing or cannot be an exponential: F,
+    preserving products, takes the product of (obj, x) below y to one below
+    F(y), so F(obj) lies below the implication, whose ev is the arrow out
+    of its chosen product.  certs is not read: the order decides without
+    F's products certificate."""
+    refuse_missing_kinds(src, ("exponentials",))
+    refuse_missing_kinds(dst, ("products", "exponentials"))
     D = F.target
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
     keys, ws, n = list(expsC), list(expsC.values()), len(F.obj_map)
     # key parts, objects and evaluations column by column, as limits.preserves reads them
     columns = [*zip(*keys), *list(zip(*ws))[2:]]
     n_ok = _first_out_of_range(columns, (n, n, n, len(F.mor_map)), len(keys))
+    if n_ok < len(keys):
+        raise InvalidCert(f"source exponential entry {keys[n_ok]} is out of range")
     hom, obj_map = D.hom_map, F.obj_map
-    # each distinct image, the key's and the object's, is compared once, in
-    # the order of first occurrence, so the first to fail is a walk's first
-    images = [((obj_map[x], obj_map[y]), obj_map[w[2]]) for (x, y), w in zip(keys[:n_ok], ws)]
-    by_image: dict[tuple[tuple[int, int], int], Iso] = {}
-    for image in dict.fromkeys(images):
-        key, obj = image
-        tx, ty, tobj, tev = expsD[key]
-        entry, fwd = prodsD.get((tobj, key[0])), hom.get((obj, tobj))
-        if (D.down_sets is None or fwd is None or entry is None
+    # each distinct image, the key's and the object's, is refused or
+    # compared once, in the order of first occurrence
+    images = [((obj_map[x], obj_map[y]), obj_map[w[2]]) for (x, y), w in zip(keys, ws)]
+    distinct = list(dict.fromkeys(images))
+    for key, obj in distinct:
+        entry = expsD.get(key)
+        if entry is None:
+            raise InvalidCert(f"target exponential table lacks the entry at {key}")
+        tx, ty, tobj, tev = entry
+        prod = prodsD.get((tobj, key[0]))
+        if (D.down_sets is None or prod is None or (obj, tobj) not in hom
                 or (tx, ty) != key or not D.has_morphisms(tev)
-                or (D.mor_src[tev], D.mor_dst[tev]) != (entry[2], key[1])):
+                or (D.mor_src[tev], D.mor_dst[tev]) != (prod[2], key[1])):
             raise InvalidCert(f"target exponential entry {key} is not an exponential")
+    by_image: dict[tuple[tuple[int, int], int], Iso] = {}
+    for key, obj in distinct:
+        tobj = expsD[key][2]
         inv = hom.get((tobj, obj))
         if inv is None:
             return None
-        by_image[image] = Iso(fwd[0], inv[0])
-    if n_ok < len(keys):
-        raise InvalidCert(f"source exponential entry {keys[n_ok]} is out of range")
+        by_image[key, obj] = Iso(hom[(obj, tobj)][0], inv[0])
     comparison = MappingProxyType(dict(zip(keys, map(by_image.__getitem__, images))))
     return ExpPreservationCert(F, expsC, expsD, comparison)
 

@@ -64,11 +64,11 @@ class StructureKind:
     payloads on a single category, so kinds can reach their dependencies.
     ``check`` decides a bag on its category by brute force; it is the one
     check of a bag supplied from outside, on either side of a completion.
-    ``transfer`` is ``check`` on the source bag followed by the kind's
-    carry along a weak equivalence into any target, skeletal or not, and
-    returns the carried entry; it is typed by construction, or for the
-    classifier searched for on the target.  It does not certify the
-    equivalence: ``preserves`` does, and decides the carried entry with it.
+    ``transfer`` is ``check`` on the source bag and the check of the
+    equivalence's certificate, followed by the kind's carry into any
+    target, skeletal or not, and returns the carried entry; it is typed by
+    construction, or for the classifier searched for on the target, and
+    ``preserves`` decides it.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and last the
     factored functor's certificates for the kinds before it; every kind's
@@ -351,12 +351,12 @@ def factor_structured(
     """Factor a structure-preserving functor through the completion and lift
     every preservation certificate to the factored functor.
 
-    Eta's certificate is checked here, and sc's kinds must be known, come
-    with their dependencies and have an entry in both bags; they are taken
-    in dependency order.  Unless sc's ``validated`` holds it, every kind is
-    checked by its ``check``, the completed bag on the skeleton and then the
-    source bag on the source, and nothing of sc is reused.  When it holds,
-    nothing is checked, and into a target with the completion's tables a
+    sc's kinds must be known, come with their dependencies and have an
+    entry in both bags; they are taken in dependency order.  Unless sc's
+    ``validated`` holds it, eta's certificate is checked, then every kind
+    by its ``check``, the completed bag on the skeleton and then the source
+    bag on the source, and nothing of sc is reused.  When it holds, nothing
+    is checked, and into a target with the completion's tables a
     kind the completion found, without a target witness and with its
     dependencies' target entries equal to the completed ones, takes the
     completed entry itself instead of a search; for an F with eta's maps, a
@@ -371,8 +371,11 @@ def factor_structured(
     _check_known(target_witnesses)
     if not same_tables(F.source, sc.result.source):
         raise PreconditionViolation("functor does not start at the completed source")
+    v = sc.validated
+    holds = v is not None and v.holds(sc)
     cert = sc.result.cert
-    check_weak_equivalence_cert(cert)
+    if not holds:
+        check_weak_equivalence_cert(cert)
     eta = cert.functor
     if not (
         same_tables(eta.source, sc.result.source)
@@ -385,8 +388,6 @@ def factor_structured(
         for name in kinds:
             if name not in bag:
                 raise PreconditionViolation(f"the {side} bag lacks structure '{name}'")
-    v = sc.validated
-    holds = v is not None and v.holds(sc)
     if not holds:
         for name in kinds:
             KINDS[name].check(sc.result.completed, sc.completed)

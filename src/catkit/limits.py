@@ -6,8 +6,9 @@ keyed limit's witness is its own flat tuple of key parts, apex and legs,
 so the verbs read and build tables column by column.  ``is_*`` functions
 quantify over the whole category, ``find_*`` search deterministically
 (lowest apex first, then lowest morphism indices), ``transfer_*`` are
-:func:`check_table` on the source, then :func:`carry` along a weak
-equivalence, returning only the table pushed, read-only, ``preserves_*``
+:func:`check_table` on the source and the check of the certificate, then
+:func:`carry` along the weak equivalence, which trusts both and returns
+only the table pushed, read-only, ``preserves_*``
 decide preservation and certify it with a read-only table of comparison
 isos, and ``lift_preservation_*`` decide it for a factored functor by
 :func:`decide_lift`, every kind's one lift body: the triangle's check,
@@ -75,6 +76,7 @@ from .core import (
     opposite,
 )
 from .errors import (
+    DependencyMissing,
     InvalidCert,
     NotACone,
     OracleDisagreement,
@@ -563,6 +565,13 @@ def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     refuse_other_keys(shape.name, shape.diagram, table, keys)
 
 
+def refuse_missing_kinds(bag: Mapping, kinds: tuple[str, ...]) -> None:
+    """Refuse a bag without one of the kinds a verb reads from it."""
+    for kind in kinds:
+        if kind not in bag:
+            raise DependencyMissing(f"the bag lacks '{kind}'")
+
+
 def refuse_other_keys(name: str, what: str, table: dict, keys: list) -> None:
     """Refuse the first entry of table at a key outside keys, all of which
     it holds."""
@@ -659,52 +668,50 @@ def preserves(
     shape: LimitShape, F: Functor, source: Table, target: Table
 ) -> LimitPreservationCert | None:
     """Each image cone must factor through the chosen limit of its diagram
-    by an iso; None when some image cone is not limiting.  A source entry
-    whose key parts, apex or legs are out of range, or a target entry with
-    a field out of range, raises; each distinct image cone is compared
-    once, in the order of first occurrence, and the answer and raise are
-    those of a walk over the source in key order.  The target entries must
-    be limits, as every found or checked table is: an image cone equal to
-    its chosen limit then gets the identity, unsearched, since the only
-    endomorphism of a limit that commutes with its own legs is the
-    identity, and any other is compared by :func:`_comparison_at`.  So
-    where F's maps are the identities of E, the target table equals the
-    source table and every entry is in range and keyed by its own key, each
-    image cone is its own chosen entry, and mu is the identity at every
-    key, taken without a walk."""
+    by an iso; None when some image cone is not limiting.  Bad input is
+    refused before anything is decided, each refusal an ``InvalidCert``
+    naming the first such key of the source: first a source entry whose key
+    parts, apex or legs are out of range, then an image whose diagram has
+    no target entry, or one with a field out of range.  Each distinct
+    image cone is then compared once.  The target entries must be limits,
+    as every found or checked table is: an image cone equal to its chosen
+    limit then gets the identity, unsearched, since the only endomorphism
+    of a limit that commutes with its own legs is the identity, and any
+    other is compared by :func:`_comparison_at`.  So where F's maps are the
+    identities of E, the target table equals the source table and every
+    entry is keyed by its own key, each image cone is its own chosen entry,
+    and mu is the identity at every key, taken without a walk."""
     E, k = F.target, shape.n_key
-    # for each field of a flat cone (key parts, apex, legs), F's map and the
-    # number of objects or morphisms of E
-    maps, bounds = zip(*[
-        (F.obj_map, E.n_objects) if is_obj else (F.mor_map, E.n_morphisms)
-        for _, is_obj in shape.field_kinds
-    ])
+    # for each field of a flat cone (key parts, apex, legs), F's map
+    maps = [F.obj_map if is_obj else F.mor_map for _, is_obj in shape.field_kinds]
     keys = list(source)
     # the source cones column by column, their key parts read from the keys;
     # a field outside its map's indices would be read from the end, or not at all
     cones = list(zip(*source.values()))
     columns = [*zip(*keys), *cones[k:]]
     n_ok = _first_out_of_range(columns, map(len, maps), len(keys))
-    if keys and n_ok == len(keys) and cones[:k] == columns[:k] and target == source \
+    if n_ok < len(keys):
+        raise InvalidCert(f"source {shape.name} entry {keys[n_ok]} is out of range")
+    if keys and cones[:k] == columns[:k] and target == source \
             and list(F.obj_map) == list(range(E.n_objects)) \
             and list(F.mor_map) == list(range(E.n_morphisms)):
         apexes = cones[k]
         isos = {a: Iso(E.identity[a], E.identity[a]) for a in set(apexes)}
         mu = MappingProxyType(dict(zip(keys, map(isos.get, apexes))))
         return LimitPreservationCert(F, source, target, mu)
-    images = list(zip(*[map(fmap.__getitem__, col[:n_ok]) for fmap, col in zip(maps, columns)]))
+    images = list(zip(*[map(fmap.__getitem__, col) for fmap, col in zip(maps, columns)]))
     distinct = list(dict.fromkeys(images))
-    # the target entry of each distinct image's diagram, as far as the first
-    # one missing and then the first one with a field outside E
-    entries = list(map(target.get, [image[:k] for image in distinct]))
-    found = entries.index(None) if None in entries else len(distinct)
-    flat = entries[:found]
-    n_in = _first_out_of_range(list(zip(*flat)), bounds, found)
+    entries = [target.get(image[:k]) for image in distinct]
+    for image, entry in zip(distinct, entries):
+        if entry is None:
+            raise InvalidCert(f"target {shape.name} table lacks the entry at {image[:k]}")
+        if not shape.in_range(E, entry):
+            raise InvalidCert(f"target {shape.name} entry {image[:k]} is out of range")
     isos: list[Iso] = []
     identities: dict[int, Iso] = {}
-    for image, entry, v in zip(distinct[:n_in], entries, flat):
-        if image == v:
-            one = E.identity[v[k]]
+    for image, entry in zip(distinct, entries):
+        if image == entry:
+            one = E.identity[entry[k]]
             iso = identities.get(one)
             if iso is None:
                 iso = identities[one] = Iso(one, one)
@@ -713,12 +720,6 @@ def preserves(
             if iso is None:
                 return None
         isos.append(iso)
-    if n_in < found:
-        raise InvalidCert(f"target {shape.name} entry {distinct[n_in][:k]} is out of range")
-    if found < len(distinct):
-        target[distinct[found][:k]]   # raises KeyError, as a walk reading it would
-    if n_ok < len(keys):
-        raise InvalidCert(f"source {shape.name} entry {keys[n_ok]} is out of range")
     by_image = dict(zip(distinct, isos))   # image cone -> mu
     mu = MappingProxyType(dict(zip(keys, map(by_image.__getitem__, images))))
     return LimitPreservationCert(F, source, target, mu)
@@ -734,67 +735,42 @@ def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Tabl
 
 
 def transfer(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
-    """:func:`check_table` on the source, then :func:`carry`."""
+    """:func:`check_table` on the source and
+    :func:`check_weak_equivalence_cert`, then :func:`carry`."""
     check_table(shape, cert.functor.source, table)
+    check_weak_equivalence_cert(cert)
     return carry(shape, cert, table)
 
 
 def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
-    """Push a table whose entries are limits on the source along the
-    equivalence: the witness at each pulled-back key is imaged, once for
-    all the keys pulled back to it, and its legs composed with the eso isos
-    of the feet, so that every entry is typed by construction (an
-    ill-typed pair raises as ``FinCat.compose`` does, at the first key in
-    key order that has one, and so does a missing entry).  The target need
-    not be skeletal: the witnesses carried there are limits, though not the
-    only choice.  The carried entries are not decided here, and the
-    equivalence is not certified: a completion decides both by eta's
-    :func:`preserves`."""
-    check_weak_equivalence_cert(cert)
+    """Push a table of limits on the source along the equivalence: the
+    witness at each pulled-back key is imaged, once for all the keys pulled
+    back to it, and its legs composed with the eso isos of the feet, so
+    that every entry is typed by construction.  The target need not be
+    skeletal: the witnesses carried there are limits, though not the only
+    choice.  table must be a checked table of the source and cert a checked
+    certificate, as :func:`transfer` ensures: every pulled-back key then
+    has an entry, and every leg ends where the eso iso of its foot starts.
+    The carried entries are decided by eta's :func:`preserves`."""
     G, Q = cert.functor, cert.quasi_inverse
-    D = G.target
-    comp, src, dst = D.comp_table, D.mor_src, D.mor_dst
+    comp = G.target.comp_table
     eso = [iso.fwd for _, iso in cert.eso_witness]
     k = shape.n_key
-
-    def imaged(src_key):
-        """The source entry at src_key as its apex and legs imaged by G."""
-        w = table.get(src_key)
-        if w is None:
-            raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
-        return (G.obj_map[w[k]], *map(G.mor_map.__getitem__, w[k + 1:]))
-
-    keys = shape.keys(D)
+    keys = shape.keys(G.target)
     columns = list(zip(*keys))   # the keys' parts column by column
     # each key pulled back along Q, read from the key columns
     pull = (Q.obj_map if shape.keyed_by_objects else Q.mor_map).__getitem__
     src_keys = list(zip(*[map(pull, col) for col in columns])) if k else [()] * len(keys)
-    by_src: dict[Key, tuple[int, ...]] = {}   # each pulled-back key's entry, imaged once
-    n = len(keys)   # the keys before the first whose entry cannot be imaged
-    for src_key in dict.fromkeys(src_keys):
-        try:
-            by_src[src_key] = imaged(src_key)
-        except (PreconditionViolation, IndexError):
-            n = src_keys.index(src_key)
-            break
-    # the imaged apexes and legs of the first n keys column by column, and
-    # each leg then the eso iso of its foot, typed as FinCat.compose asks
-    n_legs = len(shape.field_kinds) - k - 1
-    apexes, *legs = list(zip(*map(by_src.__getitem__, src_keys[:n]))) or [()] * (1 + n_legs)
-    feet = _feet_columns(shape, D, [col[:n] for col in columns])
-    composed, first_bad = [], None   # (key index, leg, eso iso) of the first ill-typed pair
-    for ps, ys in zip(legs, feet):
-        es = list(map(eso.__getitem__, ys))
-        if list(map(dst.__getitem__, ps)) != list(map(src.__getitem__, es)):
-            i = next(i for i, (p, e) in enumerate(zip(ps, es)) if dst[p] != src[e])
-            if first_bad is None or i < first_bad[0]:
-                first_bad = (i, ps[i], es[i])
-        composed.append(list(map(getitem, map(comp.__getitem__, ps), es)))
-    # raise what a walk over the keys in order would raise first
-    if first_bad is not None:
-        D.compose(*first_bad[1:])
-    if n < len(keys):
-        imaged(src_keys[n])
+    # each pulled-back key's entry, its apex and legs imaged once
+    by_src = {key: (G.obj_map[w[k]], *map(G.mor_map.__getitem__, w[k + 1:]))
+              for key in dict.fromkeys(src_keys) for w in (table[key],)}
+    # the imaged apexes and legs column by column, each leg then composed
+    # with the eso iso of its foot
+    n_fields = len(shape.field_kinds) - k
+    apexes, *legs = list(zip(*map(by_src.__getitem__, src_keys))) or [()] * n_fields
+    feet = _feet_columns(shape, G.target, columns)
+    composed = [list(map(getitem, map(comp.__getitem__, ps), map(eso.__getitem__, ys)))
+                for ps, ys in zip(legs, feet)]
     return MappingProxyType(_table(shape.witness, keys, zip(*columns, apexes, *composed)))
 
 

@@ -17,10 +17,11 @@ recursors is kept in the tests as the rule's oracle.
 
 The registry verbs take witness bags holding the chosen terminal and
 products; ``is_pnno`` and ``reflect_pnno`` take them separately.
-:func:`transfer_pnno` is :func:`check_pnno` on the source followed by
-:func:`carry_pnno`, the lift is :func:`limits.decide_lift` by
-``preserves``, and :func:`preserves_pnno` is the one place that compares an
-image triple with a chosen one, by the pair of arrows between their N.
+:func:`transfer_pnno` is :func:`check_pnno` on the source and the check
+of the certificate, followed by :func:`carry_pnno`, the lift is
+:func:`limits.decide_lift` by ``preserves``, and :func:`preserves_pnno` is
+the one place that compares an image triple with a chosen one, by the pair
+of arrows between their N.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .core import (
     Iso,
     NatIso,
     WeakEquivalenceCert,
+    check_weak_equivalence_cert,
 )
 from .errors import (
     InvalidCert,
@@ -46,6 +48,7 @@ from .limits import (
     check_table,
     decide_lift,
     preserves,
+    refuse_missing_kinds,
     to_terminal,
     _meet_apexes,
 )
@@ -121,15 +124,21 @@ def _image_triple(
 
 
 def transfer_pnno(cert: WeakEquivalenceCert, src: dict, dst: dict) -> PNNOW:
-    """:func:`check_pnno` on the source, then :func:`carry_pnno`."""
+    """:func:`check_pnno` on the source and
+    :func:`check_weak_equivalence_cert`, then :func:`carry_pnno`."""
+    refuse_missing_kinds(src, ("terminal", "products", "pnno"))
+    refuse_missing_kinds(dst, ("terminal",))
     check_pnno(cert.functor.source, src)
+    check_weak_equivalence_cert(cert)
     return carry_pnno(cert, src, dst)
 
 
 def carry_pnno(cert: WeakEquivalenceCert, src: dict, dst: dict) -> PNNOW:
-    """The image of a parameterized N valid on the source along the
-    equivalence, its zero re-based onto the terminal of dst, so that the
-    triple is typed by construction; :func:`preserves_pnno` decides it."""
+    """The image of the parameterized N of src along the equivalence, its
+    zero re-based onto the terminal of dst, so that the triple is typed by
+    construction.  The triple must be checked on the source and cert a
+    checked certificate, as :func:`transfer_pnno` ensures;
+    :func:`preserves_pnno` decides the image."""
     return _image_triple(cert.functor, src["terminal"], dst["terminal"], src["pnno"])
 
 

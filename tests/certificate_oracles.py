@@ -121,25 +121,32 @@ def is_fully_faithful(F: Functor) -> dict | None:
 
 def preserves_exponentials(F: Functor, src: dict, dst: dict, certs: dict
                            ) -> ExpPreservationCert | None:
-    """``exponentials.preserves_exponentials`` walked key by key, each
-    image compared anew: a source entry out of range raises once the keys
-    before it are compared."""
+    """``exponentials.preserves_exponentials`` as three walks over the
+    source, each image taken anew: a source entry out of range is refused,
+    then a target entry missing or not an exponential, before any pair is
+    compared."""
     D = F.target
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
     n, m = len(F.obj_map), len(F.mor_map)
-    comparison = {}
     for (x, y), w in expsC.items():
         if not (0 <= x < n and 0 <= y < n and 0 <= w.obj < n and 0 <= w.ev < m):
             raise InvalidCert(f"source exponential entry {(x, y)} is out of range")
-        key, obj = (F.obj_map[x], F.obj_map[y]), F.obj_map[w.obj]
+    images = {(x, y): ((F.obj_map[x], F.obj_map[y]), F.obj_map[w.obj])
+              for (x, y), w in expsC.items()}
+    for key, obj in images.values():
+        if key not in expsD:
+            raise InvalidCert(f"target exponential table lacks the entry at {key}")
         tx, ty, tobj, tev = expsD[key]
-        entry, fwd = prodsD.get((tobj, key[0])), D.hom(obj, tobj)
-        if (D.down_sets is None or not fwd or entry is None
+        entry = prodsD.get((tobj, key[0]))
+        if (D.down_sets is None or not D.hom(obj, tobj) or entry is None
                 or (tx, ty) != key or not D.has_morphisms(tev)
                 or (D.mor_src[tev], D.mor_dst[tev]) != (entry[2], key[1])):
             raise InvalidCert(f"target exponential entry {key} is not an exponential")
+    comparison = {}
+    for xy, (key, obj) in images.items():
+        tobj = expsD[key].obj
         inv = D.hom(tobj, obj)
         if not inv:
             return None
-        comparison[(x, y)] = Iso(fwd[0], inv[0])
+        comparison[xy] = Iso(D.hom(obj, tobj)[0], inv[0])
     return ExpPreservationCert(F, expsC, expsD, comparison)

@@ -16,12 +16,13 @@ them, witnesses and budget ticks alike.
 Beside them, currying, the exponential comparison iso and the
 re-derivation of an exponential preservation certificate, which only the
 tests use, and the carry and preserves loops as ``catkit`` first wrote
-them: every source field read through dicts of F's maps, every carried
-entry imaged and composed key by key.  ``limits.carry`` and
-``limits.preserves`` are compared against them, entries, certificates and
-raises alike.  The comparisons of exponentials and parameterized N by
-currying and by recursion are the oracles of ``preserves_exponentials``
-and ``preserves_pnno``, which compare by order.
+them, each after refusing bad input as its public verb does: every source
+field read through dicts of F's maps, every carried entry imaged and
+composed key by key.  ``limits.transfer`` and ``limits.preserves`` are
+compared against them, entries, certificates and raises alike.  The
+comparisons of exponentials and parameterized N by currying and by
+recursion are the oracles of ``preserves_exponentials`` and
+``preserves_pnno``, which compare by order.
 
 Last, the generic searches, which decide every limit, exponential,
 parameterized N and subobject classifier by its loops over cones whatever
@@ -42,7 +43,7 @@ from catkit.core import (
     check_weak_equivalence_cert,
     find_iso,
 )
-from catkit.errors import InvalidCert, NotACone, OracleDisagreement, PreconditionViolation
+from catkit.errors import InvalidCert, NotACone, OracleDisagreement
 from catkit.exponentials import ExpPreservationCert, ExponentialW
 from catkit.limits import (
     BinProductW,
@@ -53,6 +54,7 @@ from catkit.limits import (
     PullbackW,
     Table,
     _comparison_at,
+    check_table,
     mediating,
     to_terminal,
 )
@@ -371,50 +373,47 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
 def preserves(
     shape: LimitShape, F: Functor, source: Table, target: Table
 ) -> LimitPreservationCert | None:
-    """``limits.preserves`` with each source field read through a dict of
-    F's map, so that an apex or leg out of range raises; the key parts are
-    read by bare index."""
-    mu: dict = {}
-    by_image: dict = {}
-    in_range: set = set()
+    """``limits.preserves`` as three walks over the source: each source
+    field read through a dict of F's map, so that an apex or leg out of
+    range is refused, the key parts read by bare index; then the target
+    entry of each image, refused when missing or out of range; then each
+    image compared anew, key by key."""
     E = F.target
     obj, mor = dict(enumerate(F.obj_map)), dict(enumerate(F.mor_map))
     k = shape.n_key
+    images = {}
     for key, v in source.items():
         try:
-            image = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
+            images[key] = (*shape.image_key(F, key), obj[v[k]], *map(mor.__getitem__, v[k + 1:]))
         except KeyError:
             raise InvalidCert(f"source {shape.name} entry {key} is out of range") from None
-        iso = by_image.get(image)
-        if iso is None:
-            image_key = image[:k]
-            entry = target[image_key]
-            if image_key not in in_range:
-                if not shape.in_range(E, entry):
-                    raise InvalidCert(f"target {shape.name} entry {image_key} is out of range")
-                in_range.add(image_key)
-            iso = _comparison_at(shape, E, entry, image)
-            if iso is None:
-                return None
-            by_image[image] = iso
-        mu[key] = iso
+    for image in images.values():
+        entry = target.get(image[:k])
+        if entry is None:
+            raise InvalidCert(f"target {shape.name} table lacks the entry at {image[:k]}")
+        if not shape.in_range(E, entry):
+            raise InvalidCert(f"target {shape.name} entry {image[:k]} is out of range")
+    mu = {}
+    for key, image in images.items():
+        mu[key] = _comparison_at(shape, E, target[image[:k]], image)
+        if mu[key] is None:
+            return None
     return LimitPreservationCert(F, source, target, mu)
 
 
 def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
-    """``limits.carry`` key by key: the entry at each pulled-back key is
-    imaged again for every key, and each leg composed with the eso iso of
-    its foot by ``FinCat.compose``."""
+    """``limits.transfer`` key by key: the source table and the
+    certificate are refused first, as ``transfer`` refuses them, and then
+    the entry at each pulled-back key is imaged again for every key, and
+    each leg composed with the eso iso of its foot by ``FinCat.compose``."""
+    check_table(shape, cert.functor.source, table)
     check_weak_equivalence_cert(cert)
     G, Q = cert.functor, cert.quasi_inverse
     D = G.target
     k = shape.n_key
     out = {}
     for key in shape.keys(D):
-        src_key = shape.image_key(Q, key)
-        v = table.get(src_key)
-        if v is None:
-            raise PreconditionViolation(f"source table lacks the {shape.name} of {src_key}")
+        v = table[shape.image_key(Q, key)]
         legs = [
             D.compose(G.mor_map[p], cert.eso_witness[y][1].fwd)
             for p, y in zip(v[k + 1:], shape.feet(D, key))

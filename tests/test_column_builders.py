@@ -1,7 +1,7 @@
 """The tables built column by column against the loops that build them key
 by key: ``limits._thin_table`` against the generic search, entries and
-ticks alike, ``exponentials.carry_exponentials`` against its walk over the
-pairs, entries and raises alike, and the identity route of
+ticks alike, ``exponentials.transfer_exponentials`` against its walk over
+the pairs, entries and raises alike, and the identity route of
 ``limits.preserves`` against the walk over the source."""
 import itertools
 from collections import Counter
@@ -9,9 +9,9 @@ from collections import Counter
 import limit_oracles
 from catkit import core, limits
 from catkit.completion import skeletize, skeleton_inclusion
-from catkit.core import fincat, identity_functor
-from catkit.errors import InvalidCert, PreconditionViolation, SearchBudgetExceeded
-from catkit.exponentials import ExponentialW, carry_exponentials
+from catkit.core import check_weak_equivalence_cert, fincat, identity_functor
+from catkit.errors import InvalidCert, SearchBudgetExceeded
+from catkit.exponentials import ExponentialW, check_exponentials, transfer_exponentials
 from catkit.lifting import find_bag
 from test_limit_oracles import _carry_corpus, _outcome
 from test_limit_routes import corpus, oracle_bag
@@ -61,19 +61,24 @@ def test_thin_tables_are_the_generic_searches_witnesses_one_tick_per_key():
 
 
 def carry_by_pair(cert, src: dict, dst: dict) -> dict:
-    """``exponentials.carry_exponentials`` as a walk over the pairs in
-    order, each entry imaged and its evaluation read key by key."""
+    """``exponentials.transfer_exponentials`` as a walk over the pairs in
+    order: the source exponentials and the certificate are refused first,
+    as the transfer refuses them, and then each entry is imaged and its
+    evaluation read key by key."""
+    check_exponentials(cert.functor.source, src)
+    check_weak_equivalence_cert(cert)
     G = cert.functor
     D = G.target
     expsC, prodsD, hom = src["exponentials"], dst["products"], D.hom_map
     out = {}
     for d1, d2 in itertools.product(range(D.n_objects), repeat=2):
         x1, x2 = cert.eso_witness[d1][0], cert.eso_witness[d2][0]
-        wC = expsC.get((x1, x2))
-        if wC is None:
-            raise PreconditionViolation(f"source table lacks the exponential of ({x1},{x2})")
-        obj = G.obj_map[wC.obj]
-        out[(d1, d2)] = ExponentialW(d1, d2, obj, hom[(prodsD[(obj, d1)].apex, d2)][0])
+        obj = G.obj_map[expsC[(x1, x2)].obj]
+        entry = prodsD.get((obj, d1))
+        ev = None if entry is None else hom.get((entry.apex, d2))
+        if ev is None:
+            raise InvalidCert(f"target products lack a product of ({obj},{d1}) below {d2}")
+        out[(d1, d2)] = ExponentialW(d1, d2, obj, ev[0])
     return out
 
 
@@ -95,7 +100,10 @@ def _exp_cases(cert, src: dict, dst: dict):
             yield src, {**dst, "products": {**prods, key: prods[key]._replace(apex=apex)}}
 
 
-def test_carry_exponentials_gives_the_entries_and_raises_of_its_walk():
+def test_transfer_exponentials_gives_the_entries_and_raises_of_its_walk():
+    """Corrupted source and target tables go through
+    ``transfer_exponentials``: the source is refused by its check before
+    the carry, and a target product the carry cannot read by one refusal."""
     seen = Counter()
     for i, C in enumerate(corpus()):
         bag = oracle_bag(i)
@@ -108,14 +116,14 @@ def test_carry_exponentials_gives_the_entries_and_raises_of_its_walk():
         # onto the source along the inclusion, and onto the skeleton along eta
         for cert, src, dst in ((incl, on_skeleton, carried), (res.cert, bag, on_skeleton)):
             for case in _exp_cases(cert, src, dst):
-                got = _outcome(carry_exponentials, cert, *case)
+                got = _outcome(transfer_exponentials, cert, *case)
                 assert got == _outcome(carry_by_pair, cert, *case), C.name
                 if isinstance(got[0], type):
-                    seen[got[0]] += 1
+                    seen[got[0], got[1].split(" ")[0]] += 1
                 else:
                     assert all(type(w) is ExponentialW for w in got[0].values()), C.name
                     seen["ok"] += 1
-    assert {"ok", PreconditionViolation, IndexError, KeyError} <= set(seen), seen
+    assert {"ok", (InvalidCert, "exponential"), (InvalidCert, "target")} <= set(seen), seen
 
 
 class _Watched(dict):

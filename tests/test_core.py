@@ -290,7 +290,10 @@ def _eta_cert():
 
 def test_a_recorded_certificate_cannot_be_altered():
     cert = _eta_cert()
-    # eta passed check_functor, so is_weak_equivalence recorded its certificate
+    # eta is a functor by construction, not checked, so its certificate is
+    # recorded once it passes the check
+    assert cert not in core._accepted_certs
+    check_weak_equivalence_cert(cert)
     assert cert in core._accepted_certs
     table = cert.ff_witness[(0, 0)]
     (h, f), = table.items()

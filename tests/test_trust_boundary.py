@@ -1,0 +1,208 @@
+"""The trust boundary: what ``catkit`` builds by construction is certified
+here, and what enters from outside is refused as a ``CatkitError``.
+
+``skeletize`` builds eta, the skeleton's inclusion and eta's certificate
+without checking them, and ``skeleton_inclusion`` builds the inclusion's
+certificate without a search or a check.  On a corpus of the law corpus,
+the finset fragments of 2 and 3 and their inflations, H-valued sets over
+the diamond and two chains, and deloopings, the checks they skip pass on
+what they build.  The public verbs that take a certificate, a bag or a
+table from outside refuse a malformed one before they read it: every
+``transfer_*`` checks its certificate, and ``limits.preserves`` and
+``preserves_exponentials`` refuse a bad target entry or a bag without a
+kind they read before they decide anything."""
+import re
+from functools import cache
+
+import pytest
+
+from catkit import classifier, exponentials, limits, nno
+from catkit.completion import inflate, skeletality, skeletize, skeleton_inclusion
+from catkit.core import (
+    Functor,
+    WeakEquivalenceCert,
+    check_functor,
+    check_weak_equivalence_cert,
+    identity_functor,
+    is_fully_faithful,
+)
+from catkit.errors import CatkitError, DependencyMissing, InvalidCert
+from catkit.generators import (
+    chain_poset,
+    delooping,
+    finset_fragment,
+    heyting_category,
+    heyting_chain,
+    heyting_diamond,
+    hvalued_sets,
+)
+from catkit.lifting import find_bag
+from test_law_oracles import corpus as law_corpus
+
+
+def _cyclic(n: int):
+    return delooping([[(i + j) % n for j in range(n)] for i in range(n)], name=f"Z{n}")
+
+
+@cache
+def corpus():
+    out = list(law_corpus())
+    for C, copies in ((finset_fragment(2), [2, 1, 2]), (finset_fragment(3), [1, 2, 2, 3])):
+        out += [C, inflate(C, copies)[0]]
+    out += [hvalued_sets(heyting_diamond(), 2)]
+    out += [hvalued_sets(heyting_chain(n), 2) for n in (2, 3)]
+    out += [_cyclic(n) for n in (2, 3, 4)]
+    out += [delooping([[0, 1], [1, 1]], name="idempotent"), inflate(_cyclic(3), 2)[0]]
+    return tuple(out)
+
+
+def _fresh(cert: WeakEquivalenceCert) -> WeakEquivalenceCert:
+    """A copy of cert that no check has seen: its tables copied, and its
+    functor a new one with the same maps."""
+    F = cert.functor
+    G = Functor(F.source, F.target, F.obj_map, F.mor_map, F.name)
+    ff = {key: dict(table) for key, table in cert.ff_witness.items()}
+    return WeakEquivalenceCert(G, ff, cert.eso_witness)
+
+
+def test_the_constructions_pass_the_checks_they_skip():
+    seen = set()
+    for C in corpus():
+        res = skeletize(C)
+        incl_cert = skeleton_inclusion(res)
+        check_functor(res.eta)
+        check_functor(res.inclusion)
+        report = skeletality(res.completed)
+        assert report.is_skeletal and res.fidelity == report.fidelity, C.name
+        assert dict(incl_cert.ff_witness) == is_fully_faithful(res.inclusion), C.name
+        for cert in (res.cert, incl_cert):
+            check_weak_equivalence_cert(_fresh(cert))
+        seen.add((res.fidelity, C.n_objects != res.completed.n_objects))
+    # gaunt and non-gaunt skeletons, of categories skeletal or not
+    assert seen == {(fidelity, collapsed) for fidelity in ("exact", "skeletal-approximation")
+                    for collapsed in (True, False)}, seen
+
+
+def test_the_inclusion_certificate_is_read_only():
+    incl_cert = skeleton_inclusion(skeletize(inflate(chain_poset(3), [2, 1, 2])[0]))
+    table = incl_cert.ff_witness[(0, 0)]
+    (h, f), = table.items()
+    with pytest.raises(TypeError):
+        table[h] = f
+    with pytest.raises(TypeError):
+        incl_cert.ff_witness[(0, 0)] = {}
+
+
+# ---------------------------------------------------------------------------
+# bad input at the public verbs
+
+
+def _chain():
+    """A non-skeletal chain, its completion and the bags found on both sides."""
+    C = inflate(chain_poset(3), [1, 2, 1])[0]
+    res = skeletize(C)
+    kinds = ("terminal", "products", "equalizers", "pullbacks", "exponentials", "pnno")
+    return C, res, find_bag(C, kinds), find_bag(res.completed, kinds)
+
+
+def test_preserves_refuses_a_target_without_an_entry_it_reads():
+    C, res, bagC, bagD = _chain()
+    D = res.completed
+    prods = bagD["products"]
+    first = next(iter(prods))
+    lacks = re.escape(f"table lacks the entry at {first}")
+    short = {key: w for key, w in prods.items() if key != first}
+    with pytest.raises(InvalidCert, match=lacks):
+        limits.preserves_binary_products(res.eta, bagC["products"], short)
+    with pytest.raises(InvalidCert, match=lacks):
+        limits.preserves_binary_products(identity_functor(D), prods, short)
+    exps = bagD["exponentials"]
+    short = {key: w for key, w in exps.items() if key != first}
+    with pytest.raises(InvalidCert, match=lacks):
+        exponentials.preserves_exponentials(res.eta, bagC, {**bagD, "exponentials": short}, {})
+    with pytest.raises(DependencyMissing, match="the bag lacks 'exponentials'"):
+        exponentials.preserves_exponentials(res.eta, bagC, {"products": prods}, {})
+
+
+def test_preserves_refuses_a_bad_entry_after_an_unpreserved_one():
+    """Folding the diamond's b onto a preserves no meet of a and b, and the
+    target has no entry at the image of the last key: the refusal comes
+    first."""
+    D = heyting_category(heyting_diamond())
+    bot, a, b, top = range(4)
+    obj_map = (bot, a, a, top)
+    hom = D.hom_map
+    mor_map = tuple(hom[(obj_map[x], obj_map[y])][0] for x, y in zip(D.mor_src, D.mor_dst))
+    F = Functor(D, D, obj_map, mor_map, "fold")
+    check_functor(F)
+    prods = find_bag(D, ("products",))["products"]
+    assert limits.preserves_binary_products(F, prods, prods) is None
+    short = {key: w for key, w in prods.items() if key != (top, top)}
+    with pytest.raises(InvalidCert, match=re.escape(f"lacks the entry at {(top, top)}")):
+        limits.preserves_binary_products(F, prods, short)
+
+
+def test_transfer_exponentials_refuses_a_target_without_the_products_it_reads():
+    C, res, bagC, bagD = _chain()
+    with pytest.raises(InvalidCert, match="target products lack a product of"):
+        exponentials.transfer_exponentials(res.cert, bagC, {"products": {}})
+    with pytest.raises(DependencyMissing, match="the bag lacks 'products'"):
+        exponentials.transfer_exponentials(res.cert, bagC, {})
+    assert exponentials.transfer_exponentials(res.cert, bagC, bagD) == bagD["exponentials"]
+
+
+def _corruptions(res):
+    """eta's certificate with its eso witness cut to the first entry, with
+    eta's object map collapsed to 0, and with one ff entry moved outside
+    its hom-set."""
+    cert = res.cert
+    eta = cert.functor
+    C = eta.source
+    collapsed = Functor(C, eta.target, (0,) * C.n_objects, eta.mor_map, eta.name)
+    ff = {key: dict(table) for key, table in cert.ff_witness.items()}
+    (x, y), table = next((key, t) for key, t in ff.items() if key[0] != key[1] and t)
+    h = next(iter(table))
+    table[h] = next(f for f in range(C.n_morphisms) if (C.mor_src[f], C.mor_dst[f]) != (x, y))
+    return {
+        "short eso witness": WeakEquivalenceCert(eta, cert.ff_witness, cert.eso_witness[:1]),
+        "collapsed object map": WeakEquivalenceCert(collapsed, cert.ff_witness, cert.eso_witness),
+        "ff entry outside its hom-set": WeakEquivalenceCert(eta, ff, cert.eso_witness),
+    }
+
+
+def _transfers():
+    """Each public transfer with a source bag and a target bag it accepts
+    along eta's own certificate."""
+    _, res, bagC, bagD = _chain()
+    # the finite sets of at most two elements carry a two-point classifier
+    G = inflate(finset_fragment(2), [1, 2, 1])[0]
+    resG = skeletize(G)
+    bagG = find_bag(G, ("terminal", "classifier"))
+    bagGD = find_bag(resG.completed, ("terminal", "classifier"))
+    return [
+        (res, lambda cert: limits.transfer_terminal(cert, bagC["terminal"])),
+        (res, lambda cert: limits.transfer_binary_products(cert, bagC["products"])),
+        (res, lambda cert: limits.transfer_equalizers(cert, bagC["equalizers"])),
+        (res, lambda cert: limits.transfer_pullbacks(cert, bagC["pullbacks"])),
+        (res, lambda cert: exponentials.transfer_exponentials(cert, bagC, bagD)),
+        (res, lambda cert: nno.transfer_pnno(cert, bagC, bagD)),
+        (resG, lambda cert: classifier.transfer_subobject_classifier(cert, bagG, bagGD)),
+    ]
+
+
+@pytest.mark.parametrize("how", ["short eso witness", "collapsed object map",
+                                 "ff entry outside its hom-set"])
+def test_every_transfer_refuses_a_corrupted_certificate(how):
+    for res, transfer in _transfers():
+        transfer(res.cert)
+        with pytest.raises(CatkitError):
+            transfer(_corruptions(res)[how])
+
+
+def test_a_short_eso_witness_is_refused_by_the_certificate_check():
+    C, res, bagC, bagD = _chain()
+    short = _corruptions(res)["short eso witness"]
+    for transfer in (lambda: exponentials.transfer_exponentials(short, bagC, bagD),
+                     lambda: nno.transfer_pnno(short, bagC, bagD)):
+        with pytest.raises(InvalidCert, match="eso witness does not cover the target objects"):
+            transfer()
