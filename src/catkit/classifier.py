@@ -222,6 +222,8 @@ def preserves_subobject_classifier(
     found or checked one, whose chi table classifies every mono: the image
     pair then classifies exactly when the comparison is an iso.  A source
     omega, tau or chi entry out of range raises."""
+    refuse_missing_kinds(src, ("terminal", "classifier"))
+    refuse_missing_kinds(dst, ("terminal", "classifier"))
     C, D = F.source, F.target
     termC, socC = src["terminal"], src["classifier"]
     termD, socD = dst["terminal"], dst["classifier"]

@@ -234,19 +234,10 @@ def check_category_tables(C: FinCat) -> None:
     entry (rows, then columns, then the third morphism, in index order);
     returns None when everything holds.
 
-    On a thin category (no hom-set holds two arrows) the checks end with
-    the row typing: both sides of a unit or associativity law are then
-    arrows of one hom-set, which holds one arrow, so the laws hold and
-    take no tick.
-
-    Elsewhere, associativity is checked only at the middles in
-    :func:`_generating_set` (Light's associativity test).  Call ``g`` a
-    good middle when ``(f;g);h == f;(g;h)`` for every f into it and h out
-    of it.  If ``a`` and ``b`` are good middles, so is ``a;b``, and
-    identities are good by the unit laws, so when every member is good,
-    every morphism is.  Each member ``g`` ticks the search budget once per
-    triple through it, ``|into[src g]| * |out_of[dst g]|``, never more than
-    the composable triples.
+    The typing tables and the row typing are checked here, then the unit
+    and associativity laws by :func:`_check_laws`.  A loaded document's
+    rows are typed as the loader writes them, so
+    :func:`category_from_rows` replaces the row typing with one count.
     """
     n, m = C.n_objects, C.n_morphisms
     if len(C.mor_src) != m or len(C.mor_dst) != m:
@@ -266,8 +257,8 @@ def check_category_tables(C: FinCat) -> None:
             )
     if len(C.comp_table) != m or any(len(row) != m for row in C.comp_table):
         raise MissingComposite("composition table has wrong shape")
-    src, dst, out_of, table = C.mor_src, C.mor_dst, C.out_of, C.comp_table
-    for f, row in enumerate(table):
+    src, dst, out_of = C.mor_src, C.mor_dst, C.out_of
+    for f, row in enumerate(C.comp_table):
         # a row is well typed when its only set entries are its composable
         # ones and each of those is a morphism with the composite's ends
         outs, s = out_of[dst[f]], src[f]
@@ -276,9 +267,29 @@ def check_category_tables(C: FinCat) -> None:
             for g in outs
         ):
             _raise_row_offence(C, f)
+    _check_laws(C)
+
+
+def _check_laws(C: FinCat) -> None:
+    """The unit laws, then associativity, on a well-typed table.
+
+    On a thin category (no hom-set holds two arrows) both sides of a unit
+    or associativity law are arrows of one hom-set, which holds one arrow,
+    so the laws hold and take no tick.
+
+    Elsewhere, associativity is checked only at the middles in
+    :func:`_generating_set` (Light's associativity test).  Call ``g`` a
+    good middle when ``(f;g);h == f;(g;h)`` for every f into it and h out
+    of it.  If ``a`` and ``b`` are good middles, so is ``a;b``, and
+    identities are good by the unit laws, so when every member is good,
+    every morphism is.  Each member ``g`` ticks the search budget once per
+    triple through it, ``|into[src g]| * |out_of[dst g]|``, never more than
+    the composable triples.
+    """
     if C.order_scan[0] is not None:
         return
-    for f in range(m):
+    src, dst, out_of, table = C.mor_src, C.mor_dst, C.out_of, C.comp_table
+    for f in range(C.n_morphisms):
         i_s, i_t = C.identity[src[f]], C.identity[dst[f]]
         if table[i_s][f] != f:
             raise UnitLawViolation(
@@ -378,6 +389,43 @@ def _raise_row_offence(C: FinCat, f: int) -> None:
     raise AssertionError(f"row {labels[f]} of the composition table has no offence")
 
 
+def _with_unit_composites(
+    name: str,
+    objects: Sequence[str],
+    mor_labels: Sequence[str],
+    mor_src: Sequence[int],
+    mor_dst: Sequence[int],
+    identity: Sequence[int],
+    rows: list[list[int | None]],
+) -> tuple[FinCat, int]:
+    """The category on rows, unchecked, with the composites the unit laws
+    give filled in where rows leave them unset, as far as the typing tables
+    are in range, and the number of entries filled.  The rows are filled in
+    place, then frozen into ``comp_table``."""
+    filled = 0
+    with suppress(IndexError):
+        for f in range(len(mor_labels)):
+            i_s, i_t = identity[mor_src[f]], identity[mor_dst[f]]
+            row = rows[i_s]
+            if row[f] is None:
+                row[f] = f
+                filled += 1
+            row = rows[f]
+            if row[i_t] is None:
+                row[i_t] = f
+                filled += 1
+    C = FinCat(
+        name=name,
+        objects=tuple(objects),
+        mor_labels=tuple(mor_labels),
+        mor_src=tuple(mor_src),
+        mor_dst=tuple(mor_dst),
+        identity=tuple(identity),
+        comp_table=tuple(map(tuple, rows)),
+    )
+    return C, filled
+
+
 def fincat(
     name: str,
     objects: list[str] | tuple[str, ...],
@@ -389,36 +437,52 @@ def fincat(
 ) -> FinCat:
     """Assemble and fully check a category from sparse composition data.
     The unit composites are filled in as far as the typing tables are in
-    range; the law check refuses the others before it reads the table.  A
-    key of comp that names no morphism is refused before the fill, in one
-    pass over the keys."""
+    range; :func:`check_category_tables` then types every row and refuses
+    the others before it checks the laws.  A key of comp that names no
+    morphism is refused before the fill, in one pass over the keys."""
     m = len(mor_labels)
     if comp:
         fs, gs = zip(*comp)
         if min(min(fs), min(gs)) < 0 or max(max(fs), max(gs)) >= m:
             key = next(k for k in comp if not (0 <= k[0] < m and 0 <= k[1] < m))
             raise DanglingReference(f"composition entry {key} names a missing morphism")
-    table = [[None] * m for _ in range(m)]
+    rows: list[list[int | None]] = [[None] * m for _ in range(m)]
     for (f, g), fg in comp.items():
-        table[f][g] = fg
-    # identity composites follow from the unit laws; fill the gaps
-    with suppress(IndexError):
-        for f in range(m):
-            i_s, i_t = identity[mor_src[f]], identity[mor_dst[f]]
-            if table[i_s][f] is None:
-                table[i_s][f] = f
-            if table[f][i_t] is None:
-                table[f][i_t] = f
-    C = FinCat(
-        name=name,
-        objects=tuple(objects),
-        mor_labels=tuple(mor_labels),
-        mor_src=tuple(mor_src),
-        mor_dst=tuple(mor_dst),
-        identity=tuple(identity),
-        comp_table=tuple(tuple(row) for row in table),
-    )
+        rows[f][g] = fg
+    C, _ = _with_unit_composites(name, objects, mor_labels, mor_src, mor_dst, identity, rows)
     check_category_tables(C)
+    return C
+
+
+def category_from_rows(
+    name: str,
+    objects: Sequence[str],
+    mor_labels: Sequence[str],
+    mor_src: Sequence[int],
+    mor_dst: Sequence[int],
+    identity: Sequence[int],
+    rows: list[list[int | None]],
+    n_set: int,
+) -> FinCat:
+    """The category on composition rows whose typing the caller has proved,
+    with its laws checked.
+
+    Every object's identity must be an endomorphism on it, and each of the
+    n_set entries set in rows must sit at a composable pair and name a
+    morphism with the composite's ends, as the loader checks triple by
+    triple.  Then the rows with their unit composites filled in are well
+    typed exactly when they hold one entry per composable pair, so one
+    count decides it; on a mismatch :func:`check_category_tables` raises
+    the first offence, as it would for :func:`fincat`.  The unit and
+    associativity laws follow, by :func:`_check_laws`.
+    """
+    C, filled = _with_unit_composites(
+        name, objects, mor_labels, mor_src, mor_dst, identity, rows
+    )
+    if n_set + filled != sum(map(len, map(C.out_of.__getitem__, C.mor_dst))):
+        check_category_tables(C)
+        raise AssertionError("the composition table has no typing offence")
+    _check_laws(C)
     return C
 
 

@@ -134,6 +134,7 @@ def _implication(
 def check_exponentials(C: FinCat, bag: dict) -> None:
     """Every pair of objects of C carries a valid exponential keyed by it,
     and the table has no other entry."""
+    refuse_missing_kinds(bag, ("products", "exponentials"))
     table = bag["exponentials"]
     apexes = [_meet_apexes(C, bag["products"], x) for x in range(C.n_objects)]
     keys = list(itertools.product(range(C.n_objects), repeat=2))
@@ -147,6 +148,7 @@ def check_exponentials(C: FinCat, bag: dict) -> None:
 def find_exponentials(C: FinCat, bag: dict) -> dict[tuple[int, int], ExponentialW] | None:
     """The witnesses :func:`find_exponential` returns for every pair, one
     tick each, or None if some pair has none."""
+    refuse_missing_kinds(bag, ("products",))
     apexes = [_meet_apexes(C, bag["products"], x) for x in range(C.n_objects)]
     if None in apexes:
         return None

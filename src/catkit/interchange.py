@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Container
 
-from .core import FinCat, Functor, fincat, functor
+from .core import FinCat, Functor, category_from_rows, functor
 from .errors import (
     CategoryValidationError,
     DanglingReference,
@@ -60,9 +60,10 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
 
     Raises a CategoryValidationError subclass with a JSON pointer into the
     document on the first offence.  Labels and each composition triple are
-    checked here; the category laws are judged by
-    :func:`~catkit.core.check_category_tables`, and their errors point at
-    ``/composition``.
+    checked here, and each checked triple is written into its row of the
+    composition table; :func:`~catkit.core.category_from_rows` then counts
+    the entries against the composable pairs and checks the unit and
+    associativity laws, and its errors point at ``/composition``.
     """
     if not isinstance(doc, dict):
         raise MalformedInput("category document must be an object")
@@ -140,11 +141,14 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
             dsts.append(x)
             identity[x] = mor_index[mid]
 
-    # composition: the declared triples, each typed and consistent
-    comp: dict[tuple[int, int], int] = {}
+    # composition: the declared triples, each typed and consistent, written
+    # straight into the rows of the composition table
     raw_comp = doc.get("composition", [])
     if not isinstance(raw_comp, list):
         raise MalformedInput("composition must be a list of triples", pointer="/composition")
+    m = len(labels)
+    rows: list[list[int | None]] = [[None] * m for _ in range(m)]
+    repeats = 0
     # an accepted triple costs one lookup per label; pointers and messages
     # are built only for the triple that fails
     label_of = mor_index.get
@@ -168,15 +172,23 @@ def validate_category(doc: dict[str, Any]) -> FinCat:
             raise IllTypedComposite(
                 f"composite {c!r} has the wrong endpoints", pointer=f"/composition/{k}"
             )
-        if comp.setdefault((f, g), fg) != fg:
+        row = rows[f]
+        if row[g] is None:
+            row[g] = fg
+        elif row[g] == fg:
+            repeats += 1
+        else:
             raise IllTypedComposite(
                 f"conflicting composite for ({a!r}, {b!r})", pointer=f"/composition/{k}"
             )
 
-    # fincat fills the identity composites in and judges the laws; its
-    # errors concern the composition block as a whole
+    # every set entry is typed, so the law check is a completeness count
+    # and the unit and associativity laws; its errors concern the
+    # composition block as a whole
     try:
-        return fincat(name, objects, labels, srcs, dsts, identity, comp)
+        return category_from_rows(
+            name, objects, labels, srcs, dsts, identity, rows, len(raw_comp) - repeats
+        )
     except CategoryValidationError as e:
         raise type(e)(str(e), pointer="/composition") from e
 

@@ -93,6 +93,7 @@ def is_pnno(
 
 
 def check_pnno(C: FinCat, bag: dict) -> None:
+    refuse_missing_kinds(bag, ("terminal", "products", "pnno"))
     w = bag["pnno"]
     if is_pnno(C, bag["terminal"], bag["products"], w.N, w.z, w.s) is None:
         raise InvalidCert("parameterized-N witness fails its defining property")
@@ -102,6 +103,7 @@ def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
     """The lowest object N with an arrow z from the chosen terminal, with z
     and its identity, when :func:`is_pnno` accepts them: on a thin category
     the lowest top, the triple a search over (N, z, s) meets first."""
+    refuse_missing_kinds(bag, ("terminal", "products"))
     term = bag["terminal"]
     N = next((N for N in range(C.n_objects) if C.hom(term.t, N)), None)
     if N is None:
@@ -175,6 +177,8 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
     dst are taken as checked, as they are in every bag the registry passes,
     and a category that is not thin, which carries none, is refused; so is
     a source triple out of range."""
+    refuse_missing_kinds(src, ("terminal", "pnno"))
+    refuse_missing_kinds(dst, ("terminal", "pnno"))
     D = F.target
     termC, wC, wD = src["terminal"], src["pnno"], dst["pnno"]
     if preserves(TERMINAL, F, {(): termC}, {(): dst["terminal"]}) is None:

@@ -5,7 +5,9 @@ and an out-of-range composite makes them raise IndexError.  The generating
 set whose members are the only middles ``catkit.core`` checks associativity
 at, by its definition, and the triples through those middles.  Beside them,
 the loader's composition pass label by label, which the one-lookup-per-label
-pass in ``catkit.interchange`` is compared against."""
+pass in ``catkit.interchange`` is compared against; handed to
+``catkit.core.fincat``, its composites make the generic route that the
+loader's own rows, typed as it writes them, are compared against."""
 from dataclasses import replace
 
 from catkit.core import FinCat, Functor

@@ -6,10 +6,17 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from catkit import interchange
+from catkit import core, interchange
 from catkit.cli import main
 from catkit.completion import inflate
-from catkit.core import functors_equal, identity_functor, same_tables
+from catkit.core import (
+    FinCat,
+    fincat,
+    functors_equal,
+    identity_functor,
+    same_tables,
+    set_search_budget,
+)
 from catkit.errors import (
     AssociativityViolation,
     CatkitError,
@@ -23,6 +30,8 @@ from catkit.errors import (
 from catkit.generators import (
     chain_poset,
     finset_fragment,
+    heyting_chain,
+    hvalued_sets,
     random_category,
     setoid_groupoid,
     walking_iso,
@@ -36,7 +45,7 @@ from catkit.interchange import (
     validate_category,
 )
 from catkit.lifting import complete_structured
-from law_oracles import resolve_composition
+from law_oracles import is_thin, resolve_composition
 
 seeds = st.integers(min_value=0, max_value=119)
 
@@ -319,6 +328,90 @@ def test_composition_pass_matches_the_label_by_label_oracle():
         "unknown-then-list", "unknown-label", "not-composable", "wrong-endpoints",
         "conflicting-duplicate",
     }
+
+
+# ---------------------------------------------------------------------------
+# the loader's rows against the generic route
+
+
+def _generic_route(doc, C):
+    """``core.fincat`` over the label-by-label oracle, its errors pointed at
+    ``/composition``: the loader's route before it wrote the rows itself.
+    C, loaded from doc or from a document differing only in its composition
+    block, supplies the objects, morphisms and identities."""
+    mor_index = {label: f for f, label in enumerate(C.mor_labels)}
+    comp = resolve_composition(doc["composition"], mor_index, C.mor_src, C.mor_dst)
+    try:
+        return fincat(C.name, C.objects, C.mor_labels, C.mor_src, C.mor_dst, C.identity, comp)
+    except CategoryValidationError as e:
+        raise type(e)(str(e), pointer="/composition") from e
+
+
+def _counted(run):
+    """run's outcome, with a category read as its tables, and the ticks it
+    took."""
+    set_search_budget(10**18)
+    try:
+        out = _outcome(run)
+        if isinstance(out, FinCat):
+            out = (out.name, out.objects, out.mor_labels, out.mor_src, out.mor_dst,
+                   out.identity, out.comp_table)
+        return out, core._budget.used
+    finally:
+        set_search_budget(None)
+
+
+def _loader_mutants(doc, C):
+    """doc with its middle triple dropped, keyed by whether C is thin, and,
+    where C has two parallel arrows f and h, with ``[f, id, h]`` appended,
+    which overrides the right unit composite of f."""
+    comp = doc["composition"]
+    drop = copy.deepcopy(doc)
+    del drop["composition"][len(comp) // 2]
+    out = {"drop-thin" if is_thin(C) else "drop-non-thin": drop}
+    ends = [(C.mor_src[f], C.mor_dst[f]) for f in range(C.n_morphisms)]
+    pair = next(((f, h) for f in range(C.n_morphisms) for h in range(C.n_morphisms)
+                 if f != h and ends[f] == ends[h]), None)
+    if pair:
+        f, h = (C.mor_labels[x] for x in pair)
+        unit = copy.deepcopy(doc)
+        unit["composition"].append([f, C.mor_labels[C.identity[ends[pair[0]][1]]], h])
+        out["unit-override"] = unit
+    return out
+
+
+def test_the_loaded_rows_match_the_generic_route():
+    """An intact document loads to the generic route's tables with as many
+    ticks; every mutant fails on both routes with the same class, message
+    and pointer.  The dropped triples go through the count mismatch."""
+    docs = _parity_corpus() + [
+        category_to_json(inflate(chain_poset(4), [9, 7, 8, 8])[0]),
+        category_to_json(inflate(finset_fragment(3), [1, 2, 2, 1])[0]),
+        category_to_json(hvalued_sets(heyting_chain(2), 2)),
+    ]
+    expected = {"drop-thin": MissingComposite, "drop-non-thin": MissingComposite,
+                "unit-override": UnitLawViolation}
+    kinds_seen = set()
+    for doc in docs:
+        C = validate_category(doc)
+        loaded, generic = _counted(lambda: validate_category(doc)), _counted(
+            lambda: _generic_route(doc, C))
+        assert loaded == generic, doc["name"]
+        assert same_tables(C, _generic_route(doc, C)), doc["name"]
+        mutants = {**_composition_mutants(doc, C), **_loader_mutants(doc, C)}
+        for kind, mutant in mutants.items():
+            want = _counted(lambda: _generic_route(mutant, C))
+            assert isinstance(want[0], tuple) and not isinstance(want[0][0], str), (
+                doc["name"], kind)
+            assert _counted(lambda: validate_category(mutant)) == want, (doc["name"], kind)
+            assert want[0][0] is expected.get(kind, want[0][0]), (doc["name"], kind)
+            kinds_seen.add(kind)
+    assert set(expected) <= kinds_seen
+    for seed in range(40):
+        C = validate_category(category_to_json(random_category(seed)))
+        for kind, mutant in _mutants(C).items():
+            want = _counted(lambda: _generic_route(mutant, C))
+            assert _counted(lambda: validate_category(mutant)) == want, (seed, kind)
 
 
 def test_identity_synthesis_checks_one_taken_set(monkeypatch):

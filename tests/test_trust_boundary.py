@@ -9,8 +9,8 @@ the diamond and two chains, and deloopings, the checks they skip pass on
 what they build.  The public verbs that take a certificate, a bag or a
 table from outside refuse a malformed one before they read it: every
 ``transfer_*`` checks its certificate, and ``limits.preserves`` and
-``preserves_exponentials`` refuse a bad target entry or a bag without a
-kind they read before they decide anything."""
+``preserves_exponentials`` refuse a bad target entry before they decide
+anything, and every bag verb refuses a bag without a kind it reads."""
 import re
 from functools import cache
 
@@ -149,6 +149,34 @@ def test_transfer_exponentials_refuses_a_target_without_the_products_it_reads():
     with pytest.raises(DependencyMissing, match="the bag lacks 'products'"):
         exponentials.transfer_exponentials(res.cert, bagC, {})
     assert exponentials.transfer_exponentials(res.cert, bagC, bagD) == bagD["exponentials"]
+
+
+# each bag verb, called on the chain with a bag that lacks the kind named
+_BAG_VERBS = {
+    "check_exponentials": (
+        lambda C, eta, bag: exponentials.check_exponentials(C, {"exponentials": bag["exponentials"]}),
+        "products",
+    ),
+    "find_exponentials": (lambda C, eta, bag: exponentials.find_exponentials(C, {}), "products"),
+    "check_pnno": (lambda C, eta, bag: nno.check_pnno(C, {"pnno": bag["pnno"]}), "terminal"),
+    "find_pnno": (lambda C, eta, bag: nno.find_pnno(C, {}), "terminal"),
+    "preserves_pnno": (
+        lambda C, eta, bag: nno.preserves_pnno(eta, {"terminal": bag["terminal"]}, bag, {}),
+        "pnno",
+    ),
+    "preserves_subobject_classifier": (
+        lambda C, eta, bag: classifier.preserves_subobject_classifier(eta, bag, bag, {}),
+        "classifier",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_BAG_VERBS))
+def test_a_bag_verb_refuses_a_bag_without_a_kind_it_reads(verb):
+    C, res, bagC, _ = _chain()
+    call, kind = _BAG_VERBS[verb]
+    with pytest.raises(DependencyMissing, match=f"the bag lacks '{kind}'"):
+        call(C, res.eta, bagC)
 
 
 def _corruptions(res):
