@@ -305,9 +305,13 @@ def assemble_topos(C: FinCat) -> dict[str, object] | None:
 
 def is_logical_functor(F: Functor, TC: dict, TD: dict) -> dict[str, object] | None:
     """One preservation certificate per topos component, keyed by kind, for
-    F between the topos bags TC and TD; None when F fails to preserve one."""
+    F between the topos bags TC and TD; None when F fails to preserve one.
+    A bag without a kind the verbs read is refused before anything is
+    decided: every kind of TC, and the limit kinds of TD."""
     from .lifting import KINDS
 
+    refuse_missing_kinds(TC, tuple(TOPOS_KINDS))
+    refuse_missing_kinds(TD, ("terminal", "products", "equalizers", "pullbacks"))
     certs: dict[str, object] = {}
     for kind in TOPOS_KINDS:
         cert = KINDS[kind].preserves(F, TC, TD, certs)

@@ -33,6 +33,7 @@ from .core import (
     tabulate,
 )
 from .errors import (
+    DanglingReference,
     InvalidFactorization,
     NatIsoError,
     OracleDisagreement,
@@ -343,8 +344,12 @@ def inflate_section(proj: Functor) -> Functor:
 
 def full_subcategory(C: FinCat, object_ids: list[int], name: str = "") -> tuple[FinCat, Functor]:
     """The full subcategory on the given objects, named name or after C, plus
-    its inclusion, a functor by construction."""
+    its inclusion, a functor by construction.  An index that names no
+    object of C is refused before anything is read."""
     objs = sorted(set(object_ids))
+    for x in objs[:1] + objs[-1:]:
+        if not 0 <= x < C.n_objects:
+            raise DanglingReference(f"object index {x} names no object of {C.name}")
     obj_reindex = {x: i for i, x in enumerate(objs)}
     keep = [
         f

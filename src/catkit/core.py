@@ -502,23 +502,35 @@ def tabulate(
     Entry i becomes morphism i, from ``mor_src[i]`` to ``mor_dst[i]`` and
     labelled ``mor_labels[i]``; ``identity[x]`` is the entry of object x's
     identity, and ``compose(e1, e2)`` the entry of "e1 then e2", asked for
-    each composable pair exactly once.  The tables go through :func:`fincat`,
-    which checks every law and refuses an identity that is not one of the
-    entries, read as index -1; a composite that is not one is refused here.
+    each composable pair exactly once.  Each composite is written into its
+    row as it is asked for; then, as in :func:`fincat`, the unit composites
+    are filled in and :func:`check_category_tables` checks every law,
+    refusing an identity that is not one of the entries, read as index -1.
+    A composite that is not one is refused here.
     Returns the category and the entry -> index map.
     """
     index = {e: i for i, e in enumerate(entries)}
     outs: dict[int, list[int]] = {}
     for i, x in enumerate(mor_src):
         outs.setdefault(x, []).append(i)
-    comp = {}
+    m = len(mor_labels)
+    w = max(m, len(entries))
+    rows: list[list[int | None]] = [[None] * w for _ in range(w)]
     for i, (e, y) in enumerate(zip(entries, mor_dst)):
+        row = rows[i]
         for j in outs.get(y, ()):
-            fg = comp[(i, j)] = index.get(compose(e, entries[j]))
+            fg = row[j] = index.get(compose(e, entries[j]))
             if fg is None:
                 raise DanglingReference(f"composite of entries {i} then {j} is not an entry")
     ids = [index.get(e, -1) for e in identity]
-    return fincat(name, objects, mor_labels, mor_src, mor_dst, ids, comp), index
+    if w > m:
+        # an entry past the labels: fincat refuses the first key naming one
+        comp = {(i, j): fg for i, row in enumerate(rows) for j, fg in enumerate(row)
+                if fg is not None}
+        return fincat(name, objects, mor_labels, mor_src, mor_dst, ids, comp), index
+    C, _ = _with_unit_composites(name, objects, mor_labels, mor_src, mor_dst, ids, rows)
+    check_category_tables(C)
+    return C, index
 
 
 def same_tables(a: FinCat, b: FinCat) -> bool:
@@ -735,14 +747,21 @@ def identity_functor(C: FinCat) -> Functor:
 
 
 def compose_functors(F: Functor, G: Functor, name: str = "") -> Functor:
-    """Diagrammatic: F then G."""
+    """Diagrammatic: F then G.  An image of F outside G's source is refused,
+    not read from the end of G's maps."""
     if F.target is not G.source and not same_tables(F.target, G.source):
         raise IllTypedImage("functors are not composable")
+    B, obj, mor = G.source, F.obj_map, F.mor_map
+    for maps, bound, what in ((obj, B.n_objects, "an object"),
+                              (mor, B.n_morphisms, "a morphism")):
+        if maps and (min(maps) < 0 or max(maps) >= bound):
+            raise IllTypedImage(f"{F.name} sends {what} outside the source of {G.name}")
+    g_obj, g_mor = G.obj_map, G.mor_map
     return Functor(
         F.source,
         G.target,
-        tuple(G.obj_map[x] for x in F.obj_map),
-        tuple(G.mor_map[f] for f in F.mor_map),
+        tuple([g_obj[x] for x in obj]),
+        tuple([g_mor[f] for f in mor]),
         name or f"{F.name};{G.name}",
     )
 

@@ -213,13 +213,16 @@ def category_to_json(C: FinCat) -> dict[str, Any]:
         "identities": {C.objects[x]: C.mor_labels[C.identity[x]] for x in range(C.n_objects)},
         "composition": [],
     }
-    ident = set(C.identity)
-    for f in range(C.n_morphisms):
-        for g in range(C.n_morphisms):
-            fg = C.comp_table[f][g]
-            if fg is None or f in ident or g in ident:
-                continue
-            doc["composition"].append([C.mor_labels[f], C.mor_labels[g], C.mor_labels[fg]])
+    # the composable pairs of f are f with out_of[dst f], in index order
+    ident, labels, out_of = set(C.identity), C.mor_labels, C.out_of
+    comp = doc["composition"]
+    for f, (row, y) in enumerate(zip(C.comp_table, C.mor_dst)):
+        if f in ident:
+            continue
+        for g in out_of[y]:
+            fg = row[g]
+            if fg is not None and g not in ident:
+                comp.append([labels[f], labels[g], labels[fg]])
     return doc
 
 

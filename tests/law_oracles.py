@@ -7,10 +7,13 @@ at, by its definition, and the triples through those middles.  Beside them,
 the loader's composition pass label by label, which the one-lookup-per-label
 pass in ``catkit.interchange`` is compared against; handed to
 ``catkit.core.fincat``, its composites make the generic route that the
-loader's own rows, typed as it writes them, are compared against."""
+loader's own rows, typed as it writes them, are compared against.  Last,
+the two routes that the walks over composable pairs alone replaced: the
+composition block written by visiting every pair of morphisms, and
+``tabulate`` storing its composites by key for ``fincat``."""
 from dataclasses import replace
 
-from catkit.core import FinCat, Functor
+from catkit.core import FinCat, Functor, fincat
 from catkit.errors import (
     AssociativityViolation,
     CompositionNotPreserved,
@@ -228,3 +231,32 @@ def resolve_composition(raw_comp: list, mor_index: dict, srcs, dsts) -> dict:
             )
         comp[(f, g)] = fg
     return comp
+
+
+def composition_block(C: FinCat) -> list[list[str]]:
+    """The composition block of C's document by the walk over all m^2 pairs
+    of morphisms: each pair of non-identity morphisms with a composite, rows
+    then columns in index order, as a label triple."""
+    ident, labels, m = set(C.identity), C.mor_labels, range(C.n_morphisms)
+    return [
+        [labels[f], labels[g], labels[fg]]
+        for f in m for g in m
+        if (fg := C.comp_table[f][g]) is not None and f not in ident and g not in ident
+    ]
+
+
+def tabulate_by_keys(name, objects, entries, mor_src, mor_dst, mor_labels, identity, compose):
+    """``core.tabulate`` through ``core.fincat``: each composite stored at
+    its ``(i, j)`` key, which fincat range-checks and copies into its row."""
+    index = {e: i for i, e in enumerate(entries)}
+    outs: dict[int, list[int]] = {}
+    for i, x in enumerate(mor_src):
+        outs.setdefault(x, []).append(i)
+    comp = {}
+    for i, (e, y) in enumerate(zip(entries, mor_dst)):
+        for j in outs.get(y, ()):
+            fg = comp[(i, j)] = index.get(compose(e, entries[j]))
+            if fg is None:
+                raise DanglingReference(f"composite of entries {i} then {j} is not an entry")
+    ids = [index.get(e, -1) for e in identity]
+    return fincat(name, objects, mor_labels, mor_src, mor_dst, ids, comp), index

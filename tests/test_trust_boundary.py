@@ -10,23 +10,39 @@ what they build.  The public verbs that take a certificate, a bag or a
 table from outside refuse a malformed one before they read it: every
 ``transfer_*`` checks its certificate, and ``limits.preserves`` and
 ``preserves_exponentials`` refuse a bad target entry before they decide
-anything, and every bag verb refuses a bag without a kind it reads."""
+anything, and every bag verb refuses a bag without a kind it reads.
+``full_subcategory`` refuses an object index that names no object, and
+``compose_functors`` an image of the first functor outside the second's
+source, rather than reading either from the end of a table."""
 import re
 from functools import cache
 
 import pytest
 
 from catkit import classifier, exponentials, limits, nno
-from catkit.completion import inflate, skeletality, skeletize, skeleton_inclusion
+from catkit.completion import (
+    full_subcategory,
+    inflate,
+    skeletality,
+    skeletize,
+    skeleton_inclusion,
+)
 from catkit.core import (
     Functor,
     WeakEquivalenceCert,
     check_functor,
+    compose_functors,
     check_weak_equivalence_cert,
     identity_functor,
     is_fully_faithful,
 )
-from catkit.errors import CatkitError, DependencyMissing, InvalidCert
+from catkit.errors import (
+    CatkitError,
+    DanglingReference,
+    DependencyMissing,
+    IllTypedImage,
+    InvalidCert,
+)
 from catkit.generators import (
     chain_poset,
     delooping,
@@ -168,6 +184,12 @@ _BAG_VERBS = {
         lambda C, eta, bag: classifier.preserves_subobject_classifier(eta, bag, bag, {}),
         "classifier",
     ),
+    "is_logical_functor": (lambda C, eta, bag: classifier.is_logical_functor(eta, {}, {}), "terminal"),
+    # a source bag naming every topos kind, so that the target's is refused
+    "is_logical_functor, target": (
+        lambda C, eta, bag: classifier.is_logical_functor(eta, {**bag, "classifier": None}, {}),
+        "terminal",
+    ),
 }
 
 
@@ -177,6 +199,26 @@ def test_a_bag_verb_refuses_a_bag_without_a_kind_it_reads(verb):
     call, kind = _BAG_VERBS[verb]
     with pytest.raises(DependencyMissing, match=f"the bag lacks '{kind}'"):
         call(C, res.eta, bagC)
+
+
+def test_full_subcategory_refuses_an_index_that_names_no_object():
+    C = _chain()[0]
+    for x in (-1, C.n_objects, 10**6):
+        with pytest.raises(DanglingReference, match=f"^object index {x} names no object of "):
+            full_subcategory(C, [0, x])
+
+
+def test_compose_functors_refuses_an_image_outside_the_second_source():
+    C, res, _, _ = _chain()
+    D = res.completed
+    eta, G = res.eta, identity_functor(D)
+    for x, y in ((-1, -1), (D.n_objects, D.n_morphisms), (10**6, 10**6)):
+        bad_obj = Functor(C, D, (x,) + eta.obj_map[1:], eta.mor_map, "F")
+        bad_mor = Functor(C, D, eta.obj_map, eta.mor_map[:-1] + (y,), "F")
+        for F, what in ((bad_obj, "an object"), (bad_mor, "a morphism")):
+            with pytest.raises(IllTypedImage, match=f"^F sends {what} outside the source of "):
+                compose_functors(F, G)
+    assert compose_functors(eta, G).obj_map == eta.obj_map
 
 
 def _corruptions(res):
