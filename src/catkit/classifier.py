@@ -15,7 +15,7 @@ arrow of a thin category is monic, and every mono a classifier classifies
 there is an iso.
 
 A topos is a bag of its six components keyed by kind name, and the topos
-helpers walk the kinds through ``lifting.KINDS``; they import ``lifting``
+helpers walk ``lifting.KINDS`` and ``TOPOS_KINDS``; they import ``lifting``
 when called, since ``lifting`` imports this module.
 """
 from __future__ import annotations
@@ -82,6 +82,10 @@ class SubobjectClassifierW:
     def _replace(self, **changes) -> SubobjectClassifierW:
         """A copy with changes made, as every tuple witness's ``_replace``."""
         return replace(self, **changes)
+
+    def __iter__(self):
+        """The fields in order, as every tuple witness's."""
+        return iter((self.omega, self.tau, self.chi))
 
 
 def _chi_table(
@@ -258,23 +262,11 @@ def lift_preservation_subobject_classifier(
                        carried, dst, Hcerts)
 
 
-# the structure kinds of an elementary topos, in dependency order, with the
-# names gap lists give them
-TOPOS_KINDS = {
-    "terminal": "terminal",
-    "products": "binary products",
-    "equalizers": "equalizers",
-    "pullbacks": "pullbacks",
-    "exponentials": "exponentials",
-    "classifier": "subobject classifier",
-}
-
-
 def gaps_from_found(found: dict[str, object]) -> list[str]:
     """Names of the missing topos components, in dependency order, from a
     bag of the kinds a search found; a component whose dependency is missing
     is reported as such rather than as absent."""
-    from .lifting import KINDS
+    from .lifting import KINDS, TOPOS_KINDS
 
     gaps = []
     for kind, label in TOPOS_KINDS.items():
@@ -289,7 +281,7 @@ def gaps_from_found(found: dict[str, object]) -> list[str]:
 def topos_gaps(C: FinCat) -> list[str]:
     """Names of the topos components this category is missing, in dependency
     order; downstream components that need missing ones are not attempted."""
-    from .lifting import find_bag
+    from .lifting import TOPOS_KINDS, find_bag
 
     return gaps_from_found(find_bag(C, TOPOS_KINDS))
 
@@ -297,7 +289,7 @@ def topos_gaps(C: FinCat) -> list[str]:
 def assemble_topos(C: FinCat) -> dict[str, object] | None:
     """A bag of every topos component, keyed by kind, or None when one is
     missing."""
-    from .lifting import find_bag
+    from .lifting import TOPOS_KINDS, find_bag
 
     bag = find_bag(C, TOPOS_KINDS)
     return bag if len(bag) == len(TOPOS_KINDS) else None
@@ -308,7 +300,7 @@ def is_logical_functor(F: Functor, TC: dict, TD: dict) -> dict[str, object] | No
     F between the topos bags TC and TD; None when F fails to preserve one.
     A bag without a kind the verbs read is refused before anything is
     decided: every kind of TC, and the limit kinds of TD."""
-    from .lifting import KINDS
+    from .lifting import KINDS, TOPOS_KINDS
 
     refuse_missing_kinds(TC, tuple(TOPOS_KINDS))
     refuse_missing_kinds(TD, ("terminal", "products", "equalizers", "pullbacks"))

@@ -63,7 +63,7 @@ from .interchange import (
     structure_to_json,
     validate_category,
 )
-from .lifting import KIND_ORDER, complete_structured, factor_structured, find_bag, with_dependencies
+from .lifting import KINDS, complete_structured, factor_structured, find_bag, with_dependencies
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -71,17 +71,9 @@ EXIT_ABSENT = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# CLI structure tokens; "omega" is the user-facing name of the classifier
-TOKEN_TO_KIND = {
-    "terminal": "terminal",
-    "products": "products",
-    "equalizers": "equalizers",
-    "pullbacks": "pullbacks",
-    "exponentials": "exponentials",
-    "omega": "classifier",
-    "pnno": "pnno",
-}
-KIND_TO_TOKEN = {v: k for k, v in TOKEN_TO_KIND.items()}
+# CLI structure tokens, each registered with its kind
+KIND_TO_TOKEN = {name: kind.token for name, kind in KINDS.items()}
+TOKEN_TO_KIND = {token: name for name, token in KIND_TO_TOKEN.items()}
 
 
 @dataclass
@@ -218,9 +210,7 @@ def cmd_analyze(args) -> tuple[RunReport, int]:
     report.status["skeletality"] = skeletality_line(C)
     report.payload = structure_to_json(C, bag)
     report.payload["gaps"] = gaps_from_found(bag) if args.structure is None else []
-    missing = args.structure is not None and any(
-        TOKEN_TO_KIND[t] not in bag for t in requested
-    )
+    missing = args.structure is not None and any(TOKEN_TO_KIND[t] not in bag for t in requested)
     return report, (EXIT_ABSENT if missing else EXIT_OK)
 
 
@@ -231,7 +221,7 @@ def cmd_complete(args) -> tuple[RunReport, int]:
     out_doc = category_to_json(res.completed)
     if args.carry_structure:
         # the bag complete_structured would carry, found on the completion alone
-        bag = find_bag(res.completed, KIND_ORDER)
+        bag = find_bag(res.completed, KINDS)
         out_doc.update(structure_to_json(res.completed, bag))
         report.status["carried"] = ", ".join(KIND_TO_TOKEN[k] for k in bag) or "nothing"
     report.status["objects"] = f"{C.n_objects} -> {res.completed.n_objects}"
@@ -458,7 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="search a category for chosen structure")
     p.add_argument("path")
-    p.add_argument("--structure", help="comma-separated: terminal,products,equalizers,pullbacks,exponentials,omega,pnno")
+    structures = f"comma-separated: {','.join(TOKEN_TO_KIND)}"
+    p.add_argument("--structure", help=structures)
 
     p = sub.add_parser("complete", help="skeletal completion, optionally carrying structure")
     p.add_argument("path")
@@ -469,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--functor", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--structures", help="comma-separated structure list")
+    p.add_argument("--structures", help=structures)
     p.add_argument("--out")
 
     p = sub.add_parser("demo", help="run a named example end to end")

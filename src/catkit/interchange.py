@@ -23,10 +23,11 @@ from .errors import (
     DanglingReference,
     FunctorValidationError,
     IllTypedComposite,
+    InvalidCert,
     MalformedInput,
     MissingIdentity,
 )
-from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, ChosenTerminal
+from .lifting import CHI, KIND_ORDER, KINDS, OBJECT, StructureBlock, _check_known
 
 
 _KIND_NAMES = {list: "a list", dict: "an object", str: "a label"}
@@ -286,65 +287,82 @@ def functor_to_json(F: Functor) -> dict[str, Any]:
 # structure blocks
 
 
-def _obj_ref(C: FinCat, label: Any, pointer: str) -> int:
-    x = _index_of(C.object_indices, label)
-    if x is None:
-        raise DanglingReference(f"unknown object {label!r}", pointer=pointer)
-    return x
+def _field(C: FinCat, name: str, field: str | None, ref: str):
+    """(read, write) for a field of kind name's block on C.  read takes a
+    label, at its entry's pointer, to the index of what it names, as ref
+    says; write takes an index, at its entry's key, back, and refuses one
+    that names nothing of C.  For CHI both map a map's keys and values."""
+    indices, labels, what = ((C.object_indices, C.objects, "object") if ref == OBJECT
+                             else (C.morphism_indices, C.mor_labels, "morphism"))
+
+    def read(label: Any, pointer: str) -> int:
+        x = _index_of(indices, label)
+        if x is None:
+            raise DanglingReference(f"unknown {what} {label!r}", pointer=pointer)
+        return x
+
+    def write(x: int, key: Any) -> str:
+        if not 0 <= x < len(labels):
+            at = "" if key is None else f" at key {key!r}"
+            raise InvalidCert(f"'{name}'{at}: {field or 'label'} {x!r} names no {what} of {C.name}")
+        return labels[x]
+
+    if ref != CHI:
+        return read, write
+
+    def read_map(value: Any, pointer: str) -> dict[int, int]:
+        p = f"{pointer}/{field}"
+        return {read(k, p): read(v, p) for k, v in _expect(value, dict, field, p).items()}
+
+    return read_map, lambda chi, key: {write(f, f): write(g, f) for f, g in sorted(chi.items())}
 
 
-def _mor_ref(C: FinCat, label: Any, pointer: str) -> int:
-    f = _index_of(C.morphism_indices, label)
-    if f is None:
-        raise DanglingReference(f"unknown morphism {label!r}", pointer=pointer)
-    return f
+def _write_block(C: FinCat, name: str, block: StructureBlock, w: Any) -> Any:
+    """Kind name's bag entry w as its block."""
+    writers = [(f, _field(C, name, f, ref)[1]) for f, ref in block.fields]
+    rows = [{f: write(v, key) for (f, write), v in zip(writers, w)}
+            for key, w in (sorted(w.items()) if block.key else [(None, w)])]
+    return rows if block.key else rows[0] if block.fields[0][0] else rows[0][None]
 
 
-# bag kind, block name under "structure", and shape of the keyed limits; a
-# block entry's keys are the witness's field names
-_KEYED_LIMITS = (
-    ("products", "binproducts", PRODUCTS),
-    ("equalizers", "equalizers", EQUALIZERS),
-    ("pullbacks", "pullbacks", PULLBACKS),
-)
+def _read_block(C: FinCat, name: str, block: StructureBlock, value: Any, pointer: str) -> Any:
+    """The bag entry of kind name a block holds.  An absent map is empty,
+    and an absent label is read as null."""
+    readers = [(f, {} if r == CHI else None, _field(C, name, f, r)[0]) for f, r in block.fields]
+    maps = [f for f, ref in block.fields if ref == CHI]
+    last = block.path[-1]
+    if not block.fields[0][0]:
+        return block.witness(readers[0][2](value, pointer))
+
+    def entry(e: Any, p: str, what: str):
+        _expect(e, dict, what, p)
+        for f in maps:   # a map's type is checked before any label is read
+            _expect(e.get(f, {}), dict, f, f"{p}/{f}")
+        return block.witness(*[read(e.get(f, absent), p) for f, absent, read in readers])
+
+    if not block.key:
+        return entry(value, pointer, last)
+    table: dict = {}
+    for i, e in enumerate(_expect(value, list, last, pointer)):
+        w = entry(e, f"{pointer}/{i}", f"each {last} entry")
+        _enter(table, w[:block.key], w, f"{pointer}/{i}")
+    return table
 
 
 def structure_to_json(C: FinCat, bag: dict[str, Any]) -> dict[str, Any]:
     """JSON blocks for a witness bag, ready to merge into the category's
-    document.  Finite-limit witnesses live under "structure"; exponentials,
-    the classifier, and the parameterized N are top-level blocks.
-    """
-    o, m = (lambda i: C.objects[i]), (lambda i: C.mor_labels[i])
+    document, each where its kind's ``block`` says, in dependency order.
+    A bag keyed by anything but a kind raises PreconditionViolation, and an
+    index that names nothing of C raises InvalidCert."""
+    _check_known(bag)
     out: dict[str, Any] = {}
-    block: dict[str, Any] = {}
-    if "terminal" in bag:
-        block["terminal"] = o(bag["terminal"].t)
-    for kind, name, shape in _KEYED_LIMITS:
-        if kind in bag:
-            block[name] = [
-                {
-                    f: (o if is_obj else m)(v)
-                    for (f, is_obj), v in zip(shape.field_kinds, w)
-                }
-                for _, w in sorted(bag[kind].items())
-            ]
-    if block:
-        out["structure"] = block
-    if "exponentials" in bag:
-        out["exponentials"] = [
-            {"base": o(w.x), "target": o(w.y), "obj": o(w.obj), "ev": m(w.ev)}
-            for _, w in sorted(bag["exponentials"].items())
-        ]
-    if "classifier" in bag:
-        w = bag["classifier"]
-        out["subobject_classifier"] = {
-            "omega": o(w.omega),
-            "tau": m(w.tau),
-            "chi": {m(mono): m(chi) for mono, chi in sorted(w.chi.items())},
-        }
-    if "pnno" in bag:
-        w = bag["pnno"]
-        out["pnno"] = {"N": o(w.N), "z": m(w.z), "s": m(w.s)}
+    for name in KIND_ORDER:
+        if name in bag:
+            block = KINDS[name].block
+            node = out
+            for step in block.path[:-1]:
+                node = node.setdefault(step, {})
+            node[block.path[-1]] = _write_block(C, name, block, bag[name])
     return out
 
 
@@ -352,52 +370,16 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
     """Parse whatever structure blocks a category document carries into a
     witness bag.  Reference shape is checked here, and so is that no key
     has two different entries; semantic validity is the caller's job."""
-    from .classifier import SubobjectClassifierW
-    from .exponentials import ExponentialW
-    from .nno import PNNOW
-
+    if not isinstance(doc, dict):
+        raise MalformedInput("category document must be an object")
     bag: dict[str, Any] = {}
-    block = _expect(doc.get("structure", {}), dict, "structure", "/structure")
-    if "terminal" in block:
-        bag["terminal"] = ChosenTerminal(_obj_ref(C, block["terminal"], "/structure/terminal"))
-    for kind, name, shape in _KEYED_LIMITS:
-        if name not in block:
-            continue
-        table = {}
-        for i, e in enumerate(_expect(block[name], list, name, f"/structure/{name}")):
-            p = f"/structure/{name}/{i}"
-            _expect(e, dict, f"each {name} entry", p)
-            w = shape.witness(*(
-                (_obj_ref if is_obj else _mor_ref)(C, e.get(f), p)
-                for f, is_obj in shape.field_kinds
-            ))
-            _enter(table, w[:shape.n_key], w, p)
-        bag[kind] = table
-    if "exponentials" in doc:
-        table = {}
-        for i, e in enumerate(_expect(doc["exponentials"], list, "exponentials", "/exponentials")):
-            p = f"/exponentials/{i}"
-            _expect(e, dict, "each exponentials entry", p)
-            w = ExponentialW(
-                _obj_ref(C, e.get("base"), p), _obj_ref(C, e.get("target"), p),
-                _obj_ref(C, e.get("obj"), p), _mor_ref(C, e.get("ev"), p),
-            )
-            _enter(table, w[:2], w, p)
-        bag["exponentials"] = table
-    if "subobject_classifier" in doc:
-        p = "/subobject_classifier"
-        e = _expect(doc["subobject_classifier"], dict, "subobject_classifier", p)
-        chi_raw = _expect(e.get("chi", {}), dict, "chi", f"{p}/chi")
-        bag["classifier"] = SubobjectClassifierW(
-            _obj_ref(C, e.get("omega"), p),
-            _mor_ref(C, e.get("tau"), p),
-            {_mor_ref(C, k, f"{p}/chi"): _mor_ref(C, v, f"{p}/chi") for k, v in chi_raw.items()},
-        )
-    if "pnno" in doc:
-        e = _expect(doc["pnno"], dict, "pnno", "/pnno")
-        bag["pnno"] = PNNOW(
-            _obj_ref(C, e.get("N"), "/pnno"),
-            _mor_ref(C, e.get("z"), "/pnno"),
-            _mor_ref(C, e.get("s"), "/pnno"),
-        )
+    for name in KIND_ORDER:
+        block = KINDS[name].block
+        node, pointer = doc, ""
+        for step in block.path[:-1]:
+            pointer += f"/{step}"
+            node = _expect(node.get(step, {}), dict, step, pointer)
+        last = block.path[-1]
+        if last in node:
+            bag[name] = _read_block(C, name, block, node[last], f"{pointer}/{last}")
     return bag

@@ -5,12 +5,12 @@ validate a witness, find one, transfer it along a weak equivalence, decide
 preservation by a functor, and lift preservation through a factorization
 triangle.  The registry drives whole-pipeline operations in dependency
 order, so exponentials always follow products, and the classifier and
-parameterized-N always follow the terminal.  The four finite-limit kinds
-are registered from one table of (kind, verb suffix, shape), and the
-exponentials, classifier and parameterized-N from one table of (kind,
-dependencies, module, verb suffix), whose verbs already take the bags.
-Every verb is looked up on its module when called.  :func:`find_bag` is the
-one walk that searches a category for a set of kinds.
+parameterized-N always follow the terminal.  Each kind is declared once,
+with its CLI token, topos label and JSON block: the four finite-limit kinds
+in one table, and the exponentials, classifier and parameterized-N, whose
+verbs already take the bags, in another.  Every verb is looked up on its
+module when called.  :func:`find_bag` is the one walk that searches a
+category for a set of kinds.
 
 Structure is searched for on the skeleton, which is equivalent to the source
 and usually far smaller, and carried back to the source along the inclusion
@@ -56,6 +56,24 @@ from . import classifier, exponentials, limits, nno
 from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check_table
 
 
+# what a field of a structure block names
+OBJECT, MORPHISM, CHI = "object", "morphism", "chi"
+
+
+@dataclass(frozen=True)
+class StructureBlock:
+    """Where a kind's bag entry sits in a category document, and each
+    field of its witness type, in order, with its JSON name and what it
+    names.  A table, keyed by its first ``key`` fields, is a list of one
+    object per entry in key order; a single witness is one object, or the
+    bare label of its one field where that has no name."""
+
+    path: tuple[str, ...]
+    witness: type
+    fields: tuple[tuple[str | None, str], ...]
+    key: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class StructureKind:
     """Uniform handle on one kind of categorical structure.
@@ -74,10 +92,15 @@ class StructureKind:
     factored functor's certificates for the kinds before it; every kind's
     lift is ``limits.decide_lift``, the triangle's check and then
     ``preserves`` on the factored functor.
+    ``token`` names the kind on the command line, ``topos`` in topos gap
+    lists (None off the topos), and ``block`` in a category document.
     """
 
     name: str
     deps: tuple[str, ...]
+    token: str
+    topos: str | None
+    block: StructureBlock
     check: Callable[[FinCat, dict], None]
     find: Callable[[FinCat, dict], object | None]
     transfer: Callable[[WeakEquivalenceCert, dict, dict], object]
@@ -87,11 +110,12 @@ class StructureKind:
     ]
 
 
-def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
+def _limit_kind(name: str, suffix: str, shape: LimitShape, token: str, topos: str,
+                under: str) -> StructureKind:
     """A finite-limit kind whose verbs are the ``limits`` names ending in
     suffix, looked up when called, so that a wrapper installed on the module
     sees every call.  The terminal's bag entry is its one witness, not a
-    table."""
+    table, and its block under "structure" the label of its apex."""
 
     def call(prefix, *args, **kwargs):
         return getattr(limits, prefix + suffix)(*args, **kwargs)
@@ -99,9 +123,11 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     def table(bag):
         return bag[name] if shape.n_key else {(): bag[name]}
 
+    fields = tuple((f if shape.n_key else None, OBJECT if is_obj else MORPHISM)
+                   for f, is_obj in shape.field_kinds)
+    block = StructureBlock(("structure", under), shape.witness, fields, shape.n_key)
     return StructureKind(
-        name,
-        (),
+        name, (), token, topos, block,
         lambda C, bag: check_table(shape, C, table(bag)),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst: call("transfer_", cert, src[name]),
@@ -112,41 +138,50 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape) -> StructureKind:
     )
 
 
-def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str) -> StructureKind:
+def _bag_kind(name: str, deps: tuple[str, ...], module, suffix: str, *about) -> StructureKind:
     """A kind whose verbs are the names of module ending in suffix, each
     taking the bags as they are; looked up when called, as in
-    :func:`_limit_kind`."""
+    :func:`_limit_kind`.  about is its token, topos label and block."""
 
     def verb(prefix):
         return lambda *args: getattr(module, prefix + suffix)(*args)
 
     return StructureKind(
-        name, deps, verb("check_"), verb("find_"), verb("transfer_"), verb("preserves_"),
-        verb("lift_preservation_"),
+        name, deps, *about, verb("check_"), verb("find_"), verb("transfer_"),
+        verb("preserves_"), verb("lift_preservation_"),
     )
 
 
-# (kind, suffix of its verbs in limits, shape), in dependency order
+# (kind, verb suffix in limits, shape, CLI token, topos label, block under "structure")
 _LIMIT_KINDS = (
-    ("terminal", "terminal", TERMINAL),
-    ("products", "binary_products", PRODUCTS),
-    ("equalizers", "equalizers", EQUALIZERS),
-    ("pullbacks", "pullbacks", PULLBACKS),
+    ("terminal", "terminal", TERMINAL, "terminal", "terminal", "terminal"),
+    ("products", "binary_products", PRODUCTS, "products", "binary products", "binproducts"),
+    ("equalizers", "equalizers", EQUALIZERS, "equalizers", "equalizers", "equalizers"),
+    ("pullbacks", "pullbacks", PULLBACKS, "pullbacks", "pullbacks", "pullbacks"),
 )
 
-# (kind, its dependencies, module of its verbs, their suffix), in dependency order
+# (kind, dependencies, module of its verbs, their suffix, CLI token, topos label, block)
 _BAG_KINDS = (
-    ("exponentials", ("products",), exponentials, "exponentials"),
-    ("classifier", ("terminal",), classifier, "subobject_classifier"),
-    ("pnno", ("terminal", "products"), nno, "pnno"),
+    ("exponentials", ("products",), exponentials, "exponentials", "exponentials", "exponentials",
+     StructureBlock(("exponentials",), exponentials.ExponentialW,
+                    (("base", OBJECT), ("target", OBJECT), ("obj", OBJECT), ("ev", MORPHISM)), 2)),
+    ("classifier", ("terminal",), classifier, "subobject_classifier", "omega",
+     "subobject classifier",
+     StructureBlock(("subobject_classifier",), classifier.SubobjectClassifierW,
+                    (("omega", OBJECT), ("tau", MORPHISM), ("chi", CHI)))),
+    ("pnno", ("terminal", "products"), nno, "pnno", "pnno", None,
+     StructureBlock(("pnno",), nno.PNNOW, (("N", OBJECT), ("z", MORPHISM), ("s", MORPHISM)))),
 )
 
 KINDS: dict[str, StructureKind] = {
-    **{name: _limit_kind(name, suffix, shape) for name, suffix, shape in _LIMIT_KINDS},
-    **{name: _bag_kind(name, deps, module, suffix) for name, deps, module, suffix in _BAG_KINDS},
+    **{row[0]: _limit_kind(*row) for row in _LIMIT_KINDS},
+    **{row[0]: _bag_kind(*row) for row in _BAG_KINDS},
 }
 
 KIND_ORDER = tuple(KINDS)
+
+# the kinds of an elementary topos, in dependency order, with their gap labels
+TOPOS_KINDS = {name: kind.topos for name, kind in KINDS.items() if kind.topos}
 
 
 def _refuted(name: str, C: FinCat, bag: dict, searched) -> bool:

@@ -13,7 +13,10 @@ table from outside refuse a malformed one before they read it: every
 anything, and every bag verb refuses a bag without a kind it reads.
 ``full_subcategory`` refuses an object index that names no object, and
 ``compose_functors`` an image of the first functor outside the second's
-source, rather than reading either from the end of a table."""
+source, rather than reading either from the end of a table.
+``structure_from_json`` refuses a document that is not an object, and
+``structure_to_json`` a bag keyed by anything but a kind and a witness
+index, a chi entry's included, that names nothing of its category."""
 import re
 from functools import cache
 
@@ -42,6 +45,8 @@ from catkit.errors import (
     DependencyMissing,
     IllTypedImage,
     InvalidCert,
+    MalformedInput,
+    PreconditionViolation,
 )
 from catkit.generators import (
     chain_poset,
@@ -52,7 +57,9 @@ from catkit.generators import (
     heyting_diamond,
     hvalued_sets,
 )
-from catkit.lifting import find_bag
+from catkit.interchange import structure_from_json, structure_to_json
+from catkit.lifting import KIND_ORDER, find_bag
+from catkit.limits import ChosenTerminal
 from test_law_oracles import corpus as law_corpus
 
 
@@ -276,3 +283,37 @@ def test_a_short_eso_witness_is_refused_by_the_certificate_check():
                      lambda: nno.transfer_pnno(short, bagC, bagD)):
         with pytest.raises(InvalidCert, match="eso witness does not cover the target objects"):
             transfer()
+
+
+@pytest.mark.parametrize("doc", [[], None, "structure", 3])
+def test_structure_from_json_refuses_a_document_that_is_not_an_object(doc):
+    with pytest.raises(MalformedInput, match="^category document must be an object$"):
+        structure_from_json(doc, chain_poset(3))
+
+
+def test_structure_to_json_refuses_an_unknown_kind():
+    with pytest.raises(PreconditionViolation, match="^unknown structure kind 'bogus'$"):
+        structure_to_json(chain_poset(3), {"bogus": 1})
+
+
+def test_structure_to_json_refuses_an_index_that_names_nothing():
+    C = chain_poset(3)
+    for t in (-1, 3, 99):
+        with pytest.raises(InvalidCert, match=f"^'terminal': label {t} names no object of "):
+            structure_to_json(C, {"terminal": ChosenTerminal(t)})
+    assert structure_to_json(C, {"terminal": ChosenTerminal(2)}) == {"structure": {"terminal": "c2"}}
+    bag = find_bag(C, KIND_ORDER)
+    key, w = next(iter(bag["products"].items()))
+    for field, x, what in (("apex", -1, "object"), ("pi2", C.n_morphisms, "morphism")):
+        table = {**bag["products"], key: w._replace(**{field: x})}
+        with pytest.raises(InvalidCert, match=re.escape(
+                f"'products' at key {key!r}: {field} {x} names no {what} of {C.name}")):
+            structure_to_json(C, {**bag, "products": table})
+    # a chi entry, key or value, that names no morphism
+    G = inflate(finset_fragment(2), [1, 2, 1])[0]
+    soc = find_bag(G, ("terminal", "classifier"))["classifier"]
+    mono, chi = next(iter(soc.chi.items()))
+    for table, bad in (({**soc.chi, mono: -1}, -1), ({G.n_morphisms: chi}, G.n_morphisms)):
+        with pytest.raises(InvalidCert, match=r"^'classifier' at key -?\d+: chi "
+                           f"{bad} names no morphism of "):
+            structure_to_json(G, {"classifier": soc._replace(chi=table)})
