@@ -149,6 +149,7 @@ def find_subobject_classifier(C: FinCat, bag: dict) -> SubobjectClassifierW | No
     tick: a pullback of tau along any chi is the whole of its domain there,
     so every mono it classifies is an iso, and every arrow of a thin
     category is monic."""
+    refuse_missing_kinds(bag, ("terminal",))
     term = bag["terminal"]
     if not is_terminal(C, term.t):
         raise InvalidCert("terminal witness does not name a terminal object")
@@ -169,6 +170,7 @@ def find_subobject_classifier(C: FinCat, bag: dict) -> SubobjectClassifierW | No
 
 
 def check_subobject_classifier(C: FinCat, bag: dict) -> None:
+    refuse_missing_kinds(bag, ("terminal", "classifier"))
     w = bag["classifier"]
     rebuilt = subobject_classifier_cert(C, bag["terminal"], w.omega, w.tau)
     if rebuilt.chi != w.chi:
@@ -218,7 +220,7 @@ class OmegaPreservationCert:
 
 
 def preserves_subobject_classifier(
-    F: Functor, src: dict, dst: dict, certs: dict
+    F: Functor, src: dict, dst: dict
 ) -> OmegaPreservationCert | None:
     """The comparison, the classifying morphism in the chi table of dst of
     the image truth arrow, as an iso; None when F does not preserve the
@@ -252,14 +254,13 @@ def preserves_subobject_classifier(
 
 
 def lift_preservation_subobject_classifier(
-    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, src: dict, dst: dict,
-    Fcerts: dict, carried: dict, Hcerts: dict,
+    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, carried: dict, dst: dict,
 ) -> OmegaPreservationCert:
     """Classifier preservation for the factored functor, decided directly;
     carried holds the terminal and classifier already transferred to the
-    completion, and Hcerts H's certificates already lifted."""
+    completion, and dst those of F's target."""
     return decide_lift("classifier", cert, F, H, alpha, preserves_subobject_classifier,
-                       carried, dst, Hcerts)
+                       carried, dst)
 
 
 def gaps_from_found(found: dict[str, object]) -> list[str]:
@@ -306,7 +307,7 @@ def is_logical_functor(F: Functor, TC: dict, TD: dict) -> dict[str, object] | No
     refuse_missing_kinds(TD, ("terminal", "products", "equalizers", "pullbacks"))
     certs: dict[str, object] = {}
     for kind in TOPOS_KINDS:
-        cert = KINDS[kind].preserves(F, TC, TD, certs)
+        cert = KINDS[kind].preserves(F, TC, TD)
         if cert is None:
             return None
         certs[kind] = cert

@@ -205,9 +205,7 @@ def carry_exponentials(
     return MappingProxyType(table)
 
 
-def preserves_exponentials(
-    F: Functor, src: dict, dst: dict, certs: dict
-) -> ExpPreservationCert | None:
+def preserves_exponentials(F: Functor, src: dict, dst: dict) -> ExpPreservationCert | None:
     """Each image F(obj) compared with the chosen exponential of the images
     by the pair of arrows between the two objects; None when some pair is
     not isomorphic.  Bad input is refused before anything is decided, as in
@@ -216,8 +214,7 @@ def preserves_exponentials(
     target entry that is missing or cannot be an exponential: F,
     preserving products, takes the product of (obj, x) below y to one below
     F(y), so F(obj) lies below the implication, whose ev is the arrow out
-    of its chosen product.  certs is not read: the order decides without
-    F's products certificate."""
+    of its chosen product."""
     refuse_missing_kinds(src, ("exponentials",))
     refuse_missing_kinds(dst, ("products", "exponentials"))
     D = F.target
@@ -255,12 +252,10 @@ def preserves_exponentials(
 
 
 def lift_preservation_exponentials(
-    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, src: dict, dst: dict,
-    Fcerts: dict, carried: dict, Hcerts: dict,
+    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, carried: dict, dst: dict,
 ) -> ExpPreservationCert:
     """Preservation of the transferred exponentials for the factored
-    functor, decided directly; carried holds the products and exponentials
-    already transferred to the completion, and Hcerts H's certificates for
-    the products, already lifted."""
-    return decide_lift("exponential", cert, F, H, alpha, preserves_exponentials,
-                       carried, dst, Hcerts)
+    functor, decided directly; carried holds the exponentials already
+    transferred to the completion, and dst the products and exponentials
+    of F's target."""
+    return decide_lift("exponential", cert, F, H, alpha, preserves_exponentials, carried, dst)

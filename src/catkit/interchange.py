@@ -291,7 +291,8 @@ def _field(C: FinCat, name: str, field: str | None, ref: str):
     """(read, write) for a field of kind name's block on C.  read takes a
     label, at its entry's pointer, to the index of what it names, as ref
     says; write takes an index, at its entry's key, back, and refuses one
-    that names nothing of C.  For CHI both map a map's keys and values."""
+    that is not an int, a bool included, or names nothing of C.  For CHI
+    both map a map's keys and values."""
     indices, labels, what = ((C.object_indices, C.objects, "object") if ref == OBJECT
                              else (C.morphism_indices, C.mor_labels, "morphism"))
 
@@ -302,7 +303,7 @@ def _field(C: FinCat, name: str, field: str | None, ref: str):
         return x
 
     def write(x: int, key: Any) -> str:
-        if not 0 <= x < len(labels):
+        if type(x) is not int or not 0 <= x < len(labels):
             at = "" if key is None else f" at key {key!r}"
             raise InvalidCert(f"'{name}'{at}: {field or 'label'} {x!r} names no {what} of {C.name}")
         return labels[x]

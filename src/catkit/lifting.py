@@ -27,8 +27,8 @@ Pullbacks are absent without a search where a category with a terminal
 object has no products: they were not found, or it is not thin.  Lifting
 preservation through a factorization reuses the carried witnesses instead
 of transferring them again, and decides the factored functor's
-preservation directly, with the certificates already lifted for the kinds
-it depends on.
+preservation directly, of the carried bag into the target's, as
+``preserves`` reads them.
 """
 from __future__ import annotations
 
@@ -86,12 +86,12 @@ class StructureKind:
     equivalence's certificate, followed by the kind's carry into any
     target, skeletal or not, and returns the carried entry; it is typed by
     construction, or for the classifier searched for on the target, and
-    ``preserves`` decides it.
+    ``preserves`` decides it, from a functor and the bags at its two ends.
     ``lift`` receives the bag carried to the completion, whose entries are
-    the transfers of the source bag along the equivalence, and last the
-    factored functor's certificates for the kinds before it; every kind's
-    lift is ``limits.decide_lift``, the triangle's check and then
-    ``preserves`` on the factored functor.
+    the transfers of the source bag along the equivalence, and the bag of
+    the outer functor's target; every kind's lift is
+    ``limits.decide_lift``, the triangle's check and then ``preserves`` on
+    the factored functor, of the one bag into the other.
     ``token`` names the kind on the command line, ``topos`` in topos gap
     lists (None off the topos), and ``block`` in a category document.
     """
@@ -104,10 +104,8 @@ class StructureKind:
     check: Callable[[FinCat, dict], None]
     find: Callable[[FinCat, dict], object | None]
     transfer: Callable[[WeakEquivalenceCert, dict, dict], object]
-    preserves: Callable[[Functor, dict, dict, dict], object | None]
-    lift: Callable[
-        [WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict, dict, dict, dict], object
-    ]
+    preserves: Callable[[Functor, dict, dict], object | None]
+    lift: Callable[[WeakEquivalenceCert, Functor, Functor, NatIso, dict, dict], object]
 
 
 def _limit_kind(name: str, suffix: str, shape: LimitShape, token: str, topos: str,
@@ -131,9 +129,9 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape, token: str, topos: st
         lambda C, bag: check_table(shape, C, table(bag)),
         lambda C, bag: call("find_", C),
         lambda cert, src, dst: call("transfer_", cert, src[name]),
-        lambda F, src, dst, certs: call("preserves_", F, src[name], dst[name]),
-        lambda cert, F, H, alpha, src, dst, Fcerts, carried, Hcerts: call(
-            "lift_preservation_", cert, F, H, alpha, Fcerts[name], carried[name]
+        lambda F, src, dst: call("preserves_", F, src[name], dst[name]),
+        lambda cert, F, H, alpha, carried, dst: call(
+            "lift_preservation_", cert, F, H, alpha, carried[name], dst[name]
         ),
     )
 
@@ -195,7 +193,7 @@ def _refuted(name: str, C: FinCat, bag: dict, searched) -> bool:
         return False
     no_products = "products" in searched and "products" not in bag or C.down_sets is None
     return no_products and ("terminal" in bag or "terminal" not in searched
-                            and limits.find_terminal(C) is not None)
+                            and KINDS["terminal"].find(C, bag) is not None)
 
 
 def find_bag(C: FinCat, kinds) -> dict[str, object]:
@@ -355,7 +353,7 @@ def complete_structured(
             completed[name] = _view(found)
             found_kinds.append(name)
             src[name] = kind.transfer(incl, completed, src)
-        cert = kind.preserves(res.eta, src, completed, eta_certs)
+        cert = kind.preserves(res.eta, src, completed)
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")
         eta_certs[name] = cert
@@ -397,8 +395,8 @@ def factor_structured(
     completed entry itself instead of a search; for an F with eta's maps, a
     kind whose target entries and its dependencies' equal the completed
     ones takes eta's certificate, since ``preserves`` would take eta's
-    inputs.  The lifts reuse the bag carried to the completion, each with
-    the lifted certificates of the kinds before it.  As in
+    inputs.  The lifts reuse the bag carried to the completion, each
+    deciding it into the target bag.  As in
     :func:`complete_structured`, a target witness keyed by anything but a
     kind raises, and so does one for a kind outside sc's kinds.
     """
@@ -460,7 +458,7 @@ def factor_structured(
             target = {"target": entry} if isinstance(entry, Mapping) else {}
             cert = replace(sc.eta_certs[name], functor=F, **target)
         else:
-            cert = KINDS[name].preserves(F, sc.source, dst, Fcerts)
+            cert = KINDS[name].preserves(F, sc.source, dst)
         if cert is None:
             raise PreconditionViolation(
                 f"functor does not preserve structure '{name}'"
@@ -470,8 +468,7 @@ def factor_structured(
     Hcerts: dict[str, object] = {}
     for name in kinds:
         Hcerts[name] = KINDS[name].lift(
-            sc.result.cert, F, fact.functor, fact.alpha, sc.source, dst, Fcerts,
-            sc.completed, Hcerts,
+            sc.result.cert, F, fact.functor, fact.alpha, sc.completed, dst
         )
     return StructuredFactorization(
         fact, MappingProxyType(dst), MappingProxyType(Fcerts), MappingProxyType(Hcerts)

@@ -583,7 +583,10 @@ def refuse_other_keys(name: str, what: str, table: dict, keys: list) -> None:
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
     """The unique morphism into the apex of w through which the cone with
-    vertex z and the given legs factors."""
+    vertex z and the given legs factors; a witness with a field outside C
+    is bad input, refused before it is read, as in :func:`reflect`."""
+    if not shape.in_range(C, w):
+        raise InvalidCert(f"{shape.name} witness {w} is out of range")
     k = shape.n_key   # split inline: a hot path
     apex, wlegs = w[k], w[k + 1:]
     hits = []
@@ -810,13 +813,12 @@ def decide_lift(name: str, cert: WeakEquivalenceCert, F: Functor, H: Functor, al
 
 def lift(
     shape: LimitShape, cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso,
-    Fcert: LimitPreservationCert, transferred: Table,
+    transferred: Table, target: Table,
 ) -> LimitPreservationCert:
     """:func:`decide_lift` by :func:`preserves` of transferred, the table
-    carried to the completion (the transfer of Fcert.source along cert),
-    into F's target table."""
+    carried to the completion, into target, the table of F's target."""
     return decide_lift(shape.name, cert, F, H, alpha, partial(preserves, shape),
-                       transferred, Fcert.target)
+                       transferred, target)
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +853,8 @@ def transfer_terminal(cert: WeakEquivalenceCert, tC: ChosenTerminal) -> ChosenTe
     return transfer(TERMINAL, cert, {(): tC})[()]
 
 
-def lift_preservation_terminal(cert, F, H, alpha, Fcert, tD):
-    return lift(TERMINAL, cert, F, H, alpha, Fcert, _terminal_table(tD))
+def lift_preservation_terminal(cert, F, H, alpha, tD, tE):
+    return lift(TERMINAL, cert, F, H, alpha, _terminal_table(tD), _terminal_table(tE))
 
 
 def find_binary_products(C: FinCat) -> dict[tuple[int, int], BinProductW] | None:
@@ -881,8 +883,8 @@ def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table):
     return transfer(PRODUCTS, cert, prods)
 
 
-def lift_preservation_binary_products(cert, F, H, alpha, Fcert, transferred):
-    return lift(PRODUCTS, cert, F, H, alpha, Fcert, transferred)
+def lift_preservation_binary_products(cert, F, H, alpha, transferred, target):
+    return lift(PRODUCTS, cert, F, H, alpha, transferred, target)
 
 
 def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
@@ -897,8 +899,8 @@ def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table):
     return transfer(EQUALIZERS, cert, eqs)
 
 
-def lift_preservation_equalizers(cert, F, H, alpha, Fcert, transferred):
-    return lift(EQUALIZERS, cert, F, H, alpha, Fcert, transferred)
+def lift_preservation_equalizers(cert, F, H, alpha, transferred, target):
+    return lift(EQUALIZERS, cert, F, H, alpha, transferred, target)
 
 
 def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
@@ -913,8 +915,8 @@ def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table):
     return transfer(PULLBACKS, cert, pbs)
 
 
-def lift_preservation_pullbacks(cert, F, H, alpha, Fcert, transferred):
-    return lift(PULLBACKS, cert, F, H, alpha, Fcert, transferred)
+def lift_preservation_pullbacks(cert, F, H, alpha, transferred, target):
+    return lift(PULLBACKS, cert, F, H, alpha, transferred, target)
 
 
 # ---------------------------------------------------------------------------

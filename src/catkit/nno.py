@@ -168,7 +168,7 @@ def reflect_pnno(
     return w
 
 
-def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
+def preserves_pnno(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert | None:
     """The comparison is the pair of arrows between the parameterized N of
     dst and the image of the source one; None when F does not preserve the
     terminal, or the two are not isomorphic.  On a thin category both are
@@ -194,10 +194,9 @@ def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreserv
 
 
 def lift_preservation_pnno(
-    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, src: dict, dst: dict,
-    Fcerts: dict, carried: dict, Hcerts: dict,
+    cert: WeakEquivalenceCert, F: Functor, H: Functor, alpha: NatIso, carried: dict, dst: dict,
 ) -> PNNOPreservationCert:
     """The comparison for the factored functor, decided directly; carried
-    holds the terminal, products and parameterized N already transferred
-    to the completion, and Hcerts H's certificates already lifted."""
-    return decide_lift("parameterized-N", cert, F, H, alpha, preserves_pnno, carried, dst, Hcerts)
+    holds the terminal and parameterized N already transferred to the
+    completion, and dst those of F's target."""
+    return decide_lift("parameterized-N", cert, F, H, alpha, preserves_pnno, carried, dst)

@@ -98,7 +98,7 @@ def pnno_along(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert:
     if _image_triple(F, termC, dst["terminal"], w) == dst["pnno"]:
         one = F.target.identity[dst["pnno"].N]
         return PNNOPreservationCert(F, Iso(one, one))
-    pres = preserves_pnno(F, src, dst, {})
+    pres = preserves_pnno(F, src, dst)
     if pres is None:
         raise InvalidCert("parameterized-N witness fails its defining property")
     return pres

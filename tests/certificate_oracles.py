@@ -119,8 +119,7 @@ def is_fully_faithful(F: Functor) -> dict | None:
     return out
 
 
-def preserves_exponentials(F: Functor, src: dict, dst: dict, certs: dict
-                           ) -> ExpPreservationCert | None:
+def preserves_exponentials(F: Functor, src: dict, dst: dict) -> ExpPreservationCert | None:
     """``exponentials.preserves_exponentials`` as three walks over the
     source, each image taken anew: a source entry out of range is refused,
     then a target entry missing or not an exponential, before any pair is

@@ -1,11 +1,13 @@
 """The second route to each lifted preservation certificate, which
 ``catkit`` no longer runs: F's comparisons transported through alpha and
 the eso isos of the equivalence onto the factored functor H.  Each
-``lift_preservation_*`` decides H's preservation directly; the tests
-compare its certificate with the comparisons these build.  Each takes the
-arguments of the lift it shadows and returns the forward morphisms of the
-comparisons it builds; the limit route also raises when a square
-transporting the universal property fails to commute."""
+``lift_preservation_*`` decides H's preservation directly, from the
+carried bag and the target's; the tests compare its certificate with the
+comparisons these build.  Each also takes what the transport reads and the
+lift does not, F's certificates and the source bag, and returns the
+forward morphisms of the comparisons it builds; the limit route also
+raises when a square transporting the universal property fails to
+commute."""
 from catkit.core import Functor, NatIso, WeakEquivalenceCert, find_iso
 from catkit.errors import OracleDisagreement
 from catkit.limits import Key, LimitPreservationCert, LimitShape, Table, mediating, mediator

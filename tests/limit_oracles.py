@@ -325,14 +325,14 @@ def check_exp_preservation(
             raise InvalidCert(f"comparison at ({x},{y}) does not commute with evaluation")
 
 
-def preserves_exponentials(F: Functor, src: dict, dst: dict, certs: dict
+def preserves_exponentials(F: Functor, src: dict, dst: dict, muF: LimitPreservationCert
                            ) -> ExpPreservationCert | None:
     """``exponentials.preserves_exponentials`` by currying: mu;F(ev), with
-    mu from F's products certificate in certs, curried through the chosen
+    mu from muF, F's products certificate, curried through the chosen
     exponential of the images; None when it is not shaped as an uncurried
     map or does not invert."""
     D = F.target
-    prodsD, expsD, muF = dst["products"], dst["exponentials"], certs["products"]
+    prodsD, expsD = dst["products"], dst["exponentials"]
     comparison = {}
     for (x, y), w in src["exponentials"].items():
         target = expsD[(F.obj_map[x], F.obj_map[y])]
@@ -347,7 +347,7 @@ def preserves_exponentials(F: Functor, src: dict, dst: dict, certs: dict
     return ExpPreservationCert(F, src["exponentials"], expsD, comparison)
 
 
-def preserves_pnno(F: Functor, src: dict, dst: dict, certs: dict) -> PNNOPreservationCert | None:
+def preserves_pnno(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert | None:
     """``nno.preserves_pnno`` by recursion: the recursor at parameter the
     terminal and stage F(N), restricted along the unit point of the
     product; None when F does not preserve the terminal or the comparison

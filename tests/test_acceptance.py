@@ -213,17 +213,15 @@ def test_criterion_3_transfer_equals_direct_search():
             fac = factor_through(res, proj)
             if term is not None:
                 tI2 = transfer_terminal(cert_sec, term)
-                Ft = preserves_terminal(proj, tI2, term)
-                assert Ft is not None
+                assert preserves_terminal(proj, tI2, term) is not None
                 tD = transfer_terminal(res.cert, tI2)
-                lift_preservation_terminal(res.cert, proj, fac.functor, fac.alpha, Ft, tD)
+                lift_preservation_terminal(res.cert, proj, fac.functor, fac.alpha, tD, term)
             if prods is not None:
                 pI2 = transfer_binary_products(cert_sec, prods)
-                Fp = preserves_binary_products(proj, pI2, prods)
-                assert Fp is not None
+                assert preserves_binary_products(proj, pI2, prods) is not None
                 pD = transfer_binary_products(res.cert, pI2)
                 lift_preservation_binary_products(
-                    res.cert, proj, fac.functor, fac.alpha, Fp, pD
+                    res.cert, proj, fac.functor, fac.alpha, pD, prods
                 )
     assert qualifying >= 100
 

@@ -220,7 +220,7 @@ def test_transfer_classifier_matches_direct_search():
     dst = {"terminal": transfer_terminal(cert, src["terminal"])}
     dst["classifier"] = transfer_subobject_classifier(cert, src, dst)
     check_subobject_classifier(infl, dst)
-    pres = preserves_subobject_classifier(cert.functor, src, dst, {})
+    pres = preserves_subobject_classifier(cert.functor, src, dst)
     assert pres.functor is cert.functor
     assert find_iso(infl, pres.comparison.fwd) is not None
 
@@ -231,7 +231,7 @@ def test_preserves_classifier_identity():
     bag["classifier"] = find_subobject_classifier(S, bag)
     from catkit.core import identity_functor
 
-    pres = preserves_subobject_classifier(identity_functor(S), bag, bag, {})
+    pres = preserves_subobject_classifier(identity_functor(S), bag, bag)
     assert pres is not None
     assert S.is_identity(pres.comparison.fwd)
 
@@ -243,10 +243,10 @@ def test_preserves_classifier_is_none_for_a_functor_off_the_terminal():
     bag = find_bag(C, ("terminal", "classifier"))
     assert not is_terminal(C, 0)
     const = functor(C, C, [0] * C.n_objects, [C.identity[0]] * C.n_morphisms)
-    assert preserves_subobject_classifier(const, bag, bag, {}) is None
+    assert preserves_subobject_classifier(const, bag, bag) is None
     # the terminal is decided first, so an out-of-range witness changes nothing
     bad = dataclasses.replace(bag["classifier"], tau=-1)
-    assert preserves_subobject_classifier(const, {**bag, "classifier": bad}, bag, {}) is None
+    assert preserves_subobject_classifier(const, {**bag, "classifier": bad}, bag) is None
 
 
 def test_preserves_classifier_refuses_a_source_witness_out_of_range():
@@ -263,9 +263,9 @@ def test_preserves_classifier_refuses_a_source_witness_out_of_range():
                 dataclasses.replace(w, chi={**w.chi, f: m})):
         with pytest.raises(InvalidCert, match="source classifier witness .* is out of range"):
             preserves_subobject_classifier(
-                sc.result.eta, {**sc.source, "classifier": bad}, sc.completed, {}
+                sc.result.eta, {**sc.source, "classifier": bad}, sc.completed
             )
-    assert preserves_subobject_classifier(sc.result.eta, sc.source, sc.completed, {}) is not None
+    assert preserves_subobject_classifier(sc.result.eta, sc.source, sc.completed) is not None
 
 
 def test_lift_preservation_classifier_through_completion():
@@ -279,12 +279,11 @@ def test_lift_preservation_classifier_through_completion():
     src["classifier"] = find_subobject_classifier(infl, src)
     dst = {"terminal": find_terminal(S)}
     dst["classifier"] = find_subobject_classifier(S, dst)
-    Fcert = preserves_subobject_classifier(proj, src, dst, {})
-    assert Fcert is not None
+    assert preserves_subobject_classifier(proj, src, dst) is not None
     carried = {"terminal": transfer_terminal(res.cert, src["terminal"])}
     carried["classifier"] = transfer_subobject_classifier(res.cert, src, carried)
     lifted = lift_preservation_subobject_classifier(
-        res.cert, proj, fac.functor, fac.alpha, src, dst, {"classifier": Fcert}, carried, {}
+        res.cert, proj, fac.functor, fac.alpha, carried, dst
     )
     assert lifted.functor is fac.functor
 

@@ -153,7 +153,7 @@ def test_preservation_agrees_with_the_image_pair_classifying():
     verdicts = []
     for F in functors:
         src, dst = _bag(F.source), _bag(F.target)
-        preserved = preserves_subobject_classifier(F, src, dst, {}) is not None
+        preserved = preserves_subobject_classifier(F, src, dst) is not None
         assert preserved == image_pair_classifies(F, src, dst), F.name
         verdicts.append(preserved)
     assert True in verdicts and False in verdicts
@@ -166,5 +166,5 @@ def test_constant_functor_at_the_terminal_does_not_preserve_the_classifier():
     bag = _bag(C)
     F = _constant_at_terminal(C, bag)
     assert bag["classifier"].chi[C.identity[1]] == finset_function(C, 1, 2, (0,))
-    assert preserves_subobject_classifier(F, bag, bag, {}) is None
+    assert preserves_subobject_classifier(F, bag, bag) is None
     assert not image_pair_classifies(F, bag, bag)

@@ -6,7 +6,7 @@ import pytest
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import functor, identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert, NotACone
-from catkit.lifting import KINDS, find_bag
+from catkit.lifting import find_bag
 from catkit.exponentials import (
     ExponentialW,
     find_exponential,
@@ -27,7 +27,6 @@ from catkit.limits import (
     PRODUCTS,
     BinProductW,
     find_binary_products,
-    lift_preservation_binary_products,
     partial_table,
     preserves_binary_products,
     transfer_binary_products,
@@ -148,7 +147,7 @@ def test_transfer_exponentials_matches_direct_search():
         exponential_comparison(infl, prodsD, w, direct)
     muG = preserves_binary_products(cert.functor, prodsC, prodsD)
     dst = {"products": prodsD, "exponentials": expsD}
-    pres = preserves_exponentials(cert.functor, src, dst, {"products": muG})
+    pres = preserves_exponentials(cert.functor, src, dst)
     check_exp_preservation(pres, prodsC, prodsD, muG)
 
 
@@ -164,7 +163,7 @@ def test_preserves_exponentials_negative():
     assert muF is not None
     src = {"products": prodsC, "exponentials": find_exponentials(C3, {"products": prodsC})}
     dst = {"products": prodsD, "exponentials": find_exponentials(C2, {"products": prodsD})}
-    assert preserves_exponentials(F, src, dst, {"products": muF}) is None
+    assert preserves_exponentials(F, src, dst) is None
 
 
 def test_preserves_exponentials_positive_identity():
@@ -172,7 +171,7 @@ def test_preserves_exponentials_positive_identity():
     prods = find_binary_products(C)
     bag = {"products": prods, "exponentials": find_exponentials(C, {"products": prods})}
     muI = preserves_binary_products(identity_functor(C), prods, prods)
-    cert = preserves_exponentials(identity_functor(C), bag, bag, {"products": muI})
+    cert = preserves_exponentials(identity_functor(C), bag, bag)
     assert cert is not None
     for iso in cert.comparison.values():
         assert C.is_identity(iso.fwd)
@@ -188,17 +187,10 @@ def test_lift_preservation_exponentials_through_completion():
     src["exponentials"] = find_exponentials(infl, src)
     dst = {"products": find_binary_products(C)}
     dst["exponentials"] = find_exponentials(C, dst)
-    Fcerts = {"products": preserves_binary_products(proj, src["products"], dst["products"])}
-    Fcerts["exponentials"] = preserves_exponentials(proj, src, dst, Fcerts)
-    assert Fcerts["exponentials"] is not None
+    assert preserves_exponentials(proj, src, dst) is not None
     carried = {"products": transfer_binary_products(res.cert, src["products"])}
     carried["exponentials"] = transfer_exponentials(res.cert, src, carried)
-    Hcerts = {"products": lift_preservation_binary_products(
-        res.cert, proj, fac.functor, fac.alpha, Fcerts["products"], carried["products"]
-    )}
-    lifted = lift_preservation_exponentials(
-        res.cert, proj, fac.functor, fac.alpha, src, dst, Fcerts, carried, Hcerts
-    )
+    lifted = lift_preservation_exponentials(res.cert, proj, fac.functor, fac.alpha, carried, dst)
     assert lifted.functor is fac.functor
     D = res.completed
     assert set(lifted.comparison) == {(x, y) for x in range(D.n_objects) for y in range(D.n_objects)}
@@ -211,10 +203,9 @@ def test_preserves_exponentials_rejects_an_invalid_target():
     F = identity_functor(C)
     bag = {"products": find_binary_products(C)}
     bag["exponentials"] = find_exponentials(C, bag)
-    muI = preserves_binary_products(F, bag["products"], bag["products"])
     bad = {**bag, "exponentials": {**bag["exponentials"], (0, 0): ExponentialW(0, 0, 0, 0)}}
     with pytest.raises(InvalidCert):
-        preserves_exponentials(F, bag, bad, {"products": muI})
+        preserves_exponentials(F, bag, bad)
     # the same kind of entry for products: (1, 1) on the apex below it
     le01 = C.hom(0, 1)[0]
     bad_prods = {**bag["products"], (1, 1): BinProductW(1, 1, 0, le01, le01)}
@@ -228,9 +219,6 @@ def test_preserves_exponentials_refuses_a_source_entry_out_of_range():
     C = heyting_category(heyting_chain(3))
     b = find_bag(C, ("terminal", "products", "exponentials", "pnno"))
     F = identity_functor(C)
-    certs = {}
-    for k in ("terminal", "products"):
-        certs[k] = KINDS[k].preserves(F, b, b, certs)
     exps, m = b["exponentials"], C.n_morphisms
     w = exps[(1, 2)]
     cases = [((1, 2), w._replace(ev=w.ev - m)), ((1, 2), w._replace(ev=m)),
@@ -238,5 +226,5 @@ def test_preserves_exponentials_refuses_a_source_entry_out_of_range():
     for key, bad in cases:
         src = {**b, "exponentials": {**exps, key: bad}}
         with pytest.raises(InvalidCert, match=re.escape(f"source exponential entry {key} is out")):
-            preserves_exponentials(F, src, b, certs)
-    assert preserves_exponentials(F, b, b, certs) is not None
+            preserves_exponentials(F, src, b)
+    assert preserves_exponentials(F, b, b) is not None

@@ -65,9 +65,9 @@ def _spy(monkeypatch) -> list:
             calls.append(("find", _name, C))
             return _fn(C, bag)
 
-        def preserves(F, src, dst, certs, _fn=kind.preserves, _name=name):
+        def preserves(F, src, dst, _fn=kind.preserves, _name=name):
             calls.append(("preserves", _name, F))
-            return _fn(F, src, dst, certs)
+            return _fn(F, src, dst)
 
         monkeypatch.setitem(KINDS, name, dataclasses.replace(kind, find=find, preserves=preserves))
     return calls
@@ -112,7 +112,7 @@ def test_the_unit_reuses_the_found_bag_and_eta_certificates(monkeypatch):
         for k in sc.kinds:
             want[k] = KINDS[k].find(E, want)
             assert got.target[k] == want[k], (name, k)
-            fresh_certs[k] = KINDS[k].preserves(F, sc.source, got.target, fresh_certs)
+            fresh_certs[k] = KINDS[k].preserves(F, sc.source, got.target)
         assert structure_to_json(E, got.target) == structure_to_json(E, want), name
         assert _comparisons(got.functor_certs) == _comparisons(fresh_certs), name
         # the completion's own entries and eta's own certificate fields, no copy
@@ -236,7 +236,7 @@ def _an_edited_completed_entry():
 def _a_replaced_eta_certificate():
     sc = complete_structured(INFLATIONS["chain4"])
     eta = sc.result.eta
-    again = KINDS["products"].preserves(eta, sc.source, sc.completed, {})
+    again = KINDS["products"].preserves(eta, sc.source, sc.completed)
     sc = _replaced(sc, "eta_certs", "products", again)
     return sc, eta, {}, list(sc.kinds), list(sc.kinds)
 

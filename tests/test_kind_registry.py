@@ -3,14 +3,26 @@ dependencies, CLI token, topos label and JSON block.  The CLI's token
 tables and help texts, the topos labels, and both directions of the
 structure codec are read from that record, so every kind must carry all of
 it, no two kinds may share a token or a block, and each kind's block must
-read back as the entry written."""
+read back as the entry written.  Each verb takes only what it reads."""
+import inspect
+
 import pytest
 
-from catkit import cli
+from catkit import cli, limits
 from catkit.completion import inflate
 from catkit.generators import setoid_groupoid
 from catkit.interchange import structure_from_json, structure_to_json
-from catkit.lifting import CHI, KIND_ORDER, KINDS, MORPHISM, OBJECT, TOPOS_KINDS, find_bag
+from catkit.lifting import (
+    _BAG_KINDS,
+    _LIMIT_KINDS,
+    CHI,
+    KIND_ORDER,
+    KINDS,
+    MORPHISM,
+    OBJECT,
+    TOPOS_KINDS,
+    find_bag,
+)
 
 
 def _everything():
@@ -37,6 +49,23 @@ def test_every_kind_has_a_token_a_label_and_a_block():
         assert len(set(names)) == len(names), name
         assert 0 <= block.key <= len(names), name
     assert [k for k in KIND_ORDER if KINDS[k].topos] == list(TOPOS_KINDS)
+
+
+def _parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_each_preserves_and_lift_takes_only_what_it_reads():
+    """A bag kind's preserves takes the functor and the bags at its two
+    ends; every lift takes the equivalence, F, H and alpha, then the
+    carried and target entries, or bags, that its preserves reads."""
+    verbs = [(limits, suffix) for _, suffix, *_ in _LIMIT_KINDS]
+    for _, _, module, suffix, *_ in _BAG_KINDS:
+        assert _parameters(getattr(module, "preserves_" + suffix)) == ["F", "src", "dst"], suffix
+        verbs.append((module, suffix))
+    assert len(verbs) == len(KINDS)
+    for module, suffix in verbs:
+        assert len(_parameters(getattr(module, "lift_preservation_" + suffix))) == 6, suffix
 
 
 def test_tokens_and_block_paths_are_unique():

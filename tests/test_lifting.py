@@ -430,7 +430,7 @@ def test_every_lift_checks_the_factorization_triangle(factored_pair, name):
     elsewhere, is refused before any preservation is decided."""
     sc, proj, sf, other = factored_pair
     H, alpha = sf.factorization.functor, sf.factorization.alpha
-    args = (sc.source, sf.target, sf.functor_certs, sc.completed, sf.lifted_certs)
+    args = (sc.completed, sf.target)
     lift = KINDS[name].lift
     with pytest.raises(PreconditionViolation, match="alpha must start at the composite"):
         lift(sc.result.cert, proj, H, dataclasses.replace(alpha, source=other), *args)

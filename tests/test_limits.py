@@ -398,14 +398,13 @@ def test_lift_preservation_through_completion():
     H, alpha = fac.functor, fac.alpha
     tD = transfer_terminal(res.cert, find_terminal(infl))
     # proj preserves the terminal; its lift through the completion must too
-    FtermCert = preserves_terminal(proj, find_terminal(infl), find_terminal(C))
-    lifted = lift_preservation_terminal(res.cert, proj, H, alpha, FtermCert, tD)
+    assert preserves_terminal(proj, find_terminal(infl), find_terminal(C)) is not None
+    lifted = lift_preservation_terminal(res.cert, proj, H, alpha, tD, find_terminal(C))
     assert lifted.functor is H
-    prods_infl = find_binary_products(infl)
-    FprodCert = preserves_binary_products(proj, prods_infl, find_binary_products(C))
-    assert FprodCert is not None
+    prods_infl, prods_C = find_binary_products(infl), find_binary_products(C)
+    assert preserves_binary_products(proj, prods_infl, prods_C) is not None
     pD = transfer_binary_products(res.cert, prods_infl)
-    lifted_p = lift_preservation_binary_products(res.cert, proj, H, alpha, FprodCert, pD)
+    lifted_p = lift_preservation_binary_products(res.cert, proj, H, alpha, pD, prods_C)
     assert lifted_p.functor is H
     assert set(lifted_p.source) == {
         (x, y) for x in range(res.completed.n_objects) for y in range(res.completed.n_objects)

@@ -5,7 +5,7 @@ import pytest
 from catkit.completion import factor_through, inflate, inflate_section, skeletize
 from catkit.core import identity_functor, is_weak_equivalence
 from catkit.errors import InvalidCert
-from catkit.lifting import KINDS, find_bag
+from catkit.lifting import find_bag
 from catkit.generators import (
     chain_poset,
     finset_fragment,
@@ -121,7 +121,7 @@ def test_transfer_pnno_matches_direct_search():
     dst = {"terminal": termD, "products": prodsD}
     wD = transfer_pnno(cert, src, dst)
     assert is_pnno(infl, termD, prodsD, wD.N, wD.z, wD.s) is not None
-    pres = preserves_pnno(cert.functor, src, {**dst, "pnno": wD}, {})
+    pres = preserves_pnno(cert.functor, src, {**dst, "pnno": wD})
     assert pres.functor is cert.functor
 
 
@@ -179,23 +179,20 @@ def test_preserves_pnno_refuses_a_source_triple_out_of_range():
     C = heyting_category(heyting_chain(3))
     b = find_bag(C, ("terminal", "products", "pnno"))
     F = identity_functor(C)
-    certs = {}
-    for k in ("terminal", "products"):
-        certs[k] = KINDS[k].preserves(F, b, b, certs)
     w = b["pnno"]
     for bad in (w._replace(N=w.N - C.n_objects),
                 w._replace(z=w.z - C.n_morphisms),
                 w._replace(s=C.n_morphisms)):
         with pytest.raises(InvalidCert, match="source parameterized-N witness .* is out of range"):
-            preserves_pnno(F, {**b, "pnno": bad}, b, certs)
-    assert preserves_pnno(F, b, b, certs) is not None
+            preserves_pnno(F, {**b, "pnno": bad}, b)
+    assert preserves_pnno(F, b, b) is not None
 
 
 def test_preserves_pnno_identity():
     C = chain_poset(3)
     bag = {"terminal": find_terminal(C), "products": find_binary_products(C)}
     bag["pnno"] = find_pnno(C, bag)
-    pres = preserves_pnno(identity_functor(C), bag, bag, {})
+    pres = preserves_pnno(identity_functor(C), bag, bag)
     assert pres is not None
     assert C.is_identity(pres.comparison.fwd)
 
@@ -210,14 +207,11 @@ def test_lift_preservation_pnno_through_completion():
     src["pnno"] = find_pnno(infl, src)
     dst = {"terminal": find_terminal(S), "products": find_binary_products(S)}
     dst["pnno"] = find_pnno(S, dst)
-    Fcert = preserves_pnno(proj, src, dst, {})
-    assert Fcert is not None
+    assert preserves_pnno(proj, src, dst) is not None
     carried = {
         "terminal": transfer_terminal(res.cert, src["terminal"]),
         "products": transfer_binary_products(res.cert, src["products"]),
     }
     carried["pnno"] = transfer_pnno(res.cert, src, carried)
-    lifted = lift_preservation_pnno(
-        res.cert, proj, fac.functor, fac.alpha, src, dst, {"pnno": Fcert}, carried, {}
-    )
+    lifted = lift_preservation_pnno(res.cert, proj, fac.functor, fac.alpha, carried, dst)
     assert lifted.functor is fac.functor

@@ -355,8 +355,8 @@ def test_preserves_exponentials_gives_the_key_walks_outcome():
             for _, w in _exp_corruptions(D, dst["products"], exps[key], _twins(D)):
                 targets.append({**dst, "exponentials": {**exps, key: w}})
             for target in targets:
-                got = _outcome(exponentials.preserves_exponentials, F, src, target, {})
-                want = _outcome(certificate_oracles.preserves_exponentials, F, src, target, {})
+                got = _outcome(exponentials.preserves_exponentials, F, src, target)
+                want = _outcome(certificate_oracles.preserves_exponentials, F, src, target)
                 if isinstance(want, tuple):
                     assert got == want, (infl.name, F.name)
                     corrupted += 1

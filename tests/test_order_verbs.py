@@ -121,9 +121,12 @@ def test_preserves_gives_the_general_certificates(kind):
             src, dst = bags[F.source], bags[F.target]
             if kind not in src:
                 continue
-            certs = {"products": limits.preserves_binary_products(
-                F, src["products"], dst["products"])}
-            got, want = verb(F, src, dst, certs), oracle(F, src, dst, certs)
+            got = verb(F, src, dst)
+            if kind == "exponentials":   # the currying oracle reads F's products certificate
+                muF = limits.preserves_binary_products(F, src["products"], dst["products"])
+                want = oracle(F, src, dst, muF)
+            else:
+                want = oracle(F, src, dst)
             assert (got is None) == (want is None), (infl.name, F.name)
             if got is None:
                 continue
@@ -142,9 +145,9 @@ def test_preserves_refuses_a_category_that_is_not_thin():
     G = limit_oracles.generic_view(C)
     F = functor(C, G, list(range(C.n_objects)), list(range(C.n_morphisms)))
     with pytest.raises(InvalidCert):
-        exponentials.preserves_exponentials(F, bag, bag, {})
+        exponentials.preserves_exponentials(F, bag, bag)
     with pytest.raises(InvalidCert):
-        nno.preserves_pnno(F, bag, bag, {})
+        nno.preserves_pnno(F, bag, bag)
 
 
 def test_each_order_verb_ticks_once_per_decision():

@@ -147,7 +147,7 @@ def test_preserves_pnno_decides_an_image_other_than_the_chosen_one_on_the_target
     calls = []
     real = nno.is_pnno
     monkeypatch.setattr(nno, "is_pnno", lambda C, *args: calls.append(C) or real(C, *args))
-    cert = nno.preserves_pnno(F, src, dst, {})
+    cert = nno.preserves_pnno(F, src, dst)
     assert calls == []
     assert cert is not None and not infl.is_identity(cert.comparison.fwd)
 

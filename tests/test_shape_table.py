@@ -259,11 +259,10 @@ def test_terminal_verbs_reject_bad_input_as_before():
         preserves_terminal(identity_functor(C), ChosenTerminal(2), ChosenTerminal(0))
     res = skeletize(infl)
     fac = factor_through(res, proj)
-    Fcert = preserves_terminal(proj, find_terminal(infl), find_terminal(C))
     tD = transfer_terminal(res.cert, find_terminal(infl))
     with pytest.raises(PreconditionViolation):
         lift_preservation_terminal(
-            res.cert, identity_functor(infl), fac.functor, fac.alpha, Fcert, tD
+            res.cert, identity_functor(infl), fac.functor, fac.alpha, tD, find_terminal(C)
         )
     pt = delooping([[0]], name="pt")
     crush = functor(chain_poset(2), pt, [0, 0], [0, 0, 0], name="crush")

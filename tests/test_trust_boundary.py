@@ -14,9 +14,11 @@ anything, and every bag verb refuses a bag without a kind it reads.
 ``full_subcategory`` refuses an object index that names no object, and
 ``compose_functors`` an image of the first functor outside the second's
 source, rather than reading either from the end of a table.
-``structure_from_json`` refuses a document that is not an object, and
-``structure_to_json`` a bag keyed by anything but a kind and a witness
-index, a chi entry's included, that names nothing of its category."""
+``limits.mediator`` refuses a witness with a field outside its category
+before it reads one.  ``structure_from_json`` refuses a document that is
+not an object, and ``structure_to_json`` a bag keyed by anything but a
+kind and a witness field, a chi entry's included, that is not an int or
+names nothing of its category."""
 import re
 from functools import cache
 
@@ -142,9 +144,9 @@ def test_preserves_refuses_a_target_without_an_entry_it_reads():
     exps = bagD["exponentials"]
     short = {key: w for key, w in exps.items() if key != first}
     with pytest.raises(InvalidCert, match=lacks):
-        exponentials.preserves_exponentials(res.eta, bagC, {**bagD, "exponentials": short}, {})
+        exponentials.preserves_exponentials(res.eta, bagC, {**bagD, "exponentials": short})
     with pytest.raises(DependencyMissing, match="the bag lacks 'exponentials'"):
-        exponentials.preserves_exponentials(res.eta, bagC, {"products": prods}, {})
+        exponentials.preserves_exponentials(res.eta, bagC, {"products": prods})
 
 
 def test_preserves_refuses_a_bad_entry_after_an_unpreserved_one():
@@ -181,14 +183,21 @@ _BAG_VERBS = {
         "products",
     ),
     "find_exponentials": (lambda C, eta, bag: exponentials.find_exponentials(C, {}), "products"),
+    "check_subobject_classifier": (
+        lambda C, eta, bag: classifier.check_subobject_classifier(C, {"terminal": bag["terminal"]}),
+        "classifier",
+    ),
+    "find_subobject_classifier": (
+        lambda C, eta, bag: classifier.find_subobject_classifier(C, {}), "terminal",
+    ),
     "check_pnno": (lambda C, eta, bag: nno.check_pnno(C, {"pnno": bag["pnno"]}), "terminal"),
     "find_pnno": (lambda C, eta, bag: nno.find_pnno(C, {}), "terminal"),
     "preserves_pnno": (
-        lambda C, eta, bag: nno.preserves_pnno(eta, {"terminal": bag["terminal"]}, bag, {}),
+        lambda C, eta, bag: nno.preserves_pnno(eta, {"terminal": bag["terminal"]}, bag),
         "pnno",
     ),
     "preserves_subobject_classifier": (
-        lambda C, eta, bag: classifier.preserves_subobject_classifier(eta, bag, bag, {}),
+        lambda C, eta, bag: classifier.preserves_subobject_classifier(eta, bag, bag),
         "classifier",
     ),
     "is_logical_functor": (lambda C, eta, bag: classifier.is_logical_functor(eta, {}, {}), "terminal"),
@@ -301,6 +310,10 @@ def test_structure_to_json_refuses_an_index_that_names_nothing():
     for t in (-1, 3, 99):
         with pytest.raises(InvalidCert, match=f"^'terminal': label {t} names no object of "):
             structure_to_json(C, {"terminal": ChosenTerminal(t)})
+    # a field that is not an int, a bool included, is refused as one out of range
+    for t in (None, "0", 1.5, True):
+        with pytest.raises(InvalidCert, match=f"^'terminal': label {re.escape(repr(t))} names no "):
+            structure_to_json(C, {"terminal": ChosenTerminal(t)})
     assert structure_to_json(C, {"terminal": ChosenTerminal(2)}) == {"structure": {"terminal": "c2"}}
     bag = find_bag(C, KIND_ORDER)
     key, w = next(iter(bag["products"].items()))
@@ -317,3 +330,20 @@ def test_structure_to_json_refuses_an_index_that_names_nothing():
         with pytest.raises(InvalidCert, match=r"^'classifier' at key -?\d+: chi "
                            f"{bad} names no morphism of "):
             structure_to_json(G, {"classifier": soc._replace(chi=table)})
+
+
+def test_the_mediator_refuses_a_witness_outside_the_category_before_reading_it():
+    """An apex past the objects, or a leg past the morphisms, would be read
+    as an index, and a negative one from the end, naming another object."""
+    C = chain_poset(3)
+    for t in (99, -1, C.n_objects):
+        with pytest.raises(InvalidCert, match=re.escape(
+                f"terminal witness {ChosenTerminal(t)!r} is out of range")):
+            limits.to_terminal(C, ChosenTerminal(t), 0)
+    assert limits.to_terminal(C, ChosenTerminal(2), 0) == C.hom(0, 2)[0]
+    w = limits.find_binary_products(C)[(1, 2)]
+    g1, g2 = C.hom(0, 1)[0], C.hom(0, 2)[0]
+    for bad in (w._replace(pi1=99), w._replace(pi2=-1), w._replace(apex=-1), w._replace(x1=3)):
+        with pytest.raises(InvalidCert, match=re.escape(f"product witness {bad!r} is out of range")):
+            limits.mediating(C, bad, g1, g2)
+    assert limits.mediating(C, w, g1, g2) == C.hom(0, w.apex)[0]
