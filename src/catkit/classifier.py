@@ -227,7 +227,8 @@ def preserves_subobject_classifier(
     terminal or the comparison is not invertible.  The bag dst must be a
     found or checked one, whose chi table classifies every mono: the image
     pair then classifies exactly when the comparison is an iso.  A source
-    omega, tau or chi entry out of range raises."""
+    omega, tau or chi entry out of range raises, and so does a target omega
+    or tau, before either is read."""
     refuse_missing_kinds(src, ("terminal", "classifier"))
     refuse_missing_kinds(dst, ("terminal", "classifier"))
     C, D = F.source, F.target
@@ -238,6 +239,9 @@ def preserves_subobject_classifier(
     if not (0 <= socC.omega < C.n_objects
             and C.has_morphisms(socC.tau, *socC.chi, *socC.chi.values())):
         raise InvalidCert(f"source classifier witness at omega {socC.omega}, tau {socC.tau} "
+                          "is out of range")
+    if not (0 <= socD.omega < D.n_objects and D.has_morphisms(socD.tau)):
+        raise InvalidCert(f"target classifier witness at omega {socD.omega}, tau {socD.tau} "
                           "is out of range")
     # the image of tau is split monic, so the chosen chi table classifies it
     i = socD.chi.get(F.mor_map[socC.tau])

@@ -22,8 +22,9 @@ certificate, followed by :func:`carry_exponentials`, which trusts both
 and builds the table column by column.
 :func:`preserves_exponentials` is the one place that compares an image
 with a chosen exponential, by the pair of arrows between the two objects,
-and that certifies an equivalence; the lift is :func:`limits.decide_lift`
-by ``preserves``.  ``is_exponential`` and ``find_exponential`` take the
+and that certifies an equivalence other than a gaunt completion's, whose
+certificate ``lifting.complete_structured`` builds; the lift is
+:func:`limits.decide_lift` by ``preserves``.  ``is_exponential`` and ``find_exponential`` take the
 product table itself.  The general loops over curried forms are kept in
 the tests as these rules' oracles.
 """
@@ -184,9 +185,10 @@ def carry_exponentials(
     must be a checked table and cert a checked certificate, as
     :func:`transfer_exponentials` ensures; a target product that is
     missing, or that lies above no arrow into d2, is refused.  The carried
-    entries are decided by :func:`preserves_exponentials`.  The table is
-    built column by column, each source entry imaged once for all the
-    pairs pulled back to it."""
+    entries are decided by :func:`preserves_exponentials`, or, carried from
+    a gaunt skeleton, image onto the entries they were carried from.  The
+    table is built column by column, each source entry imaged once for all
+    the pairs pulled back to it."""
     G = cert.functor
     D = G.target
     expsC, prodsD, hom = src["exponentials"], dst["products"], D.hom_map

@@ -17,12 +17,17 @@ and usually far smaller, and carried back to the source along the inclusion
 of the representatives, typed by construction.  Each kind's ``preserves``
 is the one place that compares an image with a chosen entry: one call on
 eta per kind certifies eta and decides every carried entry on the
-skeleton, since an equivalence preserves and reflects the structure.  The
-classifier is searched for once on each side.  Everything a completion holds
-is read-only: bags, tables, chi tables and certificate dicts are mapping
-views that nothing else holds.  So a completion still made of the objects
-it recorded holds what it validated, and factoring through it checks
-nothing again; any other completion is checked in full and reuses nothing.
+skeleton, since an equivalence preserves and reflects the structure.  On a
+gaunt skeleton the table kinds need no call: eta after the inclusion is
+the identity, and eta sends each eso iso to an automorphism, an identity
+there, so each carried cone images onto the chosen entry at its image key
+and eta's comparison is the identity at its apex's image, built without a
+walk.  The classifier is searched for once on each side.  Everything a
+completion holds is read-only: bags, tables, chi tables and certificate
+dicts are mapping views that nothing else holds.  So a completion still
+made of the objects it recorded holds what it validated, and factoring
+through it checks nothing again; any other completion is checked in full
+and reuses nothing.
 Pullbacks are absent without a search where a category with a terminal
 object has no products: they were not found, or it is not thin.  Lifting
 preservation through a factorization reuses the carried witnesses instead
@@ -33,6 +38,7 @@ preservation directly, of the carried bag into the target's, as
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -46,6 +52,7 @@ from .completion import (
 from .core import (
     FinCat,
     Functor,
+    Iso,
     NatIso,
     WeakEquivalenceCert,
     check_weak_equivalence_cert,
@@ -86,12 +93,14 @@ class StructureKind:
     equivalence's certificate, followed by the kind's carry into any
     target, skeletal or not, and returns the carried entry; it is typed by
     construction, or for the classifier searched for on the target, and
-    ``preserves`` decides it, from a functor and the bags at its two ends.
+    ``preserves`` decides it, from a functor and the bags at its two ends;
+    only eta's certificate for a table kind found on a gaunt skeleton is
+    built without it, by :func:`complete_structured`.
     ``lift`` receives the bag carried to the completion, whose entries are
     the transfers of the source bag along the equivalence, and the bag of
     the outer functor's target; every kind's lift is
-    ``limits.decide_lift``, the triangle's check and then ``preserves`` on
-    the factored functor, of the one bag into the other.
+    ``limits.decide_lift``, the triangle's check and then the kind's
+    ``preserves`` on the factored functor, of the one bag into the other.
     ``token`` names the kind on the command line, ``topos`` in topos gap
     lists (None off the topos), and ``block`` in a category document.
     """
@@ -177,6 +186,16 @@ KINDS: dict[str, StructureKind] = {
 }
 
 KIND_ORDER = tuple(KINDS)
+
+# the table kinds whose certificate for eta a gaunt completion builds, each
+# with its certificate class; field 2 of each of their witnesses is the apex,
+# or the exponential object
+_BUILT_WHEN_GAUNT = {
+    "products": limits.LimitPreservationCert,
+    "equalizers": limits.LimitPreservationCert,
+    "pullbacks": limits.LimitPreservationCert,
+    "exponentials": exponentials.ExpPreservationCert,
+}
 
 # the kinds of an elementary topos, in dependency order, with their gap labels
 TOPOS_KINDS = {name: kind.topos for name, kind in KINDS.items() if kind.topos}
@@ -318,8 +337,12 @@ def complete_structured(
     keyed by anything but a kind raises, and so does one for a kind not
     carried, unrequested or lacking a dependency.  Eta's certificate for
     each kind comes from one ``preserves`` call on eta, which also decides
-    every carried entry; a refusal is an engine bug.  The bags returned are
-    read-only, and ``validated`` records them.
+    every carried entry; a refusal is an engine bug.  The one exception is
+    a table kind found on a gaunt skeleton (fidelity "exact"): each carried
+    entry then images onto the skeleton's chosen one, so its certificate,
+    of the class ``preserves`` returns, is built with the identity at eta's
+    image of each entry's apex, one ``Iso`` per object.  The bags returned
+    are read-only, and ``validated`` records them.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
@@ -330,6 +353,7 @@ def complete_structured(
     completed: dict[str, object] = {}
     eta_certs: dict[str, object] = {}
     found_kinds = []
+    identities = None   # per source object x, the identity of eta(x) as an Iso
     requested = KIND_ORDER if kinds is None else _ordered(kinds)
     for name in requested:
         kind = KINDS[name]
@@ -353,6 +377,15 @@ def complete_structured(
             completed[name] = _view(found)
             found_kinds.append(name)
             src[name] = kind.transfer(incl, completed, src)
+            built = _BUILT_WHEN_GAUNT.get(name) if res.fidelity == "exact" else None
+            if built is not None:
+                if identities is None:
+                    one = [Iso(f, f) for f in D.identity]
+                    identities = list(map(one.__getitem__, res.eta.obj_map))
+                table = src[name]
+                mu = zip(table, map(identities.__getitem__, map(itemgetter(2), table.values())))
+                eta_certs[name] = built(res.eta, table, completed[name], MappingProxyType(dict(mu)))
+                continue
         cert = kind.preserves(res.eta, src, completed)
         if cert is None:
             raise OracleDisagreement(f"eta does not preserve the carried '{name}'")

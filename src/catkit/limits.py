@@ -17,7 +17,9 @@ comparisons through the factorization is their oracle in the tests.
 :func:`preserves` is the one place that compares an image cone with a
 chosen entry, and the one that certifies an equivalence: a completion
 decides the table :func:`carry` builds, typed by construction, by eta's
-preservation of it.
+preservation of it, unless its skeleton is gaunt, where every carried cone
+images onto its chosen entry and ``lifting.complete_structured`` builds
+eta's certificate instead.
 
 Terminal objects, binary products, equalizers and pullbacks are keyed
 limits: a table maps each key (the empty diagram's one key ``()``, a pair of
@@ -139,7 +141,9 @@ class CoequalizerW(NamedTuple):
 
 
 def is_terminal(C: FinCat, t: int) -> bool:
-    if not (0 <= t < C.n_objects):
+    """Whether t names a terminal object of C; a t that is not an int names
+    none."""
+    if not (isinstance(t, int) and 0 <= t < C.n_objects):
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (), t)
@@ -754,7 +758,8 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     choice.  table must be a checked table of the source and cert a checked
     certificate, as :func:`transfer` ensures: every pulled-back key then
     has an entry, and every leg ends where the eso iso of its foot starts.
-    The carried entries are decided by eta's :func:`preserves`."""
+    The carried entries are decided by eta's :func:`preserves`; carried
+    from a gaunt skeleton, each images onto the entry it was carried from."""
     G, Q = cert.functor, cert.quasi_inverse
     comp = G.target.comp_table
     eso = [iso.fwd for _, iso in cert.eso_witness]
@@ -816,7 +821,10 @@ def lift(
     transferred: Table, target: Table,
 ) -> LimitPreservationCert:
     """:func:`decide_lift` by :func:`preserves` of transferred, the table
-    carried to the completion, into target, the table of F's target."""
+    carried to the completion, into target, the table of F's target: the
+    terminal's lift, since ``preserves_terminal`` also checks its target.
+    The keyed kinds' lifts decide by their own ``preserves_*``, the same
+    computation."""
     return decide_lift(shape.name, cert, F, H, alpha, partial(preserves, shape),
                        transferred, target)
 
@@ -884,7 +892,7 @@ def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table):
 
 
 def lift_preservation_binary_products(cert, F, H, alpha, transferred, target):
-    return lift(PRODUCTS, cert, F, H, alpha, transferred, target)
+    return decide_lift(PRODUCTS.name, cert, F, H, alpha, preserves_binary_products, transferred, target)
 
 
 def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
@@ -900,7 +908,7 @@ def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table):
 
 
 def lift_preservation_equalizers(cert, F, H, alpha, transferred, target):
-    return lift(EQUALIZERS, cert, F, H, alpha, transferred, target)
+    return decide_lift(EQUALIZERS.name, cert, F, H, alpha, preserves_equalizers, transferred, target)
 
 
 def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
@@ -916,7 +924,7 @@ def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table):
 
 
 def lift_preservation_pullbacks(cert, F, H, alpha, transferred, target):
-    return lift(PULLBACKS, cert, F, H, alpha, transferred, target)
+    return decide_lift(PULLBACKS.name, cert, F, H, alpha, preserves_pullbacks, transferred, target)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ source, rather than reading either from the end of a table.
 before it reads one.  ``structure_from_json`` refuses a document that is
 not an object, and ``structure_to_json`` a bag keyed by anything but a
 kind and a witness field, a chi entry's included, that is not an int or
-names nothing of its category."""
+names nothing of its category.  ``check_table`` refuses a terminal witness
+that is not an int as one that names no terminal, and
+``preserves_subobject_classifier`` a target omega or tau out of range
+before it reads either."""
 import re
 from functools import cache
 
@@ -58,9 +61,10 @@ from catkit.generators import (
     heyting_chain,
     heyting_diamond,
     hvalued_sets,
+    setoid_groupoid,
 )
 from catkit.interchange import structure_from_json, structure_to_json
-from catkit.lifting import KIND_ORDER, find_bag
+from catkit.lifting import KIND_ORDER, KINDS, find_bag
 from catkit.limits import ChosenTerminal
 from test_law_oracles import corpus as law_corpus
 
@@ -347,3 +351,31 @@ def test_the_mediator_refuses_a_witness_outside_the_category_before_reading_it()
         with pytest.raises(InvalidCert, match=re.escape(f"product witness {bad!r} is out of range")):
             limits.mediating(C, bad, g1, g2)
     assert limits.mediating(C, w, g1, g2) == C.hom(0, w.apex)[0]
+
+
+@pytest.mark.parametrize("t", [None, 1.5, "0", -1, 99])
+def test_a_terminal_witness_that_names_no_object_is_refused_by_its_check(t):
+    """A field that is not an int is refused as one out of range, by the
+    check of a supplied terminal and the table check it runs."""
+    C = inflate(chain_poset(3), [1, 2, 1])[0]
+    with pytest.raises(InvalidCert, match="^terminal witness is not terminal$"):
+        limits.check_table(limits.TERMINAL, C, {(): ChosenTerminal(t)})
+    with pytest.raises(InvalidCert, match="^terminal witness is not terminal$"):
+        KINDS["terminal"].check(C, {"terminal": ChosenTerminal(t)})
+    assert not limits.is_terminal(C, t)
+
+
+@pytest.mark.parametrize("field, x", [("tau", 99), ("tau", -1), ("omega", 99), ("omega", -1)])
+def test_preserves_subobject_classifier_refuses_a_target_out_of_range(field, x):
+    G = inflate(setoid_groupoid(2, {(0, 1)}), [2, 1])[0]
+    bag = find_bag(G, KIND_ORDER)
+    soc = bag["classifier"]
+    target = {**bag, "classifier": soc._replace(**{field: x})}
+    what = {"omega": soc.omega, "tau": soc.tau, field: x}
+    eta = skeletize(G).eta
+    with pytest.raises(InvalidCert, match=re.escape(
+            f"target classifier witness at omega {what['omega']}, tau {what['tau']} "
+            "is out of range")):
+        classifier.preserves_subobject_classifier(identity_functor(G), bag, target)
+    assert classifier.preserves_subobject_classifier(eta, bag, find_bag(
+        eta.target, KIND_ORDER)) is not None
