@@ -24,9 +24,9 @@ and builds the table column by column.
 with a chosen exponential, by the pair of arrows between the two objects,
 and that certifies an equivalence other than a gaunt completion's, whose
 certificate ``lifting.complete_structured`` builds; the lift is
-:func:`limits.decide_lift` by ``preserves``.  ``is_exponential`` and ``find_exponential`` take the
-product table itself.  The general loops over curried forms are kept in
-the tests as these rules' oracles.
+:func:`limits.decide_lift` by ``preserves``.  ``is_exponential`` and
+``find_exponential`` take the product table itself.  The general loops
+over curried forms are kept in the tests as these rules' oracles.
 """
 from __future__ import annotations
 

@@ -383,8 +383,9 @@ def complete_structured(
                     one = [Iso(f, f) for f in D.identity]
                     identities = list(map(one.__getitem__, res.eta.obj_map))
                 table = src[name]
-                mu = zip(table, map(identities.__getitem__, map(itemgetter(2), table.values())))
-                eta_certs[name] = built(res.eta, table, completed[name], MappingProxyType(dict(mu)))
+                apexes = map(itemgetter(2), table.values())
+                mu = MappingProxyType(dict(zip(table, map(identities.__getitem__, apexes))))
+                eta_certs[name] = built(res.eta, table, completed[name], mu)
                 continue
         cert = kind.preserves(res.eta, src, completed)
         if cert is None:

@@ -892,7 +892,8 @@ def transfer_binary_products(cert: WeakEquivalenceCert, prods: Table):
 
 
 def lift_preservation_binary_products(cert, F, H, alpha, transferred, target):
-    return decide_lift(PRODUCTS.name, cert, F, H, alpha, preserves_binary_products, transferred, target)
+    return decide_lift(PRODUCTS.name, cert, F, H, alpha, preserves_binary_products,
+                       transferred, target)
 
 
 def find_equalizers(C: FinCat) -> dict[tuple[int, int], EqualizerW] | None:
@@ -908,7 +909,8 @@ def transfer_equalizers(cert: WeakEquivalenceCert, eqs: Table):
 
 
 def lift_preservation_equalizers(cert, F, H, alpha, transferred, target):
-    return decide_lift(EQUALIZERS.name, cert, F, H, alpha, preserves_equalizers, transferred, target)
+    return decide_lift(EQUALIZERS.name, cert, F, H, alpha, preserves_equalizers,
+                       transferred, target)
 
 
 def find_pullbacks(C: FinCat) -> dict[tuple[int, int], PullbackW] | None:
@@ -924,7 +926,8 @@ def transfer_pullbacks(cert: WeakEquivalenceCert, pbs: Table):
 
 
 def lift_preservation_pullbacks(cert, F, H, alpha, transferred, target):
-    return decide_lift(PULLBACKS.name, cert, F, H, alpha, preserves_pullbacks, transferred, target)
+    return decide_lift(PULLBACKS.name, cert, F, H, alpha, preserves_pullbacks,
+                       transferred, target)
 
 
 # ---------------------------------------------------------------------------
