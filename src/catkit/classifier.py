@@ -25,6 +25,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .core import (
+    CHI,
+    MORPHISM,
+    OBJECT,
     FinCat,
     Functor,
     Iso,
@@ -33,6 +36,7 @@ from .core import (
     budget_tick,
     check_weak_equivalence_cert,
     find_iso,
+    first_bad_field,
 )
 from .errors import (
     AmbiguousClassifier,
@@ -86,6 +90,10 @@ class SubobjectClassifierW:
     def __iter__(self):
         """The fields in order, as every tuple witness's."""
         return iter((self.omega, self.tau, self.chi))
+
+
+# each field of a classifier witness, with its name in a category document
+FIELDS = (("omega", OBJECT), ("tau", MORPHISM), ("chi", CHI))
 
 
 def _chi_table(
@@ -170,8 +178,15 @@ def find_subobject_classifier(C: FinCat, bag: dict) -> SubobjectClassifierW | No
 
 
 def check_subobject_classifier(C: FinCat, bag: dict) -> None:
+    """The chi table rebuilt from omega and tau must be the witness's; a
+    field that names nothing of C is refused first, as the rebuilt table
+    would refuse it."""
     refuse_missing_kinds(bag, ("terminal", "classifier"))
     w = bag["classifier"]
+    hit = first_bad_field(C, FIELDS, zip(w))
+    if hit is not None:
+        raise InvalidCert("chi table does not match the rebuilt classifier"
+                          if FIELDS[hit[1]][1] == CHI else "truth arrow is not a point of omega")
     rebuilt = subobject_classifier_cert(C, bag["terminal"], w.omega, w.tau)
     if rebuilt.chi != w.chi:
         raise InvalidCert("chi table does not match the rebuilt classifier")
@@ -227,8 +242,8 @@ def preserves_subobject_classifier(
     terminal or the comparison is not invertible.  The bag dst must be a
     found or checked one, whose chi table classifies every mono: the image
     pair then classifies exactly when the comparison is an iso.  A source
-    omega, tau or chi entry out of range raises, and so does a target omega
-    or tau, before either is read."""
+    or target omega, tau or chi entry that names nothing of its category
+    raises, before any is read."""
     refuse_missing_kinds(src, ("terminal", "classifier"))
     refuse_missing_kinds(dst, ("terminal", "classifier"))
     C, D = F.source, F.target
@@ -236,13 +251,10 @@ def preserves_subobject_classifier(
     termD, socD = dst["terminal"], dst["classifier"]
     if preserves_terminal(F, termC, termD) is None:
         return None
-    if not (0 <= socC.omega < C.n_objects
-            and C.has_morphisms(socC.tau, *socC.chi, *socC.chi.values())):
-        raise InvalidCert(f"source classifier witness at omega {socC.omega}, tau {socC.tau} "
-                          "is out of range")
-    if not (0 <= socD.omega < D.n_objects and D.has_morphisms(socD.tau)):
-        raise InvalidCert(f"target classifier witness at omega {socD.omega}, tau {socD.tau} "
-                          "is out of range")
+    for side, E, w in (("source", C, socC), ("target", D, socD)):
+        if first_bad_field(E, FIELDS, zip(w)) is not None:
+            raise InvalidCert(f"{side} classifier witness at omega {w.omega}, tau {w.tau} "
+                              "is out of range")
     # the image of tau is split monic, so the chosen chi table classifies it
     i = socD.chi.get(F.mor_map[socC.tau])
     if i is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,6 +225,53 @@ class FinCat:
 def _first_indices(labels: tuple[str, ...]) -> dict[str, int]:
     """label -> index of its first occurrence, as ``tuple.index`` finds it."""
     return {label: i for i, label in reversed(tuple(enumerate(labels)))}
+
+
+# what a witness field names; a chi table maps morphisms to morphisms
+OBJECT, MORPHISM, CHI = "object", "morphism", "chi"
+OBJECTS, MORPHISMS = ((None, OBJECT),), ((None, MORPHISM),)   # one column of either
+_INT = {int}
+
+
+def first_bad_field(
+    C: FinCat, fields: Sequence[tuple[str | None, str]], columns: Iterable[Sequence]
+) -> tuple[int, int] | None:
+    """The (row, field), first in row order and then field order, of rows
+    given column by column, of a field that names nothing of C as fields
+    says, each (name, OBJECT, MORPHISM or CHI) as a kind's block lists
+    them; None when there is none.  An index is an ``int``, not a ``bool``,
+    in ``range(n_objects)`` or ``range(n_morphisms)``, and a chi table a
+    mapping whose keys and values are morphism indices.  This is the one
+    check of witness fields; each column is decided by builtins over the
+    whole column, so a table costs no Python call per entry, and only an
+    input with a bad field is walked entry by entry."""
+    n, m = len(C.objects), len(C.mor_labels)
+    columns = list(columns)
+    for (_, ref), col in zip(fields, columns):   # every column passes: a hot path
+        if ref == CHI or not _indices(col, n if ref == OBJECT else m):
+            break
+    else:
+        return None
+    hit = None
+    for j, ((_, ref), col) in enumerate(zip(fields, columns)):
+        if ref == CHI:
+            ok = (isinstance(chi, Mapping) and _indices([*chi, *chi.values()], m) for chi in col)
+        else:
+            ok = (_indices((x,), n if ref == OBJECT else m) for x in col)
+        i = next((i for i, good in enumerate(ok) if not good), None)
+        if i is not None and (hit is None or i < hit[0]):
+            hit = (i, j)
+    return hit
+
+
+def _indices(values: Sequence, bound: int) -> bool:
+    """Whether every value is an int, not a bool, in range(bound): one value
+    tested as it is, more by builtins over them all."""
+    if len(values) == 1:
+        x, = values
+        return type(x) is int and 0 <= x < bound
+    return {*map(type, values)} <= _INT and (
+        not values or (min(values) >= 0 and max(values) < bound))
 
 
 def check_category_tables(C: FinCat) -> None:
@@ -607,7 +654,16 @@ class Iso:
 
 def find_iso(C: FinCat, f: int) -> Iso | None:
     """Return the inverse of f when one exists.  Inverses are unique, so the
-    first hit is the only hit."""
+    first hit is the only hit.  An f that names no morphism of C is
+    refused, as :func:`first_bad_field` decides."""
+    if first_bad_field(C, MORPHISMS, ((f,),)) is not None:
+        raise InvalidCert(f"{f!r} names no morphism of {C.name}")
+    return _inverse(C, f)
+
+
+def _inverse(C: FinCat, f: int) -> Iso | None:
+    """:func:`find_iso` for an f that indexes a morphism of C, as every
+    caller inside the package passes."""
     x, y = C.mor_src[f], C.mor_dst[f]
     for g in C.hom(y, x):
         budget_tick()
@@ -619,7 +675,7 @@ def find_iso(C: FinCat, f: int) -> Iso | None:
 def iso_between(C: FinCat, x: int, y: int) -> Iso | None:
     """Lowest-index isomorphism from x to y, if any."""
     for f in C.hom(x, y):
-        iso = find_iso(C, f)
+        iso = _inverse(C, f)
         if iso is not None:
             return iso
     return None
@@ -628,7 +684,7 @@ def iso_between(C: FinCat, x: int, y: int) -> Iso | None:
 def isos_between(C: FinCat, x: int, y: int) -> list[Iso]:
     out = []
     for f in C.hom(x, y):
-        iso = find_iso(C, f)
+        iso = _inverse(C, f)
         if iso is not None:
             out.append(iso)
     return out
@@ -655,7 +711,7 @@ def iso_classes(C: FinCat) -> tuple[tuple[int, ...], ...]:
 
     for f in range(C.n_morphisms):
         rx, ry = root(C.mor_src[f]), root(C.mor_dst[f])
-        if rx != ry and find_iso(C, f) is not None:
+        if rx != ry and _inverse(C, f) is not None:
             parent[max(rx, ry)] = min(rx, ry)
 
     groups: dict[int, list[int]] = {}
@@ -690,17 +746,29 @@ class Functor:
 _checked_functors: weakref.WeakSet[Functor] = weakref.WeakSet()
 
 
+def refuse_short_maps(F: Functor) -> None:
+    """Refuse a functor whose maps do not cover its source, before any
+    image of a source index is read."""
+    if len(F.obj_map) != F.source.n_objects or len(F.mor_map) != F.source.n_morphisms:
+        raise IllTypedImage("functor tables do not cover the source category")
+
+
+def _refuse_images_outside(F: Functor) -> None:
+    """Refuse maps that do not cover F's source, then an image that names
+    nothing of its target, each map one :func:`first_bad_field` column."""
+    C, D = F.source, F.target
+    refuse_short_maps(F)
+    if (hit := first_bad_field(D, OBJECTS, (F.obj_map,))) is not None:
+        raise IllTypedImage(f"image of object {C.objects[hit[0]]} is out of range")
+    if (hit := first_bad_field(D, MORPHISMS, (F.mor_map,))) is not None:
+        raise IllTypedImage(f"image of {C.mor_labels[hit[0]]} is out of range")
+
+
 def check_functor(F: Functor) -> None:
     C, D = F.source, F.target
-    if len(F.obj_map) != C.n_objects or len(F.mor_map) != C.n_morphisms:
-        raise IllTypedImage("functor tables do not cover the source category")
-    for x in range(C.n_objects):
-        if not (0 <= F.obj_map[x] < D.n_objects):
-            raise IllTypedImage(f"image of object {C.objects[x]} is out of range")
-    obj_map, m = F.obj_map, D.n_morphisms
+    _refuse_images_outside(F)
+    obj_map = F.obj_map
     for f, ff in enumerate(F.mor_map):
-        if not (0 <= ff < m):
-            raise IllTypedImage(f"image of {C.mor_labels[f]} is out of range")
         if (
             D.mor_src[ff] != obj_map[C.mor_src[f]]
             or D.mor_dst[ff] != obj_map[C.mor_dst[f]]
@@ -810,7 +878,7 @@ def check_nat_iso(alpha: NatIso) -> None:
             raise ComponentNotIso(
                 f"component at {C.objects[x]} has the wrong endpoints"
             )
-        found = find_iso(D, fwd)
+        found = _inverse(D, fwd)
         if found is None or found.inv != comp.inv:
             raise ComponentNotIso(
                 f"component at {C.objects[x]} is not an isomorphism"
@@ -842,9 +910,13 @@ def nat_iso(F: Functor, G: Functor, fwd_components: list[int]) -> NatIso:
     """Build a NatIso from forward components, computing inverses; raises if
     some component is not invertible or a square fails."""
     D = F.target
+    if (hit := first_bad_field(D, MORPHISMS, (fwd_components,))) is not None:
+        raise ComponentNotIso(
+            f"component at {F.source.objects[hit[0]]} is not a morphism of the target"
+        )
     comps = []
     for x, fwd in enumerate(fwd_components):
-        iso = find_iso(D, fwd)
+        iso = _inverse(D, fwd)
         if iso is None:
             raise ComponentNotIso(
                 f"component at {F.source.objects[x]} is not an isomorphism"
@@ -899,7 +971,9 @@ def is_fully_faithful(F: Functor) -> dict[tuple[int, int], Mapping[int, int]] | 
     """Hom-set by hom-set bijectivity check; returns the inverse tables,
     each read-only, or None on the first failing hom-set.  Each source
     morphism ticks the search budget once, as far as the first repeated
-    image."""
+    image.  Maps that do not cover the source, or an image out of range,
+    are refused first, as :func:`check_functor` refuses them."""
+    _refuse_images_outside(F)
     C, obj_map, mor_map = F.source, F.obj_map, F.mor_map
     source_homs, target_homs = C.hom_map, F.target.hom_map
     out: dict[tuple[int, int], Mapping[int, int]] = {}
@@ -1047,7 +1121,7 @@ def check_weak_equivalence_cert(cert: WeakEquivalenceCert) -> None:
             or D.mor_src[iso.fwd] != F.obj_map[x] or D.mor_dst[iso.fwd] != y
         ):
             raise InvalidCert(f"eso witness for object {y} is ill-typed")
-        if find_iso(D, iso.fwd) != iso:
+        if _inverse(D, iso.fwd) != iso:
             raise InvalidCert(f"eso witness for object {y} is not an iso")
     _accept(cert)
 

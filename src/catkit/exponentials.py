@@ -37,6 +37,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .core import (
+    MORPHISM,
+    OBJECT,
     Functor,
     FinCat,
     Iso,
@@ -44,6 +46,8 @@ from .core import (
     WeakEquivalenceCert,
     budget_tick,
     check_weak_equivalence_cert,
+    first_bad_field,
+    refuse_short_maps,
 )
 from .errors import InvalidCert
 from .limits import (
@@ -51,9 +55,9 @@ from .limits import (
     decide_lift,
     refuse_missing_kinds,
     refuse_other_keys,
-    _first_out_of_range,
     _lowest_by_down_set,
     _meet_apexes,
+    _named_prefix,
     _table,
 )
 
@@ -66,6 +70,10 @@ class ExponentialW(NamedTuple):
     y: int
     obj: int
     ev: int
+
+
+# each field of an exponential witness, with its name in a category document
+FIELDS = (("base", OBJECT), ("target", OBJECT), ("obj", OBJECT), ("ev", MORPHISM))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +142,16 @@ def _implication(
 
 def check_exponentials(C: FinCat, bag: dict) -> None:
     """Every pair of objects of C carries a valid exponential keyed by it,
-    and the table has no other entry."""
+    and the table has no other entry; the first pair whose entry is
+    missing, has a field that names nothing of C or is wrong, is refused."""
     refuse_missing_kinds(bag, ("products", "exponentials"))
     table = bag["exponentials"]
     apexes = [_meet_apexes(C, bag["products"], x) for x in range(C.n_objects)]
     keys = list(itertools.product(range(C.n_objects), repeat=2))
-    for x, y in keys:
-        w = table.get((x, y))
-        if w is None or w[:2] != (x, y) or not _is_exponential(C, apexes[x], w):
+    ws = list(map(table.get, keys))
+    n_ok = _named_prefix(C, FIELDS, ws)
+    for i, ((x, y), w) in enumerate(zip(keys, ws)):
+        if i == n_ok or w[:2] != (x, y) or not _is_exponential(C, apexes[x], w):
             raise InvalidCert(f"exponential table is wrong at ({x},{y})")
     refuse_other_keys("exponential", "pair of objects", table, keys)
 
@@ -211,9 +221,10 @@ def preserves_exponentials(F: Functor, src: dict, dst: dict) -> ExpPreservationC
     """Each image F(obj) compared with the chosen exponential of the images
     by the pair of arrows between the two objects; None when some pair is
     not isomorphic.  Bad input is refused before anything is decided, as in
-    :func:`limits.preserves`: a bag without a kind read here, then a source
-    entry whose key parts, object or evaluation are out of range, then a
-    target entry that is missing or cannot be an exponential: F,
+    :func:`limits.preserves`: a bag without a kind read here, a functor
+    whose maps do not cover its source, then a source entry whose key, or a field of whose witness, names nothing of F's
+    source, then a target entry that is missing, has a field that names
+    nothing of D, or cannot be an exponential: F,
     preserving products, takes the product of (obj, x) below y to one below
     F(y), so F(obj) lies below the implication, whose ev is the arrow out
     of its chosen product."""
@@ -221,27 +232,30 @@ def preserves_exponentials(F: Functor, src: dict, dst: dict) -> ExpPreservationC
     refuse_missing_kinds(dst, ("products", "exponentials"))
     D = F.target
     expsC, prodsD, expsD = src["exponentials"], dst["products"], dst["exponentials"]
-    keys, ws, n = list(expsC), list(expsC.values()), len(F.obj_map)
-    # key parts, objects and evaluations column by column, as limits.preserves reads them
-    columns = [*zip(*keys), *list(zip(*ws))[2:]]
-    n_ok = _first_out_of_range(columns, (n, n, n, len(F.mor_map)), len(keys))
-    if n_ok < len(keys):
-        raise InvalidCert(f"source exponential entry {keys[n_ok]} is out of range")
+    refuse_short_maps(F)
+    keys, ws = list(expsC), list(expsC.values())
+    # the keys and every field of the witnesses column by column, as
+    # limits.preserves reads them
+    hit = first_bad_field(F.source, FIELDS[:2] + FIELDS, [*zip(*keys), *zip(*ws)])
+    if hit is not None:
+        raise InvalidCert(f"source exponential entry {keys[hit[0]]} is out of range")
     hom, obj_map = D.hom_map, F.obj_map
     # each distinct image, the key's and the object's, is refused or
     # compared once, in the order of first occurrence
     images = [((obj_map[x], obj_map[y]), obj_map[w[2]]) for (x, y), w in zip(keys, ws)]
     distinct = list(dict.fromkeys(images))
-    for key, obj in distinct:
-        entry = expsD.get(key)
-        if entry is None:
-            raise InvalidCert(f"target exponential table lacks the entry at {key}")
-        tx, ty, tobj, tev = entry
+    entries = [expsD.get(key) for key, _ in distinct]
+    n_ok = _named_prefix(D, FIELDS, entries)
+    for (key, obj), (tx, ty, tobj, tev) in zip(distinct, entries[:n_ok]):
         prod = prodsD.get((tobj, key[0]))
-        if (D.down_sets is None or prod is None or (obj, tobj) not in hom
-                or (tx, ty) != key or not D.has_morphisms(tev)
+        if (D.down_sets is None or prod is None or (obj, tobj) not in hom or (tx, ty) != key
                 or (D.mor_src[tev], D.mor_dst[tev]) != (prod[2], key[1])):
             raise InvalidCert(f"target exponential entry {key} is not an exponential")
+    if n_ok < len(entries):
+        key = distinct[n_ok][0]
+        if entries[n_ok] is None:
+            raise InvalidCert(f"target exponential table lacks the entry at {key}")
+        raise InvalidCert(f"target exponential entry {key} is not an exponential")
     by_image: dict[tuple[tuple[int, int], int], Iso] = {}
     for key, obj in distinct:
         tobj = expsD[key][2]

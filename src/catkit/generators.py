@@ -127,7 +127,11 @@ def poset_from_pairs(elements: list[str], strict: set[tuple[str, str]], name: st
 
 def setoid_groupoid(n: int, pairs: set[tuple[int, int]], name: str = "setoid") -> FinCat:
     """Groupoid of an equivalence relation: the thin category of the
-    relation, one morphism per related pair."""
+    relation, one morphism per related pair.  A pair of anything but two
+    elements of range(n) raises MalformedInput."""
+    for pair in pairs:
+        if len(pair) != 2 or not all(x in range(n) for x in pair):
+            raise MalformedInput(f"pair {pair!r} does not relate two elements of range({n})")
     # symmetric-transitive-reflexive closure via union-find
     parent = list(range(n))
 
@@ -150,9 +154,12 @@ def setoid_groupoid(n: int, pairs: set[tuple[int, int]], name: str = "setoid") -
 def delooping(table: list[list[int]], name: str = "delooping") -> FinCat:
     """One-object category of a finite monoid given by its multiplication
     table; ``table[a][b]`` is "a then b".  The unit is detected, and a table
-    without one raises MalformedInput; :func:`fincat` checks the rest, so a
-    unital table that is not associative raises AssociativityViolation."""
+    without one, or that is not square, raises MalformedInput;
+    :func:`fincat` checks the rest, so a unital table that is not
+    associative raises AssociativityViolation."""
     m = len(table)
+    if any(len(row) != m for row in table):
+        raise MalformedInput("multiplication table is not square")
     unit = None
     for e in range(m):
         if all(table[e][a] == a and table[a][e] == a for a in range(m)):

@@ -15,9 +15,20 @@ from the unit laws.  Every other composable pair must be listed.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Container
 
-from .core import FinCat, Functor, category_from_rows, functor
+from .core import (
+    CHI,
+    MORPHISM,
+    MORPHISMS,
+    OBJECT,
+    FinCat,
+    Functor,
+    category_from_rows,
+    first_bad_field,
+    functor,
+)
 from .errors import (
     CategoryValidationError,
     DanglingReference,
@@ -27,7 +38,7 @@ from .errors import (
     MalformedInput,
     MissingIdentity,
 )
-from .lifting import CHI, KIND_ORDER, KINDS, OBJECT, StructureBlock, _check_known
+from .lifting import KIND_ORDER, KINDS, StructureBlock, _check_known
 
 
 _KIND_NAMES = {list: "a list", dict: "an object", str: "a label"}
@@ -287,14 +298,12 @@ def functor_to_json(F: Functor) -> dict[str, Any]:
 # structure blocks
 
 
-def _field(C: FinCat, name: str, field: str | None, ref: str):
-    """(read, write) for a field of kind name's block on C.  read takes a
-    label, at its entry's pointer, to the index of what it names, as ref
-    says; write takes an index, at its entry's key, back, and refuses one
-    that is not an int, a bool included, or names nothing of C.  For CHI
-    both map a map's keys and values."""
-    indices, labels, what = ((C.object_indices, C.objects, "object") if ref == OBJECT
-                             else (C.morphism_indices, C.mor_labels, "morphism"))
+def _reader(C: FinCat, field: str | None, ref: str):
+    """For a field of a block on C, what takes a label, at its entry's
+    pointer, to the index of what it names, as ref says; for CHI, a map's
+    keys and values."""
+    indices, what = ((C.object_indices, "object") if ref == OBJECT
+                     else (C.morphism_indices, "morphism"))
 
     def read(label: Any, pointer: str) -> int:
         x = _index_of(indices, label)
@@ -302,34 +311,49 @@ def _field(C: FinCat, name: str, field: str | None, ref: str):
             raise DanglingReference(f"unknown {what} {label!r}", pointer=pointer)
         return x
 
-    def write(x: int, key: Any) -> str:
-        if type(x) is not int or not 0 <= x < len(labels):
-            at = "" if key is None else f" at key {key!r}"
-            raise InvalidCert(f"'{name}'{at}: {field or 'label'} {x!r} names no {what} of {C.name}")
-        return labels[x]
-
     if ref != CHI:
-        return read, write
+        return read
 
     def read_map(value: Any, pointer: str) -> dict[int, int]:
         p = f"{pointer}/{field}"
         return {read(k, p): read(v, p) for k, v in _expect(value, dict, field, p).items()}
 
-    return read_map, lambda chi, key: {write(f, f): write(g, f) for f, g in sorted(chi.items())}
+    return read_map
 
 
 def _write_block(C: FinCat, name: str, block: StructureBlock, w: Any) -> Any:
-    """Kind name's bag entry w as its block."""
-    writers = [(f, _field(C, name, f, ref)[1]) for f, ref in block.fields]
-    rows = [{f: write(v, key) for (f, write), v in zip(writers, w)}
-            for key, w in (sorted(w.items()) if block.key else [(None, w)])]
+    """Kind name's bag entry w as its block, once every field of every
+    entry names something of C, as ``core.first_bad_field`` decides."""
+    entries = sorted(w.items()) if block.key else [(None, w)]
+    hit = first_bad_field(C, block.fields, list(zip(*[v for _, v in entries])))
+    if hit is not None:
+        raise _misnamed(C, name, block, *entries[hit[0]], hit[1])
+    labels = {OBJECT: C.objects.__getitem__, MORPHISM: C.mor_labels.__getitem__,
+              CHI: lambda chi: {C.mor_labels[f]: C.mor_labels[g] for f, g in sorted(chi.items())}}
+    rows = [{f: labels[ref](v) for (f, ref), v in zip(block.fields, w)} for _, w in entries]
     return rows if block.key else rows[0] if block.fields[0][0] else rows[0][None]
 
 
-def _read_block(C: FinCat, name: str, block: StructureBlock, value: Any, pointer: str) -> Any:
-    """The bag entry of kind name a block holds.  An absent map is empty,
-    and an absent label is read as null."""
-    readers = [(f, {} if r == CHI else None, _field(C, name, f, r)[0]) for f, r in block.fields]
+def _misnamed(C: FinCat, name: str, block: StructureBlock, key: Any, w: Any,
+              j: int) -> InvalidCert:
+    """The refusal of field j of kind name's entry w, at key, which names
+    nothing of C: in a chi table, of its first key or value that does not,
+    at that key."""
+    field, ref = block.fields[j]
+    x = tuple(w)[j]
+    if ref == CHI and isinstance(x, Mapping):
+        pairs = list(x.items())
+        i, side = first_bad_field(C, MORPHISMS * 2, list(zip(*pairs)))
+        key, x = pairs[i][0], pairs[i][side]
+    what = "object" if ref == OBJECT else "morphism"
+    at = "" if key is None else f" at key {key!r}"
+    return InvalidCert(f"'{name}'{at}: {field or 'label'} {x!r} names no {what} of {C.name}")
+
+
+def _read_block(C: FinCat, block: StructureBlock, value: Any, pointer: str) -> Any:
+    """The bag entry a kind's block holds.  An absent map is empty, and an
+    absent label is read as null."""
+    readers = [(f, {} if r == CHI else None, _reader(C, f, r)) for f, r in block.fields]
     maps = [f for f, ref in block.fields if ref == CHI]
     last = block.path[-1]
     if not block.fields[0][0]:
@@ -382,5 +406,5 @@ def structure_from_json(doc: dict[str, Any], C: FinCat) -> dict[str, Any]:
             node = _expect(node.get(step, {}), dict, step, pointer)
         last = block.path[-1]
         if last in node:
-            bag[name] = _read_block(C, name, block, node[last], f"{pointer}/{last}")
+            bag[name] = _read_block(C, block, node[last], f"{pointer}/{last}")
     return bag

@@ -63,17 +63,16 @@ from . import classifier, exponentials, limits, nno
 from .limits import EQUALIZERS, PRODUCTS, PULLBACKS, TERMINAL, LimitShape, check_table
 
 
-# what a field of a structure block names
-OBJECT, MORPHISM, CHI = "object", "morphism", "chi"
-
-
 @dataclass(frozen=True)
 class StructureBlock:
     """Where a kind's bag entry sits in a category document, and each
     field of its witness type, in order, with its JSON name and what it
-    names.  A table, keyed by its first ``key`` fields, is a list of one
-    object per entry in key order; a single witness is one object, or the
-    bare label of its one field where that has no name."""
+    names (``core.OBJECT``, ``MORPHISM`` or ``CHI``), declared once with the
+    witness in the kind's module, and read by ``core.first_bad_field`` in
+    every verb that takes a witness.  A table, keyed by its first ``key``
+    fields, is a list of one object per entry in key order; a single
+    witness is one object, or the bare label of its one field where that
+    has no name."""
 
     path: tuple[str, ...]
     witness: type
@@ -130,9 +129,7 @@ def _limit_kind(name: str, suffix: str, shape: LimitShape, token: str, topos: st
     def table(bag):
         return bag[name] if shape.n_key else {(): bag[name]}
 
-    fields = tuple((f if shape.n_key else None, OBJECT if is_obj else MORPHISM)
-                   for f, is_obj in shape.field_kinds)
-    block = StructureBlock(("structure", under), shape.witness, fields, shape.n_key)
+    block = StructureBlock(("structure", under), shape.witness, shape.fields, shape.n_key)
     return StructureKind(
         name, (), token, topos, block,
         lambda C, bag: check_table(shape, C, table(bag)),
@@ -170,14 +167,13 @@ _LIMIT_KINDS = (
 # (kind, dependencies, module of its verbs, their suffix, CLI token, topos label, block)
 _BAG_KINDS = (
     ("exponentials", ("products",), exponentials, "exponentials", "exponentials", "exponentials",
-     StructureBlock(("exponentials",), exponentials.ExponentialW,
-                    (("base", OBJECT), ("target", OBJECT), ("obj", OBJECT), ("ev", MORPHISM)), 2)),
+     StructureBlock(("exponentials",), exponentials.ExponentialW, exponentials.FIELDS, 2)),
     ("classifier", ("terminal",), classifier, "subobject_classifier", "omega",
      "subobject classifier",
      StructureBlock(("subobject_classifier",), classifier.SubobjectClassifierW,
-                    (("omega", OBJECT), ("tau", MORPHISM), ("chi", CHI)))),
+                    classifier.FIELDS)),
     ("pnno", ("terminal", "products"), nno, "pnno", "pnno", None,
-     StructureBlock(("pnno",), nno.PNNOW, (("N", OBJECT), ("z", MORPHISM), ("s", MORPHISM)))),
+     StructureBlock(("pnno",), nno.PNNOW, nno.FIELDS)),
 )
 
 KINDS: dict[str, StructureKind] = {

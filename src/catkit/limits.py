@@ -64,18 +64,22 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .core import (
+    MORPHISM,
+    OBJECT,
     FinCat,
     Functor,
     Iso,
     NatIso,
     WeakEquivalenceCert,
+    _inverse,
     budget_tick,
     check_weak_equivalence_cert,
     compose_functors,
-    find_iso,
+    first_bad_field,
     functors_equal,
     is_fully_faithful,
     opposite,
+    refuse_short_maps,
 )
 from .errors import (
     DependencyMissing,
@@ -141,9 +145,9 @@ class CoequalizerW(NamedTuple):
 
 
 def is_terminal(C: FinCat, t: int) -> bool:
-    """Whether t names a terminal object of C; a t that is not an int names
-    none."""
-    if not (isinstance(t, int) and 0 <= t < C.n_objects):
+    """Whether t names a terminal object of C; a t that is not an index of
+    an object, as :func:`first_bad_field` decides, names none."""
+    if first_bad_field(C, TERMINAL.fields, ((t,),)) is not None:
         return False
     if C.down_sets is not None:
         return _thin_universal(C, (), t)
@@ -367,11 +371,13 @@ class LimitShape:
     ``commutes`` holds the equations on typed legs, read from the table, if
     any; ``cones(counts, key)`` counts the cones over a key, summed over all
     vertices, from what :class:`_Counts` reads of the category, and is all
-    that :func:`_counted_universal` needs of a shape.  Keys name objects or,
-    unless ``keyed_by_objects``, morphisms.  ``is_limit`` is the public
-    check of a witness, range, typing and equations first, and looks its
-    function up on the module when called, so a wrapper installed on the
-    module sees every call.
+    that :func:`_counted_universal` needs of a shape.  ``fields`` says what
+    each witness field names, with its name in a category document: it is
+    the fields of the kind's block in ``lifting``.  The key parts name
+    objects or morphisms alike.  ``is_limit`` is the public check of a
+    witness, range, typing and equations first, and looks its function up
+    on the module when called, so a wrapper installed on the module sees
+    every call.
     """
 
     name: str
@@ -383,14 +389,11 @@ class LimitShape:
     commutes: Callable[[FinCat, Key, tuple[int, ...]], bool] | None
     is_limit: Callable[[FinCat, object], bool]
     cones: Callable[[_Counts, Key], int]
-    keyed_by_objects: bool
+    fields: tuple[tuple[str | None, str], ...]
 
-    @cached_property
-    def field_kinds(self) -> tuple[tuple[str, bool], ...]:
-        """(name, whether it names an object) for each witness field."""
-        k = self.n_key
-        return tuple((n, i == k or (i < k and self.keyed_by_objects))
-                     for i, n in enumerate(self.witness._fields))
+    @property
+    def keyed_by_objects(self) -> bool:
+        return self.fields[0][1] == OBJECT
 
     def split(self, w) -> tuple[Key, int, tuple[int, ...]]:
         """A witness as (key, apex, legs)."""
@@ -401,16 +404,6 @@ class LimitShape:
         image = F.obj_map if self.keyed_by_objects else F.mor_map
         return (image[key[0]], image[key[1]]) if key else ()
 
-    def in_range(self, C: FinCat, v: tuple[int, ...]) -> bool:
-        """Whether each field of the flat witness v names an object or a
-        morphism of C, as its kind says; a field outside the range would be
-        read as an index counted from the end, or not at all."""
-        n, m = C.n_objects, C.n_morphisms
-        for x, (_, is_obj) in zip(v, self.field_kinds):
-            if not 0 <= x < (n if is_obj else m):
-                return False
-        return True
-
     def image(self, F: Functor, w) -> object:
         """The image under F of the cone w, keyed by the image diagram."""
         key, apex, legs = self.split(w)
@@ -418,24 +411,29 @@ class LimitShape:
         return self.witness(*self.image_key(F, key), F.obj_map[apex], *legs)
 
 
+# the terminal's block is the bare label of its apex, so its one field has no name
 TERMINAL = LimitShape(
     "terminal", "empty diagram", ChosenTerminal, 0, lambda C: [()], lambda C, key: (),
-    None, lambda C, w: is_terminal(C, w.t), lambda counts, key: counts.C.n_objects, True,
+    None, lambda C, w: is_terminal(C, w.t), lambda counts, key: counts.C.n_objects,
+    ((None, OBJECT),),
 )
 PRODUCTS = LimitShape(
     "product", "factor pair", BinProductW, 2,
     lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
-    None, lambda C, w: is_binary_product(C, w), _product_cones, True,
+    None, lambda C, w: is_binary_product(C, w), _product_cones,
+    (("x1", OBJECT), ("x2", OBJECT), ("apex", OBJECT), ("pi1", MORPHISM), ("pi2", MORPHISM)),
 )
 EQUALIZERS = LimitShape(
     "equalizer", "parallel pair", EqualizerW, 2, parallel_pairs, _parallel_feet,
     lambda C, key, legs: (row := C.comp_table[legs[0]])[key[0]] == row[key[1]],
-    lambda C, w: is_equalizer(C, w), _equalizer_cones, False,
+    lambda C, w: is_equalizer(C, w), _equalizer_cones,
+    (("f", MORPHISM), ("g", MORPHISM), ("obj", OBJECT), ("arrow", MORPHISM)),
 )
 PULLBACKS = LimitShape(
     "pullback", "cospan", PullbackW, 2, cospan_pairs, _cospan_feet,
     lambda C, key, legs: C.comp_table[legs[0]][key[0]] == C.comp_table[legs[1]][key[1]],
-    lambda C, w: is_pullback(C, w), _pullback_cones, False,
+    lambda C, w: is_pullback(C, w), _pullback_cones,
+    (("f", MORPHISM), ("g", MORPHISM), ("apex", OBJECT), ("p1", MORPHISM), ("p2", MORPHISM)),
 )
 
 
@@ -451,7 +449,8 @@ def find_limit(shape: LimitShape, C: FinCat, key: Key) -> object | None:
     each other candidate is decided by order, one tick each; elsewhere by
     :func:`_counted_limit`, one tick for the key.  Only the winner becomes
     a witness."""
-    if not shape.in_range(C, key) or (feet := shape.feet(C, key)) is None:
+    if first_bad_field(C, shape.fields, zip(key)) is not None \
+            or (feet := shape.feet(C, key)) is None:
         return None
     if C.down_sets is None:
         return _counted_limit(shape, _Counts(C), key)
@@ -528,7 +527,7 @@ def _feet_columns(shape: LimitShape, C: FinCat, columns: list) -> list:
     from the keys' parts given column by column: the parts themselves for
     keys of objects, and the sources of the first parts for keys of
     morphisms (a parallel pair's one foot, a cospan's two)."""
-    n_legs = len(shape.field_kinds) - shape.n_key - 1
+    n_legs = len(shape.fields) - shape.n_key - 1
     if shape.keyed_by_objects:
         return columns[:n_legs]
     return [list(map(C.mor_src.__getitem__, col)) for col in columns[:n_legs]]
@@ -559,14 +558,25 @@ def _wrong_at(shape: LimitShape, key: Key) -> InvalidCert:
 
 def check_table(shape: LimitShape, C: FinCat, table: Table) -> None:
     """Every key of C carries a valid witness keyed by it, and the table
-    has no other entry."""
+    has no other entry: the first key whose entry is missing, has a field
+    that names nothing of C, or is not a limit keyed by it, is refused."""
     k = shape.n_key
     keys = shape.keys(C)
-    for key in keys:
-        w = table.get(key)
-        if w is None or w[:k] != key or not shape.is_limit(C, w):
+    ws = list(map(table.get, keys))
+    n_ok = _named_prefix(C, shape.fields, ws)
+    for i, (key, w) in enumerate(zip(keys, ws)):
+        if i == n_ok or w[:k] != key or not shape.is_limit(C, w):
             raise _wrong_at(shape, key)
     refuse_other_keys(shape.name, shape.diagram, table, keys)
+
+
+def _named_prefix(C: FinCat, fields, entries: list) -> int:
+    """How many of entries, up to the first missing one (None), have every
+    field naming what fields says, as :func:`first_bad_field` decides: the
+    entries a check reads before it refuses the next one."""
+    n = entries.index(None) if None in entries else len(entries)
+    hit = first_bad_field(C, fields, zip(*entries[:n]))
+    return n if hit is None else hit[0]
 
 
 def refuse_missing_kinds(bag: Mapping, kinds: tuple[str, ...]) -> None:
@@ -587,9 +597,10 @@ def refuse_other_keys(name: str, what: str, table: dict, keys: list) -> None:
 
 def mediator(shape: LimitShape, C: FinCat, w, z: int, legs: tuple[int, ...]) -> int:
     """The unique morphism into the apex of w through which the cone with
-    vertex z and the given legs factors; a witness with a field outside C
-    is bad input, refused before it is read, as in :func:`reflect`."""
-    if not shape.in_range(C, w):
+    vertex z and the given legs factors; a witness with a field that names
+    nothing of C is bad input, refused before it is read, as in
+    :func:`reflect`."""
+    if first_bad_field(C, shape.fields, zip(w)) is not None:
         raise InvalidCert(f"{shape.name} witness {w} is out of range")
     k = shape.n_key   # split inline: a hot path
     apex, wlegs = w[k], w[k + 1:]
@@ -624,7 +635,7 @@ def comparison(shape: LimitShape, C: FinCat, a, b) -> Iso:
     key, apex, legs = shape.split(a)
     if shape.split(b)[0] != key:
         raise NotACone(f"witnesses do not share their {shape.diagram}")
-    iso = find_iso(C, mediator(shape, C, b, apex, legs))
+    iso = _inverse(C, mediator(shape, C, b, apex, legs))
     if iso is None:
         raise OracleDisagreement(f"comparison between two {shape.name}s is not invertible")
     return iso
@@ -657,18 +668,9 @@ def _comparison_at(shape: LimitShape, E: FinCat, entry, image: tuple[int, ...]) 
         fwd = mediator(shape, E, entry, image[k], image[k + 1:])
     except NotACone:
         return None
-    found = find_iso(E, fwd)
+    found = _inverse(E, fwd)
     # chosen-of-images -> image-of-chosen
     return None if found is None else Iso(found.inv, found.fwd)
-
-
-def _first_out_of_range(columns, bounds, n: int) -> int:
-    """The index of the first of n rows, given column by column, with a
-    field outside ``range(bound)`` for its column's bound; n when none is."""
-    for col, bound in zip(columns, bounds):
-        if min(col) < 0 or max(col) >= bound:
-            n = min(n, next(i for i, x in enumerate(col) if not 0 <= x < bound))
-    return n
 
 
 def preserves(
@@ -677,9 +679,11 @@ def preserves(
     """Each image cone must factor through the chosen limit of its diagram
     by an iso; None when some image cone is not limiting.  Bad input is
     refused before anything is decided, each refusal an ``InvalidCert``
-    naming the first such key of the source: first a source entry whose key
-    parts, apex or legs are out of range, then an image whose diagram has
-    no target entry, or one with a field out of range.  Each distinct
+    naming the first such key of the source, after a functor whose maps do
+    not cover its source (``IllTypedImage``): first a source entry whose
+    key, or a field of whose witness, names nothing of F's source, then an
+    image whose diagram has no target entry, or one with a field that names
+    nothing of E, as :func:`first_bad_field` decides.  Each distinct
     image cone is then compared once.  The target entries must be limits,
     as every found or checked table is: an image cone equal to its chosen
     limit then gets the identity, unsearched, since the only endomorphism
@@ -688,18 +692,21 @@ def preserves(
     identities of E, the target table equals the source table and every
     entry is keyed by its own key, each image cone is its own chosen entry,
     and mu is the identity at every key, taken without a walk."""
-    E, k = F.target, shape.n_key
+    refuse_short_maps(F)
+    E, k, fields = F.target, shape.n_key, shape.fields
     # for each field of a flat cone (key parts, apex, legs), F's map
-    maps = [F.obj_map if is_obj else F.mor_map for _, is_obj in shape.field_kinds]
+    maps = [F.obj_map if ref == OBJECT else F.mor_map for _, ref in fields]
     keys = list(source)
     # the source cones column by column, their key parts read from the keys;
-    # a field outside its map's indices would be read from the end, or not at all
+    # every field of the cones is checked, and the keys where they differ
     cones = list(zip(*source.values()))
     columns = [*zip(*keys), *cones[k:]]
-    n_ok = _first_out_of_range(columns, map(len, maps), len(keys))
-    if n_ok < len(keys):
-        raise InvalidCert(f"source {shape.name} entry {keys[n_ok]} is out of range")
-    if keys and cones[:k] == columns[:k] and target == source \
+    keyed = cones[:k] == columns[:k]
+    hit = first_bad_field(F.source, fields, cones) if keyed else \
+        first_bad_field(F.source, fields[:k] + fields, [*columns[:k], *cones])
+    if hit is not None:
+        raise InvalidCert(f"source {shape.name} entry {keys[hit[0]]} is out of range")
+    if keys and keyed and target == source \
             and list(F.obj_map) == list(range(E.n_objects)) \
             and list(F.mor_map) == list(range(E.n_morphisms)):
         apexes = cones[k]
@@ -709,11 +716,12 @@ def preserves(
     images = list(zip(*[map(fmap.__getitem__, col) for fmap, col in zip(maps, columns)]))
     distinct = list(dict.fromkeys(images))
     entries = [target.get(image[:k]) for image in distinct]
-    for image, entry in zip(distinct, entries):
-        if entry is None:
-            raise InvalidCert(f"target {shape.name} table lacks the entry at {image[:k]}")
-        if not shape.in_range(E, entry):
-            raise InvalidCert(f"target {shape.name} entry {image[:k]} is out of range")
+    n_ok = _named_prefix(E, fields, entries)
+    if n_ok < len(entries):
+        key = distinct[n_ok][:k]
+        if entries[n_ok] is None:
+            raise InvalidCert(f"target {shape.name} table lacks the entry at {key}")
+        raise InvalidCert(f"target {shape.name} entry {key} is out of range")
     isos: list[Iso] = []
     identities: dict[int, Iso] = {}
     for image, entry in zip(distinct, entries):
@@ -774,7 +782,7 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
               for key in dict.fromkeys(src_keys) for w in (table[key],)}
     # the imaged apexes and legs column by column, each leg then composed
     # with the eso iso of its foot
-    n_fields = len(shape.field_kinds) - k
+    n_fields = len(shape.fields) - k
     apexes, *legs = list(zip(*map(by_src.__getitem__, src_keys))) or [()] * n_fields
     feet = _feet_columns(shape, G.target, columns)
     composed = [list(map(getitem, map(comp.__getitem__, ps), map(eso.__getitem__, ys)))
@@ -784,10 +792,10 @@ def carry(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
 
 def reflect(shape: LimitShape, F: Functor, w):
     """A fully faithful functor whose image cone is limiting forces the source
-    cone to be limiting; a witness with a field outside the source is bad
-    input, refused before it is imaged, and a failure after a limiting image
-    is an internal error."""
-    if not shape.in_range(F.source, w):
+    cone to be limiting; a witness with a field that names nothing of the
+    source is bad input, refused before it is imaged, and a failure after a
+    limiting image is an internal error."""
+    if first_bad_field(F.source, shape.fields, zip(w)) is not None:
         raise InvalidCert(f"source {shape.name} witness {w} is out of range")
     if is_fully_faithful(F) is None:
         raise PreconditionViolation("reflection requires a fully faithful functor")

@@ -29,12 +29,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    MORPHISM,
+    OBJECT,
     FinCat,
     Functor,
     Iso,
     NatIso,
     WeakEquivalenceCert,
     check_weak_equivalence_cert,
+    first_bad_field,
 )
 from .errors import (
     InvalidCert,
@@ -60,6 +63,10 @@ class PNNOW(NamedTuple):
     N: int
     z: int
     s: int
+
+
+# each field of a parameterized-N witness, with its name in a category document
+FIELDS = (("N", OBJECT), ("z", MORPHISM), ("s", MORPHISM))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +102,8 @@ def is_pnno(
 def check_pnno(C: FinCat, bag: dict) -> None:
     refuse_missing_kinds(bag, ("terminal", "products", "pnno"))
     w = bag["pnno"]
-    if is_pnno(C, bag["terminal"], bag["products"], w.N, w.z, w.s) is None:
+    if first_bad_field(C, FIELDS, zip(w)) is not None \
+            or is_pnno(C, bag["terminal"], bag["products"], w.N, w.z, w.s) is None:
         raise InvalidCert("parameterized-N witness fails its defining property")
 
 
@@ -111,9 +119,10 @@ def find_pnno(C: FinCat, bag: dict) -> PNNOW | None:
     return is_pnno(C, term, bag["products"], N, C.hom(term.t, N)[0], C.identity[N])
 
 
-def _refuse_out_of_range(C: FinCat, term: ChosenTerminal, w: PNNOW) -> None:
-    if not (0 <= term.t < C.n_objects and 0 <= w.N < C.n_objects and C.has_morphisms(w.z, w.s)):
-        raise InvalidCert(f"source parameterized-N witness {w} on {term} is out of range")
+def _refuse_misnamed(side: str, C: FinCat, term: ChosenTerminal, w: PNNOW) -> None:
+    """Refuse a terminal or a triple with a field that names nothing of C."""
+    if first_bad_field(C, TERMINAL.fields + FIELDS, zip((*term, *w))) is not None:
+        raise InvalidCert(f"{side} parameterized-N witness {w} on {term} is out of range")
 
 
 def _image_triple(
@@ -154,11 +163,11 @@ def reflect_pnno(
     z: int,
     s: int,
 ) -> PNNOW:
-    """From a validated image triple back to the source; a triple out of
-    range on the source is bad input, and a failure after a valid image an
-    engine bug."""
+    """From a validated image triple back to the source; a terminal or a
+    triple that names nothing of the source is bad input, and a failure
+    after a valid image an engine bug."""
     G = cert.functor
-    _refuse_out_of_range(G.source, termC, PNNOW(N, z, s))
+    _refuse_misnamed("source", G.source, termC, PNNOW(N, z, s))
     wD = _image_triple(G, termC, termD, PNNOW(N, z, s))
     if is_pnno(G.target, termD, prodsD, wD.N, wD.z, wD.s) is None:
         raise PreconditionViolation("image triple is not a parameterized N downstream")
@@ -176,14 +185,16 @@ def preserves_pnno(F: Functor, src: dict, dst: dict) -> PNNOPreservationCert | N
     commute with zero and successor.  The terminal and parameterized N of
     dst are taken as checked, as they are in every bag the registry passes,
     and a category that is not thin, which carries none, is refused; so is
-    a source triple out of range."""
+    a source or target triple with a field that names nothing of its
+    category."""
     refuse_missing_kinds(src, ("terminal", "pnno"))
     refuse_missing_kinds(dst, ("terminal", "pnno"))
     D = F.target
     termC, wC, wD = src["terminal"], src["pnno"], dst["pnno"]
     if preserves(TERMINAL, F, {(): termC}, {(): dst["terminal"]}) is None:
         return None
-    _refuse_out_of_range(F.source, termC, wC)
+    _refuse_misnamed("source", F.source, termC, wC)
+    _refuse_misnamed("target", D, dst["terminal"], wD)
     if D.down_sets is None:
         raise InvalidCert("a category that is not thin carries no parameterized N")
     N = F.obj_map[wC.N]

@@ -35,6 +35,7 @@ from functools import cache, partial
 from catkit import exponentials, limits
 from catkit.classifier import SubobjectClassifierW
 from catkit.core import (
+    OBJECT,
     FinCat,
     Functor,
     Iso,
@@ -391,7 +392,8 @@ def preserves(
         entry = target.get(image[:k])
         if entry is None:
             raise InvalidCert(f"target {shape.name} table lacks the entry at {image[:k]}")
-        if not shape.in_range(E, entry):
+        bounds = [E.n_objects if ref == OBJECT else E.n_morphisms for _, ref in shape.fields]
+        if not all(type(x) is int and 0 <= x < b for x, b in zip(entry, bounds)):
             raise InvalidCert(f"target {shape.name} entry {image[:k]} is out of range")
     mu = {}
     for key, image in images.items():

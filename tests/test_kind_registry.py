@@ -12,14 +12,12 @@ from catkit import cli, limits
 from catkit.completion import inflate
 from catkit.generators import setoid_groupoid
 from catkit.interchange import structure_from_json, structure_to_json
+from catkit.core import CHI, MORPHISM, OBJECT
 from catkit.lifting import (
     _BAG_KINDS,
     _LIMIT_KINDS,
-    CHI,
     KIND_ORDER,
     KINDS,
-    MORPHISM,
-    OBJECT,
     TOPOS_KINDS,
     find_bag,
 )

@@ -15,7 +15,7 @@ import pytest
 
 from catkit import exponentials, limits, nno
 from catkit.completion import inflate, inflate_section
-from catkit.core import is_weak_equivalence
+from catkit.core import OBJECT, is_weak_equivalence
 from catkit.errors import PreconditionViolation
 from catkit.generators import chain_poset
 from catkit.lifting import complete_structured, factor_structured, find_bag
@@ -61,7 +61,7 @@ def _limit_corruptions(shape, C, w, twins):
         swapped = (key[1], key[0])
         if swapped != key:
             out.append(("key mismatch", shape.witness(*swapped, apex, *legs)))
-    bounds = [C.n_objects if is_obj else C.n_morphisms for _, is_obj in shape.field_kinds]
+    bounds = [C.n_objects if ref == OBJECT else C.n_morphisms for _, ref in shape.fields]
     for i in range(k, len(w)):
         for bad in (-1, bounds[i]):
             out.append(("field out of range", shape.witness(*w[:i], bad, *w[i + 1:])))

@@ -36,11 +36,14 @@ from catkit.completion import (
     skeleton_inclusion,
 )
 from catkit.core import (
+    CHI,
+    OBJECT,
     Functor,
     WeakEquivalenceCert,
     check_functor,
     compose_functors,
     check_weak_equivalence_cert,
+    find_iso,
     identity_functor,
     is_fully_faithful,
 )
@@ -64,7 +67,7 @@ from catkit.generators import (
     setoid_groupoid,
 )
 from catkit.interchange import structure_from_json, structure_to_json
-from catkit.lifting import KIND_ORDER, KINDS, find_bag
+from catkit.lifting import _LIMIT_KINDS, KIND_ORDER, KINDS, find_bag
 from catkit.limits import ChosenTerminal
 from test_law_oracles import corpus as law_corpus
 
@@ -379,3 +382,146 @@ def test_preserves_subobject_classifier_refuses_a_target_out_of_range(field, x):
         classifier.preserves_subobject_classifier(identity_functor(G), bag, target)
     assert classifier.preserves_subobject_classifier(eta, bag, find_bag(
         eta.target, KIND_ORDER)) is not None
+
+
+# ---------------------------------------------------------------------------
+# one refusal table: every field of every kind, as its block declares it, at
+# every verb that reads a witness, and the index arguments of core and the
+# generators
+
+_BAD = (None, True, 1.5, -1, "bound", 10**6)
+_SHAPES = {name: shape for name, _, shape, *_ in _LIMIT_KINDS}
+
+
+@cache
+def _topos():
+    """An inflated codiscrete pair, which carries every kind, its
+    completion and the bags found on both sides."""
+    C = inflate(setoid_groupoid(2, {(0, 1)}, name="codisc2"), [2, 1])[0]
+    res = skeletize(C)
+    return C, res, find_bag(C, KIND_ORDER), find_bag(res.completed, KIND_ORDER)
+
+
+def _mutants(C, kind: str, bag: dict):
+    """(what, witness, entry) for kind's entry in bag with one field of its
+    first entry by key replaced by each bad value: every field the kind's
+    block lists, and both a key and a value of a chi table."""
+    block = KINDS[kind].block
+    entry = bag[kind]
+    key = min(entry) if block.key else None
+    w = entry[key] if block.key else entry
+    for j, (field, ref) in enumerate(block.fields):
+        for bad in _BAD:
+            x = (C.n_objects if ref == OBJECT else C.n_morphisms) if bad == "bound" else bad
+            if ref == CHI:
+                first = min(w.chi)
+                values = [("'s value", {**w.chi, first: x}), ("'s key", {x: w.chi[first]})]
+            else:
+                values = [("", x)]
+            for how, value in values:
+                fields = list(w)
+                fields[j] = value
+                new = type(w)(*fields)
+                yield f"{field or 'label'}{how} {x!r}", new, {**entry, key: new} if block.key else new
+
+
+def _witness_verbs(kind: str) -> dict:
+    """Each verb that reads a witness of kind: the side its witness sits on
+    and the call on one mutant (witness, entry), eta from the inflated pair
+    to its completion."""
+    C, res, bagC, bagD = _topos()
+    eta, verb = res.eta, KINDS[kind]
+    out = {
+        "check": ("source", lambda w, e: verb.check(C, {**bagC, kind: e})),
+        "preserves, source": ("source", lambda w, e: verb.preserves(eta, {**bagC, kind: e}, bagD)),
+        "preserves, target": ("target", lambda w, e: verb.preserves(eta, bagC, {**bagD, kind: e})),
+        "structure_to_json": ("source", lambda w, e: structure_to_json(C, {kind: e})),
+    }
+    shape = _SHAPES.get(kind)
+    if shape is not None:
+        w0 = bagC[kind] if not shape.n_key else bagC[kind][min(bagC[kind])]
+        _, apex, legs = shape.split(w0)
+        out["mediator"] = ("source", lambda w, e: limits.mediator(shape, C, w, apex, legs))
+        out["reflect"] = ("source", lambda w, e: limits.reflect(shape, eta, w))
+    if kind == "pnno":
+        out["reflect"] = ("source", lambda w, e: nno.reflect_pnno(
+            res.cert, bagC["terminal"], bagC["products"], bagD["terminal"], bagD["products"], *w))
+    return out
+
+
+def _refusal_table() -> dict:
+    """Row -> (the class every call must raise, [(what, call)])."""
+    C, res, bagC, bagD = _topos()
+    rows = {}
+    for kind in KIND_ORDER:
+        for verb, (side, call) in _witness_verbs(kind).items():
+            cat, bag = (C, bagC) if side == "source" else (res.completed, bagD)
+            rows[f"{kind}: {verb}"] = (InvalidCert, [
+                (what, lambda call=call, w=w, e=e: call(w, e)) for what, w, e in _mutants(cat, kind, bag)
+            ])
+    eta = res.eta
+    short = Functor(C, eta.target, eta.obj_map[:1], eta.mor_map[:1], "F")
+    for kind in KIND_ORDER:
+        rows[f"{kind}: preserves along short maps"] = (IllTypedImage, [
+            ("one-entry maps", lambda kind=kind: KINDS[kind].preserves(short, bagC, bagD))])
+    m = C.n_morphisms
+    rows["core.find_iso"] = (InvalidCert, [
+        (repr(x), lambda x=x: find_iso(C, x)) for x in (m if b == "bound" else b for b in _BAD)])
+    rows["core.is_fully_faithful"] = (IllTypedImage, [
+        (what, lambda F=F: is_fully_faithful(F)) for what, F in _bad_functors(res.eta)])
+    rows["generators.setoid_groupoid"] = (MalformedInput, [
+        (repr(pairs), lambda pairs=pairs: setoid_groupoid(2, pairs))
+        for pairs in ({(0, 5)}, {(-1, 0)}, {(None, 0)}, {(0, 1.5)}, {(0, 1, 1)})])
+    rows["generators.delooping"] = (MalformedInput, [
+        (repr(table), lambda table=table: delooping(table))
+        for table in ([[0, 1]], [[0, 1], [1]], [[0], [0]])])
+    return rows
+
+
+def _bad_functors(F):
+    """F with maps that do not cover its source, or with one object or
+    morphism image replaced by each bad value."""
+    D = F.target
+    yield "one-entry object map", Functor(F.source, D, F.obj_map[:1], F.mor_map, "F")
+    yield "one-entry morphism map", Functor(F.source, D, F.obj_map, F.mor_map[:1], "F")
+    for bad in _BAD:
+        x = D.n_objects if bad == "bound" else bad
+        yield f"object image {x!r}", Functor(F.source, D, (x,) + F.obj_map[1:], F.mor_map, "F")
+        x = D.n_morphisms if bad == "bound" else bad
+        yield f"morphism image {x!r}", Functor(F.source, D, F.obj_map, F.mor_map[:-1] + (x,), "F")
+
+
+@pytest.mark.parametrize("row", sorted(_refusal_table()))
+def test_every_bad_field_and_index_is_refused_as_a_catkit_error(row):
+    """Each call of the row raises the row's class, a ``CatkitError``, and
+    none a bare ``TypeError``, ``IndexError`` or ``AttributeError``."""
+    cls, calls = _refusal_table()[row]
+    assert issubclass(cls, CatkitError) and calls
+    wrong = []
+    for what, call in calls:
+        try:
+            call()
+        except cls:
+            continue
+        except Exception as e:
+            wrong.append(f"{what}: {type(e).__name__}: {e}")
+        else:
+            wrong.append(f"{what}: accepted")
+    assert wrong == []
+
+
+def test_is_fully_faithful_refuses_a_functor_as_check_functor_does():
+    eta = _topos()[1].eta
+    for what, F in _bad_functors(eta):
+        with pytest.raises(IllTypedImage) as checked:
+            check_functor(F)
+        with pytest.raises(IllTypedImage, match=f"^{re.escape(str(checked.value))}$"):
+            is_fully_faithful(F)
+    assert is_fully_faithful(eta) is not None
+
+
+def test_find_iso_refuses_an_index_counted_from_the_end():
+    C = _topos()[0]
+    with pytest.raises(InvalidCert, match=f"^-1 names no morphism of {C.name}$"):
+        find_iso(C, -1)
+    assert find_iso(C, C.n_morphisms - 1) is not None
