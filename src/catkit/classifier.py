@@ -37,6 +37,7 @@ from .core import (
     check_weak_equivalence_cert,
     find_iso,
     first_bad_field,
+    was_found,
 )
 from .errors import (
     AmbiguousClassifier,
@@ -196,10 +197,12 @@ def transfer_subobject_classifier(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> SubobjectClassifierW:
     """:func:`carry_subobject_classifier` after checking the classifier of
-    src on the source and the certificate."""
+    src on the source and the certificate.  Entries found on this very
+    source instance are not checked again, as in ``limits.transfer``."""
     refuse_missing_kinds(src, ("terminal", "classifier"))
     refuse_missing_kinds(dst, ("terminal",))
-    check_subobject_classifier(cert.functor.source, src)
+    if not was_found(cert.functor.source, src, ("terminal", "classifier")):
+        check_subobject_classifier(cert.functor.source, src)
     check_weak_equivalence_cert(cert)
     return carry_subobject_classifier(cert, src, dst)
 

@@ -264,6 +264,15 @@ def first_bad_field(
     return hit
 
 
+def all_ints(values: Iterable) -> bool:
+    """Whether every value is an int, not a bool: the type half of
+    :func:`first_bad_field`, for a predicate on one witness whose typing
+    tests then put every field in range.  It costs no column walk, so a
+    check that has run the rule on its whole table pays little for it per
+    entry."""
+    return {*map(type, values)} <= _INT
+
+
 def _indices(values: Sequence, bound: int) -> bool:
     """Whether every value is an int, not a bool, in range(bound): one value
     tested as it is, more by builtins over them all."""
@@ -1066,6 +1075,26 @@ def is_weak_equivalence(F: Functor) -> WeakEquivalenceCert | None:
 # is_weak_equivalence built from a checked functor, and that nothing can
 # change: each field is a tuple or read-only, and so are its functor's maps.
 _accepted_certs: weakref.WeakSet[WeakEquivalenceCert] = weakref.WeakSet()
+
+# The bag entries that lifting.complete_structured found on a skeleton, by
+# kind, keyed by that category instance and held weakly: each a read-only
+# view that nothing else holds, or a tuple witness, none of which refers to
+# the category.  Only the transfers read it, to skip their source check of
+# the very entries found there; every check checks whatever it is given.
+_found_entries: weakref.WeakKeyDictionary[FinCat, dict[str, object]] = (
+    weakref.WeakKeyDictionary())
+
+
+def record_found(C: FinCat, name: str, entry: object) -> None:
+    """Record entry, read-only and found on C, as C's entry of kind name."""
+    _found_entries.setdefault(C, {})[name] = entry
+
+
+def was_found(C: FinCat, bag: Mapping[str, object], kinds: Iterable[str]) -> bool:
+    """Whether bag's entry of each of kinds is the very object recorded as
+    found on this instance C, so that a check of them on C would pass."""
+    found = _found_entries.get(C)
+    return found is not None and all(k in found and found[k] is bag[k] for k in kinds)
 
 
 def _accept(cert: WeakEquivalenceCert) -> None:

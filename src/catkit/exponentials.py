@@ -44,10 +44,12 @@ from .core import (
     Iso,
     NatIso,
     WeakEquivalenceCert,
+    all_ints,
     budget_tick,
     check_weak_equivalence_cert,
     first_bad_field,
     refuse_short_maps,
+    was_found,
 )
 from .errors import InvalidCert
 from .limits import (
@@ -90,7 +92,10 @@ class ExpPreservationCert:
 def is_exponential(
     C: FinCat, prods: dict[tuple[int, int], BinProductW], w: ExponentialW
 ) -> bool:
-    return _is_exponential(C, _meet_apexes(C, prods, w.x), w)
+    """Whether w is the exponential of its pair over the chosen products; a
+    field that is not an int (``core.all_ints``) or names nothing of C makes
+    it none."""
+    return all_ints(w) and _is_exponential(C, _meet_apexes(C, prods, w.x), w)
 
 
 def _is_exponential(C: FinCat, apexes: list[int] | None, w: ExponentialW) -> bool:
@@ -177,10 +182,13 @@ def transfer_exponentials(
     cert: WeakEquivalenceCert, src: dict, dst: dict
 ) -> Mapping[tuple[int, int], ExponentialW]:
     """:func:`check_exponentials` on the source and
-    :func:`check_weak_equivalence_cert`, then :func:`carry_exponentials`."""
+    :func:`check_weak_equivalence_cert`, then :func:`carry_exponentials`.
+    Entries found on this very source instance are not checked again, as
+    in ``limits.transfer``."""
     refuse_missing_kinds(src, ("products", "exponentials"))
     refuse_missing_kinds(dst, ("products",))
-    check_exponentials(cert.functor.source, src)
+    if not was_found(cert.functor.source, src, ("products", "exponentials")):
+        check_exponentials(cert.functor.source, src)
     check_weak_equivalence_cert(cert)
     return carry_exponentials(cert, src, dst)
 

@@ -56,6 +56,7 @@ from .core import (
     NatIso,
     WeakEquivalenceCert,
     check_weak_equivalence_cert,
+    record_found,
     same_tables,
 )
 from .errors import DependencyMissing, InvalidCert, OracleDisagreement, PreconditionViolation
@@ -337,8 +338,12 @@ def complete_structured(
     a table kind found on a gaunt skeleton (fidelity "exact"): each carried
     entry then images onto the skeleton's chosen one, so its certificate,
     of the class ``preserves`` returns, is built with the identity at eta's
-    image of each entry's apex, one ``Iso`` per object.  The bags returned
-    are read-only, and ``validated`` records them.
+    image of each entry's apex, one ``Iso`` per object.  Each entry found
+    on the skeleton is recorded against that skeleton instance
+    (``core.record_found``), so that its ``transfer`` along the inclusion
+    skips the source check it has just passed; a supplied witness, and
+    each carried entry, is checked in full.  The bags returned are
+    read-only, and ``validated`` records them.
     """
     witnesses = dict(witnesses or {})
     _check_known(witnesses)
@@ -371,6 +376,7 @@ def complete_structured(
                     continue
                 raise PreconditionViolation(f"requested structure '{name}' is absent from {C.name}")
             completed[name] = _view(found)
+            record_found(D, name, completed[name])
             found_kinds.append(name)
             src[name] = kind.transfer(incl, completed, src)
             built = _BUILT_WHEN_GAUNT.get(name) if res.fidelity == "exact" else None

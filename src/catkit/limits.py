@@ -72,6 +72,7 @@ from .core import (
     NatIso,
     WeakEquivalenceCert,
     _inverse,
+    all_ints,
     budget_tick,
     check_weak_equivalence_cert,
     compose_functors,
@@ -80,6 +81,7 @@ from .core import (
     is_fully_faithful,
     opposite,
     refuse_short_maps,
+    was_found,
 )
 from .errors import (
     DependencyMissing,
@@ -265,8 +267,11 @@ class _Counts:
 
 
 def is_binary_product(C: FinCat, w: BinProductW) -> bool:
+    """Whether w is a product of its factors.  A field that is not an int
+    (``core.all_ints``) makes it none, and so does one out of range, since
+    the typing tests compare each object field with a leg's end."""
     x1, x2, apex, pi1, pi2 = w
-    if not C.has_morphisms(pi1, pi2):
+    if not (all_ints(w) and C.has_morphisms(pi1, pi2)):
         return False
     if C.mor_src[pi1] != apex or C.mor_dst[pi1] != x1:
         return False
@@ -284,8 +289,10 @@ def _product_cones(counts: _Counts, key: Key) -> int:
 
 
 def is_equalizer(C: FinCat, w: EqualizerW) -> bool:
+    """Whether w is an equalizer of its pair; fields as in
+    :func:`is_binary_product`."""
     f, g, obj, arrow = w
-    if not C.has_morphisms(f, g, arrow):
+    if not (all_ints(w) and C.has_morphisms(f, g, arrow)):
         return False
     x = C.mor_src[f]
     if C.mor_src[g] != x or C.mor_dst[g] != C.mor_dst[f]:
@@ -306,8 +313,10 @@ def _equalizer_cones(counts: _Counts, key: Key) -> int:
 
 
 def is_pullback(C: FinCat, w: PullbackW) -> bool:
+    """Whether w is a pullback of its cospan; fields as in
+    :func:`is_binary_product`."""
     f, g, apex, p1, p2 = w
-    if not C.has_morphisms(f, g, p1, p2):
+    if not (all_ints(w) and C.has_morphisms(f, g, p1, p2)):
         return False
     x, z0 = C.mor_src[f], C.mor_dst[f]
     y = C.mor_src[g]
@@ -377,7 +386,7 @@ class LimitShape:
     objects or morphisms alike.  ``is_limit`` is the public check of a
     witness, range, typing and equations first, and looks its function up
     on the module when called, so a wrapper installed on the module sees
-    every call.
+    every call.  ``kind`` is the name of its kind in a bag.
     """
 
     name: str
@@ -390,6 +399,7 @@ class LimitShape:
     is_limit: Callable[[FinCat, object], bool]
     cones: Callable[[_Counts, Key], int]
     fields: tuple[tuple[str | None, str], ...]
+    kind: str
 
     @property
     def keyed_by_objects(self) -> bool:
@@ -415,25 +425,27 @@ class LimitShape:
 TERMINAL = LimitShape(
     "terminal", "empty diagram", ChosenTerminal, 0, lambda C: [()], lambda C, key: (),
     None, lambda C, w: is_terminal(C, w.t), lambda counts, key: counts.C.n_objects,
-    ((None, OBJECT),),
+    ((None, OBJECT),), "terminal",
 )
 PRODUCTS = LimitShape(
     "product", "factor pair", BinProductW, 2,
     lambda C: list(itertools.product(range(C.n_objects), repeat=2)), lambda C, key: key,
     None, lambda C, w: is_binary_product(C, w), _product_cones,
     (("x1", OBJECT), ("x2", OBJECT), ("apex", OBJECT), ("pi1", MORPHISM), ("pi2", MORPHISM)),
+    "products",
 )
 EQUALIZERS = LimitShape(
     "equalizer", "parallel pair", EqualizerW, 2, parallel_pairs, _parallel_feet,
     lambda C, key, legs: (row := C.comp_table[legs[0]])[key[0]] == row[key[1]],
     lambda C, w: is_equalizer(C, w), _equalizer_cones,
-    (("f", MORPHISM), ("g", MORPHISM), ("obj", OBJECT), ("arrow", MORPHISM)),
+    (("f", MORPHISM), ("g", MORPHISM), ("obj", OBJECT), ("arrow", MORPHISM)), "equalizers",
 )
 PULLBACKS = LimitShape(
     "pullback", "cospan", PullbackW, 2, cospan_pairs, _cospan_feet,
     lambda C, key, legs: C.comp_table[legs[0]][key[0]] == C.comp_table[legs[1]][key[1]],
     lambda C, w: is_pullback(C, w), _pullback_cones,
     (("f", MORPHISM), ("g", MORPHISM), ("apex", OBJECT), ("p1", MORPHISM), ("p2", MORPHISM)),
+    "pullbacks",
 )
 
 
@@ -751,8 +763,14 @@ def first_unpreserved(shape: LimitShape, F: Functor, source: Table, target: Tabl
 
 def transfer(shape: LimitShape, cert: WeakEquivalenceCert, table: Table) -> Table:
     """:func:`check_table` on the source and
-    :func:`check_weak_equivalence_cert`, then :func:`carry`."""
-    check_table(shape, cert.functor.source, table)
+    :func:`check_weak_equivalence_cert`, then :func:`carry`.  The table
+    that ``lifting.complete_structured`` found on this very source instance
+    (``core.was_found``; for the terminal, the table of that one witness)
+    passed the check there and is read-only, so it is not checked again."""
+    C = cert.functor.source
+    entry = table if shape.n_key else table.get(()) if len(table) == 1 else None
+    if not was_found(C, {shape.kind: entry}, (shape.kind,)):
+        check_table(shape, C, table)
     check_weak_equivalence_cert(cert)
     return carry(shape, cert, table)
 

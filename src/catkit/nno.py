@@ -36,8 +36,10 @@ from .core import (
     Iso,
     NatIso,
     WeakEquivalenceCert,
+    all_ints,
     check_weak_equivalence_cert,
     first_bad_field,
+    was_found,
 )
 from .errors import (
     InvalidCert,
@@ -90,9 +92,12 @@ def is_pnno(
     to N, on a thin category whose chosen products with N are meets: N is
     then a top, and for every parameter t', stage m and data (z', s') the
     one arrow from t' x N, which lies below t' and so below m, is the one
-    recursor.  A chosen terminal that is not terminal raises; the terminal
-    check is the one tick."""
-    if not C.has_morphisms(z, s) or (C.mor_src[z], C.mor_dst[z]) != (term.t, N) \
+    recursor.  A field of the triple that is not an int
+    (``core.all_ints``) or names nothing of C makes it none.  A chosen
+    terminal that is not terminal raises; the terminal check is the one
+    tick."""
+    if not (all_ints((N, z, s)) and C.has_morphisms(z, s)) \
+            or (C.mor_src[z], C.mor_dst[z]) != (term.t, N) \
             or (C.mor_src[s], C.mor_dst[s]) != (N, N) or _meet_apexes(C, prods, N) is None:
         return None
     check_table(TERMINAL, C, {(): term})
@@ -136,10 +141,13 @@ def _image_triple(
 
 def transfer_pnno(cert: WeakEquivalenceCert, src: dict, dst: dict) -> PNNOW:
     """:func:`check_pnno` on the source and
-    :func:`check_weak_equivalence_cert`, then :func:`carry_pnno`."""
+    :func:`check_weak_equivalence_cert`, then :func:`carry_pnno`.  Entries
+    found on this very source instance are not checked again, as in
+    ``limits.transfer``."""
     refuse_missing_kinds(src, ("terminal", "products", "pnno"))
     refuse_missing_kinds(dst, ("terminal",))
-    check_pnno(cert.functor.source, src)
+    if not was_found(cert.functor.source, src, ("terminal", "products", "pnno")):
+        check_pnno(cert.functor.source, src)
     check_weak_equivalence_cert(cert)
     return carry_pnno(cert, src, dst)
 

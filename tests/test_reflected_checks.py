@@ -18,7 +18,7 @@ from catkit.completion import inflate, inflate_section
 from catkit.core import OBJECT, is_weak_equivalence
 from catkit.errors import PreconditionViolation
 from catkit.generators import chain_poset
-from catkit.lifting import complete_structured, factor_structured, find_bag
+from catkit.lifting import KINDS, complete_structured, factor_structured, find_bag
 
 CHECKERS = (
     "is_binary_product", "is_equalizer", "is_pullback", "is_terminal", "is_exponential", "is_pnno",
@@ -118,11 +118,14 @@ def test_pipeline_runs_no_brute_force_check_on_the_source(monkeypatch):
     factor_structured(sc, proj)
     assert set(sc.kinds) >= {"terminal", "products", "equalizers", "pullbacks", "exponentials"}
     assert [name for name, cat in calls if cat is C] == []
-    # the wrappers do see the checks, made on the skeleton; the exponentials'
-    # entry check there runs their universal-property loop, not is_exponential
-    assert {name for name, cat in calls if cat is sc.result.completed} == set(CHECKERS) - {
-        "is_exponential"
-    }
+    # the wrappers do see the checks: each kind's check on the skeleton runs
+    # them there, the exponentials' their universal-property loop, not
+    # is_exponential
+    D = sc.result.completed
+    calls.clear()
+    for name in sc.kinds:
+        KINDS[name].check(D, sc.completed)
+    assert {name for name, cat in calls if cat is D} == set(CHECKERS) - {"is_exponential"}
 
 
 def _moved_along(C, w, i):

@@ -443,10 +443,24 @@ def _witness_verbs(kind: str) -> dict:
         _, apex, legs = shape.split(w0)
         out["mediator"] = ("source", lambda w, e: limits.mediator(shape, C, w, apex, legs))
         out["reflect"] = ("source", lambda w, e: limits.reflect(shape, eta, w))
+        out["predicate"] = ("source", lambda w, e: _answers_no(shape.is_limit(C, w)))
+    if kind == "exponentials":
+        out["predicate"] = ("source", lambda w, e: _answers_no(
+            exponentials.is_exponential(C, bagC["products"], w)))
     if kind == "pnno":
         out["reflect"] = ("source", lambda w, e: nno.reflect_pnno(
             res.cert, bagC["terminal"], bagC["products"], bagD["terminal"], bagD["products"], *w))
+        out["predicate"] = ("source", lambda w, e: _answers_no(
+            nno.is_pnno(C, bagC["terminal"], bagC["products"], *w)))
     return out
+
+
+def _answers_no(answer) -> None:
+    """A predicate's no, False or None, as the refusal a row expects: the
+    public ``is_*`` answer no for a field that names nothing, not a type
+    error."""
+    if not answer:
+        raise InvalidCert("the predicate answers no")
 
 
 def _refusal_table() -> dict:
